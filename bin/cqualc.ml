@@ -447,11 +447,11 @@ let cache_dir =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist analysis results (parsed ASTs, per-SCC constraint \
-           schemes, whole-run reports) under $(docv), and reuse any entry \
-           whose full verification chain — format, version, lattice, \
-           content hash, dependency interface hashes, payload checksum — \
-           still holds. Anything else is re-inferred cold, so reports are \
+          "Persist analysis results (per-unit parsed ASTs and whole-run \
+           reports) under $(docv), and reuse any entry whose full \
+           verification chain — format, version, lattice, content hash, \
+           payload checksum — still holds. Anything else is recomputed \
+           cold, so reports are \
            byte-identical with or without a cache. Safe under concurrent \
            invocations; cache I/O trouble warns once and the run continues \
            uncached. See $(b,--stats) for hit/miss/reject counts.")

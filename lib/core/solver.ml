@@ -1196,7 +1196,6 @@ let export t =
 
 let batch_vars b = Array.length b.b_vars
 let batch_atoms b = Array.length b.b_atoms
-let batch_content b = (b.b_vars, b.b_atoms)
 
 (* Replay [b] into [t]. [?bind] resolves batch variables that must map to
    pre-existing variables of [t] (the worker's mirrors of shared globals);

@@ -197,11 +197,6 @@ val export : t -> batch
 val batch_vars : batch -> int
 val batch_atoms : batch -> int
 
-val batch_content : batch -> var array * atom array
-(** the batch's variables (creation order) and atoms (insertion order),
-    as stored — do not mutate. Used by the parity harnesses to replay an
-    exported constraint stream through an independent store. *)
-
 val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
 (** Replay a batch (typically exported from a worker's private store) into
     [t]: batch variables resolved by [?bind] map to existing variables of

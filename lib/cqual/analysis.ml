@@ -221,8 +221,8 @@ type pub = {
 (** May instances of a scheme be shared between call sites of the same
     callee? Decided once per (scheme, callee), from the shape of the
     registered interface and the scheme's own atoms — both structural, so
-    serial runs, worker replicas (over mirrored schemes), and cached
-    replays reach the same verdict. *)
+    serial runs and worker replicas (over mirrored schemes) reach the same
+    verdict. *)
 type memo_verdict =
   | MFlat
       (** the whole signature is flat (flat return, flat pointed-to
@@ -269,6 +269,10 @@ type env = {
           table above are private to one domain, and shared state is
           reached read-only through the context *)
   mutable par : par_stats option;  (** set on the shared env by parallel runs *)
+  mutable fdg : Fdg.t option;
+      (** the dependence graph the polymorphic drivers scheduled over, kept
+          so the run's FDG statistics need no second build; [None] for
+          mono runs and worker views *)
   compact : bool;
       (** scheme compaction at generalization and instantiation
           memoization (default on); [false] restores the uncompacted
@@ -1018,6 +1022,7 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     budget;
     pc = None;
     par = None;
+    fdg = None;
     compact;
     shapes = Shape.create_table ();
     imemo = Hashtbl.create 64;
@@ -1191,8 +1196,8 @@ let serial_is_global env ~global_watermark v =
    megacorpus). At registration, re-compact the shared scheme down to
    the member's own interface-reachable core: exact by compaction's
    contract (identical interface solutions and bound violations),
-   deterministic (compaction never iterates a hash table, so serial,
-   worker and replay derivations agree structurally), and excluded from
+   deterministic (compaction never iterates a hash table, so serial and
+   worker derivations agree structurally), and excluded from
    the scheme-size counters ([~count:false]) so those keep describing
    the primary generalizations. Singleton SCCs keep their scheme as is:
    it was already compacted against exactly this interface. *)
@@ -1259,6 +1264,7 @@ let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
   let global_watermark = Solver.num_vars env.store in
   let is_global = serial_is_global env ~global_watermark in
   let fdg = Fdg.build prog in
+  env.fdg <- Some fdg;
   let ifaces = ref [] in
   (* fault isolation is per SCC: members are generalized together, so a
      failure in any of them invalidates the whole component's scheme *)
@@ -1402,6 +1408,7 @@ let run_polyrec ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
   let global_watermark = Solver.num_vars env.store in
   let is_global = serial_is_global env ~global_watermark in
   let fdg = Fdg.build prog in
+  env.fdg <- Some fdg;
   let ifaces = ref [] in
   List.iter
     (fun scc ->
@@ -1464,6 +1471,7 @@ let worker_env (genv : env) (pub : pub) : env =
           pc_pub = pub;
         };
     par = None;
+    fdg = None;
     compact = genv.compact;
     shapes = Shape.create_table ();
     imemo = Hashtbl.create 32;
@@ -1570,460 +1578,13 @@ let merge_result genv (r : task_result) : (string * fsig) list =
         r.tr_ifaces
   end
 
-(* ------------------------------------------------------------------ *)
-(* Persistent per-SCC cache (portable task results; see DESIGN.md)     *)
-(* ------------------------------------------------------------------ *)
-
-module Cache = Typequal.Cache
-
-(* A worker's task result is expressed in its own private store, whose
-   variables are meaningless across processes. To persist it we re-express
-   everything in {e portable} terms: variables become their creation index
-   (a fresh store's [var_id] IS the creation index), and bindings to the
-   shared store become stable {e paths} — "g:name#k" for the k-th cell of
-   global [name] (DFS order), "f:tag.field#k" for struct fields, or the
-   auto-global's name. Both sides derive the same paths from the same
-   program, so a later process can replay the exact constraint stream into
-   a fresh worker store and merge it as if it had just been inferred. *)
-
-type registry = {
-  rg_path : (int, string) Hashtbl.t;  (** shared var id -> stable path *)
-  rg_var : (string, Solver.var) Hashtbl.t;  (** stable path -> shared var *)
-}
-
-(* Visit every cell reachable from [c] in DFS preorder, calling
-   [f path var] with "<root>#k" for the k-th newly seen cell. *)
-let walk_cells root (c : cell) f =
-  let seen = Hashtbl.create 8 in
-  let k = ref 0 in
-  let rec go_cell c =
-    let id = Solver.var_id c.q in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      f (Printf.sprintf "%s#%d" root !k) c.q;
-      incr k;
-      go_rt c.contents
-    end
-  and go_rt = function
-    | RBase | RVoid | RStruct _ -> ()
-    | RPtr c -> go_cell c
-    | RFun fs ->
-        List.iter go_cell fs.fs_params;
-        go_rt fs.fs_ret
-  in
-  go_cell c
-
-(* Stable paths for every shared variable a worker can mirror: the global
-   environment is fully built before the parallel phase and frozen during
-   it, so declaration order (globals) and sorted tag order (fields) give
-   both the writer and a later reader the same enumeration. *)
-let registry_of_env (genv : env) : registry =
-  let rg = { rg_path = Hashtbl.create 997; rg_var = Hashtbl.create 997 } in
-  let add path v =
-    if not (Hashtbl.mem rg.rg_path (Solver.var_id v)) then begin
-      Hashtbl.replace rg.rg_path (Solver.var_id v) path;
-      Hashtbl.replace rg.rg_var path v
-    end
-  in
-  List.iter
-    (fun (d : Cast.decl) ->
-      match Hashtbl.find_opt genv.globals d.d_name with
-      | Some c -> walk_cells ("g:" ^ d.d_name) c add
-      | None -> ())
-    (Cprog.global_vars genv.prog);
-  let tags = Hashtbl.fold (fun tag _ acc -> tag :: acc) genv.fields [] in
-  List.iter
-    (fun tag ->
-      List.iter
-        (fun (fname, c) -> walk_cells (Printf.sprintf "f:%s.%s" tag fname) c add)
-        (Hashtbl.find genv.fields tag))
-    (List.sort compare tags);
-  rg
-
-exception Unencodable
-(** raised while encoding a task whose bindings have no stable path; the
-    task is simply not cached (never an error) *)
-
-exception Undecodable_task
-(** raised while decoding a cached payload that is internally inconsistent
-    (e.g. variable indices out of range); the loader rejects the entry and
-    re-infers cold *)
-
-(** how a portable variable binds into the shared store *)
-type pbind =
-  | PB_none  (** worker-private: re-created fresh on replay *)
-  | PB_global of string  (** mirror of the shared variable at this path *)
-  | PB_auto of string  (** auto-declared global, bound by name *)
-
-(** an atom over portable variable indices *)
-type patom =
-  | PAvc of int * Elt.t * int * string option
-  | PAcv of Elt.t * int * int * string option
-  | PAvv of int * int * int * string option
-
-(** portable mirror of {!Qtypes.rt}: qualifier variables by index *)
-type ptcell = { ptq : int; mutable ptr : ptrt }
-
-and ptrt =
-  | PTBase
-  | PTVoid
-  | PTStruct of string
-  | PTPtr of ptcell
-  | PTFun of pfsig
-
-and pfsig = { pfs_params : ptcell list; pfs_ret : ptrt; pfs_varargs : bool }
-
-(** one SCC task's complete result, in portable terms; [Marshal]-safe *)
-type ptask = {
-  pt_vars : (string * pbind) array;  (** per creation index: name, binding *)
-  pt_atoms : patom array;  (** the full add-call log, insertion order *)
-  pt_warnings : string list;
-  pt_outcomes : (string * outcome) list;
-  pt_ifaces : (string * pfsig) list;  (** member name -> interface *)
-  pt_scheme : (int list * patom list) option;
-  pt_aux : Solver.stats;  (** deterministic counters only (sanitized) *)
-}
-
-(* Wall-clock and heap fields are nondeterministic; zero them so a cached
-   result merges the same counters a fresh inference would have after
-   {!Solver.merge_aux_stats} (which folds only the deterministic ones). *)
-let sanitize_stats (s : Solver.stats) : Solver.stats =
-  {
-    s with
-    Solver.solve_s = 0.;
-    absorb_s = 0.;
-    congen_s = 0.;
-    generalize_s = 0.;
-    compact_s = 0.;
-    instantiate_s = 0.;
-    report_s = 0.;
-    heap_words = 0;
-    top_heap_words = 0;
-    cores_available = 0;
-  }
-
-let encode_task (rg : registry) (r : task_result) : ptask =
-  let vars, atoms = Solver.batch_content r.tr_batch in
-  let pt_vars =
-    Array.mapi
-      (fun i v ->
-        if Solver.var_id v <> i then raise Unencodable;
-        let bind =
-          match Hashtbl.find_opt r.tr_bind i with
-          | None -> PB_none
-          | Some (Gauto x) -> PB_auto x
-          | Some (Gvar g) -> (
-              match Hashtbl.find_opt rg.rg_path (Solver.var_id g) with
-              | Some p -> PB_global p
-              | None -> raise Unencodable)
-        in
-        (Solver.var_name v, bind))
-      vars
-  in
-  let n = Array.length pt_vars in
-  let pvar v =
-    let id = Solver.var_id v in
-    if id < 0 || id >= n then raise Unencodable;
-    id
-  in
-  let patom = function
-    | Solver.Avc (v, c, m, re) -> PAvc (pvar v, c, m, re)
-    | Solver.Acv (c, v, m, re) -> PAcv (c, pvar v, m, re)
-    | Solver.Avv (a, b, m, re) -> PAvv (pvar a, pvar b, m, re)
-  in
-  let cmemo : (int, ptcell) Hashtbl.t = Hashtbl.create 32 in
-  let rec prt = function
-    | RBase -> PTBase
-    | RVoid -> PTVoid
-    | RStruct t -> PTStruct t
-    | RPtr c -> PTPtr (pcell c)
-    | RFun f -> PTFun (pfsig f)
-  and pcell (c : cell) =
-    let id = Solver.var_id c.q in
-    match Hashtbl.find_opt cmemo id with
-    | Some pc -> pc
-    | None ->
-        let pc = { ptq = pvar c.q; ptr = PTBase } in
-        Hashtbl.add cmemo id pc;
-        pc.ptr <- prt c.contents;
-        pc
-  and pfsig (f : fsig) =
-    {
-      pfs_params = List.map pcell f.fs_params;
-      pfs_ret = prt f.fs_ret;
-      pfs_varargs = f.fs_varargs;
-    }
-  in
-  {
-    pt_vars;
-    pt_atoms = Array.map patom atoms;
-    pt_warnings = r.tr_warnings;
-    pt_outcomes = r.tr_outcomes;
-    pt_ifaces =
-      List.map (fun ((f : Cast.fundef), s) -> (f.f_name, pfsig s)) r.tr_ifaces;
-    pt_scheme =
-      Option.map
-        (fun sch ->
-          ( List.map pvar (Solver.scheme_locals sch),
-            List.map patom (Solver.scheme_atoms sch) ))
-        r.tr_scheme;
-    pt_aux = sanitize_stats r.tr_aux;
-  }
-
-(* Replay a portable task into a fresh worker store: re-create every
-   variable at its recorded index (mirroring / auto-declaring exactly as
-   the original inference did), re-add every atom through the normal
-   entry points, and rebuild the interfaces and scheme over the new
-   variables. The resulting [task_result] merges byte-identically to the
-   one the original inference produced. Every inconsistency raises
-   {!Undecodable_task} — notably the index parity check, which catches
-   any payload whose creation sequence cannot be reproduced. *)
-let replay_task (genv : env) (pub : pub) (rg : registry) (prog : Cprog.t)
-    (pt : ptask) : task_result =
-  let wenv = worker_env genv pub in
-  let pc = worker_pc wenv in
-  let n = Array.length pt.pt_vars in
-  let rev = ref [] in
-  for i = 0 to n - 1 do
-    let name, bind = pt.pt_vars.(i) in
-    let v =
-      match bind with
-      | PB_none -> Solver.fresh ~name wenv.store
-      | PB_auto x -> (auto_global wenv x).q
-      | PB_global p -> (
-          match Hashtbl.find_opt rg.rg_var p with
-          | Some g -> mirror_var wenv pc g
-          | None -> raise Undecodable_task)
-    in
-    if Solver.var_id v <> i then raise Undecodable_task;
-    rev := v :: !rev
-  done;
-  let vars = Array.of_list (List.rev !rev) in
-  let gv i = if i < 0 || i >= n then raise Undecodable_task else vars.(i) in
-  Array.iter
-    (function
-      | PAvc (v, c, m, re) ->
-          Solver.add_leq_vc ?reason:re ~mask:m wenv.store (gv v) c
-      | PAcv (c, v, m, re) ->
-          Solver.add_leq_cv ?reason:re ~mask:m wenv.store c (gv v)
-      | PAvv (a, b, m, re) ->
-          Solver.add_leq_vv ?reason:re ~mask:m wenv.store (gv a) (gv b))
-    pt.pt_atoms;
-  let datom = function
-    | PAvc (v, c, m, re) -> Solver.Avc (gv v, c, m, re)
-    | PAcv (c, v, m, re) -> Solver.Acv (c, gv v, m, re)
-    | PAvv (a, b, m, re) -> Solver.Avv (gv a, gv b, m, re)
-  in
-  let cmemo : (int, cell) Hashtbl.t = Hashtbl.create 32 in
-  let rec drt = function
-    | PTBase -> RBase
-    | PTVoid -> RVoid
-    | PTStruct t -> RStruct t
-    | PTPtr c -> RPtr (dcell c)
-    | PTFun f -> RFun (dfsig f)
-  and dcell (c : ptcell) =
-    match Hashtbl.find_opt cmemo c.ptq with
-    | Some c' -> c'
-    | None ->
-        let c' = { q = gv c.ptq; contents = RBase } in
-        Hashtbl.add cmemo c.ptq c';
-        c'.contents <- drt c.ptr;
-        c'
-  and dfsig f =
-    {
-      fs_params = List.map dcell f.pfs_params;
-      fs_ret = drt f.pfs_ret;
-      fs_varargs = f.pfs_varargs;
-    }
-  in
-  let tr_ifaces =
-    List.map
-      (fun (name, pf) ->
-        match Cprog.find_fun prog name with
-        | Some fd -> (fd, dfsig pf)
-        | None -> raise Undecodable_task)
-      pt.pt_ifaces
-  in
-  let tr_scheme =
-    Option.map
-      (fun (locals, atoms) ->
-        Solver.make_scheme ~locals:(List.map gv locals)
-          ~atoms:(List.map datom atoms))
-      pt.pt_scheme
-  in
-  {
-    tr_batch = Solver.export wenv.store;
-    tr_bind = pc.pc_bind;
-    tr_autos = List.rev !(pc.pc_autos);
-    tr_warnings = pt.pt_warnings;
-    tr_outcomes = pt.pt_outcomes;
-    tr_ifaces;
-    tr_scheme;
-    tr_aux = pt.pt_aux;
-  }
-
-(* The digest of what an SCC {e publishes} to its dependents: interfaces
-   and scheme with private variables canonicalized positionally and shared
-   bindings by stable path. Dependents chain these digests into their own
-   envelopes, so a dependency whose published interface changed — and only
-   then — invalidates them ("early cutoff": a body edit that compacts to
-   the same scheme keeps every dependent warm). *)
-let iface_digest (pt : ptask) : Digest.t =
-  let b = Buffer.create 512 in
-  let lmap = Hashtbl.create 32 in
-  let lnext = ref 0 in
-  let pv i =
-    if i < 0 || i >= Array.length pt.pt_vars then Buffer.add_string b "!;"
-    else
-      match snd pt.pt_vars.(i) with
-      | PB_global p ->
-          Buffer.add_char b 'G';
-          Buffer.add_string b p;
-          Buffer.add_char b ';'
-      | PB_auto x ->
-          Buffer.add_char b 'A';
-          Buffer.add_string b x;
-          Buffer.add_char b ';'
-      | PB_none ->
-          let k =
-            match Hashtbl.find_opt lmap i with
-            | Some k -> k
-            | None ->
-                let k = !lnext in
-                incr lnext;
-                Hashtbl.add lmap i k;
-                k
-          in
-          Buffer.add_char b 'L';
-          Buffer.add_string b (string_of_int k);
-          Buffer.add_char b ';'
-  in
-  let atom = function
-    | PAvc (v, c, m, r) ->
-        Buffer.add_string b "vc";
-        pv v;
-        Buffer.add_string b
-          (Printf.sprintf "%d,%d,%s;" c m (Option.value r ~default:""))
-    | PAcv (c, v, m, r) ->
-        Buffer.add_string b (Printf.sprintf "cv%d," c);
-        pv v;
-        Buffer.add_string b
-          (Printf.sprintf "%d,%s;" m (Option.value r ~default:""))
-    | PAvv (x, y, m, r) ->
-        Buffer.add_string b "vv";
-        pv x;
-        pv y;
-        Buffer.add_string b
-          (Printf.sprintf "%d,%s;" m (Option.value r ~default:""))
-  in
-  let cseen = Hashtbl.create 32 in
-  let cnext = ref 0 in
-  let rec rt = function
-    | PTBase -> Buffer.add_char b 'b'
-    | PTVoid -> Buffer.add_char b 'v'
-    | PTStruct t ->
-        Buffer.add_char b 's';
-        Buffer.add_string b t;
-        Buffer.add_char b ';'
-    | PTPtr c ->
-        Buffer.add_char b 'p';
-        cell c
-    | PTFun f -> fsig f
-  and cell (c : ptcell) =
-    match Hashtbl.find_opt cseen c.ptq with
-    | Some k -> Buffer.add_string b ("^" ^ string_of_int k)
-    | None ->
-        let k = !cnext in
-        incr cnext;
-        Hashtbl.add cseen c.ptq k;
-        Buffer.add_char b '(';
-        pv c.ptq;
-        rt c.ptr;
-        Buffer.add_char b ')'
-  and fsig f =
-    Buffer.add_string b (if f.pfs_varargs then "F*(" else "F(");
-    List.iter cell f.pfs_params;
-    Buffer.add_string b ")->";
-    rt f.pfs_ret
-  in
-  List.iter
-    (fun (name, f) ->
-      Buffer.add_char b 'I';
-      Buffer.add_string b name;
-      Buffer.add_char b ':';
-      fsig f;
-      Buffer.add_char b '\n')
-    pt.pt_ifaces;
-  (match pt.pt_scheme with
-  | None -> Buffer.add_string b "noscheme"
-  | Some (locals, atoms) ->
-      Buffer.add_string b "S[";
-      List.iter pv locals;
-      Buffer.add_char b ']';
-      List.iter atom atoms);
-  Digest.string (Buffer.contents b)
-
-(** In-memory SCC-task memo: the decoded, dependency-stamped {!ptask}s of
-    a live session, keyed like the disk tier but skipping Marshal, MD5,
-    and file I/O entirely. This is what makes a warm {!Session} edit
-    cheap: after [update_unit], every clean SCC replays its decoded task
-    (and reuses its precomputed interface digest) instead of re-reading
-    and re-verifying an envelope. Entries are validated against the same
-    dependency-digest chain as the envelopes, so a memo hit is exactly as
-    trustworthy as a disk hit — and byte-identical to a cold run, since
-    both paths converge on {!replay_task}. Domain-safe: the table is
-    mutex-guarded (tasks on the pool probe it concurrently). *)
-type scc_memo = {
-  sm_m : Mutex.t;
-  sm_tbl : (Digest.t, memo_entry) Hashtbl.t;
-  mutable sm_hits : int;
-  mutable sm_misses : int;
-}
-
-and memo_entry = {
-  me_deps : Digest.t list;  (* dependency interface digests at store time *)
-  me_pt : ptask;
-  me_ifd : Digest.t;  (* iface_digest me_pt, computed once *)
-}
-
-let create_memo () =
-  { sm_m = Mutex.create (); sm_tbl = Hashtbl.create 256; sm_hits = 0; sm_misses = 0 }
-
-let memo_counts sm =
-  Mutex.lock sm.sm_m;
-  let r = (sm.sm_hits, sm.sm_misses) in
-  Mutex.unlock sm.sm_m;
-  r
-
-(** Everything {!run_sccs_par} needs to cache per-SCC results: the cache
-    tiers (persistent directory and/or in-session memo), the fingerprint
-    of the cross-unit context (declarations, options, rule set —
-    everything that affects inference besides the member bodies), and the
-    per-unit content digest of the file defining each function ([None]
-    makes that function's SCC uncacheable). *)
-type cache_ctx = {
-  cc_cache : Cache.t option;  (** the persistent tier; [None] = memo only *)
-  cc_memo : scc_memo option;  (** the in-session decoded tier *)
-  cc_key_prefix : string;
-  cc_unit_of : string -> string option;
-}
-
-let scc_kind = "scc"
-
 (* Wavefront scheduling of the SCC DAG: an SCC is ready once all its
    callees' SCCs have completed and published their summaries; ready SCCs
    run concurrently on the pool, each inferring into a private store.
    Batches are merged serially in SCC index order — the serial traversal
    order — so the shared store, and hence every reported figure, is
-   identical to a serial run's.
-
-   With [?cache], each task first tries to replay a verified cache entry
-   (keyed by context + member units, chained to the dependencies' current
-   interface digests); on any miss or rejection it infers cold and stores
-   the portable result. Either way it computes its interface digest before
-   releasing its dependents, so they always chain against this run's
-   truth. *)
-let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache mode
+   identical to a serial run's. *)
+let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget mode
     ~(process :
        env ->
        scc:string list ->
@@ -2034,6 +1595,7 @@ let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache mode
   build_global_env genv;
   let t0 = Unix.gettimeofday () in
   let fdg = Fdg.build prog in
+  genv.fdg <- Some fdg;
   let sccs = Array.of_list fdg.Fdg.sccs in
   let n = Array.length sccs in
   let in_degree0, dependents = Fdg.scc_deps fdg in
@@ -2041,205 +1603,34 @@ let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache mode
   let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 64 } in
   let results : task_result option array = Array.make n None in
   let m = Mutex.create () in
-  (* cache plumbing: stable-path registry, dependency lists (the inversion
-     of [dependents], ascending), and per-SCC interface digests — written
-     by each task before its dependents are released, read by them when
-     they chain their own envelopes *)
-  let rg = match cache with Some _ -> Some (registry_of_env genv) | None -> None in
-  let deps_of = Array.make n [] in
-  (match cache with
-  | Some _ ->
-      Array.iteri
-        (fun j ds -> List.iter (fun i -> deps_of.(i) <- j :: deps_of.(i)) ds)
-        dependents;
-      Array.iteri (fun i l -> deps_of.(i) <- List.sort_uniq compare l) deps_of
-  | None -> ());
-  let ifd = Array.make n "" in
-  let key_of i =
-    match cache with
-    | None -> None
-    | Some cc ->
-        let b = Buffer.create 128 in
-        Buffer.add_string b cc.cc_key_prefix;
-        let ok =
-          List.for_all
-            (fun name ->
-              match cc.cc_unit_of name with
-              | Some d ->
-                  Buffer.add_string b name;
-                  Buffer.add_char b '\000';
-                  Buffer.add_string b d;
-                  Buffer.add_char b '\000';
-                  true
-              | None -> false)
-            sccs.(i)
-        in
-        if ok then Some (Digest.string (Buffer.contents b)) else None
-  in
   Pool.with_pool ~jobs (fun pool ->
       let rec task i () =
         let members =
           List.filter_map (fun name -> Cprog.find_fun prog name) sccs.(i)
         in
-        let key = key_of i in
-        let deps () = List.map (fun j -> ifd.(j)) deps_of.(i) in
-        (* warm paths, fastest first. Memo: a decoded task from this
-           session whose dependency digests still match — replay with no
-           I/O, no unmarshal, no re-digesting. Disk: verified envelope ->
-           decode -> replay; any failure past verification rejects the
-           entry and falls through cold. *)
-        let memo_hit =
-          match (cache, rg, key) with
-          | Some { cc_memo = Some sm; _ }, Some rg, Some key -> (
-              Mutex.lock sm.sm_m;
-              let e = Hashtbl.find_opt sm.sm_tbl key in
-              Mutex.unlock sm.sm_m;
-              match e with
-              | Some e when e.me_deps = deps () -> (
-                  match replay_task genv pub rg prog e.me_pt with
-                  | r ->
-                      Mutex.lock sm.sm_m;
-                      sm.sm_hits <- sm.sm_hits + 1;
-                      Mutex.unlock sm.sm_m;
-                      Some (r, e)
-                  | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-                  | exception _ ->
-                      (* a task that replayed from disk must replay from
-                         memory; drop the entry and fall through *)
-                      Mutex.lock sm.sm_m;
-                      Hashtbl.remove sm.sm_tbl key;
-                      Mutex.unlock sm.sm_m;
-                      None)
-              | _ ->
-                  Mutex.lock sm.sm_m;
-                  sm.sm_misses <- sm.sm_misses + 1;
-                  Mutex.unlock sm.sm_m;
-                  None)
-          | _ -> None
+        let wenv = worker_env genv pub in
+        let degrade_scc reason =
+          List.iter (fun (f : Cast.fundef) -> degrade wenv f.f_name reason) members
         in
-        let cached =
-          match memo_hit with
-          | Some (r, e) -> Some (r, e.me_pt, Some e.me_ifd)
+        let r =
+          match budget_reason wenv with
+          | Some reason ->
+              degrade_scc ("budget exhausted: " ^ reason);
+              task_result wenv ~ifaces:[] ~scheme:None
           | None -> (
-              match (cache, rg, key) with
-              | Some ({ cc_cache = Some disk; _ } as _cc), Some rg, Some key
-                -> (
-                  match
-                    Cache.load disk ~kind:scc_kind ~key ~deps:(deps ())
-                  with
-                  | None -> None
-                  | Some payload -> (
-                      match
-                        let pt = (Marshal.from_string payload 0 : ptask) in
-                        let r = replay_task genv pub rg prog pt in
-                        (r, pt)
-                      with
-                      | r, pt -> Some (r, pt, None)
-                      | exception ((Out_of_memory | Sys.Break) as e) ->
-                          raise e
-                      | exception _ ->
-                          Cache.reject_undecodable disk ~kind:scc_kind ~key;
-                          None))
-              | _ -> None)
+              match process wenv ~scc:sccs.(i) ~members with
+              | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+              | exception e ->
+                  degrade_scc (reason_of_exn e);
+                  (* keep the partial batch: a degraded serial SCC also
+                     leaves its partial constraints in the store *)
+                  task_result wenv ~ifaces:[] ~scheme:None
+              | scc_ifaces, sch ->
+                  List.iter
+                    (fun ((f : Cast.fundef), _) -> mark_analyzed wenv f.f_name)
+                    scc_ifaces;
+                  task_result wenv ~ifaces:scc_ifaces ~scheme:(Some sch))
         in
-        (* remember a decoded task (with its digest chain) in the memo *)
-        let memo_put key pt ifd =
-          match cache with
-          | Some { cc_memo = Some sm; _ } ->
-              Mutex.lock sm.sm_m;
-              Hashtbl.replace sm.sm_tbl key
-                { me_deps = deps (); me_pt = pt; me_ifd = ifd };
-              Mutex.unlock sm.sm_m
-          | _ -> ()
-        in
-        let r, pt_hit, ifd_hit =
-          match cached with
-          | Some (r, pt, ifd) -> (r, Some pt, ifd)
-          | None ->
-              let wenv = worker_env genv pub in
-              let degrade_scc reason =
-                List.iter
-                  (fun (f : Cast.fundef) -> degrade wenv f.f_name reason)
-                  members
-              in
-              let r =
-                match budget_reason wenv with
-                | Some reason ->
-                    degrade_scc ("budget exhausted: " ^ reason);
-                    task_result wenv ~ifaces:[] ~scheme:None
-                | None -> (
-                    match process wenv ~scc:sccs.(i) ~members with
-                    | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-                    | exception e ->
-                        degrade_scc (reason_of_exn e);
-                        (* keep the partial batch: a degraded serial SCC
-                           also leaves its partial constraints in the
-                           store *)
-                        task_result wenv ~ifaces:[] ~scheme:None
-                    | scc_ifaces, sch ->
-                        List.iter
-                          (fun ((f : Cast.fundef), _) ->
-                            mark_analyzed wenv f.f_name)
-                          scc_ifaces;
-                        task_result wenv ~ifaces:scc_ifaces
-                          ~scheme:(Some sch))
-              in
-              (r, None, None)
-        in
-        (* interface digest (and store, after a cold inference) before the
-           dependents go: they chain against it. Uncacheable results still
-           get a digest that moves with the member units, so a dependent
-           entry goes stale whenever this SCC could have changed. *)
-        (match (cache, rg) with
-        | Some cc, Some rg ->
-            ifd.(i) <-
-              (match (ifd_hit, pt_hit) with
-              | Some d, _ ->
-                  (* memo hit: digest precomputed at store time *)
-                  d
-              | None, Some pt ->
-                  (* disk hit: digest once, and promote to the memo so
-                     the next warm run skips the envelope entirely *)
-                  let d = iface_digest pt in
-                  (match key with Some key -> memo_put key pt d | None -> ());
-                  d
-              | None, None -> (
-                  match encode_task rg r with
-                  | pt ->
-                      (match (key, cc.cc_cache) with
-                      | Some key, Some disk ->
-                          Cache.store disk ~kind:scc_kind ~key
-                            ~deps:(deps ())
-                            (Marshal.to_string pt [])
-                      | _ -> ());
-                      let d = iface_digest pt in
-                      (match key with Some key -> memo_put key pt d | None -> ());
-                      d
-                  | exception Unencodable ->
-                      (* no interface bytes to digest, so chain
-                         dependents to the member units instead: editing
-                         any member body changes its unit digest and
-                         hence this digest, invalidating their envelopes.
-                         A member whose unit is unknown makes the digest
-                         unique to this run, so dependents go cold rather
-                         than warm-hit against unverifiable state. *)
-                      let b = Buffer.create 128 in
-                      Buffer.add_string b "unencodable\000";
-                      Buffer.add_string b cc.cc_key_prefix;
-                      List.iter
-                        (fun name ->
-                          Buffer.add_string b name;
-                          Buffer.add_char b '\000';
-                          Buffer.add_string b
-                            (match cc.cc_unit_of name with
-                            | Some d -> d
-                            | None ->
-                                Printf.sprintf "?%d.%.9f" (Unix.getpid ())
-                                  (Unix.gettimeofday ()));
-                          Buffer.add_char b '\000')
-                        sccs.(i);
-                      Digest.string (Buffer.contents b)))
-        | _ -> ());
         (* publish before releasing dependents: they instantiate us.
            Member projection happens outside the lock — consumers only
            ever see the per-member scheme, matching what the serial run
@@ -2379,17 +1770,15 @@ let run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
   (genv, ifaces)
 
 let run_poly_par ~jobs ?rules ?field_sharing ?(simplify = false) ?compact
-    ?budget ?cache prog =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache Poly prog
+    ?budget prog =
+  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Poly prog
     ~process:(fun wenv ~scc:_ ~members ->
       let pc = worker_pc wenv in
       let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
       poly_scc wenv ~is_global ~simplify members)
 
-let run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache prog
-    =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache Polyrec
-    prog
+let run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog =
+  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Polyrec prog
     ~process:(fun wenv ~scc ~members ->
       let pc = worker_pc wenv in
       let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
@@ -2398,27 +1787,17 @@ let run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache prog
 (** Run an analysis. [jobs > 1] runs the multicore engine (wavefront over
     the FDG for the polymorphic modes, per-function map-reduce for mono);
     results are deterministic and identical to [jobs = 1], which takes the
-    plain serial path.
-
-    [?cache] enables the persistent per-SCC cache for the polymorphic
-    modes; those runs always route through the SCC-task engine (at
-    [jobs = 1] the pool runs tasks inline in submission order — the exact
-    serial schedule), whose results are byte-identical to serial. A run
-    under a {!Budget} never uses the cache: budget trips are
-    load-dependent, hence not reproducible artifacts. *)
-let run ?rules ?field_sharing ?simplify ?compact ?budget ?cache ?(jobs = 1)
-    mode prog =
-  let cache = match budget with Some _ -> None | None -> cache in
-  let cached = match cache with Some _ -> true | None -> false in
-  if jobs > 1 || (cached && mode <> Mono) then
+    plain serial path. *)
+let run ?rules ?field_sharing ?simplify ?compact ?budget ?(jobs = 1) mode
+    prog =
+  if jobs > 1 then
     match mode with
     | Mono -> run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget prog
     | Poly ->
         run_poly_par ~jobs ?rules ?field_sharing ?simplify ?compact ?budget
-          ?cache prog
-    | Polyrec ->
-        run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget ?cache
           prog
+    | Polyrec ->
+        run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog
   else
     match mode with
     | Mono -> run_mono ?rules ?field_sharing ?compact ?budget prog

@@ -5,15 +5,15 @@
 
     The staged pipeline Table 2 and Figure 6 are produced from lives
     here; {!Driver} re-exports the batch surface for existing callers.
-    A {!t} keeps the warm artifacts between runs: the per-unit AST memo
-    (keyed by unit content digest) and the per-SCC scheme memo (keyed by
-    the same digests PR 7's persistent cache computes), so
-    {!update_unit} dirties exactly the cone of the edit — unchanged
-    units replay their ASTs without lexing and unchanged SCCs whose
-    dependency interfaces still hold replay their schemes without
-    re-generation. Queries ({!classify}, {!explain}, {!whatif}) are
-    answered against the warm solved store through stable
-    [unit:line:col] position keys (see {!Report.position_key}).
+    A {!t} keeps one warm artifact between runs: the per-unit AST memo
+    (keyed by unit content digest), so after {!update_unit} only the
+    edited unit is lexed and parsed again. Analysis always reruns in
+    full through {!Analysis.run}, the same path a cold batch run takes:
+    replaying recorded constraints would cost as much as inferring
+    them. Queries
+    ({!classify}, {!explain}, {!whatif}) are answered against the warm
+    solved store through stable [unit:line:col] position keys (see
+    {!Report.position_key}).
 
     Multi-file projects run through the {e per-unit frontend} by
     default: each translation unit is lexed and parsed independently (in
@@ -110,7 +110,7 @@ let oversubscription_notice ~jobs : Cfront.Diag.t option =
               jobs cores))
 
 (* ------------------------------------------------------------------ *)
-(* Persistent cache (three disk tiers; see DESIGN.md)                  *)
+(* Persistent cache (two disk tiers; see DESIGN.md)                    *)
 (* ------------------------------------------------------------------ *)
 
 module Cache = Typequal.Cache
@@ -123,7 +123,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
 (* The context digest stamped into every envelope: qualifier-space dump
    (the full lattice structure), compiler version (Marshal payloads are
    not portable across it), and a payload-format revision to bump whenever
-   any marshaled type in this file or the analysis changes shape. *)
+   any marshaled type in this file changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
     (Fmt.str "%a|%s|payload-fmt-3" Typequal.Lattice.Space.pp_dump sp
@@ -172,29 +172,22 @@ let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
          (match max_errors with Some n -> string_of_int n | None -> "-");
        ])
 
-(* The cross-unit declaration context a function's analysis depends on
-   beyond its own unit: globals, prototypes, typedefs, struct/union
-   layouts, enums — everything of the program except function bodies
-   (covered per-unit) and the FDG dependency set (covered by the
-   envelopes' dependency digests). Line numbers and initializers are
-   excluded, so touching one unit does not invalidate the others — and
-   the digest is frontend-invariant (unit-local vs concatenated line
-   numbers never enter it). *)
-let env_fingerprint (prog : Cfront.Cprog.t) : string =
-  let b = Buffer.create 4096 in
-  let put x = Buffer.add_string b (Marshal.to_string x []) in
-  List.iter
-    (fun (g : Cfront.Cast.global) ->
-      match g with
-      | Cfront.Cast.GFun _ -> ()
-      | Cfront.Cast.GVar d ->
-          put ("v", d.Cfront.Cast.d_name, d.Cfront.Cast.d_type)
-      | Cfront.Cast.GProto (n, t, _) -> put ("p", n, t)
-      | Cfront.Cast.GTypedef (n, t, _) -> put ("t", n, t)
-      | Cfront.Cast.GComp (tag, u, fields, _) -> put ("c", (tag, u, fields))
-      | Cfront.Cast.GEnum (tag, items, _) -> put ("e", (tag, items)))
-    prog.Cfront.Cprog.order;
-  Digest.string (Buffer.contents b)
+(* [s] without its wall-clock and heap fields: the deterministic
+   counters a cached run record may persist and serve *)
+let sanitize_stats (s : Typequal.Solver.stats) : Typequal.Solver.stats =
+  {
+    s with
+    Typequal.Solver.solve_s = 0.;
+    absorb_s = 0.;
+    congen_s = 0.;
+    generalize_s = 0.;
+    compact_s = 0.;
+    instantiate_s = 0.;
+    report_s = 0.;
+    heap_words = 0;
+    top_heap_words = 0;
+    cores_available = 0;
+  }
 
 (* the run record's cacheable core: no wall-clock, no parallel-phase
    breakdown, solver counters sanitized of nondeterministic fields *)
@@ -227,11 +220,11 @@ let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
 (* analysis + measurement, also returning the live interfaces and the
    stable-key position index the persistent session queries through *)
 let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?cache ?locate mode prog =
+    ?locate mode prog =
   let (env, ifaces), t =
     time (fun () ->
-        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ?cache
-          ?jobs mode prog)
+        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
+          mode prog)
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
@@ -245,11 +238,11 @@ let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
     (Float.max 0. (t2 -. solve_d));
   (env, ifaces, results, index, t +. t2)
 
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?cache
-    mode prog =
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?jobs mode prog
+    =
   let env, _, results, _, t =
     analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?cache mode prog
+      mode prog
   in
   (env, results, t)
 
@@ -268,12 +261,18 @@ type compiled = {
 }
 
 let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?cache ?locate mode (co : compiled) =
+    ?locate mode (co : compiled) =
   let env, ifaces, results, index, t_analysis =
     analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?cache ?locate mode co.co_prog
+      ?locate mode co.co_prog
   in
-  let fdg = Fdg.build co.co_prog in
+  (* the polymorphic drivers hand back the graph they scheduled over;
+     only mono runs never built one *)
+  let fdg =
+    match env.Analysis.fdg with
+    | Some fdg -> fdg
+    | None -> Fdg.build co.co_prog
+  in
   let results =
     {
       results with
@@ -306,11 +305,11 @@ let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
   in
   (run, env, ifaces, index)
 
-let finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?cache
-    ?locate mode (co : compiled) : run =
+let finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?locate
+    mode (co : compiled) : run =
   let run, _, _, _ =
     finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?cache ?locate mode co
+      ?locate mode co
   in
   run
 
@@ -336,7 +335,7 @@ let cached_of_run (r : run) : cached_run =
     cr_lines = r.lines;
     cr_n_functions = r.n_functions;
     cr_n_constraints = r.n_constraints;
-    cr_stats = Analysis.sanitize_stats r.solver_stats;
+    cr_stats = sanitize_stats r.solver_stats;
     cr_diags = r.diagnostics;
     cr_scc_count = r.fdg_scc_count;
     cr_largest_scc = r.fdg_largest_scc;
@@ -424,19 +423,18 @@ let locate_of_spans (spans : span list) _fname line =
 
 (* One mode over an already-concatenated program [src] whose units are
    described by [spans]. The cold path is the pre-cache pipeline verbatim;
-   the cached path layers three tiers over it — whole-run, parsed AST, and
-   per-SCC schemes (inside {!Analysis.run}) — each of which degrades to
-   the tier below on any miss or rejection, so every fault converges to
-   the cold result. *)
+   the cached path layers two tiers over it — whole-run and parsed AST —
+   each of which degrades to the tier below on any miss or rejection, so
+   every fault converges to the cold result. *)
 let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
     ?compact ?budget ?jobs ?max_errors ?cache ?lines ~(spans : span list)
     (src : string) : run =
   let lines = match lines with Some n -> n | None -> Cfront.Cprog.count_lines src in
   let localize = localize_concat ~spans in
   let locate = locate_of_spans spans in
-  let finish ?cache co =
-    finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?cache
-      ~locate mode co
+  let finish co =
+    finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ~locate mode
+      co
   in
   let compiled pr prog t_compile =
     {
@@ -448,7 +446,7 @@ let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
       co_frontend = None;
     }
   in
-  let cold_run ?cache () =
+  let cold_run () =
     let (pr, prog), t_compile =
       time (fun () ->
           let pr =
@@ -456,7 +454,7 @@ let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
           in
           (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
     in
-    finish ?cache (compiled pr prog t_compile)
+    finish (compiled pr prog t_compile)
   in
   (* budgeted runs are load-dependent, not reproducible artifacts: never
      cached, never served from cache *)
@@ -506,32 +504,7 @@ let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
                 in
                 (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
           in
-          let unit_of =
-            let tbl = Hashtbl.create 64 in
-            List.iter
-              (fun (f : Cfront.Cast.fundef) ->
-                List.iter
-                  (fun (s, e, _, d) ->
-                    if
-                      f.Cfront.Cast.f_line >= s
-                      && f.Cfront.Cast.f_line <= e
-                      && not (Hashtbl.mem tbl f.Cfront.Cast.f_name)
-                    then Hashtbl.replace tbl f.Cfront.Cast.f_name d)
-                  spans)
-              (Cfront.Cprog.functions prog);
-            fun name -> Hashtbl.find_opt tbl name
-          in
-          let actx =
-            {
-              Analysis.cc_cache = Some cs.cs_cache;
-              cc_memo = None;
-              cc_key_prefix = env_fingerprint prog ^ optfp;
-              cc_unit_of = unit_of;
-            }
-          in
-          let run =
-            finish ~cache:actx (compiled pr prog t_compile)
-          in
+          let run = finish (compiled pr prog t_compile) in
           Cache.store cs.cs_cache ~kind:"run" ~key:run_key ~deps:[]
             (Marshal.to_string (cached_of_run run) []);
           run)
@@ -548,11 +521,18 @@ type cached_unit = { cu_res : Cfront.Cparse.uresult }
 let unit_key ~max_errors ~digest =
   Digest.string (Printf.sprintf "unit\000%d\000%s" max_errors digest)
 
+(* The persistent session's in-memory AST tier: unit digest ->
+   speculative parse, with hit/miss counters for {!stats}. *)
+type fe_memo = {
+  fm_tbl : (string, Cfront.Cparse.uresult) Hashtbl.t;
+  mutable fm_hits : int;
+  mutable fm_misses : int;
+}
+
 (* one unit's frontend product, pre-link *)
 type unit_fe = {
   uf_name : string;
   uf_src : string;
-  uf_digest : string;
   uf_res : Cfront.Cparse.uresult;
   uf_prog : Cfront.Cprog.t;  (* build of the speculative parse *)
 }
@@ -561,13 +541,12 @@ type unit_fe = {
     translation unit, then a deterministic serial link that replays the
     cross-unit parser environment in file order and re-parses the rare
     unit whose speculative result it could have influenced. Returns the
-    compiled program plus the function-name -> (defining unit, unit
-    digest) table: the digest keys the per-SCC cache tier, the unit name
+    compiled program plus the function-name -> defining-unit table that
     anchors the report's stable position keys. [fe_memo] is the
-    persistent session's in-memory AST tier (unit digest -> speculative
-    parse), probed before the disk tier and fed by fresh parses. *)
+    persistent session's in-memory AST tier, probed before the disk tier,
+    fed by fresh parses, and pruned to the current units' digests. *)
 let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
-    : compiled * (string, string * string) Hashtbl.t =
+    : compiled * (string, string) Hashtbl.t =
   let lines =
     List.fold_left
       (fun acc (_, src) -> acc + Cfront.Cprog.count_lines src)
@@ -588,9 +567,11 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
       | Some m ->
           Array.iteri
             (fun i _ ->
-              match Hashtbl.find_opt m digests_a.(i) with
-              | Some res -> probed.(i) <- Some res
-              | None -> ())
+              match Hashtbl.find_opt m.fm_tbl digests_a.(i) with
+              | Some res ->
+                  m.fm_hits <- m.fm_hits + 1;
+                  probed.(i) <- Some res
+              | None -> m.fm_misses <- m.fm_misses + 1)
             files_a);
       (match cache with
       | None -> ()
@@ -648,7 +629,6 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
                       {
                         uf_name = name;
                         uf_src = src;
-                        uf_digest = digests_a.(i);
                         uf_res = res;
                         uf_prog = prog;
                       }))
@@ -660,7 +640,7 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
           match (probed.(i), uf) with
           | None, Some uf ->
               (match fe_memo with
-              | Some m -> Hashtbl.replace m digests_a.(i) uf.uf_res
+              | Some m -> Hashtbl.replace m.fm_tbl digests_a.(i) uf.uf_res
               | None -> ());
               (match cache with
               | Some cs ->
@@ -671,6 +651,14 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
               | None -> ())
           | _ -> ())
         slots;
+      (* an entry no current unit hashes to is dead weight: an edit that
+         is reverted re-parses rather than keeping every version alive *)
+      (match fe_memo with
+      | Some m ->
+          Hashtbl.filter_map_inplace
+            (fun d res -> if Array.mem d digests_a then Some res else None)
+            m.fm_tbl
+      | None -> ());
       (* --- serial link: validate each speculative parse against the
          accumulated environment, re-parse when it could have been
          influenced, thread the diagnostic budget, merge in file order --- *)
@@ -684,9 +672,7 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
       let progs = ref [] in
       let diags = ref [] in
       let degraded = ref [] in
-      let unit_of_tbl : (string, string * string) Hashtbl.t =
-        Hashtbl.create 64
-      in
+      let unit_of_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
       Array.iter
         (fun uf ->
           let uf = Option.get uf in
@@ -784,7 +770,7 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
                 (fun (f : Cfront.Cast.fundef) ->
                   if not (Hashtbl.mem unit_of_tbl f.Cfront.Cast.f_name) then
                     Hashtbl.replace unit_of_tbl f.Cfront.Cast.f_name
-                      (uf.uf_name, uf.uf_digest))
+                      uf.uf_name)
                 (Cfront.Cprog.functions prog)
             end)
         slots;
@@ -815,9 +801,9 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
 
 (* the per-unit frontend's position anchor: a function's lines are
    already unit-local, so only the unit name needs resolving *)
-let locate_of_tbl (tbl : (string, string * string) Hashtbl.t) fname line =
+let locate_of_tbl (tbl : (string, string) Hashtbl.t) fname line =
   match Hashtbl.find_opt tbl fname with
-  | Some (u, _) -> (u, line)
+  | Some u -> (u, line)
   | None -> ("", line)
 
 (** One mode over the per-unit pipeline, with the whole-run and per-unit
@@ -828,51 +814,32 @@ let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
   let me = Option.value max_errors ~default:20 in
   (* budgeted runs are never cached (see run_concat) *)
   let cache = match budget with Some _ -> None | None -> cache in
-  let t0 = Unix.gettimeofday () in
-  let digests = List.map (fun (n, s) -> unit_digest n s) files in
-  let optfp =
-    match cache with
-    | None -> ""
-    | Some cs ->
+  let compute () =
+    let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
+    finish ?rules ?field_sharing ?simplify ?compact ?budget ~jobs
+      ~locate:(locate_of_tbl unit_of_tbl) mode co
+  in
+  match cache with
+  | None -> compute ()
+  | Some cs -> (
+      let t0 = Unix.gettimeofday () in
+      let optfp =
         opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~field_sharing ~simplify
           ~compact ~max_errors
-  in
-  let rkey = run_key ~optfp digests in
-  let run_hit =
-    match cache with
-    | None -> None
-    | Some cs ->
+      in
+      let rkey =
+        run_key ~optfp (List.map (fun (n, s) -> unit_digest n s) files)
+      in
+      match
         (load_marshal cs.cs_cache ~kind:"run" ~key:rkey ~deps:[]
           : cached_run option)
-  in
-  match run_hit with
-  | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
-  | None ->
-      let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
-      let actx =
-        match cache with
-        | None -> None
-        | Some cs ->
-            Some
-              {
-                Analysis.cc_cache = Some cs.cs_cache;
-                cc_memo = None;
-                cc_key_prefix = env_fingerprint co.co_prog ^ optfp;
-                cc_unit_of =
-                  (fun name ->
-                    Option.map snd (Hashtbl.find_opt unit_of_tbl name));
-              }
-      in
-      let run =
-        finish ?rules ?field_sharing ?simplify ?compact ?budget ~jobs
-          ?cache:actx ~locate:(locate_of_tbl unit_of_tbl) mode co
-      in
-      (match cache with
-      | None -> ()
-      | Some cs ->
+      with
+      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
+      | None ->
+          let run = compute () in
           Cache.store cs.cs_cache ~kind:"run" ~key:rkey ~deps:[]
-            (Marshal.to_string (cached_of_run run) []));
-      run
+            (Marshal.to_string (cached_of_run run) []);
+          run)
 
 (* ------------------------------------------------------------------ *)
 (* Batch entry points                                                  *)
@@ -1032,23 +999,19 @@ type t = {
   s_compact : bool option;
   s_max_errors : int option;
   s_jobs : int;
-  s_opts_id : string;
   s_cache : cache_spec option;
-  (* warm tiers that survive invalidation: both are keyed by content
-     digests, so a stale entry can never be served — an edit simply
-     stops hitting it *)
-  s_fe_memo : (string, Cfront.Cparse.uresult) Hashtbl.t;
-  s_scc_memo : Analysis.scc_memo;
+  (* the warm tier that survives invalidation: keyed by content digest,
+     so a stale entry can never be served — an edit simply stops hitting
+     it, and the next compile drops it *)
+  s_fe_memo : fe_memo;
   mutable s_units : (string * string) list;  (* (name, source), in order *)
   (* stages derived from the unit table; dropped on any unit edit *)
-  mutable s_compiled :
-    (compiled * (string, string * string) Hashtbl.t) option;
+  mutable s_compiled : (compiled * (string, string) Hashtbl.t) option;
   s_modes : (string, mode_state) Hashtbl.t;
 }
 
 let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
-    ?max_errors ?(jobs = 1) ?cache ?(opts_id = "session")
-    (units : (string * string) list) : t =
+    ?max_errors ?(jobs = 1) ?cache (units : (string * string) list) : t =
   {
     s_rules = Option.value rules ~default:Analysis.const_rules;
     s_default_mode = mode;
@@ -1057,11 +1020,8 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
     s_compact = compact;
     s_max_errors = max_errors;
     s_jobs = jobs;
-    s_opts_id =
-      (match cache with Some cs -> cs.cs_opts_id | None -> opts_id);
     s_cache = cache;
-    s_fe_memo = Hashtbl.create 64;
-    s_scc_memo = Analysis.create_memo ();
+    s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
     s_units = units;
     s_compiled = None;
     s_modes = Hashtbl.create 4;
@@ -1070,9 +1030,9 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
 let units t = List.map fst t.s_units
 let default_mode t = t.s_default_mode
 
-(* Drop the derived stages. The AST and scheme memos are kept: they are
-   content-addressed, so after the next compile the clean cone replays
-   from them and only the dirtied cone recomputes. *)
+(* Drop the derived stages. The AST memo is kept: it is
+   content-addressed, so the next compile re-parses only the edited
+   units. *)
 let invalidate t =
   t.s_compiled <- None;
   Hashtbl.reset t.s_modes
@@ -1127,25 +1087,10 @@ let ensure_mode t mode : mode_state =
   | Some ms -> ms
   | None ->
       let co, tbl = ensure_compiled t in
-      let optfp =
-        opt_fingerprint ~opts_id:t.s_opts_id ~mode
-          ~field_sharing:t.s_field_sharing ~simplify:t.s_simplify
-          ~compact:t.s_compact ~max_errors:t.s_max_errors
-      in
-      let actx =
-        {
-          Analysis.cc_cache =
-            Option.map (fun cs -> cs.cs_cache) t.s_cache;
-          cc_memo = Some t.s_scc_memo;
-          cc_key_prefix = env_fingerprint co.co_prog ^ optfp;
-          cc_unit_of =
-            (fun name -> Option.map snd (Hashtbl.find_opt tbl name));
-        }
-      in
       let run, env, ifaces, index =
         finish_full ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact ~jobs:t.s_jobs
-          ~cache:actx ~locate:(locate_of_tbl tbl) mode co
+          ~locate:(locate_of_tbl tbl) mode co
       in
       let ms = { ms_run = run; ms_env = env; ms_ifaces = ifaces; ms_index = index } in
       Hashtbl.replace t.s_modes key ms;
@@ -1154,8 +1099,8 @@ let ensure_mode t mode : mode_state =
 let mode_of t = function Some m -> m | None -> t.s_default_mode
 
 (** Run one mode over the session's current units — warm: clean units
-    replay from the AST memo, clean SCCs from the scheme memo, and a
-    repeat of an already-computed mode returns its state untouched. *)
+    come from the AST memo, the analysis reruns in full, and a repeat of
+    an already-computed mode returns its state untouched. *)
 let run ?mode t : run = (ensure_mode t (mode_of t mode)).ms_run
 
 let diagnostics t : Cfront.Diag.t list = (fst (ensure_compiled t)).co_diags
@@ -1298,18 +1243,17 @@ let whatif ?mode t ~qual key : (whatif_result, string) result =
 type session_stats = {
   ss_units : int;
   ss_modes : string list;  (** warm (already analyzed) modes *)
-  ss_memo_hits : int;  (** per-SCC scheme memo *)
+  ss_memo_hits : int;  (** per-unit AST memo, cumulative *)
   ss_memo_misses : int;
   ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
 }
 
 let stats t : session_stats =
-  let hits, misses = Analysis.memo_counts t.s_scc_memo in
   {
     ss_units = List.length t.s_units;
     ss_modes = List.of_seq (Hashtbl.to_seq_keys t.s_modes);
-    ss_memo_hits = hits;
-    ss_memo_misses = misses;
+    ss_memo_hits = t.s_fe_memo.fm_hits;
+    ss_memo_misses = t.s_fe_memo.fm_misses;
     ss_cache =
       Option.map (fun cs -> Typequal.Cache.stats cs.cs_cache) t.s_cache;
   }

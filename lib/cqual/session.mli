@@ -106,7 +106,6 @@ val analyze :
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->
-  ?cache:Analysis.cache_ctx ->
   Analysis.mode ->
   Cfront.Cprog.t ->
   Analysis.env * Report.results * float
@@ -129,13 +128,13 @@ val finish :
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->
-  ?cache:Analysis.cache_ctx ->
   ?locate:(string -> int -> string * int) ->
   Analysis.mode ->
   compiled ->
   run
 (** The shared back half of both frontends: analyze, measure, and attach
-    FDG statistics. [locate] resolves a function's AST line to its
+    FDG statistics (from the graph the analysis scheduled over; mono
+    builds one here). [locate] resolves a function's AST line to its
     (unit, local line) anchor for stable position keys. *)
 
 val run_concat :
@@ -233,10 +232,10 @@ val table2_row : name:string -> string -> row
 type t
 (** A persistent analysis session over a set of named translation
     units. Derived stages (linked program, solved stores, reports) are
-    dropped on any unit edit, but two content-addressed warm tiers
-    survive: the per-unit AST memo and the per-SCC scheme memo — so
-    re-running after an edit replays everything outside the edit's
-    dependency cone instead of recomputing it. *)
+    dropped on any unit edit; the one warm tier that survives is the
+    content-addressed per-unit AST memo, so re-running after an edit
+    re-parses only the edited units and then reruns the analysis in
+    full. *)
 
 val create :
   ?rules:Analysis.qrules ->
@@ -247,7 +246,6 @@ val create :
   ?max_errors:int ->
   ?jobs:int ->
   ?cache:cache_spec ->
-  ?opts_id:string ->
   (string * string) list ->
   t
 (** [create units] builds a session over [(name, source)] pairs.
@@ -264,8 +262,8 @@ val default_mode : t -> Analysis.mode
 val update_unit : t -> string -> string -> [ `Added | `Updated | `Unchanged ]
 (** [update_unit t name src] replaces (or appends) one unit's source.
     [`Unchanged] (same content digest) invalidates nothing; otherwise
-    all derived stages are dropped and the next run recomputes exactly
-    the edit's cone, replaying the rest from the warm memos. *)
+    all derived stages are dropped and the next run re-parses this unit
+    and re-analyzes the whole program. *)
 
 val remove_unit : t -> string -> bool
 (** Remove a unit; [false] if it was not present. *)
@@ -273,8 +271,7 @@ val remove_unit : t -> string -> bool
 val run : ?mode:Analysis.mode -> t -> run
 (** Analyze the current units under [mode] (default: the session's).
     Warm: repeated calls return the computed state; after an edit, clean
-    units replay from the AST memo and clean SCCs from the scheme
-    memo. *)
+    units come from the AST memo and the analysis reruns in full. *)
 
 val diagnostics : t -> Cfront.Diag.t list
 (** Frontend diagnostics for the current units (mode-independent). *)
@@ -348,8 +345,10 @@ val whatif :
 type session_stats = {
   ss_units : int;
   ss_modes : string list;  (** warm (already analyzed) modes *)
-  ss_memo_hits : int;  (** per-SCC scheme memo *)
-  ss_memo_misses : int;
+  ss_memo_hits : int;
+      (** units served from the per-unit AST memo, cumulative: a one-unit
+          edit of an n-unit session adds n-1 hits and 1 miss *)
+  ss_memo_misses : int;  (** units lexed and parsed afresh, cumulative *)
   ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
 }
 

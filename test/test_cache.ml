@@ -322,9 +322,9 @@ let test_driver_cold_warm_corrupt () =
   let par = Driver.run_sources ~mode ~jobs:4 ~cache:cs files in
   Alcotest.(check string) "warm jobs 4 = cold" base (Test_parallel.digest par)
 
-(* satellite 6: unit identity is the per-file content hash, so renaming a
-   file invalidates exactly that unit's SCCs; dependents stay warm through
-   the interface digests *)
+(* unit identity is the per-file content hash, so renaming or editing a
+   file invalidates the whole-run entry and exactly that unit's parse;
+   every other unit's parse stays warm *)
 let proj rename edit =
   [
     ((if rename then "a2.c" else "a.c"), "int f(int *p) { return *p; }\n");
@@ -340,29 +340,40 @@ let test_rename_invalidates_one_unit () =
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
   let cold = Driver.run_sources ~mode ~cache:cs (proj false false) in
-  Alcotest.(check (pair int int)) "cold: all SCCs missed" (0, 3)
-    (kind_counts cs "scc");
-  (* rename a.c -> a2.c: f's SCC re-infers, g and main stay warm *)
+  Alcotest.(check (pair int int)) "cold: all units missed" (0, 3)
+    (kind_counts cs "unit");
+  (* rename a.c -> a2.c: a2.c re-parses, b.c and main.c stay warm *)
   let cs = open_cache_exn dir in
   let renamed = Driver.run_sources ~mode ~cache:cs (proj true false) in
   Alcotest.(check string) "rename: report unchanged"
     (Test_parallel.digest cold) (Test_parallel.digest renamed);
-  Alcotest.(check (pair int int)) "rename: exactly one SCC missed" (2, 1)
-    (kind_counts cs "scc")
+  Alcotest.(check (pair int int)) "rename: exactly one unit missed" (2, 1)
+    (kind_counts cs "unit")
 
-let test_edit_dirty_cone () =
+let test_edit_dirty_unit () =
   let mode = Analysis.Poly in
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
   let _ = Driver.run_sources ~mode ~cache:cs (proj false false) in
-  (* edit g's body: only its SCC re-infers; f and main hit *)
+  (* edit g's body: only b.c re-parses; a.c and main.c hit *)
   let cs = open_cache_exn dir in
   let edited = Driver.run_sources ~mode ~cache:cs (proj false true) in
-  Alcotest.(check (pair int int)) "edit: dirty cone is one SCC" (2, 1)
-    (kind_counts cs "scc");
+  Alcotest.(check (pair int int)) "edit: only the dirty unit missed" (2, 1)
+    (kind_counts cs "unit");
   let fresh = Driver.run_sources ~mode (proj false true) in
   Alcotest.(check string) "edited warm = edited cold"
     (Test_parallel.digest fresh) (Test_parallel.digest edited)
+
+(* a cold cached run writes one parse per unit plus the whole-run entry,
+   and nothing else *)
+let test_cold_entry_count () =
+  let files = proj false false in
+  let dir = fresh_dir () in
+  let cs = open_cache_exn dir in
+  let _ = Driver.run_sources ~mode:Analysis.Poly ~cache:cs files in
+  Alcotest.(check int) "k units -> k+1 entries"
+    (List.length files + 1)
+    (List.length (Cache.entry_files cs.Driver.cs_cache))
 
 (* ---------------- property: the 4-run identity, serial and jobs:4 ------ *)
 
@@ -421,7 +432,9 @@ let tests =
       test_driver_cold_warm_corrupt;
     Alcotest.test_case "rename invalidates exactly one unit" `Quick
       test_rename_invalidates_one_unit;
-    Alcotest.test_case "edit re-infers only the dirty cone" `Quick
-      test_edit_dirty_cone;
+    Alcotest.test_case "edit re-parses only the dirty unit" `Quick
+      test_edit_dirty_unit;
+    Alcotest.test_case "cold run writes k+1 entries" `Quick
+      test_cold_entry_count;
     QCheck_alcotest.to_alcotest ~long:false prop_cache_identity;
   ]

@@ -110,18 +110,45 @@ let test_unchanged_is_noop () =
   Alcotest.(check bool) "run is not recomputed (physically equal)" true
     (r1 == r2)
 
+(* AST-memo (hits, misses) accrued by [f] *)
+let memo_delta t f =
+  let s0 = Session.stats t in
+  f ();
+  let s1 = Session.stats t in
+  ( s1.Session.ss_memo_hits - s0.Session.ss_memo_hits,
+    s1.Session.ss_memo_misses - s0.Session.ss_memo_misses )
+
+let edit_a =
+  List.assoc "proj_a.c" clean_units
+  ^ "int proj_a_extra(int x) { return x + 1; }\n"
+
 let test_memo_survives_edit () =
   let t = Session.create clean_units in
+  let n = List.length clean_units in
+  Alcotest.(check (pair int int))
+    "cold run parses every unit" (0, n)
+    (memo_delta t (fun () -> ignore (Session.run t)));
+  Alcotest.(check (pair int int))
+    "a one-unit edit re-parses only that unit" (n - 1, 1)
+    (memo_delta t (fun () ->
+         ignore (Session.update_unit t "proj_a.c" edit_a);
+         ignore (Session.run t)))
+
+let test_memo_bounded () =
+  let t = Session.create clean_units in
+  let n = List.length clean_units in
   ignore (Session.run t);
-  let a0 = List.assoc "proj_a.c" clean_units in
-  ignore
-    (Session.update_unit t "proj_a.c"
-       (a0 ^ "int proj_a_extra(int x) { return x + 1; }\n"));
+  ignore (Session.update_unit t "proj_a.c" edit_a);
   ignore (Session.run t);
-  let s = Session.stats t in
-  Alcotest.(check bool)
-    "clean SCCs replay from the scheme memo" true
-    (s.Session.ss_memo_hits > 0)
+  (* the pre-edit parse was dropped when the edit compiled, so reverting
+     parses it again instead of finding it *)
+  Alcotest.(check (pair int int))
+    "revert is an AST-memo miss" (n - 1, 1)
+    (memo_delta t (fun () ->
+         ignore
+           (Session.update_unit t "proj_a.c"
+              (List.assoc "proj_a.c" clean_units));
+         ignore (Session.run t)))
 
 let test_remove_unit () =
   let t = Session.create clean_units in
@@ -314,8 +341,10 @@ let tests =
       test_replay_broken_par;
     Alcotest.test_case "unchanged update invalidates nothing" `Quick
       test_unchanged_is_noop;
-    Alcotest.test_case "scheme memo survives an edit" `Quick
+    Alcotest.test_case "AST memo survives an edit" `Quick
       test_memo_survives_edit;
+    Alcotest.test_case "AST memo keeps only current units" `Quick
+      test_memo_bounded;
     Alcotest.test_case "remove_unit keeps link order" `Quick test_remove_unit;
     Alcotest.test_case "canonical and structural keys agree" `Quick
       test_position_key_aliases;
