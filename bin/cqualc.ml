@@ -68,39 +68,21 @@ let parse_budget_spec s =
         (Ok { bs_vars = None; bs_pops = None; bs_ms = None })
         (String.split_on_char ',' s)
 
-let budget_of_spec = function
-  | None -> None
-  | Some s ->
-      Some
-        (Typequal.Budget.create ?max_vars:s.bs_vars ?max_pops:s.bs_pops
-           ?deadline_s:(Option.map (fun ms -> float_of_int ms /. 1000.) s.bs_ms)
-           ~clock:Unix.gettimeofday ())
+let budget_of_spec s =
+  Typequal.Budget.create ?max_vars:s.bs_vars ?max_pops:s.bs_pops
+    ?deadline_s:(Option.map (fun ms -> float_of_int ms /. 1000.) s.bs_ms)
+    ~clock:Unix.gettimeofday ()
 
-(* What the analysis runs on: a single source keeps its text (and
-   diagnostic line numbers) untouched; a project of several translation
-   units is concatenated by the driver, which also tracks each unit's
-   span so the cache can key invalidation per file. *)
-type input =
-  | Single of string * string  (** unit name, source *)
-  | Project of (string * string) list
-
-let source_of_input = function
-  | Single (_, src) -> src
-  | Project files -> Session.concat_sources files
-
-(* a thin Session client: the batch entry points feed the run to the
-   session's renderer, which produces the whole stdout block *)
+(* a thin Session client: one session per mode, used once, its run
+   rendered by the session's renderer, which produces the whole stdout
+   block. The budget is created here, before the parse, so an ms=
+   deadline covers the whole run of that mode. *)
 let run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors ~compact
-    ~cache ~frontend ~print_diags mode name input =
-  let budget = budget_of_spec budget in
+    ~cache ~print_diags mode name units =
   let r =
-    match input with
-    | Single (unit, src) ->
-        Session.run_source ~mode ~rules ?budget ~compact ~jobs ~max_errors
-          ?cache ~unit src
-    | Project files ->
-        Session.run_sources ~frontend ~mode ~rules ?budget ~compact ~jobs
-          ~max_errors ?cache files
+    Session.run_sources ~mode ~rules
+      ?budget:(Option.map budget_of_spec budget)
+      ~compact ~jobs ~max_errors ?cache units
   in
   (* diagnostics are a property of the source, not the mode: print them
      once even when both modes run *)
@@ -163,8 +145,7 @@ let rules_of_lattice_file path qual_override =
         exit 2)
 
 let main files bench mode positions taint flow insensitive stats budget jobs
-    max_errors no_compact concat_frontend lattice qual dump_lattice cache_dir
-    gc =
+    max_errors no_compact lattice qual dump_lattice cache_dir gc =
   (match Typequal.Gctune.setup ?flag:gc () with
   | Ok _ -> ()
   | Error m ->
@@ -184,30 +165,28 @@ let main files bench mode positions taint flow insensitive stats budget jobs
     Fmt.pr "%a" Typequal.Lattice.Space.pp_dump rules.Analysis.qr_space;
     exit 0
   end;
-  let name, input =
+  let name, units =
     match (files, bench) with
-    | [ f ], _ -> (f, Single (f, read_file f))
+    | [ f ], _ -> (f, [ (f, read_file f) ])
     | _ :: _ :: _, _ ->
-        (* multiple translation units: whole-program analysis by
-           concatenation, in command-line order *)
-        ( String.concat "+" files,
-          Project (List.map (fun f -> (f, read_file f)) files) )
+        (* multiple translation units: whole-program analysis, linked in
+           command-line order *)
+        (String.concat "+" files, List.map (fun f -> (f, read_file f)) files)
     | [], Some b -> (
         match List.assoc_opt b Cbench.Programs.all with
-        | Some src -> (b, Single (b, src))
-        | None when b = "miniproject" ->
-            (b, Project Cbench.Programs.miniproject)
+        | Some src -> (b, [ (b, src) ])
+        | None when b = "miniproject" -> (b, Cbench.Programs.miniproject)
         | None -> (
             let find l =
               List.find_opt (fun (x : Cbench.Suite.bench) -> x.b_name = b) l
             in
             match find Cbench.Suite.table1 with
-            | Some bb -> (b, Single (b, Cbench.Suite.source_of bb))
+            | Some bb -> (b, [ (b, Cbench.Suite.source_of bb) ])
             | None -> (
                 match
                   find (Cbench.Suite.scale @ Cbench.Suite.scale_smoke)
                 with
-                | Some bb -> (b, Project (Cbench.Suite.project_of bb))
+                | Some bb -> (b, Cbench.Suite.project_of bb)
                 | None ->
                     Fmt.epr
                       "unknown benchmark %s; embedded: %a, miniproject; \
@@ -225,7 +204,14 @@ let main files bench mode positions taint flow insensitive stats budget jobs
         Fmt.epr "need a FILE or --bench NAME@.";
         exit 2
   in
-  if flow then run_flow name (source_of_input input) insensitive
+  if flow then
+    (* the flow analysis reads one source: a project's units are
+       concatenated for it *)
+    run_flow name
+      (match units with
+      | [ (_, src) ] -> src
+      | _ -> fst (Cfront.Cprog.concat_units units))
+      insensitive
   else
     (* the rule-set identity the driver's fingerprints cannot derive:
        which analysis flavour and (for --lattice) which config built it.
@@ -252,16 +238,14 @@ let main files bench mode positions taint flow insensitive stats budget jobs
     let run_one =
       run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors
         ~compact:(not no_compact) ~cache
-        ~frontend:
-          (if concat_frontend then Session.Concat else Session.Per_unit)
     in
     match
       let runs =
         match mode with
-        | Some m -> [ run_one ~print_diags:true m name input ]
+        | Some m -> [ run_one ~print_diags:true m name units ]
         | None ->
-            let r1 = run_one ~print_diags:true Analysis.Mono name input in
-            let r2 = run_one ~print_diags:false Analysis.Poly name input in
+            let r1 = run_one ~print_diags:true Analysis.Mono name units in
+            let r2 = run_one ~print_diags:false Analysis.Poly name units in
             [ r1; r2 ]
       in
       (match cache with
@@ -296,8 +280,8 @@ let files =
     & info [] ~docv:"FILE"
         ~doc:
           "C source file(s); several files are analyzed together as one \
-           program (whole-program analysis over the concatenated \
-           translation units)")
+           program (each translation unit parsed on its own, then linked \
+           for whole-program analysis)")
 
 let bench =
   Arg.(
@@ -402,17 +386,6 @@ let no_compact =
            (the ablation baseline). Reports are identical either way; \
            only constraint-system size and speed differ.")
 
-let concat_frontend =
-  Arg.(
-    value & flag
-    & info [ "concat-frontend" ]
-        ~doc:
-          "Parse multi-file projects by concatenating the translation units \
-           into one program (the pre-per-unit pipeline, kept as a parity \
-           oracle). Reports, diagnostics and counters are byte-identical to \
-           the default per-unit frontend; only speed, memory, and AST-cache \
-           granularity differ.")
-
 let lattice =
   Arg.(
     value
@@ -476,8 +449,8 @@ let cmd =
     (Cmd.info "cqualc" ~doc)
     Term.(
       const main $ files $ bench $ mode $ positions $ taint $ flow $ insensitive
-      $ stats $ budget $ jobs $ max_errors $ no_compact $ concat_frontend
-      $ lattice $ qual $ dump_lattice $ cache_dir $ gc)
+      $ stats $ budget $ jobs $ max_errors $ no_compact $ lattice $ qual
+      $ dump_lattice $ cache_dir $ gc)
 
 (* Last line of defense: whatever leaks out of the pipeline becomes a
    one-line message and exit 2 — users should never see a backtrace.

@@ -11,9 +11,13 @@ open Cqual
 
 let banner title = Fmt.pr "@.== %s ==@." title
 
-let show_run name mode src =
-  let r = Driver.run_source ~mode src in
-  let res = r.Driver.results in
+(* every run goes through a Session: here one per program, each mode run
+   over the same parse *)
+let session src = Session.create [ ("input.c", src) ]
+let results mode s = (Session.run ~mode s).Session.results
+
+let show_run name mode s =
+  let res = results mode s in
   Fmt.pr "@.[%s — %s]@." name
     (match mode with
     | Analysis.Mono -> "monomorphic"
@@ -32,10 +36,10 @@ let () =
      int *id1(int *x) { return x; }\n\
      ci *id2(ci *x) { return x; }\n"
   in
-  let r = Driver.run_source ~mode:Analysis.Mono id2 in
+  let r = results Analysis.Mono (session id2) in
   Fmt.pr
     "C needs both id1 and id2 (%d const positions, %d declared).@."
-    r.Driver.results.Report.total r.Driver.results.Report.declared;
+    r.Report.total r.Report.declared;
   let poly_id =
     "char *id(char *x) { return x; }\n\
      void use_writable(void) { char b[8]; char *p; p = id(b); *p = 'x'; }\n\
@@ -43,12 +47,12 @@ let () =
   in
   Fmt.pr
     "with qualifier polymorphism ONE id serves both (see the verdicts):@.";
-  ignore (show_run "single id" Analysis.Poly poly_id);
+  ignore (show_run "single id" Analysis.Poly (session poly_id));
 
   banner "2. The mini string library, mono vs poly";
-  let src = Cbench.Programs.string_lib in
-  let mono = show_run "string-lib" Analysis.Mono src in
-  let poly = show_run "string-lib" Analysis.Poly src in
+  let s = session Cbench.Programs.string_lib in
+  let mono = show_run "string-lib" Analysis.Mono s in
+  let poly = show_run "string-lib" Analysis.Poly s in
   Fmt.pr
     "@.monomorphic inference allows %d consts; polymorphic allows %d — the \
      difference is my_strchr, whose result is written through by one caller \
@@ -57,16 +61,19 @@ let () =
 
   banner "3. Incorrect const usage is a type error";
   let bad = "void f(const char *s) { char *p; p = s; *p = 'x'; }" in
-  let r = Driver.run_source ~mode:Analysis.Mono bad in
+  let r = results Analysis.Mono (session bad) in
   Fmt.pr "program:@.%s@." bad;
   Fmt.pr "type errors: %d (writing through an alias of a const pointer)@."
-    r.Driver.results.Report.type_errors;
+    r.Report.type_errors;
 
   banner "4. The whole embedded suite";
   List.iter
     (fun (name, src) ->
-      let row = Driver.table2_row ~name src in
+      let s = session src in
+      let mono = Session.run ~mode:Analysis.Mono s in
+      let poly = results Analysis.Poly s in
+      let m = mono.Session.results in
       Fmt.pr "  %-12s lines=%4d declared=%3d mono=%3d poly=%3d total=%3d@."
-        name row.Driver.r_lines row.Driver.declared row.Driver.mono
-        row.Driver.poly row.Driver.total)
+        name mono.Session.lines m.Report.declared m.Report.possible
+        poly.Report.possible m.Report.total)
     Cbench.Programs.all

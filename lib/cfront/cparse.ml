@@ -68,8 +68,7 @@ let make_state_tb ?(recover = false) ?(typedefs = []) ?(enums = [])
     last_params = [];
   }
 
-let make_state ?(recover = false) toks =
-  make_state_tb ~recover (Tokbuf.of_list toks)
+let make_state toks = make_state_tb (Tokbuf.of_list toks)
 
 let add_diag st d =
   st.diags <- d :: st.diags;
@@ -1068,7 +1067,7 @@ let parse_global st (hoist : global list ref) : global list =
 
 (** Parse a complete translation unit. Raises {!Parse_error} or
     {!Clexer.Lex_error} on the first error (the strict entry point; the
-    resilient pipeline uses {!parse_program_partial}). *)
+    resilient pipeline uses {!parse_unit}). *)
 let parse_program (src : string) : program =
   let toks = Clexer.tokenize src in
   let st = make_state toks in
@@ -1160,21 +1159,6 @@ let parse_toplevel st ~max_errors ~count_base : program * bool =
     end
   done;
   (List.rev !globals, !capped)
-
-(** Parse with panic-mode error recovery: always returns a (possibly
-    partial) program plus the diagnostics encountered, up to
-    [max_errors] (default 20; an [E0299] note marks the cutoff). *)
-let parse_program_partial ?(max_errors = 20) (src : string) : presult =
-  let toks, lex_diags = Clexer.tokenize_partial ~max_errors src in
-  let st = make_state ~recover:true toks in
-  st.diags <- List.rev lex_diags;
-  st.n_diags <- List.length lex_diags;
-  let prog, _ = parse_toplevel st ~max_errors ~count_base:0 in
-  {
-    pr_prog = prog;
-    pr_diags = List.rev st.diags;
-    pr_degraded = List.rev st.degraded;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit parsing                                                    *)

@@ -46,30 +46,34 @@ let build (prog : program) : t =
     definitions and global variables resolve last-definition-wins, while
     prototypes keep the first declaration — each per-unit table has
     already collapsed its within-unit duplicates the same way, so a
-    cross-unit table fold in file order reproduces the sequential scan. *)
+    cross-unit table fold in file order reproduces the sequential scan.
+    A single unit is its own whole program. *)
 let merge (units : t list) : t =
-  let t =
-    {
-      typedefs = Hashtbl.create 64;
-      comps = Hashtbl.create 64;
-      fundefs = Hashtbl.create 64;
-      protos = Hashtbl.create 64;
-      globals = Hashtbl.create 64;
-      order = List.concat_map (fun u -> u.order) units;
-    }
-  in
-  List.iter
-    (fun u ->
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.typedefs k v) u.typedefs;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.comps k v) u.comps;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.fundefs k v) u.fundefs;
-      Hashtbl.iter
-        (fun k v ->
-          if not (Hashtbl.mem t.protos k) then Hashtbl.replace t.protos k v)
-        u.protos;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.globals k v) u.globals)
-    units;
-  t
+  match units with
+  | [ u ] -> u
+  | _ ->
+    let t =
+      {
+        typedefs = Hashtbl.create 64;
+        comps = Hashtbl.create 64;
+        fundefs = Hashtbl.create 64;
+        protos = Hashtbl.create 64;
+        globals = Hashtbl.create 64;
+        order = List.concat_map (fun u -> u.order) units;
+      }
+    in
+    List.iter
+      (fun u ->
+        Hashtbl.iter (fun k v -> Hashtbl.replace t.typedefs k v) u.typedefs;
+        Hashtbl.iter (fun k v -> Hashtbl.replace t.comps k v) u.comps;
+        Hashtbl.iter (fun k v -> Hashtbl.replace t.fundefs k v) u.fundefs;
+        Hashtbl.iter
+          (fun k v ->
+            if not (Hashtbl.mem t.protos k) then Hashtbl.replace t.protos k v)
+          u.protos;
+        Hashtbl.iter (fun k v -> Hashtbl.replace t.globals k v) u.globals)
+      units;
+    t
 
 (** Expand typedefs away (macro-expansion semantics, Section 4.2): the
     qualifiers written on the use site are merged with the definition's.
@@ -125,3 +129,25 @@ let global_vars t =
 (** Count physical source lines (for Table 1-style reporting). *)
 let count_lines src =
   String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 1 src
+
+(** A project's translation units as one source, in order: each unit
+    behind a [/* === name === */] banner line, a final newline added
+    where a unit lacks one. Also returns, per unit, the line of the
+    concatenation its source starts on. *)
+let concat_units (files : (string * string) list) :
+    string * (string * int) list =
+  let b = Buffer.create 65536 in
+  let line = ref 1 in
+  let starts =
+    List.map
+      (fun (name, src) ->
+        Buffer.add_string b (Printf.sprintf "/* === %s === */\n" name);
+        let start = !line + 1 in
+        Buffer.add_string b src;
+        let missing_nl = src <> "" && src.[String.length src - 1] <> '\n' in
+        if missing_nl then Buffer.add_char b '\n';
+        line := start + count_lines src - (if missing_nl then 0 else 1);
+        (name, start))
+      files
+  in
+  (Buffer.contents b, starts)

@@ -3,7 +3,7 @@
     Every lexer/parser/frontend failure is represented as a diagnostic
     carrying a severity, a stable code (grep-able and documented in
     DESIGN.md "Resilience"), a source span, and a message. The resilient
-    pipeline ({!Cparse.parse_program_partial}, {!Cqual.Driver.run_source})
+    pipeline ({!Cparse.parse_unit}, {!Cqual.Session.run})
     accumulates diagnostics instead of aborting on the first error.
 
     Code ranges:

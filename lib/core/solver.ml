@@ -1213,7 +1213,8 @@ let batch_atoms b = Array.length b.b_atoms
    per-variable hashing, no boxed key allocation — while every atom still
    replays through the normal [add_leq_*] entry points so dedup and
    online cycle elimination fire exactly as in a serial run (counter
-   parity with {!absorb_replay} is property-tested). *)
+   parity with {!Solver_ref.absorb}'s Hashtbl renaming is
+   property-tested). *)
 let absorb t ?bind (b : batch) =
   let t0 = Unix.gettimeofday () in
   let bound v = match bind with Some f -> f v | None -> None in
@@ -1242,31 +1243,6 @@ let absorb t ?bind (b : batch) =
     t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
     fun v -> if in_seg v then Some ren.(v.id) else None
   end
-
-(* The pre-splice merge: identical semantics through a uid-keyed Hashtbl
-   renaming. Kept as the parity oracle for the fast path above. *)
-let absorb_replay t ?bind (b : batch) =
-  let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
-  let n = Array.length b.b_vars in
-  let map = Hashtbl.create (max 16 n) in
-  for i = 0 to n - 1 do
-    let v = b.b_vars.(i) in
-    match bound v with
-    | Some g -> Hashtbl.replace map v.uid g
-    | None -> Hashtbl.replace map v.uid (fresh ~name:v.vname t)
-  done;
-  let rn v =
-    match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v
-  in
-  for i = 0 to Array.length b.b_atoms - 1 do
-    match b.b_atoms.(i) with
-    | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
-    | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c (rn v)
-    | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t (rn x) (rn y)
-  done;
-  t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-  fun v -> Hashtbl.find_opt map v.uid
 
 (* A batch whose absorb would be a literal no-op: no atoms to replay and
    every variable already bound to a shared-store variable (so no fresh

@@ -212,13 +212,8 @@ val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
     segment straight out of the source arena, a batch variable's creation
     id is its index in the segment, and the renaming is a flat array
     lookup instead of a uid-keyed hash table. Semantics are identical to
-    {!absorb_replay}. *)
-
-val absorb_replay :
-  t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** The pre-splice merge: same contract as {!absorb}, renaming through a
-    uid-keyed hash table. Kept as the independent parity oracle the
-    property tests compare the fast path against. *)
+    the reference store's hash-table merge ({!Solver_ref.absorb}), which
+    the property tests compare it against. *)
 
 val batch_skippable : bind:(var -> var option) -> batch -> bool
 (** [true] iff absorbing the batch would be a literal no-op: it carries no

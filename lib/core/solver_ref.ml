@@ -909,10 +909,6 @@ let absorb t ?bind (b : batch) =
   t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
   fun v -> Hashtbl.find_opt map v.uid
 
-(* the reference store has no splice-fast path: both names are the same
-   Hashtbl replay (present so the cores share a signature) *)
-let absorb_replay = absorb
-
 (* A batch whose absorb would be a literal no-op: no atoms to replay and
    every variable already bound to a shared-store variable (so no fresh
    variables would be created either). The parallel merge skips these —

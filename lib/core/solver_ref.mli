@@ -198,11 +198,6 @@ val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
     serially. Returns the realized renaming ([None] for batch variables
     the batch did not contain). *)
 
-val absorb_replay :
-  t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** alias of {!absorb}: the reference store has no splice-fast path, the
-    name exists so both cores satisfy the test suite's common signature *)
-
 val batch_skippable : bind:(var -> var option) -> batch -> bool
 (** [true] iff absorbing the batch would be a literal no-op: it carries no
     atoms and every variable is already resolved by [bind] (so no fresh

@@ -1,38 +1,27 @@
 (** The analysis session: every stage of the const-inference pipeline —
     unit table, linked program, FDG, published schemes, solved store,
-    report — as a persistent value with precise invalidation, plus the
-    batch entry points that drive one-shot runs over the same machinery.
+    report — as a persistent value with precise invalidation. Every run
+    goes through it: the batch CLI is a session used once, the daemon a
+    session kept warm.
 
-    The staged pipeline Table 2 and Figure 6 are produced from lives
-    here; {!Driver} re-exports the batch surface for existing callers.
     A {!t} keeps one warm artifact between runs: the per-unit AST memo
     (keyed by unit content digest), so after {!update_unit} only the
     edited unit is lexed and parsed again. Analysis always reruns in
-    full through {!Analysis.run}, the same path a cold batch run takes:
-    replaying recorded constraints would cost as much as inferring
-    them. Queries
-    ({!classify}, {!explain}, {!whatif}) are answered against the warm
-    solved store through stable [unit:line:col] position keys (see
-    {!Report.position_key}).
+    full through {!Analysis.run}: replaying recorded constraints would
+    cost as much as inferring them. Queries ({!classify}, {!explain},
+    {!whatif}) are answered against the warm solved store through stable
+    [unit:line:col] position keys (see {!Report.position_key}).
 
-    Multi-file projects run through the {e per-unit frontend} by
-    default: each translation unit is lexed and parsed independently (in
-    parallel under [--jobs]), then a deterministic serial link step
-    merges the unit programs and threads the cross-unit parser
-    environment. The pre-PR-9 "concatenate, then parse once" pipeline is
-    kept behind {!Concat} as the parity oracle — both frontends produce
-    byte-identical reports, diagnostics, and solver counters. See
-    DESIGN.md "Per-unit frontend" and "Session architecture". *)
+    The frontend is per-unit: each translation unit is lexed and parsed
+    independently (in parallel under [--jobs]), then a deterministic
+    serial link step merges the unit programs and threads the cross-unit
+    parser environment. See DESIGN.md "Per-unit frontend" and "Session
+    architecture". *)
 
 type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
   t_analysis : float;  (** constraint generation + solving *)
 }
-
-(** Which frontend assembles the whole program from translation units. *)
-type frontend =
-  | Per_unit  (** per-unit parse + link (default) *)
-  | Concat  (** legacy megastring concatenation: the parity oracle *)
 
 (** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
     times are summed across worker domains (like the solver's per-phase
@@ -70,8 +59,8 @@ type run = {
   par : Analysis.par_stats option;
       (** parallel-engine phase breakdown; [None] for serial runs *)
   frontend : frontend_stats option;
-      (** per-unit frontend phase breakdown; [None] for the concat
-          oracle, single-source runs, and whole-run cache hits *)
+      (** per-unit frontend phase breakdown; [None] for whole-run cache
+          hits *)
 }
 
 let time f =
@@ -80,11 +69,6 @@ let time f =
   (x, Unix.gettimeofday () -. t0)
 
 exception Error of string
-
-let compile src =
-  match Cfront.Cparse.parse_program_result src with
-  | Error m -> raise (Error m)
-  | Ok p -> Cfront.Cprog.build p
 
 (** [Some cores] when [jobs] asks for more worker domains than the host
     can schedule — the caller should warn: oversubscribed domains contend
@@ -145,10 +129,6 @@ let open_cache ?warn ?(rules = Analysis.const_rules) ~opts_id dir :
    units (and run) that file contributes to. *)
 let unit_digest name content = Digest.string (name ^ "\000" ^ content)
 
-(* a unit's span in the concatenated program: first line, last line, unit
-   name, content digest *)
-type span = int * int * string * string
-
 let mode_name = function
   | Analysis.Mono -> "mono"
   | Analysis.Poly -> "poly"
@@ -156,8 +136,7 @@ let mode_name = function
 
 (* Everything that parameterizes inference besides the program text and
    the qualifier space (already in the envelope context). [jobs] is
-   deliberately absent: results are jobs-invariant. So is the frontend:
-   per-unit and concat runs are byte-identical, hence cache-compatible. *)
+   deliberately absent: results are jobs-invariant. *)
 let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
     ~max_errors : string =
   let ob = function Some b -> string_of_bool b | None -> "-" in
@@ -217,102 +196,6 @@ let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
           Cache.reject_undecodable c ~kind ~key;
           None)
 
-(* analysis + measurement, also returning the live interfaces and the
-   stable-key position index the persistent session queries through *)
-let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?locate mode prog =
-  let (env, ifaces), t =
-    time (fun () ->
-        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-          mode prog)
-  in
-  let st = env.Analysis.store in
-  let solve0 = (Typequal.Solver.stats st).solve_s in
-  let (results, index), t2 =
-    time (fun () -> Report.measure_indexed ?locate env ifaces)
-  in
-  (* the report's own cost, minus the final solve it triggers (that time
-     is already accounted to solve_s) *)
-  let solve_d = (Typequal.Solver.stats st).solve_s -. solve0 in
-  Typequal.Solver.note_phase st Typequal.Solver.Report
-    (Float.max 0. (t2 -. solve_d));
-  (env, ifaces, results, index, t +. t2)
-
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?jobs mode prog
-    =
-  let env, _, results, _, t =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      mode prog
-  in
-  (env, results, t)
-
-(* ------------------------------------------------------------------ *)
-(* Shared back half of both frontends                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* the frontend's product, whichever frontend built it *)
-type compiled = {
-  co_prog : Cfront.Cprog.t;
-  co_diags : Cfront.Diag.t list;
-  co_degraded : (string * string) list;
-  co_lines : int;
-  co_t_compile : float;
-  co_frontend : frontend_stats option;
-}
-
-let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?locate mode (co : compiled) =
-  let env, ifaces, results, index, t_analysis =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?locate mode co.co_prog
-  in
-  (* the polymorphic drivers hand back the graph they scheduled over;
-     only mono runs never built one *)
-  let fdg =
-    match env.Analysis.fdg with
-    | Some fdg -> fdg
-    | None -> Fdg.build co.co_prog
-  in
-  let results =
-    {
-      results with
-      (* tail-recursive construction: a pathological input can demote
-         thousands of functions, and outcome lists are program-sized *)
-      Report.outcomes =
-        List.rev_append
-          (List.rev results.Report.outcomes)
-          (List.rev
-             (List.rev_map
-                (fun (name, reason) -> (name, Analysis.Degraded reason))
-                co.co_degraded));
-    }
-  in
-  let run =
-    {
-      results;
-      timing = { t_compile = co.co_t_compile; t_analysis };
-      lines = co.co_lines;
-      n_functions = List.length (Cfront.Cprog.functions co.co_prog);
-      n_constraints = Typequal.Solver.num_vars env.Analysis.store;
-      solver_stats = Analysis.stats env;
-      diagnostics = co.co_diags;
-      fdg_scc_count = Fdg.scc_count fdg;
-      fdg_largest_scc = Fdg.largest_scc fdg;
-      wavefront_width = Fdg.wavefront_width fdg;
-      par = env.Analysis.par;
-      frontend = co.co_frontend;
-    }
-  in
-  (run, env, ifaces, index)
-
-let finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?locate
-    mode (co : compiled) : run =
-  let run, _, _, _ =
-    finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?locate mode co
-  in
-  run
-
 let run_of_cached (cr : cached_run) ~t_lookup : run =
   {
     results = cr.cr_results;
@@ -342,176 +225,22 @@ let cached_of_run (r : run) : cached_run =
     cr_wavefront = r.wavefront_width;
   }
 
-(* the whole-run cache key over the units' content digests: shared by
-   both frontends, whose runs are byte-identical *)
-let run_key ~optfp (digests : string list) =
-  Digest.string (optfp ^ String.concat "" digests)
-
-(* ------------------------------------------------------------------ *)
-(* Concat frontend (the parity oracle)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Rebind a concatenated-program diagnostic to its unit: the unit whose
-   line range contains the span start, with lines shifted to be
-   unit-local. Diagnostics that land in no unit (impossible in practice:
-   separator lines hold only a comment) pass through untouched. *)
-let remap_concat_diag (spans : span list) (d : Cfront.Diag.t) :
-    Cfront.Diag.t =
-  let l = d.Cfront.Diag.d_span.Cfront.Diag.sl in
-  match
-    List.find_opt (fun (s, e, _, _) -> l >= s && l <= e) spans
-  with
-  | Some (s, _, name, _) ->
-      let sp = d.Cfront.Diag.d_span in
-      Cfront.Diag.with_unit
-        ~span:
-          {
-            sp with
-            Cfront.Diag.sl = sp.Cfront.Diag.sl - s + 1;
-            el = sp.Cfront.Diag.el - s + 1;
-          }
-        name d
-  | None -> d
-
-(* Normalize the concat parse's diagnostic order to the per-unit order:
-   unit-major, lexical diagnostics before parse diagnostics within a
-   unit. (The megastring parse reports every unit's lexical errors
-   before any unit's parse errors; the per-unit frontend finishes each
-   unit before starting the next.) The sort is stable, so within one
-   (unit, phase) bucket the source order is preserved. *)
-let normalize_concat_diags (spans : span list) (diags : Cfront.Diag.t list) :
-    Cfront.Diag.t list =
-  let unit_index =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun i (_, _, name, _) -> Hashtbl.replace tbl name i) spans;
-    fun d ->
-      match d.Cfront.Diag.d_unit with
-      | Some u -> ( match Hashtbl.find_opt tbl u with Some i -> i | None -> 0)
-      | None -> 0
-  in
-  let phase d =
-    (* E01xx lexical, anything else (E02xx parse, E0299 note) after *)
-    if String.length d.Cfront.Diag.d_code >= 3
-       && String.sub d.Cfront.Diag.d_code 0 3 = "E01"
-    then 0
-    else 1
-  in
-  List.stable_sort
-    (fun a b -> compare (unit_index a, phase a) (unit_index b, phase b))
-    diags
-
-(* multi-unit parity with the per-unit frontend: report unit-local
-   positions and per-unit diagnostic order *)
-let localize_concat ~(spans : span list) (pr : Cfront.Cparse.presult) =
-  match spans with
-  | [] | [ _ ] -> pr
-  | _ ->
-      {
-        pr with
-        Cfront.Cparse.pr_diags =
-          normalize_concat_diags spans
-            (List.map (remap_concat_diag spans) pr.Cfront.Cparse.pr_diags);
-      }
-
-(* resolve a concatenated-program line to its (unit, local line) pair —
-   the concat frontend's position anchor, mirrored by the per-unit
-   frontend's unit table so both produce identical position keys *)
-let locate_of_spans (spans : span list) _fname line =
-  match List.find_opt (fun (s, e, _, _) -> line >= s && line <= e) spans with
-  | Some (s, _, name, _) -> (name, line - s + 1)
-  | None -> ("", line)
-
-(* One mode over an already-concatenated program [src] whose units are
-   described by [spans]. The cold path is the pre-cache pipeline verbatim;
-   the cached path layers two tiers over it — whole-run and parsed AST —
-   each of which degrades to the tier below on any miss or rejection, so
-   every fault converges to the cold result. *)
-let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
-    ?compact ?budget ?jobs ?max_errors ?cache ?lines ~(spans : span list)
-    (src : string) : run =
-  let lines = match lines with Some n -> n | None -> Cfront.Cprog.count_lines src in
-  let localize = localize_concat ~spans in
-  let locate = locate_of_spans spans in
-  let finish co =
-    finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ~locate mode
-      co
-  in
-  let compiled pr prog t_compile =
-    {
-      co_prog = prog;
-      co_diags = pr.Cfront.Cparse.pr_diags;
-      co_degraded = pr.Cfront.Cparse.pr_degraded;
-      co_lines = lines;
-      co_t_compile = t_compile;
-      co_frontend = None;
-    }
-  in
-  let cold_run () =
-    let (pr, prog), t_compile =
-      time (fun () ->
-          let pr =
-            localize (Cfront.Cparse.parse_program_partial ?max_errors src)
-          in
-          (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-    in
-    finish (compiled pr prog t_compile)
-  in
-  (* budgeted runs are load-dependent, not reproducible artifacts: never
-     cached, never served from cache *)
-  let cache = match budget with Some _ -> None | None -> cache in
-  match cache with
-  | None -> cold_run ()
-  | Some cs -> (
-      let t0 = Unix.gettimeofday () in
-      let optfp =
-        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~field_sharing ~simplify
-          ~compact ~max_errors
-      in
-      let run_key = run_key ~optfp (List.map (fun (_, _, _, d) -> d) spans) in
-      match
-        (load_marshal cs.cs_cache ~kind:"run" ~key:run_key ~deps:[]
-          : cached_run option)
-      with
-      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
-      | None ->
-          let ast_key =
-            Digest.string
-              (Printf.sprintf "ast\000%s\000%s"
-                 (match max_errors with
-                 | Some n -> string_of_int n
-                 | None -> "-")
-                 src)
-          in
-          let (pr, prog), t_compile =
-            time (fun () ->
-                let pr =
-                  match
-                    (load_marshal cs.cs_cache ~kind:"ast" ~key:ast_key
-                       ~deps:[]
-                      : Cfront.Cparse.presult option)
-                  with
-                  | Some pr -> pr
-                  | None ->
-                      let pr =
-                        localize
-                          (Cfront.Cparse.parse_program_partial ?max_errors
-                             src)
-                      in
-                      Cache.store cs.cs_cache ~kind:"ast" ~key:ast_key
-                        ~deps:[]
-                        (Marshal.to_string pr []);
-                      pr
-                in
-                (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-          in
-          let run = finish (compiled pr prog t_compile) in
-          Cache.store cs.cs_cache ~kind:"run" ~key:run_key ~deps:[]
-            (Marshal.to_string (cached_of_run run) []);
-          run)
-
 (* ------------------------------------------------------------------ *)
 (* Per-unit frontend                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* the frontend's product: the linked program, its recovered
+   diagnostics and demoted bodies, and the function-name ->
+   defining-unit table that anchors the report's stable position keys *)
+type compiled = {
+  co_prog : Cfront.Cprog.t;
+  co_diags : Cfront.Diag.t list;
+  co_degraded : (string * string) list;
+  co_lines : int;
+  co_t_compile : float;
+  co_frontend : frontend_stats;
+  co_home : (string, string) Hashtbl.t;
+}
 
 (* the per-unit AST cache payload: the speculative (environment-free)
    parse of one unit, reusable under any link order. Reparses triggered
@@ -537,16 +266,14 @@ type unit_fe = {
   uf_prog : Cfront.Cprog.t;  (* build of the speculative parse *)
 }
 
-(** The per-unit frontend alone: speculative parallel lex+parse+build per
+(** The per-unit frontend: speculative parallel lex+parse+build per
     translation unit, then a deterministic serial link that replays the
     cross-unit parser environment in file order and re-parses the rare
-    unit whose speculative result it could have influenced. Returns the
-    compiled program plus the function-name -> defining-unit table that
-    anchors the report's stable position keys. [fe_memo] is the
-    persistent session's in-memory AST tier, probed before the disk tier,
-    fed by fresh parses, and pruned to the current units' digests. *)
-let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
-    : compiled * (string, string) Hashtbl.t =
+    unit whose speculative result it could have influenced. [fe_memo] is
+    the session's in-memory AST tier, probed before the disk tier, fed by
+    fresh parses, and pruned to the current units' digests. *)
+let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
+    : compiled =
   let lines =
     List.fold_left
       (fun acc (_, src) -> acc + Cfront.Cprog.count_lines src)
@@ -559,434 +286,279 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
     Array.map (fun (name, src) -> unit_digest name src) files_a
   in
   let n = Array.length files_a in
-      (* --- per-unit AST memo + cache probes (serial: neither the memo
-         table nor cache handles are domain-safe) --- *)
-      let probed : Cfront.Cparse.uresult option array = Array.make n None in
-      (match fe_memo with
-      | None -> ()
-      | Some m ->
-          Array.iteri
-            (fun i _ ->
-              match Hashtbl.find_opt m.fm_tbl digests_a.(i) with
-              | Some res ->
-                  m.fm_hits <- m.fm_hits + 1;
-                  probed.(i) <- Some res
-              | None -> m.fm_misses <- m.fm_misses + 1)
-            files_a);
-      (match cache with
-      | None -> ()
-      | Some cs ->
-          Array.iteri
-            (fun i _ ->
-              if probed.(i) = None then
-                match
-                  (load_marshal cs.cs_cache ~kind:"unit"
-                     ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                     ~deps:[]
-                    : cached_unit option)
-                with
-                | Some cu -> probed.(i) <- Some cu.cu_res
-                | None -> ())
-            files_a);
-      (* --- speculative lex+parse+build, one task per unit --- *)
-      let slots : unit_fe option array = Array.make n None in
-      let tmu = Mutex.create () in
-      let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
-      let add cell dt =
-        Mutex.lock tmu;
-        cell := !cell +. dt;
-        Mutex.unlock tmu
-      in
-      Typequal.Pool.with_pool ~jobs (fun pool ->
-          Array.iteri
-            (fun i (name, src) ->
-              Typequal.Pool.submit pool (fun () ->
-                  let res =
-                    match probed.(i) with
-                    | Some res -> res
-                    | None ->
-                        let (tb, lex_diags), t_lex =
-                          time (fun () ->
-                              Cfront.Clexer.tokenize_buf ~max_errors:me src)
-                        in
-                        add lex_s t_lex;
-                        let res, t_parse =
-                          time (fun () ->
-                              Cfront.Cparse.parse_unit ~max_errors:me tb
-                                ~lex_diags)
-                        in
-                        add parse_s t_parse;
-                        res
-                  in
-                  let prog, t_build =
-                    time (fun () ->
-                        Cfront.Cprog.build
-                          res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
-                  in
-                  add build_s t_build;
-                  slots.(i) <-
-                    Some
-                      {
-                        uf_name = name;
-                        uf_src = src;
-                        uf_res = res;
-                        uf_prog = prog;
-                      }))
-            files_a;
-          Typequal.Pool.wait pool);
-      (* --- persist fresh speculative parses (memo and disk) --- *)
+  (* --- per-unit AST memo + cache probes (serial: neither the memo table
+     nor cache handles are domain-safe) --- *)
+  let probed : Cfront.Cparse.uresult option array = Array.make n None in
+  Array.iteri
+    (fun i _ ->
+      match Hashtbl.find_opt fe_memo.fm_tbl digests_a.(i) with
+      | Some res ->
+          fe_memo.fm_hits <- fe_memo.fm_hits + 1;
+          probed.(i) <- Some res
+      | None -> fe_memo.fm_misses <- fe_memo.fm_misses + 1)
+    files_a;
+  (match cache with
+  | None -> ()
+  | Some cs ->
       Array.iteri
-        (fun i uf ->
-          match (probed.(i), uf) with
-          | None, Some uf ->
-              (match fe_memo with
-              | Some m -> Hashtbl.replace m.fm_tbl digests_a.(i) uf.uf_res
-              | None -> ());
-              (match cache with
-              | Some cs ->
-                  Cache.store cs.cs_cache ~kind:"unit"
-                    ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                    ~deps:[]
-                    (Marshal.to_string { cu_res = uf.uf_res } [])
-              | None -> ())
-          | _ -> ())
-        slots;
-      (* an entry no current unit hashes to is dead weight: an edit that
-         is reverted re-parses rather than keeping every version alive *)
-      (match fe_memo with
-      | Some m ->
-          Hashtbl.filter_map_inplace
-            (fun d res -> if Array.mem d digests_a then Some res else None)
-            m.fm_tbl
-      | None -> ());
-      (* --- serial link: validate each speculative parse against the
-         accumulated environment, re-parse when it could have been
-         influenced, thread the diagnostic budget, merge in file order --- *)
-      let link_t0 = Unix.gettimeofday () in
-      let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-      let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      let env_anon = ref 0 in
-      let consumed = ref 0 in
-      let capped = ref false in
-      let reparsed = ref 0 in
-      let progs = ref [] in
-      let diags = ref [] in
-      let degraded = ref [] in
-      let unit_of_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
-      Array.iter
-        (fun uf ->
-          let uf = Option.get uf in
-          if not !capped then
-            if !consumed >= me then begin
-              (* the budget ran out exactly at a unit boundary: a
-                 whole-program parse would give up at this unit's first
-                 token *)
-              capped := true;
-              let d =
-                Cfront.Diag.note ~code:"E0299"
-                  uf.uf_res.Cfront.Cparse.ur_first_span
-                  (Printf.sprintf
-                     "too many errors (%d); giving up on the rest of the \
-                      file"
-                     me)
-              in
-              let d =
-                if multi then Cfront.Diag.with_unit uf.uf_name d else d
-              in
-              diags := d :: !diags
-            end
-            else begin
-              let spec = uf.uf_res in
-              let k =
-                List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags
-              in
-              let mention_hit =
-                (Hashtbl.length env_typedefs > 0
-                || Hashtbl.length env_enums > 0)
-                && List.exists
-                     (fun id ->
-                       Hashtbl.mem env_typedefs id
-                       || Hashtbl.mem env_enums id)
-                     spec.Cfront.Cparse.ur_idents
-              in
-              let anon_hit =
-                !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0
-              in
-              let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
-              let res, prog =
-                if not (mention_hit || anon_hit || budget_hit) then
-                  (spec, uf.uf_prog)
-                else begin
-                  incr reparsed;
-                  let seed =
-                    {
-                      Cfront.Cparse.us_typedefs =
-                        Hashtbl.fold
-                          (fun k () acc -> k :: acc)
-                          env_typedefs [];
-                      us_enums =
-                        Hashtbl.fold
-                          (fun k v acc -> (k, v) :: acc)
-                          env_enums [];
-                      us_anon = !env_anon;
-                      us_count_base = !consumed;
-                    }
-                  in
-                  let tb, lex_diags =
-                    Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
-                      uf.uf_src
-                  in
-                  let res =
-                    Cfront.Cparse.parse_unit ~max_errors:me ~seed tb
-                      ~lex_diags
-                  in
-                  ( res,
-                    Cfront.Cprog.build
-                      res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog )
-                end
-              in
-              let pr = res.Cfront.Cparse.ur_pr in
-              consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
-              if res.Cfront.Cparse.ur_capped then capped := true;
-              List.iter
-                (fun name -> Hashtbl.replace env_typedefs name ())
-                res.Cfront.Cparse.ur_typedefs;
-              List.iter
-                (fun (name, v) -> Hashtbl.replace env_enums name v)
-                res.Cfront.Cparse.ur_enums;
-              env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
-              progs := prog :: !progs;
-              List.iter
-                (fun d ->
-                  let d =
-                    if multi then Cfront.Diag.with_unit uf.uf_name d else d
-                  in
-                  diags := d :: !diags)
-                pr.Cfront.Cparse.pr_diags;
-              List.iter
-                (fun dg -> degraded := dg :: !degraded)
-                pr.Cfront.Cparse.pr_degraded;
-              List.iter
-                (fun (f : Cfront.Cast.fundef) ->
-                  if not (Hashtbl.mem unit_of_tbl f.Cfront.Cast.f_name) then
-                    Hashtbl.replace unit_of_tbl f.Cfront.Cast.f_name
-                      uf.uf_name)
-                (Cfront.Cprog.functions prog)
-            end)
-        slots;
-      let prog = Cfront.Cprog.merge (List.rev !progs) in
-      let link_s = Unix.gettimeofday () -. link_t0 in
-      let t_compile = Unix.gettimeofday () -. t0 in
-      let fe =
-        {
-          fs_units = n;
-          fs_reparsed = !reparsed;
-          fs_lex_s = !lex_s;
-          fs_parse_s = !parse_s;
-          fs_build_s = !build_s;
-          fs_link_s = link_s;
-        }
-      in
-      let co =
-        {
-          co_prog = prog;
-          co_diags = List.rev !diags;
-          co_degraded = List.rev !degraded;
-          co_lines = lines;
-          co_t_compile = t_compile;
-          co_frontend = Some fe;
-        }
-      in
-      (co, unit_of_tbl)
-
-(* the per-unit frontend's position anchor: a function's lines are
-   already unit-local, so only the unit name needs resolving *)
-let locate_of_tbl (tbl : (string, string) Hashtbl.t) fname line =
-  match Hashtbl.find_opt tbl fname with
-  | Some u -> (u, line)
-  | None -> ("", line)
-
-(** One mode over the per-unit pipeline, with the whole-run and per-unit
-    AST cache tiers layered over {!compile_units}. *)
-let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
-    ?compact ?budget ?(jobs = 1) ?max_errors ?cache
-    (files : (string * string) list) : run =
-  let me = Option.value max_errors ~default:20 in
-  (* budgeted runs are never cached (see run_concat) *)
-  let cache = match budget with Some _ -> None | None -> cache in
-  let compute () =
-    let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
-    finish ?rules ?field_sharing ?simplify ?compact ?budget ~jobs
-      ~locate:(locate_of_tbl unit_of_tbl) mode co
+        (fun i _ ->
+          if probed.(i) = None then
+            match
+              (load_marshal cs.cs_cache ~kind:"unit"
+                 ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
+                 ~deps:[]
+                : cached_unit option)
+            with
+            | Some cu -> probed.(i) <- Some cu.cu_res
+            | None -> ())
+        files_a);
+  (* --- speculative lex+parse+build, one task per unit --- *)
+  let slots : unit_fe option array = Array.make n None in
+  let tmu = Mutex.create () in
+  let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
+  let add cell dt =
+    Mutex.lock tmu;
+    cell := !cell +. dt;
+    Mutex.unlock tmu
   in
-  match cache with
-  | None -> compute ()
-  | Some cs -> (
-      let t0 = Unix.gettimeofday () in
-      let optfp =
-        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~field_sharing ~simplify
-          ~compact ~max_errors
-      in
-      let rkey =
-        run_key ~optfp (List.map (fun (n, s) -> unit_digest n s) files)
-      in
-      match
-        (load_marshal cs.cs_cache ~kind:"run" ~key:rkey ~deps:[]
-          : cached_run option)
-      with
-      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
-      | None ->
-          let run = compute () in
-          Cache.store cs.cs_cache ~kind:"run" ~key:rkey ~deps:[]
-            (Marshal.to_string (cached_of_run run) []);
-          run)
-
-(* ------------------------------------------------------------------ *)
-(* Batch entry points                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Run one mode on C source, recovering from lexer/parser errors: globals
-    that fail to parse are dropped (with a diagnostic), function bodies
-    that fail are demoted to prototypes and reported as degraded outcomes.
-    Raises only for faults that leave nothing to analyze (e.g.
-    [Cfront.Cprog.Frontend_error] from table construction). *)
-let run_source ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?max_errors ?cache ?(unit = "<input>") (src : string) : run =
-  run_concat ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?max_errors ?cache
-    ~spans:[ (1, max_int, unit, unit_digest unit src) ]
-    src
-
-(** Multi-file projects, concatenated (the parity oracle): the
-    translation units are analyzed as one program, as a 1990s
-    whole-program analysis would see them after preprocessing. File
-    boundaries are kept as comments for span accounting — and, when
-    caching, as the unit spans that key per-file invalidation. *)
-let concat_sources_spans (files : (string * string) list) :
-    string * span list =
-  let b = Buffer.create 65536 in
-  let line = ref 1 in
-  let spans = ref [] in
-  List.iter
-    (fun (name, src) ->
-      Buffer.add_string b (Printf.sprintf "/* === %s === */\n" name);
-      incr line;
-      let start = !line in
-      Buffer.add_string b src;
-      let nl =
-        String.fold_left (fun a c -> if c = '\n' then a + 1 else a) 0 src
-      in
-      let add_nl =
-        String.length src > 0 && src.[String.length src - 1] <> '\n'
-      in
-      if add_nl then Buffer.add_char b '\n';
-      line := !line + nl + (if add_nl then 1 else 0);
-      spans := (start, !line - 1, name, unit_digest name src) :: !spans)
-    files;
-  (Buffer.contents b, List.rev !spans)
-
-let concat_sources files = fst (concat_sources_spans files)
-
-(** Multi-file projects: each translation unit is lexed and parsed
-    independently (per-unit frontend, the default), or the units are
-    concatenated and parsed as one megastring ({!Concat}, the legacy
-    oracle). Reports, diagnostics, and solver counters are byte-identical
-    either way; only speed, memory, and cache granularity differ. *)
-let run_sources ?(frontend = Per_unit) ?mode ?rules ?field_sharing ?simplify
-    ?compact ?budget ?jobs ?max_errors ?cache
-    (files : (string * string) list) : run =
-  match frontend with
-  | Per_unit ->
-      run_units ?mode ?rules ?field_sharing ?simplify ?compact ?budget
-        ?jobs ?max_errors ?cache files
-  | Concat ->
-      let src, spans = concat_sources_spans files in
-      let lines =
-        List.fold_left
-          (fun acc (_, s) -> acc + Cfront.Cprog.count_lines s)
-          0 files
-      in
-      run_concat ?mode ?rules ?field_sharing ?simplify ?compact ?budget
-        ?jobs ?max_errors ?cache ~lines ~spans src
-
-(** The frontend alone — parse and link a multi-file project without
-    analyzing it. What the bench harness times and heap-profiles when it
-    compares the two frontends' compile phases. *)
-let compile_sources ?(frontend = Per_unit) ?(jobs = 1) ?max_errors
-    (files : (string * string) list) : compiled =
-  let me = Option.value max_errors ~default:20 in
-  match frontend with
-  | Per_unit -> fst (compile_units ~jobs ~me files)
-  | Concat ->
-      let src, spans = concat_sources_spans files in
-      let lines =
-        List.fold_left
-          (fun acc (_, s) -> acc + Cfront.Cprog.count_lines s)
-          0 files
-      in
-      let (pr, prog), t_compile =
-        time (fun () ->
-            let pr =
-              localize_concat ~spans
-                (Cfront.Cparse.parse_program_partial ~max_errors:me src)
-            in
-            (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-      in
-      {
-        co_prog = prog;
-        co_diags = pr.Cfront.Cparse.pr_diags;
-        co_degraded = pr.Cfront.Cparse.pr_degraded;
-        co_lines = lines;
-        co_t_compile = t_compile;
-        co_frontend = None;
-      }
-
-(** Run both modes, reusing the parse: one row of Table 2. *)
-type row = {
-  name : string;
-  r_lines : int;
-  compile_s : float;
-  mono_s : float;
-  poly_s : float;
-  declared : int;
-  mono : int;
-  poly : int;
-  total : int;
-  mono_results : Report.results;
-  poly_results : Report.results;
-}
-
-let table2_row ~name (src : string) : row =
-  let prog, t_compile = time (fun () -> compile src) in
-  let _, mono_results, mono_s = analyze Analysis.Mono prog in
-  let _, poly_results, poly_s = analyze Analysis.Poly prog in
+  Typequal.Pool.with_pool ~jobs (fun pool ->
+      Array.iteri
+        (fun i (name, src) ->
+          Typequal.Pool.submit pool (fun () ->
+              let res =
+                match probed.(i) with
+                | Some res -> res
+                | None ->
+                    let (tb, lex_diags), t_lex =
+                      time (fun () ->
+                          Cfront.Clexer.tokenize_buf ~max_errors:me src)
+                    in
+                    add lex_s t_lex;
+                    let res, t_parse =
+                      time (fun () ->
+                          Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
+                    in
+                    add parse_s t_parse;
+                    res
+              in
+              let prog, t_build =
+                time (fun () ->
+                    Cfront.Cprog.build
+                      res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
+              in
+              add build_s t_build;
+              slots.(i) <-
+                Some { uf_name = name; uf_src = src; uf_res = res; uf_prog = prog }))
+        files_a;
+      Typequal.Pool.wait pool);
+  (* --- persist fresh speculative parses (memo and disk) --- *)
+  Array.iteri
+    (fun i uf ->
+      match (probed.(i), uf) with
+      | None, Some uf -> (
+          Hashtbl.replace fe_memo.fm_tbl digests_a.(i) uf.uf_res;
+          match cache with
+          | Some cs ->
+              Cache.store cs.cs_cache ~kind:"unit"
+                ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
+                ~deps:[]
+                (Marshal.to_string { cu_res = uf.uf_res } [])
+          | None -> ())
+      | _ -> ())
+    slots;
+  (* an entry no current unit hashes to is dead weight: an edit that is
+     reverted re-parses rather than keeping every version alive *)
+  Hashtbl.filter_map_inplace
+    (fun d res -> if Array.mem d digests_a then Some res else None)
+    fe_memo.fm_tbl;
+  (* --- serial link: validate each speculative parse against the
+     accumulated environment, re-parse when it could have been
+     influenced, thread the diagnostic budget, merge in file order --- *)
+  let link_t0 = Unix.gettimeofday () in
+  let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let env_anon = ref 0 in
+  let consumed = ref 0 in
+  let capped = ref false in
+  let reparsed = ref 0 in
+  let progs = ref [] in
+  let diags = ref [] in
+  let degraded = ref [] in
+  let home : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let in_unit uf d = if multi then Cfront.Diag.with_unit uf.uf_name d else d in
+  Array.iter
+    (fun uf ->
+      let uf = Option.get uf in
+      if not !capped then
+        if !consumed >= me then begin
+          (* the budget ran out exactly at a unit boundary: a
+             whole-program parse would give up at this unit's first
+             token *)
+          capped := true;
+          diags :=
+            in_unit uf
+              (Cfront.Diag.note ~code:"E0299"
+                 uf.uf_res.Cfront.Cparse.ur_first_span
+                 (Printf.sprintf
+                    "too many errors (%d); giving up on the rest of the file"
+                    me))
+            :: !diags
+        end
+        else begin
+          let spec = uf.uf_res in
+          let k = List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
+          let mention_hit =
+            (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
+            && List.exists
+                 (fun id ->
+                   Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
+                 spec.Cfront.Cparse.ur_idents
+          in
+          let anon_hit = !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0 in
+          let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
+          let res, prog =
+            if not (mention_hit || anon_hit || budget_hit) then
+              (spec, uf.uf_prog)
+            else begin
+              incr reparsed;
+              let seed =
+                {
+                  Cfront.Cparse.us_typedefs =
+                    Hashtbl.fold (fun k () acc -> k :: acc) env_typedefs [];
+                  us_enums =
+                    Hashtbl.fold (fun k v acc -> (k, v) :: acc) env_enums [];
+                  us_anon = !env_anon;
+                  us_count_base = !consumed;
+                }
+              in
+              let tb, lex_diags =
+                Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
+                  uf.uf_src
+              in
+              let res =
+                Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags
+              in
+              (res, Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
+            end
+          in
+          let pr = res.Cfront.Cparse.ur_pr in
+          consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
+          if res.Cfront.Cparse.ur_capped then capped := true;
+          List.iter
+            (fun name -> Hashtbl.replace env_typedefs name ())
+            res.Cfront.Cparse.ur_typedefs;
+          List.iter
+            (fun (name, v) -> Hashtbl.replace env_enums name v)
+            res.Cfront.Cparse.ur_enums;
+          env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
+          progs := prog :: !progs;
+          List.iter (fun d -> diags := in_unit uf d :: !diags) pr.Cfront.Cparse.pr_diags;
+          List.iter (fun dg -> degraded := dg :: !degraded) pr.Cfront.Cparse.pr_degraded;
+          List.iter
+            (fun (f : Cfront.Cast.fundef) ->
+              if not (Hashtbl.mem home f.Cfront.Cast.f_name) then
+                Hashtbl.replace home f.Cfront.Cast.f_name uf.uf_name)
+            (Cfront.Cprog.functions prog)
+        end)
+    slots;
+  let prog = Cfront.Cprog.merge (List.rev !progs) in
+  let link_s = Unix.gettimeofday () -. link_t0 in
   {
-    name;
-    r_lines = Cfront.Cprog.count_lines src;
-    compile_s = t_compile;
-    mono_s;
-    poly_s;
-    declared = mono_results.Report.declared;
-    mono = mono_results.Report.possible;
-    poly = poly_results.Report.possible;
-    total = mono_results.Report.total;
-    mono_results;
-    poly_results;
+    co_prog = prog;
+    co_diags = List.rev !diags;
+    co_degraded = List.rev !degraded;
+    co_lines = lines;
+    co_t_compile = Unix.gettimeofday () -. t0;
+    co_frontend =
+      {
+        fs_units = n;
+        fs_reparsed = !reparsed;
+        fs_lex_s = !lex_s;
+        fs_parse_s = !parse_s;
+        fs_build_s = !build_s;
+        fs_link_s = link_s;
+      };
+    co_home = home;
   }
 
 (* ------------------------------------------------------------------ *)
-(* The persistent session                                              *)
+(* Analysis and measurement over the linked program                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Analyze, measure, and attach FDG statistics (from the graph the
+   analysis scheduled over; mono builds one here). Also returns the
+   live environment and the stable-key position index the queries go
+   through. A function's AST lines are already unit-local, so its
+   position anchor only needs its home unit. *)
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
+    (co : compiled) =
+  let (env, ifaces), t =
+    time (fun () ->
+        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ~jobs
+          mode co.co_prog)
+  in
+  let st = env.Analysis.store in
+  let solve0 = (Typequal.Solver.stats st).solve_s in
+  let locate fname line =
+    (Option.value (Hashtbl.find_opt co.co_home fname) ~default:"", line)
+  in
+  let (results, index), t2 =
+    time (fun () -> Report.measure_indexed ~locate env ifaces)
+  in
+  (* the report's own cost, minus the final solve it triggers (that time
+     is already accounted to solve_s) *)
+  let solve_d = (Typequal.Solver.stats st).solve_s -. solve0 in
+  Typequal.Solver.note_phase st Typequal.Solver.Report
+    (Float.max 0. (t2 -. solve_d));
+  (* the polymorphic drivers hand back the graph they scheduled over;
+     only mono runs never built one *)
+  let fdg =
+    match env.Analysis.fdg with Some fdg -> fdg | None -> Fdg.build co.co_prog
+  in
+  let results =
+    {
+      results with
+      (* tail-recursive construction: a pathological input can demote
+         thousands of functions, and outcome lists are program-sized *)
+      Report.outcomes =
+        List.rev_append
+          (List.rev results.Report.outcomes)
+          (List.rev
+             (List.rev_map
+                (fun (name, reason) -> (name, Analysis.Degraded reason))
+                co.co_degraded));
+    }
+  in
+  let run =
+    {
+      results;
+      timing = { t_compile = co.co_t_compile; t_analysis = t +. t2 };
+      lines = co.co_lines;
+      n_functions = List.length (Cfront.Cprog.functions co.co_prog);
+      n_constraints = Typequal.Solver.num_vars st;
+      solver_stats = Analysis.stats env;
+      diagnostics = co.co_diags;
+      fdg_scc_count = Fdg.scc_count fdg;
+      fdg_largest_scc = Fdg.largest_scc fdg;
+      wavefront_width = Fdg.wavefront_width fdg;
+      par = env.Analysis.par;
+      frontend = Some co.co_frontend;
+    }
+  in
+  (run, env, index)
+
+(* ------------------------------------------------------------------ *)
+(* The session                                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Solver = Typequal.Solver
 module Lat = Typequal.Lattice
 
-(* one mode's warm artifacts: the solved store with its live interfaces
-   and the stable-key index into it *)
+(* one mode's warm artifacts: the solved store and the stable-key index
+   into it *)
 type mode_state = {
   ms_run : run;
   ms_env : Analysis.env;
-  ms_ifaces : (string * Qtypes.fsig) list;
   ms_index :
     (string, Report.position * Report.verdict * Solver.var) Hashtbl.t;
 }
@@ -997,6 +569,7 @@ type t = {
   s_field_sharing : bool option;
   s_simplify : bool option;
   s_compact : bool option;
+  s_budget : (unit -> Typequal.Budget.t) option;
   s_max_errors : int option;
   s_jobs : int;
   s_cache : cache_spec option;
@@ -1006,21 +579,26 @@ type t = {
   s_fe_memo : fe_memo;
   mutable s_units : (string * string) list;  (* (name, source), in order *)
   (* stages derived from the unit table; dropped on any unit edit *)
-  mutable s_compiled : (compiled * (string, string) Hashtbl.t) option;
+  mutable s_compiled : compiled option;
+  (* every analyzed mode stays warm until the next edit *)
   s_modes : (string, mode_state) Hashtbl.t;
 }
 
 let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
-    ?max_errors ?(jobs = 1) ?cache (units : (string * string) list) : t =
+    ?budget ?max_errors ?(jobs = 1) ?cache (units : (string * string) list) :
+    t =
   {
     s_rules = Option.value rules ~default:Analysis.const_rules;
     s_default_mode = mode;
     s_field_sharing = field_sharing;
     s_simplify = simplify;
     s_compact = compact;
+    s_budget = budget;
     s_max_errors = max_errors;
     s_jobs = jobs;
-    s_cache = cache;
+    (* budgeted runs are load-dependent, not reproducible artifacts:
+       never cached, never served from cache *)
+    s_cache = (match budget with Some _ -> None | None -> cache);
     s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
     s_units = units;
     s_compiled = None;
@@ -1075,8 +653,8 @@ let ensure_compiled t =
       if t.s_units = [] then raise (Error "session has no units");
       let me = Option.value t.s_max_errors ~default:20 in
       let c =
-        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~jobs:t.s_jobs
-          ~me t.s_units
+        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~jobs:t.s_jobs ~me
+          t.s_units
       in
       t.s_compiled <- Some c;
       c
@@ -1086,24 +664,67 @@ let ensure_mode t mode : mode_state =
   match Hashtbl.find_opt t.s_modes key with
   | Some ms -> ms
   | None ->
-      let co, tbl = ensure_compiled t in
-      let run, env, ifaces, index =
-        finish_full ~rules:t.s_rules ?field_sharing:t.s_field_sharing
-          ?simplify:t.s_simplify ?compact:t.s_compact ~jobs:t.s_jobs
-          ~locate:(locate_of_tbl tbl) mode co
+      let co = ensure_compiled t in
+      let run, env, index =
+        analyze ~rules:t.s_rules ?field_sharing:t.s_field_sharing
+          ?simplify:t.s_simplify ?compact:t.s_compact
+          ?budget:(Option.map (fun f -> f ()) t.s_budget)
+          ~jobs:t.s_jobs mode co
       in
-      let ms = { ms_run = run; ms_env = env; ms_ifaces = ifaces; ms_index = index } in
+      let ms = { ms_run = run; ms_env = env; ms_index = index } in
       Hashtbl.replace t.s_modes key ms;
       ms
 
 let mode_of t = function Some m -> m | None -> t.s_default_mode
 
-(** Run one mode over the session's current units — warm: clean units
-    come from the AST memo, the analysis reruns in full, and a repeat of
-    an already-computed mode returns its state untouched. *)
-let run ?mode t : run = (ensure_mode t (mode_of t mode)).ms_run
+(* The whole-run disk tier: the run record keyed by the options and every
+   unit's content digest. Only {!run} reads it — queries need the live
+   store, which is never persisted. *)
+let cached_run_or t mode compute : run =
+  match t.s_cache with
+  | None -> compute ()
+  | Some cs -> (
+      let t0 = Unix.gettimeofday () in
+      let optfp =
+        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode
+          ~field_sharing:t.s_field_sharing ~simplify:t.s_simplify
+          ~compact:t.s_compact ~max_errors:t.s_max_errors
+      in
+      let key =
+        Digest.string
+          (optfp
+          ^ String.concat "" (List.map (fun (n, s) -> unit_digest n s) t.s_units)
+          )
+      in
+      match
+        (load_marshal cs.cs_cache ~kind:"run" ~key ~deps:[] : cached_run option)
+      with
+      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
+      | None ->
+          let r = compute () in
+          Cache.store cs.cs_cache ~kind:"run" ~key ~deps:[]
+            (Marshal.to_string (cached_of_run r) []);
+          r)
 
-let diagnostics t : Cfront.Diag.t list = (fst (ensure_compiled t)).co_diags
+(** Run one mode over the session's current units — warm: a repeat of
+    an already-analyzed mode returns its record untouched; after an
+    edit, clean units come from the AST memo and the analysis reruns in
+    full. A whole-run disk hit is served as is and keeps no store. *)
+let run ?mode t : run =
+  let mode = mode_of t mode in
+  match Hashtbl.find_opt t.s_modes (mode_name mode) with
+  | Some ms -> ms.ms_run
+  | None -> cached_run_or t mode (fun () -> (ensure_mode t mode).ms_run)
+
+let run_sources ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
+    ?max_errors ?cache files : run =
+  run
+    (create ?rules ?mode ?field_sharing ?simplify ?compact
+       ?budget:(Option.map (fun b () -> b) budget)
+       ?jobs ?max_errors ?cache files)
+
+let program t : Cfront.Cprog.t = (ensure_compiled t).co_prog
+let diagnostics t : Cfront.Diag.t list = (ensure_compiled t).co_diags
 
 (* the session's positions in report order, each with its canonical key
    and live solver variable *)
@@ -1335,5 +956,4 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
 (** Render one mode of the session — the daemon's [render] method. *)
 let render ?mode ?stats ?positions ?(name = "session") t : string =
   let m = mode_of t mode in
-  render_run ?stats ?positions ~jobs:t.s_jobs ~name m
-    (ensure_mode t m).ms_run
+  render_run ?stats ?positions ~jobs:t.s_jobs ~name m (run ~mode:m t)

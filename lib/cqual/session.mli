@@ -1,22 +1,17 @@
 (** The analysis session: the const-inference pipeline as named stages —
     unit table → linked program → FDG → published schemes → solved store
-    → report — behind both one-shot batch entry points (re-exported by
-    {!Driver}) and a persistent {!t} that keeps warm artifacts between
-    runs and answers position-level queries without re-parsing or
-    re-solving clean units. See DESIGN.md "Session architecture & wire
+    → report — held by a persistent {!t}. Every run goes through it: the
+    batch CLI is a session used once ({!create} then {!run}), the daemon
+    a session kept warm that answers position-level queries without
+    re-parsing clean units. See DESIGN.md "Session architecture & wire
     protocol". *)
 
-(** {1 Batch pipeline} *)
+(** {1 Run records} *)
 
 type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
   t_analysis : float;  (** constraint generation + solving *)
 }
-
-(** Which frontend assembles the whole program from translation units. *)
-type frontend =
-  | Per_unit  (** per-unit parse + link (default) *)
-  | Concat  (** legacy megastring concatenation: the parity oracle *)
 
 (** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
     times are summed across worker domains, so they can exceed the
@@ -45,16 +40,10 @@ type run = {
   fdg_largest_scc : int;
   wavefront_width : int;
   par : Analysis.par_stats option;  (** [None] for serial runs *)
-  frontend : frontend_stats option;
-      (** [None] for the concat oracle, single-source runs, and
-          whole-run cache hits *)
+  frontend : frontend_stats option;  (** [None] for whole-run cache hits *)
 }
 
 exception Error of string
-
-val compile : string -> Cfront.Cprog.t
-(** Parse a single source to its program tables; raises {!Error} when
-    nothing parses. *)
 
 val oversubscription : jobs:int -> int option
 (** [Some cores] when [jobs] exceeds the host's available cores. *)
@@ -65,6 +54,8 @@ val oversubscription_notice : jobs:int -> Cfront.Diag.t option
     byte-identical to the historical free-form line — and the daemon
     ships it to clients as data. *)
 
+val mode_name : Analysis.mode -> string
+
 (** {2 Persistent on-disk cache} *)
 
 type cache_spec = {
@@ -73,10 +64,6 @@ type cache_spec = {
       (** caller identity beyond the lattice: analysis flavour, lattice
           file digest, measured qualifier *)
 }
-
-val space_fingerprint : Typequal.Lattice.Space.t -> Digest.t
-(** The envelope context digest: lattice dump, compiler version, and
-    payload-format revision. *)
 
 val open_cache :
   ?warn:(string -> unit) ->
@@ -87,155 +74,16 @@ val open_cache :
 (** Open a cache directory for runs under this rule set; [None] (after
     [warn]) when the path is unusable. Never raises. *)
 
-val unit_digest : string -> string -> Digest.t
-(** [unit_digest name content]: the per-file content hash that keys
-    invalidation. *)
-
-type span = int * int * string * string
-(** a unit's span in a concatenated program: first line, last line,
-    unit name, content digest *)
-
-val mode_name : Analysis.mode -> string
-
-(** {2 One-shot entry points} *)
-
-val analyze :
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  Analysis.mode ->
-  Cfront.Cprog.t ->
-  Analysis.env * Report.results * float
-(** Analysis plus measurement over an already-compiled program. *)
-
-type compiled = {
-  co_prog : Cfront.Cprog.t;
-  co_diags : Cfront.Diag.t list;
-  co_degraded : (string * string) list;
-  co_lines : int;
-  co_t_compile : float;
-  co_frontend : frontend_stats option;
-}
-(** the frontend's product, whichever frontend built it *)
-
-val finish :
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?locate:(string -> int -> string * int) ->
-  Analysis.mode ->
-  compiled ->
-  run
-(** The shared back half of both frontends: analyze, measure, and attach
-    FDG statistics (from the graph the analysis scheduled over; mono
-    builds one here). [locate] resolves a function's AST line to its
-    (unit, local line) anchor for stable position keys. *)
-
-val run_concat :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  ?lines:int ->
-  spans:span list ->
-  string ->
-  run
-(** One mode over an already-concatenated program. *)
-
-val run_units :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  (string * string) list ->
-  run
-(** One mode over the per-unit pipeline. *)
-
-val run_source :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  ?unit:string ->
-  string ->
-  run
-(** Run one mode on a single C source, recovering from lexer/parser
-    errors. *)
-
-val concat_sources_spans : (string * string) list -> string * span list
-val concat_sources : (string * string) list -> string
-
-val run_sources :
-  ?frontend:frontend ->
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  (string * string) list ->
-  run
-(** Multi-file projects under either frontend; reports, diagnostics and
-    solver counters are byte-identical either way. *)
-
-val compile_sources :
-  ?frontend:frontend ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  (string * string) list ->
-  compiled
-(** The frontend alone — parse and link without analyzing. *)
-
-(** Run both modes, reusing the parse: one row of Table 2. *)
-type row = {
-  name : string;
-  r_lines : int;
-  compile_s : float;
-  mono_s : float;
-  poly_s : float;
-  declared : int;
-  mono : int;
-  poly : int;
-  total : int;
-  mono_results : Report.results;
-  poly_results : Report.results;
-}
-
-val table2_row : name:string -> string -> row
-
 (** {1 The persistent session} *)
 
 type t
 (** A persistent analysis session over a set of named translation
-    units. Derived stages (linked program, solved stores, reports) are
+    units. Derived stages (linked program, solved store, reports) are
     dropped on any unit edit; the one warm tier that survives is the
     content-addressed per-unit AST memo, so re-running after an edit
     re-parses only the edited units and then reruns the analysis in
-    full. *)
+    full. Every mode analyzed since the last edit keeps its solved
+    store, so queries may alternate modes without re-analysis. *)
 
 val create :
   ?rules:Analysis.qrules ->
@@ -243,15 +91,20 @@ val create :
   ?field_sharing:bool ->
   ?simplify:bool ->
   ?compact:bool ->
+  ?budget:(unit -> Typequal.Budget.t) ->
   ?max_errors:int ->
   ?jobs:int ->
   ?cache:cache_spec ->
   (string * string) list ->
   t
-(** [create units] builds a session over [(name, source)] pairs.
-    [mode] is the default query/analysis mode (default [Poly]);
-    [cache] additionally attaches the persistent disk tiers. Nothing is
-    parsed or analyzed until the first {!run} or query. *)
+(** [create units] builds a session over [(name, source)] pairs, in link
+    order; a single source is a one-unit session. [mode] is the default
+    query/analysis mode (default [Poly]). [budget] makes a fresh budget
+    for each analysis (trips latch, so modes cannot share one); it is
+    called after the parse, so a deadline it sets covers analysis only.
+    A budgeted session never touches [cache]. [cache] attaches the two
+    disk tiers: per-unit ASTs and whole-run records. Nothing is parsed
+    or analyzed until the first {!run} or query. *)
 
 val units : t -> string list
 (** Current unit names, in link order. *)
@@ -270,8 +123,30 @@ val remove_unit : t -> string -> bool
 
 val run : ?mode:Analysis.mode -> t -> run
 (** Analyze the current units under [mode] (default: the session's).
-    Warm: repeated calls return the computed state; after an edit, clean
-    units come from the AST memo and the analysis reruns in full. *)
+    Warm: repeated calls return the computed record; after an edit,
+    clean units come from the AST memo and the analysis reruns in full.
+    With a cache attached, the whole-run tier is consulted first; a hit
+    is returned without building a store. Raises {!Error} on a session
+    without units. *)
+
+val run_sources :
+  ?mode:Analysis.mode ->
+  ?rules:Analysis.qrules ->
+  ?field_sharing:bool ->
+  ?simplify:bool ->
+  ?compact:bool ->
+  ?budget:Typequal.Budget.t ->
+  ?jobs:int ->
+  ?max_errors:int ->
+  ?cache:cache_spec ->
+  (string * string) list ->
+  run
+(** [run_sources files] is [run (create files)]: one mode of a session
+    used once. [budget] bounds that one analysis. *)
+
+val program : t -> Cfront.Cprog.t
+(** The linked program of the current units (parsed on first use) — for
+    callers that drive {!Analysis.run} directly. *)
 
 val diagnostics : t -> Cfront.Diag.t list
 (** Frontend diagnostics for the current units (mode-independent). *)

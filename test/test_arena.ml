@@ -3,7 +3,7 @@
    op sequences must produce byte-identical counters, solutions, and
    error messages — serially and through the export/absorb batch path
    the parallel engine uses. Plus determinism of the multi-file cbench
-   corpora and the multi-file driver entry point. *)
+   corpora and the multi-file Session entry point. *)
 
 open Typequal
 module Sp = Lattice.Space
@@ -68,9 +68,6 @@ module type CORE = sig
   val stats : t -> stats
   val export : t -> batch
   val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-
-  val absorb_replay :
-    t -> ?bind:(var -> var option) -> batch -> var -> var option
 end
 
 module Arena : CORE = Typequal.Solver
@@ -213,11 +210,11 @@ module Drive (C : CORE) = struct
     let v' = Array.map (fun x -> Option.get (look x)) v in
     observe sp main v'
 
-  (* splice-fast absorb vs the Hashtbl-replay oracle, including bound
-     (mirror) variables: the first [n/3] batch variables resolve to
-     pre-existing variables of the main store, exactly as worker mirrors
-     of shared globals do in the parallel engine *)
-  let run_merge ~replay ?(observe = digest) sp n ops =
+  (* absorb with bound (mirror) variables: the first [n/3] batch
+     variables resolve to pre-existing variables of the main store,
+     exactly as worker mirrors of shared globals do in the parallel
+     engine *)
+  let run_merge ?(observe = digest) sp n ops =
     let w = C.create sp in
     let v = Array.init n (fun _ -> C.fresh w) in
     List.iter (apply w v) ops;
@@ -230,9 +227,7 @@ module Drive (C : CORE) = struct
       Array.iteri (fun i y -> if i < k && x == y then r := Some pre.(i)) v;
       !r
     in
-    let look =
-      (if replay then C.absorb_replay else C.absorb) main ~bind batch
-    in
+    let look = C.absorb main ~bind batch in
     ignore (C.solve main);
     let v' = Array.map (fun x -> Option.get (look x)) v in
     observe sp main v'
@@ -254,15 +249,14 @@ let prop_batch_parity =
     (fun (sp, n, ops) -> DA.run_batched sp n ops = DR.run_batched sp n ops)
 
 let prop_absorb_fast_eq_replay =
-  (* the PR 8 splice-fast absorb must be observationally identical to the
-     retained Hashtbl-replay path: counters, solutions and errors, with
-     mirror bindings in play *)
+  (* the arena's splice-fast absorb must be observationally identical to
+     the reference store's Hashtbl-replay absorb: counters, solutions and
+     errors, with mirror bindings in play *)
   QCheck2.Test.make ~count:200
     ~name:"arena: splice-fast absorb = replay absorb (counters, bindings)"
     scenario_gen
     (fun (sp, n, ops) ->
-      DA.run_merge ~replay:false sp n ops
-      = DA.run_merge ~replay:true sp n ops)
+      DA.run_merge sp n ops = DR.run_merge sp n ops)
 
 let prop_serial_eq_batch =
   (* absorbing a whole store into an empty one renames but must not
@@ -277,7 +271,7 @@ let prop_serial_eq_batch =
       = DA.run_batched ~observe:DA.solutions sp n ops)
 
 (* ------------------------------------------------------------------ *)
-(* Multi-file corpora: determinism and the driver entry point          *)
+(* Multi-file corpora: determinism and the Session entry point         *)
 (* ------------------------------------------------------------------ *)
 
 let test_project_deterministic () =
@@ -302,13 +296,13 @@ let test_project_shape () =
   Alcotest.(check bool) "multiple translation units" true
     (List.length files >= 3);
   (* every unit must parse as part of the whole program *)
-  let r = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly files in
-  Alcotest.(check bool) "functions analyzed" true (r.Cqual.Driver.n_functions > 0)
+  let r = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly files)) in
+  Alcotest.(check bool) "functions analyzed" true (r.Cqual.Session.n_functions > 0)
 
 let test_multifile_driver_parity () =
   let files = Cbench.Programs.miniproject in
-  let serial = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:1 files)) in
+  let par = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:4 files)) in
   Alcotest.(check string) "miniproject: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par);
   Alcotest.(check int) "no degradations" 0
@@ -316,14 +310,14 @@ let test_multifile_driver_parity () =
        (List.filter
           (fun (_, o) ->
             match o with Cqual.Analysis.Degraded _ -> true | _ -> false)
-          serial.Cqual.Driver.results.Cqual.Report.outcomes))
+          serial.Cqual.Session.results.Cqual.Report.outcomes))
 
 let test_scale_corpus_parity () =
   (* a small instance of the scale corpus end-to-end: serial and jobs-4
      reports identical, as CI diffs on the big one *)
   let files = Cbench.Gen.generate_project ~seed:0xA12 ~target_lines:6_000 () in
-  let serial = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:1 files)) in
+  let par = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:4 files)) in
   Alcotest.(check string) "scale corpus: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par)
 

@@ -1,4 +1,4 @@
-(* The persistent analysis cache (Typequal.Cache + the Driver tiers):
+(* The persistent analysis cache (Typequal.Cache + the Session disk tiers):
    envelope verification per fault cause, the lock protocol, resilience on
    unusable directories, and the contract the fault-injection harness
    enforces — every corruption mode yields a report byte-identical to a
@@ -262,33 +262,33 @@ let test_open_on_file_path () =
   | Some _ -> Alcotest.fail "opened a regular file as a cache"
   | None -> ());
   Alcotest.(check bool) "warned once" true (List.length !warned = 1);
-  (* the Driver wrapper degrades the same way: the run proceeds cold *)
-  (match Driver.open_cache ~warn:(fun _ -> ()) ~opts_id:"t" file with
-  | Some _ -> Alcotest.fail "Driver.open_cache accepted a file"
+  (* the Session wrapper degrades the same way: the run proceeds cold *)
+  (match Session.open_cache ~warn:(fun _ -> ()) ~opts_id:"t" file with
+  | Some _ -> Alcotest.fail "Session.open_cache accepted a file"
   | None -> ());
-  let r = Driver.run_source ~mode:Analysis.Poly "int f(int *p) { return *p; }" in
-  Alcotest.(check int) "analysis unaffected" 1 r.Driver.n_functions
+  let r = Support.run_source ~mode:Analysis.Poly "int f(int *p) { return *p; }" in
+  Alcotest.(check int) "analysis unaffected" 1 r.Session.n_functions
 
-(* ---------------- Driver tiers: cold == warm == post-corruption -------- *)
+(* ---------------- Session tiers: cold == warm == post-corruption ------- *)
 
 let open_cache_exn dir =
-  match Driver.open_cache ~opts_id:"test" dir with
+  match Session.open_cache ~opts_id:"test" dir with
   | Some cs -> cs
-  | None -> Alcotest.fail "Driver.open_cache refused a fresh directory"
+  | None -> Alcotest.fail "Session.open_cache refused a fresh directory"
 
-let cache_stats (cs : Driver.cache_spec) = Cache.stats cs.Driver.cs_cache
+let cache_stats (cs : Session.cache_spec) = Cache.stats cs.Session.cs_cache
 
 let kind_counts cs kind =
   match Hashtbl.find_opt (cache_stats cs).Cache.by_kind kind with
   | Some hm -> hm
   | None -> (0, 0)
 
-let run_entry_file (cs : Driver.cache_spec) =
+let run_entry_file (cs : Session.cache_spec) =
   match
     List.filter
       (fun p -> String.length (Filename.basename p) >= 4
                 && String.sub (Filename.basename p) 0 4 = "run-")
-      (Cache.entry_files cs.Driver.cs_cache)
+      (Cache.entry_files cs.Session.cs_cache)
   with
   | [ p ] -> p
   | l -> Alcotest.fail (Printf.sprintf "expected 1 run entry, found %d" (List.length l))
@@ -296,30 +296,30 @@ let run_entry_file (cs : Driver.cache_spec) =
 let test_driver_cold_warm_corrupt () =
   let files = Cbench.Gen.generate_project ~seed:0x51 ~target_lines:2_500 () in
   let mode = Analysis.Poly in
-  let base = Test_parallel.digest (Driver.run_sources ~mode files) in
+  let base = Test_parallel.digest Session.(run (create ~mode files)) in
   let dir = fresh_dir () in
   (* cold: populates, changes nothing observable *)
   let cs = open_cache_exn dir in
-  let cold = Driver.run_sources ~mode ~cache:cs files in
+  let cold = Session.(run (create ~mode ~cache:cs files)) in
   Alcotest.(check string) "cold = uncached" base (Test_parallel.digest cold);
   Alcotest.(check int) "no hits cold" 0 (cache_stats cs).Cache.hits;
   (* warm no-op: whole-run tier serves it *)
   let cs = open_cache_exn dir in
-  let warm = Driver.run_sources ~mode ~cache:cs files in
+  let warm = Session.(run (create ~mode ~cache:cs files)) in
   Alcotest.(check string) "warm = cold" base (Test_parallel.digest warm);
   Alcotest.(check (pair int int)) "run-tier hit" (1, 0) (kind_counts cs "run");
   (* flip a payload byte in the run entry: reject, recompute, identical *)
   let path = run_entry_file cs in
   flip_byte path (String.length (read_file path) - 1);
   let cs = open_cache_exn dir in
-  let recovered = Driver.run_sources ~mode ~cache:cs files in
+  let recovered = Session.(run (create ~mode ~cache:cs files)) in
   Alcotest.(check string) "post-corruption = cold" base
     (Test_parallel.digest recovered);
   Alcotest.(check bool) "reject counted" true
     (Hashtbl.fold (fun _ n acc -> n + acc) (cache_stats cs).Cache.rejects 0 >= 1);
   (* parallel warm run: same report under jobs:4 *)
   let cs = open_cache_exn dir in
-  let par = Driver.run_sources ~mode ~jobs:4 ~cache:cs files in
+  let par = Session.(run (create ~mode ~jobs:4 ~cache:cs files)) in
   Alcotest.(check string) "warm jobs 4 = cold" base (Test_parallel.digest par)
 
 (* unit identity is the per-file content hash, so renaming or editing a
@@ -339,12 +339,12 @@ let test_rename_invalidates_one_unit () =
   let mode = Analysis.Poly in
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
-  let cold = Driver.run_sources ~mode ~cache:cs (proj false false) in
+  let cold = Session.(run (create ~mode ~cache:cs (proj false false))) in
   Alcotest.(check (pair int int)) "cold: all units missed" (0, 3)
     (kind_counts cs "unit");
   (* rename a.c -> a2.c: a2.c re-parses, b.c and main.c stay warm *)
   let cs = open_cache_exn dir in
-  let renamed = Driver.run_sources ~mode ~cache:cs (proj true false) in
+  let renamed = Session.(run (create ~mode ~cache:cs (proj true false))) in
   Alcotest.(check string) "rename: report unchanged"
     (Test_parallel.digest cold) (Test_parallel.digest renamed);
   Alcotest.(check (pair int int)) "rename: exactly one unit missed" (2, 1)
@@ -354,13 +354,13 @@ let test_edit_dirty_unit () =
   let mode = Analysis.Poly in
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
-  let _ = Driver.run_sources ~mode ~cache:cs (proj false false) in
+  let _ = Session.(run (create ~mode ~cache:cs (proj false false))) in
   (* edit g's body: only b.c re-parses; a.c and main.c hit *)
   let cs = open_cache_exn dir in
-  let edited = Driver.run_sources ~mode ~cache:cs (proj false true) in
+  let edited = Session.(run (create ~mode ~cache:cs (proj false true))) in
   Alcotest.(check (pair int int)) "edit: only the dirty unit missed" (2, 1)
     (kind_counts cs "unit");
-  let fresh = Driver.run_sources ~mode (proj false true) in
+  let fresh = Session.(run (create ~mode (proj false true))) in
   Alcotest.(check string) "edited warm = edited cold"
     (Test_parallel.digest fresh) (Test_parallel.digest edited)
 
@@ -370,10 +370,10 @@ let test_cold_entry_count () =
   let files = proj false false in
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
-  let _ = Driver.run_sources ~mode:Analysis.Poly ~cache:cs files in
+  let _ = Session.(run (create ~mode:Analysis.Poly ~cache:cs files)) in
   Alcotest.(check int) "k units -> k+1 entries"
     (List.length files + 1)
-    (List.length (Cache.entry_files cs.Driver.cs_cache))
+    (List.length (Cache.entry_files cs.Session.cs_cache))
 
 (* ---------------- property: the 4-run identity, serial and jobs:4 ------ *)
 
@@ -384,16 +384,16 @@ let prop_cache_identity =
     (fun (seed, jobs) ->
       let files = Cbench.Gen.generate_project ~seed ~target_lines:1_200 () in
       let mode = Analysis.Poly in
-      let base = Test_parallel.digest (Driver.run_sources ~mode ~jobs files) in
+      let base = Test_parallel.digest Session.(run (create ~mode ~jobs files)) in
       let dir = fresh_dir () in
       let run () =
         let cs = open_cache_exn dir in
-        (Test_parallel.digest (Driver.run_sources ~mode ~jobs ~cache:cs files), cs)
+        (Test_parallel.digest Session.(run (create ~mode ~jobs ~cache:cs files)), cs)
       in
       let cold, _ = run () in
       let warm, cs = run () in
       (* corrupt one entry chosen by the seed, then run again *)
-      (match Cache.entry_files cs.Driver.cs_cache with
+      (match Cache.entry_files cs.Session.cs_cache with
       | [] -> ()
       | l ->
           let path = List.nth l (seed mod List.length l) in

@@ -364,7 +364,7 @@ let prop_end_to_end_invisible =
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:300 () in
-      let prog = Cqual.Driver.compile src in
+      let prog = Support.compile src in
       List.for_all
         (fun mode ->
           List.for_all
@@ -387,7 +387,7 @@ let prop_end_to_end_chains =
         Cbench.Gen.generate_chains ~depth:8 ~seed ~target_lines:250 ()
       in
       let open Cqual in
-      let prog = Driver.compile src in
+      let prog = Support.compile src in
       List.for_all
         (fun jobs ->
           let on = run_digest ~compact:true ~jobs Analysis.Poly prog in
@@ -415,7 +415,7 @@ let prop_end_to_end_chains =
 
 let memo_stats src =
   let open Cqual in
-  let prog = Driver.compile src in
+  let prog = Support.compile src in
   let env, ifaces = Analysis.run ~compact:true Analysis.Poly prog in
   ignore (Report.measure env ifaces);
   Analysis.stats env
@@ -496,10 +496,10 @@ let test_phase_timers_sane () =
   let open Cqual in
   let t0 = Unix.gettimeofday () in
   let r =
-    Driver.run_sources ~mode:Analysis.Poly ~jobs:1 Cbench.Programs.miniproject
+    Session.(run (create ~mode:Analysis.Poly ~jobs:1 Cbench.Programs.miniproject))
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let st = r.Driver.solver_stats in
+  let st = r.Session.solver_stats in
   let phases =
     [
       ("congen", st.S.congen_s);

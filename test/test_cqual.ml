@@ -4,11 +4,9 @@
 
 open Cqual
 
-let run ?(mode = Analysis.Mono) ?rules src =
-  try Driver.run_source ~mode ?rules src
-  with Driver.Error m -> Alcotest.failf "driver error: %s\nin:\n%s" m src
+let run ?(mode = Analysis.Mono) ?rules src = Support.run_source ~mode ?rules src
 
-let results ?mode src = (run ?mode src).Driver.results
+let results ?mode src = (run ?mode src).Session.results
 
 (* find the verdict of a specific position *)
 let verdict_of ?mode src fname where level =
@@ -309,7 +307,7 @@ let test_fdg_order () =
      int b(void) { return c(); }\n\
      int a(void) { return b(); }"
   in
-  let prog = Driver.compile src in
+  let prog = Support.compile src in
   let fdg = Fdg.build prog in
   Alcotest.(check int) "3 sccs" 3 (Fdg.scc_count fdg);
   (* reverse topological: callee first *)
@@ -323,7 +321,7 @@ let test_fdg_scc () =
      int odd(int n) { return even(n); }\n\
      int main(void) { return even(2); }"
   in
-  let prog = Driver.compile src in
+  let prog = Support.compile src in
   let fdg = Fdg.build prog in
   Alcotest.(check int) "2 sccs" 2 (Fdg.scc_count fdg);
   Alcotest.(check int) "largest = 2" 2 (Fdg.largest_scc fdg);
@@ -340,7 +338,7 @@ let test_fdg_function_pointer_mention () =
     "int cb(int x) { return x; }\n\
      void install(void) { int (*f)(int) = cb; }"
   in
-  let prog = Driver.compile src in
+  let prog = Support.compile src in
   let fdg = Fdg.build prog in
   match fdg.Fdg.sccs with
   | [ [ "cb" ]; [ "install" ] ] -> ()
@@ -534,12 +532,7 @@ let tests = tests @ polyrec_tests
 (* ---------------- C taint analysis ($-qualifiers, Section 2.5) ------- *)
 
 let taint ?(mode = Analysis.Mono) src =
-  (run ~mode ~rules:Analysis.taint_rules src).Driver.results
-
-let run_taint ?(mode = Analysis.Mono) src =
-  try
-    (Driver.run_source ~mode ~rules:Analysis.taint_rules src).Driver.results
-  with Driver.Error m -> Alcotest.failf "driver error: %s" m
+  (run ~mode ~rules:Analysis.taint_rules src).Session.results
 
 let test_taint_source_to_sink () =
   (* format-string-bug shape: network data reaches a trusted sink *)
@@ -549,14 +542,14 @@ let test_taint_source_to_sink () =
      void handler(char *b) { char *s; s = read_net(b); run_cmd(s); }"
   in
   Alcotest.(check bool) "flagged" true
-    ((run_taint bad).Report.type_errors > 0);
+    ((taint bad).Report.type_errors > 0);
   let good =
     "$tainted char *read_net(char *buf);\n\
      int run_cmd($untainted const char *cmd);\n\
      void handler(char *b) { char *s; s = read_net(b); run_cmd(\"ls\"); }"
   in
   Alcotest.(check int) "clean program passes" 0
-    (run_taint good).Report.type_errors
+    (taint good).Report.type_errors
 
 let test_taint_through_defined_functions () =
   (* taint tracked through ordinary code, including a logging helper *)
@@ -567,7 +560,7 @@ let test_taint_through_defined_functions () =
      void handler(char *b) { char *s; s = pick(read_net(b)); run_cmd(s); }"
   in
   Alcotest.(check bool) "flow through helper flagged" true
-    ((run_taint bad).Report.type_errors > 0)
+    ((taint bad).Report.type_errors > 0)
 
 let test_taint_defined_sink () =
   let bad =
@@ -576,7 +569,7 @@ let test_taint_defined_sink () =
      void handler(char *b) { exec_trusted(read_net(b)); }"
   in
   Alcotest.(check bool) "defined sink flagged" true
-    ((run_taint bad).Report.type_errors > 0)
+    ((taint bad).Report.type_errors > 0)
 
 let test_taint_poly_separates () =
   (* one helper used with both tainted and untainted data: poly keeps the
@@ -598,7 +591,7 @@ let test_taint_report_counts () =
     "$tainted char *read_net(char *buf);\n\
      int handle(char *input) { char *s; s = read_net(input); return *s; }"
   in
-  let r = run_taint src in
+  let r = taint src in
   (* handle's parameter could be tainted or not: Either on 'tainted' *)
   Alcotest.(check int) "no errors" 0 r.Report.type_errors;
   Alcotest.(check bool) "positions reported" true (r.Report.total >= 1)

@@ -1,5 +1,6 @@
-(* The per-unit frontend: parity with the concat oracle (reports,
-   diagnostics, counters), unit-boundary diagnostic positions, cross-unit
+(* The per-unit frontend: parity with a whole-program parse of the
+   concatenated units (reports, diagnostics, counters) and across job
+   counts, unit-boundary diagnostic positions, cross-unit
    parser-environment threading (typedef / enum-constant / anonymous-tag
    reparses), the diagnostic budget crossing unit boundaries, the
    per-unit AST cache tier, and the outcome-list construction on
@@ -11,19 +12,19 @@ module Solver = Typequal.Solver
 
 (* everything observable from a run: the test_parallel digest plus the
    rendered diagnostics (unit prefix and all) *)
-let digest (r : Driver.run) : string =
+let digest (r : Session.run) : string =
   let b = Buffer.create 1024 in
-  let res = r.Driver.results in
+  let res = r.Session.results in
   List.iter
     (fun d -> Buffer.add_string b (Diag.to_string d ^ "\n"))
-    r.Driver.diagnostics;
+    r.Session.diagnostics;
   List.iter
     (fun pv -> Buffer.add_string b (Fmt.str "%a\n" Report.pp_position pv))
     res.Report.positions;
   Buffer.add_string b
     (Printf.sprintf "lines=%d declared=%d possible=%d must=%d total=%d \
                      errors=%d\n"
-       r.Driver.lines res.Report.declared res.Report.possible res.Report.must
+       r.Session.lines res.Report.declared res.Report.possible res.Report.must
        res.Report.total res.Report.type_errors);
   List.iter
     (fun w -> Buffer.add_string b ("warning " ^ w ^ "\n"))
@@ -35,7 +36,7 @@ let digest (r : Driver.run) : string =
         | Analysis.Analyzed -> "analyzed " ^ f ^ "\n"
         | Analysis.Degraded why -> "degraded " ^ f ^ ": " ^ why ^ "\n"))
     res.Report.outcomes;
-  let st = r.Driver.solver_stats in
+  let st = r.Session.solver_stats in
   Buffer.add_string b
     (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
        st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
@@ -43,23 +44,74 @@ let digest (r : Driver.run) : string =
        st.Solver.worklist_pops);
   Buffer.contents b
 
-let run ?mode ?jobs ?max_errors frontend files =
-  Driver.run_sources ~frontend ?mode ?jobs ?max_errors files
+let run ?mode ?jobs ?max_errors ?cache files =
+  Session.run (Session.create ?mode ?jobs ?max_errors ?cache files)
 
-(* both frontends, serial and jobs 4, must agree observably *)
+(* The oracle: the same sources as one translation unit. Linking
+   separately parsed units must give the program a whole-program parse
+   of their concatenation gives — every verdict, outcome and solver
+   counter, and the same diagnostics at the same unit-local places. *)
+
+(* Rebind the one-unit run's diagnostics to the units they fall in, with
+   unit-local lines, in the per-unit frontend's order: unit-major, and
+   within a unit lexical (E01xx) before parse diagnostics. A single
+   parse lexes every unit before it parses any; the per-unit frontend
+   finishes each unit before the next. The sort is stable, so each
+   (unit, phase) bucket keeps its source order. *)
+let localize starts (ds : Diag.t list) : (int * Diag.t) list =
+  let unit_of (d : Diag.t) =
+    let l = d.Diag.d_span.Diag.sl in
+    let rec go i = function
+      | (name, s) :: ((_, s') :: _ as rest) ->
+          if l < s' then (i, name, s) else go (i + 1) rest
+      | [ (name, s) ] -> (i, name, s)
+      | [] -> (0, "", 1)
+    in
+    go 0 starts
+  in
+  let phase (d : Diag.t) =
+    if String.length d.Diag.d_code >= 3 && String.sub d.Diag.d_code 0 3 = "E01"
+    then 0
+    else 1
+  in
+  List.stable_sort
+    (fun (ia, a) (ib, b) -> compare (ia, phase a) (ib, phase b))
+    (List.map
+       (fun (d : Diag.t) ->
+         let i, name, s = unit_of d in
+         let sp = d.Diag.d_span in
+         ( i,
+           Diag.with_unit
+             ~span:{ sp with Diag.sl = sp.Diag.sl - s + 1; el = sp.Diag.el - s + 1 }
+             name d ))
+       ds)
+
+(* serial, jobs 4 and the one-unit oracle must agree observably *)
 let check_parity ?mode ?max_errors what files =
-  let d0 = digest (run ?mode ?max_errors ~jobs:1 Driver.Per_unit files) in
-  List.iter
-    (fun (label, frontend, jobs) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s" what label)
-        d0
-        (digest (run ?mode ?max_errors ~jobs frontend files)))
-    [
-      ("concat serial", Driver.Concat, 1);
-      ("per-unit jobs 4", Driver.Per_unit, 4);
-      ("concat jobs 4", Driver.Concat, 4);
-    ];
+  let r = run ?mode ?max_errors ~jobs:1 files in
+  let d0 = digest r in
+  Alcotest.(check string)
+    (what ^ ": jobs 4 = serial")
+    d0
+    (digest (run ?mode ?max_errors ~jobs:4 files));
+  let src, starts = Cfront.Cprog.concat_units files in
+  let whole = run ?mode ?max_errors [ ("whole.c", src) ] in
+  Alcotest.(check string)
+    (what ^ ": linked units = one concatenated unit")
+    (Test_parallel.digest whole) (Test_parallel.digest r);
+  (* one unit renders without a unit prefix; the linked run names the
+     unit only when there are several *)
+  let render ds =
+    List.map
+      (fun d ->
+        if List.length files > 1 then Diag.to_string d
+        else Diag.to_string { d with Diag.d_unit = None })
+      ds
+  in
+  Alcotest.(check (list string))
+    (what ^ ": same diagnostics, in order, as one concatenated unit")
+    (render (List.map snd (localize starts whole.Session.diagnostics)))
+    (render r.Session.diagnostics);
   d0
 
 (* ---------------- parity on generated projects ---------------- *)
@@ -92,7 +144,7 @@ let test_unit_boundary_positions () =
     ]
   in
   let check_diags label r =
-    match r.Driver.diagnostics with
+    match r.Session.diagnostics with
     | [ d ] ->
         Alcotest.(check string) (label ^ ": unit") "c.c"
           (Option.value d.Diag.d_unit ~default:"<none>");
@@ -100,14 +152,38 @@ let test_unit_boundary_positions () =
     | ds -> Alcotest.failf "%s: expected 1 diagnostic, got %d" label
               (List.length ds)
   in
-  check_diags "per-unit" (run ~mode:Analysis.Mono Driver.Per_unit files);
-  check_diags "concat" (run ~mode:Analysis.Mono Driver.Concat files);
+  check_diags "per-unit" (run ~mode:Analysis.Mono files);
   ignore (check_parity ~mode:Analysis.Mono "boundary diag" files)
+
+let test_mixed_diagnostic_order () =
+  (* a parse error in the first unit and lexical errors in both: the
+     linked run reports unit by unit, each unit's lexical diagnostics
+     before its parse diagnostics *)
+  let files =
+    [
+      ("a.c", "int = 1;\nint f(int x) { return x @ 1; }\n");
+      ("b.c", "int g(int y) { return y; }\nint h(int z) { return z ` 2; }\n");
+    ]
+  in
+  let r = run ~mode:Analysis.Mono files in
+  Alcotest.(check (list (pair string string)))
+    "unit-major, lexical first"
+    [
+      ("a.c", "E0101");
+      ("a.c", "E0201");
+      ("a.c", "E0202");
+      ("b.c", "E0101");
+      ("b.c", "E0202");
+    ]
+    (List.map
+       (fun d -> (Option.value d.Diag.d_unit ~default:"", d.Diag.d_code))
+       (List.filter Diag.is_error r.Session.diagnostics));
+  ignore (check_parity ~mode:Analysis.Mono "mixed diag order" files)
 
 (* ---------------- cross-unit environment threading ---------------- *)
 
-let frontend_stats (r : Driver.run) =
-  match r.Driver.frontend with
+let frontend_stats (r : Session.run) =
+  match r.Session.frontend with
   | Some fs -> fs
   | None -> Alcotest.fail "expected per-unit frontend stats"
 
@@ -121,11 +197,11 @@ let test_typedef_threading () =
       ("use.c", "myint global_x;\nint f(myint m) { return m; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   Alcotest.(check (list string)) "no diagnostics" []
-    (List.map Diag.to_string r.Driver.diagnostics);
+    (List.map Diag.to_string r.Session.diagnostics);
   ignore (check_parity ~mode:Analysis.Mono "typedef threading" files)
 
 let test_enum_threading () =
@@ -135,14 +211,14 @@ let test_enum_threading () =
       ("use.c", "int f(void) { return GREEN + BLUE; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "enum threading" files)
 
 let test_anon_tag_threading () =
-  (* anonymous struct tags are numbered program-wide in the concat
-     pipeline; a later unit with its own anonymous tag must be re-parsed
+  (* anonymous struct tags are numbered program-wide, as a whole-program
+     parse numbers them; a later unit with its own anonymous tag must be re-parsed
      with the running counter so the generated tags match *)
   let files =
     [
@@ -150,9 +226,9 @@ let test_anon_tag_threading () =
       ("b.c", "struct { int y; } g_b;\nint f(void) { return g_b.y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "b.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "anon tags" files)
 
 let test_independent_units_not_reparsed () =
@@ -162,10 +238,10 @@ let test_independent_units_not_reparsed () =
       ("b.c", "int g(int y) { return y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check int) "no reparses" 0
-    (frontend_stats r).Driver.fs_reparsed;
-  Alcotest.(check int) "two units" 2 (frontend_stats r).Driver.fs_units
+    (frontend_stats r).Session.fs_reparsed;
+  Alcotest.(check int) "two units" 2 (frontend_stats r).Session.fs_units
 
 (* ---------------- diagnostic budget across units ---------------- *)
 
@@ -174,7 +250,7 @@ let bad_decls n = String.concat "" (List.init n (fun _ -> "int 5;\n"))
 let test_budget_crosses_boundary () =
   (* 3 parse errors in unit 1, budget 5: unit 2's errors must keep
      counting from 3, so the cap (and its E0299 note) fires inside
-     unit 2 — identically under both frontends *)
+     unit 2 — exactly where a whole-program parse stops *)
   let files =
     [
       ("a.c", bad_decls 3 ^ "int f(int x) { return x; }\n");
@@ -183,11 +259,11 @@ let test_budget_crosses_boundary () =
   in
   let d = check_parity ~mode:Analysis.Mono ~max_errors:5 "budget" files in
   Alcotest.(check bool) "cap fired in b.c" true
-    (let r = run ~mode:Analysis.Mono ~max_errors:5 Driver.Per_unit files in
+    (let r = run ~mode:Analysis.Mono ~max_errors:5 files in
      List.exists
        (fun dg ->
          dg.Diag.d_code = "E0299" && dg.Diag.d_unit = Some "b.c")
-       r.Driver.diagnostics);
+       r.Session.diagnostics);
   Alcotest.(check bool) "digest mentions the cap" true
     (let sub = "E0299" in
      let n = String.length d and m = String.length sub in
@@ -205,8 +281,8 @@ let test_budget_exact_boundary () =
     ]
   in
   ignore (check_parity ~mode:Analysis.Mono ~max_errors:2 "exact boundary" files);
-  let r = run ~mode:Analysis.Mono ~max_errors:2 Driver.Per_unit files in
-  (match List.rev r.Driver.diagnostics with
+  let r = run ~mode:Analysis.Mono ~max_errors:2 files in
+  (match List.rev r.Session.diagnostics with
   | last :: _ ->
       Alcotest.(check string) "E0299 last" "E0299" last.Diag.d_code;
       Alcotest.(check string) "in b.c" "b.c"
@@ -214,7 +290,7 @@ let test_budget_exact_boundary () =
   | [] -> Alcotest.fail "expected diagnostics");
   (* b.c was never parsed: g contributes no outcome *)
   Alcotest.(check bool) "g not parsed" true
-    (not (List.mem_assoc "g" r.Driver.results.Report.outcomes))
+    (not (List.mem_assoc "g" r.Session.results.Report.outcomes))
 
 (* ---------------- many degraded functions (outcome construction) ----- *)
 
@@ -229,9 +305,9 @@ let test_many_degraded_outcomes () =
            Printf.sprintf "int f%04d(int *p) { return * ; }\n" i))
   in
   let r =
-    Driver.run_source ~mode:Analysis.Mono ~max_errors:(n + 1) src
+    run ~mode:Analysis.Mono ~max_errors:(n + 1) [ ("many.c", src) ]
   in
-  let outs = r.Driver.results.Report.outcomes in
+  let outs = r.Session.results.Report.outcomes in
   Alcotest.(check int) "all functions have outcomes" n (List.length outs);
   List.iteri
     (fun i (name, o) ->
@@ -262,9 +338,9 @@ let with_cache_dir f =
       with Sys_error _ -> ())
     (fun () -> f dir)
 
-let unit_counts (cs : Driver.cache_spec) =
+let unit_counts (cs : Session.cache_spec) =
   match
-    Hashtbl.find_opt (Typequal.Cache.stats cs.Driver.cs_cache).Typequal.Cache.by_kind
+    Hashtbl.find_opt (Typequal.Cache.stats cs.Session.cs_cache).Typequal.Cache.by_kind
       "unit"
   with
   | Some hm -> hm
@@ -276,12 +352,12 @@ let test_dirty_unit_reparses_one () =
       let nunits = List.length files in
       Alcotest.(check bool) "project has several units" true (nunits > 1);
       let open_cs () =
-        match Driver.open_cache ~opts_id:"test" dir with
+        match Session.open_cache ~opts_id:"test" dir with
         | Some cs -> cs
         | None -> Alcotest.fail "cannot open cache"
       in
       let cs = open_cs () in
-      let r_cold = Driver.run_sources ~mode:Analysis.Mono ~cache:cs files in
+      let r_cold = run ~mode:Analysis.Mono ~cache:cs files in
       Alcotest.(check (pair int int)) "cold: all units miss" (0, nunits)
         (unit_counts cs);
       let dirty =
@@ -291,25 +367,25 @@ let test_dirty_unit_reparses_one () =
         | [] -> assert false
       in
       let cs2 = open_cs () in
-      let r_dirty = Driver.run_sources ~mode:Analysis.Mono ~cache:cs2 dirty in
+      let r_dirty = run ~mode:Analysis.Mono ~cache:cs2 dirty in
       Alcotest.(check (pair int int)) "dirty: one unit re-parses"
         (nunits - 1, 1) (unit_counts cs2);
       (* the touched comment changes no report content except the line
          count *)
       Alcotest.(check int) "same verdicts"
-        r_cold.Driver.results.Report.possible
-        r_dirty.Driver.results.Report.possible)
+        r_cold.Session.results.Report.possible
+        r_dirty.Session.results.Report.possible)
 
 (* ---------------- oversubscription warning predicate ---------------- *)
 
 let test_oversubscription () =
   let cores = Typequal.Pool.cores_available () in
   Alcotest.(check (option int)) "jobs=1 never oversubscribes" None
-    (Driver.oversubscription ~jobs:1);
+    (Session.oversubscription ~jobs:1);
   Alcotest.(check (option int)) "cores+1 oversubscribes" (Some cores)
-    (Driver.oversubscription ~jobs:(cores + 1));
+    (Session.oversubscription ~jobs:(cores + 1));
   Alcotest.(check (option int)) "jobs=cores fits" None
-    (Driver.oversubscription ~jobs:cores)
+    (Session.oversubscription ~jobs:cores)
 
 let tests =
   [
@@ -317,6 +393,8 @@ let tests =
       test_parity_generated;
     Alcotest.test_case "unit-boundary diagnostic positions" `Quick
       test_unit_boundary_positions;
+    Alcotest.test_case "diagnostics unit-major, lexical first" `Quick
+      test_mixed_diagnostic_order;
     Alcotest.test_case "typedef threading forces reparse" `Quick
       test_typedef_threading;
     Alcotest.test_case "enum-constant threading forces reparse" `Quick

@@ -57,9 +57,9 @@ let test_pool_serial_inline () =
    verdicts, counts, warnings, per-function outcomes, and the solver's
    structural counters. Wall-clock fields are excluded; all else must be
    identical across job counts. *)
-let digest (r : Driver.run) : string =
+let digest (r : Session.run) : string =
   let b = Buffer.create 1024 in
-  let res = r.Driver.results in
+  let res = r.Session.results in
   List.iter
     (fun pv -> Buffer.add_string b (Fmt.str "%a\n" Report.pp_position pv))
     res.Report.positions;
@@ -75,7 +75,7 @@ let digest (r : Driver.run) : string =
         | Analysis.Analyzed -> "analyzed " ^ f ^ "\n"
         | Analysis.Degraded why -> "degraded " ^ f ^ ": " ^ why ^ "\n"))
     res.Report.outcomes;
-  let st = r.Driver.solver_stats in
+  let st = r.Session.solver_stats in
   Buffer.add_string b
     (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
        st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
@@ -94,8 +94,8 @@ let test_parallel_deterministic () =
       let src = Cbench.Gen.generate ~seed ~target_lines:400 () in
       List.iter
         (fun (mname, mode) ->
-          let serial = Driver.run_source ~mode ~jobs:1 src in
-          let par = Driver.run_source ~mode ~jobs:4 src in
+          let serial = Support.run_source ~mode ~jobs:1 src in
+          let par = Support.run_source ~mode ~jobs:4 src in
           Alcotest.(check string)
             (Printf.sprintf "seed %d %s: jobs 4 = jobs 1" seed mname)
             (digest serial) (digest par))
@@ -107,8 +107,8 @@ let test_parallel_deterministic_taint () =
   let rules = Analysis.taint_rules in
   List.iter
     (fun (mname, mode) ->
-      let serial = Driver.run_source ~rules ~mode ~jobs:1 src in
-      let par = Driver.run_source ~rules ~mode ~jobs:2 src in
+      let serial = Support.run_source ~rules ~mode ~jobs:1 src in
+      let par = Support.run_source ~rules ~mode ~jobs:2 src in
       Alcotest.(check string)
         (Printf.sprintf "taint %s: jobs 2 = jobs 1" mname)
         (digest serial) (digest par))
@@ -117,8 +117,8 @@ let test_parallel_deterministic_taint () =
 let test_parallel_repeatable () =
   (* the same parallel run twice: scheduling nondeterminism must not leak *)
   let src = Cbench.Gen.generate ~seed:15 ~target_lines:400 () in
-  let a = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
-  let b = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let a = Support.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let b = Support.run_source ~mode:Analysis.Poly ~jobs:4 src in
   Alcotest.(check string) "two jobs-4 runs agree" (digest a) (digest b)
 
 (* ---------------- degradation under parallelism ---------------- *)
@@ -131,8 +131,8 @@ let test_budget_exhaustion_parallel () =
   List.iter
     (fun (mname, mode) ->
       let budget = Budget.create ~max_vars:60 ~clock:Unix.gettimeofday () in
-      let r = Driver.run_source ~mode ~budget ~jobs:4 src in
-      let res = r.Driver.results in
+      let r = Support.run_source ~mode ~budget ~jobs:4 src in
+      let res = r.Session.results in
       let degraded =
         List.filter
           (fun (_, o) -> match o with Analysis.Degraded _ -> true | _ -> false)
@@ -145,7 +145,7 @@ let test_budget_exhaustion_parallel () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: every function has an outcome" mname)
         true
-        (List.length res.Report.outcomes >= r.Driver.n_functions))
+        (List.length res.Report.outcomes >= r.Session.n_functions))
     modes
 
 let test_faulting_scc_isolated () =
@@ -160,8 +160,8 @@ let test_faulting_scc_isolated () =
   in
   List.iter
     (fun jobs ->
-      let r = Driver.run_source ~mode:Analysis.Poly ~jobs src in
-      let outcome f = List.assoc f r.Driver.results.Report.outcomes in
+      let r = Support.run_source ~mode:Analysis.Poly ~jobs src in
+      let outcome f = List.assoc f r.Session.results.Report.outcomes in
       (match outcome "ok" with
       | Analysis.Analyzed -> ()
       | Analysis.Degraded why -> Alcotest.failf "ok degraded: %s" why);
@@ -170,8 +170,8 @@ let test_faulting_scc_isolated () =
       | Analysis.Analyzed -> Alcotest.fail "use should degrade")
     [ 1; 4 ];
   (* and the two engines agree on the whole report *)
-  let serial = Driver.run_source ~mode:Analysis.Poly ~jobs:1 src in
-  let par = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let serial = Support.run_source ~mode:Analysis.Poly ~jobs:1 src in
+  let par = Support.run_source ~mode:Analysis.Poly ~jobs:4 src in
   Alcotest.(check string) "fault parity" (digest serial) (digest par)
 
 let tests =

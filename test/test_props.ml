@@ -592,8 +592,8 @@ let prop_wider_space_parity =
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:60 () in
       let run rules =
-        (Cqual.Driver.run_source ~mode:Cqual.Analysis.Mono ~rules src)
-          .Cqual.Driver.results
+        (Support.run_source ~mode:Cqual.Analysis.Mono ~rules src)
+          .Cqual.Session.results
       in
       let a = run Cqual.Analysis.const_rules and b = run wide_const_rules in
       a.Cqual.Report.total = b.Cqual.Report.total

@@ -14,7 +14,7 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let outcomes (r : Driver.run) = r.Driver.results.Report.outcomes
+let outcomes (r : Session.run) = r.Session.results.Report.outcomes
 
 let outcome_of r name =
   match List.assoc_opt name (outcomes r) with
@@ -51,7 +51,7 @@ let bad3 =
    int good3(int *s) { return *s; }\n"
 
 let test_recovery_three_errors () =
-  let pr = Cparse.parse_program_partial bad3 in
+  let pr = Support.parse_partial bad3 in
   let errs = List.filter Diag.is_error pr.Cparse.pr_diags in
   Alcotest.(check int) "three diagnostics" 3 (List.length errs);
   (match errs with
@@ -65,7 +65,7 @@ let test_recovery_three_errors () =
       Alcotest.(check string) "code 3" "E0201" d3.Diag.d_code;
       Alcotest.(check int) "line 3" 5 d3.Diag.d_span.Diag.sl
   | _ -> Alcotest.fail "expected exactly three errors");
-  let r = Driver.run_source ~mode:Analysis.Mono bad3 in
+  let r = Support.run_source ~mode:Analysis.Mono bad3 in
   check_analyzed r "good1";
   check_analyzed r "good2";
   check_analyzed r "good3";
@@ -78,7 +78,7 @@ let test_recovery_three_errors () =
     List.sort_uniq String.compare
       (List.map
          (fun ((p : Report.position), _) -> p.Report.p_fun)
-         r.Driver.results.Report.positions)
+         r.Session.results.Report.positions)
   in
   Alcotest.(check (list string))
     "positions" [ "good1"; "good2"; "good3" ] pos_funs
@@ -88,7 +88,7 @@ let test_body_demotion_isolates_caller () =
     "int broken(int *p) { return * ; }\n\
      int caller(int *q) { return broken(q); }\n"
   in
-  let r = Driver.run_source ~mode:Analysis.Mono src in
+  let r = Support.run_source ~mode:Analysis.Mono src in
   check_analyzed r "caller";
   let reason = check_degraded r "broken" in
   Alcotest.(check bool)
@@ -97,7 +97,7 @@ let test_body_demotion_isolates_caller () =
   (* the demoted callee is treated like a declared-but-undefined library
      function: a pointer escaping into it is conservatively non-const
      (the callee may write through it), exactly as for library calls *)
-  match r.Driver.results.Report.positions with
+  match r.Session.results.Report.positions with
   | [ (p, v) ] ->
       Alcotest.(check string) "position owner" "caller" p.Report.p_fun;
       Alcotest.(check bool) "escape is conservative" true
@@ -108,8 +108,8 @@ let test_lex_recovery () =
   let src =
     "int f(int *p) { return *p; }\n@\nint g(int *q) { return *q; }\n"
   in
-  let r = Driver.run_source ~mode:Analysis.Mono src in
-  (match r.Driver.diagnostics with
+  let r = Support.run_source ~mode:Analysis.Mono src in
+  (match r.Session.diagnostics with
   | [ d ] ->
       Alcotest.(check string) "code" "E0101" d.Diag.d_code;
       Alcotest.(check int) "line" 2 d.Diag.d_span.Diag.sl;
@@ -120,18 +120,18 @@ let test_lex_recovery () =
 
 let test_unterminated_comment () =
   let src = "int f(int *p) { return *p; }\n/* never closed" in
-  let r = Driver.run_source ~mode:Analysis.Mono src in
+  let r = Support.run_source ~mode:Analysis.Mono src in
   Alcotest.(check bool)
     "E0103 reported" true
-    (List.exists (fun d -> d.Diag.d_code = "E0103") r.Driver.diagnostics);
+    (List.exists (fun d -> d.Diag.d_code = "E0103") r.Session.diagnostics);
   check_analyzed r "f"
 
 let test_unterminated_string () =
   let src = "int f(int *p) { return *p; }\nchar *s = \"oops\n" in
-  let r = Driver.run_source ~mode:Analysis.Mono src in
+  let r = Support.run_source ~mode:Analysis.Mono src in
   Alcotest.(check bool)
     "E0102 reported" true
-    (List.exists (fun d -> d.Diag.d_code = "E0102") r.Driver.diagnostics);
+    (List.exists (fun d -> d.Diag.d_code = "E0102") r.Session.diagnostics);
   check_analyzed r "f"
 
 let test_max_errors_cap () =
@@ -139,7 +139,7 @@ let test_max_errors_cap () =
     String.concat "" (List.init 10 (fun _ -> "int = 1;\n"))
     ^ "int ok(int *p) { return *p; }\n"
   in
-  let pr = Cparse.parse_program_partial ~max_errors:3 src in
+  let pr = Support.parse_partial ~max_errors:3 src in
   let errs = List.filter Diag.is_error pr.Cparse.pr_diags in
   Alcotest.(check int) "capped" 3 (List.length errs);
   let last = List.nth pr.Cparse.pr_diags (List.length pr.Cparse.pr_diags - 1) in
@@ -155,7 +155,7 @@ let test_unknown_typedef_degrades () =
      int use(T *p) { return *p; }\n\
      int ok(int *q) { return *q; }\n"
   in
-  let r = Driver.run_source ~mode:Analysis.Mono src in
+  let r = Support.run_source ~mode:Analysis.Mono src in
   check_analyzed r "ok";
   let reason = check_degraded r "use" in
   Alcotest.(check bool)
@@ -181,19 +181,19 @@ let check_all_budget_degraded r =
   List.iter
     (fun (_, v) ->
       Alcotest.(check bool) "verdict Either" true (v = Report.Either))
-    r.Driver.results.Report.positions
+    r.Session.results.Report.positions
 
 let test_budget_pops () =
   let src = Cbench.Gen.generate ~seed:7 ~target_lines:120 () in
   let budget = Budget.create ~max_pops:20 () in
-  let r = Driver.run_source ~mode:Analysis.Mono ~budget src in
+  let r = Support.run_source ~mode:Analysis.Mono ~budget src in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
 let test_budget_vars () =
   let src = Cbench.Gen.generate ~seed:11 ~target_lines:120 () in
   let budget = Budget.create ~max_vars:5 () in
-  let r = Driver.run_source ~mode:Analysis.Poly ~budget src in
+  let r = Support.run_source ~mode:Analysis.Poly ~budget src in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
@@ -207,17 +207,17 @@ let test_budget_deadline () =
   in
   let src = Cbench.Gen.generate ~seed:3 ~target_lines:200 () in
   let budget = Budget.create ~deadline_s:1.0 ~clock () in
-  let r = Driver.run_source ~mode:Analysis.Mono ~budget src in
+  let r = Support.run_source ~mode:Analysis.Mono ~budget src in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
 let test_budget_untripped_is_clean () =
   let src = "int f(const int *p) { return *p; }\n" in
   let budget = Budget.create ~max_vars:1000 ~max_pops:100000 () in
-  let r = Driver.run_source ~mode:Analysis.Mono ~budget src in
+  let r = Support.run_source ~mode:Analysis.Mono ~budget src in
   Alcotest.(check bool) "not tripped" false (Budget.is_exhausted budget);
   check_analyzed r "f";
-  match r.Driver.results.Report.positions with
+  match r.Session.results.Report.positions with
   | [ (_, v) ] ->
       Alcotest.(check bool) "still precise" true (v = Report.Must_const)
   | _ -> Alcotest.fail "expected one position"
@@ -362,12 +362,12 @@ let closure (nodes : (string * SS.t) list) (seeds : string list) : SS.t =
   done;
   !affected
 
-let verdicts_of (r : Driver.run) name =
+let verdicts_of (r : Session.run) name =
   List.filter_map
     (fun ((p : Report.position), v) ->
       if p.Report.p_fun = name then Some (p.Report.p_where, p.Report.p_level, v)
       else None)
-    r.Driver.results.Report.positions
+    r.Session.results.Report.positions
 
 (* Newline-preserving mutations, so surviving functions keep their line
    numbers (truncation only perturbs the tail). *)
@@ -408,19 +408,19 @@ let prop_fault_injection =
       let src0 = Cbench.Gen.generate ~seed:pseed ~target_lines:50 () in
       let src1 = mutate kind a b src0 in
       let r1 =
-        try Driver.run_source ~mode:Analysis.Mono src1
+        try Support.run_source ~mode:Analysis.Mono src1
         with e ->
-          QCheck2.Test.fail_reportf "Driver.run_source raised %s on:\n%s"
+          QCheck2.Test.fail_reportf "Support.run_source raised %s on:\n%s"
             (Printexc.to_string e) src1
       in
       (* a source the strict parser rejects must carry a diagnostic *)
       (match Cparse.parse_program_result src1 with
-      | Error _ when r1.Driver.diagnostics = [] ->
+      | Error _ when r1.Session.diagnostics = [] ->
           QCheck2.Test.fail_reportf "rejected source has no diagnostics:\n%s"
             src1
       | _ -> ());
-      let p0 = Cparse.parse_program_partial src0 in
-      let p1 = Cparse.parse_program_partial src1 in
+      let p0 = Support.parse_partial src0 in
+      let p1 = Support.parse_partial src1 in
       let f0 = funs_of p0 and f1 = funs_of p1 in
       let dup l =
         let names = List.map fst l in
@@ -432,7 +432,7 @@ let prop_fault_injection =
          every function is potentially affected then *)
       if nonfuns_of p0 <> nonfuns_of p1 || dup f0 || dup f1 then true
       else begin
-        let r0 = Driver.run_source ~mode:Analysis.Mono src0 in
+        let r0 = Support.run_source ~mode:Analysis.Mono src0 in
         let prog0 = Cprog.build p0.Cparse.pr_prog in
         let prog1 = Cprog.build p1.Cparse.pr_prog in
         let changed =

@@ -110,6 +110,25 @@ let test_unchanged_is_noop () =
   Alcotest.(check bool) "run is not recomputed (physically equal)" true
     (r1 == r2)
 
+let test_modes_stay_warm () =
+  (* a client alternating modes pays each analysis once per edit *)
+  let t = Session.create ~mode:Analysis.Poly clean_units in
+  let poly = Session.run t in
+  let mono = Session.run ~mode:Analysis.Mono t in
+  let key, _, _ = List.hd (Session.positions t) in
+  ignore (Session.classify ~mode:Analysis.Mono t key);
+  Alcotest.(check bool) "poly not re-analyzed after mono" true
+    (Session.run t == poly);
+  Alcotest.(check bool) "mono not re-analyzed after poly" true
+    (Session.run ~mode:Analysis.Mono t == mono);
+  Alcotest.(check (list string)) "both modes warm" [ "mono"; "poly" ]
+    (List.sort compare (Session.stats t).Session.ss_modes);
+  ignore
+    (Session.update_unit t "proj_a.c"
+       (List.assoc "proj_a.c" clean_units ^ "\n"));
+  Alcotest.(check (list string)) "an edit drops every mode" []
+    (Session.stats t).Session.ss_modes
+
 (* AST-memo (hits, misses) accrued by [f] *)
 let memo_delta t f =
   let s0 = Session.stats t in
@@ -341,6 +360,8 @@ let tests =
       test_replay_broken_par;
     Alcotest.test_case "unchanged update invalidates nothing" `Quick
       test_unchanged_is_noop;
+    Alcotest.test_case "alternating modes stay warm" `Quick
+      test_modes_stay_warm;
     Alcotest.test_case "AST memo survives an edit" `Quick
       test_memo_survives_edit;
     Alcotest.test_case "AST memo keeps only current units" `Quick

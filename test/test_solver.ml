@@ -325,7 +325,7 @@ let test_simplify_preserves_results () =
   in
   List.iter
     (fun src ->
-      let prog = Cqual.Driver.compile src in
+      let prog = Support.compile src in
       let e1, i1 = Cqual.Analysis.run ~simplify:false Cqual.Analysis.Poly prog in
       let r1 = Cqual.Report.measure e1 i1 in
       let e2, i2 = Cqual.Analysis.run ~simplify:true Cqual.Analysis.Poly prog in
