@@ -56,7 +56,8 @@
                TYPEQUAL_FRONTEND_LINES overrides the line target.
      daemon  — the persistent Session behind typequald on the CI smoke
                corpus: cold-analysis wall time, warm position-query
-               latency percentiles (p50 target <= 10 ms, enforced),
+               and whatif latency percentiles (p50 targets <= 10 ms,
+               enforced),
                single-unit edit + re-query percentiles with the honest
                speedup vs cold (10x target recorded, not enforced: every
                edit reruns the whole analysis), a check that each edit
@@ -2033,6 +2034,24 @@ let daemon_bench () =
   Fmt.pr "warm query (%d samples): p50 %.3fms, p90 %.3fms, p99 %.3fms@." nq
     (q_p50 *. 1e3) (q_p90 *. 1e3) (q_p99 *. 1e3);
 
+  (* ---- warm what-if queries against the same live session ---- *)
+  (* the first whatif builds the store's what-if index; warm means after
+     it, like the classify samples above *)
+  let whatif k =
+    match Session.whatif t ~qual:"const" k with
+    | Ok w -> w
+    | Error m -> failwith ("daemon bench: whatif " ^ k ^ ": " ^ m)
+  in
+  ignore (whatif keys.(0));
+  let whatif_samples =
+    List.init nq (fun i ->
+        let k = keys.(i * 7919 mod Array.length keys) in
+        snd (time (fun () -> whatif k)))
+  in
+  let w_p50, w_p90, w_p99 = percentiles whatif_samples in
+  Fmt.pr "warm whatif (%d samples): p50 %.3fms, p90 %.3fms, p99 %.3fms@." nq
+    (w_p50 *. 1e3) (w_p90 *. 1e3) (w_p99 *. 1e3);
+
   (* ---- single-unit edit + re-query ---- *)
   (* alternate appending and restoring one unit's source so every step
      is a real digest change; each sample is the daemon's full
@@ -2075,6 +2094,8 @@ let daemon_bench () =
 
   check "warm query p50 <= 10 ms" (q_p50 <= 0.010)
     (Printf.sprintf " measured %.3fms" (q_p50 *. 1e3));
+  check "warm whatif p50 <= 10 ms" (w_p50 <= 0.010)
+    (Printf.sprintf " measured %.3fms" (w_p50 *. 1e3));
   check "warm render byte-identical to cold" (warm_render = cold_render) "";
   check "each edit re-parses only the dirty unit"
     ((edit_hits, edit_misses)
@@ -2120,6 +2141,14 @@ let daemon_bench () =
                ("p50_ms", jf (q_p50 *. 1e3));
                ("p90_ms", jf (q_p90 *. 1e3));
                ("p99_ms", jf (q_p99 *. 1e3));
+             ] );
+         ( "warm_whatif",
+           Jobj
+             [
+               ("samples", ji nq);
+               ("p50_ms", jf (w_p50 *. 1e3));
+               ("p90_ms", jf (w_p90 *. 1e3));
+               ("p99_ms", jf (w_p99 *. 1e3));
              ] );
          ( "edit_requery",
            Jobj

@@ -310,7 +310,7 @@ let taint =
   Arg.(
     value & flag
     & info [ "taint" ]
-        ~doc:"Run the taint rules instead of const ($tainted/$untainted prototypes)")
+        ~doc:"Run the taint rules instead of const (\\$tainted/\\$untainted prototypes)")
 
 let flow =
   Arg.(
@@ -452,8 +452,9 @@ let cmd =
       $ stats $ budget $ jobs $ max_errors $ no_compact $ lattice $ qual
       $ dump_lattice $ cache_dir $ gc)
 
-(* Last line of defense: whatever leaks out of the pipeline becomes a
-   one-line message and exit 2 — users should never see a backtrace.
+(* Last line of defense: whatever leaks out of the pipeline, any
+   exception at all, becomes a one-line message and exit 2 — users
+   should never see a backtrace.
    Cmdliner's own CLI-error codes (124/125) are folded into 2 so the
    documented contract is just 0 / 1 / 2. *)
 let () =
@@ -471,4 +472,7 @@ let () =
         2
     | Sys_error m ->
         Fmt.epr "error: %s@." m;
+        2
+    | e ->
+        Fmt.epr "error: internal: %s@." (Printexc.to_string e);
         2)

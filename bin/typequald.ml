@@ -13,8 +13,8 @@
    unit:fun:pN@level / unit:fun:ret@level (see DESIGN.md).
 
    whatif requests arriving together in one read are prepared serially
-   and evaluated as a batch on the domain pool (--jobs), each on its own
-   private clone of the warm store.
+   and evaluated as a batch on the domain pool (--jobs): each is a
+   read-only speculation over the warm solved store.
 
    --client PATH turns the binary into a line pump for CI: stdin lines
    go to the socket, response lines to stdout. *)
@@ -299,27 +299,26 @@ let process session ~jobs (batch : (client * Wire.request) list) : bool =
         (c, rq, p))
       batch
   in
+  (* each thunk writes only its own slot: no shared table for the pool's
+     domains to race on, and no lookup comparing closures *)
   let thunks =
-    List.filter_map
-      (function _, _, Pooled f -> Some f | _ -> None)
-      prepared
+    Array.of_list
+      (List.filter_map
+         (function _, _, Pooled f -> Some f | _ -> None)
+         prepared)
   in
-  let results : (unit -> Session.whatif_result, Session.whatif_result) Hashtbl.t
-      =
-    Hashtbl.create 8
-  in
+  let results = Array.make (Array.length thunks) None in
   (match thunks with
-  | [] -> ()
-  | [ f ] -> Hashtbl.replace results f (f ())
+  | [||] -> ()
+  | [| f |] -> results.(0) <- Some (f ())
   | fs ->
       Typequal.Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun f ->
-              Typequal.Pool.submit pool (fun () ->
-                  let r = f () in
-                  Hashtbl.replace results f r))
+          Array.iteri
+            (fun i f ->
+              Typequal.Pool.submit pool (fun () -> results.(i) <- Some (f ())))
             fs;
           Typequal.Pool.wait pool));
+  let next = ref 0 in
   let quit = ref false in
   List.iter
     (fun (c, rq, p) ->
@@ -328,8 +327,10 @@ let process session ~jobs (batch : (client * Wire.request) list) : bool =
         match p with
         | Ready j -> Wire.response_ok ~id j
         | Failed m -> Wire.response_error ~id m
-        | Pooled f ->
-            Wire.response_ok ~id (json_of_whatif (Hashtbl.find results f))
+        | Pooled _ ->
+            let r = Option.get results.(!next) in
+            incr next;
+            Wire.response_ok ~id (json_of_whatif r)
         | Quit ->
             quit := true;
             Wire.response_ok ~id (Wire.Obj [ ("ok", Wire.Bool true) ])

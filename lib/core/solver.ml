@@ -521,6 +521,12 @@ let rec find_id t i =
     r
   end
 
+(* the same lookup without path compression: it writes nothing, so any
+   number of domains may run it on a store no one is mutating *)
+let rec find_ro t i =
+  let p = Array.unsafe_get t.parent i in
+  if p = i then i else find_ro t p
+
 let repr v =
   let t = v.store in
   t.objs.(find_id t v.id)
@@ -992,6 +998,9 @@ let last_errors t =
   in
   List.rev_append t.ground_errors var_errs
 
+(* no sort: ground violations are rare, the table keeps its size *)
+let error_count t = List.length t.ground_errors + Hashtbl.length t.errors
+
 (* Record a violation for every representative popped by the last
    propagate whose least solution escapes its constant upper bound.
    Violations are monotone (constraints are only added; [lo] only rises,
@@ -1082,17 +1091,21 @@ type verdict =
   | Forced_down  (* greatest solution at its bottom: "must not be const" *)
   | Free         (* anything in between *)
 
+(* In the upset encoding a coordinate is at its sub-lattice top when its
+   whole bit range is set and at its bottom when the range is clear; for a
+   classic two-point qualifier "top" is presence (positive) or absence
+   (negative), exactly the historical verdicts. *)
+let verdict_of sp ~lo ~hi i =
+  let m = Elt.singleton_mask sp i in
+  if lo land m = m then Forced_up
+  else if hi land m = 0 then Forced_down
+  else Free
+
+(* read-only on a solved store, so concurrent what-if thunks may call it *)
 let classify t v i =
   if not t.solved then ignore (solve t);
-  let r = find_id t v.id in
-  (* In the upset encoding a coordinate is at its sub-lattice top when its
-     whole bit range is set and at its bottom when the range is clear; for
-     a classic two-point qualifier "top" is presence (positive) or absence
-     (negative), exactly the historical verdicts. *)
-  let m = Elt.singleton_mask t.sp i in
-  if t.lo.(r) land m = m then Forced_up
-  else if t.hi.(r) land m = 0 then Forced_down
-  else Free
+  let r = find_ro t v.id in
+  verdict_of t.sp ~lo:t.lo.(r) ~hi:t.hi.(r) i
 
 let classify_name t v name = classify t v (Space.find t.sp name)
 
@@ -1100,6 +1113,84 @@ let pp_verdict ppf = function
   | Forced_up -> Fmt.string ppf "forced-up"
   | Forced_down -> Fmt.string ppf "forced-down"
   | Free -> Fmt.string ppf "free"
+
+(* ------------------------------------------------------------------ *)
+(* Speculative queries (what-if)                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Adding [c <= v] to a solved store can only raise least solutions, and
+   only on [v]'s forward closure; greatest solutions depend on upper
+   bounds alone and do not move (the least/greatest-solution
+   characterization of Section 3.1). So the new least solution is the
+   solved [lo] plus a sparse overlay over that cone, computed by the same
+   [lor]/mask step as [propagate]'s least pass, seeded exactly as
+   [add_leq_cv] seeds it. Nothing in the store is written: lookups go
+   through [find_ro], and the overlay, queue and result are private. *)
+type speculation = {
+  sp_store : t;
+  sp_lo : (int, Elt.t) Hashtbl.t;
+      (* representative id -> raised least solution; only raised ids *)
+  sp_raised : int list;  (* the same ids, in the order first raised *)
+}
+
+let speculate_leq_cv ?mask t c v =
+  if not t.solved then invalid_arg "Solver.speculate_leq_cv: unsolved store";
+  let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
+  let overlay = Hashtbl.create 8 in
+  let raised = ref [] in
+  let queue = Queue.create () in
+  let lo_of i =
+    match Hashtbl.find_opt overlay i with
+    | Some x -> x
+    | None -> Array.unsafe_get t.lo i
+  in
+  let raise_to i x =
+    if not (Hashtbl.mem overlay i) then raised := i :: !raised;
+    Hashtbl.replace overlay i x;
+    Queue.push i queue
+  in
+  let r = find_ro t v.id in
+  let lo' = Elt.join t.sp t.lo.(r) (Elt.embed_bottom t.sp ~mask c) in
+  if lo' <> t.lo.(r) then raise_to r lo';
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    let lou = lo_of u in
+    let e = ref (Array.unsafe_get t.succ_head u) in
+    while !e >= 0 do
+      let b = 3 * !e in
+      e := Array.unsafe_get t.ecells (b + 2);
+      let s = find_ro t (Array.unsafe_get t.ecells b) in
+      if s <> u then begin
+        let los = lo_of s in
+        let lo' = los lor (lou land Array.unsafe_get t.ecells (b + 1)) in
+        if lo' <> los then raise_to s lo'
+      end
+    done
+  done;
+  { sp_store = t; sp_lo = overlay; sp_raised = List.rev !raised }
+
+let speculation_reps s = List.map (fun i -> s.sp_store.objs.(i)) s.sp_raised
+
+let classify_speculative s v i =
+  let t = s.sp_store in
+  let r = find_ro t v.id in
+  let lo =
+    match Hashtbl.find_opt s.sp_lo r with Some x -> x | None -> t.lo.(r)
+  in
+  verdict_of t.sp ~lo ~hi:t.hi.(r) i
+
+(* the violations [solve] would add: [check_violations] over the raised
+   representatives, which are exactly the ones whose [lo] moves *)
+let speculation_new_errors s =
+  let t = s.sp_store in
+  List.fold_left
+    (fun n i ->
+      if
+        (not (Hashtbl.mem t.errors i))
+        && not (Elt.leq t.sp (Hashtbl.find s.sp_lo i) t.hi_bound.(i))
+      then n + 1
+      else n)
+    0 s.sp_raised
 
 (* ------------------------------------------------------------------ *)
 (* Recording and schemes (Section 3.2)                                 *)

@@ -22,8 +22,8 @@
     propagation worklist is an int ring buffer (see DESIGN.md,
     "Flat-arena solver"). {!Solver_ref} is the pre-arena records +
     [Hashtbl] implementation, kept as the ablation baseline; both expose
-    this same interface and are byte-for-byte observationally
-    equivalent (property-tested). *)
+    this interface (the reference lacks the speculative queries) and are
+    byte-for-byte observationally equivalent (property-tested). *)
 
 module Elt = Lattice.Elt
 module Space = Lattice.Space
@@ -146,8 +146,43 @@ type verdict =
   | Free  (** could be either *)
 
 val classify : t -> var -> int -> verdict
+(** On a solved store this writes nothing (its union-find lookup does no
+    path compression), so domains may classify concurrently. *)
+
 val classify_name : t -> var -> string -> verdict
 val pp_verdict : verdict Fmt.t
+
+val error_count : t -> int
+(** [List.length (last_errors t)] without building or sorting the list *)
+
+(** {1 Speculative queries (what-if)}
+
+    Adding a constant lower bound [c <= v] to a solved store can only
+    raise least solutions, and only on [v]'s forward closure; greatest
+    solutions do not move (Section 3.1's least/greatest-solution
+    characterization). A speculation computes that raise in a private
+    sparse overlay over the live store, in time proportional to the
+    cone, and never writes the store: any number of speculations may run
+    concurrently on domains while no one mutates it. *)
+
+type speculation
+
+val speculate_leq_cv : ?mask:int -> t -> Elt.t -> var -> speculation
+(** The least solution [add_leq_cv ?mask t c v] followed by {!solve}
+    would produce, without adding anything. Raises [Invalid_argument]
+    unless the store is solved. *)
+
+val speculation_reps : speculation -> var list
+(** the representatives whose least solution the bound raises, in the
+    order first raised; every other variable keeps its verdicts *)
+
+val classify_speculative : speculation -> var -> int -> verdict
+(** {!classify} against the speculative least solution *)
+
+val speculation_new_errors : speculation -> int
+(** how many violations {!solve} would record on top of {!error_count}:
+    raised representatives pushed past their constant upper bound that
+    are not already in the error table *)
 
 val error_message : error -> string
 val pp_error : error Fmt.t

@@ -2,8 +2,9 @@
     implementation {!Solver} replaced with the flat arena, kept as the
     ablation baseline and as the oracle for the arena parity tests. The
     interface is identical to {!Solver}'s (minus the batch-content
-    accessor); the one behavioral deviation from the historical code is
-    that the dirty set seeds solve worklists in insertion order, making
+    accessor, {!Solver.error_count} and the speculative queries); the
+    one behavioral deviation from the historical code is that the dirty
+    set seeds solve worklists in insertion order, making
     [worklist_pops] deterministic and comparable across the two cores.
 
     Atomic qualifier-constraint solver (Sections 3.1–3.2 of the paper).

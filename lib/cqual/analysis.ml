@@ -1097,12 +1097,22 @@ let analyze_global_inits env =
           | None -> ())
         (Cprog.global_vars env.prog))
 
+(* The definitions mono analyzes: of a name defined more than once, only
+   the one the program's function table resolves it to (the last) — the
+   one calls link to, the polymorphic modes analyze and the report
+   measures. Each body is then checked against its own interface. *)
+let linked_functions prog =
+  List.filter
+    (fun (f : Cast.fundef) ->
+      match Cprog.find_fun prog f.f_name with Some g -> g == f | None -> false)
+    (Cprog.functions prog)
+
 (** Monomorphic const inference (the "Mono" column of Table 2). *)
 let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
     env * (string * fsig) list =
   let env = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
   build_global_env env;
-  let funs = Cprog.functions prog in
+  let funs = linked_functions prog in
   (* pass 1: interfaces, so calls in any order link directly; a function
      whose interface cannot be built is degraded and left out of env.funs,
      so its callers fall back to the conservative library treatment *)
@@ -1705,7 +1715,7 @@ let run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
     env * (string * fsig) list =
   let genv = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
   build_global_env genv;
-  let funs = Cprog.functions prog in
+  let funs = linked_functions prog in
   let ifaces =
     timed_phase genv Solver.Congen (fun () ->
         List.filter_map

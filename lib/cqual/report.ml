@@ -101,6 +101,12 @@ let positions_of_rt ?(qual = "const") ?(loc = ("", 0, 0)) ~fname ~where prog
    an anonymous unit, preserving historical output for batch callers. *)
 let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     (f : Cast.fundef) (iface : fsig) : (position * Solver.var) list =
+  let arity = List.length f.f_params in
+  if List.length iface.fs_params <> arity then
+    raise
+      (Cprog.Frontend_error
+         (Printf.sprintf "%s: %d parameters, but its interface has %d"
+            f.f_name arity (List.length iface.fs_params)));
   let anchor (line, col) =
     if line <= 0 then ("", 0, 0)
     else
@@ -110,7 +116,6 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
   let param_locs =
     (* defensively re-align with f_params (exotic declarators may have
        produced fewer recorded name spans than parameters) *)
-    let n = List.length f.f_params in
     let rec pad locs k =
       if k = 0 then []
       else
@@ -118,7 +123,7 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
         | l :: rest -> l :: pad rest (k - 1)
         | [] -> (0, 0) :: pad [] (k - 1)
     in
-    pad f.f_param_locs n
+    pad f.f_param_locs arity
   in
   let params =
     List.concat
@@ -232,25 +237,35 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
 let measure ?locate env ifaces = fst (measure_full ?locate env ifaces)
 
 (** Like {!measure}, but also return an index from stable position keys
-    to the live position, verdict and solver variable. Each position is
+    to the live position, verdict and solver variable, and every
+    position's canonical key in report order. Each position is
     registered under its structural key and (when the anchor has column
-    precision) its canonical [unit:line:col@level] key. Only meaningful
-    against a live store — the index holds solver-variable back-pointers
-    and must not be marshaled. *)
+    precision) its canonical [unit:line:col@level] key; when two
+    positions share a key, the first in report order owns it. Only
+    meaningful against a live store — the index holds solver-variable
+    back-pointers and must not be marshaled. *)
 let measure_indexed ?locate env ifaces :
-    results * (string, position * verdict * Solver.var) Hashtbl.t =
+    results * (string, position * verdict * Solver.var) Hashtbl.t
+    * string array =
   let r, classified = measure_full ?locate env ifaces in
   let index = Hashtbl.create 64 in
-  List.iter
-    (fun (p, v, var) ->
+  let keys = Array.make (List.length classified) "" in
+  List.iteri
+    (fun n (p, v, var) ->
       let add k =
         if not (Hashtbl.mem index k) then Hashtbl.add index k (p, v, var)
       in
-      add (structural_key p);
+      let sk = structural_key p in
+      add sk;
       let ck = position_key p in
-      if ck <> structural_key p then add ck)
+      keys.(n) <-
+        (if ck = sk then sk (* one string for both *)
+         else begin
+           add ck;
+           ck
+         end))
     classified;
-  (r, index)
+  (r, index, keys)
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

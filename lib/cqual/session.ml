@@ -502,7 +502,7 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
   let locate fname line =
     (Option.value (Hashtbl.find_opt co.co_home fname) ~default:"", line)
   in
-  let (results, index), t2 =
+  let (results, index, keys), t2 =
     time (fun () -> Report.measure_indexed ~locate env ifaces)
   in
   (* the report's own cost, minus the final solve it triggers (that time
@@ -545,7 +545,7 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
       frontend = Some co.co_frontend;
     }
   in
-  (run, env, index)
+  (run, env, index, keys)
 
 (* ------------------------------------------------------------------ *)
 (* The session                                                         *)
@@ -554,13 +554,49 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
 module Solver = Typequal.Solver
 module Lat = Typequal.Lattice
 
-(* one mode's warm artifacts: the solved store and the stable-key index
-   into it *)
+(* The what-if index of one solved store: each report position's
+   function and (key-owning) variable by report ordinal, and the ordinals
+   grouped by their variable's representative id — a speculation only
+   has to look at the representatives it raised. *)
+type whatif_index = {
+  wi_funs : string array;
+  wi_vars : Solver.var array;
+  wi_by_rep : (int, int list) Hashtbl.t;
+}
+
+let whatif_index (run : run) index keys : whatif_index =
+  let wi_vars =
+    Array.map
+      (fun k ->
+        let _, _, var = Hashtbl.find index k in
+        var)
+      keys
+  in
+  let wi_funs =
+    Array.of_list
+      (List.map
+         (fun ((p : Report.position), _) -> p.Report.p_fun)
+         run.results.Report.positions)
+  in
+  let wi_by_rep = Hashtbl.create 1024 in
+  Array.iteri
+    (fun n var ->
+      let r = Solver.var_id (Solver.repr var) in
+      Hashtbl.replace wi_by_rep r
+        (n :: Option.value (Hashtbl.find_opt wi_by_rep r) ~default:[]))
+    wi_vars;
+  { wi_funs; wi_vars; wi_by_rep }
+
+(* one mode's warm artifacts: the solved store, the stable-key index into
+   it, every position's canonical key in report order, and the what-if
+   index (built by the first whatif on this store) *)
 type mode_state = {
   ms_run : run;
   ms_env : Analysis.env;
   ms_index :
     (string, Report.position * Report.verdict * Solver.var) Hashtbl.t;
+  ms_keys : string array;
+  ms_whatif : whatif_index Lazy.t;
 }
 
 type t = {
@@ -665,13 +701,21 @@ let ensure_mode t mode : mode_state =
   | Some ms -> ms
   | None ->
       let co = ensure_compiled t in
-      let run, env, index =
+      let run, env, index, keys =
         analyze ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact
           ?budget:(Option.map (fun f -> f ()) t.s_budget)
           ~jobs:t.s_jobs mode co
       in
-      let ms = { ms_run = run; ms_env = env; ms_index = index } in
+      let ms =
+        {
+          ms_run = run;
+          ms_env = env;
+          ms_index = index;
+          ms_keys = keys;
+          ms_whatif = lazy (whatif_index run index keys);
+        }
+      in
       Hashtbl.replace t.s_modes key ms;
       ms
 
@@ -726,23 +770,12 @@ let run_sources ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
 let program t : Cfront.Cprog.t = (ensure_compiled t).co_prog
 let diagnostics t : Cfront.Diag.t list = (ensure_compiled t).co_diags
 
-(* the session's positions in report order, each with its canonical key
-   and live solver variable *)
-let indexed_positions (ms : mode_state) :
-    (string * Report.position * Report.verdict * Solver.var) list =
-  List.filter_map
-    (fun ((p : Report.position), v) ->
-      let k = Report.position_key p in
-      match Hashtbl.find_opt ms.ms_index k with
-      | Some (_, _, var) -> Some (k, p, v, var)
-      | None -> None)
-    ms.ms_run.results.Report.positions
-
 (** Every interesting position with its canonical key and verdict. *)
 let positions ?mode t :
     (string * Report.position * Report.verdict) list =
   let ms = ensure_mode t (mode_of t mode) in
-  List.map (fun (k, p, v, _) -> (k, p, v)) (indexed_positions ms)
+  List.mapi (fun n (p, v) -> (ms.ms_keys.(n), p, v))
+    ms.ms_run.results.Report.positions
 
 (** Answer "is this position must-const?" (or must-[qual]) by stable
     key — [unit:line:col@level] or the structural
@@ -787,14 +820,16 @@ let verdict_of_solver = function
   | Solver.Free -> Report.Either
 
 (** "What breaks if I add [$qual] here?" — split into a serial prepare
-    step and a pure evaluation thunk. The prepare step snapshots the
-    warm store ({!Solver.export}) and the baseline verdicts; it must run
-    with exclusive access to the session (the daemon does this on its
-    event loop). The returned thunk clones the snapshot into a private
-    store, adds the speculative annotation as a lower bound, re-solves
-    incrementally, and diffs every position's verdict — it touches no
-    session state, so any number of thunks may run concurrently on the
-    domain pool. *)
+    step and a pure evaluation thunk. The prepare step resolves the key
+    and qualifier and builds (once per solved store) the what-if index;
+    it must run with exclusive access to the session (the daemon does
+    this on its event loop). The returned thunk speculates the
+    annotation as a lower bound over the live solved store
+    ({!Solver.speculate_leq_cv}) and re-classifies only the positions
+    whose representative it raised. It writes no session or store
+    state, so any number of thunks may run concurrently on the domain
+    pool. A store whose analysis budget tripped holds a partial
+    solution and answers [Error]. *)
 let whatif_task ?mode t ~qual key :
     ((unit -> whatif_result), string) result =
   let ms = ensure_mode t (mode_of t mode) in
@@ -805,55 +840,59 @@ let whatif_task ?mode t ~qual key :
   | Some (_, _, var0) -> (
       match Lat.Space.find_opt sp qual with
       | None -> Result.Error (Printf.sprintf "unknown qualifier %S" qual)
-      | Some _ ->
-          let batch = Solver.export store in
-          let snapshot =
-            List.map
-              (fun (k, (p : Report.position), _, var) ->
-                ( k,
-                  p.Report.p_fun,
-                  verdict_of_solver (Solver.classify_name store var qual),
-                  var ))
-              (indexed_positions ms)
-          in
-          let errors_before = List.length (Solver.last_errors store) in
-          Ok
-            (fun () ->
-              let clone = Solver.create sp in
-              let rename = Solver.absorb clone batch in
-              let tr v = Option.value (rename v) ~default:v in
-              Solver.add_leq_cv
-                ~reason:(Printf.sprintf "whatif $%s at %s" qual key)
-                ~mask:(Lat.Elt.mask_of_names sp [ qual ])
-                clone
-                (Lat.Elt.of_names_up sp [ qual ])
-                (tr var0);
-              ignore (Solver.solve clone : (unit, _) result);
-              let changed =
-                List.filter_map
-                  (fun (k, fname, before, var) ->
-                    let after =
-                      verdict_of_solver
-                        (Solver.classify_name clone (tr var) qual)
-                    in
-                    if after = before then None
-                    else
-                      Some
-                        {
-                          wc_key = k;
-                          wc_fun = fname;
-                          wc_before = before;
-                          wc_after = after;
-                        })
-                  snapshot
-              in
-              {
-                w_key = key;
-                w_qual = qual;
-                w_changed = changed;
-                w_errors_before = errors_before;
-                w_errors_after = List.length (Solver.last_errors clone);
-              }))
+      | Some qi -> (
+          match Analysis.budget_reason ms.ms_env with
+          | Some r ->
+              Result.Error
+                (Printf.sprintf
+                   "whatif unavailable: the analysis budget was exhausted \
+                    (%s), so the solution is partial"
+                   r)
+          | None ->
+              let wi = Lazy.force ms.ms_whatif in
+              let errors_before = Solver.error_count store in
+              let mask = Lat.Elt.mask_of_names sp [ qual ] in
+              let c = Lat.Elt.of_names_up sp [ qual ] in
+              Ok
+                (fun () ->
+                  let spec = Solver.speculate_leq_cv ~mask store c var0 in
+                  let moved =
+                    List.concat_map
+                      (fun rep ->
+                        Option.value ~default:[]
+                          (Hashtbl.find_opt wi.wi_by_rep (Solver.var_id rep)))
+                      (Solver.speculation_reps spec)
+                  in
+                  let changed =
+                    List.filter_map
+                      (fun n ->
+                        let var = wi.wi_vars.(n) in
+                        let before =
+                          verdict_of_solver (Solver.classify store var qi)
+                        in
+                        let after =
+                          verdict_of_solver
+                            (Solver.classify_speculative spec var qi)
+                        in
+                        if after = before then None
+                        else
+                          Some
+                            {
+                              wc_key = ms.ms_keys.(n);
+                              wc_fun = wi.wi_funs.(n);
+                              wc_before = before;
+                              wc_after = after;
+                            })
+                      (List.sort compare moved)
+                  in
+                  {
+                    w_key = key;
+                    w_qual = qual;
+                    w_changed = changed;
+                    w_errors_before = errors_before;
+                    w_errors_after =
+                      errors_before + Solver.speculation_new_errors spec;
+                  })))
 
 (** {!whatif_task} prepared and evaluated inline. *)
 let whatif ?mode t ~qual key : (whatif_result, string) result =

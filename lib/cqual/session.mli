@@ -202,10 +202,16 @@ val whatif_task :
   string ->
   (unit -> whatif_result, string) result
 (** "What breaks if I add [$qual] here?" — the serial prepare step
-    snapshots the warm store and baseline verdicts (run it with
-    exclusive session access); the returned thunk solves a private
-    clone and touches no session state, so any number of thunks may run
-    concurrently on the domain pool. *)
+    resolves the key and qualifier and, on the first whatif against a
+    solved store, builds its what-if index (run it with exclusive
+    session access). The returned thunk speculates the annotation over
+    the live store ({!Typequal.Solver.speculate_leq_cv}) and
+    re-classifies only the positions in the cone it raises; it writes
+    no session or store state, so any number of thunks may run
+    concurrently on the domain pool. [w_changed] is in report order;
+    [w_errors_after] is what adding the bound and re-solving would
+    count. [Error] for unknown keys and qualifiers, and when the mode's
+    analysis budget tripped (its solution is partial). *)
 
 val whatif :
   ?mode:Analysis.mode ->

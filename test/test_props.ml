@@ -159,6 +159,61 @@ let prop_monotone =
         (fun old v -> E.leq sp old (S.least st v))
         before vars)
 
+(* A speculative what-if answers as adding the bound to a clone and
+   re-solving would, here on systems whose edges carry masks (the C
+   analysis emits full-mask edges only, so the session-level parity test
+   cannot tell a mask step apart), and it leaves the store untouched. *)
+let prop_speculation_is_resolve =
+  QCheck2.Test.make ~count:300
+    ~name:"solver: speculation = add the lower bound and re-solve"
+    QCheck2.Gen.(
+      quad space_gen cgen_gen
+        (list_size (int_bound 40) (int_bound 255))
+        (triple (int_bound 255) (int_bound 255) (int_bound 19)))
+    (fun (sp, g, masks, (extra, msel, at)) ->
+      let n = Sp.size sp in
+      let mask_of bits =
+        let m = ref 0 in
+        for i = 0 to n - 1 do
+          if bits land (1 lsl i) <> 0 then m := !m lor E.singleton_mask sp i
+        done;
+        if !m = 0 then E.full_mask sp else !m
+      in
+      let full = E.full_mask sp in
+      let st = S.create sp in
+      let vars = Array.init g.g_nvars (fun _ -> S.fresh st) in
+      List.iteri
+        (fun k (a, b) ->
+          let bits = Option.value (List.nth_opt masks k) ~default:0 in
+          S.add_leq_vv ~mask:(mask_of bits) st vars.(a) vars.(b))
+        g.g_edges;
+      List.iter
+        (fun (v, e) -> S.add_leq_cv st (e land full) vars.(v))
+        g.g_lowers;
+      List.iter
+        (fun (v, e) -> S.add_leq_vc st vars.(v) (e land full))
+        g.g_uppers;
+      ignore (S.solve st);
+      let v0 = vars.(at mod g.g_nvars) in
+      let mask = mask_of msel and c = extra land full in
+      let lo0 = Array.map (S.least st) vars in
+      let spec = S.speculate_leq_cv ~mask st c v0 in
+      let clone = S.create sp in
+      let rn = S.absorb clone (S.export st) in
+      let tr v = Option.value (rn v) ~default:v in
+      S.add_leq_cv ~mask clone c (tr v0);
+      ignore (S.solve clone);
+      Array.for_all
+        (fun v ->
+          List.for_all
+            (fun i ->
+              S.classify_speculative spec v i = S.classify clone (tr v) i)
+            (List.init n Fun.id))
+        vars
+      && S.error_count st + S.speculation_new_errors spec
+         = List.length (S.last_errors clone)
+      && Array.for_all2 (fun l v -> l = S.least st v) lo0 vars)
+
 (* ------------------------------------------------------------------ *)
 (* Random terms of the example language                                *)
 (* ------------------------------------------------------------------ *)
@@ -609,4 +664,5 @@ let tests =
         prop_random_lattice_laws;
         prop_mixed_space_oracle;
         prop_wider_space_parity;
+        prop_speculation_is_resolve;
       ]

@@ -162,6 +162,33 @@ let test_unknown_typedef_degrades () =
     "typedef reason" true
     (contains ~sub:"unknown typedef" reason)
 
+(* a name defined twice with different arities: every mode analyzes the
+   definition the function table links (the last), and none crashes *)
+let test_redefinition_arity () =
+  let first = "int f(int a, char *b) { return a; }\n"
+  and second = "int f(void) { return 1; }\n" in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (src, expect) ->
+          let r = Support.run_source ~mode src in
+          check_analyzed r "f";
+          let got =
+            List.map
+              (fun ((p : Report.position), v) ->
+                Fmt.str "%s %a %d: %a" p.Report.p_fun Report.pp_where
+                  p.Report.p_where p.Report.p_level Report.pp_verdict v)
+              r.Session.results.Report.positions
+          in
+          Alcotest.(check (list string))
+            (Session.mode_name mode ^ ": the last definition's positions")
+            expect got)
+        [
+          (first ^ second, []);
+          (second ^ first, [ "f param 1 (b) 1: could-be-const" ]);
+        ])
+    [ Analysis.Mono; Analysis.Poly; Analysis.Polyrec ]
+
 (* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -210,6 +237,23 @@ let test_budget_deadline () =
   let r = Support.run_source ~mode:Analysis.Mono ~budget src in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
+
+(* a tripped budget leaves a partial solution: whatif refuses to probe it *)
+let test_budget_whatif_refused () =
+  let src = Cbench.Gen.generate ~seed:7 ~target_lines:120 () in
+  let t =
+    Session.create ~mode:Analysis.Mono
+      ~budget:(fun () -> Budget.create ~max_pops:20 ())
+      [ ("<input>", src) ]
+  in
+  match Session.positions t with
+  | [] -> Alcotest.fail "expected positions"
+  | (key, _, _) :: _ -> (
+      match Session.whatif t ~qual:"const" key with
+      | Error m ->
+          Alcotest.(check bool) "names the budget" true
+            (contains ~sub:"budget" m)
+      | Ok _ -> Alcotest.fail "whatif on a tripped store must be an Error")
 
 let test_budget_untripped_is_clean () =
   let src = "int f(const int *p) { return *p; }\n" in
@@ -501,9 +545,13 @@ let tests =
     Alcotest.test_case "recovery: --max-errors cap" `Quick test_max_errors_cap;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
+    Alcotest.test_case "degrade: redefinition with another arity" `Quick
+      test_redefinition_arity;
     Alcotest.test_case "budget: worklist pops" `Quick test_budget_pops;
     Alcotest.test_case "budget: variable cap" `Quick test_budget_vars;
     Alcotest.test_case "budget: deadline" `Quick test_budget_deadline;
+    Alcotest.test_case "budget: whatif refuses a tripped store" `Quick
+      test_budget_whatif_refused;
     Alcotest.test_case "budget: untripped stays precise" `Quick
       test_budget_untripped_is_clean;
     QCheck_alcotest.to_alcotest prop_fault_injection;

@@ -260,6 +260,162 @@ let test_whatif_concurrent_matches_inline () =
             true (got = expect))
     inline
 
+(* ---------------- whatif = its clone-and-resolve definition ---------------- *)
+
+let modes = [ Analysis.Mono; Analysis.Poly; Analysis.Polyrec ]
+
+(* a project with const violations in it: whatifs must count on top of
+   errors already in the store *)
+let with_violations units =
+  units
+  @ [
+      ("viol.c", viol_src);
+      ( "viol2.c",
+        "void wr(char *q) { *q = 0; }\n\
+         void rd(const char *s) { wr(s); }\n" );
+    ]
+
+let whatif_corpora =
+  lazy
+    (let project = Cbench.Gen.generate_project ~seed:11 ~target_lines:2000 () in
+     List.map (fun (n, src) -> (n, [ (n ^ ".c", src) ])) Cbench.Programs.all
+     @ [
+         ("miniproject", clean_units);
+         ("project-2k", project);
+         ("project-2k+violations", with_violations project);
+         ( "chains",
+           [
+             ( "chains.c",
+               Cbench.Gen.generate_chains ~seed:7 ~target_lines:500 () );
+           ] );
+       ])
+
+(* three-level taint, as in examples/taint3.lat and taint_levels.c *)
+let taint3_rules =
+  let module L = Typequal.Lattice in
+  let q =
+    Typequal.Qualifier.ordered "taint"
+      (Typequal.Qualifier.Order.chain_exn
+         [ "untainted"; "maybe_tainted"; "tainted" ])
+  in
+  Analysis.lattice_rules (L.Space.create [ q ]) ~qual:"taint"
+
+let taint3_src =
+  {|$tainted char *read_net(char *buf);
+$maybe_tainted char *half_clean($tainted char *s);
+void log_msg($maybe_tainted char *msg);
+void exec_cmd($untainted char *cmd);
+char *pass(char *s) { return s; }
+void handler(char *b, char *c) {
+  char *raw; char *clean;
+  raw = read_net(b);
+  clean = half_clean(raw);
+  log_msg(pass(clean));
+  exec_cmd(clean);
+  log_msg(c);
+}
+|}
+
+(* Session.whatif against [Support.whatif_by_resolve] at every position:
+   the same moved positions (keys, functions, verdicts, in report order)
+   and the same error counts. Returns the number of positions checked. *)
+let check_whatif_parity ?rules ~qual ~mode name units =
+  let t = Session.create ?rules ~mode units in
+  let ps = Array.of_list (Session.positions t) in
+  let keys = Array.map (fun (k, _, _) -> k) ps in
+  (* with distinct keys, key n names position n's own variable, which is
+     what the oracle speculates on *)
+  Alcotest.(check int)
+    (name ^ ": distinct keys")
+    (Array.length keys)
+    (List.length (List.sort_uniq compare (Array.to_list keys)));
+  let oracle = Support.whatif_by_resolve ?rules ~mode ~qual t in
+  Alcotest.(check int) (name ^ ": positions") (Array.length keys)
+    (Array.length oracle);
+  let show (k, f, b, a) =
+    Fmt.str "%s(%s) %a->%a" k f Report.pp_verdict b Report.pp_verdict a
+  in
+  Array.iteri
+    (fun n (moved, eb, ea) ->
+      match Session.whatif t ~qual keys.(n) with
+      | Error e -> Alcotest.failf "%s: whatif %s: %s" name keys.(n) e
+      | Ok w ->
+          let expect =
+            List.map
+              (fun (m, b, a) ->
+                let _, (p : Report.position), _ = ps.(m) in
+                (keys.(m), p.Report.p_fun, b, a))
+              moved
+          in
+          let got =
+            List.map
+              (fun (c : Session.whatif_change) ->
+                (c.wc_key, c.wc_fun, c.wc_before, c.wc_after))
+              w.w_changed
+          in
+          if got <> expect || w.w_errors_before <> eb || w.w_errors_after <> ea
+          then
+            Alcotest.failf
+              "%s %s: whatif at %s: changed [%s] errors %d->%d; by \
+               re-solving: [%s] errors %d->%d"
+              name (Session.mode_name mode) keys.(n)
+              (String.concat "; " (List.map show got))
+              w.w_errors_before w.w_errors_after
+              (String.concat "; " (List.map show expect))
+              eb ea)
+    oracle;
+  Array.length keys
+
+let test_whatif_parity () =
+  let checked =
+    List.fold_left
+      (fun acc (name, units) ->
+        List.fold_left
+          (fun acc mode ->
+            acc + check_whatif_parity ~qual:"const" ~mode name units)
+          acc modes)
+      0 (Lazy.force whatif_corpora)
+  in
+  let checked =
+    checked
+    + check_whatif_parity ~rules:taint3_rules ~qual:"taint" ~mode:Analysis.Poly
+        "taint3" [ ("taint3.c", taint3_src) ]
+  in
+  Alcotest.(check bool) "checked positions" true (checked > 3000)
+
+(* Section 4.4's reading of the verdicts, checked as a certificate: const
+   can be added at a could-be-either position without a new error, and
+   adding it at a must-not position surfaces one. Must-const positions
+   already have it, so nothing moves. *)
+let test_whatif_certificate () =
+  let seen = Hashtbl.create 3 in
+  List.iter
+    (fun (name, units) ->
+      List.iter
+        (fun mode ->
+          let t = Session.create ~mode units in
+          List.iter
+            (fun (k, _, v) ->
+              match Session.whatif t ~qual:"const" k with
+              | Error e -> Alcotest.failf "%s: whatif %s: %s" name k e
+              | Ok w ->
+                  Hashtbl.replace seen v ();
+                  let eb = w.w_errors_before and ea = w.w_errors_after in
+                  let ok =
+                    match v with
+                    | Report.Either -> ea = eb
+                    | Report.Must_not_const -> ea > eb
+                    | Report.Must_const -> ea = eb && w.w_changed = []
+                  in
+                  if not ok then
+                    Alcotest.failf "%s %s: %s is %a but whatif const gives \
+                                    errors %d->%d"
+                      name (Session.mode_name mode) k Report.pp_verdict v eb ea)
+            (Session.positions t))
+        modes)
+    (Lazy.force whatif_corpora);
+  Alcotest.(check int) "all three verdicts seen" 3 (Hashtbl.length seen)
+
 (* ---------------- the oversubscription notice ---------------- *)
 
 let test_oversubscription_notice () =
@@ -373,6 +529,10 @@ let tests =
       test_explain_contract;
     Alcotest.test_case "whatif: pooled thunks match inline" `Quick
       test_whatif_concurrent_matches_inline;
+    Alcotest.test_case "whatif: matches clone-and-resolve at every position"
+      `Quick test_whatif_parity;
+    Alcotest.test_case "whatif: section 4.4 certificate" `Quick
+      test_whatif_certificate;
     Alcotest.test_case "oversubscription is a structured notice" `Quick
       test_oversubscription_notice;
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
