@@ -163,10 +163,6 @@ let cache_used = ref false
 
 (* memory + machine context, attached to every bench section so the perf
    trajectory tracks heap growth alongside wall time *)
-(* the GC profile the run applied (TYPEQUAL_GC), recorded in every env
-   block so perf trajectories are comparable *)
-let gc_profile = ref "off"
-
 let jenv () =
   let g = Gc.quick_stat () in
   Jobj
@@ -175,7 +171,6 @@ let jenv () =
       ("top_heap_words", ji g.Gc.top_heap_words);
       ("cores_available", ji (Typequal.Pool.cores_available ()));
       ("cache_used", jb !cache_used);
-      ("gc_profile", Jstr !gc_profile);
     ]
 
 let bench_sections : (string * json) list ref = ref []
@@ -2176,13 +2171,6 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let want s = args = [] || List.mem s args || List.mem "all" args in
   Fmt.pr "A Theory of Type Qualifiers (PLDI 1999) — experiment harness@.";
-  (match Typequal.Gctune.setup () with
-  | Ok d ->
-      gc_profile := d;
-      if d <> "off" then Fmt.pr "gc profile: %s@." d
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2);
   if want "table1" then table1 ();
   if want "table2" || want "figure6" then begin
     let rows = table2_rows () in

@@ -145,12 +145,7 @@ let rules_of_lattice_file path qual_override =
         exit 2)
 
 let main files bench mode positions taint flow insensitive stats budget jobs
-    max_errors no_compact lattice qual dump_lattice cache_dir gc =
-  (match Typequal.Gctune.setup ?flag:gc () with
-  | Ok _ -> ()
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2);
+    max_errors no_compact lattice qual dump_lattice cache_dir =
   (* the advisory is a structured Notice diagnostic (code N0901); the CLI
      renders just its message under the historical "warning: " prefix *)
   (match Session.oversubscription_notice ~jobs with
@@ -429,20 +424,6 @@ let cache_dir =
            invocations; cache I/O trouble warns once and the run continues \
            uncached. See $(b,--stats) for hit/miss/reject counts.")
 
-let gc =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "gc" ] ~docv:"SPEC"
-        ~doc:
-          "Tune the OCaml runtime for batch analysis: $(b,batch) applies the \
-           benchmarked profile (4x-default minor heap, relaxed \
-           space_overhead), \
-           $(b,off) leaves the runtime alone, and a comma-separated \
-           $(b,k=v) list (minor_heap_size, space_overhead, ...) sets \
-           fields directly. Defaults to \\$TYPEQUAL_GC, else off. Purely a \
-           speed/heap trade — reports and counters are unaffected.")
-
 let cmd =
   let doc = "const inference for C (Foster, Fähndrich, Aiken — PLDI 1999)" in
   Cmd.v
@@ -450,7 +431,7 @@ let cmd =
     Term.(
       const main $ files $ bench $ mode $ positions $ taint $ flow $ insensitive
       $ stats $ budget $ jobs $ max_errors $ no_compact $ lattice $ qual
-      $ dump_lattice $ cache_dir $ gc)
+      $ dump_lattice $ cache_dir)
 
 (* Last line of defense: whatever leaks out of the pipeline, any
    exception at all, becomes a one-line message and exit 2 — users

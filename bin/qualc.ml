@@ -51,12 +51,7 @@ let spacekind_name = function
   | STaint -> "taint"
 
 let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
-    cache_dir gc =
-  (match Typequal.Gctune.setup ?flag:gc () with
-  | Ok _ -> ()
-  | Error m ->
-      Fmt.epr "error: %s@." m;
-      exit 2);
+    cache_dir =
   let space, hooks =
     match lattice with
     | Some path -> (space_of_lattice_file path, Infer.no_hooks)
@@ -108,7 +103,7 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
   in
   (match cache with
   | Some c -> (
-      match Typequal.Cache.load c ~kind:"out" ~key ~deps:[] with
+      match Typequal.Cache.load c ~kind:"out" ~key with
       | Some payload -> (
           match (Marshal.from_string payload 0 : int * string) with
           | code, out ->
@@ -120,7 +115,7 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
   let store_out code out =
     match cache with
     | Some c ->
-        Typequal.Cache.store c ~kind:"out" ~key ~deps:[]
+        Typequal.Cache.store c ~kind:"out" ~key
           (Marshal.to_string (code, out) [])
     | None -> ()
   in
@@ -229,21 +224,11 @@ let cache_dir =
            runs cold. Ignored with $(b,--run) or $(b,--stats), whose output \
            is not a pure function of the input.")
 
-let gc =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "gc" ] ~docv:"SPEC"
-        ~doc:
-          "Tune the OCaml runtime: $(b,batch), $(b,off), or a \
-           comma-separated $(b,k=v) list. Defaults to \\$TYPEQUAL_GC, \
-           else off.")
-
 let cmd =
   let doc = "qualified type inference for the example language (PLDI 1999)" in
   Cmd.v (Cmd.info "qualc" ~doc)
     Term.(
       const main $ expr $ file $ poly $ run_it $ spacekind $ stats
-      $ no_compact $ lattice $ dump_lattice $ cache_dir $ gc)
+      $ no_compact $ lattice $ dump_lattice $ cache_dir)
 
 let () = exit (Cmd.eval cmd)

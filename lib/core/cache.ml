@@ -2,13 +2,13 @@
    writes, lock-file protocol. See cache.mli for the format. *)
 
 let magic = "TQCACHE1"
-let format_version = 1
+let format_version = 2
 let off_magic = 0
 let off_version = 8
 let off_ctx = 10
 let off_key = 26
-let off_ndeps = 42
-let off_deps = 44
+let off_len = 42
+let off_payload = off_len + 24
 
 type reject =
   | Io_error
@@ -17,7 +17,6 @@ type reject =
   | Bad_version
   | Context_mismatch
   | Key_mismatch
-  | Stale_dep
   | Corrupt
   | Undecodable
 
@@ -28,7 +27,6 @@ let reject_name = function
   | Bad_version -> "bad-version"
   | Context_mismatch -> "lattice-mismatch"
   | Key_mismatch -> "key-mismatch"
-  | Stale_dep -> "stale-dep"
   | Corrupt -> "corrupt"
   | Undecodable -> "undecodable"
 
@@ -177,14 +175,12 @@ let get_u64 s off =
   done;
   !v
 
-let encode ~ctx ~key ~deps payload =
-  let b = Buffer.create (256 + String.length payload) in
+let encode ~ctx ~key payload =
+  let b = Buffer.create (off_payload + String.length payload) in
   Buffer.add_string b magic;
   put_u16 b format_version;
   Buffer.add_string b ctx;
   Buffer.add_string b key;
-  put_u16 b (List.length deps);
-  List.iter (Buffer.add_string b) deps;
   put_u64 b (String.length payload);
   Buffer.add_string b (Digest.string payload);
   Buffer.add_string b payload;
@@ -194,41 +190,24 @@ let encode ~ctx ~key ~deps payload =
    The order matters: each check only reads bytes the previous checks
    proved present, so a truncated file is always [Truncated], never an
    out-of-bounds read. *)
-let verify ~ctx ~key ~deps (s : string) : (string, reject) result =
+let verify ~ctx ~key (s : string) : (string, reject) result =
   let len = String.length s in
   let have n = len >= n in
   if not (have off_version) then Error Truncated
   else if String.sub s off_magic 8 <> magic then Error Bad_magic
   else if not (have off_ctx) then Error Truncated
   else if get_u16 s off_version <> format_version then Error Bad_version
-  else if not (have off_deps) then Error Truncated
+  else if not (have off_payload) then Error Truncated
   else if String.sub s off_ctx 16 <> ctx then Error Context_mismatch
   else if String.sub s off_key 16 <> key then Error Key_mismatch
-  else begin
-    let ndeps = get_u16 s off_ndeps in
-    if ndeps <> List.length deps then Error Stale_dep
-    else if not (have (off_deps + (16 * ndeps) + 24)) then Error Truncated
-    else begin
-      let deps_ok =
-        List.for_all2
-          (fun i d -> String.sub s (off_deps + (16 * i)) 16 = d)
-          (List.init ndeps Fun.id)
-          deps
-      in
-      if not deps_ok then Error Stale_dep
-      else begin
-        let plen_off = off_deps + (16 * ndeps) in
-        let plen = get_u64 s plen_off in
-        let poff = plen_off + 24 in
-        if len - poff <> plen then Error Truncated
-        else
-          let payload = String.sub s poff plen in
-          if Digest.string payload <> String.sub s (plen_off + 8) 16 then
-            Error Corrupt
-          else Ok payload
-      end
-    end
-  end
+  else
+    let plen = get_u64 s off_len in
+    if len - off_payload <> plen then Error Truncated
+    else
+      let payload = String.sub s off_payload plen in
+      if Digest.string payload <> String.sub s (off_len + 8) 16 then
+        Error Corrupt
+      else Ok payload
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                                *)
@@ -240,7 +219,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load t ~kind ~key ~deps =
+let load t ~kind ~key =
   let path = entry_path t ~kind ~key in
   if not (Sys.file_exists path) then begin
     locked t (fun () ->
@@ -256,7 +235,7 @@ let load t ~kind ~key ~deps =
             rejected_u t ~kind ~path Io_error);
         None
     | raw -> (
-        match verify ~ctx:t.ctx ~key ~deps raw with
+        match verify ~ctx:t.ctx ~key raw with
         | Ok payload ->
             locked t (fun () ->
                 t.st.hits <- t.st.hits + 1;
@@ -386,12 +365,12 @@ let write_atomic t ~path blob =
       (try Sys.remove tmp with _ -> ());
       raise e
 
-let store t ~kind ~key ~deps payload =
+let store t ~kind ~key payload =
   if not (locked t (fun () -> t.writes_ok)) then
     locked t (fun () -> t.st.write_skips <- t.st.write_skips + 1)
   else
     let path = entry_path t ~kind ~key in
-    let blob = encode ~ctx:t.ctx ~key ~deps payload in
+    let blob = encode ~ctx:t.ctx ~key payload in
     let wrote =
       try
         with_lock t (fun () ->

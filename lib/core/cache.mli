@@ -9,17 +9,15 @@
          8    2  format version   (big-endian)
         10   16  context digest   (qualifier-space fingerprint)
         26   16  key digest       (content hash of the cached unit)
-        42    2  dependency count (big-endian)
-        44  16n  dependency digests (interface hashes, caller-ordered)
-         .    8  payload length   (big-endian)
-         .   16  payload digest   (MD5)
-         .    .  payload bytes
+        42    8  payload length   (big-endian)
+        50   16  payload digest   (MD5)
+        66    .  payload bytes
     v}
 
     {!load} verifies the whole chain front to back and returns the payload
     only when every field matches what the caller expects {e now}; any
     mismatch — truncation, flipped byte, version skew, foreign lattice,
-    wrong key, stale dependency — rejects the entry, counts the cause, and
+    wrong key — rejects the entry, counts the cause, and
     evicts the file. A rejected or missing entry is indistinguishable from
     a cold cache: the caller recomputes. The cache never repairs an entry
     and never raises; I/O failures disable the affected side (reads or
@@ -48,7 +46,6 @@ type reject =
   | Bad_version
   | Context_mismatch  (** wrong qualifier-space fingerprint *)
   | Key_mismatch  (** envelope was written for a different content hash *)
-  | Stale_dep  (** dependency interface digests differ *)
   | Corrupt  (** payload bytes do not match their digest *)
   | Undecodable  (** envelope verified but the client could not decode *)
 
@@ -72,15 +69,13 @@ val open_dir : ?warn:(string -> unit) -> ctx:Digest.t -> string -> t option
     when the path cannot be used as a directory at all; the caller then
     runs cold. Never raises. *)
 
-val load :
-  t -> kind:string -> key:Digest.t -> deps:Digest.t list -> string option
+val load : t -> kind:string -> key:Digest.t -> string option
 (** Look up the entry for [kind]/[key]; verify magic, version, context,
-    key, the dependency digests (count and content, in order) and the
-    payload checksum. [Some payload] only if the whole chain holds.
+    key and the payload checksum. [Some payload] only if the whole chain holds.
     Rejections are counted by cause and the bad file evicted. Never
     raises. *)
 
-val store : t -> kind:string -> key:Digest.t -> deps:Digest.t list -> string -> unit
+val store : t -> kind:string -> key:Digest.t -> string -> unit
 (** Write an entry via temp file + fsync + atomic rename, under the lock.
     Skips silently (counted in [write_skips]) on lock contention; a
     filesystem error warns once and disables further writes. Never
@@ -112,8 +107,6 @@ val off_magic : int
 val off_version : int
 val off_ctx : int
 val off_key : int
-val off_ndeps : int
-val off_deps : int
 
 (** {1 Lock protocol} (exposed for tests) *)
 

@@ -270,7 +270,7 @@ type env = {
           reached read-only through the context *)
   mutable par : par_stats option;  (** set on the shared env by parallel runs *)
   mutable fdg : Fdg.t option;
-      (** the dependence graph the polymorphic drivers scheduled over, kept
+      (** the dependence graph the polymorphic modes scheduled over, kept
           so the run's FDG statistics need no second build; [None] for
           mono runs and worker views *)
   compact : bool;
@@ -326,23 +326,33 @@ let reason_of_exn = function
   | Stack_overflow -> "analysis failure: stack overflow"
   | e -> "analysis failure: " ^ Printexc.to_string e
 
-(* Run [k] under fault isolation for function [name]: exceptions and
-   budget exhaustion degrade the function instead of aborting the run.
+(* Run [k] under fault isolation for [members] — one function, or one
+   SCC, whose members are generalized together so a failure in any of
+   them invalidates the whole component: exceptions and budget exhaustion
+   degrade every member instead of aborting the run. A degraded SCC's
+   members are forgotten, so their callers see library functions; a mono
+   function keeps the interface its callers already link to.
    Out-of-memory and interrupts are never swallowed. *)
-let guarded env name (k : unit -> 'a) : 'a option =
+let isolated env (members : Cast.fundef list) (k : unit -> 'a) : 'a option =
+  let fail reason =
+    List.iter
+      (fun (f : Cast.fundef) ->
+        degrade env f.f_name reason;
+        if env.mode <> Mono then Hashtbl.remove env.funs f.f_name)
+      members;
+    None
+  in
   match budget_reason env with
-  | Some r ->
-      degrade env name ("budget exhausted: " ^ r);
-      None
+  | Some r -> fail ("budget exhausted: " ^ r)
   | None -> (
       match k () with
       | x ->
-          mark_analyzed env name;
+          List.iter
+            (fun (f : Cast.fundef) -> mark_analyzed env f.f_name)
+            members;
           Some x
       | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-      | exception e ->
-          degrade env name (reason_of_exn e);
-          None)
+      | exception e -> fail (reason_of_exn e))
 
 (* declaration-qualifier seeding, per the active rule set *)
 let seed env = env.rules.qr_seed env.store
@@ -1000,7 +1010,7 @@ let analyze_body env (f : Cast.fundef) (iface : fsig) =
   List.iter (stmt env scope) f.f_body
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program drivers                                               *)
+(* Whole-program analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
 let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
@@ -1107,37 +1117,32 @@ let linked_functions prog =
       match Cprog.find_fun prog f.f_name with Some g -> g == f | None -> false)
     (Cprog.functions prog)
 
-(** Monomorphic const inference (the "Mono" column of Table 2). *)
-let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
-  build_global_env env;
-  let funs = linked_functions prog in
-  (* pass 1: interfaces, so calls in any order link directly; a function
-     whose interface cannot be built is degraded and left out of env.funs,
-     so its callers fall back to the conservative library treatment *)
-  let ifaces =
-    timed_phase env Solver.Congen (fun () ->
-        List.filter_map
-          (fun (f : Cast.fundef) ->
-            match guarded env f.f_name (fun () -> iface_of_fundef env f) with
-            | Some s ->
-                Hashtbl.replace env.funs f.f_name (FMono s);
-                Some (f.f_name, s)
-            | None -> None)
-          funs)
-  in
-  (* pass 2: bodies *)
+(* Mono's interface pass, in the shared store before any body, so calls
+   in any order link directly; a function whose interface cannot be built
+   is degraded and left out of env.funs, so its callers fall back to the
+   conservative library treatment. *)
+let mono_interfaces env funs : (Cast.fundef * fsig) list =
   timed_phase env Solver.Congen (fun () ->
-      List.iter
+      List.filter_map
         (fun (f : Cast.fundef) ->
-          match Hashtbl.find_opt env.funs f.f_name with
-          | Some (FMono s) ->
-              ignore (guarded env f.f_name (fun () -> analyze_body env f s))
-          | _ -> ())
-        funs);
-  analyze_global_inits env;
-  (env, ifaces)
+          match isolated env [ f ] (fun () -> iface_of_fundef env f) with
+          | Some s ->
+              Hashtbl.replace env.funs f.f_name (FMono s);
+              Some (f, s)
+          | None -> None)
+        funs)
+
+(* Mono's task (the "Mono" column of Table 2): each body against its
+   interface from the pass above — mirrored on first sight in a worker's
+   view. *)
+let mono_bodies env (members : Cast.fundef list) =
+  List.iter
+    (fun (f : Cast.fundef) ->
+      match fentry_of env f.f_name with
+      | Some (FMono s) ->
+          timed_phase env Solver.Congen (fun () -> analyze_body env f s)
+      | _ -> ())
+    members
 
 (* Generalize an SCC's captured constraints: every variable mentioned
    that is not part of the monomorphic global environment becomes a scheme
@@ -1189,13 +1194,6 @@ let summarize_iface bounds (s : fsig) : (Elt.t * Elt.t) list =
   go_rt (RFun s);
   List.rev !acc
 
-(* The monomorphic-environment predicate of a serial run: everything
-   created before the watermark (globals, struct fields) plus the
-   late-arriving auto globals. *)
-let serial_is_global env ~global_watermark v =
-  Solver.var_id v < global_watermark
-  || Hashtbl.mem env.late_mono (Solver.var_id v)
-
 (* A multi-member SCC generalizes into one scheme carrying every
    member's constraints and every member's interface — but a call to
    one member must not pay for the whole component. The scale corpora's
@@ -1224,29 +1222,33 @@ let register_member_schemes env sch (scc_ifaces : (Cast.fundef * fsig) list) =
       Hashtbl.replace env.funs f.f_name (FPoly (sch_m, s)))
     scc_ifaces
 
-(* Process one SCC (Poly): interfaces first so mutual recursion links
-   directly, then bodies; capture the atoms, generalize, optionally
-   simplify, and register the scheme for the members. Raises on analysis
-   failure — fault isolation is the caller's job. *)
-let poly_scc env ~is_global ~simplify members :
-    (Cast.fundef * fsig) list * Solver.scheme =
-  (* one memo session per recording: hits must name instances captured
-     into THIS scheme *)
+(* Record one SCC: interfaces first so mutual recursion links directly,
+   then bodies, capturing every atom they emit. With [~mono] the members
+   are callable monomorphically while their own bodies are analyzed
+   (plain polymorphism); without it, in-SCC calls instantiate the schemes
+   already registered (the previous round of polymorphic recursion). One
+   memo session per recording: hits must name instances captured into
+   THIS scheme. *)
+let record_scc env ~mono members :
+    (Cast.fundef * fsig) list * Solver.atom list =
   Hashtbl.reset env.imemo;
-  let scc_ifaces, atoms =
-    timed_phase env Solver.Congen (fun () ->
-        Solver.recording env.store (fun () ->
-            let is =
-              List.map
-                (fun (f : Cast.fundef) ->
-                  let s = iface_of_fundef env f in
-                  Hashtbl.replace env.funs f.f_name (FMono s);
-                  (f, s))
-                members
-            in
-            List.iter (fun (f, s) -> analyze_body env f s) is;
-            is))
-  in
+  timed_phase env Solver.Congen (fun () ->
+      Solver.recording env.store (fun () ->
+          let is =
+            List.map
+              (fun (f : Cast.fundef) ->
+                let s = iface_of_fundef env f in
+                if mono then Hashtbl.replace env.funs f.f_name (FMono s);
+                (f, s))
+              members
+          in
+          List.iter (fun (f, s) -> analyze_body env f s) is;
+          is))
+
+(* Generalize a recorded SCC into one scheme, optionally simplify and
+   compact it down to its interface-reachable core, and register it for
+   the members. *)
+let finish_scc env ~is_global ~simplify (scc_ifaces, atoms) =
   let sch =
     timed_phase env Solver.Generalize (fun () ->
         generalize_scc ~is_global atoms scc_ifaces)
@@ -1263,128 +1265,36 @@ let poly_scc env ~is_global ~simplify members :
   register_member_schemes env sch scc_ifaces;
   (scc_ifaces, sch)
 
-(** Polymorphic const inference (Section 4.3, the "Poly" column): SCCs of
-    the FDG processed callees-first; each SCC's constraints are captured
-    and generalized into one scheme shared by its members. *)
-let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
-    (prog : Cprog.t) : env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Poly prog in
-  build_global_env env;
-  (* variables created so far (globals, struct fields) are monomorphic *)
-  let global_watermark = Solver.num_vars env.store in
-  let is_global = serial_is_global env ~global_watermark in
-  let fdg = Fdg.build prog in
-  env.fdg <- Some fdg;
-  let ifaces = ref [] in
-  (* fault isolation is per SCC: members are generalized together, so a
-     failure in any of them invalidates the whole component's scheme *)
-  let degrade_scc members reason =
-    List.iter
-      (fun (f : Cast.fundef) ->
-        degrade env f.f_name reason;
-        Hashtbl.remove env.funs f.f_name)
-      members
-  in
-  List.iter
-    (fun scc ->
-      let members =
-        List.filter_map (fun name -> Cprog.find_fun prog name) scc
-      in
-      match budget_reason env with
-      | Some r -> degrade_scc members ("budget exhausted: " ^ r)
-      | None -> (
-          match poly_scc env ~is_global ~simplify members with
-          | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-          | exception e -> degrade_scc members (reason_of_exn e)
-          | scc_ifaces, _ ->
-              List.iter
-                (fun ((f : Cast.fundef), s) ->
-                  mark_analyzed env f.f_name;
-                  ifaces := (f.f_name, s) :: !ifaces)
-                scc_ifaces))
-    fdg.Fdg.sccs;
-  analyze_global_inits env;
-  (env, List.rev !ifaces)
+(** Process one SCC (Section 4.3, the "Poly" column): its constraints are
+    captured and generalized into one scheme shared by its members.
+    Raises on analysis failure — fault isolation is the scheduler's job. *)
+let poly_scc env ~is_global ~simplify members =
+  finish_scc env ~is_global ~simplify (record_scc env ~mono:true members)
 
-(** Polymorphic recursion: like {!run_poly}, but recursive calls within
-    an SCC are themselves polymorphic. Each SCC is re-analyzed with the
-    previous iteration's schemes used for in-SCC calls — starting from the
+(** Polymorphic recursion: like {!poly_scc}, but recursive calls within
+    an SCC are themselves polymorphic. The SCC is re-analyzed with the
+    previous round's schemes used for in-SCC calls — starting from the
     most general (unconstrained) summaries — until the interface verdicts
-    reach a fixed point. Termination: the summaries form a finite domain
-    and the iteration is capped (the cap is never reached in practice;
-    the fixed point typically arrives by the second round). *)
-(* Process one SCC (Polyrec): Mycroft iteration to a fixed point of the
-   interface summaries, entirely within [env]'s store (each round's
-   constraints stay in the store, like the serial run). Returns the final
-   interfaces and scheme; raises on analysis failure. *)
-let polyrec_scc env ~is_global prog scc members :
-    (Cast.fundef * fsig) list * Solver.scheme =
+    reach a fixed point; each round's constraints stay in [env]'s store.
+    Termination: the summaries form a finite domain and the iteration is
+    capped (the cap is never reached in practice; the fixed point
+    typically arrives by the second round). *)
+let polyrec_scc env ~is_global members =
   let max_rounds = 6 in
+  (* simplify and compact both reduce the scheme to its interface-reachable
+     core and are exact on interface solutions; compact additionally
+     dedupes and collapses cycles, so when it is on running both would be
+     wasted work (measured: they reach the same size) *)
+  let simplify = not env.compact in
   let is_recursive =
-    match scc with
-    | [ f ] -> (
+    match members with
+    | [ (f : Cast.fundef) ] ->
         (* the FDG filters self-edges; detect direct recursion from the
            body's own mentions *)
-        match Cprog.find_fun prog f with
-        | Some fd -> List.mem f (Fdg.mentions fd)
-        | None -> false)
+        List.mem f.f_name (Fdg.mentions f)
     | _ -> true
   in
-  let process_round () =
-    (* memo sessions never span rounds: a later round's scheme must
-       capture its own copies of every instance *)
-    Hashtbl.reset env.imemo;
-    timed_phase env Solver.Congen (fun () ->
-        Solver.recording env.store (fun () ->
-            let is =
-              List.map
-                (fun (f : Cast.fundef) -> (f, iface_of_fundef env f))
-                members
-            in
-            List.iter (fun (f, s) -> analyze_body env f s) is;
-            is))
-  in
-  let finish scc_ifaces atoms =
-    let sch =
-      timed_phase env Solver.Generalize (fun () ->
-          generalize_scc ~is_global atoms scc_ifaces)
-    in
-    let interface =
-      List.concat_map (fun (_, s) -> rt_qvars (RFun s)) scc_ifaces
-    in
-    (* both reduce the scheme to its interface-reachable core and are
-       exact on interface solutions; compact additionally dedupes and
-       collapses cycles, so when it is on running both would be wasted
-       work (measured: they reach the same size) *)
-    let sch =
-      if env.compact then Solver.compact env.store ~interface sch
-      else Solver.simplify_scheme env.store ~interface sch
-    in
-    register_member_schemes env sch scc_ifaces;
-    sch
-  in
-  if not is_recursive then begin
-    (* non-recursive: identical to plain per-SCC polymorphism, but members
-       must be callable monomorphically while their own bodies are
-       analyzed *)
-    Hashtbl.reset env.imemo;
-    let scc_ifaces, atoms =
-      timed_phase env Solver.Congen (fun () ->
-          Solver.recording env.store (fun () ->
-              let is =
-                List.map
-                  (fun (f : Cast.fundef) ->
-                    let s = iface_of_fundef env f in
-                    Hashtbl.replace env.funs f.f_name (FMono s);
-                    (f, s))
-                  members
-              in
-              List.iter (fun (f, s) -> analyze_body env f s) is;
-              is))
-    in
-    let sch = finish scc_ifaces atoms in
-    (scc_ifaces, sch)
-  end
+  if not is_recursive then poly_scc env ~is_global ~simplify members
   else begin
     (* round 0: most general summaries — unconstrained skeletons *)
     List.iter
@@ -1394,10 +1304,9 @@ let polyrec_scc env ~is_global prog scc members :
         Hashtbl.replace env.funs f.f_name (FPoly (sch0, sk)))
       members;
     let rec iterate prev_summaries round =
-      (* bodies analyzed against the PREVIOUS round's schemes: in-SCC
-         calls instantiate polymorphically *)
-      let scc_ifaces, atoms = process_round () in
-      let sch = finish scc_ifaces atoms in
+      let scc_ifaces, sch =
+        finish_scc env ~is_global ~simplify (record_scc env ~mono:false members)
+      in
       let bounds =
         Solver.solve_atoms (Solver.space env.store) (Solver.scheme_atoms sch)
       in
@@ -1411,45 +1320,8 @@ let polyrec_scc env ~is_global prog scc members :
     iterate [] 1
   end
 
-let run_polyrec ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Polyrec prog in
-  build_global_env env;
-  let global_watermark = Solver.num_vars env.store in
-  let is_global = serial_is_global env ~global_watermark in
-  let fdg = Fdg.build prog in
-  env.fdg <- Some fdg;
-  let ifaces = ref [] in
-  List.iter
-    (fun scc ->
-      let members =
-        List.filter_map (fun name -> Cprog.find_fun prog name) scc
-      in
-      let degrade_scc reason =
-        List.iter
-          (fun (f : Cast.fundef) ->
-            degrade env f.f_name reason;
-            Hashtbl.remove env.funs f.f_name)
-          members
-      in
-      match budget_reason env with
-      | Some r -> degrade_scc ("budget exhausted: " ^ r)
-      | None -> (
-          match polyrec_scc env ~is_global prog scc members with
-          | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-          | exception e -> degrade_scc (reason_of_exn e)
-          | final, _ ->
-              List.iter
-                (fun ((f : Cast.fundef), s) ->
-                  mark_analyzed env f.f_name;
-                  ifaces := (f.f_name, s) :: !ifaces)
-                final))
-    fdg.Fdg.sccs;
-  analyze_global_inits env;
-  (env, List.rev !ifaces)
-
 (* ------------------------------------------------------------------ *)
-(* Parallel drivers (multicore wavefront; see DESIGN.md)               *)
+(* Parallel analysis: worker views and the ordered merge (DESIGN.md)   *)
 (* ------------------------------------------------------------------ *)
 
 (* A private analysis view for one worker task: fresh store (charging the
@@ -1588,82 +1460,79 @@ let merge_result genv (r : task_result) : (string * fsig) list =
         r.tr_ifaces
   end
 
-(* Wavefront scheduling of the SCC DAG: an SCC is ready once all its
-   callees' SCCs have completed and published their summaries; ready SCCs
-   run concurrently on the pool, each inferring into a private store.
-   Batches are merged serially in SCC index order — the serial traversal
-   order — so the shared store, and hence every reported figure, is
-   identical to a serial run's. *)
-let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget mode
-    ~(process :
-       env ->
-       scc:string list ->
-       members:Cast.fundef list ->
-       (Cast.fundef * fsig) list * Solver.scheme) (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let genv = make_env ?rules ?field_sharing ?compact ?budget mode prog in
-  build_global_env genv;
+(* ------------------------------------------------------------------ *)
+(* The two schedulers                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A mode's task processor: one task's members, analyzed in [env] (the
+   shared env at jobs 1, a worker's private view otherwise); returns the
+   interfaces to report and the scheme the members were registered
+   with. *)
+type processor =
+  env ->
+  is_global:(Solver.var -> bool) ->
+  Cast.fundef list ->
+  (Cast.fundef * fsig) list * Solver.scheme option
+
+(* Jobs 1: the tasks in order, directly in the shared store. The
+   monomorphic environment is everything created before [watermark]
+   (globals, struct fields) plus the late-arriving auto globals. *)
+let run_in_order env ~watermark ~(process : processor) tasks =
+  let is_global v =
+    Solver.var_id v < watermark || Hashtbl.mem env.late_mono (Solver.var_id v)
+  in
+  List.concat_map
+    (fun members ->
+      match isolated env members (fun () -> process env ~is_global members) with
+      | Some (ifaces, _) ->
+          List.map (fun ((f : Cast.fundef), s) -> (f.f_name, s)) ifaces
+      | None -> [])
+    tasks
+
+(* Jobs > 1: the wavefront. A task is ready once every task it depends on
+   has completed and published its summaries; ready tasks run
+   concurrently on the pool, each inferring into a private store, where
+   the monomorphic environment is what the binding table maps back to
+   shared state. Batches are merged serially in task order — the order
+   {!run_in_order} takes — so the shared store, and hence every reported
+   figure, is identical to a serial run's. *)
+let run_wavefront genv ~jobs ~(process : processor) tasks
+    (in_degree0, dependents) =
   let t0 = Unix.gettimeofday () in
-  let fdg = Fdg.build prog in
-  genv.fdg <- Some fdg;
-  let sccs = Array.of_list fdg.Fdg.sccs in
-  let n = Array.length sccs in
-  let in_degree0, dependents = Fdg.scc_deps fdg in
+  let n = Array.length tasks in
   let indeg = Array.copy in_degree0 in
   let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 64 } in
   let results : task_result option array = Array.make n None in
   let m = Mutex.create () in
   Pool.with_pool ~jobs (fun pool ->
       let rec task i () =
-        let members =
-          List.filter_map (fun name -> Cprog.find_fun prog name) sccs.(i)
-        in
+        let members = tasks.(i) in
         let wenv = worker_env genv pub in
-        let degrade_scc reason =
-          List.iter (fun (f : Cast.fundef) -> degrade wenv f.f_name reason) members
+        let pc = worker_pc wenv in
+        let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
+        (* a degraded task keeps its partial batch: a degraded serial task
+           also leaves its partial constraints in the store *)
+        let ifaces, scheme =
+          Option.value ~default:([], None)
+            (isolated wenv members (fun () -> process wenv ~is_global members))
         in
-        let r =
-          match budget_reason wenv with
-          | Some reason ->
-              degrade_scc ("budget exhausted: " ^ reason);
-              task_result wenv ~ifaces:[] ~scheme:None
-          | None -> (
-              match process wenv ~scc:sccs.(i) ~members with
-              | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-              | exception e ->
-                  degrade_scc (reason_of_exn e);
-                  (* keep the partial batch: a degraded serial SCC also
-                     leaves its partial constraints in the store *)
-                  task_result wenv ~ifaces:[] ~scheme:None
-              | scc_ifaces, sch ->
-                  List.iter
-                    (fun ((f : Cast.fundef), _) -> mark_analyzed wenv f.f_name)
-                    scc_ifaces;
-                  task_result wenv ~ifaces:scc_ifaces ~scheme:(Some sch))
+        (* publish before releasing dependents: they instantiate us, and
+           only ever see the per-member schemes the worker registered *)
+        let entries =
+          List.filter_map
+            (fun ((f : Cast.fundef), _) ->
+              match Hashtbl.find_opt wenv.funs f.f_name with
+              | Some (FPoly (sch, s)) ->
+                  Some
+                    ( f.f_name,
+                      { p_scheme = sch; p_fsig = s; p_bind = pc.pc_bind } )
+              | _ -> None)
+            ifaces
         in
-        (* publish before releasing dependents: they instantiate us.
-           Member projection happens outside the lock — consumers only
-           ever see the per-member scheme, matching what the serial run
-           registers. *)
-        (match r.tr_scheme with
-        | Some sch ->
-            let multi =
-              match r.tr_ifaces with _ :: _ :: _ -> true | _ -> false
-            in
-            let entries =
-              List.map
-                (fun ((f : Cast.fundef), s) ->
-                  let sch_m = if multi then member_scheme genv sch s else sch in
-                  ( f.f_name,
-                    { p_scheme = sch_m; p_fsig = s; p_bind = r.tr_bind } ))
-                r.tr_ifaces
-            in
-            Mutex.lock pub.pub_m;
-            List.iter
-              (fun (n, e) -> Hashtbl.replace pub.pub_tbl n e)
-              entries;
-            Mutex.unlock pub.pub_m
-        | None -> ());
+        Mutex.lock pub.pub_m;
+        List.iter (fun (n, e) -> Hashtbl.replace pub.pub_tbl n e) entries;
+        Mutex.unlock pub.pub_m;
+        let r = task_result wenv ~ifaces ~scheme in
         let ready = ref [] in
         Mutex.lock m;
         results.(i) <- Some r;
@@ -1696,7 +1565,6 @@ let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget mode
       | None -> ())
     results;
   Solver.set_budget genv.store genv.budget;
-  analyze_global_inits genv;
   genv.par <-
     Some
       {
@@ -1705,114 +1573,55 @@ let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget mode
         ps_gen_s = t_gen;
         ps_merge_s = Unix.gettimeofday () -. t1;
       };
-  (genv, List.rev !ifaces)
+  List.rev !ifaces
 
-(* Mono map-reduce: interfaces are built serially in the shared store
-   (pass 1, unchanged), then bodies fan out one task per function; every
-   body generates into a private store against mirrored interfaces, and
-   the batches merge back in function order. *)
-let run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let genv = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
-  build_global_env genv;
-  let funs = linked_functions prog in
-  let ifaces =
-    timed_phase genv Solver.Congen (fun () ->
-        List.filter_map
-          (fun (f : Cast.fundef) ->
-            match guarded genv f.f_name (fun () -> iface_of_fundef genv f) with
-            | Some s ->
-                Hashtbl.replace genv.funs f.f_name (FMono s);
-                Some (f.f_name, s)
-            | None -> None)
-          funs)
-  in
-  let t0 = Unix.gettimeofday () in
-  let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 1 } in
-  let work =
-    Array.of_list
-      (List.filter
-         (fun (f : Cast.fundef) -> Hashtbl.mem genv.funs f.f_name)
-         funs)
-  in
-  let results : task_result option array =
-    Array.make (Array.length work) None
-  in
-  Pool.with_pool ~jobs (fun pool ->
-      Array.iteri
-        (fun i (f : Cast.fundef) ->
-          Pool.submit pool (fun () ->
-              let wenv = worker_env genv pub in
-              (match Hashtbl.find_opt genv.funs f.f_name with
-              | Some (FMono s) ->
-                  timed_phase wenv Solver.Congen (fun () ->
-                      ignore
-                        (guarded wenv f.f_name (fun () ->
-                             analyze_body wenv f
-                               (mirror_fsig wenv (worker_pc wenv) s))))
-              | _ -> ());
-              (* distinct indices: no write race, and Pool.wait's queue
-                 mutex orders these writes before the main-domain reads *)
-              results.(i) <- Some (task_result wenv ~ifaces:[] ~scheme:None)))
-        work;
-      Pool.wait pool);
-  let t_gen = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  Solver.set_budget genv.store None;
-  (* free each worker batch right after its merge (see run_sccs_par) *)
-  Array.iteri
-    (fun i -> function
-      | Some r ->
-          ignore (merge_result genv r : (string * fsig) list);
-          results.(i) <- None
-      | None -> ())
-    results;
-  Solver.set_budget genv.store genv.budget;
-  analyze_global_inits genv;
-  genv.par <-
-    Some
-      {
-        ps_jobs = jobs;
-        ps_tasks = Array.length work;
-        ps_gen_s = t_gen;
-        ps_merge_s = Unix.gettimeofday () -. t1;
-      };
-  (genv, ifaces)
-
-let run_poly_par ~jobs ?rules ?field_sharing ?(simplify = false) ?compact
-    ?budget prog =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Poly prog
-    ~process:(fun wenv ~scc:_ ~members ->
-      let pc = worker_pc wenv in
-      let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
-      poly_scc wenv ~is_global ~simplify members)
-
-let run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Polyrec prog
-    ~process:(fun wenv ~scc ~members ->
-      let pc = worker_pc wenv in
-      let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
-      polyrec_scc wenv ~is_global prog scc members)
-
-(** Run an analysis. [jobs > 1] runs the multicore engine (wavefront over
-    the FDG for the polymorphic modes, per-function map-reduce for mono);
-    results are deterministic and identical to [jobs = 1], which takes the
-    plain serial path. *)
-let run ?rules ?field_sharing ?simplify ?compact ?budget ?(jobs = 1) mode
-    prog =
-  if jobs > 1 then
+(** Run an analysis as a task list. Mono has one task per linked
+    function, after a single interface pass; poly and polyrec have one
+    task per FDG SCC (Section 4.3), callees first. [jobs > 1] runs the
+    tasks on the multicore wavefront (mono's tasks have no
+    dependencies); results are deterministic and identical to
+    [jobs = 1], which runs them in order in the shared store. *)
+let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?(jobs = 1)
+    mode (prog : Cprog.t) : env * (string * fsig) list =
+  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
+  build_global_env env;
+  (* variables created so far (globals, struct fields) are monomorphic *)
+  let watermark = Solver.num_vars env.store in
+  let reported, tasks, deps =
     match mode with
-    | Mono -> run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget prog
+    | Mono ->
+        let ifaces = mono_interfaces env (linked_functions prog) in
+        let n = List.length ifaces in
+        ( List.map (fun ((f : Cast.fundef), s) -> (f.f_name, s)) ifaces,
+          List.map (fun (f, _) -> [ f ]) ifaces,
+          fun () -> (Array.make n 0, Array.make n []) )
+    | Poly | Polyrec ->
+        let fdg = Fdg.build prog in
+        env.fdg <- Some fdg;
+        ( [],
+          List.map (List.filter_map (Cprog.find_fun prog)) fdg.Fdg.sccs,
+          fun () -> Fdg.scc_deps fdg )
+  in
+  let process : processor =
+   fun env ~is_global members ->
+    match mode with
+    | Mono ->
+        mono_bodies env members;
+        ([], None)
     | Poly ->
-        run_poly_par ~jobs ?rules ?field_sharing ?simplify ?compact ?budget
-          prog
+        let ifaces, sch = poly_scc env ~is_global ~simplify members in
+        (ifaces, Some sch)
     | Polyrec ->
-        run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog
-  else
-    match mode with
-    | Mono -> run_mono ?rules ?field_sharing ?compact ?budget prog
-    | Poly -> run_poly ?rules ?field_sharing ?simplify ?compact ?budget prog
-    | Polyrec -> run_polyrec ?rules ?field_sharing ?compact ?budget prog
+        let ifaces, sch = polyrec_scc env ~is_global members in
+        (ifaces, Some sch)
+  in
+  let ifaces =
+    if jobs > 1 then
+      run_wavefront env ~jobs ~process (Array.of_list tasks) (deps ())
+    else run_in_order env ~watermark ~process tasks
+  in
+  analyze_global_inits env;
+  (env, reported @ ifaces)
 
 (** Solver statistics accumulated by the analysis (see {!Solver.stats}). *)
 let stats (env : env) = Solver.stats env.store

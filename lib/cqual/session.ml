@@ -185,8 +185,8 @@ type cached_run = {
 (* load kind/key and unmarshal as ['a]; any decode failure rejects the
    entry (the envelope verified, so the payload was well-formed bytes that
    mean nothing to us — e.g. written by a differently-shaped build) *)
-let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
-  match Cache.load c ~kind ~key ~deps with
+let load_marshal (type a) (c : Cache.t) ~kind ~key : a option =
+  match Cache.load c ~kind ~key with
   | None -> None
   | Some payload -> (
       match (Marshal.from_string payload 0 : a) with
@@ -306,7 +306,6 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
             match
               (load_marshal cs.cs_cache ~kind:"unit"
                  ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                 ~deps:[]
                 : cached_unit option)
             with
             | Some cu -> probed.(i) <- Some cu.cu_res
@@ -361,7 +360,6 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
           | Some cs ->
               Cache.store cs.cs_cache ~kind:"unit"
                 ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                ~deps:[]
                 (Marshal.to_string { cu_res = uf.uf_res } [])
           | None -> ())
       | _ -> ())
@@ -510,7 +508,7 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
   let solve_d = (Typequal.Solver.stats st).solve_s -. solve0 in
   Typequal.Solver.note_phase st Typequal.Solver.Report
     (Float.max 0. (t2 -. solve_d));
-  (* the polymorphic drivers hand back the graph they scheduled over;
+  (* the polymorphic modes hand back the graph they scheduled over;
      only mono runs never built one *)
   let fdg =
     match env.Analysis.fdg with Some fdg -> fdg | None -> Fdg.build co.co_prog
@@ -741,12 +739,12 @@ let cached_run_or t mode compute : run =
           )
       in
       match
-        (load_marshal cs.cs_cache ~kind:"run" ~key ~deps:[] : cached_run option)
+        (load_marshal cs.cs_cache ~kind:"run" ~key : cached_run option)
       with
       | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
       | None ->
           let r = compute () in
-          Cache.store cs.cs_cache ~kind:"run" ~key ~deps:[]
+          Cache.store cs.cs_cache ~kind:"run" ~key
             (Marshal.to_string (cached_of_run r) []);
           r)
 

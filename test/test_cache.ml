@@ -37,7 +37,6 @@ let truncate_to path len = write_file path (String.sub (read_file path) 0 len)
 
 let ctx = Digest.string "test-ctx"
 let key = Digest.string "unit-a"
-let dep = Digest.string "iface-1"
 let payload = String.init 300 (fun i -> Char.chr (i mod 251))
 
 let open_exn ?warn ?(ctx = ctx) dir =
@@ -48,7 +47,7 @@ let open_exn ?warn ?(ctx = ctx) dir =
 (* store one entry, hand its file path back for corruption *)
 let populate dir =
   let t = open_exn dir in
-  Cache.store t ~kind:"k" ~key ~deps:[ dep ] payload;
+  Cache.store t ~kind:"k" ~key payload;
   Cache.entry_path t ~kind:"k" ~key
 
 let reject_count t cause =
@@ -58,9 +57,9 @@ let reject_count t cause =
 
 (* reload through a fresh handle and demand a rejection with this cause,
    the entry evicted, and nothing else counted as rejected *)
-let check_rejected name ?(deps = [ dep ]) ?ctx cause dir =
+let check_rejected name ?ctx cause dir =
   let t = open_exn ?ctx dir in
-  (match Cache.load t ~kind:"k" ~key ~deps with
+  (match Cache.load t ~kind:"k" ~key with
   | Some _ -> Alcotest.fail (name ^ ": corrupt entry was served")
   | None -> ());
   let st = Cache.stats t in
@@ -75,10 +74,10 @@ let check_rejected name ?(deps = [ dep ]) ?ctx cause dir =
 let test_roundtrip () =
   let dir = fresh_dir () in
   let t = open_exn dir in
-  Cache.store t ~kind:"k" ~key ~deps:[ dep ] payload;
+  Cache.store t ~kind:"k" ~key payload;
   Alcotest.(check (option string))
     "payload back" (Some payload)
-    (Cache.load t ~kind:"k" ~key ~deps:[ dep ]);
+    (Cache.load t ~kind:"k" ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "one hit" 1 st.Cache.hits;
   Alcotest.(check bool) "bytes read" true (st.Cache.bytes_read > 0);
@@ -94,7 +93,7 @@ let test_missing_entry_is_a_miss () =
   let t = open_exn dir in
   Alcotest.(check (option string))
     "miss" None
-    (Cache.load t ~kind:"k" ~key ~deps:[ dep ]);
+    (Cache.load t ~kind:"k" ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "counted as miss" 1 st.Cache.misses;
   Alcotest.(check int) "not a reject" 0
@@ -138,20 +137,6 @@ let test_key_mismatch () =
   flip_byte path Cache.off_key;
   check_rejected "key mismatch" "key-mismatch" dir
 
-let test_stale_dep () =
-  let dir = fresh_dir () in
-  let _ = populate dir in
-  check_rejected "dep digest changed"
-    ~deps:[ Digest.string "iface-2" ]
-    "stale-dep" dir
-
-let test_dep_count_mismatch () =
-  let dir = fresh_dir () in
-  let _ = populate dir in
-  check_rejected "dep added"
-    ~deps:[ dep; Digest.string "iface-2" ]
-    "stale-dep" dir
-
 let test_corrupt_payload () =
   let dir = fresh_dir () in
   let path = populate dir in
@@ -185,7 +170,7 @@ let test_lock_held_by_live_process () =
      under contention skips rather than waits *)
   write_file (Filename.concat dir ".lock") (string_of_int (Unix.getpid ()));
   Alcotest.(check bool) "lock refused" false (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~kind:"k" ~key ~deps:[] payload;
+  Cache.store t ~kind:"k" ~key payload;
   let st = Cache.stats t in
   Alcotest.(check bool) "store skipped" true (st.Cache.write_skips >= 1);
   Alcotest.(check (list string)) "nothing written" [] (Cache.entry_files t);
@@ -198,7 +183,7 @@ let test_stale_lock_broken () =
   write_file (Filename.concat dir ".lock") "99999999";
   Alcotest.(check bool) "stale lock broken" true
     (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~kind:"k" ~key ~deps:[] payload;
+  Cache.store t ~kind:"k" ~key payload;
   Alcotest.(check int) "store went through" 1
     (List.length (Cache.entry_files t))
 
@@ -213,12 +198,12 @@ let test_concurrent_stats () =
   let present =
     List.init 8 (fun i -> Digest.string (Printf.sprintf "present-%d" i))
   in
-  List.iter (fun k -> Cache.store t ~kind:"k" ~key:k ~deps:[] payload) present;
+  List.iter (fun k -> Cache.store t ~kind:"k" ~key:k payload) present;
   let ndom = 4 in
   let worker d () =
     List.iter
       (fun k ->
-        match Cache.load t ~kind:"k" ~key:k ~deps:[] with
+        match Cache.load t ~kind:"k" ~key:k with
         | Some p -> assert (p = payload)
         | None -> failwith "present entry missed")
       present;
@@ -226,12 +211,12 @@ let test_concurrent_stats () =
       ignore
         (Cache.load t ~kind:"k"
            ~key:(Digest.string (Printf.sprintf "absent-%d-%d" d i))
-           ~deps:[])
+           )
     done;
     for i = 0 to 3 do
       Cache.store t ~kind:"k"
         ~key:(Digest.string (Printf.sprintf "new-%d-%d" d i))
-        ~deps:[] payload
+        payload
     done
   in
   let doms = List.init ndom (fun d -> Domain.spawn (worker d)) in
@@ -413,9 +398,6 @@ let tests =
     Alcotest.test_case "version skew rejected" `Quick test_bad_version;
     Alcotest.test_case "foreign lattice rejected" `Quick test_context_mismatch;
     Alcotest.test_case "key mismatch rejected" `Quick test_key_mismatch;
-    Alcotest.test_case "stale dependency rejected" `Quick test_stale_dep;
-    Alcotest.test_case "dependency count change rejected" `Quick
-      test_dep_count_mismatch;
     Alcotest.test_case "payload corruption rejected" `Quick
       test_corrupt_payload;
     Alcotest.test_case "undecodable payload evicted" `Quick

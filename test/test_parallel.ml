@@ -1,4 +1,4 @@
-(* The multicore analysis engine (Pool + the wavefront/map-reduce drivers
+(* The multicore analysis engine (Pool + the wavefront scheduler
    in Analysis): determinism against the serial path, fault funneling, and
    graceful budget degradation under parallelism. *)
 
@@ -149,30 +149,52 @@ let test_budget_exhaustion_parallel () =
     modes
 
 let test_faulting_scc_isolated () =
-  (* [use] faults during analysis (its typedef was lost to parser
-     recovery, so interface construction raises): with jobs=4 the fault
-     degrades that function only, as in the serial engine *)
+  (* [use] and [body] fault during analysis (their typedef was lost to
+     parser recovery, so building [use]'s interface and [body]'s local
+     raise): in every mode, with jobs=4 the fault degrades those
+     functions only, as in the serial engine — mono's interface pass and
+     bodies, and the per-SCC isolation alike *)
   let src =
     "typedef int T, 5;\n\
      int use(T *p) { return *p; }\n\
+     int body(int *q) { T x; return *q; }\n\
      int ok(int *q) { return *q; }\n\
-     int caller(int *r) { return use(r) + ok(r); }\n"
+     int caller(int *r) { return use(r) + ok(r) + body(r); }\n"
   in
   List.iter
-    (fun jobs ->
-      let r = Support.run_source ~mode:Analysis.Poly ~jobs src in
-      let outcome f = List.assoc f r.Session.results.Report.outcomes in
-      (match outcome "ok" with
-      | Analysis.Analyzed -> ()
-      | Analysis.Degraded why -> Alcotest.failf "ok degraded: %s" why);
-      match outcome "use" with
-      | Analysis.Degraded _ -> ()
-      | Analysis.Analyzed -> Alcotest.fail "use should degrade")
-    [ 1; 4 ];
-  (* and the two engines agree on the whole report *)
-  let serial = Support.run_source ~mode:Analysis.Poly ~jobs:1 src in
-  let par = Support.run_source ~mode:Analysis.Poly ~jobs:4 src in
-  Alcotest.(check string) "fault parity" (digest serial) (digest par)
+    (fun (mname, mode) ->
+      let run jobs = Support.run_source ~mode ~jobs src in
+      List.iter
+        (fun jobs ->
+          let res = (run jobs).Session.results in
+          let outcome f = List.assoc f res.Report.outcomes in
+          (match outcome "ok" with
+          | Analysis.Analyzed -> ()
+          | Analysis.Degraded why ->
+              Alcotest.failf "%s jobs %d: ok degraded: %s" mname jobs why);
+          List.iter
+            (fun f ->
+              match outcome f with
+              | Analysis.Degraded _ -> ()
+              | Analysis.Analyzed ->
+                  Alcotest.failf "%s jobs %d: %s should degrade" mname jobs f)
+            [ "use"; "body" ];
+          (* a degraded SCC is forgotten, so its callers treat it as an
+             undeclared function; a degraded mono body keeps the
+             interface every caller links to, whatever their order *)
+          Alcotest.(check bool)
+            (Printf.sprintf "%s jobs %d: caller links to degraded body" mname
+               jobs)
+            (mode = Analysis.Mono)
+            (not
+               (List.mem "call to undeclared function body"
+                  res.Report.warnings)))
+        [ 1; 4 ];
+      (* and the two engines agree on the whole report *)
+      Alcotest.(check string)
+        (mname ^ ": fault parity")
+        (digest (run 1)) (digest (run 4)))
+    modes
 
 let tests =
   [
