@@ -2050,23 +2050,34 @@ let daemon_bench () =
   (* ---- single-unit edit + re-query ---- *)
   (* alternate appending and restoring one unit's source so every step
      is a real digest change; each sample is the daemon's full
-     edit-to-answer path: update, re-run, classify *)
+     edit-to-answer path: update, re-run, classify. The edit moves no
+     definition, so the warm rerun keeps every task: what remains is the
+     re-parse of the unit, the graph, the store rebuild and the report *)
   let edit_name, edit_src =
     match List.rev files with (n, s) :: _ -> (n, s) | [] -> assert false
   in
   let n_edits = 10 in
   let st0 = Session.stats t in
+  let rerun = ref 0 and full = ref 0 in
   let edit_samples =
     List.init n_edits (fun i ->
         let src = if i mod 2 = 0 then edit_src ^ "\n" else edit_src in
-        snd
-          (time (fun () ->
-               (match Session.update_unit t edit_name src with
-               | `Updated -> ()
-               | `Added | `Unchanged ->
-                   failwith "daemon bench: edit did not dirty the unit");
-               ignore (Session.run t);
-               ignore (Session.classify t keys.(0)))))
+        let dt =
+          snd
+            (time (fun () ->
+                 (match Session.update_unit t edit_name src with
+                 | `Updated -> ()
+                 | `Added | `Unchanged ->
+                     failwith "daemon bench: edit did not dirty the unit");
+                 ignore (Session.run t);
+                 ignore (Session.classify t keys.(0))))
+        in
+        (match (Session.stats t).Session.ss_last_rebuild with
+        | Some rb ->
+            rerun := !rerun + rb.Session.rb_tasks_rerun;
+            if rb.Session.rb_full then incr full
+        | None -> ());
+        dt)
   in
   let e_p50, e_p90, e_p99 = percentiles edit_samples in
   let speedup = cold_p50 /. e_p50 in
@@ -2079,6 +2090,7 @@ let daemon_bench () =
   and edit_misses = st.Session.ss_memo_misses - st0.Session.ss_memo_misses in
   Fmt.pr "AST memo over the edits: %d hits, %d misses@." edit_hits
     edit_misses;
+  Fmt.pr "warm reruns: %d tasks re-inferred, %d full runs@." !rerun !full;
 
   (* the warm session after all those edits must still render exactly
      what a cold analysis of the same sources renders *)
@@ -2097,18 +2109,19 @@ let daemon_bench () =
     = (n_edits * (List.length files - 1), n_edits))
     (Printf.sprintf " (%d hits / %d misses over %d edits)" edit_hits
        edit_misses n_edits);
-  (* Recorded, not enforced: the 10x edit-to-answer target. Only the
-     parse of clean units is saved; the monotone flat-arena store cannot
-     delete the edited unit's stale constraints, so every warm run
-     re-analyzes the whole program — a linear floor that caps the honest
-     edit speedup well short of 10x on this corpus. See ROADMAP
-     "sublinear warm rebuild". *)
+  check "every edit stays warm" (!full = 0)
+    (Printf.sprintf " (%d full runs, %d tasks re-inferred)" !full !rerun);
+  (* Recorded, not enforced: the 10x edit-to-answer target. A warm edit
+     re-infers only its cone, but still re-parses the edited unit and
+     replays every live atom into the rebuilt store; the one-unit
+     re-parse is now the largest stage, so the 10x waits on the
+     frontend (ROADMAP "allocation-lean frontend"). *)
   let meets_10x = speedup >= 10. in
   Fmt.pr "  [%s] edit + re-query >= 10x faster than cold measured %.1fx%s@."
     (if meets_10x then "ok" else "target unmet")
     speedup
     (if meets_10x then ""
-     else " (linear rebuild floor; recorded honestly, not enforced)");
+     else " (re-parse and rebuild floor; recorded honestly, not enforced)");
   Fmt.pr "%s@."
     (if !ok then "ALL DAEMON CHECKS PASSED" else "DAEMON CHECKS FAILED");
 
@@ -2154,6 +2167,8 @@ let daemon_bench () =
                  ("meets_10x_target", jb meets_10x);
                  ("memo_hits", ji edit_hits);
                  ("memo_misses", ji edit_misses);
+                 ("tasks_rerun", ji !rerun);
+                 ("full_runs", ji !full);
                ]) );
          ("warm_render_identical_to_cold", jb (warm_render = cold_render));
          ("all_checks_passed", jb !ok);

@@ -115,6 +115,10 @@ module Iset = struct
           (mem_add s okeys.(k) okeys.(k + 1) okeys.(k + 2) okeys.(k + 3))
       end
     done
+
+  let clear s =
+    Bytes.fill s.state 0 s.cap '\000';
+    s.count <- 0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -215,6 +219,9 @@ and t = {
   mutable s_memo_violate : int;
   mutable s_memo_misses : int;
   mutable s_skipped_batches : int;
+  mutable s_vars_base : int;
+      (* [nvars] when the counters were last reset: [vars_created] counts
+         the variables created since *)
 }
 
 and atom =
@@ -321,6 +328,7 @@ let create ?(cycle_elim = true) space =
     s_memo_violate = 0;
     s_memo_misses = 0;
     s_skipped_batches = 0;
+    s_vars_base = 0;
   }
 
 let space t = t.sp
@@ -332,7 +340,7 @@ let budget_tripped t =
 
 let stats t =
   {
-    vars_created = t.nvars;
+    vars_created = t.nvars - t.s_vars_base;
     vars_unified = t.s_unified;
     edges_added = t.s_edges;
     edges_deduped = t.s_dedup;
@@ -390,6 +398,33 @@ let note_memo_reject_may_violate t =
 
 let note_memo_miss t = t.s_memo_misses <- t.s_memo_misses + 1
 let note_skipped_batch t = t.s_skipped_batches <- t.s_skipped_batches + 1
+
+let reset_stats t =
+  t.s_vars_base <- t.nvars;
+  t.s_unified <- 0;
+  t.s_edges <- 0;
+  t.s_dedup <- 0;
+  t.s_cycles <- 0;
+  t.s_incr <- 0;
+  t.s_full <- 0;
+  t.s_pops <- 0;
+  t.s_solve_s <- 0.;
+  t.s_absorb_s <- 0.;
+  t.s_congen_s <- 0.;
+  t.s_generalize_s <- 0.;
+  t.s_compact_s <- 0.;
+  t.s_instantiate_s <- 0.;
+  t.s_report_s <- 0.;
+  t.s_sv_before <- 0;
+  t.s_sv_after <- 0;
+  t.s_se_before <- 0;
+  t.s_se_after <- 0;
+  t.s_memo_hits <- 0;
+  t.s_memo_cands <- 0;
+  t.s_memo_nonflat <- 0;
+  t.s_memo_violate <- 0;
+  t.s_memo_misses <- 0;
+  t.s_skipped_batches <- 0
 
 type phase = Congen | Generalize | Compact | Instantiate | Report
 
@@ -1343,6 +1378,89 @@ let absorb t ?bind (b : batch) =
 let batch_skippable ~bind (b : batch) =
   Array.length b.b_atoms = 0
   && Array.for_all (fun v -> Option.is_some (bind v)) b.b_vars
+
+(* ------------------------------------------------------------------ *)
+(* Segments and rebuild (the warm session's in-store deletion)        *)
+(* ------------------------------------------------------------------ *)
+
+(* A segment is the stretch of the arena one unit of client work (one
+   analysis task) produced: the variables it created, the atoms it
+   logged, and the ground violations it raised — which [add_leq_cc]
+   checks on the spot and never logs. A mark taken before the work and
+   read after it delimits all three. *)
+type mark = { mk_var : int; mk_log : int; mk_ground : error list }
+
+let mark t = { mk_var = t.nvars; mk_log = t.nlog; mk_ground = t.ground_errors }
+let mark_var m = m.mk_var
+let mark_log m = m.mk_log
+let num_atoms t = t.nlog
+
+let ground_since t m =
+  let rec take = function
+    | l when l == m.mk_ground -> []
+    | [] -> []
+    | e :: rest -> e :: take rest
+  in
+  take t.ground_errors
+
+(* Delete every atom outside [slices] by rebuilding the derived state from
+   the live ones: reset the union-find, bounds, solutions, chains,
+   provenance, dedup sets and error table of every variable, replay each
+   slice of the atom log in the order given through the normal add path
+   (which re-logs it, so the log ends up holding exactly the live atoms,
+   compacted), restore the live ground violations, and solve from
+   scratch. Variables are neither created nor freed: a dead segment's
+   variables stay in the arena as unconstrained singletons. Replaying the
+   live atoms in the order a fresh store would have received them makes
+   unions, partial cycle collapse and dedup — and so the structural
+   counters, which restart from zero — match that store's up to variable
+   renaming. Returns each slice's new start in the log. *)
+let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
+  if t.recorders <> [] then invalid_arg "Solver.rebuild: inside a recording";
+  let bot = Elt.bottom t.sp and top = Elt.top t.sp in
+  for i = 0 to t.nvars - 1 do
+    t.parent.(i) <- i;
+    t.rank.(i) <- 0;
+    t.lo_bound.(i) <- bot;
+    t.hi_bound.(i) <- top;
+    t.lo.(i) <- bot;
+    t.hi.(i) <- top;
+    t.succ_head.(i) <- -1;
+    t.pred_head.(i) <- -1;
+    t.lo_reasons.(i) <- [];
+    t.hi_reasons.(i) <- []
+  done;
+  dirty_reset t;
+  wl_reset t;
+  t.necells <- 0;
+  Iset.clear t.edge_seen;
+  Iset.clear t.bound_seen;
+  Hashtbl.reset t.errors;
+  t.s_unified <- 0;
+  t.s_edges <- 0;
+  t.s_dedup <- 0;
+  t.s_cycles <- 0;
+  let old = t.log in
+  let live = List.fold_left (fun n (_, len) -> n + len) 0 slices in
+  (* a little headroom for the next segments, so they do not double it *)
+  t.log <- (if live = 0 then [||] else Array.make (max 256 (live + (live / 8))) old.(0));
+  t.nlog <- 0;
+  let starts =
+    List.map
+      (fun (start, len) ->
+        let at = t.nlog in
+        for i = start to start + len - 1 do
+          match old.(i) with
+          | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t v c
+          | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c v
+          | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t x y
+        done;
+        at)
+      slices
+  in
+  t.ground_errors <- ground;
+  ignore (solve_from_scratch t : (unit, error list) result);
+  starts
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c

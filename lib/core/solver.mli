@@ -257,6 +257,47 @@ val batch_skippable : bind:(var -> var option) -> batch -> bool
     (common for leaf-function tasks) without perturbing variable-creation
     parity with a serial run. *)
 
+(** {1 Segments and rebuild}
+
+    A warm client keeps one store across edits: each unit of its work (an
+    analysis task) is a {e segment} of the arena, delimited by a {!mark}
+    taken before it. Deleting the segments an edit invalidated is a
+    {!rebuild} over the live ones. *)
+
+type mark
+(** a position in the store: variable count, atom-log length and the
+    ground violations so far *)
+
+val mark : t -> mark
+val mark_var : mark -> int
+(** the first variable id created after the mark *)
+
+val mark_log : mark -> int
+(** the first atom-log index written after the mark *)
+
+val num_atoms : t -> int
+(** atoms logged so far *)
+
+val ground_since : t -> mark -> error list
+(** the ground ([const <= const]) violations raised since the mark, newest
+    first: they are checked on insertion and never logged, so a segment
+    must carry them itself *)
+
+val rebuild : t -> slices:(int * int) list -> ground:error list -> int list
+(** [rebuild t ~slices ~ground] keeps only the atoms of the log slices
+    [(start, length)]: it resets every variable's derived state (union-find,
+    bounds, solutions, chains, provenance, dedup sets, the error table),
+    replays the slices in the order given through the normal add path —
+    the log is left holding exactly those atoms, in that order — sets the
+    ground violations to [ground], and solves from scratch. No variable is
+    created. The structural counters ([vars_unified], [edges_added],
+    [edges_deduped], [cycles_collapsed]) restart from zero, so afterwards
+    they describe the rebuilt system. Returns each slice's new start. *)
+
+val reset_stats : t -> unit
+(** zero every counter and phase time; [vars_created] then counts the
+    variables created from here on *)
+
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
     duplicate and vacuous atoms are dropped, and existentially bound

@@ -143,36 +143,103 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
   in
   params @ ret
 
+(** One function's measured positions with their stable keys (canonical,
+    structural). They depend only on the interface, the home unit and the
+    definition's signature and anchors, so a warm re-measure reuses them
+    while the interface is physically the same and the rest is equal; the
+    verdicts are always re-read. *)
+type fun_rows = {
+  mutable fr_def : Cast.fundef;
+  fr_iface : fsig;
+  fr_unit : string;
+  fr_rows : (position * Solver.var * string * string) list;
+  mutable fr_run : int;  (** the measurement that last used it *)
+}
+
+(** Measured rows by function name, for {!measure_indexed}'s [?prev]. *)
+type rows = (string, fun_rows) Hashtbl.t
+
+let run_counter = Atomic.make 0
+
+(* what {!positions_of_fun} reads of a definition *)
+let same_anchors (a : Cast.fundef) (b : Cast.fundef) =
+  Cast.equal_signature a b
+  && a.f_name_loc = b.f_name_loc
+  && a.f_param_locs = b.f_param_locs
+
+let keyed (p, var) =
+  let sk = structural_key p in
+  let ck = position_key p in
+  (p, var, (if ck = sk then sk (* one string for both *) else ck), sk)
+
 (** Classify every interesting position after solving.
 
     If the analysis ran under a {!Typequal.Budget} that tripped, the
     solver's least/greatest solutions may be partial, so every position is
     conservatively classified [Either] and every function is reported
     degraded (keeping any more specific per-function reason already
-    recorded). *)
-let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
-    : results * (position * verdict * Solver.var) list =
+    recorded). With [keys] (the default) every position comes with its
+    stable keys, and rows of [prev] are reused where they still apply;
+    [prev] is updated in place (a fresh table without it) and returned,
+    holding exactly this measurement's rows for the next call. Without,
+    the keys are empty and no row is kept. *)
+let measure_full ?(locate = fun _fname line -> ("", line)) ?prev
+    ?(keys = true) (env : Analysis.env) (ifaces : (string * fsig) list) :
+    results * (position * verdict * Solver.var * string * string) list * rows
+    =
   let store = env.Analysis.store in
   ignore (Solver.solve store : (unit, Solver.error list) result);
-  let type_errors = List.length (Solver.last_errors store) in
+  let type_errors = Solver.error_count store in
   let qual = env.Analysis.rules.Analysis.qr_name in
   let budget_trip =
     match env.Analysis.budget with
     | Some b -> Typequal.Budget.exhausted b
     | None -> None
   in
+  let rows : rows =
+    match prev with Some h -> h | None -> Hashtbl.create 1024
+  in
+  let run = Atomic.fetch_and_add run_counter 1 in
   let positions =
     List.concat_map
       (fun (name, iface) ->
         match Cprog.find_fun env.Analysis.prog name with
         | Some f -> (
-            try positions_of_fun ~qual ?locate env.Analysis.prog f iface
-            with Cprog.Frontend_error m ->
-              Analysis.degrade env name ("measurement failed: " ^ m);
-              [])
+            let unit = fst (locate name 1) in
+            match Hashtbl.find_opt rows name with
+            | Some fr
+              when fr.fr_iface == iface && fr.fr_unit = unit
+                   && (fr.fr_def == f || same_anchors fr.fr_def f) ->
+                (* hold the current definition, not a re-parse's
+                   predecessor (and its whole body) *)
+                fr.fr_def <- f;
+                fr.fr_run <- run;
+                fr.fr_rows
+            | _ -> (
+                match
+                  positions_of_fun ~qual ~locate env.Analysis.prog f iface
+                with
+                | ps when not keys -> List.map (fun (p, var) -> (p, var, "", "")) ps
+                | ps ->
+                    let fr_rows = List.map keyed ps in
+                    Hashtbl.replace rows name
+                      {
+                        fr_def = f;
+                        fr_iface = iface;
+                        fr_unit = unit;
+                        fr_rows;
+                        fr_run = run;
+                      };
+                    fr_rows
+                | exception Cprog.Frontend_error m ->
+                    Analysis.degrade env name ("measurement failed: " ^ m);
+                    []))
         | None -> [])
       ifaces
   in
+  Hashtbl.filter_map_inplace
+    (fun _ fr -> if fr.fr_run = run then Some fr else None)
+    rows;
   (* when the measured qualifier is an ordered coordinate, also report
      the inferred level range by name (never raw masks) *)
   let sp = Solver.space store in
@@ -187,7 +254,7 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
   in
   let classified =
     List.map
-      (fun (p, var) ->
+      (fun (p, var, ck, sk) ->
         let v =
           if budget_trip <> None then Either
           else
@@ -198,12 +265,15 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
         in
         let p =
           if budget_trip <> None then p
-          else { p with p_levels = level_range var }
+          else
+            match level_range var with
+            | None when p.p_levels = None -> p
+            | levels -> { p with p_levels = levels }
         in
-        (p, v, var))
+        (p, v, var, ck, sk))
       positions
   in
-  let pairs = List.map (fun (p, v, _) -> (p, v)) classified in
+  let pairs = List.map (fun (p, v, _, _, _) -> (p, v)) classified in
   let outcomes =
     List.map
       (fun (f : Cast.fundef) ->
@@ -221,51 +291,58 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
         (f.f_name, o))
       (Cprog.functions env.Analysis.prog)
   in
-  let count f = List.length (List.filter f pairs) in
+  let declared = ref 0 and possible = ref 0 and must = ref 0 and total = ref 0 in
+  List.iter
+    (fun (p, v) ->
+      incr total;
+      if p.p_declared then incr declared;
+      if v <> Must_not_const then incr possible;
+      if v = Must_const then incr must)
+    pairs;
   ( {
       positions = pairs;
-      declared = count (fun (p, _) -> p.p_declared);
-      possible = count (fun (_, v) -> v <> Must_not_const);
-      must = count (fun (_, v) -> v = Must_const);
-      total = List.length pairs;
+      declared = !declared;
+      possible = !possible;
+      must = !must;
+      total = !total;
       type_errors;
       warnings = env.Analysis.warnings;
       outcomes;
     },
-    classified )
+    classified,
+    rows )
 
-let measure ?locate env ifaces = fst (measure_full ?locate env ifaces)
+let measure ?locate env ifaces =
+  let r, _, _ = measure_full ?locate ~keys:false env ifaces in
+  r
 
 (** Like {!measure}, but also return an index from stable position keys
-    to the live position, verdict and solver variable, and every
-    position's canonical key in report order. Each position is
-    registered under its structural key and (when the anchor has column
-    precision) its canonical [unit:line:col@level] key; when two
-    positions share a key, the first in report order owns it. Only
-    meaningful against a live store — the index holds solver-variable
-    back-pointers and must not be marshaled. *)
-let measure_indexed ?locate env ifaces :
-    results * (string, position * verdict * Solver.var) Hashtbl.t
-    * string array =
-  let r, classified = measure_full ?locate env ifaces in
-  let index = Hashtbl.create 64 in
+    to the live position, verdict and solver variable, every position's
+    canonical key in report order, and the measured rows (pass them back
+    as [prev] to the next measurement of the same, re-analyzed store).
+    Each position is registered under its structural key and (when the
+    anchor has column precision) its canonical [unit:line:col@level] key;
+    when two positions share a key, the first in report order owns it.
+    Only meaningful against a live store — the index holds
+    solver-variable back-pointers and must not be marshaled. *)
+let measure_indexed ?locate ?prev env ifaces :
+    results
+    * (string, position * verdict * Solver.var) Hashtbl.t
+    * string array
+    * rows =
+  let r, classified, rows = measure_full ?locate ?prev env ifaces in
+  let index = Hashtbl.create (2 * List.length classified) in
   let keys = Array.make (List.length classified) "" in
   List.iteri
-    (fun n (p, v, var) ->
+    (fun n (p, v, var, ck, sk) ->
       let add k =
         if not (Hashtbl.mem index k) then Hashtbl.add index k (p, v, var)
       in
-      let sk = structural_key p in
       add sk;
-      let ck = position_key p in
-      keys.(n) <-
-        (if ck = sk then sk (* one string for both *)
-         else begin
-           add ck;
-           ck
-         end))
+      if ck != sk then add ck;
+      keys.(n) <- ck)
     classified;
-  (r, index, keys)
+  (r, index, keys, rows)
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

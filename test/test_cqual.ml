@@ -312,7 +312,7 @@ let test_fdg_order () =
   Alcotest.(check int) "3 sccs" 3 (Fdg.scc_count fdg);
   (* reverse topological: callee first *)
   Alcotest.(check (list (list string)))
-    "order" [ [ "c" ]; [ "b" ]; [ "a" ] ] fdg.Fdg.sccs
+    "order" [ [ "c" ]; [ "b" ]; [ "a" ] ] (Fdg.sccs fdg)
 
 let test_fdg_scc () =
   let src =
@@ -325,7 +325,7 @@ let test_fdg_scc () =
   let fdg = Fdg.build prog in
   Alcotest.(check int) "2 sccs" 2 (Fdg.scc_count fdg);
   Alcotest.(check int) "largest = 2" 2 (Fdg.largest_scc fdg);
-  (match fdg.Fdg.sccs with
+  (match (Fdg.sccs fdg) with
   | [ scc1; [ "main" ] ] ->
       Alcotest.(check (list string))
         "mutual pair" [ "even"; "odd" ]
@@ -340,7 +340,7 @@ let test_fdg_function_pointer_mention () =
   in
   let prog = Support.compile src in
   let fdg = Fdg.build prog in
-  match fdg.Fdg.sccs with
+  match (Fdg.sccs fdg) with
   | [ [ "cb" ]; [ "install" ] ] -> ()
   | sccs ->
       Alcotest.failf "unexpected sccs: %a"
