@@ -75,10 +75,10 @@ let small =
 
 (** The million-line-push workloads: deterministic multi-file projects
     with cross-file call graphs and mutual-recursion rings spanning every
-    file (see {!Gen.generate_project}). [scale] is what the [scale] bench
-    section and the CI scale-smoke job run; the line counts are targets —
-    the realized count is whatever the generator emits at or just above
-    the target. *)
+    file (see {!Gen.generate_project}). [scale] is [cqualc --bench
+    mega-project-sim]; gatebench's batch-mega generates the same shape at
+    300 kloc. The line counts are targets — the realized count is
+    whatever the generator emits at or just above the target. *)
 let scale =
   [
     {
@@ -89,7 +89,8 @@ let scale =
     };
   ]
 
-(** The reduced scale corpus for CI smoke runs (~100 kloc). *)
+(** The reduced scale corpus (~100 kloc): what the CI scale-smoke,
+    perf-smoke and cache-smoke jobs and the daemon bench run. *)
 let scale_smoke =
   [
     {

@@ -75,8 +75,8 @@ exception Error of string
 
 (** [Some cores] when [jobs] asks for more worker domains than the host
     can schedule — the caller should warn: oversubscribed domains contend
-    instead of parallelizing (BENCH_hotpath.json measured jobs-4 on one
-    core at ~7x slower than serial). *)
+    instead of parallelizing (jobs 4 on one core measured ~7x slower than
+    serial). *)
 let oversubscription ~jobs =
   let cores = Typequal.Pool.cores_available () in
   if jobs > cores then Some cores else None

@@ -293,15 +293,29 @@ let test_driver_cold_warm_corrupt () =
   let warm = Session.(run (create ~mode ~cache:cs files)) in
   Alcotest.(check string) "warm = cold" base (Test_parallel.digest warm);
   Alcotest.(check (pair int int)) "run-tier hit" (1, 0) (kind_counts cs "run");
-  (* flip a payload byte in the run entry: reject, recompute, identical *)
-  let path = run_entry_file cs in
-  flip_byte path (String.length (read_file path) - 1);
-  let cs = open_cache_exn dir in
-  let recovered = Session.(run (create ~mode ~cache:cs files)) in
-  Alcotest.(check string) "post-corruption = cold" base
-    (Test_parallel.digest recovered);
-  Alcotest.(check bool) "reject counted" true
-    (Hashtbl.fold (fun _ n acc -> n + acc) (cache_stats cs).Cache.rejects 0 >= 1);
+  (* each fault in the run entry: rejected and counted under its own
+     cause, then recomputed to the cold report. The warm run before each
+     fault makes sure the run entry is there. *)
+  List.iter
+    (fun (cause, corrupt) ->
+      let cs = open_cache_exn dir in
+      ignore Session.(run (create ~mode ~cache:cs files));
+      corrupt (run_entry_file cs);
+      let cs = open_cache_exn dir in
+      let recovered = Session.(run (create ~mode ~cache:cs files)) in
+      Alcotest.(check string) (cause ^ ": report = cold") base
+        (Test_parallel.digest recovered);
+      Alcotest.(check (list (pair string int)))
+        (cause ^ ": the only reject, counted once")
+        [ (cause, 1) ]
+        (Hashtbl.fold (fun c n acc -> (c, n) :: acc)
+           (cache_stats cs).Cache.rejects []))
+    [
+      ("truncated", fun p -> truncate_to p (String.length (read_file p) / 2));
+      ("corrupt", fun p -> flip_byte p (String.length (read_file p) - 1));
+      ("bad-magic", fun p -> flip_byte p Cache.off_magic);
+      ("bad-version", fun p -> flip_byte p (Cache.off_version + 1));
+    ];
   (* parallel warm run: same report under jobs:4 *)
   let cs = open_cache_exn dir in
   let par = Session.(run (create ~mode ~jobs:4 ~cache:cs files)) in

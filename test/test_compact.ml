@@ -488,6 +488,33 @@ let test_memo_session_tier () =
   Alcotest.(check bool) "second occurrence hits" true
     (st.S.instantiations_memo_hits >= 1)
 
+(* The chains workload at bench size (32 kloc of deep helper chains,
+   poly, jobs 1): compaction must cut the variables created at least in
+   half and change nothing a user sees. *)
+let test_chains_32k_reduction () =
+  let open Cqual in
+  let src = Cbench.Gen.generate_chains ~seed:7 ~target_lines:32_000 () in
+  let run compact =
+    Session.run_sources ~mode:Analysis.Poly ~jobs:1 ~compact
+      [ ("chains.c", src) ]
+  in
+  let on = run true and off = run false in
+  let vars (r : Session.run) = r.Session.solver_stats.S.vars_created in
+  Alcotest.(check bool)
+    (Printf.sprintf "poly vars_created %d (off) >= 2x %d (on)" (vars off)
+       (vars on))
+    true
+    (vars off >= 2 * vars on);
+  let seen (r : Session.run) =
+    let res = r.Session.results in
+    ( (res.Report.possible, res.Report.must, res.Report.type_errors),
+      List.map (Fmt.str "%a" Report.pp_position) res.Report.positions )
+  in
+  let counts_on, pos_on = seen on and counts_off, pos_off = seen off in
+  Alcotest.(check (triple int int int))
+    "possible, must, type_errors" counts_off counts_on;
+  Alcotest.(check (list string)) "positions" pos_off pos_on
+
 (* ------------------------------------------------------------------ *)
 (* Phase timers: disjoint accounting must not exceed the wall clock     *)
 (* ------------------------------------------------------------------ *)
@@ -551,4 +578,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_never_violate_sound;
     QCheck_alcotest.to_alcotest prop_end_to_end_invisible;
     QCheck_alcotest.to_alcotest prop_end_to_end_chains;
+    Alcotest.test_case "chains 32 kloc: >= 2x fewer vars, same report" `Slow
+      test_chains_32k_reduction;
   ]

@@ -86,6 +86,11 @@ let localize starts (ds : Diag.t list) : (int * Diag.t) list =
              name d ))
        ds)
 
+let frontend_stats (r : Session.run) =
+  match r.Session.frontend with
+  | Some fs -> fs
+  | None -> Alcotest.fail "expected per-unit frontend stats"
+
 (* serial, jobs 4 and the one-unit oracle must agree observably *)
 let check_parity ?mode ?max_errors what files =
   let r = run ?mode ?max_errors ~jobs:1 files in
@@ -122,6 +127,12 @@ let test_parity_generated () =
       let files =
         Cbench.Gen.generate_project ~seed ~target_lines:2000 ()
       in
+      (* a generated project threads no typedef, enum or tag across
+         units, so linking re-parses nothing *)
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: no link reparses" seed)
+        0
+        (frontend_stats (run ~mode:Analysis.Mono files)).Session.fs_reparsed;
       List.iter
         (fun (mname, mode) ->
           ignore
@@ -181,11 +192,6 @@ let test_mixed_diagnostic_order () =
   ignore (check_parity ~mode:Analysis.Mono "mixed diag order" files)
 
 (* ---------------- cross-unit environment threading ---------------- *)
-
-let frontend_stats (r : Session.run) =
-  match r.Session.frontend with
-  | Some fs -> fs
-  | None -> Alcotest.fail "expected per-unit frontend stats"
 
 let test_typedef_threading () =
   (* unit 2 uses a typedef exported by unit 1: its speculative parse
@@ -318,9 +324,10 @@ let test_many_degraded_outcomes () =
       | Analysis.Analyzed -> Alcotest.failf "%s unexpectedly analyzed" name)
     outs
 
-(* ---------------- per-unit AST cache ---------------- *)
+(* ---------------- scratch directories ---------------- *)
 
-let with_cache_dir f =
+(* a scratch directory, removed with its files afterwards *)
+let with_temp_dir f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -338,6 +345,74 @@ let with_cache_dir f =
       with Sys_error _ -> ())
     (fun () -> f dir)
 
+(* ---------------- peak heap: linked units vs one file ---------------- *)
+
+(* the built cqualc's stdout; it must exit 0 *)
+let cqualc args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/cqualc.exe"
+  in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "cqualc %s failed" (String.concat " " args)
+
+(* midi-project-sim's units through cqualc, and the same units
+   concatenated into one file: parsing and linking unit by unit must
+   peak strictly below one whole-program parse in each mode, and every
+   line outside the header and --stats lines must agree *)
+let test_peak_heap_below_one_file () =
+  let files = Cbench.Suite.project_of (List.hd Cbench.Suite.scale_smoke) in
+  with_temp_dir (fun dir ->
+      let write name src =
+        let path = Filename.concat dir name in
+        Out_channel.with_open_bin path (fun oc -> output_string oc src);
+        path
+      in
+      let units = List.map (fun (name, src) -> write name src) files in
+      let whole = write "whole.c" (fst (Cfront.Cprog.concat_units files)) in
+      (* the peak from "heap N words (peak M)" on the solver: line, and
+         the lines below the header *)
+      let run mode inputs =
+        let lines =
+          String.split_on_char '\n'
+            (cqualc
+               ([ "--mode"; mode; "--stats"; "--positions"; "--jobs"; "1" ]
+               @ inputs))
+        in
+        let peak =
+          List.find_map
+            (fun l ->
+              List.find_map
+                (fun part -> Scanf.sscanf_opt part "peak %d)" Fun.id)
+                (String.split_on_char '(' l))
+            lines
+        in
+        let header l =
+          List.exists
+            (fun pre -> String.starts_with ~prefix:pre l)
+            [ "==="; "lines:"; "solver:"; "fdg:"; "frontend:" ]
+        in
+        (peak, List.filter (fun l -> not (header l)) lines)
+      in
+      List.iter
+        (fun mode ->
+          let pu_peak, pu_body = run mode units
+          and one_peak, one_body = run mode [ whole ] in
+          match (pu_peak, one_peak) with
+          | Some pu, Some one ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: per-unit peak %d words < one file's %d"
+                   mode pu one)
+                true (pu < one);
+              Alcotest.(check (list string))
+                (mode ^ ": positions agree") one_body pu_body
+          | _ -> Alcotest.failf "%s: no peak heap in --stats" mode)
+        [ "mono"; "poly" ])
+
+(* ---------------- per-unit AST cache ---------------- *)
+
 let unit_counts (cs : Session.cache_spec) =
   match
     Hashtbl.find_opt (Typequal.Cache.stats cs.Session.cs_cache).Typequal.Cache.by_kind
@@ -347,7 +422,7 @@ let unit_counts (cs : Session.cache_spec) =
   | None -> (0, 0)
 
 let test_dirty_unit_reparses_one () =
-  with_cache_dir (fun dir ->
+  with_temp_dir (fun dir ->
       let files = Cbench.Gen.generate_project ~seed:31 ~target_lines:1500 () in
       let nunits = List.length files in
       Alcotest.(check bool) "project has several units" true (nunits > 1);
@@ -413,4 +488,6 @@ let tests =
       test_dirty_unit_reparses_one;
     Alcotest.test_case "oversubscription predicate" `Quick
       test_oversubscription;
+    Alcotest.test_case "per-unit peak heap below one file (cqualc)" `Slow
+      test_peak_heap_below_one_file;
   ]
