@@ -97,8 +97,8 @@ let run_flow name src insensitive =
       ~mode:(if insensitive then Flow.Insensitive else Flow.Sensitive)
       src
   with
-  | Error m ->
-      Fmt.epr "error: %s@." m;
+  | Error diags ->
+      List.iter (fun d -> Fmt.epr "%a@." Cfront.Diag.pp d) diags;
       2
   | Ok r ->
       Fmt.pr "=== %s (flow-%s taint) ===@." name

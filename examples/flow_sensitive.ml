@@ -15,7 +15,8 @@ let show title src =
   let run mode =
     match Flow.analyze_source ~mode src with
     | Ok r -> r.Flow.errors
-    | Error m -> [ "parse error: " ^ m ]
+    | Error diags ->
+        List.map (fun d -> "parse error: " ^ Cfront.Diag.to_string d) diags
   in
   let sens = run Flow.Sensitive and insens = run Flow.Insensitive in
   Fmt.pr "  flow-insensitive: %s@."

@@ -5,25 +5,23 @@
     pointers, parenthesized declarators), struct/union/enum definitions,
     typedefs (names tracked so casts and declarations disambiguate), the
     whole C expression grammar with correct precedence, and the usual
-    statements. Menhir is not available in this environment, so the parser
-    is hand-written over the ocamllex token stream. *)
+    statements. The parser is hand-written over the flat token buffer of
+    {!Clexer.tokenize_buf}; parsing an expression allocates only its AST
+    nodes. *)
 
 open Cast
 
 exception Parse_error of string * Diag.span
 
 type st = {
+  tb : Tokbuf.t;  (* spans are rebuilt from it only on paths that report
+                     them *)
   t_toks : Ctoken.t array;  (* flat token array; last entry is EOF *)
-  t_spans : int array;  (* 4 ints per token (sl, sc, el, ec); spans are
-                           rebuilt lazily, only on paths that report them *)
   t_len : int;
   mutable pos : int;
   typedefs : (string, unit) Hashtbl.t;
   enum_consts : (string, int) Hashtbl.t;
   mutable anon : int;
-  recover : bool;
-      (* panic-mode recovery: function bodies that fail to parse demote to
-         prototypes instead of aborting the file *)
   mutable diags : Diag.t list;  (* reverse order *)
   mutable n_diags : int;  (* List.length diags, maintained incrementally *)
   mutable degraded : (string * string) list;  (* (function, reason) *)
@@ -32,62 +30,28 @@ type st = {
          typedef exports, replayed into the link environment *)
   mutable new_enums : (string * int) list;
       (* enum constants registered while parsing, newest first *)
-  mutable last_params : (string * Diag.span) list;
-      (* name spans of the parameter list parsed most recently — set by
+  mutable last_params : (string * int) list;
+      (* name tokens of the parameter list parsed most recently — set by
          [parse_params] on completion, so after a declarator like
-         [int foo(int a, char *b)] it holds a's and b's name spans. Inner
+         [int foo(int a, char *b)] it holds a's and b's name tokens. Inner
          (function-pointer) parameter lists finish before the enclosing
          one, which overwrites them; [parse_global] re-aligns by name and
          falls back to (0,0) on any mismatch. *)
 }
 
-(* A unit parse may be seeded with the accumulated environment of the
-   units linked before it: their typedef and enum-constant exports and
-   the running anonymous-tag counter, so [struct$N] numbering and
-   typedef-sensitive disambiguation match a whole-program parse. *)
-let make_state_tb ?(recover = false) ?(typedefs = []) ?(enums = [])
-    ?(anon = 0) (tb : Tokbuf.t) =
-  let tds = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace tds n ()) typedefs;
-  let ecs = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace ecs n v) enums;
-  {
-    t_toks = tb.Tokbuf.toks;
-    t_spans = tb.Tokbuf.spans;
-    t_len = tb.Tokbuf.n;
-    pos = 0;
-    typedefs = tds;
-    enum_consts = ecs;
-    anon;
-    recover;
-    diags = [];
-    n_diags = 0;
-    degraded = [];
-    new_typedefs = [];
-    new_enums = [];
-    last_params = [];
-  }
-
-let make_state toks = make_state_tb (Tokbuf.of_list toks)
-
 let add_diag st d =
   st.diags <- d :: st.diags;
   st.n_diags <- st.n_diags + 1
 
+(* [peek] is compared with [==] against constant constructors: those
+   are immediates, so physical equality is token equality, without a
+   call to the polymorphic compare. *)
 let peek st = st.t_toks.(st.pos)
 let peek2 st =
   if st.pos + 1 < st.t_len then st.t_toks.(st.pos + 1) else Ctoken.EOF
 
-let span st : Diag.span =
-  let o = 4 * st.pos in
-  {
-    Diag.sl = st.t_spans.(o);
-    sc = st.t_spans.(o + 1);
-    el = st.t_spans.(o + 2);
-    ec = st.t_spans.(o + 3);
-  }
-
-let line st = st.t_spans.(4 * st.pos)
+let span st : Diag.span = Tokbuf.span st.tb st.pos
+let line st = Tokbuf.line st.tb st.pos
 
 let next st =
   let t = st.t_toks.(st.pos) in
@@ -96,26 +60,26 @@ let next st =
 
 let err st msg = raise (Parse_error (msg, span st))
 
-let expect st t =
-  let sp = span st in
+(* The error paths below report the span of the token [next] consumed,
+   at [pos]; it is built only then. *)
+let fail_at st pos fmt =
+  Printf.ksprintf
+    (fun msg -> raise (Parse_error (msg, Tokbuf.span st.tb pos)))
+    fmt
+
+(* [t] is always a constant constructor *)
+let expect st (t : Ctoken.t) =
+  let pos = st.pos in
   let got = next st in
-  if got <> t then
-    raise
-      (Parse_error
-         ( Printf.sprintf "expected `%s', got `%s'" (Ctoken.to_string t)
-             (Ctoken.to_string got),
-           sp ))
+  if got != t then
+    fail_at st pos "expected `%s', got `%s'" (Ctoken.to_string t)
+      (Ctoken.to_string got)
 
 let ident st =
-  let sp = span st in
+  let pos = st.pos in
   match next st with
   | Ctoken.IDENT x -> x
-  | t ->
-      raise
-        (Parse_error
-           ( Printf.sprintf "expected identifier, got `%s'"
-               (Ctoken.to_string t),
-             sp ))
+  | t -> fail_at st pos "expected identifier, got `%s'" (Ctoken.to_string t)
 
 let fresh_anon st prefix =
   st.anon <- st.anon + 1;
@@ -153,23 +117,84 @@ type specs = {
   s_extern : bool;
 }
 
-(* binary operators by precedence level, loosest first *)
-let binop_levels =
-  [|
-    [ (Ctoken.BARBAR, LOr) ];
-    [ (Ctoken.AMPAMP, LAnd) ];
-    [ (Ctoken.BAR, BOr) ];
-    [ (Ctoken.CARET, BXor) ];
-    [ (Ctoken.AMP, BAnd) ];
-    [ (Ctoken.EQEQ, Eq); (Ctoken.NE, Ne) ];
-    [ (Ctoken.LT, Lt); (Ctoken.GT, Gt); (Ctoken.LE, Le); (Ctoken.GE, Ge) ];
-    [ (Ctoken.SHL, Shl); (Ctoken.SHR, Shr) ];
-    [ (Ctoken.PLUS, Add); (Ctoken.MINUS, Sub) ];
-    [ (Ctoken.STAR, Mul); (Ctoken.SLASH, Div); (Ctoken.PERCENT, Mod) ];
-  |]
+(* A binary operator's precedence, loosest 1 to tightest 10, and its
+   operator; precedence 0 for a token that is no binary operator. The
+   pairs are constants, so the lookup allocates nothing. *)
+let binop_info : Ctoken.t -> int * binop = function
+  | Ctoken.BARBAR -> (1, LOr)
+  | AMPAMP -> (2, LAnd)
+  | BAR -> (3, BOr)
+  | CARET -> (4, BXor)
+  | AMP -> (5, BAnd)
+  | EQEQ -> (6, Eq)
+  | NE -> (6, Ne)
+  | LT -> (7, Lt)
+  | GT -> (7, Gt)
+  | LE -> (7, Le)
+  | GE -> (7, Ge)
+  | SHL -> (8, Shl)
+  | SHR -> (8, Shr)
+  | PLUS -> (9, Add)
+  | MINUS -> (9, Sub)
+  | STAR -> (10, Mul)
+  | SLASH -> (10, Div)
+  | PERCENT -> (10, Mod)
+  | _ -> (0, Add)
+
+(* the operator of a compound assignment token *)
+let assign_op : Ctoken.t -> binop option = function
+  | Ctoken.PLUS_ASSIGN -> Some Add
+  | MINUS_ASSIGN -> Some Sub
+  | STAR_ASSIGN -> Some Mul
+  | SLASH_ASSIGN -> Some Div
+  | PERCENT_ASSIGN -> Some Mod
+  | AMP_ASSIGN -> Some BAnd
+  | BAR_ASSIGN -> Some BOr
+  | CARET_ASSIGN -> Some BXor
+  | SHL_ASSIGN -> Some Shl
+  | SHR_ASSIGN -> Some Shr
+  | _ -> None
+
+(* the name of the IDENT token at [i] *)
+let name_at st i =
+  match st.t_toks.(i) with Ctoken.IDENT x -> x | _ -> assert false
+
+(* ptr_quals is reversed source order (head = last star); the first star
+   in source order is the innermost pointer, so fold source order left *)
+let apply_ptrs ptr_quals b =
+  List.fold_left (fun t q -> TPtr (t, q)) b (List.rev ptr_quals)
+
+(* the first suffix in source order is outermost: a[2][3] is array 2 of
+   array 3 of the base *)
+let apply_suffixes sfx b =
+  List.fold_right
+    (fun s inner ->
+      match s with
+      | `Arr n -> TArray (inner, n, no_quals)
+      | `Fn (ps, va) -> TFun (inner, ps, va))
+    sfx b
+
+(* the base type [b] a decl-spec names, unless one is already named *)
+let set_base st cur b =
+  match cur with
+  | None -> b
+  | Some _ -> err st "two base types in declaration"
+
+let ikind_of signed b =
+  match (b, signed) with
+  | `Char, Some false -> IUChar
+  | `Char, _ -> IChar
+  | `Short, Some false -> IUShort
+  | `Short, _ -> IShort
+  | `Int, Some false -> IUInt
+  | `Int, _ -> IInt
+  | `Long, Some false -> IULong
+  | `Long, _ -> ILong
+  | _ -> IInt
 
 (* Struct/union/enum definitions encountered inside decl-specs are hoisted
-   out as extra globals; the caller collects them. *)
+   out as extra globals; the caller collects them. The state is in local
+   refs no closure captures, so it lives in registers. *)
 let rec parse_decl_specs st (hoist : global list ref) : specs =
   let quals = ref [] in
   let signed = ref None in
@@ -178,11 +203,6 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
   let is_typedef_kw = ref false in
   let is_static = ref false in
   let is_extern = ref false in
-  let set_base b =
-    match !base with
-    | None -> base := Some b
-    | Some _ -> err st "two base types in declaration"
-  in
   let continue_ = ref true in
   while !continue_ do
     (match peek st with
@@ -204,18 +224,18 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         is_extern := true
     | KW_VOID ->
         ignore (next st);
-        set_base `Void
+        base := set_base st !base (Some `Void)
     | KW_CHAR ->
         ignore (next st);
-        set_base `Char
+        base := set_base st !base (Some `Char)
     | KW_SHORT ->
         ignore (next st);
-        set_base `Short
+        base := set_base st !base (Some `Short)
     | KW_INT -> (
         ignore (next st);
         match !base with
         | Some (`Short | `Long) | None ->
-            if !base = None then set_base `Int
+            if !base = None then base := Some `Int
         | Some _ -> err st "two base types in declaration")
     | KW_LONG ->
         ignore (next st);
@@ -223,10 +243,10 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         if !base = None || !base = Some `Int then base := Some `Long
     | KW_FLOAT ->
         ignore (next st);
-        set_base `Float
+        base := set_base st !base (Some `Float)
     | KW_DOUBLE ->
         ignore (next st);
-        set_base `Double
+        base := set_base st !base (Some `Double)
     | KW_SIGNED ->
         ignore (next st);
         signed := Some true
@@ -234,7 +254,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         ignore (next st);
         signed := Some false
     | KW_STRUCT | KW_UNION ->
-        let is_union = peek st = KW_UNION in
+        let is_union = peek st == KW_UNION in
         ignore (next st);
         let tag =
           match peek st with
@@ -243,11 +263,11 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
               x
           | _ -> fresh_anon st (if is_union then "union" else "struct")
         in
-        if peek st = LBRACE then begin
+        if peek st == LBRACE then begin
           let fields = parse_fields st hoist in
           hoist := GComp (tag, is_union, fields, line st) :: !hoist
         end;
-        set_base (`Struct tag)
+        base := set_base st !base (Some (`Struct tag))
     | KW_ENUM ->
         ignore (next st);
         let tag =
@@ -257,7 +277,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
               x
           | _ -> fresh_anon st "enum"
         in
-        if peek st = LBRACE then begin
+        if peek st == LBRACE then begin
           ignore (next st);
           let items = ref [] in
           let v = ref 0 in
@@ -299,36 +319,26 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
           hoist := GEnum (tag, List.rev !items, line st) :: !hoist
         end;
         (* enums are ints for the analysis *)
-        set_base `Int
+        base := set_base st !base (Some `Int)
     | IDENT x when is_typedef st x && !base = None && !signed = None ->
         ignore (next st);
-        set_base (`Named x)
+        base := set_base st !base (Some (`Named x))
     | _ -> continue_ := false);
     if !base <> None && not (starts_spec_continuation st) then continue_ := false
   done;
   let q = List.sort_uniq compare !quals in
-  let ikind_of b =
-    match (b, !signed) with
-    | `Char, Some false -> IUChar
-    | `Char, _ -> IChar
-    | `Short, Some false -> IUShort
-    | `Short, _ -> IShort
-    | `Int, Some false -> IUInt
-    | `Int, _ -> IInt
-    | `Long, Some false -> IULong
-    | `Long, _ -> ILong
-    | _ -> IInt
-  in
   let base_t =
     match !base with
     | Some `Void -> TVoid q
-    | Some ((`Char | `Short | `Int | `Long) as b) -> TInt (ikind_of b, q)
+    | Some ((`Char | `Short | `Int | `Long) as b) ->
+        TInt (ikind_of !signed b, q)
     | Some `Float -> TFloat (FFloat, q)
     | Some `Double -> TFloat (FDouble, q)
     | Some (`Struct tag) -> TStruct (tag, q)
     | Some (`Named x) -> TNamed (x, q)
     | None ->
-        if !signed <> None || !long_count > 0 then TInt (ikind_of `Int, q)
+        if !signed <> None || !long_count > 0 then
+          TInt (ikind_of !signed `Int, q)
         else TInt (IInt, q) (* implicit int, as in K&R C *)
   in
   {
@@ -351,94 +361,84 @@ and starts_spec_continuation st =
 (* Declarators                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A parsed declarator: optional name (with the span of its defining
-   token, anchoring the report's position keys) plus a function that
-   wraps the base type into the declared type (the standard inside-out
-   construction). *)
-and parse_declarator st (hoist : global list ref) :
-    (string * Diag.span) option * (ctype -> ctype) =
-  (* pointer prefix: each star may carry its own qualifiers *)
-  let rec ptrs acc =
-    match peek st with
-    | Ctoken.STAR ->
-        ignore (next st);
-        let rec qs acc =
-          match peek st with
-          | Ctoken.KW_CONST ->
-              ignore (next st);
-              qs (add_qual "const" acc)
-          | QUALNAME q ->
-              ignore (next st);
-              qs (add_qual q acc)
-          | KW_VOLATILE ->
-              ignore (next st);
-              qs acc
-          | _ -> acc
-        in
-        ptrs (qs no_quals :: acc)
-    | _ -> acc
-  in
-  let ptr_quals = ptrs [] in
-  (* ptr_quals is reversed source order (head = last star); the first star
-     in source order is the innermost pointer, so fold source order left *)
-  let apply_ptrs b =
-    List.fold_left (fun t q -> TPtr (t, q)) b (List.rev ptr_quals)
-  in
+(* A parsed declarator: the index of its name token (anchoring the
+   report's position keys), or -1 for an abstract declarator, plus a
+   function that wraps the base type into the declared type (the standard
+   inside-out construction). A plain name wraps with [Fun.id], so only a
+   declarator with a pointer, a suffix or parentheses allocates one. *)
+and parse_declarator st (hoist : global list ref) : int * (ctype -> ctype) =
+  let ptr_quals = parse_ptrs st [] in
   (* direct declarator *)
-  let name, wrap_direct =
-    match peek st with
-    | Ctoken.IDENT x ->
-        let sp = span st in
-        ignore (next st);
-        (Some (x, sp), fun t -> t)
-    | LPAREN when is_nested_declarator st ->
-        ignore (next st);
-        let n, w = parse_declarator st hoist in
-        expect st RPAREN;
-        (n, w)
-    | _ -> (None, fun t -> t)
-    (* abstract declarator *)
+  let name = ref (-1) and wrap_direct = ref Fun.id in
+  (match peek st with
+  | Ctoken.IDENT _ ->
+      name := st.pos;
+      ignore (next st)
+  | LPAREN when is_nested_declarator st ->
+      ignore (next st);
+      let n, w = parse_declarator st hoist in
+      expect st RPAREN;
+      name := n;
+      wrap_direct := w
+  | _ -> () (* abstract declarator *));
+  let sfx = parse_suffixes st hoist [] in
+  let wrap =
+    match (ptr_quals, sfx) with
+    | [], [] -> !wrap_direct
+    | _ ->
+        let wrap_direct = !wrap_direct in
+        fun base -> wrap_direct (apply_suffixes sfx (apply_ptrs ptr_quals base))
   in
-  (* suffixes *)
-  let rec suffixes acc =
-    match peek st with
-    | Ctoken.LBRACKET ->
-        ignore (next st);
-        let n =
-          match peek st with
-          | INT_LIT n ->
-              ignore (next st);
-              Some n
-          | IDENT x when Hashtbl.mem st.enum_consts x ->
-              ignore (next st);
-              Some (Hashtbl.find st.enum_consts x)
-          | RBRACKET -> None
-          | _ ->
-              (* skip a constant expression we do not evaluate *)
-              skip_until_bracket st;
-              None
-        in
-        expect st RBRACKET;
-        suffixes (`Arr n :: acc)
-    | LPAREN ->
-        ignore (next st);
-        let params, varargs = parse_params st hoist in
-        expect st RPAREN;
-        suffixes (`Fn (params, varargs) :: acc)
-    | _ -> List.rev acc
-  in
-  let sfx = suffixes [] in
-  (* the first suffix in source order is outermost: a[2][3] is array 2 of
-     array 3 of the base *)
-  let apply_suffixes b =
-    List.fold_right
-      (fun s inner ->
-        match s with
-        | `Arr n -> TArray (inner, n, no_quals)
-        | `Fn (ps, va) -> TFun (inner, ps, va))
-      sfx b
-  in
-  (name, fun base -> wrap_direct (apply_suffixes (apply_ptrs base)))
+  (!name, wrap)
+
+(* pointer prefix, each star with its own qualifiers, newest first *)
+and parse_ptrs st acc =
+  match peek st with
+  | Ctoken.STAR ->
+      ignore (next st);
+      parse_ptrs st (parse_ptr_quals st no_quals :: acc)
+  | _ -> acc
+
+and parse_ptr_quals st acc =
+  match peek st with
+  | Ctoken.KW_CONST ->
+      ignore (next st);
+      parse_ptr_quals st (add_qual "const" acc)
+  | QUALNAME q ->
+      ignore (next st);
+      parse_ptr_quals st (add_qual q acc)
+  | KW_VOLATILE ->
+      ignore (next st);
+      parse_ptr_quals st acc
+  | _ -> acc
+
+(* array and parameter-list suffixes, in source order *)
+and parse_suffixes st hoist acc =
+  match peek st with
+  | Ctoken.LBRACKET ->
+      ignore (next st);
+      let n =
+        match peek st with
+        | INT_LIT n ->
+            ignore (next st);
+            Some n
+        | IDENT x when Hashtbl.mem st.enum_consts x ->
+            ignore (next st);
+            Some (Hashtbl.find st.enum_consts x)
+        | RBRACKET -> None
+        | _ ->
+            (* skip a constant expression we do not evaluate *)
+            skip_until_bracket st;
+            None
+      in
+      expect st RBRACKET;
+      parse_suffixes st hoist (`Arr n :: acc)
+  | LPAREN ->
+      ignore (next st);
+      let params, varargs = parse_params st hoist in
+      expect st RPAREN;
+      parse_suffixes st hoist (`Fn (params, varargs) :: acc)
+  | _ -> List.rev acc
 
 and skip_until_bracket st =
   let depth = ref 0 in
@@ -468,47 +468,44 @@ and is_nested_declarator st =
   | _ -> false
 
 and parse_params st hoist : (string * ctype) list * bool =
-  let finish acc varargs =
-    let params = List.rev acc in
-    st.last_params <-
-      List.filter_map
-        (fun (name, _, sp) -> Option.map (fun sp -> (name, sp)) sp)
-        params;
-    (List.map (fun (name, t, _) -> (name, t)) params, varargs)
-  in
   match peek st with
-  | Ctoken.RPAREN -> finish [] false
-  | KW_VOID when peek2 st = RPAREN ->
+  | Ctoken.RPAREN -> finish_params st [] [] false
+  | KW_VOID when peek2 st == RPAREN ->
       ignore (next st);
-      finish [] false
+      finish_params st [] [] false
+  | _ -> parse_param_list st hoist [] []
+
+(* [params] and the name tokens of the named ones, newest first *)
+and parse_param_list st hoist params names =
+  match peek st with
+  | Ctoken.ELLIPSIS ->
+      ignore (next st);
+      finish_params st params names true
   | _ ->
-      let rec go acc =
-        match peek st with
-        | Ctoken.ELLIPSIS ->
-            ignore (next st);
-            finish acc true
-        | _ ->
-            let specs = parse_decl_specs st hoist in
-            let name, wrap = parse_declarator st hoist in
-            let t = wrap specs.base in
-            let name, sp =
-              match name with
-              | Some (n, sp) -> (n, Some sp)
-              | None -> (Printf.sprintf "$p%d" (List.length acc), None)
-            in
-            let acc = (name, t, sp) :: acc in
-            if peek st = COMMA then begin
-              ignore (next st);
-              go acc
-            end
-            else finish acc false
+      let specs = parse_decl_specs st hoist in
+      let name, wrap = parse_declarator st hoist in
+      let t = wrap specs.base in
+      let params, names =
+        if name < 0 then
+          ((Printf.sprintf "$p%d" (List.length params), t) :: params, names)
+        else
+          let n = name_at st name in
+          ((n, t) :: params, (n, name) :: names)
       in
-      go []
+      if peek st == COMMA then begin
+        ignore (next st);
+        parse_param_list st hoist params names
+      end
+      else finish_params st params names false
+
+and finish_params st params names varargs =
+  st.last_params <- List.rev names;
+  (List.rev params, varargs)
 
 and parse_fields st hoist : (string * ctype) list =
   expect st LBRACE;
   let fields = ref [] in
-  while peek st <> RBRACE do
+  while peek st != RBRACE do
     let specs = parse_decl_specs st hoist in
     (* bitfields and multiple declarators *)
     let rec decls () =
@@ -525,11 +522,10 @@ and parse_fields st hoist : (string * ctype) list =
             true
         | _ -> false
       in
-      (match name with
-      | Some (n, _) -> fields := (n, wrap specs.base) :: !fields
-      | None ->
-          (* only anonymous bitfields may omit the field name *)
-          if not bitfield then err st "struct field without a name");
+      if name >= 0 then fields := (name_at st name, wrap specs.base) :: !fields
+      else if not bitfield then
+        (* only anonymous bitfields may omit the field name *)
+        err st "struct field without a name";
       match peek st with
       | COMMA ->
           ignore (next st);
@@ -561,27 +557,19 @@ and parse_expr st hoist : expr =
 
 and parse_assign st hoist : expr =
   let lhs = parse_cond st hoist in
-  let mk op =
-    ignore (next st);
-    let rhs = parse_assign st hoist in
-    match op with None -> EAssign (lhs, rhs) | Some b -> EAssignOp (b, lhs, rhs)
-  in
   match peek st with
-  | Ctoken.ASSIGN -> mk None
-  | PLUS_ASSIGN -> mk (Some Add)
-  | MINUS_ASSIGN -> mk (Some Sub)
-  | STAR_ASSIGN -> mk (Some Mul)
-  | SLASH_ASSIGN -> mk (Some Div)
-  | PERCENT_ASSIGN -> mk (Some Mod)
-  | AMP_ASSIGN -> mk (Some BAnd)
-  | BAR_ASSIGN -> mk (Some BOr)
-  | CARET_ASSIGN -> mk (Some BXor)
-  | SHL_ASSIGN -> mk (Some Shl)
-  | SHR_ASSIGN -> mk (Some Shr)
-  | _ -> lhs
+  | Ctoken.ASSIGN ->
+      ignore (next st);
+      EAssign (lhs, parse_assign st hoist)
+  | t -> (
+      match assign_op t with
+      | Some op ->
+          ignore (next st);
+          EAssignOp (op, lhs, parse_assign st hoist)
+      | None -> lhs)
 
 and parse_cond st hoist : expr =
-  let c = parse_binary st hoist 0 in
+  let c = parse_binary st hoist 1 in
   match peek st with
   | Ctoken.QUESTION ->
       ignore (next st);
@@ -591,22 +579,18 @@ and parse_cond st hoist : expr =
       ECond (c, e1, e2)
   | _ -> c
 
-and parse_binary st hoist level : expr =
-  if level >= Array.length binop_levels then parse_cast_expr st hoist
+(* Precedence climbing: a chain of binary operators of precedence at
+   least [min_prec], left-associative within each level. *)
+and parse_binary st hoist min_prec : expr =
+  binary_rest st hoist min_prec (parse_cast_expr st hoist)
+
+and binary_rest st hoist min_prec lhs : expr =
+  let prec, op = binop_info (peek st) in
+  if prec < min_prec (* [min_prec] is at least 1 *) then lhs
   else begin
-    let ops = binop_levels.(level) in
-    let lhs = ref (parse_binary st hoist (level + 1)) in
-    let rec go () =
-      match List.assoc_opt (peek st) ops with
-      | Some op ->
-          ignore (next st);
-          let rhs = parse_binary st hoist (level + 1) in
-          lhs := EBinop (op, !lhs, rhs);
-          go ()
-      | None -> ()
-    in
-    go ();
-    !lhs
+    ignore (next st);
+    let rhs = binary_rest st hoist (prec + 1) (parse_cast_expr st hoist) in
+    binary_rest st hoist min_prec (EBinop (op, lhs, rhs))
   end
 
 and parse_cast_expr st hoist : expr =
@@ -616,7 +600,7 @@ and parse_cast_expr st hoist : expr =
       let t = parse_type_name st hoist in
       expect st RPAREN;
       (* (T){...} compound literals: treat as cast of init list *)
-      if peek st = LBRACE then ECast (t, parse_init st hoist)
+      if peek st == LBRACE then ECast (t, parse_init st hoist)
       else ECast (t, parse_cast_expr st hoist)
   | _ -> parse_unary st hoist
 
@@ -659,7 +643,7 @@ and parse_unary st hoist : expr =
       EUnop (BitNot, parse_cast_expr st hoist)
   | KW_SIZEOF ->
       ignore (next st);
-      if peek st = LPAREN && starts_type_at st (st.pos + 1) then begin
+      if peek st == LPAREN && starts_type_at st (st.pos + 1) then begin
         ignore (next st);
         let t = parse_type_name st hoist in
         expect st RPAREN;
@@ -669,74 +653,69 @@ and parse_unary st hoist : expr =
   | _ -> parse_postfix st hoist
 
 and parse_postfix st hoist : expr =
-  let e = ref (parse_primary st hoist) in
-  let rec go () =
-    match peek st with
-    | Ctoken.LBRACKET ->
-        ignore (next st);
-        let i = parse_expr st hoist in
-        expect st RBRACKET;
-        e := EIndex (!e, i);
-        go ()
-    | LPAREN ->
-        ignore (next st);
-        let args =
-          if peek st = RPAREN then []
-          else
-            let rec args acc =
-              let a = parse_assign st hoist in
-              if peek st = COMMA then begin
-                ignore (next st);
-                args (a :: acc)
-              end
-              else List.rev (a :: acc)
-            in
-            args []
-        in
-        expect st RPAREN;
-        e := ECall (!e, args);
-        go ()
-    | DOT ->
-        ignore (next st);
-        e := EMember (!e, ident st);
-        go ()
-    | ARROW ->
-        ignore (next st);
-        e := EArrow (!e, ident st);
-        go ()
-    | PLUSPLUS ->
-        ignore (next st);
-        e := EIncDec (false, true, !e);
-        go ()
-    | MINUSMINUS ->
-        ignore (next st);
-        e := EIncDec (false, false, !e);
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !e
+  postfix_rest st hoist (parse_primary st hoist)
+
+and postfix_rest st hoist e : expr =
+  match peek st with
+  | Ctoken.LBRACKET ->
+      ignore (next st);
+      let i = parse_expr st hoist in
+      expect st RBRACKET;
+      postfix_rest st hoist (EIndex (e, i))
+  | LPAREN ->
+      ignore (next st);
+      let args =
+        if peek st == RPAREN then [] else parse_args st hoist []
+      in
+      expect st RPAREN;
+      postfix_rest st hoist (ECall (e, args))
+  | DOT ->
+      ignore (next st);
+      postfix_rest st hoist (EMember (e, ident st))
+  | ARROW ->
+      ignore (next st);
+      postfix_rest st hoist (EArrow (e, ident st))
+  | PLUSPLUS ->
+      ignore (next st);
+      postfix_rest st hoist (EIncDec (false, true, e))
+  | MINUSMINUS ->
+      ignore (next st);
+      postfix_rest st hoist (EIncDec (false, false, e))
+  | _ -> e
+
+(* call arguments, [acc] holding those before, newest first *)
+and parse_args st hoist acc : expr list =
+  let a = parse_assign st hoist in
+  if peek st == COMMA then begin
+    ignore (next st);
+    parse_args st hoist (a :: acc)
+  end
+  else List.rev (a :: acc)
 
 and parse_primary st hoist : expr =
-  let sp = span st in
+  let pos = st.pos in
   match next st with
   | Ctoken.INT_LIT n -> EInt n
   | FLOAT_LIT f -> EFloat f
   | CHAR_LIT c -> EChar c
-  | STRING_LIT s ->
+  | STRING_LIT s -> (
       (* adjacent string literals concatenate *)
-      let buf = Buffer.create (String.length s) in
-      Buffer.add_string buf s;
-      let rec more () =
-        match peek st with
-        | STRING_LIT s2 ->
-            ignore (next st);
-            Buffer.add_string buf s2;
-            more ()
-        | _ -> ()
-      in
-      more ();
-      EString (Buffer.contents buf)
+      match peek st with
+      | STRING_LIT _ ->
+          let buf = Buffer.create (2 * String.length s) in
+          Buffer.add_string buf s;
+          while
+            match peek st with
+            | STRING_LIT s2 ->
+                ignore (next st);
+                Buffer.add_string buf s2;
+                true
+            | _ -> false
+          do
+            ()
+          done;
+          EString (Buffer.contents buf)
+      | _ -> EString s)
   | IDENT x -> (
       match Hashtbl.find_opt st.enum_consts x with
       | Some n -> EInt n
@@ -745,10 +724,7 @@ and parse_primary st hoist : expr =
       let e = parse_expr st hoist in
       expect st RPAREN;
       e
-  | t ->
-      raise
-        (Parse_error
-           (Printf.sprintf "unexpected token `%s'" (Ctoken.to_string t), sp))
+  | t -> fail_at st pos "unexpected token `%s'" (Ctoken.to_string t)
 
 and parse_init st hoist : expr =
   match peek st with
@@ -796,7 +772,7 @@ and parse_stmt st hoist : stmt =
       expect st RPAREN;
       let s1 = parse_stmt st hoist in
       let s2 =
-        if peek st = KW_ELSE then begin
+        if peek st == KW_ELSE then begin
           ignore (next st);
           Some (parse_stmt st hoist)
         end
@@ -822,7 +798,7 @@ and parse_stmt st hoist : stmt =
       ignore (next st);
       expect st LPAREN;
       let init =
-        if peek st = SEMI then begin
+        if peek st == SEMI then begin
           ignore (next st);
           None
         end
@@ -837,17 +813,17 @@ and parse_stmt st hoist : stmt =
         end
       in
       let cond =
-        if peek st = SEMI then None else Some (parse_expr st hoist)
+        if peek st == SEMI then None else Some (parse_expr st hoist)
       in
       expect st SEMI;
       let step =
-        if peek st = RPAREN then None else Some (parse_expr st hoist)
+        if peek st == RPAREN then None else Some (parse_expr st hoist)
       in
       expect st RPAREN;
       SFor (init, cond, step, parse_stmt st hoist)
   | KW_RETURN ->
       ignore (next st);
-      if peek st = SEMI then begin
+      if peek st == SEMI then begin
         ignore (next st);
         SReturn None
       end
@@ -884,7 +860,7 @@ and parse_stmt st hoist : stmt =
       let l = ident st in
       expect st SEMI;
       SGoto l
-  | IDENT x when peek2 st = COLON && not (is_typedef st x) ->
+  | IDENT x when peek2 st == COLON && not (is_typedef st x) ->
       ignore (next st);
       ignore (next st);
       SLabel (x, parse_stmt_or_null st hoist)
@@ -903,7 +879,7 @@ and parse_stmt_or_null st hoist =
 and parse_block st hoist : stmt list =
   expect st LBRACE;
   let stmts = ref [] in
-  while peek st <> RBRACE do
+  while peek st != RBRACE do
     stmts := parse_stmt st hoist :: !stmts
   done;
   expect st RBRACE;
@@ -912,39 +888,36 @@ and parse_block st hoist : stmt list =
 and parse_local_decl st hoist : decl list =
   let ln = line st in
   let specs = parse_decl_specs st hoist in
-  if peek st = SEMI then begin
+  if peek st == SEMI then begin
     (* pure struct/enum declaration inside a function *)
     ignore (next st);
     []
   end
-  else begin
-    let rec go acc =
-      let name, wrap = parse_declarator st hoist in
-      let t = wrap specs.base in
-      let name =
-        match name with
-        | Some (n, _) -> n
-        | None -> err st "declaration without name"
-      in
-      let init =
-        if peek st = ASSIGN then begin
-          ignore (next st);
-          Some (parse_init st hoist)
-        end
-        else None
-      in
-      if specs.s_typedef then register_typedef st name;
-      let acc = { d_name = name; d_type = t; d_init = init; d_line = ln } :: acc in
-      match peek st with
-      | COMMA ->
-          ignore (next st);
-          go acc
-      | _ ->
-          expect st SEMI;
-          List.rev acc
-    in
-    go []
-  end
+  else parse_local_declarators st hoist specs ln []
+
+(* the declarators of one local declaration, [acc] those before, newest
+   first *)
+and parse_local_declarators st hoist specs ln acc =
+  let name, wrap = parse_declarator st hoist in
+  let t = wrap specs.base in
+  if name < 0 then err st "declaration without name";
+  let name = name_at st name in
+  let init =
+    if peek st == ASSIGN then begin
+      ignore (next st);
+      Some (parse_init st hoist)
+    end
+    else None
+  in
+  if specs.s_typedef then register_typedef st name;
+  let acc = { d_name = name; d_type = t; d_init = init; d_line = ln } :: acc in
+  match peek st with
+  | COMMA ->
+      ignore (next st);
+      parse_local_declarators st hoist specs ln acc
+  | _ ->
+      expect st SEMI;
+      List.rev acc
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -953,10 +926,10 @@ and parse_local_decl st hoist : decl list =
 (* Skip a balanced {...} starting at the current LBRACE (used to step over
    a function body that failed to parse). Stops at EOF. *)
 let skip_balanced_braces st =
-  if peek st = Ctoken.LBRACE then begin
+  if peek st == Ctoken.LBRACE then begin
     ignore (next st);
     let depth = ref 1 in
-    while !depth > 0 && peek st <> Ctoken.EOF do
+    while !depth > 0 && peek st != Ctoken.EOF do
       (match peek st with
       | Ctoken.LBRACE -> incr depth
       | Ctoken.RBRACE -> decr depth
@@ -965,10 +938,10 @@ let skip_balanced_braces st =
     done
   end
 
-let parse_global st (hoist : global list ref) : global list =
+let rec parse_global st (hoist : global list ref) : global list =
   let ln = line st in
   let specs = parse_decl_specs st hoist in
-  if peek st = SEMI then begin
+  if peek st == SEMI then begin
     (* struct/union/enum definition alone *)
     ignore (next st);
     []
@@ -976,8 +949,8 @@ let parse_global st (hoist : global list ref) : global list =
   else begin
     let name, wrap = parse_declarator st hoist in
     let t = wrap specs.base in
-    match (name, peek st) with
-    | Some (fname, fsp), Ctoken.LBRACE -> (
+    if name < 0 then err st "declaration without a name"
+    else if peek st == LBRACE then (
         (* function definition *)
         match t with
         | TFun (ret, params, varargs) -> (
@@ -986,106 +959,79 @@ let parse_global st (hoist : global list ref) : global list =
                for an exotic declarator (a function returning a function
                pointer) may be an inner one — re-align by name and drop
                to (0,0) on any mismatch, so keys are never mislocated *)
+            let loc i = (Tokbuf.line st.tb i, Tokbuf.col st.tb i) in
             let param_locs =
               List.map
                 (fun (pname, _) ->
                   match List.assoc_opt pname st.last_params with
-                  | Some (sp : Diag.span) -> (sp.Diag.sl, sp.Diag.sc)
+                  | Some i -> loc i
                   | None -> (0, 0))
                 params
             in
-            let mk body =
-              [
-                GFun
-                  {
-                    f_name = fname;
-                    f_ret = ret;
-                    f_params = params;
-                    f_varargs = varargs;
-                    f_body = body;
-                    f_static = specs.s_static;
-                    f_line = ln;
-                    f_name_loc = (fsp.Diag.sl, fsp.Diag.sc);
-                    f_param_locs = param_locs;
-                  };
-              ]
-            in
-            if not st.recover then mk (parse_block st hoist)
-            else
-              (* fault isolation: a body that fails to parse demotes the
-                 function to a prototype (analyzed like a library function,
-                 which is conservative) rather than poisoning the file *)
-              let brace = st.pos in
-              match parse_block st hoist with
-              | body -> mk body
-              | exception Parse_error (m, sp) ->
-                  add_diag st (Diag.error ~code:"E0202" sp m);
-                  st.degraded <-
-                    (fname, Printf.sprintf "body failed to parse: %s" m)
-                    :: st.degraded;
-                  st.pos <- brace;
-                  skip_balanced_braces st;
-                  [ GProto (fname, t, ln) ])
+            let fname = name_at st name in
+            (* fault isolation: a body that fails to parse demotes the
+               function to a prototype (analyzed like a library function,
+               which is conservative) rather than poisoning the file *)
+            let brace = st.pos in
+            match parse_block st hoist with
+            | body ->
+                [
+                  GFun
+                    {
+                      f_name = fname;
+                      f_ret = ret;
+                      f_params = params;
+                      f_varargs = varargs;
+                      f_body = body;
+                      f_static = specs.s_static;
+                      f_line = ln;
+                      f_name_loc = loc name;
+                      f_param_locs = param_locs;
+                    };
+                ]
+            | exception Parse_error (m, sp) ->
+                add_diag st (Diag.error ~code:"E0202" sp m);
+                st.degraded <-
+                  (fname, Printf.sprintf "body failed to parse: %s" m)
+                  :: st.degraded;
+                st.pos <- brace;
+                skip_balanced_braces st;
+                [ GProto (fname, t, ln) ])
         | _ -> err st "function body after non-function declarator")
-    | Some (n, _), _ ->
-        let rec go acc name t =
-          let init =
-            if peek st = ASSIGN then begin
-              ignore (next st);
-              Some (parse_init st hoist)
-            end
-            else None
-          in
-          let g =
-            if specs.s_typedef then begin
-              register_typedef st name;
-              GTypedef (name, t, ln)
-            end
-            else
-              match t with
-              | TFun _ -> GProto (name, t, ln)
-              | _ -> GVar { d_name = name; d_type = t; d_init = init; d_line = ln }
-          in
-          let acc = g :: acc in
-          match peek st with
-          | COMMA ->
-              ignore (next st);
-              let name2, wrap2 = parse_declarator st hoist in
-              let name2 =
-                match name2 with
-                | Some (n, _) -> n
-                | None -> err st "declarator without name"
-              in
-              go acc name2 (wrap2 specs.base)
-          | _ ->
-              expect st SEMI;
-              List.rev acc
-        in
-        go [] n t
-    | None, _ -> err st "declaration without a name"
+    else global_declarators st hoist specs ln [] (name_at st name) t
   end
 
-(** Parse a complete translation unit. Raises {!Parse_error} or
-    {!Clexer.Lex_error} on the first error (the strict entry point; the
-    resilient pipeline uses {!parse_unit}). *)
-let parse_program (src : string) : program =
-  let toks = Clexer.tokenize src in
-  let st = make_state toks in
-  let globals = ref [] in
-  while peek st <> EOF do
-    let hoist = ref [] in
-    let gs = parse_global st hoist in
-    (* hoisted struct/enum definitions come first *)
-    globals := List.rev_append gs (List.rev_append !hoist !globals)
-  done;
-  List.rev !globals
-
-let parse_program_result src =
-  match parse_program src with
-  | p -> Ok p
-  | exception Parse_error (m, sp) ->
-      Error (Fmt.str "%a: %s" Diag.pp_span sp m)
-  | exception Clexer.Lex_error d -> Error (Diag.to_string d)
+(* the declarators of one global declaration from [name] of type [t] on,
+   [acc] the globals before, newest first *)
+and global_declarators st hoist specs ln acc name t =
+  let init =
+    if peek st == ASSIGN then begin
+      ignore (next st);
+      Some (parse_init st hoist)
+    end
+    else None
+  in
+  let g =
+    if specs.s_typedef then begin
+      register_typedef st name;
+      GTypedef (name, t, ln)
+    end
+    else
+      match t with
+      | TFun _ -> GProto (name, t, ln)
+      | _ -> GVar { d_name = name; d_type = t; d_init = init; d_line = ln }
+  in
+  let acc = g :: acc in
+  match peek st with
+  | COMMA ->
+      ignore (next st);
+      let name2, wrap2 = parse_declarator st hoist in
+      if name2 < 0 then err st "declarator without name";
+      global_declarators st hoist specs ln acc (name_at st name2)
+        (wrap2 specs.base)
+  | _ ->
+      expect st SEMI;
+      List.rev acc
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery                                                 *)
@@ -1114,12 +1060,12 @@ let sync st =
         end
         else begin
           ignore (next st);
-          if peek st = Ctoken.SEMI then ignore (next st);
+          if peek st == Ctoken.SEMI then ignore (next st);
           stop := true
         end
     | Ctoken.SEMI when !depth = 0 ->
         ignore (next st);
-        if starts_type st || peek st = Ctoken.EOF then stop := true
+        if starts_type st || peek st == Ctoken.EOF then stop := true
     | _ when !depth = 0 && starts_type st -> stop := true
     | _ -> ignore (next st)
   done
@@ -1131,34 +1077,6 @@ type presult = {
       (** functions demoted to prototypes because their body failed to
           parse, with the reason *)
 }
-
-(* The panic-mode top-level loop shared by the whole-program and per-unit
-   entry points. [count_base] is how many diagnostics earlier units of
-   the same run already consumed: the cap fires when the running total
-   reaches [max_errors], but the E0299 note always quotes the caller's
-   original budget. Returns [true] when it gave up. *)
-let parse_toplevel st ~max_errors ~count_base : program * bool =
-  let globals = ref [] in
-  let capped = ref false in
-  while peek st <> EOF && not !capped do
-    let hoist = ref [] in
-    (match parse_global st hoist with
-    | gs -> globals := List.rev_append gs (List.rev_append !hoist !globals)
-    | exception Parse_error (m, sp) ->
-        add_diag st (Diag.error ~code:"E0201" sp m);
-        (* keep whatever was hoisted before the failure *)
-        globals := List.rev_append !hoist !globals;
-        sync st);
-    if count_base + st.n_diags >= max_errors && peek st <> EOF then begin
-      capped := true;
-      add_diag st
-        (Diag.note ~code:"E0299" (span st)
-           (Printf.sprintf
-              "too many errors (%d); giving up on the rest of the file"
-              max_errors))
-    end
-  done;
-  (List.rev !globals, !capped)
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit parsing                                                    *)
@@ -1204,22 +1122,61 @@ type uresult = {
     spills across the unit boundary (see DESIGN.md "Per-unit frontend"). *)
 let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
     ~(lex_diags : Diag.t list) : uresult =
+  let typedefs = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace typedefs n ()) seed.us_typedefs;
+  let enum_consts = Hashtbl.create 16 in
+  List.iter (fun (n, v) -> Hashtbl.replace enum_consts n v) seed.us_enums;
   let st =
-    make_state_tb ~recover:true ~typedefs:seed.us_typedefs
-      ~enums:seed.us_enums ~anon:seed.us_anon tb
+    {
+      tb;
+      t_toks = tb.Tokbuf.toks;
+      t_len = tb.Tokbuf.n;
+      pos = 0;
+      typedefs;
+      enum_consts;
+      anon = seed.us_anon;
+      diags = List.rev lex_diags;
+      n_diags = List.length lex_diags;
+      degraded = [];
+      new_typedefs = [];
+      new_enums = [];
+      last_params = [];
+    }
   in
-  st.diags <- List.rev lex_diags;
-  st.n_diags <- List.length lex_diags;
   let first_span =
     if tb.Tokbuf.n > 0 then Tokbuf.span tb 0 else Diag.dummy_span
   in
-  let prog, capped =
-    parse_toplevel st ~max_errors ~count_base:seed.us_count_base
-  in
+  (* panic mode: a global that fails to parse is reported and skipped.
+     Before each global, the cap fires if the run's running total of
+     diagnostics, the earlier units' [us_count_base] and this unit's
+     lexical ones included, has reached [max_errors], so a parse error
+     never takes the total past it; the E0299 note quotes the caller's
+     budget *)
+  let globals = ref [] in
+  let capped = ref false in
+  while peek st != EOF && not !capped do
+    if seed.us_count_base + st.n_diags >= max_errors then begin
+      capped := true;
+      add_diag st
+        (Diag.note ~code:"E0299" (span st)
+           (Printf.sprintf
+              "too many errors (%d); giving up on the rest of the file"
+              max_errors))
+    end
+    else
+      let hoist = ref [] in
+      match parse_global st hoist with
+      | gs -> globals := List.rev_append gs (List.rev_append !hoist !globals)
+      | exception Parse_error (m, sp) ->
+          add_diag st (Diag.error ~code:"E0201" sp m);
+          (* keep whatever was hoisted before the failure *)
+          globals := List.rev_append !hoist !globals;
+          sync st
+  done;
   {
     ur_pr =
       {
-        pr_prog = prog;
+        pr_prog = List.rev !globals;
         pr_diags = List.rev st.diags;
         pr_degraded = List.rev st.degraded;
       };
@@ -1228,5 +1185,5 @@ let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
     ur_anon = st.anon - seed.us_anon;
     ur_idents = Tokbuf.ident_names tb;
     ur_first_span = first_span;
-    ur_capped = capped;
+    ur_capped = !capped;
   }

@@ -8,7 +8,7 @@
 
     Code ranges:
     - [E01xx] lexical errors (unexpected character, unterminated
-      string/comment);
+      string/comment, integer literal too large for an int);
     - [E02xx] parse errors ([E0299] is the "too many errors" note);
     - [E03xx] frontend/semantic errors (unknown typedef);
     - [W04xx] degraded-analysis warnings (budget exhaustion);

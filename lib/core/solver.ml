@@ -448,11 +448,11 @@ let pp_stats ppf s =
     "vars %d (%d unified), edges %d (%d deduped), cycles %d, solves %d incr + \
      %d full, %d worklist pops, %.3fs solving, %.3fs absorbing; compaction: \
      scheme vars %d -> %d, scheme atoms %d -> %d, %d memoized \
-     instantiations, %d empty batches skipped"
+     instantiations"
     s.vars_created s.vars_unified s.edges_added s.edges_deduped
     s.cycles_collapsed s.incr_solves s.full_solves s.worklist_pops s.solve_s
     s.absorb_s s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
-    s.scheme_edges_after s.instantiations_memo_hits s.empty_batches_skipped;
+    s.scheme_edges_after s.instantiations_memo_hits;
   Fmt.pf ppf
     "; memo: %d candidates, %d misses, %d nonflat-ret, %d may-violate"
     s.memo_candidates s.memo_misses s.memo_reject_nonflat_ret

@@ -470,7 +470,11 @@ let analyze ?(mode = Sensitive) (prog : Cprog.t) : result =
   in
   { errors; functions }
 
+(** Analyze one C source. A source with a lexical or parse error is not
+    analyzed: the result is its diagnostics, in source order. *)
 let analyze_source ?mode src =
-  match Cparse.parse_program_result src with
-  | Error m -> Error m
-  | Ok p -> Ok (analyze ?mode (Cprog.build p))
+  let tb, lex_diags = Clexer.tokenize_buf src in
+  let pr = (Cparse.parse_unit tb ~lex_diags).Cparse.ur_pr in
+  match pr.Cparse.pr_diags with
+  | [] -> Ok (analyze ?mode (Cprog.build pr.Cparse.pr_prog))
+  | diags -> Error diags

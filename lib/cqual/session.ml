@@ -1084,9 +1084,14 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
     | None -> ());
     match r.par with
     | Some p ->
-        pr "parallel: %d jobs, %d tasks, generate %.3fs, merge %.3fs\n"
-          p.Analysis.ps_jobs p.Analysis.ps_tasks p.Analysis.ps_gen_s
-          p.Analysis.ps_merge_s
+        (* empty batches are a scheduling event of the wavefront, so
+           they are counted here, on the line only jobs > 1 print *)
+        pr
+          "parallel: %d jobs, %d tasks, %d empty batches skipped, generate \
+           %.3fs, merge %.3fs\n"
+          p.Analysis.ps_jobs p.Analysis.ps_tasks
+          r.solver_stats.Typequal.Solver.empty_batches_skipped
+          p.Analysis.ps_gen_s p.Analysis.ps_merge_s
     | None -> ()
   end;
   pr

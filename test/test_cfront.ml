@@ -5,14 +5,21 @@ open Cfront
 open Cast
 
 let parse src =
-  match Cparse.parse_program_result src with
-  | Ok p -> p
-  | Error m -> Alcotest.failf "C parse error: %s\nin:\n%s" m src
+  match Support.parse_partial src with
+  | { Cparse.pr_prog; pr_diags = []; _ } -> pr_prog
+  | { pr_diags; _ } ->
+      Alcotest.failf "C parse error: %s\nin:\n%s"
+        (String.concat "; " (List.map Diag.to_string pr_diags))
+        src
 
 let parse_err src =
-  match Cparse.parse_program_result src with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.failf "expected C parse error for:\n%s" src
+  if not (List.exists Diag.is_error (Support.parse_partial src).Cparse.pr_diags)
+  then Alcotest.failf "expected C parse error for:\n%s" src
+
+(* the tokens of [src], EOF included, with their spans *)
+let tokens src =
+  let tb, _ = Clexer.tokenize_buf src in
+  List.init (Tokbuf.length tb) (fun i -> (Tokbuf.tok tb i, Tokbuf.span tb i))
 
 let first_var src =
   match List.find_opt (function GVar _ -> true | _ -> false) (parse src) with
@@ -22,7 +29,7 @@ let first_var src =
 let type_str src = ctype_to_string (first_var src).d_type
 
 let test_lexer () =
-  let toks = Clexer.tokenize "int x = 0x1f + 017; /* c */ // line\n\"a\\nb\" 'c' $tainted" in
+  let toks = tokens "int x = 0x1f + 017; /* c */ // line\n\"a\\nb\" 'c' $tainted" in
   let tts = List.map fst toks in
   Alcotest.(check bool) "has hex" true (List.mem (Ctoken.INT_LIT 31) tts);
   Alcotest.(check bool) "has octal" true (List.mem (Ctoken.INT_LIT 15) tts);
@@ -338,12 +345,12 @@ let test_assignment_ops () =
   | _ -> Alcotest.fail "assign ops"
 
 let test_char_escapes () =
-  let toks = Clexer.tokenize {|'\n' '\t' '\\' '\'' '\0'|} in
+  let toks = tokens {|'\n' '\t' '\\' '\'' '\0'|} in
   let cs = List.filter_map (function Ctoken.CHAR_LIT c, _ -> Some c | _ -> None) toks in
   Alcotest.(check (list char)) "escapes" [ '\n'; '\t'; '\\'; '\''; '\000' ] cs
 
 let test_hex_and_suffixes () =
-  let toks = Clexer.tokenize "0xFF 10L 20UL 077" in
+  let toks = tokens "0xFF 10L 20UL 077" in
   let ns = List.filter_map (function Ctoken.INT_LIT n, _ -> Some n | _ -> None) toks in
   Alcotest.(check (list int)) "values" [ 255; 10; 20; 63 ] ns
 
@@ -397,60 +404,93 @@ let extra_tests =
       test_forward_struct_ref;
   ]
 
-(* ---------------- flat token buffer vs legacy list lexer ------------- *)
+(* ---------------- golden token streams ---------------- *)
 
-(* tokenize_buf is the per-unit frontend's allocation-lean lexer; it must
-   agree with tokenize_partial token-for-token, span-for-span, and
-   diagnostic-for-diagnostic — on clean sources and on every recovery
-   path (bad characters, unterminated constructs, the error cap) *)
-let check_tokbuf_parity label ?max_errors src =
-  let toks_l, diags_l = Clexer.tokenize_partial ?max_errors src in
-  let tb, diags_b = Clexer.tokenize_buf ?max_errors src in
-  Alcotest.(check int)
-    (label ^ ": token count")
-    (List.length toks_l) (Tokbuf.length tb);
-  List.iteri
-    (fun i (tk, sp) ->
-      if Tokbuf.tok tb i <> tk then
-        Alcotest.failf "%s: token %d differs" label i;
-      if Tokbuf.span tb i <> sp then
-        Alcotest.failf "%s: span %d differs (%d:%d-%d:%d vs %d:%d-%d:%d)"
-          label i sp.Diag.sl sp.Diag.sc sp.Diag.el sp.Diag.ec
-          (Tokbuf.span tb i).Diag.sl (Tokbuf.span tb i).Diag.sc
-          (Tokbuf.span tb i).Diag.el (Tokbuf.span tb i).Diag.ec)
-    toks_l;
-  Alcotest.(check (list string))
-    (label ^ ": diagnostics")
-    (List.map Diag.to_string diags_l)
-    (List.map Diag.to_string diags_b)
+(* Each corpus's token stream, every token with its span and then every
+   diagnostic, rendered and digested. The digests were recorded from the
+   ocamllex lexer this hand-written one replaced, so they pin its exact
+   tokens, spans, diagnostics and recovery (bad characters, unterminated
+   constructs, the error cap). None of these corpora has an input that
+   lexer got wrong; test_resilience covers those (newlines inside
+   literals, integer literals too large for an int). *)
+let stream_digest ?max_errors units =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, src) ->
+      Printf.bprintf b "== %s\n" name;
+      let tb, diags = Clexer.tokenize_buf ?max_errors src in
+      for i = 0 to Tokbuf.length tb - 1 do
+        let sp = Tokbuf.span tb i in
+        Printf.bprintf b "%s %d:%d-%d:%d\n"
+          (Ctoken.to_string (Tokbuf.tok tb i))
+          sp.Diag.sl sp.Diag.sc sp.Diag.el sp.Diag.ec
+      done;
+      List.iter (fun d -> Printf.bprintf b "%s\n" (Diag.to_string d)) diags)
+    units;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-let test_tokbuf_parity () =
+let check_golden label ?max_errors units expected =
+  Alcotest.(check string) label expected (stream_digest ?max_errors units)
+
+let test_golden_clean () =
+  check_golden "programs" Cbench.Programs.all
+    "d7ed941fcec3a3831df03f56bc5e5cae";
+  check_golden "miniproject" Cbench.Programs.miniproject
+    "0ba012c2a65fd5cd6c022677df63fd69";
   List.iter
-    (fun (name, src) -> check_tokbuf_parity name src)
-    Cbench.Programs.all;
-  List.iter
-    (fun (name, src) -> check_tokbuf_parity ("mini/" ^ name) src)
-    Cbench.Programs.miniproject;
-  List.iter
-    (fun seed ->
-      check_tokbuf_parity
+    (fun (seed, expected) ->
+      check_golden
         (Printf.sprintf "gen seed %d" seed)
-        (Cbench.Gen.generate ~seed ~target_lines:500 ()))
-    [ 41; 42 ]
-
-let test_tokbuf_parity_on_errors () =
-  List.iter
-    (fun (label, src) -> check_tokbuf_parity label src)
+        [
+          ( Printf.sprintf "gen%d" seed,
+            Cbench.Gen.generate ~seed ~target_lines:500 () );
+        ]
+        expected)
     [
-      ("stray chars", "int a;\n@\nint b;\n`\nint c;\n");
-      ("unterminated string", "int a;\nchar *s = \"oops;\nint b;\n");
-      ("unterminated comment", "int a;\n/* never closed\nint b;\n");
-      ("string with escapes", "char *s = \"a\\t\\\"b\\n\";\nint x;\n");
+      (41, "299d1d4debca38b2d25899de18d11714");
+      (42, "d7a3076246e9759408b6aa4494ea283b");
+    ]
+
+let lexical_corners =
+  "0x1f 0xg 0xFFUL 017 0778 017L 08 0128 1.5e3 1. 1.e5 1e5 1e 1e+ 10UL 10Lu \
+   1.5f 1..2 .5 0x1.5 12abc 4611686018427387903 0x7FFFFFFFFFFFFFFF 077777\n\
+   a->b ++ -- <<= >>= << >> <= >= == != && || += -= *= /= %= &= |= ^= ... .. \
+   ? : ~ ! ^ ; , ( ) [ ] { } * / % + - & | < > = .\n\
+   $tainted $ x 'a' '\\n' '\\'' 'ab' '' # pragma\n\
+   // c\n/* a\n b */ _x1 x_y Z9 int intx\n\t\r\011\012\195\169\n"
+
+let test_golden_errors () =
+  List.iter
+    (fun (label, src, expected) -> check_golden label [ ("s", src) ] expected)
+    [
+      ( "stray chars",
+        "int a;\n@\nint b;\n`\nint c;\n",
+        "63f0b41b779f797d82fbe6ee34e897b3" );
+      ( "unterminated string",
+        "int a;\nchar *s = \"oops;\nint b;\n",
+        "c1f7ad5079af9969b53e40fed538fa65" );
+      ( "unterminated comment",
+        "int a;\n/* never closed\nint b;\n",
+        "0bf705582947fa69441e1241c94cfe22" );
+      ( "string with escapes",
+        "char *s = \"a\\t\\\"b\\n\";\nint x;\n",
+        "4b500901193b78a62c84983f6028ba02" );
+      ( "string ending in a backslash",
+        "int a;\nchar *s = \"ab\\",
+        "016e8a12e04bed33bdbba679717b6287" );
+      ( "crlf and mid-line hash",
+        "int a;\r\nint b; # junk\r\n\tint c;\r\n",
+        "e58a150b49e3ec513142e98acb6a7025" );
+      ("empty", "", "02dfd59f1bdf9160e507fad88f5bff41");
+      ("lexical corners", lexical_corners, "236dcef514c59f66190f0cbcd65e3ab4");
     ];
-  (* the lex-error cap: both lexers must stop at the same point *)
+  (* the lex-error cap: the stream stops at the diagnostic that reaches
+     it *)
   let flood = String.concat "" (List.init 40 (fun _ -> "@\n")) in
-  check_tokbuf_parity "error cap" ~max_errors:5 flood;
-  check_tokbuf_parity "error cap default" flood
+  check_golden "error cap" ~max_errors:5 [ ("s", flood) ]
+    "472cf28c36b71939036036c97ee9afae";
+  check_golden "error cap default" [ ("s", flood) ]
+    "4217da5308e385137b7962a6aa5f086e"
 
 let test_tokbuf_interns () =
   let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz;\n" in
@@ -462,13 +502,76 @@ let test_tokbuf_interns () =
   Alcotest.(check (list string)) "ident set" [ "bar"; "baz"; "foo"; "foo_t" ]
     names
 
+(* ---------------- frontend fuzzer ---------------- *)
+
+(* Random bytes, and corpus units truncated or with bytes overwritten:
+   lexing and parsing never raise, the stream ends in exactly one EOF,
+   token starts strictly increase, a one-line token ends at or after its
+   start, and neither the lexer nor the parser reports more errors than
+   [max_errors]. *)
+let fuzz_corpus =
+  Array.of_list (List.map snd (Cbench.Programs.all @ Cbench.Programs.miniproject))
+
+let gen_fuzz_source =
+  let open QCheck2.Gen in
+  let unit = map (Array.get fuzz_corpus) (int_bound (Array.length fuzz_corpus - 1)) in
+  oneof
+    [
+      string_size ~gen:char (int_bound 300);
+      map2 (fun src k -> String.sub src 0 (k mod (String.length src + 1))) unit nat;
+      map2
+        (fun src flips ->
+          let b = Bytes.of_string src in
+          List.iter
+            (fun (at, c) -> if Bytes.length b > 0 then Bytes.set b (at mod Bytes.length b) c)
+            flips;
+          Bytes.to_string b)
+        unit
+        (list_size (int_range 1 8) (pair nat char));
+    ]
+
+let check_stream max_errors src =
+  let fail fmt = QCheck2.Test.fail_reportf fmt in
+  match Clexer.tokenize_buf ~max_errors src with
+  | exception e -> fail "tokenize_buf raised %s" (Printexc.to_string e)
+  | tb, lex_diags ->
+      let n = Tokbuf.length tb in
+      if n = 0 || Tokbuf.tok tb (n - 1) <> Ctoken.EOF then fail "no final EOF";
+      for i = 0 to n - 1 do
+        let sp = Tokbuf.span tb i in
+        if i < n - 1 && Tokbuf.tok tb i = Ctoken.EOF then fail "EOF at token %d of %d" i n;
+        if sp.Diag.el < sp.Diag.sl || (sp.Diag.sl = sp.Diag.el && sp.Diag.ec < sp.Diag.sc)
+        then fail "token %d ends before it starts" i;
+        if i > 0 then begin
+          let prev = Tokbuf.span tb (i - 1) in
+          if compare (prev.Diag.sl, prev.Diag.sc) (sp.Diag.sl, sp.Diag.sc) >= 0 then
+            fail "token %d does not start after token %d" i (i - 1)
+        end
+      done;
+      if List.length lex_diags > max_errors then
+        fail "%d lexical diagnostics, cap %d" (List.length lex_diags) max_errors;
+      (match Cparse.parse_unit ~max_errors tb ~lex_diags with
+      | exception e -> fail "parse_unit raised %s" (Printexc.to_string e)
+      | r ->
+          let errors = List.filter Diag.is_error r.Cparse.ur_pr.Cparse.pr_diags in
+          if List.length errors > max_errors then
+            fail "%d errors, cap %d" (List.length errors) max_errors);
+      true
+
+let prop_frontend_fuzz =
+  QCheck2.Test.make ~count:1000 ~name:"frontend fuzz: no raise, one EOF, ordered spans, capped"
+    ~print:(fun (m, src) -> Printf.sprintf "max_errors %d:\n%S" m src)
+    QCheck2.Gen.(pair (int_range 1 25) gen_fuzz_source)
+    (fun (max_errors, src) -> check_stream max_errors src)
+
 let tokbuf_tests =
   [
-    Alcotest.test_case "tokenize_buf = tokenize_partial (clean)" `Quick
-      test_tokbuf_parity;
-    Alcotest.test_case "tokenize_buf = tokenize_partial (errors)" `Quick
-      test_tokbuf_parity_on_errors;
+    Alcotest.test_case "golden token streams (clean)" `Quick
+      test_golden_clean;
+    Alcotest.test_case "golden token streams (errors)" `Quick
+      test_golden_errors;
     Alcotest.test_case "token buffer intern table" `Quick test_tokbuf_interns;
+    QCheck_alcotest.to_alcotest prop_frontend_fuzz;
   ]
 
 let tests = tests @ extra_tests @ tokbuf_tests

@@ -11,7 +11,9 @@ let prelude =
 let analyze ?mode body =
   match Flow.analyze_source ?mode (prelude ^ body) with
   | Ok r -> r
-  | Error m -> Alcotest.failf "parse error: %s" m
+  | Error diags ->
+      Alcotest.failf "parse error: %s"
+        (String.concat "; " (List.map Cfront.Diag.to_string diags))
 
 let flags ?mode body = (analyze ?mode body).Flow.errors <> []
 

@@ -134,6 +134,144 @@ let test_unterminated_string () =
     (List.exists (fun d -> d.Diag.d_code = "E0102") r.Session.diagnostics);
   check_analyzed r "f"
 
+(* An integer literal too large for an int is a lexical error on its
+   span; lexing goes on after it, as after a bad character. *)
+let big_src = "int f(void) { return 99999999999999999999999; }\nint g(int *p) { return *p; }\n"
+let big_hex_src = "int f(void) { return 0xFFFFFFFFFFFFFFFFFFFF; }\nint g(int *p) { return *p; }\n"
+
+let check_e0104 ?(ec = 44) label (ds : Diag.t list) =
+  match List.filter Diag.is_error ds with
+  | [ d ] ->
+      Alcotest.(check string) (label ^ ": code") "E0104" d.Diag.d_code;
+      Alcotest.(check (list int))
+        (label ^ ": span")
+        [ 1; 22; 1; ec ]
+        Diag.[ d.d_span.sl; d.d_span.sc; d.d_span.el; d.d_span.ec ]
+  | ds -> Alcotest.failf "%s: expected one error, got %d" label (List.length ds)
+
+let test_int_literal_overflow () =
+  check_e0104 "decimal" (Support.parse_partial big_src).Cparse.pr_diags;
+  check_e0104 ~ec:43 "hex" (Support.parse_partial big_hex_src).Cparse.pr_diags;
+  let r = Support.run_source ~mode:Analysis.Mono big_src in
+  check_e0104 "session" r.Session.diagnostics;
+  check_analyzed r "f";
+  check_analyzed r "g";
+  (* the largest literals that fit still lex as ints *)
+  Alcotest.(check int) "max_int fits" 0
+    (List.length
+       (Support.parse_partial
+          "int a = 4611686018427387903; int b = 0x7FFFFFFFFFFFFFFF;\n")
+         .Cparse.pr_diags)
+
+let with_temp_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tq-resilience-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let built exe =
+  Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ exe)
+
+let write dir name src =
+  let path = Filename.concat dir name in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  path
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+(* cqualc reports E0104 like any lexical error: the report is printed
+   and the exit status is 2, the one for diagnostics *)
+let test_int_literal_overflow_cqualc () =
+  with_temp_dir (fun dir ->
+      let unit = write dir "big.c" big_src in
+      let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote (built "cqualc.exe"))
+             (Filename.quote unit) (Filename.quote out) (Filename.quote err))
+      in
+      Alcotest.(check int) "exit status" 2 code;
+      Alcotest.(check string) "stderr"
+        "error[E0104] 1:22-44: integer literal 99999999999999999999999 does \
+         not fit in an int\n"
+        (read err);
+      Alcotest.(check bool) "report printed" true
+        (contains ~sub:"functions: 2 (2 analyzed, 0 degraded)" (read out)))
+
+(* the daemon survives an update whose source has one, and serves it as
+   a diagnostic *)
+let test_int_literal_overflow_daemon () =
+  with_temp_dir (fun dir ->
+      let unit = write dir "u.c" "int g(int *p) { return *p; }\n" in
+      let rq id meth params =
+        Wire.to_string
+          (Wire.Obj
+             [ ("id", Wire.num_int id); ("method", Wire.Str meth); ("params", Wire.Obj params) ])
+      in
+      let input =
+        write dir "requests.jsonl"
+          (String.concat "\n"
+             [
+               rq 1 "update" [ ("name", Wire.Str unit); ("source", Wire.Str big_hex_src) ];
+               rq 2 "diagnostics" [];
+               rq 3 "run" [];
+             ]
+          ^ "\n")
+      in
+      let output = Filename.concat dir "responses.jsonl" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --mode mono %s < %s > %s 2>&1"
+             (Filename.quote (built "typequald.exe"))
+             (Filename.quote unit) (Filename.quote input) (Filename.quote output))
+      in
+      Alcotest.(check int) "typequald exits 0" 0 code;
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' (read output)) in
+      let response id =
+        match
+          List.find_opt
+            (fun l ->
+              match Wire.of_string l with
+              | Ok j -> Wire.mem_int "id" j = Some id
+              | Error _ -> false)
+            lines
+        with
+        | Some l -> l
+        | None -> Alcotest.failf "no response %d in:\n%s" id (read output)
+      in
+      Alcotest.(check bool) "update answered" true
+        (contains ~sub:"\"updated\"" (response 1));
+      Alcotest.(check bool) "E0104 served" true
+        (contains ~sub:"error[E0104] 1:22-43: integer literal" (response 2));
+      Alcotest.(check bool) "run answered" true
+        (not (contains ~sub:"\"error\"" (response 3))))
+
+(* A newline inside a literal is still a line break: after a string
+   continued with a backslash-newline, or a character literal holding a
+   raw newline, every later span is on its true line. *)
+let test_newlines_in_literals () =
+  List.iter
+    (fun (label, src) ->
+      match (Support.parse_partial src).Cparse.pr_diags with
+      | [ d ] ->
+          Alcotest.(check string) (label ^ ": code") "E0202" d.Diag.d_code;
+          Alcotest.(check (list int))
+            (label ^ ": line, column")
+            [ 3; 25 ]
+            Diag.[ d.d_span.sl; d.d_span.sc ]
+      | ds -> Alcotest.failf "%s: expected one diagnostic, got %d" label (List.length ds))
+    [
+      ("string", "char *s = \"ab\\\ncd\";\nint f(void) { return 1 +; }\n");
+      ("char", "char c = '\n';\nint f(void) { return 1 +; }\n");
+      ("escaped char", "char c = '\\\n';\nint f(void) { return 1 +; }\n");
+    ]
+
 let test_max_errors_cap () =
   let src =
     String.concat "" (List.init 10 (fun _ -> "int = 1;\n"))
@@ -457,14 +595,12 @@ let prop_fault_injection =
           QCheck2.Test.fail_reportf "Support.run_source raised %s on:\n%s"
             (Printexc.to_string e) src1
       in
-      (* a source the strict parser rejects must carry a diagnostic *)
-      (match Cparse.parse_program_result src1 with
-      | Error _ when r1.Session.diagnostics = [] ->
-          QCheck2.Test.fail_reportf "rejected source has no diagnostics:\n%s"
-            src1
-      | _ -> ());
       let p0 = Support.parse_partial src0 in
       let p1 = Support.parse_partial src1 in
+      (* a source that fails to lex or parse must carry a diagnostic *)
+      if p1.Cparse.pr_diags <> [] && r1.Session.diagnostics = [] then
+        QCheck2.Test.fail_reportf "rejected source has no diagnostics:\n%s"
+          src1;
       let f0 = funs_of p0 and f1 = funs_of p1 in
       let dup l =
         let names = List.map fst l in
@@ -543,6 +679,14 @@ let tests =
     Alcotest.test_case "recovery: unterminated string" `Quick
       test_unterminated_string;
     Alcotest.test_case "recovery: --max-errors cap" `Quick test_max_errors_cap;
+    Alcotest.test_case "recovery: oversized int literal (E0104)" `Quick
+      test_int_literal_overflow;
+    Alcotest.test_case "recovery: E0104 through cqualc" `Quick
+      test_int_literal_overflow_cqualc;
+    Alcotest.test_case "recovery: E0104 through a daemon update" `Quick
+      test_int_literal_overflow_daemon;
+    Alcotest.test_case "recovery: newlines inside literals" `Quick
+      test_newlines_in_literals;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
     Alcotest.test_case "degrade: redefinition with another arity" `Quick
