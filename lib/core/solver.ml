@@ -1,15 +1,13 @@
 (** Atomic qualifier-constraint solver (Sections 3.1–3.2 of the paper) —
     flat-arena implementation.
 
-    The constraint system and algorithms are exactly those of the PR 5
-    solver (kept verbatim as {!Solver_ref}): masked atomic constraints
+    The constraint system and algorithms: masked atomic constraints
     over a Birkhoff-encoded lattice, union-find with partial online cycle
     elimination, insertion-time edge/bound dedup, incremental worklist
     solving with a monotone error table, recorded constraint schemes with
     renaming instantiation, and batched absorb for the parallel engine.
 
-    What changed is the {e representation} (DESIGN.md, "Flat-arena
-    solver"):
+    The {e representation} (DESIGN.md, "Flat-arena solver"):
 
     - Variable state (union-find parent/rank, constant bounds, current
       least/greatest solution, adjacency heads) lives in dense [int]
@@ -34,10 +32,13 @@
       entry points, so dedup and cycle collapse apply exactly as in a
       serial run.
 
-    Counter-for-counter and byte-for-byte, the observable behaviour
-    (solutions, error messages, {!stats}) matches {!Solver_ref}; the
-    parity property tests drive both stores through identical operation
-    sequences and diff everything. *)
+    Solutions are checked against their definition: the property tests
+    re-solve the store's atom log with the store-free {!solve_atoms} and
+    compare. Every order below (worklist seeds, violation checks, edge
+    enumeration) is deterministic, so the counters and error messages
+    are too: test_arena pins their digests on a fixed op stream, the
+    [solver] bench pins its counters, and CI diffs [--stats] between
+    jobs 1 and 4. *)
 
 module Elt = Lattice.Elt
 module Space = Lattice.Space
@@ -52,7 +53,7 @@ type reason = string option
    stored inline in a flat [int array] (4 slots per entry), occupancy in
    a byte array. Deterministic by construction (the hash mixes the key
    ints only), so dedup decisions — which feed the [edges_deduped]
-   counter — are reproducible across runs and across solver cores. *)
+   counter — are reproducible across runs and across [--jobs] settings. *)
 module Iset = struct
   type t = {
     mutable keys : int array;  (* 4 * cap *)
@@ -1041,8 +1042,8 @@ let error_count t = List.length t.ground_errors + Hashtbl.length t.errors
    Violations are monotone (constraints are only added; [lo] only rises,
    [hi_bound] only falls), so entries never need revisiting. [explain]
    runs only here, after propagation has reached fixpoint, so it sees
-   final [lo] values. Iterates in reverse pop order, matching the
-   reference solver's touched-list order. *)
+   final [lo] values. Iterates in reverse pop order, a fixed order that
+   keeps the error messages deterministic. *)
 let check_violations t =
   for k = t.ntouched - 1 downto 0 do
     let i = t.touched.(k) in
@@ -1061,8 +1062,8 @@ let result_of_errors t =
    [hi] already reflect every bound added since the last solve (the add_*
    functions fold new bounds in eagerly), so propagating from the dirty
    region reaches exactly the variables whose solution can have changed.
-   Seeds go in dirty-set insertion order — deterministic and matched by
-   the reference solver, so [worklist_pops] is comparable across cores. *)
+   Seeds go in dirty-set insertion order, so [worklist_pops] is
+   deterministic (pinned by the tests). *)
 let solve t =
   if not t.solved then begin
     let t0 = Unix.gettimeofday () in
@@ -1080,8 +1081,8 @@ let solve t =
   result_of_errors t
 
 (* Full solve: reset every representative to its bounds and propagate from
-   everywhere (in reverse creation order, matching the reference solver's
-   variable-list order). The ablation baseline for incremental solving,
+   everywhere (in reverse creation order, a fixed order that keeps the
+   counters deterministic). The ablation baseline for incremental solving,
    and a self-check hook (the fixpoint is unique, so the results must
    agree). *)
 let solve_from_scratch t =
@@ -1338,9 +1339,9 @@ let batch_atoms b = Array.length b.b_atoms
    The renaming is therefore a flat array indexed by creation id — no
    per-variable hashing, no boxed key allocation — while every atom still
    replays through the normal [add_leq_*] entry points so dedup and
-   online cycle elimination fire exactly as in a serial run (counter
-   parity with {!Solver_ref.absorb}'s Hashtbl renaming is
-   property-tested). *)
+   online cycle elimination fire exactly as in a serial run (the
+   property tests certify the absorbed store's solutions and pin its
+   counters). *)
 let absorb t ?bind (b : batch) =
   let t0 = Unix.gettimeofday () in
   let bound v = match bind with Some f -> f v | None -> None in
@@ -2043,7 +2044,7 @@ let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
 
 (* Replay the full constraint log through the store-free evaluator: an
    independent oracle for the optimized solver, keyed by original (stable)
-   variable ids. Used by the equivalence property tests. *)
+   variable ids. Used by the property tests and the [solver] bench. *)
 let naive_bounds t =
   solve_atoms t.sp (Array.to_list (Array.sub t.log 0 t.nlog))
 

@@ -20,10 +20,11 @@
     int columns indexed by creation-order id, adjacency is a linked edge
     arena, dedup tables are open-addressing int-keyed hash sets and the
     propagation worklist is an int ring buffer (see DESIGN.md,
-    "Flat-arena solver"). {!Solver_ref} is the pre-arena records +
-    [Hashtbl] implementation, kept as the ablation baseline; both expose
-    this interface (the reference lacks the speculative queries) and are
-    byte-for-byte observationally equivalent (property-tested). *)
+    "Flat-arena solver"). Its solutions are property-tested against
+    their definition, the least solution of the logged atoms as
+    {!naive_bounds} re-solves it without the store; its counters and
+    error messages are deterministic, pinned by digests on a fixed op
+    stream. *)
 
 module Elt = Lattice.Elt
 module Space = Lattice.Space
@@ -246,9 +247,9 @@ val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
     This is the splice-fast path: because {!export} cuts the variable
     segment straight out of the source arena, a batch variable's creation
     id is its index in the segment, and the renaming is a flat array
-    lookup instead of a uid-keyed hash table. Semantics are identical to
-    the reference store's hash-table merge ({!Solver_ref.absorb}), which
-    the property tests compare it against. *)
+    lookup instead of a uid-keyed hash table. The property tests
+    certify the absorbed store's solutions against {!naive_bounds} and
+    pin its counters. *)
 
 val batch_skippable : bind:(var -> var option) -> batch -> bool
 (** [true] iff absorbing the batch would be a literal no-op: it carries no
@@ -349,12 +350,14 @@ val solve_least_naive : t -> unit
 val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** least/greatest solutions of a bare atom list, computed locally without
     touching any store (unmentioned variables default to (bottom, top));
-    used to summarize schemes in isolation *)
+    used to summarize schemes in isolation, and by the certificate
+    property tests to re-solve a store's atom log *)
 
 val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** replay the store's full constraint log through {!solve_atoms}: an
     independent oracle for the optimized solver, keyed by original
-    (stable) {!var_id}s; used by the equivalence property tests *)
+    (stable) {!var_id}s; used by the property tests and the [solver]
+    bench *)
 
 (** {1 Statistics} *)
 

@@ -129,11 +129,23 @@ let of_string (s : string) : (json, string) result =
       Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* exactly four hex digits: [int_of_string] would also take '_' and
+     raise on anything else *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -159,16 +171,18 @@ let of_string (s : string) : (json, string) result =
           | 'u' ->
               let cp = hex4 () in
               let cp =
-                (* high surrogate: consume the paired low surrogate *)
-                if cp >= 0xD800 && cp <= 0xDBFF
-                   && !pos + 1 < n
-                   && s.[!pos] = '\\'
-                   && s.[!pos + 1] = 'u'
-                then begin
+                (* a high surrogate must pair with a low one, and a low
+                   one cannot stand alone *)
+                if cp >= 0xD800 && cp <= 0xDBFF then begin
+                  if not (!pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u')
+                  then fail "unpaired surrogate";
                   pos := !pos + 2;
                   let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
                   0x10000 + (((cp - 0xD800) lsl 10) lor (lo - 0xDC00))
                 end
+                else if cp >= 0xDC00 && cp <= 0xDFFF then
+                  fail "unpaired surrogate"
                 else cp
               in
               add_utf8 b cp

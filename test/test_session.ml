@@ -699,12 +699,96 @@ let test_wire_unicode () =
   | Error e -> Alcotest.fail ("unicode parse failed: " ^ e)
 
 let test_wire_errors () =
-  (match Wire.of_string "{\"a\":1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated object must fail");
-  match Wire.of_string "1 2" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing input must fail"
+  List.iter
+    (fun (what, input) ->
+      match Wire.of_string input with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s must fail" what)
+    [
+      ("truncated object", "{\"a\":1");
+      ("trailing input", "1 2");
+      ("non-hex \\u escape", {|{"method":"\uzzzz"}|});
+      ("'_' in a \\u escape", {|"\u1_2_"|});
+      ("high surrogate paired with a non-low one", {|"\uD800\u0041"|});
+      ("lone high surrogate", {|"\uD800"|});
+      ("lone low surrogate", {|"\uDC00"|});
+    ]
+
+(* Fuzzing the wire parser: arbitrary strings and byte-level mutations
+   of valid requests must come back [Ok] or [Error], never raise. The
+   mutations draw from JSON's own bytes, so they land in escapes,
+   numbers and literals. *)
+let valid_requests =
+  [|
+    {|{"id":1,"method":"stats"}|};
+    {|{"id":2,"method":"update","params":{"name":"a.c","source":"int x;\n\u0041\u00e9\ud83d\ude00"}}|};
+    {|{"id":-3.5e2,"method":"whatif","params":{"key":"f:1:p","qual":"const"}}|};
+    {|{"id":null,"method":"render","params":{"positions":true,"names":["a","b"]}}|};
+  |]
+
+let fuzz_input_gen =
+  let open QCheck2.Gen in
+  let json_byte = oneofl (List.of_seq (String.to_seq {|{}[]:,"\u0123456789abcdefABCDEFxz_+-.eE tnrl|})) in
+  let mutate s =
+    let* k = int_range 1 4 in
+    let rec go k s =
+      if k = 0 then return s
+      else
+        let n = String.length s in
+        let* i = int_bound n and* c = json_byte and* how = int_bound 2 in
+        let s =
+          match how with
+          | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+          | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+          | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+          | _ -> s
+        in
+        go (k - 1) s
+    in
+    go k s
+  in
+  oneof
+    [
+      string_size ~gen:json_byte (int_bound 40);
+      string_size (int_bound 40);
+      (let* i = int_bound (Array.length valid_requests - 1) in
+       mutate valid_requests.(i));
+    ]
+
+let prop_wire_never_raises =
+  QCheck2.Test.make ~count:2000 ~name:"wire: parsers never raise (fuzz)"
+    ~print:String.escaped fuzz_input_gen (fun s ->
+      (match Wire.of_string s with Ok _ | Error _ -> ());
+      match Wire.parse_request s with Ok _ | Error _ -> true)
+
+(* a malformed escape is a bad request, and the daemon keeps serving *)
+let test_daemon_bad_escape () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tq-daemon-escape-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let unit = Filename.concat dir "sink.c" in
+  Out_channel.with_open_bin unit (fun oc -> output_string oc (sink_src ""));
+  let lines =
+    daemon_batch ~dir ~unit [ {|{"method":"\uzzzz"}|}; {|{"id":1,"method":"stats"}|} ]
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  match List.map Wire.of_string lines with
+  | [ Ok bad; Ok stats ] ->
+      let message =
+        Option.bind (Wire.mem "error" bad) (Wire.mem_string "message")
+      in
+      Alcotest.(check bool) "bad request" true
+        (match message with
+        | Some m -> String.starts_with ~prefix:"bad request" m
+        | None -> false);
+      Alcotest.(check (option int)) "the next request is answered" (Some 1)
+        (Wire.mem_int "id" stats);
+      Alcotest.(check bool) "with a result" true
+        (Option.is_some (Wire.mem "result" stats))
+  | _ -> Alcotest.failf "expected two JSON responses, got %d lines" (List.length lines)
 
 let test_parse_request () =
   (match
@@ -812,4 +896,7 @@ let tests =
       test_parse_request;
     Alcotest.test_case "wire: the stats reply is structured" `Quick
       test_wire_stats;
+    QCheck_alcotest.to_alcotest prop_wire_never_raises;
+    Alcotest.test_case "daemon: a malformed escape is a bad request" `Quick
+      test_daemon_bad_escape;
   ]
