@@ -1010,6 +1010,9 @@ let daemon_bench () =
   let n_edits = 10 in
   let st0 = Session.stats t in
   let rerun = ref 0 and full = ref 0 in
+  (* what the edits rebuilt outside the solver, summed *)
+  let built = ref 0 and rescanned = ref 0 and remeasured = ref 0 in
+  let cond_reused = ref 0 and patched = ref 0 in
   let edit_samples =
     List.init n_edits (fun i ->
         let src = if i mod 2 = 0 then edit_src ^ "\n" else edit_src in
@@ -1026,7 +1029,12 @@ let daemon_bench () =
         (match (Session.stats t).Session.ss_last_rebuild with
         | Some rb ->
             rerun := !rerun + rb.Session.rb_tasks_rerun;
-            if rb.Session.rb_full then incr full
+            if rb.Session.rb_full then incr full;
+            built := !built + rb.Session.rb_units_built;
+            rescanned := !rescanned + rb.Session.rb_defs_rescanned;
+            remeasured := !remeasured + rb.Session.rb_rows_remeasured;
+            if rb.Session.rb_condensation_reused then incr cond_reused;
+            if rb.Session.rb_index_patched then incr patched
         | None -> ());
         dt)
   in
@@ -1042,6 +1050,11 @@ let daemon_bench () =
   Fmt.pr "AST memo over the edits: %d hits, %d misses@." edit_hits
     edit_misses;
   Fmt.pr "warm reruns: %d tasks re-inferred, %d full runs@." !rerun !full;
+  Fmt.pr
+    "rebuilt over the edits: %d units built, %d definitions rescanned, %d \
+     condensations reused, %d functions' rows re-measured, %d index \
+     patches@."
+    !built !rescanned !cond_reused !remeasured !patched;
 
   (* the warm session after all those edits must still render exactly
      what a cold analysis of the same sources renders *)
@@ -1109,6 +1122,11 @@ let daemon_bench () =
               ("memo_misses", ji edit_misses);
               ("tasks_rerun", ji !rerun);
               ("full_runs", ji !full);
+              ("units_built", ji !built);
+              ("defs_rescanned", ji !rescanned);
+              ("condensation_reused", ji !cond_reused);
+              ("rows_remeasured", ji !remeasured);
+              ("index_patched", ji !patched);
             ]) );
       ("warm_render_identical_to_cold", jb (warm_render = cold_render));
       ("all_checks_passed", jb !ok);

@@ -1339,7 +1339,7 @@ let polyrec_scc env ~is_global members =
     | [ (f : Cast.fundef) ] ->
         (* the FDG filters self-edges; detect direct recursion from the
            body's own mentions *)
-        List.mem f.f_name (Fdg.mentions f)
+        Array.mem f.f_name (Fdg.mentions f)
     | _ -> true
   in
   if not is_recursive then poly_scc env ~is_global ~simplify members
@@ -1878,8 +1878,9 @@ let entry_digest (e : fentry option) : string =
       go_fsig s;
       Digest.string (Buffer.contents b)
 
-(** What a warm rerun did: the tasks it kept and re-ran. *)
-type rerun_info = { ri_tasks : int; ri_rerun : int }
+(** What a warm rerun did: the tasks it kept and re-ran, and how many
+    functions the re-run tasks hold. *)
+type rerun_info = { ri_tasks : int; ri_rerun : int; ri_rerun_members : int }
 
 (** Re-analyze [prog] in [base]'s store, re-inferring only the tasks the
     edit reaches, and return the updated env (sharing [base]'s store and
@@ -1920,13 +1921,9 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
       let st = env.store in
       Solver.reset_stats st;
       let old_fdg = ly.ly_fdg in
-      let fdg = Fdg.build prog in
-      (* match the graphs by name: [old_of.(v)] is new node [v]'s old id *)
-      let old_of =
-        Array.map
-          (fun g -> Option.value (Hashtbl.find_opt old_fdg.Fdg.ids g) ~default:(-1))
-          fdg.Fdg.names
-      in
+      let fdg = Fdg.build ~prev:old_fdg prog in
+      (* the graphs match by name: [old_of.(v)] is new node [v]'s old id *)
+      let old_of = fdg.Fdg.prev_id in
       let present = Bytes.make (Array.length old_fdg.Fdg.names) '\000' in
       Array.iter (fun u -> if u >= 0 then Bytes.set present u '\001') old_of;
       let removed u = Bytes.get present u = '\000' in
@@ -2012,15 +2009,13 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
       in
       let process = processor ~simplify env.mode in
       let is_global = shared_is_global env ~watermark:ly.ly_watermark in
-      let rerun_n = ref 0 in
+      let rerun_n = ref 0 and members_n = ref 0 in
       (* one task over FDG nodes [nodes]: kept when the old task had the
          same members in the same order, with definitions equal up to
          locations and no dirty mark; re-run otherwise *)
       let task (nodes : int array) =
         let clean v = Bytes.get dirty v = '\000' in
-        let same_def u v =
-          Cast.equal_fundef_mod_locs old_fdg.Fdg.defs.(u) fdg.Fdg.defs.(v)
-        in
+        let same_def u v = old_of.(v) = u && Bytes.get fdg.Fdg.same v = '\001' in
         let u0 = old_of.(nodes.(0)) in
         let kept =
           if u0 < 0 || not (Array.for_all clean nodes) then None
@@ -2032,7 +2027,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
                       &&
                       let olds = old_fdg.Fdg.scc_nodes.(old_fdg.Fdg.scc_of.(u0)) in
                       Array.length olds = Array.length nodes
-                      && Array.for_all2 (fun u v -> u = old_of.(v) && same_def u v) olds nodes
+                      && Array.for_all2 same_def olds nodes
               ->
                 Some sg
             | _ -> None
@@ -2041,6 +2036,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
         | Some sg -> keep sg
         | None ->
             incr rerun_n;
+            members_n := !members_n + Array.length nodes;
             (* the members' outcomes are the task's: a mono interface
                that was built only marks [Analyzed], which the body's
                own verdict subsumes *)
@@ -2102,7 +2098,11 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
         Ok
           ( env,
             reported segs,
-            { ri_tasks = List.length task_segs; ri_rerun = !rerun_n } )
+            {
+              ri_tasks = List.length task_segs;
+              ri_rerun = !rerun_n;
+              ri_rerun_members = !members_n;
+            } )
       end
 
 (** Solver statistics accumulated by the analysis (see {!Solver.stats}). *)

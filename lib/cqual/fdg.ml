@@ -19,6 +19,8 @@ type t = {
   ids : (string, int) Hashtbl.t;  (** function name -> node id *)
   defs : Cast.fundef array;
       (** node id -> the definition the name resolves to (its last) *)
+  mentions : string array array;
+      (** node id -> every name its definition's body mentions, sorted *)
   succ : int array array;
       (** node id -> the defined functions its body mentions, self
           excluded, in name order *)
@@ -26,17 +28,29 @@ type t = {
       (** SCC index -> its members' node ids, in reverse topological
           order: every callee's SCC precedes its callers' *)
   scc_of : int array;  (** node id -> SCC index *)
+  width : int;  (** see {!wavefront_width} *)
+  prev_id : int array;
+      (** node id -> the node of the same name in the graph this one was
+          built from ([?prev] of {!build}); -1 when new or built cold *)
+  same : Bytes.t;
+      (** node id -> ['\001'] when its definition equals its [prev_id]
+          node's up to source locations *)
+  stamp : int;  (** unique per graph *)
+  prev_stamp : int;  (** the [?prev] graph's stamp; -1 when built cold *)
+  rescanned : int;  (** definitions whose body {!build} scanned *)
+  condensation_reused : bool;
+      (** the SCC list came from [?prev]: every successor array was equal *)
 }
 
 (** Names a function's body mentions (including in local initializers and
     via function pointers — any occurrence counts, per Definition 4). *)
-let mentions (f : Cast.fundef) : string list =
+let mentions (f : Cast.fundef) : string array =
   let acc =
     List.fold_left
       (fun acc s -> Cast.fold_stmt_exprs (fun acc e -> Cast.expr_idents acc e) acc s)
       [] f.f_body
   in
-  List.sort_uniq String.compare acc
+  Array.of_list (List.sort_uniq String.compare acc)
 
 (* Tarjan's algorithm with an explicit call stack, so a call chain of any
    depth fits. Successors are visited in [succ] order and roots in id
@@ -100,44 +114,185 @@ let tarjan (succ : int array array) : int array list =
   (* completion order is callees first *)
   List.rev !sccs
 
-(* [f]'s edges, from its mentions, in name order *)
-let edges ids self (f : Cast.fundef) =
-  Array.of_list
-    (List.filter_map
-       (fun g ->
-         match Hashtbl.find_opt ids g with
-         | Some j when j <> self -> Some j
-         | _ -> None)
-       (mentions f))
+(* Per-SCC dependency structure over the indices of [t.sccs], for the
+   wavefront scheduler. An edge [f -> g] means [f] mentions [g], so [f]'s
+   SCC depends on (must be analyzed after) [g]'s. [in_degree.(i)] counts
+   the distinct SCCs that SCC [i] depends on; [dependents.(j)] lists the
+   SCCs depending on [j] — the candidates released when [j] completes. *)
+let deps_of succ scc_nodes scc_of : int array * int list array =
+  let n = Array.length scc_nodes in
+  let in_degree = Array.make n 0 in
+  let dependents = Array.make n [] in
+  (* SCC [i]'s edges are scanned in one stretch, so a stamp per target SCC
+     dedups its (i, j) pairs *)
+  let stamp = Array.make n (-1) in
+  Array.iteri
+    (fun i scc ->
+      Array.iter
+        (fun v ->
+          Array.iter
+            (fun w ->
+              let j = scc_of.(w) in
+              if j <> i && stamp.(j) <> i then begin
+                stamp.(j) <- i;
+                in_degree.(i) <- in_degree.(i) + 1;
+                dependents.(j) <- i :: dependents.(j)
+              end)
+            succ.(v))
+        scc)
+    scc_nodes;
+  (in_degree, dependents)
 
-(** The graph of [prog]. *)
-let build (prog : Cprog.t) : t =
-  let funs = Cprog.functions prog in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let rev_names = ref [] in
-  List.iter
-    (fun (f : Cast.fundef) ->
-      if not (Hashtbl.mem ids f.f_name) then begin
-        Hashtbl.add ids f.f_name (Hashtbl.length ids);
-        rev_names := f.f_name :: !rev_names
-      end)
-    funs;
-  let names = Array.of_list (List.rev !rev_names) in
-  let n = Array.length names in
-  (* a name defined twice takes its last definition's edges *)
+(* Maximum number of SCCs simultaneously ready under level-synchronous
+   (Kahn) scheduling: an upper bound on useful analysis parallelism, and
+   the figure [--stats] reports as the wavefront width. *)
+let width_of succ scc_nodes scc_of =
+  let in_degree, dependents = deps_of succ scc_nodes scc_of in
+  let indeg = in_degree in
+  let frontier = ref [] in
+  Array.iteri (fun i d -> if d = 0 then frontier := i :: !frontier) indeg;
+  let width = ref 0 in
+  while !frontier <> [] do
+    width := max !width (List.length !frontier);
+    let next = ref [] in
+    List.iter
+      (fun i ->
+        List.iter
+          (fun j ->
+            indeg.(j) <- indeg.(j) - 1;
+            if indeg.(j) = 0 then next := j :: !next)
+          dependents.(i))
+      !frontier;
+    frontier := !next
+  done;
+  !width
+
+(* the edges of a node with these mentions, in name order *)
+let edges ids self (mentions : string array) =
+  let out = ref [] in
+  for i = Array.length mentions - 1 downto 0 do
+    match Hashtbl.find_opt ids mentions.(i) with
+    | Some j when j <> self -> out := j :: !out
+    | _ -> ()
+  done;
+  Array.of_list !out
+
+(* [funs]'s names and definitions when they are [p]'s names in [p]'s
+   order (the definitions may differ): the id table is then [p]'s *)
+let same_names p (funs : Cast.fundef list) =
+  let n = Array.length p.names in
   let defs = match funs with [] -> [||] | f :: _ -> Array.make n f in
-  List.iter (fun (f : Cast.fundef) -> defs.(Hashtbl.find ids f.f_name) <- f) funs;
-  let succ = Array.mapi (fun v f -> edges ids v f) defs in
-  let scc_nodes = Array.of_list (tarjan succ) in
-  let scc_of = Array.make n 0 in
-  Array.iteri (fun i scc -> Array.iter (fun v -> scc_of.(v) <- i) scc) scc_nodes;
+  let rec go k = function
+    | [] -> k = n
+    | (f : Cast.fundef) :: rest ->
+        if k < n && String.equal p.names.(k) f.f_name then begin
+          defs.(k) <- f;
+          go (k + 1) rest
+        end
+        else (
+          match Hashtbl.find_opt p.ids f.f_name with
+          | Some j when j < k ->
+              defs.(j) <- f;
+              go k rest
+          | _ -> false)
+  in
+  if go 0 funs then Some defs else None
+
+let stamps = Atomic.make 0
+
+(** The graph of [prog]. With [prev], the graph of an earlier version of
+    the program: a definition that is physically the one [prev] scanned
+    (an unchanged unit's AST is shared across compiles) or equal to it up
+    to source locations keeps its mentions, and its edges too when the
+    names are [prev]'s; only the other definitions are scanned. When the
+    names are [prev]'s and every successor array comes out equal, the SCC
+    list and the wavefront width are [prev]'s too. The result is the graph a build
+    without [prev] returns. *)
+let build ?prev (prog : Cprog.t) : t =
+  let funs = Cprog.functions prog in
+  let kept_ids =
+    match prev with Some p -> Option.map (fun d -> (p, d)) (same_names p funs) | None -> None
+  in
+  let names, ids, defs =
+    match kept_ids with
+    | Some (p, defs) -> (p.names, p.ids, defs)
+    | None ->
+        let ids : (string, int) Hashtbl.t =
+          Hashtbl.create (match prev with Some p -> 2 * Array.length p.names | None -> 1024)
+        in
+        let rev_names = ref [] in
+        List.iter
+          (fun (f : Cast.fundef) ->
+            if not (Hashtbl.mem ids f.f_name) then begin
+              Hashtbl.add ids f.f_name (Hashtbl.length ids);
+              rev_names := f.f_name :: !rev_names
+            end)
+          funs;
+        let names = Array.of_list (List.rev !rev_names) in
+        (* a name defined twice takes its last definition's edges *)
+        let defs =
+          match funs with [] -> [||] | f :: _ -> Array.make (Array.length names) f
+        in
+        List.iter (fun (f : Cast.fundef) -> defs.(Hashtbl.find ids f.f_name) <- f) funs;
+        (names, ids, defs)
+  in
+  let n = Array.length names in
+  let prev_id =
+    match (prev, kept_ids) with
+    | None, _ -> Array.make n (-1)
+    | Some _, Some _ -> Array.init n Fun.id
+    | Some p, None ->
+        Array.map (fun g -> try Hashtbl.find p.ids g with Not_found -> -1) names
+  in
+  let same = Bytes.make n '\000' in
+  let rescanned = ref 0 in
+  let ments = Array.make n [||] in
+  let succ =
+    Array.mapi
+      (fun v (f : Cast.fundef) ->
+        let u = prev_id.(v) in
+        match prev with
+        | Some p when u >= 0 && Cast.equal_fundef_mod_locs p.defs.(u) f ->
+            Bytes.set same v '\001';
+            let m = p.mentions.(u) in
+            ments.(v) <- m;
+            if kept_ids <> None then p.succ.(u) else edges ids v m
+        | _ ->
+            incr rescanned;
+            let m = mentions f in
+            ments.(v) <- m;
+            edges ids v m)
+      defs
+  in
+  let reuse =
+    match kept_ids with
+    | Some (p, _) when Array.for_all2 ( = ) p.succ succ -> Some p
+    | _ -> None
+  in
+  let scc_nodes, scc_of, width =
+    match reuse with
+    | Some p -> (p.scc_nodes, p.scc_of, p.width)
+    | None ->
+        let scc_nodes = Array.of_list (tarjan succ) in
+        let scc_of = Array.make n 0 in
+        Array.iteri (fun i scc -> Array.iter (fun v -> scc_of.(v) <- i) scc) scc_nodes;
+        (scc_nodes, scc_of, width_of succ scc_nodes scc_of)
+  in
   {
     names;
     ids;
     defs;
+    mentions = ments;
     succ;
     scc_nodes;
     scc_of;
+    width;
+    prev_id;
+    same;
+    stamp = Atomic.fetch_and_add stamps 1;
+    prev_stamp = (match prev with Some p -> p.stamp | None -> -1);
+    rescanned = !rescanned;
+    condensation_reused = reuse <> None;
   }
 
 (** The SCCs by member name, callees first. *)
@@ -168,55 +323,7 @@ let callers t : int array array =
     t.succ;
   pred
 
-(* Per-SCC dependency structure over the indices of [t.sccs], for the
-   wavefront scheduler. An edge [f -> g] means [f] mentions [g], so [f]'s
-   SCC depends on (must be analyzed after) [g]'s. [in_degree.(i)] counts
-   the distinct SCCs that SCC [i] depends on; [dependents.(j)] lists the
-   SCCs depending on [j] — the candidates released when [j] completes. *)
-let scc_deps t : int array * int list array =
-  let n = Array.length t.scc_nodes in
-  let in_degree = Array.make n 0 in
-  let dependents = Array.make n [] in
-  (* SCC [i]'s edges are scanned in one stretch, so a stamp per target SCC
-     dedups its (i, j) pairs *)
-  let stamp = Array.make n (-1) in
-  Array.iteri
-    (fun i scc ->
-      Array.iter
-        (fun v ->
-          Array.iter
-            (fun w ->
-              let j = t.scc_of.(w) in
-              if j <> i && stamp.(j) <> i then begin
-                stamp.(j) <- i;
-                in_degree.(i) <- in_degree.(i) + 1;
-                dependents.(j) <- i :: dependents.(j)
-              end)
-            t.succ.(v))
-        scc)
-    t.scc_nodes;
-  (in_degree, dependents)
+let scc_deps t = deps_of t.succ t.scc_nodes t.scc_of
 
-(* Maximum number of SCCs simultaneously ready under level-synchronous
-   (Kahn) scheduling: an upper bound on useful analysis parallelism, and
-   the figure [--stats] reports as the wavefront width. *)
-let wavefront_width t =
-  let in_degree, dependents = scc_deps t in
-  let indeg = in_degree in
-  let frontier = ref [] in
-  Array.iteri (fun i d -> if d = 0 then frontier := i :: !frontier) indeg;
-  let width = ref 0 in
-  while !frontier <> [] do
-    width := max !width (List.length !frontier);
-    let next = ref [] in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then next := j :: !next)
-          dependents.(i))
-      !frontier;
-    frontier := !next
-  done;
-  !width
+(** {!width_of} the graph, computed once per condensation. *)
+let wavefront_width t = t.width

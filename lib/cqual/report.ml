@@ -143,21 +143,49 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
   in
   params @ ret
 
-(** One function's measured positions with their stable keys (canonical,
-    structural). They depend only on the interface, the home unit and the
-    definition's signature and anchors, so a warm re-measure reuses them
-    while the interface is physically the same and the rest is equal; the
-    verdicts are always re-read. *)
+(** One measured position: its stable keys (canonical, structural) and
+    its solver variable, which hold for as long as the function's rows
+    are reused, and its verdict, re-read on every measurement. *)
+type row = {
+  mutable r_pos : position;  (** [p_levels] is re-read with the verdict *)
+  r_var : Solver.var;
+  r_key : string;  (** canonical key *)
+  r_skey : string;  (** structural key; physically [r_key] when equal *)
+  mutable r_verdict : verdict;
+  mutable r_ord : int;  (** place in report order *)
+}
+
+(** One function's rows. They depend only on the interface, the home unit
+    and the definition's signature and anchors, so a warm re-measure
+    reuses them while the interface is physically the same (its task was
+    kept) and the rest is equal. *)
 type fun_rows = {
   mutable fr_def : Cast.fundef;
   fr_iface : fsig;
   fr_unit : string;
-  fr_rows : (position * Solver.var * string * string) list;
+  fr_rows : row array;
   mutable fr_run : int;  (** the measurement that last used it *)
 }
 
-(** Measured rows by function name, for {!measure_indexed}'s [?prev]. *)
-type rows = (string, fun_rows) Hashtbl.t
+(** A measurement, kept to seed the next one of the same, re-analyzed
+    store ([?prev]): the rows by FDG node of the graph it measured (the
+    next graph maps its nodes back through [Fdg.prev_id]), every row in
+    report order, and the key index. Each
+    row is registered under its structural key and (when the anchor has
+    column precision) its canonical [unit:line:col@level] key; when rows
+    share a key, [shared] lists them and the first in report order owns
+    the key. The index holds solver-variable back-pointers, so it is only
+    meaningful against the live store and must not be marshaled. *)
+type rows = {
+  mutable by_node : fun_rows option array;
+  mutable graph : int;  (** the measured graph's [Fdg.stamp] *)
+  mutable in_order : row array;
+  mutable index : (string, row) Hashtbl.t;
+  shared : (string, row list) Hashtbl.t;
+  mutable remeasured : int;  (** functions measured afresh by the last call *)
+  mutable index_patched : bool;
+      (** the last call updated the index by the changed rows only *)
+}
 
 let run_counter = Atomic.make 0
 
@@ -167,10 +195,62 @@ let same_anchors (a : Cast.fundef) (b : Cast.fundef) =
   && a.f_name_loc = b.f_name_loc
   && a.f_param_locs = b.f_param_locs
 
-let keyed (p, var) =
-  let sk = structural_key p in
-  let ck = position_key p in
-  (p, var, (if ck = sk then sk (* one string for both *) else ck), sk)
+let make_row ~keys (p, var) =
+  let r_key, r_skey =
+    if not keys then ("", "")
+    else
+      let sk = structural_key p in
+      let ck = position_key p in
+      ((if ck = sk then sk (* one string for both *) else ck), sk)
+  in
+  { r_pos = p; r_var = var; r_key; r_skey; r_verdict = Either; r_ord = 0 }
+
+let iter_keys f r =
+  f r.r_skey;
+  if r.r_key != r.r_skey then f r.r_key
+
+(* register [r] under [k]: the owner, or one more row sharing it *)
+let add_key st r k =
+  match Hashtbl.find_opt st.index k with
+  | None -> Hashtbl.add st.index k r
+  | Some o ->
+      let rows = Option.value (Hashtbl.find_opt st.shared k) ~default:[ o ] in
+      Hashtbl.replace st.shared k (r :: rows)
+
+(* a shared key belongs to the first of its rows in report order *)
+let settle_shared st =
+  Hashtbl.iter
+    (fun k rows ->
+      let first =
+        List.fold_left (fun a r -> if r.r_ord < a.r_ord then r else a) (List.hd rows) rows
+      in
+      Hashtbl.replace st.index k first)
+    st.shared
+
+let rebuild_index st =
+  (* sized for every row's two keys: no resizing on the way *)
+  st.index <- Hashtbl.create (2 * Array.length st.in_order);
+  Hashtbl.reset st.shared;
+  Array.iter (fun r -> iter_keys (add_key st r) r) st.in_order;
+  settle_shared st
+
+(* Update the index by the rows that left and the rows that arrived, then
+   re-settle the shared keys (report order may have moved). Every row that
+   left was registered by the measurement that made it. *)
+let patch_index st ~removed ~added =
+  let remove r k =
+    match Hashtbl.find_opt st.shared k with
+    | Some rows -> (
+        match List.filter (fun o -> o != r) rows with
+        | [ o ] ->
+            Hashtbl.remove st.shared k;
+            Hashtbl.replace st.index k o
+        | rows -> Hashtbl.replace st.shared k rows)
+    | None -> Hashtbl.remove st.index k
+  in
+  List.iter (Array.iter (fun r -> iter_keys (remove r) r)) removed;
+  List.iter (Array.iter (fun r -> iter_keys (add_key st r) r)) added;
+  settle_shared st
 
 (** Classify every interesting position after solving.
 
@@ -179,14 +259,20 @@ let keyed (p, var) =
     conservatively classified [Either] and every function is reported
     degraded (keeping any more specific per-function reason already
     recorded). With [keys] (the default) every position comes with its
-    stable keys, and rows of [prev] are reused where they still apply;
-    [prev] is updated in place (a fresh table without it) and returned,
-    holding exactly this measurement's rows for the next call. Without,
-    the keys are empty and no row is kept. *)
-let measure_full ?(locate = fun _fname line -> ("", line)) ?prev
+    stable keys and the index over them; rows of [prev] are reused where
+    they still apply, and [prev] is updated in place (a fresh state
+    without it) and returned, holding exactly this measurement's rows for
+    the next call. Without, the keys are empty and there is no index.
+    [home] (function name -> defining unit) anchors positions like
+    [locate] does. *)
+let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
     ?(keys = true) (env : Analysis.env) (ifaces : (string * fsig) list) :
-    results * (position * verdict * Solver.var * string * string) list * rows
-    =
+    results * rows =
+  let locate =
+    match home with
+    | Some h -> fun fname line -> (Option.value (Hashtbl.find_opt h fname) ~default:"", line)
+    | None -> locate
+  in
   let store = env.Analysis.store in
   ignore (Solver.solve store : (unit, Solver.error list) result);
   let type_errors = Solver.error_count store in
@@ -196,84 +282,116 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?prev
     | Some b -> Typequal.Budget.exhausted b
     | None -> None
   in
-  let rows : rows =
-    match prev with Some h -> h | None -> Hashtbl.create 1024
+  let g = Option.get (Analysis.fdg env) in
+  let st =
+    match prev with
+    | Some st -> st
+    | None ->
+        {
+          by_node = [||];
+          graph = -1;
+          in_order = [||];
+          index = Hashtbl.create 1;
+          shared = Hashtbl.create 16;
+          remeasured = 0;
+          index_patched = false;
+        }
   in
+  (* [prev]'s rows apply when this graph was built from the one they
+     measured *)
+  let from_prev = st.graph >= 0 && st.graph = g.Fdg.prev_stamp in
+  let old_rows = if from_prev then st.by_node else [||] in
+  let by_node = Array.make (Array.length g.Fdg.names) None in
   let run = Atomic.fetch_and_add run_counter 1 in
-  let positions =
-    List.concat_map
+  let removed = ref [] and added = ref [] in
+  let blocks =
+    List.filter_map
       (fun (name, iface) ->
-        match Cprog.find_fun env.Analysis.prog name with
-        | Some f -> (
-            let unit = fst (locate name 1) in
-            match Hashtbl.find_opt rows name with
+        match Hashtbl.find_opt g.Fdg.ids name with
+        | None -> None
+        | Some v -> (
+            let f = g.Fdg.defs.(v) in
+            let u = g.Fdg.prev_id.(v) in
+            let old = if u >= 0 && u < Array.length old_rows then old_rows.(u) else None in
+            match old with
             | Some fr
-              when fr.fr_iface == iface && fr.fr_unit = unit
-                   && (fr.fr_def == f || same_anchors fr.fr_def f) ->
+              when fr.fr_iface == iface
+                   && (fr.fr_def == f || same_anchors fr.fr_def f)
+                   && fr.fr_unit = fst (locate name 1) ->
                 (* hold the current definition, not a re-parse's
                    predecessor (and its whole body) *)
                 fr.fr_def <- f;
                 fr.fr_run <- run;
-                fr.fr_rows
+                by_node.(v) <- old;
+                Some fr.fr_rows
             | _ -> (
                 match
                   positions_of_fun ~qual ~locate env.Analysis.prog f iface
                 with
-                | ps when not keys -> List.map (fun (p, var) -> (p, var, "", "")) ps
                 | ps ->
-                    let fr_rows = List.map keyed ps in
-                    Hashtbl.replace rows name
-                      {
-                        fr_def = f;
-                        fr_iface = iface;
-                        fr_unit = unit;
-                        fr_rows;
-                        fr_run = run;
-                      };
-                    fr_rows
+                    let fr_rows = Array.of_list (List.map (make_row ~keys) ps) in
+                    by_node.(v) <-
+                      Some
+                        {
+                          fr_def = f;
+                          fr_iface = iface;
+                          fr_unit = fst (locate name 1);
+                          fr_rows;
+                          fr_run = run;
+                        };
+                    added := fr_rows :: !added;
+                    Some fr_rows
                 | exception Cprog.Frontend_error m ->
                     Analysis.degrade env name ("measurement failed: " ^ m);
-                    []))
-        | None -> [])
+                    None)))
       ifaces
   in
-  Hashtbl.filter_map_inplace
-    (fun _ fr -> if fr.fr_run = run then Some fr else None)
-    rows;
-  (* when the measured qualifier is an ordered coordinate, also report
-     the inferred level range by name (never raw masks) *)
+  (* every previous row this measurement did not keep leaves the index *)
+  Array.iter
+    (function
+      | Some fr when fr.fr_run <> run -> removed := fr.fr_rows :: !removed
+      | _ -> ())
+    old_rows;
+  st.by_node <- by_node;
+  st.graph <- g.Fdg.stamp;
+  st.in_order <- Array.concat blocks;
+  st.remeasured <- List.length !added;
+  (* the verdicts are re-read for every row: one new atom can move any
+     of them. When the measured qualifier is an ordered coordinate, the
+     inferred level range is reported by name too (never raw masks). *)
   let sp = Solver.space store in
-  let qi = Typequal.Lattice.Space.find_opt sp qual in
-  let level_range var =
-    match qi with
-    | Some i when Typequal.Lattice.Space.order sp i <> None ->
-        Some
-          ( Typequal.Lattice.Elt.level_name sp i (Solver.least store var),
-            Typequal.Lattice.Elt.level_name sp i (Solver.greatest store var) )
-    | _ -> None
+  let qi = lazy (Typequal.Lattice.Space.find sp qual) in
+  let ordered =
+    match Typequal.Lattice.Space.find_opt sp qual with
+    | Some i -> Typequal.Lattice.Space.order sp i <> None
+    | None -> false
   in
-  let classified =
-    List.map
-      (fun (p, var, ck, sk) ->
-        let v =
-          if budget_trip <> None then Either
-          else
-            match Solver.classify_name store var qual with
-            | Solver.Forced_up -> Must_const
-            | Solver.Forced_down -> Must_not_const
-            | Solver.Free -> Either
-        in
-        let p =
-          if budget_trip <> None then p
-          else
-            match level_range var with
-            | None when p.p_levels = None -> p
-            | levels -> { p with p_levels = levels }
-        in
-        (p, v, var, ck, sk))
-      positions
-  in
-  let pairs = List.map (fun (p, v, _, _, _) -> (p, v)) classified in
+  Array.iteri
+    (fun i r ->
+      let var = r.r_var in
+      r.r_ord <- i;
+      r.r_verdict <-
+        (if budget_trip <> None then Either
+         else
+           match Solver.classify store var (Lazy.force qi) with
+           | Solver.Forced_up -> Must_const
+           | Solver.Forced_down -> Must_not_const
+           | Solver.Free -> Either);
+      let levels =
+        if budget_trip = None && ordered then
+          let i = Lazy.force qi in
+          Some
+            ( Typequal.Lattice.Elt.level_name sp i (Solver.least store var),
+              Typequal.Lattice.Elt.level_name sp i (Solver.greatest store var) )
+        else None
+      in
+      if levels <> r.r_pos.p_levels then r.r_pos <- { r.r_pos with p_levels = levels })
+    st.in_order;
+  if keys then begin
+    st.index_patched <- from_prev;
+    if from_prev then patch_index st ~removed:!removed ~added:!added
+    else rebuild_index st
+  end;
   let outcomes =
     List.map
       (fun (f : Cast.fundef) ->
@@ -291,58 +409,37 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?prev
         (f.f_name, o))
       (Cprog.functions env.Analysis.prog)
   in
-  let declared = ref 0 and possible = ref 0 and must = ref 0 and total = ref 0 in
-  List.iter
-    (fun (p, v) ->
-      incr total;
-      if p.p_declared then incr declared;
-      if v <> Must_not_const then incr possible;
-      if v = Must_const then incr must)
-    pairs;
+  let declared = ref 0 and possible = ref 0 and must = ref 0 in
+  let positions =
+    Array.fold_right
+      (fun r acc ->
+        let v = r.r_verdict in
+        if r.r_pos.p_declared then incr declared;
+        if v <> Must_not_const then incr possible;
+        if v = Must_const then incr must;
+        (r.r_pos, v) :: acc)
+      st.in_order []
+  in
   ( {
-      positions = pairs;
+      positions;
       declared = !declared;
       possible = !possible;
       must = !must;
-      total = !total;
+      total = Array.length st.in_order;
       type_errors;
       warnings = env.Analysis.warnings;
       outcomes;
     },
-    classified,
-    rows )
+    st )
 
 let measure ?locate env ifaces =
-  let r, _, _ = measure_full ?locate ~keys:false env ifaces in
-  r
+  fst (measure_full ?locate ~keys:false env ifaces)
 
-(** Like {!measure}, but also return an index from stable position keys
-    to the live position, verdict and solver variable, every position's
-    canonical key in report order, and the measured rows (pass them back
-    as [prev] to the next measurement of the same, re-analyzed store).
-    Each position is registered under its structural key and (when the
-    anchor has column precision) its canonical [unit:line:col@level] key;
-    when two positions share a key, the first in report order owns it.
-    Only meaningful against a live store — the index holds
-    solver-variable back-pointers and must not be marshaled. *)
-let measure_indexed ?locate ?prev env ifaces :
-    results
-    * (string, position * verdict * Solver.var) Hashtbl.t
-    * string array
-    * rows =
-  let r, classified, rows = measure_full ?locate ?prev env ifaces in
-  let index = Hashtbl.create (2 * List.length classified) in
-  let keys = Array.make (List.length classified) "" in
-  List.iteri
-    (fun n (p, v, var, ck, sk) ->
-      let add k =
-        if not (Hashtbl.mem index k) then Hashtbl.add index k (p, v, var)
-      in
-      add sk;
-      if ck != sk then add ck;
-      keys.(n) <- ck)
-    classified;
-  (r, index, keys, rows)
+(** Like {!measure}, with the stable keys and their index (see {!rows}):
+    pass the returned state back as [prev] to the next measurement of the
+    same, re-analyzed store. *)
+let measure_indexed ?locate ?home ?prev env ifaces : results * rows =
+  measure_full ?locate ?home ?prev env ifaces
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

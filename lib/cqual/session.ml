@@ -232,6 +232,24 @@ let cached_of_run (r : run) : cached_run =
 (* Per-unit frontend                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One source unit as the session holds it. Its digest keys every
+   per-unit product, and its line count is summed into the run's; both
+   are computed once, when the source arrives. *)
+type src_unit = {
+  u_name : string;
+  u_src : string;
+  u_digest : Digest.t;
+  u_lines : int;
+}
+
+let src_unit (name, src) =
+  {
+    u_name = name;
+    u_src = src;
+    u_digest = unit_digest name src;
+    u_lines = Cfront.Cprog.count_lines src;
+  }
+
 (* the frontend's product: the linked program, its recovered
    diagnostics and demoted bodies, and the function-name ->
    defining-unit table that anchors the report's stable position keys *)
@@ -243,79 +261,101 @@ type compiled = {
   co_t_compile : float;
   co_frontend : frontend_stats;
   co_home : (string, string) Hashtbl.t;
+  co_units_built : int;  (* per-unit tables built, not taken from the memo *)
 }
 
 (* the per-unit AST cache payload: the speculative (environment-free)
    parse of one unit, reusable under any link order. Reparses triggered
-   by the link environment are never cached — they depend on it. *)
+   by the link environment are never cached on disk — they depend on
+   it. *)
 type cached_unit = { cu_res : Cfront.Cparse.uresult }
 
 let unit_key ~max_errors ~digest =
   Digest.string (Printf.sprintf "unit\000%d\000%s" max_errors digest)
 
-(* The persistent session's in-memory AST tier: unit digest ->
-   speculative parse, with hit/miss counters for {!stats}. *)
+(* one parse of a unit with its built table *)
+type parsed = { pu_res : Cfront.Cparse.uresult; pu_prog : Cfront.Cprog.t }
+
+let parsed_of (res : Cfront.Cparse.uresult) =
+  {
+    pu_res = res;
+    pu_prog = Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog;
+  }
+
+(* The persistent session's in-memory AST tier, with hit/miss counters
+   for {!stats}. A speculative parse is keyed by the unit's digest, a
+   link re-parse by the digest and a digest of the seed the link handed
+   it ({!seed_key}). Each compile keeps exactly the entries it read, so
+   a clean unit's parse, table and definitions are physically the same
+   values from one compile to the next. *)
 type fe_memo = {
-  fm_tbl : (string, Cfront.Cparse.uresult) Hashtbl.t;
+  fm_tbl : (string, parsed) Hashtbl.t;
   mutable fm_hits : int;
   mutable fm_misses : int;
 }
 
-(* one unit's frontend product, pre-link *)
-type unit_fe = {
-  uf_name : string;
-  uf_src : string;
-  uf_res : Cfront.Cparse.uresult;
-  uf_prog : Cfront.Cprog.t;  (* build of the speculative parse *)
-}
+(* everything a link re-parse reads besides the unit's source (the
+   parser enters the seed's names into tables, so their order is
+   irrelevant) *)
+let seed_key digest (seed : Cfront.Cparse.useed) =
+  digest
+  ^ Digest.string
+      (Marshal.to_string
+         ( List.sort compare seed.Cfront.Cparse.us_typedefs,
+           List.sort compare seed.Cfront.Cparse.us_enums,
+           seed.Cfront.Cparse.us_anon,
+           seed.Cfront.Cparse.us_count_base )
+         [])
 
 (** The per-unit frontend: speculative parallel lex+parse+build per
     translation unit, then a deterministic serial link that replays the
     cross-unit parser environment in file order and re-parses the rare
     unit whose speculative result it could have influenced. [fe_memo] is
     the session's in-memory AST tier, probed before the disk tier, fed by
-    fresh parses, and pruned to the current units' digests. *)
-let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
-    : compiled =
-  let lines =
-    List.fold_left
-      (fun acc (_, src) -> acc + Cfront.Cprog.count_lines src)
-      0 files
-  in
-  let multi = match files with [] | [ _ ] -> false | _ -> true in
+    every parse, and pruned to what this compile read. *)
+let compile_units ?cache ~fe_memo ~jobs ~me (units : src_unit list) :
+    compiled =
+  let lines = List.fold_left (fun acc u -> acc + u.u_lines) 0 units in
+  let multi = match units with [] | [ _ ] -> false | _ -> true in
   let t0 = Unix.gettimeofday () in
-  let files_a = Array.of_list files in
-  let digests_a =
-    Array.map (fun (name, src) -> unit_digest name src) files_a
+  let units_a = Array.of_list units in
+  let n = Array.length units_a in
+  let read : (string, unit) Hashtbl.t = Hashtbl.create (2 * n) in
+  let lookup key =
+    match Hashtbl.find_opt fe_memo.fm_tbl key with
+    | Some p ->
+        fe_memo.fm_hits <- fe_memo.fm_hits + 1;
+        Hashtbl.replace read key ();
+        Some p
+    | None ->
+        fe_memo.fm_misses <- fe_memo.fm_misses + 1;
+        None
   in
-  let n = Array.length files_a in
+  let remember key p =
+    Hashtbl.replace fe_memo.fm_tbl key p;
+    Hashtbl.replace read key ()
+  in
   (* --- per-unit AST memo + cache probes (serial: neither the memo table
      nor cache handles are domain-safe) --- *)
-  let probed : Cfront.Cparse.uresult option array = Array.make n None in
-  Array.iteri
-    (fun i _ ->
-      match Hashtbl.find_opt fe_memo.fm_tbl digests_a.(i) with
-      | Some res ->
-          fe_memo.fm_hits <- fe_memo.fm_hits + 1;
-          probed.(i) <- Some res
-      | None -> fe_memo.fm_misses <- fe_memo.fm_misses + 1)
-    files_a;
+  let slots = Array.map (fun u -> lookup u.u_digest) units_a in
+  let on_disk : Cfront.Cparse.uresult option array = Array.make n None in
   (match cache with
   | None -> ()
   | Some cs ->
       Array.iteri
-        (fun i _ ->
-          if probed.(i) = None then
+        (fun i u ->
+          if slots.(i) = None then
             match
               (load_marshal cs.cs_cache ~kind:"unit"
-                 ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
+                 ~key:(unit_key ~max_errors:me ~digest:u.u_digest)
                 : cached_unit option)
             with
-            | Some cu -> probed.(i) <- Some cu.cu_res
+            | Some cu -> on_disk.(i) <- Some cu.cu_res
             | None -> ())
-        files_a);
-  (* --- speculative lex+parse+build, one task per unit --- *)
-  let slots : unit_fe option array = Array.make n None in
+        units_a);
+  (* --- speculative lex+parse+build of the units the memo lacks, one task
+     per unit --- *)
+  let fresh = Array.map Option.is_none slots in
   let tmu = Mutex.create () in
   let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
   let add cell dt =
@@ -325,53 +365,46 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
   in
   Typequal.Pool.with_pool ~jobs (fun pool ->
       Array.iteri
-        (fun i (name, src) ->
-          Typequal.Pool.submit pool (fun () ->
-              let res =
-                match probed.(i) with
-                | Some res -> res
-                | None ->
-                    let (tb, lex_diags), t_lex =
-                      time (fun () ->
-                          Cfront.Clexer.tokenize_buf ~max_errors:me src)
-                    in
-                    add lex_s t_lex;
-                    let res, t_parse =
-                      time (fun () ->
-                          Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
-                    in
-                    add parse_s t_parse;
-                    res
-              in
-              let prog, t_build =
-                time (fun () ->
-                    Cfront.Cprog.build
-                      res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
-              in
-              add build_s t_build;
-              slots.(i) <-
-                Some { uf_name = name; uf_src = src; uf_res = res; uf_prog = prog }))
-        files_a;
+        (fun i u ->
+          if fresh.(i) then
+            Typequal.Pool.submit pool (fun () ->
+                let res =
+                  match on_disk.(i) with
+                  | Some res -> res
+                  | None ->
+                      let (tb, lex_diags), t_lex =
+                        time (fun () ->
+                            Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
+                      in
+                      add lex_s t_lex;
+                      let res, t_parse =
+                        time (fun () ->
+                            Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
+                      in
+                      add parse_s t_parse;
+                      res
+                in
+                let p, t_build = time (fun () -> parsed_of res) in
+                add build_s t_build;
+                slots.(i) <- Some p))
+        units_a;
       Typequal.Pool.wait pool);
-  (* --- persist fresh speculative parses (memo and disk) --- *)
+  let built = ref 0 in
+  (* --- persist fresh speculative parses (memo, and disk when parsed) --- *)
   Array.iteri
-    (fun i uf ->
-      match (probed.(i), uf) with
-      | None, Some uf -> (
-          Hashtbl.replace fe_memo.fm_tbl digests_a.(i) uf.uf_res;
-          match cache with
-          | Some cs ->
-              Cache.store cs.cs_cache ~kind:"unit"
-                ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                (Marshal.to_string { cu_res = uf.uf_res } [])
-          | None -> ())
-      | _ -> ())
-    slots;
-  (* an entry no current unit hashes to is dead weight: an edit that is
-     reverted re-parses rather than keeping every version alive *)
-  Hashtbl.filter_map_inplace
-    (fun d res -> if Array.mem d digests_a then Some res else None)
-    fe_memo.fm_tbl;
+    (fun i u ->
+      if fresh.(i) then begin
+        incr built;
+        let p = Option.get slots.(i) in
+        remember u.u_digest p;
+        match (cache, on_disk.(i)) with
+        | Some cs, None ->
+            Cache.store cs.cs_cache ~kind:"unit"
+              ~key:(unit_key ~max_errors:me ~digest:u.u_digest)
+              (Marshal.to_string { cu_res = p.pu_res } [])
+        | _ -> ()
+      end)
+    units_a;
   (* --- serial link: validate each speculative parse against the
      accumulated environment, re-parse when it could have been
      influenced, thread the diagnostic budget, merge in file order --- *)
@@ -386,10 +419,10 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
   let diags = ref [] in
   let degraded = ref [] in
   let home : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let in_unit uf d = if multi then Cfront.Diag.with_unit uf.uf_name d else d in
-  Array.iter
-    (fun uf ->
-      let uf = Option.get uf in
+  Array.iteri
+    (fun i u ->
+      let in_unit d = if multi then Cfront.Diag.with_unit u.u_name d else d in
+      let spec = Option.get slots.(i) in
       if not !capped then
         if !consumed >= me then begin
           (* the budget ran out exactly at a unit boundary: a
@@ -397,31 +430,29 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
              token *)
           capped := true;
           diags :=
-            in_unit uf
+            in_unit
               (Cfront.Diag.note ~code:"E0299"
-                 uf.uf_res.Cfront.Cparse.ur_first_span
+                 spec.pu_res.Cfront.Cparse.ur_first_span
                  (Printf.sprintf
                     "too many errors (%d); giving up on the rest of the file"
                     me))
             :: !diags
         end
         else begin
-          let spec = uf.uf_res in
-          let k = List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
+          let sres = spec.pu_res in
+          let k = List.length sres.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
           let mention_hit =
             (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
             && List.exists
                  (fun id ->
                    Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
-                 spec.Cfront.Cparse.ur_idents
+                 sres.Cfront.Cparse.ur_idents
           in
-          let anon_hit = !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0 in
+          let anon_hit = !env_anon > 0 && sres.Cfront.Cparse.ur_anon > 0 in
           let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
-          let res, prog =
-            if not (mention_hit || anon_hit || budget_hit) then
-              (spec, uf.uf_prog)
+          let { pu_res = res; pu_prog = prog } =
+            if not (mention_hit || anon_hit || budget_hit) then spec
             else begin
-              incr reparsed;
               let seed =
                 {
                   Cfront.Cparse.us_typedefs =
@@ -432,14 +463,22 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
                   us_count_base = !consumed;
                 }
               in
-              let tb, lex_diags =
-                Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
-                  uf.uf_src
-              in
-              let res =
-                Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags
-              in
-              (res, Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
+              let key = seed_key u.u_digest seed in
+              match lookup key with
+              | Some p -> p
+              | None ->
+                  incr reparsed;
+                  incr built;
+                  let tb, lex_diags =
+                    Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
+                      u.u_src
+                  in
+                  let res =
+                    Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags
+                  in
+                  let p = parsed_of res in
+                  remember key p;
+                  p
             end
           in
           let pr = res.Cfront.Cparse.ur_pr in
@@ -453,15 +492,20 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
             res.Cfront.Cparse.ur_enums;
           env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
           progs := prog :: !progs;
-          List.iter (fun d -> diags := in_unit uf d :: !diags) pr.Cfront.Cparse.pr_diags;
+          List.iter (fun d -> diags := in_unit d :: !diags) pr.Cfront.Cparse.pr_diags;
           List.iter (fun dg -> degraded := dg :: !degraded) pr.Cfront.Cparse.pr_degraded;
           List.iter
             (fun (f : Cfront.Cast.fundef) ->
               if not (Hashtbl.mem home f.Cfront.Cast.f_name) then
-                Hashtbl.replace home f.Cfront.Cast.f_name uf.uf_name)
+                Hashtbl.replace home f.Cfront.Cast.f_name u.u_name)
             (Cfront.Cprog.functions prog)
         end)
-    slots;
+    units_a;
+  (* an entry this compile did not read is dead weight: an edit that is
+     reverted re-parses rather than keeping every version alive *)
+  Hashtbl.filter_map_inplace
+    (fun key p -> if Hashtbl.mem read key then Some p else None)
+    fe_memo.fm_tbl;
   let prog = Cfront.Cprog.merge (List.rev !progs) in
   let link_s = Unix.gettimeofday () -. link_t0 in
   {
@@ -480,6 +524,7 @@ let compile_units ?cache ~fe_memo ~jobs ~me (files : (string * string) list)
         fs_link_s = link_s;
       };
     co_home = home;
+    co_units_built = !built;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -492,8 +537,15 @@ type rebuild = {
   rb_units_reparsed : int;  (** units lexed and parsed afresh for it *)
   rb_tasks_total : int;  (** analysis tasks: SCCs, or mono bodies *)
   rb_tasks_rerun : int;  (** of those, re-inferred *)
+  rb_members_rerun : int;  (** functions in the re-inferred tasks *)
   rb_full : bool;  (** a fresh store rather than a warm rerun *)
   rb_reason : string;  (** why a full run, or "incremental" *)
+  rb_units_built : int;  (** per-unit tables built, not taken from the memo *)
+  rb_defs_rescanned : int;  (** definitions whose body the FDG scanned *)
+  rb_condensation_reused : bool;  (** the FDG kept the previous SCC list *)
+  rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
+  rb_index_patched : bool;
+      (** the key index was updated by the changed rows, not rebuilt *)
 }
 
 (* Analyze, measure, and attach FDG statistics (from the graph the
@@ -507,42 +559,29 @@ type rebuild = {
    unit. *)
 let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm ~jobs
     ~reparsed mode (co : compiled) =
-  let rebuild ~full ~reason (ri : Analysis.rerun_info) =
-    {
-      rb_mode = mode_name mode;
-      rb_units_reparsed = reparsed;
-      rb_tasks_total = ri.Analysis.ri_tasks;
-      rb_tasks_rerun = ri.Analysis.ri_rerun;
-      rb_full = full;
-      rb_reason = reason;
-    }
-  in
   let full reason =
     let env, ifaces =
       Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
         co.co_prog
     in
     let n = Analysis.task_count env in
-    (env, ifaces, None, rebuild ~full:true ~reason { ri_tasks = n; ri_rerun = n })
+    let m = Array.length (Option.get (Analysis.fdg env)).Fdg.names in
+    (env, ifaces, None, true, reason, { Analysis.ri_tasks = n; ri_rerun = n; ri_rerun_members = m })
   in
-  let (env, ifaces, prev, rb), t =
+  let (env, ifaces, prev, is_full, reason, ri), t =
     time (fun () ->
         match warm with
         | None -> full "no kept store"
         | Some _ when budget <> None -> full "budgeted analysis"
         | Some (base, rows) -> (
             match Analysis.rerun ?simplify base co.co_prog with
-            | Ok (env, ifaces, ri) ->
-                (env, ifaces, Some rows, rebuild ~full:false ~reason:"incremental" ri)
+            | Ok (env, ifaces, ri) -> (env, ifaces, Some rows, false, "incremental", ri)
             | Error reason -> full reason))
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
-  let locate fname line =
-    (Option.value (Hashtbl.find_opt co.co_home fname) ~default:"", line)
-  in
-  let (results, index, keys, rows), t2 =
-    time (fun () -> Report.measure_indexed ~locate ?prev env ifaces)
+  let (results, rows), t2 =
+    time (fun () -> Report.measure_indexed ~home:co.co_home ?prev env ifaces)
   in
   (* the report's own cost, minus the final solve it triggers (that time
      is already accounted to solve_s) *)
@@ -550,26 +589,31 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm ~jobs
   Typequal.Solver.note_phase st Typequal.Solver.Report
     (Float.max 0. (t2 -. solve_d));
   let fdg = Option.get (Analysis.fdg env) in
+  (* one outcome per linked definition, before the demoted bodies *)
+  let n_functions = List.length results.Report.outcomes in
   let results =
-    {
-      results with
-      (* tail-recursive construction: a pathological input can demote
-         thousands of functions, and outcome lists are program-sized *)
-      Report.outcomes =
-        List.rev_append
-          (List.rev results.Report.outcomes)
-          (List.rev
-             (List.rev_map
-                (fun (name, reason) -> (name, Analysis.Degraded reason))
-                co.co_degraded));
-    }
+    match co.co_degraded with
+    | [] -> results
+    | degraded ->
+        {
+          results with
+          (* tail-recursive construction: a pathological input can demote
+             thousands of functions, and outcome lists are program-sized *)
+          Report.outcomes =
+            List.rev_append
+              (List.rev results.Report.outcomes)
+              (List.rev
+                 (List.rev_map
+                    (fun (name, reason) -> (name, Analysis.Degraded reason))
+                    degraded));
+        }
   in
   let run =
     {
       results;
       timing = { t_compile = co.co_t_compile; t_analysis = t +. t2 };
       lines = co.co_lines;
-      n_functions = List.length (Cfront.Cprog.functions co.co_prog);
+      n_functions;
       n_constraints = Analysis.live_vars env;
       solver_stats = Analysis.stats env;
       diagnostics = co.co_diags;
@@ -580,7 +624,23 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm ~jobs
       frontend = Some co.co_frontend;
     }
   in
-  (run, env, index, keys, rows, rb)
+  let rb =
+    {
+      rb_mode = mode_name mode;
+      rb_units_reparsed = reparsed;
+      rb_tasks_total = ri.Analysis.ri_tasks;
+      rb_tasks_rerun = ri.Analysis.ri_rerun;
+      rb_members_rerun = ri.Analysis.ri_rerun_members;
+      rb_full = is_full;
+      rb_reason = reason;
+      rb_units_built = co.co_units_built;
+      rb_defs_rescanned = fdg.Fdg.rescanned;
+      rb_condensation_reused = fdg.Fdg.condensation_reused;
+      rb_rows_remeasured = rows.Report.remeasured;
+      rb_index_patched = rows.Report.index_patched;
+    }
+  in
+  (run, env, rows, rb)
 
 (* ------------------------------------------------------------------ *)
 (* The session                                                         *)
@@ -599,13 +659,9 @@ type whatif_index = {
   wi_by_rep : (int, int list) Hashtbl.t;
 }
 
-let whatif_index (run : run) index keys : whatif_index =
+let whatif_index (run : run) (rows : Report.rows) keys : whatif_index =
   let wi_vars =
-    Array.map
-      (fun k ->
-        let _, _, var = Hashtbl.find index k in
-        var)
-      keys
+    Array.map (fun k -> (Hashtbl.find rows.Report.index k).Report.r_var) keys
   in
   let wi_funs =
     Array.of_list
@@ -622,15 +678,14 @@ let whatif_index (run : run) index keys : whatif_index =
     wi_vars;
   { wi_funs; wi_vars; wi_by_rep }
 
-(* one mode's warm artifacts: the solved store, the stable-key index into
-   it, every position's canonical key in report order, and the what-if
-   index (built by the first whatif on this store) *)
+(* one mode's warm artifacts: the solved store, the report rows with the
+   stable-key index into it, every position's canonical key in report
+   order, and the what-if index (built by the first whatif on this
+   store) *)
 type mode_state = {
   ms_run : run;
   ms_env : Analysis.env;
   ms_rows : Report.rows;
-  ms_index :
-    (string, Report.position * Report.verdict * Solver.var) Hashtbl.t;
   ms_keys : string array;
   ms_whatif : whatif_index Lazy.t;
 }
@@ -649,7 +704,7 @@ type t = {
      so a stale entry can never be served — an edit simply stops hitting
      it, and the next compile drops it *)
   s_fe_memo : fe_memo;
-  mutable s_units : (string * string) list;  (* (name, source), in order *)
+  mutable s_units : src_unit list;  (* in link order *)
   (* stages derived from the unit table; dropped on any unit edit *)
   mutable s_compiled : compiled option;
   (* every analyzed mode stays warm until the next edit *)
@@ -678,7 +733,7 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
        never cached, never served from cache *)
     s_cache = (match budget with Some _ -> None | None -> cache);
     s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
-    s_units = units;
+    s_units = List.map src_unit units;
     s_compiled = None;
     s_modes = Hashtbl.create 4;
     s_bases = Hashtbl.create 4;
@@ -686,7 +741,7 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
     s_last_rebuild = None;
   }
 
-let units t = List.map fst t.s_units
+let units t = List.map (fun u -> u.u_name) t.s_units
 let default_mode t = t.s_default_mode
 
 (* Drop the derived stages. The AST memo is kept: it is
@@ -705,18 +760,18 @@ let invalidate t =
   end
 
 let update_unit t name src : [ `Added | `Updated | `Unchanged ] =
-  let digest = unit_digest name src in
+  let nu = src_unit (name, src) in
   let status = ref `Added in
   let rec go = function
-    | [] -> [ (name, src) ]
-    | (n, s) :: rest when n = name ->
-        if unit_digest n s = digest then begin
+    | [] -> [ nu ]
+    | u :: rest when u.u_name = name ->
+        if u.u_digest = nu.u_digest then begin
           status := `Unchanged;
-          (n, s) :: rest
+          u :: rest
         end
         else begin
           status := `Updated;
-          (name, src) :: rest
+          nu :: rest
         end
     | u :: rest -> u :: go rest
   in
@@ -728,9 +783,9 @@ let update_unit t name src : [ `Added | `Updated | `Unchanged ] =
   !status
 
 let remove_unit t name : bool =
-  let found = List.mem_assoc name t.s_units in
+  let found = List.exists (fun u -> u.u_name = name) t.s_units in
   if found then begin
-    t.s_units <- List.remove_assoc name t.s_units;
+    t.s_units <- List.filter (fun u -> u.u_name <> name) t.s_units;
     invalidate t
   end;
   found
@@ -764,21 +819,21 @@ let ensure_mode t mode : mode_state =
       (* the base's store is re-analyzed in place: it is never a base
          again, whatever the outcome *)
       Hashtbl.remove t.s_bases key;
-      let run, env, index, keys, rows, rb =
+      let run, env, rows, rb =
         analyze ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact
           ?budget:(Option.map (fun f -> f ()) t.s_budget)
           ?warm ~jobs:t.s_jobs ~reparsed:t.s_reparsed mode co
       in
       t.s_last_rebuild <- Some rb;
+      let keys = Array.map (fun r -> r.Report.r_key) rows.Report.in_order in
       let ms =
         {
           ms_run = run;
           ms_env = env;
           ms_rows = rows;
-          ms_index = index;
           ms_keys = keys;
-          ms_whatif = lazy (whatif_index run index keys);
+          ms_whatif = lazy (whatif_index run rows keys);
         }
       in
       Hashtbl.replace t.s_modes key ms;
@@ -802,7 +857,7 @@ let cached_run_or t mode compute : run =
       let key =
         Digest.string
           (optfp
-          ^ String.concat "" (List.map (fun (n, s) -> unit_digest n s) t.s_units)
+          ^ String.concat "" (List.map (fun u -> u.u_digest) t.s_units)
           )
       in
       match
@@ -849,8 +904,8 @@ let positions ?mode t :
 let classify ?mode t key : (Report.position * Report.verdict) option =
   let ms = ensure_mode t (mode_of t mode) in
   Option.map
-    (fun (p, v, _) -> (p, v))
-    (Hashtbl.find_opt ms.ms_index key)
+    (fun r -> (r.Report.r_pos, r.Report.r_verdict))
+    (Hashtbl.find_opt ms.ms_rows.Report.index key)
 
 (** Explain why a position's qualifier variable is forced: the solver's
     violation/forcing path, or [None] when nothing binds it (its bounds
@@ -858,10 +913,13 @@ let classify ?mode t key : (Report.position * Report.verdict) option =
 let explain ?mode t key :
     (Report.position * Report.verdict * string option, string) result =
   let ms = ensure_mode t (mode_of t mode) in
-  match Hashtbl.find_opt ms.ms_index key with
+  match Hashtbl.find_opt ms.ms_rows.Report.index key with
   | None -> Result.Error (Printf.sprintf "unknown position key %S" key)
-  | Some (p, v, var) ->
-      Ok (p, v, Solver.explain_var ms.ms_env.Analysis.store var)
+  | Some r ->
+      Ok
+        ( r.Report.r_pos,
+          r.Report.r_verdict,
+          Solver.explain_var ms.ms_env.Analysis.store r.Report.r_var )
 
 (* ---- speculative queries (what-if) ---- *)
 
@@ -902,9 +960,9 @@ let whatif_task ?mode t ~qual key :
   let ms = ensure_mode t (mode_of t mode) in
   let store = ms.ms_env.Analysis.store in
   let sp = Solver.space store in
-  match Hashtbl.find_opt ms.ms_index key with
+  match Hashtbl.find_opt ms.ms_rows.Report.index key with
   | None -> Result.Error (Printf.sprintf "unknown position key %S" key)
-  | Some (_, _, var0) -> (
+  | Some { Report.r_var = var0; _ } -> (
       match Lat.Space.find_opt sp qual with
       | None -> Result.Error (Printf.sprintf "unknown qualifier %S" qual)
       | Some qi -> (
@@ -1016,8 +1074,14 @@ let stats_json (st : session_stats) : Wire.json =
         ("units_reparsed", int rb.rb_units_reparsed);
         ("tasks_total", int rb.rb_tasks_total);
         ("tasks_rerun", int rb.rb_tasks_rerun);
+        ("members_rerun", int rb.rb_members_rerun);
         ("full", Wire.Bool rb.rb_full);
         ("reason", Wire.Str rb.rb_reason);
+        ("units_built", int rb.rb_units_built);
+        ("defs_rescanned", int rb.rb_defs_rescanned);
+        ("condensation_reused", Wire.Bool rb.rb_condensation_reused);
+        ("rows_remeasured", int rb.rb_rows_remeasured);
+        ("index_patched", Wire.Bool rb.rb_index_patched);
       ]
   in
   let opt f = function Some x -> f x | None -> Wire.Null in

@@ -239,16 +239,36 @@ type rebuild = {
   rb_units_reparsed : int;  (** units lexed and parsed afresh for it *)
   rb_tasks_total : int;  (** analysis tasks: SCCs, or mono bodies *)
   rb_tasks_rerun : int;  (** of those, re-inferred *)
+  rb_members_rerun : int;
+      (** functions in the re-inferred tasks (every function on a full
+          run) *)
   rb_full : bool;  (** a fresh store rather than a warm rerun *)
   rb_reason : string;  (** why a full run, or ["incremental"] *)
+  rb_units_built : int;
+      (** per-unit tables built for it; a clean unit's comes from the
+          AST memo *)
+  rb_defs_rescanned : int;
+      (** definitions whose body the FDG scanned for mentions; an
+          unchanged definition keeps its edges *)
+  rb_condensation_reused : bool;
+      (** every successor array was equal, so the FDG kept its SCC list
+          and wavefront width *)
+  rb_rows_remeasured : int;
+      (** functions whose report rows were measured afresh: the re-run
+          tasks' members, and rows whose anchors or home unit moved *)
+  rb_index_patched : bool;
+      (** the position-key index was updated by the changed rows alone,
+          not rebuilt *)
 }
 
 type session_stats = {
   ss_units : int;
   ss_modes : string list;  (** warm (already analyzed) modes *)
   ss_memo_hits : int;
-      (** units served from the per-unit AST memo, cumulative: a one-unit
-          edit of an n-unit session adds n-1 hits and 1 miss *)
+      (** parses served from the per-unit AST memo, cumulative: a
+          one-unit edit of an n-unit session adds n-1 hits and 1 miss (a
+          unit the link re-parses is looked up once more, under its
+          seed) *)
   ss_memo_misses : int;  (** units lexed and parsed afresh, cumulative *)
   ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
   ss_last_rebuild : rebuild option;  (** the most recent analysis *)

@@ -33,10 +33,10 @@ let whatif_by_resolve ?rules ~mode ~qual session :
   let env, ifaces =
     Analysis.run ?rules ~jobs:1 mode (Session.program session)
   in
-  let _, classified, _ = Report.measure_full env ifaces in
+  let _, rows = Report.measure_full env ifaces in
   let store = env.Analysis.store in
   let sp = S.space store in
-  let vars = Array.of_list (List.map (fun (_, _, v, _, _) -> v) classified) in
+  let vars = Array.map (fun r -> r.Report.r_var) rows.Report.in_order in
   let verdict s v =
     match S.classify_name s v qual with
     | S.Forced_up -> Report.Must_const

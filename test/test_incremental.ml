@@ -396,6 +396,53 @@ let test_arena_bound () =
   Alcotest.(check bool) "the bound forced full runs" true (!fulls > 0);
   Alcotest.(check bool) "most edits stayed warm" true (!fulls < 25)
 
+(* A one-function edit on midi-project-sim: outside the solver, the warm
+   run rebuilds only what the edit touches. The edit writes through the
+   first [char *s] parameter of one definition, on its own line, so no
+   other definition's anchor moves. *)
+let test_edit_counters () =
+  let units = Cbench.Suite.project_of (List.hd Cbench.Suite.scale_smoke) in
+  let name, src = first_mod units in
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let i = ref 0 in
+  while
+    let l = lines.(!i) in
+    not
+      (String.length l > 0 && l.[0] <> ' ' && String.contains l '{'
+      && Option.is_some (String.index_opt l '(')
+      && String.sub l (String.index l '(') 8 = "(char *s")
+  do
+    incr i
+  done;
+  let l = lines.(!i) in
+  let brace = String.index l '{' in
+  lines.(!i) <-
+    String.sub l 0 (brace + 1) ^ " *s = 0;" ^ String.sub l (brace + 1) (String.length l - brace - 1);
+  let edited = String.concat "\n" (Array.to_list lines) in
+  let defs_in_unit =
+    List.length (Cfront.Cprog.functions (Session.program (Session.create [ (name, edited) ])))
+  in
+  let t = Session.create ~mode:Analysis.Poly units in
+  ignore (Session.run t);
+  let rb = rerun_after t name edited in
+  Alcotest.(check bool) "incremental" false rb.Session.rb_full;
+  Alcotest.(check bool) "some task re-ran" true (rb.Session.rb_tasks_rerun >= 1);
+  Alcotest.(check int) "one unit built" 1 rb.Session.rb_units_built;
+  Alcotest.(check bool)
+    (Printf.sprintf "FDG rescans (%d) within the edited unit's %d definitions"
+       rb.Session.rb_defs_rescanned defs_in_unit)
+    true
+    (rb.Session.rb_defs_rescanned >= 1 && rb.Session.rb_defs_rescanned <= defs_in_unit);
+  Alcotest.(check bool) "a body write keeps the condensation" true
+    rb.Session.rb_condensation_reused;
+  Alcotest.(check int) "rows re-measured = the re-run tasks' members"
+    rb.Session.rb_members_rerun rb.Session.rb_rows_remeasured;
+  Alcotest.(check bool) "the key index is patched" true rb.Session.rb_index_patched;
+  Alcotest.(check string) "warm = cold"
+    (Session.render ~positions:true ~name:"midi"
+       (Session.create ~mode:Analysis.Poly (replace units name edited)))
+    (Session.render ~positions:true ~name:"midi" t)
+
 let tests =
   [
     Alcotest.test_case "fdg: golden SCC lists" `Quick test_fdg_golden;
@@ -416,4 +463,6 @@ let tests =
       test_rebuild_matches_cold;
     Alcotest.test_case "warm: the arena stays within twice the live variables"
       `Quick test_arena_bound;
+    Alcotest.test_case "warm: a one-function edit rebuilds only its own unit"
+      `Quick test_edit_counters;
   ]

@@ -482,7 +482,7 @@ let all_tags prog =
    type it uses. If typedef expansion fails the tag set is unknowable, so
    it conservatively couples to every tag in the program. *)
 let fun_vocab prog (f : Cast.fundef) : SS.t =
-  let idents = SS.of_list (f.Cast.f_name :: Fdg.mentions f) in
+  let idents = SS.of_list (f.Cast.f_name :: Array.to_list (Fdg.mentions f)) in
   let ctypes =
     (f.Cast.f_ret :: List.map snd f.Cast.f_params)
     @ List.fold_left stmt_ctypes [] f.Cast.f_body

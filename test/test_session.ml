@@ -849,6 +849,264 @@ let test_wire_stats () =
   ignore (obj "by_kind" cache);
   Alcotest.(check (option int)) "units" (Some 3) (Wire.mem_int "units" j)
 
+(* ---------------- warm = cold under random edit streams ---------------- *)
+
+(* A small multi-unit project as data: unit 0 starts with a typedef the
+   other units' parameters may use, and every unit holds definitions
+   that may write through their parameter and call each other. A
+   definition calls only lower-numbered names, but for one two-member
+   cycle, so the SCCs stay small: polymorphic recursion over a large SCC
+   of such bodies grows exponentially, a property of the analysis that
+   this test is not about. *)
+type gfun = {
+  g_name : string;
+  g_num : int;
+  g_typed : bool;  (* parameter of the typedef'd type *)
+  g_writes : bool;
+  g_calls : string list;
+  g_pad : int;  (* blank lines before the definition *)
+}
+
+type gproj = { g_const_typedef : bool; g_units : gfun list array }
+
+let render_gfun f =
+  String.make f.g_pad '\n'
+  ^ Printf.sprintf "char *%s(%s s) { char *x; x = s; %s%sreturn x; }\n" f.g_name
+      (if f.g_typed then "str_t" else "char *")
+      (if f.g_writes then "*s = 0; " else "")
+      (String.concat "" (List.map (Printf.sprintf "x = %s(x); ") f.g_calls))
+
+let gunits (p : gproj) =
+  Array.to_list
+    (Array.mapi
+       (fun i fs ->
+         ( Printf.sprintf "u%d.c" i,
+           (if i = 0 then
+              if p.g_const_typedef then "typedef const char *str_t;\n"
+              else "typedef char *str_t;\n"
+            else "")
+           ^ String.concat "" (List.map render_gfun fs) ))
+       p.g_units)
+
+(* at most two calls, to names numbered below [num] *)
+let gcalls rng num =
+  let rec go k acc =
+    if k = 0 || List.length acc = 2 then acc
+    else go (k - 1) (if Random.State.int rng 3 = 0 then Printf.sprintf "f%d" k :: acc else acc)
+  in
+  go (num - 1) []
+
+let gfresh rng counter u =
+  incr counter;
+  {
+    g_name = Printf.sprintf "f%d" !counter;
+    g_num = !counter;
+    g_typed = u > 0 && Random.State.int rng 3 = 0;
+    g_writes = Random.State.int rng 3 = 0;
+    g_calls = gcalls rng !counter;
+    g_pad = 0;
+  }
+
+(* One seeded edit of each kind the warm rebuild must get right. *)
+let gedit rng counter (p : gproj) : string * gproj =
+  let units = Array.copy p.g_units in
+  let n = Array.length units in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let nonempty = List.filter (fun i -> units.(i) <> []) (List.init n Fun.id) in
+  (* a definition: its unit and place *)
+  let some_def () =
+    let u = pick nonempty in
+    (u, Random.State.int rng (List.length units.(u)))
+  in
+  let change f =
+    let u, k = some_def () in
+    units.(u) <- List.mapi (fun j g -> if j = k then f g else g) units.(u)
+  in
+  let take () =
+    let u, k = some_def () in
+    let g = List.nth units.(u) k in
+    units.(u) <- List.filteri (fun j _ -> j <> k) units.(u);
+    (u, g)
+  in
+  let put v g = units.(v) <- units.(v) @ [ { g with g_typed = g.g_typed && v > 0 } ] in
+  let kind = if nonempty = [] then 0 else Random.State.int rng 8 in
+  let what =
+    match kind with
+    | 0 ->
+        let u = Random.State.int rng n in
+        put u (gfresh rng counter u);
+        "append a function"
+    | 1 ->
+        change (fun g -> { g with g_writes = not g.g_writes });
+        "write through a parameter"
+    | 2 ->
+        ignore (take ());
+        "delete a function"
+    | 3 ->
+        let u, g = take () in
+        put ((u + 1 + Random.State.int rng (n - 1)) mod n) g;
+        "move a definition to another unit"
+    | 4 ->
+        let u, k = some_def () in
+        let g = List.nth units.(u) k in
+        put ((u + 1 + Random.State.int rng (n - 1)) mod n)
+          { g with g_writes = Random.State.bool rng };
+        "define a name twice across units"
+    | 5 ->
+        change (fun g -> { g with g_pad = g.g_pad + 1 + Random.State.int rng 2 });
+        "whitespace-only edit"
+    | 6 ->
+        change (fun g -> { g with g_calls = gcalls rng g.g_num });
+        "change a callee set"
+    | _ -> "edit the typedef another unit uses"
+  in
+  ( what,
+    {
+      g_units = units;
+      g_const_typedef = (if kind = 7 then not p.g_const_typedef else p.g_const_typedef);
+    } )
+
+let gproject rng counter =
+  let n = 3 + Random.State.int rng 2 in
+  let units = Array.make n [] in
+  for _ = 1 to 2 * n do
+    let u = Random.State.int rng n in
+    units.(u) <- units.(u) @ [ gfresh rng counter u ]
+  done;
+  (* one cycle: f1 and f2 call each other *)
+  let cyc g =
+    if g.g_name = "f1" then { g with g_calls = "f2" :: g.g_calls }
+    else if g.g_name = "f2" && not (List.mem "f1" g.g_calls) then
+      { g with g_calls = "f1" :: g.g_calls }
+    else g
+  in
+  { g_const_typedef = false; g_units = Array.map (List.map cyc) units }
+
+(* an explanation up to variable renaming: the warm store numbers its
+   variables differently from a cold one, so [cell#N] ids are renumbered
+   in order of first appearance *)
+let renumber_cells why =
+  let ids = Hashtbl.create 8 in
+  let b = Buffer.create (String.length why) in
+  let n = String.length why in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 5 <= n && String.sub why !i 5 = "cell#" then begin
+      let j = ref (!i + 5) in
+      while !j < n && why.[!j] >= '0' && why.[!j] <= '9' do incr j done;
+      let id = String.sub why (!i + 5) (!j - !i - 5) in
+      if not (Hashtbl.mem ids id) then Hashtbl.add ids id (Hashtbl.length ids);
+      Buffer.add_string b (Printf.sprintf "cell#%d" (Hashtbl.find ids id));
+      i := !j
+    end
+    else begin
+      Buffer.add_char b why.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+(* the deterministic part of a run record: what --stats prints besides
+   wall clock and heap figures *)
+let run_counters (r : Session.run) =
+  let s = r.Session.solver_stats in
+  let module S = Typequal.Solver in
+  [
+    r.Session.lines;
+    r.Session.n_functions;
+    r.Session.n_constraints;
+    s.S.edges_added;
+    s.S.edges_deduped;
+    s.S.vars_unified;
+    s.S.cycles_collapsed;
+    r.Session.fdg_scc_count;
+    r.Session.fdg_largest_scc;
+    r.Session.wavefront_width;
+    r.Session.results.Report.type_errors;
+  ]
+
+let check_warm_cold ~step mode warm units =
+  let cold = Session.create ~mode ~jobs:1 units in
+  let fail what = QCheck2.Test.fail_reportf "%s, %s: %s differs" step (Session.mode_name mode) what in
+  if Session.render ~mode ~positions:true ~name:"g" warm
+     <> Session.render ~mode ~positions:true ~name:"g" cold
+  then fail "render";
+  if render_diags (Session.diagnostics warm) <> render_diags (Session.diagnostics cold) then
+    fail "diagnostics";
+  if run_counters (Session.run ~mode warm) <> run_counters (Session.run ~mode cold) then
+    fail "counters";
+  let ps = Session.positions ~mode cold in
+  if Session.positions ~mode warm <> ps then fail "positions";
+  List.iteri
+    (fun i (key, p, _) ->
+      List.iter
+        (fun k ->
+          if Session.classify ~mode warm k <> Session.classify ~mode cold k then
+            fail ("classify " ^ k))
+        [ key; Report.structural_key p ];
+      if i mod 3 = 0 then
+        let ex t =
+          Result.map (fun (p, v, why) -> (p, v, Option.map renumber_cells why))
+            (Session.explain ~mode t key)
+        in
+        if ex warm <> ex cold then fail ("explain " ^ key))
+    ps
+
+let prop_warm_equals_cold =
+  QCheck2.Test.make ~count:100 ~name:"warm = cold under random edit streams"
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let counter = ref 0 in
+      let p0 = gproject rng counter in
+      let edits =
+        let p = ref p0 in
+        List.init 8 (fun _ ->
+            let what, p' = gedit rng counter !p in
+            p := p';
+            (what, p'))
+      in
+      List.iter
+        (fun mode ->
+          let warm = Session.create ~mode ~jobs:1 (gunits p0) in
+          check_warm_cold ~step:"initial" mode warm (gunits p0);
+          List.iteri
+            (fun i (what, p) ->
+              let units = gunits p in
+              List.iter (fun (name, src) -> ignore (Session.update_unit warm name src)) units;
+              check_warm_cold ~step:(Printf.sprintf "step %d (%s)" i what) mode warm units)
+            edits)
+        modes;
+      true)
+
+(* A unit that mentions an earlier unit's typedef is re-parsed by the
+   link under that environment; a body edit of the earlier unit leaves
+   the environment as it was, so the re-parse comes from the memo and
+   the unit's definitions stay the same values. *)
+let test_link_reparse_memo () =
+  let a body = "typedef char *str;\nint f(str s) { " ^ body ^ "return 0; }\n" in
+  let b = "int g(str s) { return f(s); }\n" in
+  let t = Session.create ~mode:Analysis.Poly [ ("a.c", a ""); ("b.c", b) ] in
+  let reparsed (r : Session.run) = (Option.get r.Session.frontend).Session.fs_reparsed in
+  Alcotest.(check int) "cold: b.c is re-parsed by the link" 1 (reparsed (Session.run t));
+  let g () = Option.get (Cfront.Cprog.find_fun (Session.program t) "g") in
+  let g0 = g () in
+  for i = 1 to 3 do
+    let body = Printf.sprintf "int k%d; k%d = 1; " i i in
+    let hits, misses =
+      memo_delta t (fun () ->
+          ignore (Session.update_unit t "a.c" (a body));
+          Alcotest.(check int) "no link re-parse" 0 (reparsed (Session.run t)))
+    in
+    Alcotest.(check (pair int int)) "a.c missed; b.c's parses hit" (2, 1) (hits, misses);
+    let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+    Alcotest.(check int) "one unit built" 1 rb.Session.rb_units_built;
+    Alcotest.(check bool) "b.c's definition is the same value" true (g () == g0);
+    Alcotest.(check string) "warm = cold"
+      (Session.render ~positions:true ~name:"l" (Session.create [ ("a.c", a body); ("b.c", b) ]))
+      (Session.render ~positions:true ~name:"l" t)
+  done
+
 let tests =
   [
     Alcotest.test_case "replay: clean corpus, serial" `Quick
@@ -899,4 +1157,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_wire_never_raises;
     Alcotest.test_case "daemon: a malformed escape is a bad request" `Quick
       test_daemon_bad_escape;
+    QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "a link re-parse comes from the memo" `Quick
+      test_link_reparse_memo;
   ]
