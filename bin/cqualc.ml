@@ -77,18 +77,18 @@ let budget_of_spec s =
    rendered by the session's renderer, which produces the whole stdout
    block. The budget is created here, before the parse, so an ms=
    deadline covers the whole run of that mode. *)
-let run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors ~compact
+let run_one ~rules ~positions ~stats ~budget ~max_errors ~compact
     ~cache ~print_diags mode name units =
   let r =
     Session.run_sources ~mode ~rules
       ?budget:(Option.map budget_of_spec budget)
-      ~compact ~jobs ~max_errors ?cache units
+      ~compact ~max_errors ?cache units
   in
   (* diagnostics are a property of the source, not the mode: print them
      once even when both modes run *)
   if print_diags then
     List.iter (fun d -> Fmt.epr "%a@." Cfront.Diag.pp d) r.Session.diagnostics;
-  Fmt.pr "%s" (Session.render_run ~stats ~positions ~jobs ~name mode r);
+  Fmt.pr "%s" (Session.render_run ~stats ~positions ~name mode r);
   r
 
 let run_flow name src insensitive =
@@ -144,13 +144,8 @@ let rules_of_lattice_file path qual_override =
         Fmt.epr "%s@." m;
         exit 2)
 
-let main files bench mode positions taint flow insensitive stats budget jobs
+let main files bench mode positions taint flow insensitive stats budget _jobs
     max_errors no_compact lattice qual dump_lattice cache_dir =
-  (* the advisory is a structured Notice diagnostic (code N0901); the CLI
-     renders just its message under the historical "warning: " prefix *)
-  (match Session.oversubscription_notice ~jobs with
-  | Some d -> Fmt.epr "warning: %s@." d.Cfront.Diag.d_message
-  | None -> ());
   let rules =
     match lattice with
     | Some path -> rules_of_lattice_file path qual
@@ -231,7 +226,7 @@ let main files bench mode positions taint flow insensitive stats budget jobs
             ~rules ~opts_id dir
     in
     let run_one =
-      run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors
+      run_one ~rules ~positions ~stats ~budget ~max_errors
         ~compact:(not no_compact) ~cache
     in
     match
@@ -355,16 +350,13 @@ let budget =
            every function is reported degraded and every position \
            could-be-either.")
 
+(* accepted and ignored because gatebench passes it; a later benchmark
+   revision drops it *)
 let jobs =
   Arg.(
-    value
-    & opt int (Typequal.Pool.default_jobs ())
+    value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Analysis worker domains. $(docv) > 1 runs the multicore engine \
-           (wavefront over the function dependence graph for poly/polyrec, \
-           per-function map-reduce for mono); results are identical to \
-           $(docv) = 1. Defaults to \\$TYPEQUAL_JOBS or 1.")
+        ~doc:"Accepted for compatibility and ignored: the analysis is serial.")
 
 let max_errors =
   Arg.(

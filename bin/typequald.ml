@@ -16,8 +16,7 @@
    stats}, stats, shutdown. Position keys are unit:line:col@level or
    unit:fun:pN@level / unit:fun:ret@level (see DESIGN.md).
 
-   whatif requests arriving together in one read are prepared serially
-   and evaluated as a batch on the domain pool (--jobs): each is a
+   Requests are answered one at a time, in arrival order; a whatif is a
    read-only speculation over the warm solved store.
 
    --client PATH turns the binary into a line pump for CI: stdin lines
@@ -116,15 +115,11 @@ let json_of_whatif (w : Session.whatif_result) : Wire.json =
       ("errors_after", Wire.num_int w.Session.w_errors_after);
     ]
 
-(* What one parsed request becomes before evaluation: an immediate
-   answer, a pooled what-if thunk, or a shutdown. *)
-type prepared =
-  | Ready of Wire.json
-  | Failed of string
-  | Pooled of (unit -> Session.whatif_result)
-  | Quit
+(* What one request is answered with: a result, an error, or a
+   shutdown. *)
+type answer = Ready of Wire.json | Failed of string | Quit
 
-let prepare (session : Session.t) ~jobs (rq : Wire.request) : prepared =
+let answer (session : Session.t) (rq : Wire.request) : answer =
   let params = rq.Wire.rq_params in
   let with_mode k =
     match mode_of_params params with
@@ -207,19 +202,17 @@ let prepare (session : Session.t) ~jobs (rq : Wire.request) : prepared =
             (Wire.mem_string "key" params, Wire.mem_string "qual" params)
           with
           | Some key, Some qual -> (
-              match Session.whatif_task ?mode session ~qual key with
+              match Session.whatif ?mode session ~qual key with
               | Error m -> Failed m
-              | Ok thunk -> Pooled thunk)
+              | Ok w -> Ready (json_of_whatif w))
           | _ -> Failed "whatif wants {key, qual}")
   | "diagnostics" ->
-      let ds = Session.diagnostics session in
-      let ds =
-        match Session.oversubscription_notice ~jobs with
-        | Some d -> ds @ [ d ]
-        | None -> ds
-      in
       Ready
-        (Wire.Obj [ ("diagnostics", Wire.Arr (List.map json_of_diag ds)) ])
+        (Wire.Obj
+           [
+             ( "diagnostics",
+               Wire.Arr (List.map json_of_diag (Session.diagnostics session)) );
+           ])
   | "render" ->
       with_mode (fun mode ->
           let name =
@@ -243,7 +236,7 @@ let prepare (session : Session.t) ~jobs (rq : Wire.request) : prepared =
 (* Event loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* one connected client: its fd, unframed input, and pending output *)
+(* one connected client: its fd and the unterminated tail of its input *)
 type client = {
   fd : U.file_descr;
   inbuf : Buffer.t;
@@ -260,16 +253,31 @@ let write_all fd s =
   in
   go 0
 
-(* split complete lines off a client's input buffer *)
-let take_lines (c : client) : string list =
-  let s = Buffer.contents c.inbuf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear c.inbuf;
-      Buffer.add_string c.inbuf
-        (String.sub s (last + 1) (String.length s - last - 1));
-      String.split_on_char '\n' (String.sub s 0 last)
+(* The complete lines that the first [n] bytes of [buf], just read,
+   finish; the unterminated rest is kept in the client's buffer. Only the
+   new bytes are scanned and each line is copied out once, so a line
+   costs time linear in its length however many reads it spans. *)
+let take_lines (c : client) buf n : string list =
+  let rec newline i = if i = n || Bytes.get buf i = '\n' then i else newline (i + 1) in
+  let rec go start acc =
+    let i = newline start in
+    if i = n then begin
+      Buffer.add_subbytes c.inbuf buf start (n - start);
+      List.rev acc
+    end
+    else
+      let line =
+        if Buffer.length c.inbuf = 0 then Bytes.sub_string buf start (i - start)
+        else begin
+          Buffer.add_subbytes c.inbuf buf start (i - start);
+          let l = Buffer.contents c.inbuf in
+          Buffer.reset c.inbuf;
+          l
+        end
+      in
+      go (i + 1) (line :: acc)
+  in
+  go 0 []
 
 (* The major GC is paced by allocation. A warm rerun sends about 45 MiB
    to the major heap on midi-project-sim (more than half of it from
@@ -290,58 +298,23 @@ let bound_heap () =
     heap_floor := heap ()
   end
 
-(* An update or remove makes each analyzed mode's store the base its
-   next run re-analyzes in place, so it is never prepared while a what-if
-   thunk over that store still waits for the pool. *)
-let invalidates (rq : Wire.request) =
-  match rq.Wire.rq_method with "update" | "remove" -> true | _ -> false
-
-(* Evaluate one select-round's worth of requests. The serial prepare
-   step runs on the event loop (it owns the session); what-if thunks —
-   the only store-heavy query — are fanned out on the domain pool and
-   joined before responses are written, in arrival order per client, and
-   before any update or remove is prepared. *)
-let process session ~jobs (batch : (client * Wire.request) list) : bool =
+(* Answer one select-round's requests in arrival order, writing each
+   response as it is computed. Returns [true] once a shutdown was
+   answered. *)
+let process session (batch : (client * Wire.request) list) : bool =
   let rebuild0 = (Session.stats session).Session.ss_last_rebuild in
-  (* the thunks prepared since the last join, each with the slot its
-     answer goes to: no shared table for the pool's domains to race on,
-     and no lookup comparing closures *)
-  let pending = ref [] in
-  let join () =
-    let eval (f, slot) = slot := Some (f ()) in
-    (match List.rev !pending with
-    | [] -> ()
-    | [ w ] -> eval w
-    | ws ->
-        Typequal.Pool.with_pool ~jobs (fun pool ->
-            List.iter (fun w -> Typequal.Pool.submit pool (fun () -> eval w)) ws;
-            Typequal.Pool.wait pool));
-    pending := []
-  in
-  let prepared =
-    List.map
-      (fun (c, rq) ->
-        if invalidates rq then join ();
-        let p =
-          try prepare session ~jobs rq with
-          | Session.Error m -> Failed m
-          | Cfront.Cprog.Frontend_error m -> Failed ("frontend: " ^ m)
-        in
-        let slot = ref None in
-        (match p with Pooled f -> pending := (f, slot) :: !pending | _ -> ());
-        (c, rq, p, slot))
-      batch
-  in
-  join ();
   let quit = ref false in
   List.iter
-    (fun (c, rq, p, slot) ->
+    (fun (c, rq) ->
       let id = rq.Wire.rq_id in
       let line =
-        match p with
+        match
+          try answer session rq with
+          | Session.Error m -> Failed m
+          | Cfront.Cprog.Frontend_error m -> Failed ("frontend: " ^ m)
+        with
         | Ready j -> Wire.response_ok ~id j
         | Failed m -> Wire.response_error ~id m
-        | Pooled _ -> Wire.response_ok ~id (json_of_whatif (Option.get !slot))
         | Quit ->
             quit := true;
             Wire.response_ok ~id (Wire.Obj [ ("ok", Wire.Bool true) ])
@@ -350,7 +323,7 @@ let process session ~jobs (batch : (client * Wire.request) list) : bool =
         try write_all c.fd (line ^ "\n")
         with U.Unix_error ((U.EPIPE | U.ECONNRESET | U.EBADF), _, _) ->
           c.dead <- true)
-    prepared;
+    batch;
   (match (Session.stats session).Session.ss_last_rebuild with
   | Some rb when (match rebuild0 with Some rb0 -> rb != rb0 | None -> true)
                  && not rb.Session.rb_full ->
@@ -358,7 +331,7 @@ let process session ~jobs (batch : (client * Wire.request) list) : bool =
   | _ -> ());
   !quit
 
-let serve session ~jobs ~(listen : U.file_descr option)
+let serve session ~(listen : U.file_descr option)
     ~(stdio : (U.file_descr * U.file_descr) option) =
   (ignore : Sys.signal_behavior -> unit)
     (Sys.signal Sys.sigpipe Sys.Signal_ignore);
@@ -406,8 +379,7 @@ let serve session ~jobs ~(listen : U.file_descr option)
               (* EOF on stdin ends a stdio daemon *)
               if stdio <> None then running := false
             end
-            else begin
-              Buffer.add_subbytes c.inbuf buf 0 n;
+            else
               List.iter
                 (fun line ->
                   let line = String.trim line in
@@ -421,14 +393,13 @@ let serve session ~jobs ~(listen : U.file_descr option)
                         in
                         (try write_all (out_fd_of c) (resp ^ "\n")
                          with U.Unix_error (_, _, _) -> c.dead <- true))
-                (take_lines c)
-            end
+                (take_lines c buf n)
           end)
         !clients;
       let batch =
         List.rev_map (fun (c, rq) -> ({ c with fd = out_fd_of c }, rq)) !batch
       in
-      if batch <> [] && process session ~jobs batch then running := false;
+      if batch <> [] && process session batch then running := false;
       (* reap dead clients *)
       List.iter
         (fun c ->
@@ -520,15 +491,12 @@ let load_units files bench =
                   exit 2)))
   | [], None -> []
 
-let main files bench mode jobs max_errors no_compact taint lattice qual
+let main files bench mode _jobs max_errors no_compact taint lattice qual
     cache_dir socket client =
   match client with
   | Some path -> run_client path
   | None -> (
       let rules = rules_of ~taint ~lattice ~qual in
-      (match Session.oversubscription_notice ~jobs with
-      | Some d -> Fmt.epr "%a@." Cfront.Diag.pp d
-      | None -> ());
       let cache =
         match cache_dir with
         | None -> None
@@ -551,11 +519,11 @@ let main files bench mode jobs max_errors no_compact taint lattice qual
       let units = load_units files bench in
       let session =
         Session.create ~rules ~mode ~max_errors ~compact:(not no_compact)
-          ~jobs ?cache units
+          ?cache units
       in
       match socket with
       | None ->
-          serve session ~jobs ~listen:None
+          serve session ~listen:None
             ~stdio:(Some (U.stdin, U.stdout));
           0
       | Some path ->
@@ -572,7 +540,7 @@ let main files bench mode jobs max_errors no_compact taint lattice qual
             ~finally:(fun () ->
               (try U.close l with _ -> ());
               try U.unlink path with U.Unix_error _ -> ())
-            (fun () -> serve session ~jobs ~listen:(Some l) ~stdio:None);
+            (fun () -> serve session ~listen:(Some l) ~stdio:None);
           0)
 
 open Cmdliner
@@ -604,14 +572,13 @@ let mode =
     & info [ "mode" ] ~docv:"MODE"
         ~doc:"Default inference mode for queries (mono|poly|polyrec)")
 
+(* accepted and ignored because gatebench passes it; a later benchmark
+   revision drops it *)
 let jobs =
   Arg.(
-    value
-    & opt int (Typequal.Pool.default_jobs ())
+    value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for analysis and what-if batches. Defaults to \
-           \\$TYPEQUAL_JOBS or 1.")
+        ~doc:"Accepted for compatibility and ignored: requests are answered serially.")
 
 let max_errors =
   Arg.(

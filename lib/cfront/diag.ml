@@ -11,13 +11,9 @@
       string/comment, integer literal too large for an int);
     - [E02xx] parse errors ([E0299] is the "too many errors" note);
     - [E03xx] frontend/semantic errors (unknown typedef);
-    - [W04xx] degraded-analysis warnings (budget exhaustion);
-    - [N09xx] advisory notices (environment/configuration hints such as
-      [--jobs] oversubscription) — never about the source text, never
-      affect the exit status, and machine clients (the [typequald]
-      daemon) ship them as structured values instead of raw stderr. *)
+    - [W04xx] degraded-analysis warnings (budget exhaustion). *)
 
-type severity = Error | Warning | Note | Notice
+type severity = Error | Warning | Note
 
 (** A half-open region of source text. Lines and columns are 1-based;
     [ec] is the column of the last character (inclusive). A span whose
@@ -50,12 +46,7 @@ let error = make Error
 let warning = make Warning
 let note = make Note
 
-(** An advisory notice bound to no source position: environment and
-    configuration hints ([N09xx]). *)
-let notice ~code message = make Notice ~code dummy_span message
-
 let is_error d = d.d_severity = Error
-let is_notice d = d.d_severity = Notice
 
 (** Rebind a diagnostic to a unit-local position: multi-unit runs report
     [unit:line:col], so a parse error on line 1 of the third file says so
@@ -67,7 +58,6 @@ let pp_severity ppf = function
   | Error -> Fmt.string ppf "error"
   | Warning -> Fmt.string ppf "warning"
   | Note -> Fmt.string ppf "note"
-  | Notice -> Fmt.string ppf "notice"
 
 let pp_span ppf { sl; sc; el; ec } =
   if sc = 0 then Fmt.pf ppf "line %d" sl

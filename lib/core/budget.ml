@@ -1,10 +1,9 @@
 (** Resource budgets: see the interface for semantics. Trip-style (no
     exceptions): limits latch a reason string; consumers poll.
 
-    All counters are {!Atomic.t} so one budget can be shared by every
-    worker domain of a parallel run: each private constraint store charges
-    the same counters, so [--budget] bounds the whole run, and a trip in
-    any domain is observed by all of them. *)
+    All counters are {!Atomic.t}, so one budget may be charged from
+    several domains: every store charged against it counts toward the same
+    limits, and a trip in any domain is observed by all of them. *)
 
 type t = {
   max_vars : int option;

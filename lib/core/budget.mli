@@ -4,8 +4,7 @@
     instead of a hang or an OOM kill. It tracks three optional limits:
 
     - [max_vars]: constraint variables created, {e summed across every
-      store charged against this budget} (parallel runs use one private
-      store per worker domain);
+      store charged against this budget};
     - [max_pops]: solver worklist pops (propagation steps);
     - [deadline_s]: wall-clock seconds, checked via a poll counter so the
       clock is read only every few dozen events.
@@ -16,9 +15,9 @@
     the run is then reported as degraded. Exception-free tripping keeps
     every store invariant intact no matter where exhaustion is noticed.
 
-    Every counter is an {!Atomic.t}, so a single budget may be shared by
-    all worker domains of a parallel analysis: the limits bound the whole
-    run, and a trip in one domain is promptly observed by the others. *)
+    Every counter is an {!Atomic.t}, so a budget stays correct when
+    several domains charge it: the limits bound all of them together, and
+    a trip in one is promptly observed by the others. *)
 
 type t
 

@@ -50,7 +50,7 @@ type t = {
   st : stats;
   mutable tmp_seq : int;  (* per-process temp-name uniquifier *)
   mu : Mutex.t;  (* guards st, writes_ok, warned_write, tmp_seq: load and
-                    store run concurrently from pool domains *)
+                    store may be called from several domains at once *)
 }
 
 let locked t f =

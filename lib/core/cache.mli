@@ -34,7 +34,8 @@
 
     All operations are thread- and domain-safe: the statistics counters
     are guarded by an internal mutex, so [load]/[store]/
-    [reject_undecodable] may be called concurrently from pool domains. *)
+    [reject_undecodable] may be called concurrently from several
+    domains. *)
 
 type t
 

@@ -1,131 +1,1 @@
-(** Fixed-size domain pool: see the interface for semantics. *)
-
-type task = unit -> unit
-
-type t = {
-  jobs : int;
-  m : Mutex.t;
-  work : Condition.t;  (* signalled when a task is queued or on shutdown *)
-  idle : Condition.t;  (* broadcast when [pending] drops to zero *)
-  q : task Queue.t;
-  mutable pending : int;  (* tasks queued or running *)
-  mutable stop : bool;
-  mutable funnel : (exn * Printexc.raw_backtrace) option;
-      (* first exception raised by any task; re-raised by [wait] *)
-  mutable domains : unit Domain.t list;
-}
-
-let jobs t = t.jobs
-
 let cores_available () = Domain.recommended_domain_count ()
-
-let default_jobs () =
-  match Sys.getenv_opt "TYPEQUAL_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
-  | None -> 1
-
-let funnel_exn t e bt =
-  Mutex.lock t.m;
-  if t.funnel = None then t.funnel <- Some (e, bt);
-  Mutex.unlock t.m
-
-let run_task t task =
-  match task () with
-  | () -> ()
-  | exception ((Out_of_memory | Sys.Break) as e) ->
-      (* never swallow resource exhaustion or interrupts entirely, but the
-         worker domain must not die either: funnel, then keep serving *)
-      funnel_exn t e (Printexc.get_raw_backtrace ())
-  | exception e -> funnel_exn t e (Printexc.get_raw_backtrace ())
-
-let worker t () =
-  Mutex.lock t.m;
-  let rec loop () =
-    match Queue.take_opt t.q with
-    | Some task ->
-        Mutex.unlock t.m;
-        run_task t task;
-        Mutex.lock t.m;
-        t.pending <- t.pending - 1;
-        if t.pending = 0 then Condition.broadcast t.idle;
-        loop ()
-    | None ->
-        if t.stop then Mutex.unlock t.m
-        else begin
-          Condition.wait t.work t.m;
-          loop ()
-        end
-  in
-  loop ()
-
-let create ~jobs =
-  let jobs = max 1 jobs in
-  let t =
-    {
-      jobs;
-      m = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      q = Queue.create ();
-      pending = 0;
-      stop = false;
-      funnel = None;
-      domains = [];
-    }
-  in
-  if jobs > 1 then
-    t.domains <- List.init jobs (fun _ -> Domain.spawn (worker t));
-  t
-
-let submit t task =
-  if t.jobs <= 1 then begin
-    (* serial pool: run inline, in submission order — the exact code path
-       a worker would take, minus the queue *)
-    t.pending <- t.pending + 1;
-    run_task t task;
-    t.pending <- t.pending - 1
-  end
-  else begin
-    Mutex.lock t.m;
-    if t.stop then begin
-      Mutex.unlock t.m;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
-    t.pending <- t.pending + 1;
-    Queue.push task t.q;
-    Condition.signal t.work;
-    Mutex.unlock t.m
-  end
-
-let wait t =
-  if t.jobs > 1 then begin
-    Mutex.lock t.m;
-    while t.pending > 0 do
-      Condition.wait t.idle t.m
-    done;
-    Mutex.unlock t.m
-  end;
-  (* drain semantics: every task ran (each failure degraded locally);
-     [wait] then reports the first funneled failure to the caller *)
-  Mutex.lock t.m;
-  let f = t.funnel in
-  t.funnel <- None;
-  Mutex.unlock t.m;
-  match f with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let shutdown t =
-  Mutex.lock t.m;
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.m;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -4,8 +4,8 @@
     The constraint system and algorithms: masked atomic constraints
     over a Birkhoff-encoded lattice, union-find with partial online cycle
     elimination, insertion-time edge/bound dedup, incremental worklist
-    solving with a monotone error table, recorded constraint schemes with
-    renaming instantiation, and batched absorb for the parallel engine.
+    solving with a monotone error table, and recorded constraint schemes
+    with renaming instantiation.
 
     The {e representation} (DESIGN.md, "Flat-arena solver"):
 
@@ -27,18 +27,14 @@
     - The propagation worklist is an int ring buffer with a byte-array
       in-queue mark; the dirty set is an insertion-ordered int stack with
       a byte-array membership mark.
-    - [absorb] bulk-creates the batch's fresh variables in one tight loop
-      over the exported arena segment and replays atoms through the normal
-      entry points, so dedup and cycle collapse apply exactly as in a
-      serial run.
 
     Solutions are checked against their definition: the property tests
     re-solve the store's atom log with the store-free {!solve_atoms} and
     compare. Every order below (worklist seeds, violation checks, edge
     enumeration) is deterministic, so the counters and error messages
     are too: test_arena pins their digests on a fixed op stream, the
-    [solver] bench pins its counters, and CI diffs [--stats] between
-    jobs 1 and 4. *)
+    [solver] bench pins its counters, and CI diffs [--stats] against the
+    base branch. *)
 
 module Elt = Lattice.Elt
 module Space = Lattice.Space
@@ -53,7 +49,7 @@ type reason = string option
    stored inline in a flat [int array] (4 slots per entry), occupancy in
    a byte array. Deterministic by construction (the hash mixes the key
    ints only), so dedup decisions — which feed the [edges_deduped]
-   counter — are reproducible across runs and across [--jobs] settings. *)
+   counter — are reproducible across runs. *)
 module Iset = struct
   type t = {
     mutable keys : int array;  (* 4 * cap *)
@@ -199,7 +195,6 @@ and t = {
   mutable s_full : int;
   mutable s_pops : int;
   mutable s_solve_s : float;
-  mutable s_absorb_s : float;
   (* per-phase wall time, accumulated here so one record travels with the
      store: compact/instantiate are credited by this module, the analysis
      phases (congen/generalize/report) by the client via [note_phase] *)
@@ -219,7 +214,6 @@ and t = {
   mutable s_memo_nonflat : int;
   mutable s_memo_violate : int;
   mutable s_memo_misses : int;
-  mutable s_skipped_batches : int;
   mutable s_vars_base : int;
       (* [nvars] when the counters were last reset: [vars_created] counts
          the variables created since *)
@@ -245,7 +239,6 @@ type stats = {
   full_solves : int;
   worklist_pops : int;
   solve_s : float;
-  absorb_s : float;
   congen_s : float;
   generalize_s : float;
   compact_s : float;
@@ -260,7 +253,6 @@ type stats = {
   memo_reject_nonflat_ret : int;
   memo_reject_may_violate : int;
   memo_misses : int;
-  empty_batches_skipped : int;
   heap_words : int;
   top_heap_words : int;
   cores_available : int;
@@ -313,7 +305,6 @@ let create ?(cycle_elim = true) space =
     s_full = 0;
     s_pops = 0;
     s_solve_s = 0.;
-    s_absorb_s = 0.;
     s_congen_s = 0.;
     s_generalize_s = 0.;
     s_compact_s = 0.;
@@ -328,7 +319,6 @@ let create ?(cycle_elim = true) space =
     s_memo_nonflat = 0;
     s_memo_violate = 0;
     s_memo_misses = 0;
-    s_skipped_batches = 0;
     s_vars_base = 0;
   }
 
@@ -350,7 +340,6 @@ let stats t =
     full_solves = t.s_full;
     worklist_pops = t.s_pops;
     solve_s = t.s_solve_s;
-    absorb_s = t.s_absorb_s;
     congen_s = t.s_congen_s;
     generalize_s = t.s_generalize_s;
     compact_s = t.s_compact_s;
@@ -365,30 +354,10 @@ let stats t =
     memo_reject_nonflat_ret = t.s_memo_nonflat;
     memo_reject_may_violate = t.s_memo_violate;
     memo_misses = t.s_memo_misses;
-    empty_batches_skipped = t.s_skipped_batches;
     heap_words = (Gc.quick_stat ()).Gc.heap_words;
     top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
     cores_available = Domain.recommended_domain_count ();
   }
-
-let merge_aux_stats t (s : stats) =
-  t.s_sv_before <- t.s_sv_before + s.scheme_vars_before;
-  t.s_sv_after <- t.s_sv_after + s.scheme_vars_after;
-  t.s_se_before <- t.s_se_before + s.scheme_edges_before;
-  t.s_se_after <- t.s_se_after + s.scheme_edges_after;
-  t.s_memo_hits <- t.s_memo_hits + s.instantiations_memo_hits;
-  t.s_memo_cands <- t.s_memo_cands + s.memo_candidates;
-  t.s_memo_nonflat <- t.s_memo_nonflat + s.memo_reject_nonflat_ret;
-  t.s_memo_violate <- t.s_memo_violate + s.memo_reject_may_violate;
-  t.s_memo_misses <- t.s_memo_misses + s.memo_misses;
-  (* phase times from worker stores fold in as CPU seconds: in a parallel
-     run the per-phase columns sum work across domains (wall time is what
-     analyze_s reports); solve/absorb stay shared-store-side as before *)
-  t.s_congen_s <- t.s_congen_s +. s.congen_s;
-  t.s_generalize_s <- t.s_generalize_s +. s.generalize_s;
-  t.s_compact_s <- t.s_compact_s +. s.compact_s;
-  t.s_instantiate_s <- t.s_instantiate_s +. s.instantiate_s;
-  t.s_skipped_batches <- t.s_skipped_batches + s.empty_batches_skipped
 
 let note_memo_hit t = t.s_memo_hits <- t.s_memo_hits + 1
 let note_memo_candidate t = t.s_memo_cands <- t.s_memo_cands + 1
@@ -398,7 +367,6 @@ let note_memo_reject_may_violate t =
   t.s_memo_violate <- t.s_memo_violate + 1
 
 let note_memo_miss t = t.s_memo_misses <- t.s_memo_misses + 1
-let note_skipped_batch t = t.s_skipped_batches <- t.s_skipped_batches + 1
 
 let reset_stats t =
   t.s_vars_base <- t.nvars;
@@ -410,7 +378,6 @@ let reset_stats t =
   t.s_full <- 0;
   t.s_pops <- 0;
   t.s_solve_s <- 0.;
-  t.s_absorb_s <- 0.;
   t.s_congen_s <- 0.;
   t.s_generalize_s <- 0.;
   t.s_compact_s <- 0.;
@@ -424,8 +391,7 @@ let reset_stats t =
   t.s_memo_cands <- 0;
   t.s_memo_nonflat <- 0;
   t.s_memo_violate <- 0;
-  t.s_memo_misses <- 0;
-  t.s_skipped_batches <- 0
+  t.s_memo_misses <- 0
 
 type phase = Congen | Generalize | Compact | Instantiate | Report
 
@@ -447,12 +413,11 @@ let phase_seconds t = function
 let pp_stats ppf s =
   Fmt.pf ppf
     "vars %d (%d unified), edges %d (%d deduped), cycles %d, solves %d incr + \
-     %d full, %d worklist pops, %.3fs solving, %.3fs absorbing; compaction: \
-     scheme vars %d -> %d, scheme atoms %d -> %d, %d memoized \
-     instantiations"
+     %d full, %d worklist pops, %.3fs solving; compaction: scheme vars %d \
+     -> %d, scheme atoms %d -> %d, %d memoized instantiations"
     s.vars_created s.vars_unified s.edges_added s.edges_deduped
     s.cycles_collapsed s.incr_solves s.full_solves s.worklist_pops s.solve_s
-    s.absorb_s s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
+    s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
     s.scheme_edges_after s.instantiations_memo_hits;
   Fmt.pf ppf
     "; memo: %d candidates, %d misses, %d nonflat-ret, %d may-violate"
@@ -1137,7 +1102,7 @@ let verdict_of sp ~lo ~hi i =
   else if hi land m = 0 then Forced_down
   else Free
 
-(* read-only on a solved store, so concurrent what-if thunks may call it *)
+(* read-only on a solved store, so a what-if query leaves it as it was *)
 let classify t v i =
   if not t.solved then ignore (solve t);
   let r = find_ro t v.id in
@@ -1267,30 +1232,14 @@ let scheme_atoms s = s.atoms
 (* Re-emit the scheme's constraints under a fresh renaming of its locals.
    Returns the renaming so callers can rebuild the instantiated type.
    Atoms name original variables, so each instance re-derives its own
-   edges (and hence its own unifications) among the fresh copies.
-
-   [?bind] lets a caller resolve some scheme variables to existing
-   variables of [t] instead of freshening them: the parallel analysis uses
-   it to instantiate a scheme recorded in one store into another, mapping
-   the first store's variables to their mirrors without materializing any
-   extra copies (which would perturb variable-creation parity with the
-   serial run). A bound variable is never freshened; a free variable that
-   [bind] does not resolve is used as-is, exactly as before. *)
-let instantiate ?bind t s =
+   edges (and hence its own unifications) among the fresh copies. *)
+let instantiate t s =
   let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
   let map = Hashtbl.create (List.length s.locals) in
   List.iter
-    (fun v ->
-      match bound v with
-      | Some v' -> Hashtbl.replace map v.uid v'
-      | None -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
+    (fun v -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
     s.locals;
-  let rn v =
-    match Hashtbl.find_opt map v.uid with
-    | Some v' -> v'
-    | None -> ( match bound v with Some v' -> v' | None -> v)
-  in
+  let rn v = match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v in
   List.iter
     (function
       | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
@@ -1299,86 +1248,6 @@ let instantiate ?bind t s =
     s.atoms;
   t.s_instantiate_s <- t.s_instantiate_s +. (Unix.gettimeofday () -. t0);
   rn
-
-(* ------------------------------------------------------------------ *)
-(* Batched constraint merge (parallel map-reduce support)              *)
-(* ------------------------------------------------------------------ *)
-
-(* A batch is the complete, ordered content of a store, exported as two
-   array slices of the arena: every variable in creation order (= id
-   order) and every atom in insertion order. Exporting a private worker
-   store and absorbing it into the shared store replays exactly the
-   operations the serial analysis would have performed, so dedup, cycle
-   collapse and the final solution are identical. *)
-type batch = {
-  b_vars : var array;  (* creation order *)
-  b_atoms : atom array;  (* insertion order *)
-}
-
-let export t =
-  {
-    b_vars = Array.sub t.objs 0 t.nvars;
-    b_atoms = Array.sub t.log 0 t.nlog;
-  }
-
-let batch_vars b = Array.length b.b_vars
-let batch_atoms b = Array.length b.b_atoms
-
-(* Replay [b] into [t]. [?bind] resolves batch variables that must map to
-   pre-existing variables of [t] (the worker's mirrors of shared globals);
-   every other batch variable is re-created fresh, {e in the batch's
-   creation order} (one tight ascending loop over the exported arena
-   segment), so the absorbing store allocates the same number of variables
-   in the same sequence as a serial run that had generated the batch's
-   constraints directly. Returns the realized renaming.
-
-   Splice-fast path: [export] cuts [b_vars] straight out of the source
-   arena's object column, so a batch variable's [id] {e is} its index in
-   [b_vars] (checked by identity below — a foreign or out-of-segment
-   variable simply maps to itself, like the Hashtbl miss it replaces).
-   The renaming is therefore a flat array indexed by creation id — no
-   per-variable hashing, no boxed key allocation — while every atom still
-   replays through the normal [add_leq_*] entry points so dedup and
-   online cycle elimination fire exactly as in a serial run (the
-   property tests certify the absorbed store's solutions and pin its
-   counters). *)
-let absorb t ?bind (b : batch) =
-  let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
-  let n = Array.length b.b_vars in
-  if n = 0 then begin
-    t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-    fun _ -> None
-  end
-  else begin
-    let ren = Array.make n b.b_vars.(0) in
-    for i = 0 to n - 1 do
-      let v = b.b_vars.(i) in
-      ren.(i) <-
-        (match bound v with
-        | Some g -> g
-        | None -> fresh ~name:v.vname t)
-    done;
-    let in_seg v = v.id >= 0 && v.id < n && b.b_vars.(v.id) == v in
-    let rn v = if in_seg v then Array.unsafe_get ren v.id else v in
-    for i = 0 to Array.length b.b_atoms - 1 do
-      match b.b_atoms.(i) with
-      | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
-      | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c (rn v)
-      | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t (rn x) (rn y)
-    done;
-    t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-    fun v -> if in_seg v then Some ren.(v.id) else None
-  end
-
-(* A batch whose absorb would be a literal no-op: no atoms to replay and
-   every variable already bound to a shared-store variable (so no fresh
-   variables would be created either). The parallel merge skips these —
-   common for leaf-function tasks that touched only pre-mirrored globals —
-   without perturbing variable-creation parity with a serial run. *)
-let batch_skippable ~bind (b : batch) =
-  Array.length b.b_atoms = 0
-  && Array.for_all (fun v -> Option.is_some (bind v)) b.b_vars
 
 (* ------------------------------------------------------------------ *)
 (* Segments and rebuild (the warm session's in-store deletion)        *)
@@ -1755,14 +1624,14 @@ let scheme_size s = List.length s.atoms
    full-mask cycles survive as composed edge chains, which the store
    re-collapses at instantiation.
 
-   Determinism matters downstream (parallel workers must publish the same
-   scheme the serial run builds): the pass never consults representatives
+   Determinism matters downstream (a warm rerun must rebuild the scheme a
+   cold run builds): the pass never consults representatives
    ([find_id]) or iterates a hashtable for output; surviving atoms keep
    their original order, composed atoms append in generation order, and
    the local list keeps its original order filtered to interface members
    and variables still mentioned. The atom-dedup keys are packed into
    int-keyed [Iset] entries exactly as in {!simplify_scheme}, but over
-   [uid]s (compaction runs where variables of two stores can mix). *)
+   [uid]s, which are unique across stores. *)
 let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let c0 = Unix.gettimeofday () in
   let sp = t.sp in
@@ -2045,8 +1914,8 @@ let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
 (* Replay the full constraint log through the store-free evaluator: an
    independent oracle for the optimized solver, keyed by original (stable)
    variable ids. Used by the property tests and the [solver] bench. *)
-let naive_bounds t =
-  solve_atoms t.sp (Array.to_list (Array.sub t.log 0 t.nlog))
+let atoms t = Array.to_list (Array.sub t.log 0 t.nlog)
+let naive_bounds t = solve_atoms t.sp (atoms t)
 
 (* Present a scheme as a constrained type qualifier prefix — the notation
    question raised in Section 6 ("we currently do not have a notation for

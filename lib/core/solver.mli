@@ -210,53 +210,10 @@ val scheme_id : scheme -> int
 val scheme_size : scheme -> int
 (** number of atoms *)
 
-val instantiate : ?bind:(var -> var option) -> t -> scheme -> var -> var
+val instantiate : t -> scheme -> var -> var
 (** Re-emit the scheme's constraints under a fresh renaming of all its
     locals (so instances cannot interfere — the existential binding of
-    Section 3.2); returns the renaming, the identity on non-locals.
-
-    [?bind] resolves a scheme variable (local or free) to an existing
-    variable of [t] instead of freshening it. The parallel analysis uses
-    it to instantiate a scheme recorded in another store: scheme-local
-    variables still freshen, but the scheme's free variables — which name
-    the {e other} store's globals — are redirected to this store's mirrors
-    rather than used as-is. *)
-
-(** {1 Batched constraint merge (parallel map-reduce)} *)
-
-type batch
-(** the complete ordered content of a store: every variable in creation
-    order, every atom in insertion order *)
-
-val export : t -> batch
-
-val batch_vars : batch -> int
-val batch_atoms : batch -> int
-
-val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** Replay a batch (typically exported from a worker's private store) into
-    [t]: batch variables resolved by [?bind] map to existing variables of
-    [t] (the worker's mirrors of shared globals) and are {e not}
-    re-created; every other batch variable is created fresh in the batch's
-    creation order; then every atom is re-added through the normal
-    [add_leq_*] entry points, so edge/bound dedup and online cycle
-    elimination apply exactly as if the constraints had been generated
-    serially. Returns the realized renaming ([None] for batch variables
-    the batch did not contain).
-
-    This is the splice-fast path: because {!export} cuts the variable
-    segment straight out of the source arena, a batch variable's creation
-    id is its index in the segment, and the renaming is a flat array
-    lookup instead of a uid-keyed hash table. The property tests
-    certify the absorbed store's solutions against {!naive_bounds} and
-    pin its counters. *)
-
-val batch_skippable : bind:(var -> var option) -> batch -> bool
-(** [true] iff absorbing the batch would be a literal no-op: it carries no
-    atoms and every variable is already resolved by [bind] (so no fresh
-    variables would be created). The parallel merge skips such batches
-    (common for leaf-function tasks) without perturbing variable-creation
-    parity with a serial run. *)
+    Section 3.2); returns the renaming, the identity on non-locals. *)
 
 (** {1 Segments and rebuild}
 
@@ -353,6 +310,9 @@ val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
     used to summarize schemes in isolation, and by the certificate
     property tests to re-solve a store's atom log *)
 
+val atoms : t -> atom list
+(** the store's atom log, in insertion order *)
+
 val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** replay the store's full constraint log through {!solve_atoms}: an
     independent oracle for the optimized solver, keyed by original
@@ -364,7 +324,7 @@ val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** counters accumulated over the store's lifetime *)
 type stats = {
   vars_created : int;
-  vars_unified : int;  (** absorbed into another representative *)
+  vars_unified : int;  (** merged into another representative *)
   edges_added : int;
   edges_deduped : int;  (** duplicate insertions skipped *)
   cycles_collapsed : int;  (** cycles detected and unified online *)
@@ -372,7 +332,6 @@ type stats = {
   full_solves : int;  (** {!solve_from_scratch} runs *)
   worklist_pops : int;  (** total propagation steps across all solves *)
   solve_s : float;  (** wall seconds inside {!solve}/{!solve_from_scratch} *)
-  absorb_s : float;  (** wall seconds inside {!absorb} *)
   congen_s : float;
       (** wall seconds generating constraints (body traversal), excluding
           the nested instantiate time; noted by the client *)
@@ -401,8 +360,6 @@ type stats = {
   memo_misses : int;
       (** eligible candidates whose key was not yet in the session memo
           (each miss performed a real instantiation) *)
-  empty_batches_skipped : int;
-      (** worker batches whose absorb was skipped as a no-op *)
   heap_words : int;
       (** live major-heap words at sampling time ([Gc.quick_stat]) *)
   top_heap_words : int;  (** peak major-heap size over the process life *)
@@ -427,9 +384,6 @@ val note_memo_reject_may_violate : t -> unit
 val note_memo_miss : t -> unit
 (** count one eligible candidate that still had to instantiate *)
 
-val note_skipped_batch : t -> unit
-(** count one skipped empty batch *)
-
 type phase = Congen | Generalize | Compact | Instantiate | Report
 
 val note_phase : t -> phase -> float -> unit
@@ -440,12 +394,6 @@ val note_phase : t -> phase -> float -> unit
 val phase_seconds : t -> phase -> float
 (** current accumulated seconds of a phase — lets a client time an
     enclosing window and subtract the nested phases for disjoint columns *)
-
-val merge_aux_stats : t -> stats -> unit
-(** fold the compaction/memo counters and per-phase times of a worker
-    store's stats into this store, so parallel runs report totals (phase
-    times sum CPU seconds across domains); the structural counters (vars,
-    edges, solve times) are not touched — they flow through {!absorb} *)
 
 val pp_scheme : Space.t -> scheme Fmt.t
 (** render a constrained scheme (Section 6's presentation concern);

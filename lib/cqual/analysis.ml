@@ -21,7 +21,6 @@
 
 module Solver = Typequal.Solver
 module Budget = Typequal.Budget
-module Pool = Typequal.Pool
 module Elt = Typequal.Lattice.Elt
 module Space = Typequal.Lattice.Space
 module Q = Typequal.Qualifier
@@ -192,37 +191,10 @@ type fentry =
     which is conservative, and {!Report} excludes its positions. *)
 type outcome = Analyzed | Degraded of string
 
-(** How a variable of a worker's private store binds into the shared
-    store at merge time (parallel analysis). *)
-type gbind =
-  | Gvar of Solver.var  (** mirror of this pre-existing shared variable *)
-  | Gauto of string
-      (** auto-declared global, identified by name — it may not exist in
-          the shared store yet, and several workers may introduce it
-          independently; the first merged batch materializes it *)
-
-(** A function's published summary, in the {e producing} worker's private
-    terms: consumers resolve foreign variables through [p_bind] (foreign
-    var id -> shared binding) into mirrors of their own. *)
-type pentry = {
-  p_scheme : Solver.scheme;
-  p_fsig : fsig;
-  p_bind : (int, gbind) Hashtbl.t;
-}
-
-(** Published summaries: written by a worker when its SCC completes —
-    before its dependents are released, so the wavefront's happens-before
-    edge covers them — and read by dependent workers. *)
-type pub = {
-  pub_m : Mutex.t;
-  pub_tbl : (string, pentry) Hashtbl.t;
-}
-
 (** May instances of a scheme be shared between call sites of the same
     callee? Decided once per (scheme, callee), from the shape of the
     registered interface and the scheme's own atoms — both structural, so
-    serial runs and worker replicas (over mirrored schemes) reach the same
-    verdict. *)
+    a warm rerun reaches the verdict a cold run does. *)
 type memo_verdict =
   | MFlat
       (** the whole signature is flat (flat return, flat pointed-to
@@ -238,13 +210,10 @@ type memo_verdict =
   | MMayViolate
       (** rejected: a dropped instance copy could drop a bound violation *)
 
-(** Wall-clock phase breakdown of a parallel run (for [--stats]). *)
-type par_stats = {
-  ps_jobs : int;
-  ps_tasks : int;  (** scheduled units: SCCs (poly) or functions (mono) *)
-  ps_gen_s : float;  (** parallel constraint-generation phase *)
-  ps_merge_s : float;  (** serial batched merge into the shared store *)
-}
+(* Kept only because gatebench builds a [Session.run] from [env.par]; it
+   has no values, so [par] is always [None]. A later benchmark revision
+   removes it. *)
+type par_stats = |
 
 type seg_kind =
   | Sglobals  (** the monomorphic environment: globals and struct fields *)
@@ -252,7 +221,7 @@ type seg_kind =
   | Stask  (** one task: an SCC (poly modes) or one mono body *)
   | Sinits  (** the global initializers *)
 
-(** A segment: everything one unit of analysis work left in the shared
+(** A segment: everything one unit of analysis work left in the
     store beyond the per-function tables — its stretch of the atom log,
     the variables it created, the ground violations and warnings it
     raised, the interfaces it reports and the auto-declared globals it
@@ -299,11 +268,7 @@ type env = {
   outcomes : (string, outcome) Hashtbl.t;  (** per defined function *)
   budget : Budget.t option;
       (** resource guard; exhaustion degrades remaining functions *)
-  pc : par_ctx option;
-      (** present iff this is a worker's private view: [store] and every
-          table above are private to one domain, and shared state is
-          reached read-only through the context *)
-  mutable par : par_stats option;  (** set on the shared env by parallel runs *)
+  par : par_stats option;  (** always [None]; see {!par_stats} *)
   compact : bool;
       (** scheme compaction at generalization and instantiation
           memoization (default on); [false] restores the uncompacted
@@ -325,20 +290,6 @@ type env = {
       (** a warm rerun's auto-declared globals, withdrawn from [globals]
           until a task in order looks them up again *)
   mutable layout : layout option;  (** segments of the last run *)
-}
-
-(** A worker's window onto the shared analysis: the read-only global env
-    (its tables are frozen during the parallel phase), the mirror tables
-    mapping shared cells into the worker's private store, and the binding
-    table the merge uses to map private variables back. *)
-and par_ctx = {
-  pc_genv : env;
-  pc_bind : (int, gbind) Hashtbl.t;  (** private var id -> shared binding *)
-  pc_gmirror : (int, Solver.var) Hashtbl.t;  (** shared var id -> mirror *)
-  pc_cmirror : (int, cell) Hashtbl.t;  (** shared cell (by q id) -> mirror *)
-  pc_autos : (string * cell) list ref;
-      (** auto-declared globals this worker introduced, newest first *)
-  pc_pub : pub;
 }
 
 let warn env msg = env.warnings <- msg :: env.warnings
@@ -395,49 +346,6 @@ let isolated env (members : Cast.fundef list) (k : unit -> 'a) : 'a option =
 let seed env = env.rules.qr_seed env.store
 
 (* ------------------------------------------------------------------ *)
-(* Mirroring shared cells into a worker's private store                *)
-(* ------------------------------------------------------------------ *)
-
-(* A mirror is a fresh private variable standing for a shared one: the
-   worker constrains the mirror, and the merge binds it back to the shared
-   original instead of re-creating it, so the shared store's variable
-   sequence stays identical to a serial run's. Mirrors are memoized per
-   worker (aliasing in the shared store must stay aliasing privately). No
-   declared-qualifier seeding happens here — those constraints were added
-   to the shared store when the global environment was built. *)
-let mirror_var env pc (g : Solver.var) : Solver.var =
-  let id = Solver.var_id g in
-  match Hashtbl.find_opt pc.pc_gmirror id with
-  | Some v -> v
-  | None ->
-      let v = Solver.fresh ~name:(Solver.var_name g) env.store in
-      Hashtbl.replace pc.pc_gmirror id v;
-      Hashtbl.replace pc.pc_bind (Solver.var_id v) (Gvar g);
-      v
-
-let rec mirror_rt env pc = function
-  | (RBase | RVoid | RStruct _) as r -> r
-  | RPtr c -> RPtr (mirror_cell env pc c)
-  | RFun f -> RFun (mirror_fsig env pc f)
-
-and mirror_cell env pc (c : cell) : cell =
-  let id = Solver.var_id c.q in
-  match Hashtbl.find_opt pc.pc_cmirror id with
-  | Some c' -> c'
-  | None ->
-      let c' = { q = mirror_var env pc c.q; contents = RBase } in
-      Hashtbl.replace pc.pc_cmirror id c';
-      c'.contents <- mirror_rt env pc c.contents;
-      c'
-
-and mirror_fsig env pc (f : fsig) : fsig =
-  {
-    fs_params = List.map (mirror_cell env pc) f.fs_params;
-    fs_ret = mirror_rt env pc f.fs_ret;
-    fs_varargs = f.fs_varargs;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Shared struct field tables (Section 4.2)                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -450,31 +358,8 @@ let rec field_cells env tag : (string * cell) list =
         (fun (name, ft) ->
           (name, cell_of_ctype ~name ~seed:(seed env) env.store ft))
         (Cprog.fields env.prog tag)
-  | None -> (
-      match env.pc with
-      | Some pc when Hashtbl.mem pc.pc_genv.fields tag ->
-          if env.field_sharing then begin
-            (* worker view of the shared per-tag table: mirror the shared
-               cells (memoized, so sharing is preserved) *)
-            let fs =
-              List.map
-                (fun (name, c) -> (name, mirror_cell env pc c))
-                (Hashtbl.find pc.pc_genv.fields tag)
-            in
-            Hashtbl.replace env.fields tag fs;
-            fs
-          end
-          else
-            (* ablation under parallelism: the shared env knows the tag, so
-               behave like the [Some _] branch — fresh cells per access *)
-            List.map
-              (fun (name, ft) ->
-                (name, cell_of_ctype ~name ~seed:(seed env) env.store ft))
-              (Cprog.fields env.prog tag)
-      | _ -> build_fields env tag)
-
-and build_fields env tag =
-  (* install a placeholder first so recursive structs terminate *)
+  | None ->
+      (* install a placeholder first so recursive structs terminate *)
       Hashtbl.replace env.fields tag [];
       let fs =
         List.map
@@ -509,17 +394,7 @@ let lookup_var env scope x : cell option =
           if Hashtbl.mem env.late_mono (Solver.var_id c.q) then
             env.cur_touched <- x :: env.cur_touched;
           Some c
-      | None -> (
-          (* worker view: mirror the shared global on first touch *)
-          match env.pc with
-          | Some pc -> (
-              match Hashtbl.find_opt pc.pc_genv.globals x with
-              | Some gc ->
-                  let c = mirror_cell env pc gc in
-                  Hashtbl.replace env.globals x c;
-                  Some c
-              | None -> None)
-          | None -> None))
+      | None -> None)
 
 (* Undeclared identifiers (K&R implicit, or benchmarks referencing symbols
    from headers we do not have): auto-declare as an int global so repeated
@@ -539,14 +414,6 @@ let auto_global env x =
       env.autos_created <- env.autos_created + 1;
       Hashtbl.replace env.globals x c;
       Hashtbl.replace env.late_mono (Solver.var_id c.q) ();
-      (match env.pc with
-      | Some pc ->
-          (* bind by name: the shared counterpart may not exist yet, and
-             concurrent workers may introduce the same one — the first
-             merged batch materializes it, the rest bind to it *)
-          Hashtbl.replace pc.pc_bind (Solver.var_id c.q) (Gauto x);
-          pc.pc_autos := (x, c) :: !(pc.pc_autos)
-      | None -> ());
       c
 
 (* ------------------------------------------------------------------ *)
@@ -606,70 +473,9 @@ let assign_to env (c : cell) ~reason =
   ignore reason;
   env.rules.qr_write env.store c.q
 
-(* Resolve a foreign variable (one of another worker's private store) to a
-   variable of this worker's store, via its published shared binding. A
-   variable [bind] does not cover is one of the producing scheme's locals:
-   those are freshened at instantiation and need no resolution. *)
-let import_var env pc (p_bind : (int, gbind) Hashtbl.t) v =
-  match Hashtbl.find_opt p_bind (Solver.var_id v) with
-  | Some (Gvar g) -> mirror_var env pc g
-  | Some (Gauto name) -> (auto_global env name).q
-  | None -> v
-
-(* Translate a published summary into this worker's terms: scheme locals
-   are kept (they only name freshening slots), while free variables —
-   which name the producing worker's mirrors of shared state — are
-   re-based onto this worker's own mirrors. The result behaves exactly
-   like a locally generalized [FPoly] entry. *)
-let import_fentry env pc (pe : pentry) : fentry =
-  let resolve v = import_var env pc pe.p_bind v in
-  let atoms =
-    List.map
-      (function
-        | Solver.Avc (v, c, m, r) -> Solver.Avc (resolve v, c, m, r)
-        | Solver.Acv (c, v, m, r) -> Solver.Acv (c, resolve v, m, r)
-        | Solver.Avv (a, b, m, r) -> Solver.Avv (resolve a, resolve b, m, r))
-      (Solver.scheme_atoms pe.p_scheme)
-  in
-  let sch =
-    Solver.make_scheme ~locals:(Solver.scheme_locals pe.p_scheme) ~atoms
-  in
-  FPoly (sch, pe.p_fsig)
-
-(* resolve a function name to its cached entry, importing shared-store
-   interfaces (mono) or published summaries (poly modes) into the
-   worker's own terms on first sight *)
-let rec fentry_of env name : fentry option =
-  match Hashtbl.find_opt env.funs name with
-  | Some e -> Some e
-  | None -> (
-      match env.pc with
-      | None -> None
-      | Some pc -> (
-          match Hashtbl.find_opt pc.pc_genv.funs name with
-          | Some (FMono s) ->
-              (* mono mode: interfaces live in the shared store (built in
-                 the serial first pass); mirror once and cache *)
-              let s' = mirror_fsig env pc s in
-              Hashtbl.replace env.funs name (FMono s');
-              Some (FMono s')
-          | Some (FPoly _) | None -> (
-              (* poly modes: summaries are published by completed SCC
-                 workers; a missing entry means the callee's SCC degraded
-                 (or is genuinely undefined) — fall through to the
-                 conservative library treatment, like the serial run *)
-              Mutex.lock pc.pc_pub.pub_m;
-              let pe = Hashtbl.find_opt pc.pc_pub.pub_tbl name in
-              Mutex.unlock pc.pc_pub.pub_m;
-              match pe with
-              | Some pe ->
-                  Hashtbl.replace env.funs name (import_fentry env pc pe);
-                  fentry_of env name
-              | None -> None)))
-
 (* instantiate a defined function for one occurrence *)
 let fun_occurrence env name : fsig option =
-  match fentry_of env name with
+  match Hashtbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let rn = Solver.instantiate env.store sch in
@@ -737,7 +543,7 @@ let memo_verdict env sch (s : fsig) name =
    unchanged (the skipped copy's atoms never violate, and its fresh
    variables are unobservable). *)
 let fun_call_occurrence env name (arg_rts : rt list) : fsig option =
-  match fentry_of env name with
+  match Hashtbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let instantiate () =
@@ -1078,7 +884,6 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     field_sharing;
     outcomes = Hashtbl.create 16;
     budget;
-    pc = None;
     par = None;
     compact;
     shapes = Shape.create_table ();
@@ -1168,7 +973,7 @@ let linked_functions prog =
       match Cprog.find_fun prog f.f_name with Some g -> g == f | None -> false)
     (Cprog.functions prog)
 
-(* Mono's interface pass, in the shared store before any body, so calls
+(* Mono's interface pass, in the store before any body, so calls
    in any order link directly; a function whose interface cannot be built
    is degraded and left out of env.funs, so its callers fall back to the
    conservative library treatment. *)
@@ -1181,12 +986,11 @@ let mono_interface env (f : Cast.fundef) : (string * fsig) list =
       | None -> [])
 
 (* Mono's task (the "Mono" column of Table 2): each body against its
-   interface from the pass above — mirrored on first sight in a worker's
-   view. *)
+   interface from the pass above. *)
 let mono_bodies env (members : Cast.fundef list) =
   List.iter
     (fun (f : Cast.fundef) ->
-      match fentry_of env f.f_name with
+      match Hashtbl.find_opt env.funs f.f_name with
       | Some (FMono s) ->
           timed_phase env Solver.Congen (fun () -> analyze_body env f s)
       | _ -> ())
@@ -1195,8 +999,8 @@ let mono_bodies env (members : Cast.fundef list) =
 (* Generalize an SCC's captured constraints: every variable mentioned
    that is not part of the monomorphic global environment becomes a scheme
    local (Section 4.3). [is_global] decides membership in the monomorphic
-   environment: by creation watermark + late-mono table for a serial run,
-   by the mirror/auto binding table for a worker's private store. *)
+   environment: by creation watermark and the late-mono table
+   ({!is_mono_var}). *)
 let generalize_scc ~is_global atoms
     (scc_ifaces : (Cast.fundef * fsig) list) : Solver.scheme =
   let seen = Hashtbl.create 64 in
@@ -1252,8 +1056,7 @@ let summarize_iface bounds (s : fsig) : (Elt.t * Elt.t) list =
    megacorpus). At registration, re-compact the shared scheme down to
    the member's own interface-reachable core: exact by compaction's
    contract (identical interface solutions and bound violations),
-   deterministic (compaction never iterates a hash table, so serial and
-   worker derivations agree structurally), and excluded from
+   deterministic (compaction never iterates a hash table), and excluded from
    the scheme-size counters ([~count:false]) so those keep describing
    the primary generalizations. Singleton SCCs keep their scheme as is:
    it was already compacted against exactly this interface. *)
@@ -1369,157 +1172,10 @@ let polyrec_scc env ~is_global members =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Parallel analysis: worker views and the ordered merge (DESIGN.md)   *)
-(* ------------------------------------------------------------------ *)
-
-(* A private analysis view for one worker task: fresh store (charging the
-   shared budget), private tables, and a mirror context onto [genv]. *)
-let worker_env (genv : env) (pub : pub) : env =
-  let store = Solver.create genv.rules.qr_space in
-  Solver.set_budget store genv.budget;
-  {
-    store;
-    prog = genv.prog;
-    mode = genv.mode;
-    fields = Hashtbl.create 16;
-    funs = Hashtbl.create 16;
-    globals = Hashtbl.create 16;
-    rules = genv.rules;
-    warnings = [];
-    late_mono = Hashtbl.create 8;
-    field_sharing = genv.field_sharing;
-    outcomes = Hashtbl.create 8;
-    budget = genv.budget;
-    pc =
-      Some
-        {
-          pc_genv = genv;
-          pc_bind = Hashtbl.create 64;
-          pc_gmirror = Hashtbl.create 64;
-          pc_cmirror = Hashtbl.create 64;
-          pc_autos = ref [];
-          pc_pub = pub;
-        };
-    par = None;
-    compact = genv.compact;
-    shapes = Shape.create_table ();
-    imemo = Hashtbl.create 32;
-    memo_ok = Hashtbl.create 16;
-    cur_touched = [];
-    autos_created = 0;
-    auto_pool = Hashtbl.create 1;
-    layout = None;
-  }
-
-let worker_pc env =
-  match env.pc with Some pc -> pc | None -> invalid_arg "not a worker env"
-
-(* Everything a finished task hands to the merge, in the worker's own
-   terms. *)
-type task_result = {
-  tr_batch : Solver.batch;
-  tr_bind : (int, gbind) Hashtbl.t;
-  tr_autos : (string * cell) list;  (* creation order *)
-  tr_warnings : string list;  (* newest first, as accumulated *)
-  tr_touched : string list;  (* auto globals looked up *)
-  tr_outcomes : (string * outcome) list;
-  tr_ifaces : (Cast.fundef * fsig) list;  (* [] when degraded / mono *)
-  tr_scheme : Solver.scheme option;  (* None in mono mode / when degraded *)
-  tr_aux : Solver.stats;  (* worker-store counters (compaction, memo) *)
-}
-
-let task_result wenv ~ifaces ~scheme : task_result =
-  let pc = worker_pc wenv in
-  {
-    tr_batch = Solver.export wenv.store;
-    tr_bind = pc.pc_bind;
-    tr_autos = List.rev !(pc.pc_autos);
-    tr_warnings = wenv.warnings;
-    tr_touched = wenv.cur_touched;
-    tr_outcomes = Hashtbl.fold (fun k v acc -> (k, v) :: acc) wenv.outcomes [];
-    tr_ifaces = ifaces;
-    tr_scheme = scheme;
-    tr_aux = Solver.stats wenv.store;
-  }
-
-(* Merge one worker's result into the shared env, in deterministic task
-   order: absorb the batch (mirrors bind to their shared originals; every
-   other variable is re-created in creation order, reproducing the
-   variable and atom sequence of a serial run), materialize auto globals,
-   and translate interfaces and scheme into shared-store terms. Returns
-   the interface entries to report. *)
-let merge_result genv (r : task_result) : (string * fsig) list =
-  Solver.merge_aux_stats genv.store r.tr_aux;
-  let bind v =
-    match Hashtbl.find_opt r.tr_bind (Solver.var_id v) with
-    | Some (Gvar g) -> Some g
-    | Some (Gauto name) ->
-        (* materialized by an earlier batch, or created fresh right here *)
-        Option.map (fun (c : cell) -> c.q) (Hashtbl.find_opt genv.globals name)
-    | None -> None
-  in
-  let skippable =
-    (match r.tr_scheme with None -> true | Some _ -> false)
-    && r.tr_ifaces = [] && r.tr_autos = []
-    && Solver.batch_skippable ~bind r.tr_batch
-  in
-  genv.cur_touched <- r.tr_touched;
-  if skippable then begin
-    (* the absorb would create no variable and add no atom: skip it, keep
-       only the side reports (common for leaf functions whose body
-       touches nothing beyond its mirrored interface) *)
-    Solver.note_skipped_batch genv.store;
-    List.iter (fun (n, o) -> Hashtbl.replace genv.outcomes n o) r.tr_outcomes;
-    genv.warnings <- r.tr_warnings @ genv.warnings;
-    []
-  end
-  else begin
-  let rn = Solver.absorb genv.store ~bind r.tr_batch in
-  let rnv v = match rn v with Some v' -> v' | None -> v in
-  List.iter
-    (fun (name, (c : cell)) ->
-      if not (Hashtbl.mem genv.globals name) then begin
-        genv.autos_created <- genv.autos_created + 1;
-        let gc = { q = rnv c.q; contents = RBase } in
-        Hashtbl.replace genv.globals name gc;
-        Hashtbl.replace genv.late_mono (Solver.var_id gc.q) ()
-      end)
-    r.tr_autos;
-  List.iter (fun (n, o) -> Hashtbl.replace genv.outcomes n o) r.tr_outcomes;
-  genv.warnings <- r.tr_warnings @ genv.warnings;
-  match r.tr_scheme with
-  | None ->
-      List.map
-        (fun ((f : Cast.fundef), s) -> (f.f_name, copy_fsig rnv s))
-        r.tr_ifaces
-  | Some sch ->
-      let rn_atom = function
-        | Solver.Avc (v, c, m, re) -> Solver.Avc (rnv v, c, m, re)
-        | Solver.Acv (c, v, m, re) -> Solver.Acv (c, rnv v, m, re)
-        | Solver.Avv (a, b, m, re) -> Solver.Avv (rnv a, rnv b, m, re)
-      in
-      let sch_g =
-        Solver.make_scheme
-          ~locals:(List.map rnv (Solver.scheme_locals sch))
-          ~atoms:(List.map rn_atom (Solver.scheme_atoms sch))
-      in
-      let multi = match r.tr_ifaces with _ :: _ :: _ -> true | _ -> false in
-      List.map
-        (fun ((f : Cast.fundef), s) ->
-          let s_g = copy_fsig rnv s in
-          (* same member projection the worker registered locally, over
-             the shared-store translation of the scheme *)
-          let sch_f = if multi then member_scheme genv sch_g s_g else sch_g in
-          Hashtbl.replace genv.funs f.f_name (FPoly (sch_f, s_g));
-          (f.f_name, s_g))
-        r.tr_ifaces
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Segments                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] as one segment: everything it adds to the store and the shared
+(* Run [f] as one segment: everything it adds to the store and the
    tables is attributed to the returned record. [f] returns the
    interfaces the segment reports. *)
 let segment env kind (f : unit -> (string * fsig) list) : seg =
@@ -1550,138 +1206,38 @@ let segment env kind (f : unit -> (string * fsig) list) : seg =
   env.cur_touched <- [];
   seg
 
-(* A mode's task processor: one task's members, analyzed in [env] (the
-   shared env at jobs 1, a worker's private view otherwise); returns the
-   interfaces to report and the scheme the members were registered
-   with. *)
+(* A mode's task processor: one task's members, analyzed in [env];
+   returns the interfaces to report. *)
 type processor =
-  env ->
-  is_global:(Solver.var -> bool) ->
-  Cast.fundef list ->
-  (Cast.fundef * fsig) list * Solver.scheme option
+  env -> is_global:(Solver.var -> bool) -> Cast.fundef list -> (Cast.fundef * fsig) list
 
 let processor ~simplify mode : processor =
  fun env ~is_global members ->
   match mode with
   | Mono ->
       mono_bodies env members;
-      ([], None)
-  | Poly ->
-      let ifaces, sch = poly_scc env ~is_global ~simplify members in
-      (ifaces, Some sch)
-  | Polyrec ->
-      let ifaces, sch = polyrec_scc env ~is_global members in
-      (ifaces, Some sch)
+      []
+  | Poly -> fst (poly_scc env ~is_global ~simplify members)
+  | Polyrec -> fst (polyrec_scc env ~is_global members)
 
-(* The monomorphic environment of the shared store: everything created
+(* The monomorphic environment of the store: everything created
    before [watermark] (globals, struct fields) plus the late-arriving auto
    globals. *)
-let shared_is_global env ~watermark v =
+let is_mono_var env ~watermark v =
   Solver.var_id v < watermark || Hashtbl.mem env.late_mono (Solver.var_id v)
 
-(* One task, directly in the shared store, as one segment. *)
+(* One task, as one segment. *)
 let run_task env ~is_global ~(process : processor) members : seg =
   segment env Stask (fun () ->
       match isolated env members (fun () -> process env ~is_global members) with
-      | Some (ifaces, _) ->
+      | Some ifaces ->
           List.map (fun ((f : Cast.fundef), s) -> (f.f_name, s)) ifaces
       | None -> [])
 
-(* ------------------------------------------------------------------ *)
-(* The two schedulers                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Jobs 1: the tasks in order, directly in the shared store. *)
+(* The tasks in order. *)
 let run_in_order env ~watermark ~(process : processor) tasks =
-  let is_global = shared_is_global env ~watermark in
+  let is_global = is_mono_var env ~watermark in
   List.map (run_task env ~is_global ~process) tasks
-
-(* Jobs > 1: the wavefront. A task is ready once every task it depends on
-   has completed and published its summaries; ready tasks run
-   concurrently on the pool, each inferring into a private store, where
-   the monomorphic environment is what the binding table maps back to
-   shared state. Batches are merged serially in task order — the order
-   {!run_in_order} takes — so the shared store, and hence every reported
-   figure, is identical to a serial run's. *)
-let run_wavefront genv ~jobs ~(process : processor) tasks
-    (in_degree0, dependents) =
-  let t0 = Unix.gettimeofday () in
-  let n = Array.length tasks in
-  let indeg = Array.copy in_degree0 in
-  let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 64 } in
-  let results : task_result option array = Array.make n None in
-  let m = Mutex.create () in
-  Pool.with_pool ~jobs (fun pool ->
-      let rec task i () =
-        let members = tasks.(i) in
-        let wenv = worker_env genv pub in
-        let pc = worker_pc wenv in
-        let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
-        (* a degraded task keeps its partial batch: a degraded serial task
-           also leaves its partial constraints in the store *)
-        let ifaces, scheme =
-          Option.value ~default:([], None)
-            (isolated wenv members (fun () -> process wenv ~is_global members))
-        in
-        (* publish before releasing dependents: they instantiate us, and
-           only ever see the per-member schemes the worker registered *)
-        let entries =
-          List.filter_map
-            (fun ((f : Cast.fundef), _) ->
-              match Hashtbl.find_opt wenv.funs f.f_name with
-              | Some (FPoly (sch, s)) ->
-                  Some
-                    ( f.f_name,
-                      { p_scheme = sch; p_fsig = s; p_bind = pc.pc_bind } )
-              | _ -> None)
-            ifaces
-        in
-        Mutex.lock pub.pub_m;
-        List.iter (fun (n, e) -> Hashtbl.replace pub.pub_tbl n e) entries;
-        Mutex.unlock pub.pub_m;
-        let r = task_result wenv ~ifaces ~scheme in
-        let ready = ref [] in
-        Mutex.lock m;
-        results.(i) <- Some r;
-        List.iter
-          (fun j ->
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then ready := j :: !ready)
-          dependents.(i);
-        Mutex.unlock m;
-        List.iter (fun j -> Pool.submit pool (task j)) !ready
-      in
-      Array.iteri
-        (fun i d -> if d = 0 then Pool.submit pool (task i))
-        in_degree0;
-      Pool.wait pool);
-  let t_gen = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  (* the merge replays variables the workers already charged against the
-     shared budget; don't charge them twice *)
-  Solver.set_budget genv.store None;
-  (* drop each batch as soon as it is merged: a retained batch pins the
-     whole worker arena (its variables point back at their store's
-     columns), which is where the multi-gigaword jobs>1 heap came from;
-     each merge is its task's segment, laid out as {!run_in_order} lays
-     it *)
-  let segs =
-    List.init n (fun i ->
-        let r = Option.get results.(i) in
-        results.(i) <- None;
-        segment genv Stask (fun () ->
-            merge_result genv r))
-  in
-  Solver.set_budget genv.store genv.budget;
-  genv.par <-
-    Some
-      {
-        ps_jobs = jobs;
-        ps_tasks = n;
-        ps_gen_s = t_gen;
-        ps_merge_s = Unix.gettimeofday () -. t1;
-      };
-  segs
 
 (* The task list of a mode over [prog]. Mono has one task per function
    whose interface was built, in link order; poly and polyrec one per FDG
@@ -1749,13 +1305,11 @@ let task_count env =
 
 (** Run an analysis as a task list. Mono has one task per linked
     function, after a single interface pass; poly and polyrec have one
-    task per FDG SCC (Section 4.3), callees first. [jobs > 1] runs the
-    tasks on the multicore wavefront (mono's tasks have no
-    dependencies); results are deterministic and identical to
-    [jobs = 1], which runs them in order in the shared store. Every unit
-    of work is recorded as a segment ({!layout}), which is what {!rerun}
-    starts from. *)
-let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?(jobs = 1)
+    task per FDG SCC (Section 4.3), callees first. The tasks run in
+    order in one store. Every unit of work is recorded as a segment
+    ({!layout}), which is what {!rerun} starts from. [jobs] is ignored:
+    gatebench still passes it, and a later benchmark revision drops it. *)
+let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?jobs:_
     mode (prog : Cprog.t) : env * (string * fsig) list =
   let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
   let globals =
@@ -1775,18 +1329,8 @@ let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?(jobs = 1)
     | Poly | Polyrec -> []
   in
   let tasks = task_list env fdg in
-  let process = processor ~simplify mode in
   let task_segs =
-    if jobs > 1 then
-      let deps =
-        match mode with
-        | Mono ->
-            let n = List.length tasks in
-            (Array.make n 0, Array.make n [])
-        | Poly | Polyrec -> Fdg.scc_deps fdg
-      in
-      run_wavefront env ~jobs ~process (Array.of_list tasks) deps
-    else run_in_order env ~watermark ~process tasks
+    run_in_order env ~watermark ~process:(processor ~simplify mode) tasks
   in
   let inits =
     segment env Sinits (fun () ->
@@ -1916,7 +1460,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
       Error "dead variables outnumber live ones"
   | Some ly ->
       let env =
-        { base with prog; warnings = []; par = None; layout = None }
+        { base with prog; warnings = []; layout = None }
       in
       let st = env.store in
       Solver.reset_stats st;
@@ -2008,7 +1552,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
               (linked_functions prog)
       in
       let process = processor ~simplify env.mode in
-      let is_global = shared_is_global env ~watermark:ly.ly_watermark in
+      let is_global = is_mono_var env ~watermark:ly.ly_watermark in
       let rerun_n = ref 0 and members_n = ref 0 in
       (* one task over FDG nodes [nodes]: kept when the old task had the
          same members in the same order, with definitions equal up to

@@ -114,11 +114,12 @@ let tarjan (succ : int array array) : int array list =
   (* completion order is callees first *)
   List.rev !sccs
 
-(* Per-SCC dependency structure over the indices of [t.sccs], for the
-   wavefront scheduler. An edge [f -> g] means [f] mentions [g], so [f]'s
-   SCC depends on (must be analyzed after) [g]'s. [in_degree.(i)] counts
-   the distinct SCCs that SCC [i] depends on; [dependents.(j)] lists the
-   SCCs depending on [j] — the candidates released when [j] completes. *)
+(* Per-SCC dependency structure over the indices of [t.sccs], from which
+   the wavefront width is computed. An edge [f -> g] means [f] mentions
+   [g], so [f]'s SCC depends on (must be analyzed after) [g]'s.
+   [in_degree.(i)] counts the distinct SCCs that SCC [i] depends on;
+   [dependents.(j)] lists the SCCs depending on [j] — the candidates
+   released when [j] completes. *)
 let deps_of succ scc_nodes scc_of : int array * int list array =
   let n = Array.length scc_nodes in
   let in_degree = Array.make n 0 in

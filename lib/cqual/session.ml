@@ -16,9 +16,8 @@
     {!Report.position_key}).
 
     The frontend is per-unit: each translation unit is lexed and parsed
-    independently (in parallel under [--jobs]), then a deterministic
-    serial link step merges the unit programs and threads the cross-unit
-    parser environment. See DESIGN.md "Per-unit frontend" and "Session
+    independently, then a deterministic link step merges the unit
+    programs and threads the cross-unit parser environment. See DESIGN.md "Per-unit frontend" and "Session
     architecture". *)
 
 type timing = {
@@ -26,9 +25,7 @@ type timing = {
   t_analysis : float;  (** constraint generation + solving *)
 }
 
-(** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
-    times are summed across worker domains (like the solver's per-phase
-    timers), so they can exceed the compile wall clock. *)
+(** Frontend phase breakdown. *)
 type frontend_stats = {
   fs_units : int;
   fs_reparsed : int;
@@ -60,7 +57,8 @@ type run = {
       (** maximum SCCs simultaneously ready under wavefront scheduling: an
           upper bound on useful analysis parallelism *)
   par : Analysis.par_stats option;
-      (** parallel-engine phase breakdown; [None] for serial runs *)
+      (** always [None]: gatebench still fills it; a later benchmark
+          revision removes it *)
   frontend : frontend_stats option;
       (** per-unit frontend phase breakdown; [None] for whole-run cache
           hits *)
@@ -72,29 +70,6 @@ let time f =
   (x, Unix.gettimeofday () -. t0)
 
 exception Error of string
-
-(** [Some cores] when [jobs] asks for more worker domains than the host
-    can schedule — the caller should warn: oversubscribed domains contend
-    instead of parallelizing (jobs 4 on one core measured ~7x slower than
-    serial). *)
-let oversubscription ~jobs =
-  let cores = Typequal.Pool.cores_available () in
-  if jobs > cores then Some cores else None
-
-(** The oversubscription advisory as a structured diagnostic (severity
-    {!Cfront.Diag.Notice}, code N0901). The batch CLIs render it with a
-    ["warning: "] prefix — byte-identical to the historical free-form
-    line — while the daemon ships it to clients as data. *)
-let oversubscription_notice ~jobs : Cfront.Diag.t option =
-  match oversubscription ~jobs with
-  | None -> None
-  | Some cores ->
-      Some
-        (Cfront.Diag.notice ~code:"N0901"
-           (Printf.sprintf
-              "--jobs %d exceeds the %d available cores; domains will \
-               contend rather than parallelize"
-              jobs cores))
 
 (* ------------------------------------------------------------------ *)
 (* Persistent cache (two disk tiers; see DESIGN.md)                    *)
@@ -113,7 +88,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
    any marshaled type in this file changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
-    (Fmt.str "%a|%s|payload-fmt-3" Typequal.Lattice.Space.pp_dump sp
+    (Fmt.str "%a|%s|payload-fmt-4" Typequal.Lattice.Space.pp_dump sp
        Sys.ocaml_version)
 
 (** Open a cache directory for runs under this rule set (default: const
@@ -138,8 +113,7 @@ let mode_name = function
   | Analysis.Polyrec -> "polyrec"
 
 (* Everything that parameterizes inference besides the program text and
-   the qualifier space (already in the envelope context). [jobs] is
-   deliberately absent: results are jobs-invariant. *)
+   the qualifier space (already in the envelope context). *)
 let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
     ~max_errors : string =
   let ob = function Some b -> string_of_bool b | None -> "-" in
@@ -160,7 +134,6 @@ let sanitize_stats (s : Typequal.Solver.stats) : Typequal.Solver.stats =
   {
     s with
     Typequal.Solver.solve_s = 0.;
-    absorb_s = 0.;
     congen_s = 0.;
     generalize_s = 0.;
     compact_s = 0.;
@@ -171,8 +144,8 @@ let sanitize_stats (s : Typequal.Solver.stats) : Typequal.Solver.stats =
     cores_available = 0;
   }
 
-(* the run record's cacheable core: no wall-clock, no parallel-phase
-   breakdown, solver counters sanitized of nondeterministic fields *)
+(* the run record's cacheable core: no wall-clock, solver counters
+   sanitized of nondeterministic fields *)
 type cached_run = {
   cr_results : Report.results;
   cr_lines : int;
@@ -307,13 +280,13 @@ let seed_key digest (seed : Cfront.Cparse.useed) =
            seed.Cfront.Cparse.us_count_base )
          [])
 
-(** The per-unit frontend: speculative parallel lex+parse+build per
-    translation unit, then a deterministic serial link that replays the
-    cross-unit parser environment in file order and re-parses the rare
-    unit whose speculative result it could have influenced. [fe_memo] is
+(** The per-unit frontend: speculative lex+parse+build per translation
+    unit, then a deterministic link that replays the cross-unit parser
+    environment in file order and re-parses the rare unit whose
+    speculative result it could have influenced. [fe_memo] is
     the session's in-memory AST tier, probed before the disk tier, fed by
     every parse, and pruned to what this compile read. *)
-let compile_units ?cache ~fe_memo ~jobs ~me (units : src_unit list) :
+let compile_units ?cache ~fe_memo ~me (units : src_unit list) :
     compiled =
   let lines = List.fold_left (fun acc u -> acc + u.u_lines) 0 units in
   let multi = match units with [] | [ _ ] -> false | _ -> true in
@@ -335,77 +308,51 @@ let compile_units ?cache ~fe_memo ~jobs ~me (units : src_unit list) :
     Hashtbl.replace fe_memo.fm_tbl key p;
     Hashtbl.replace read key ()
   in
-  (* --- per-unit AST memo + cache probes (serial: neither the memo table
-     nor cache handles are domain-safe) --- *)
-  let slots = Array.map (fun u -> lookup u.u_digest) units_a in
-  let on_disk : Cfront.Cparse.uresult option array = Array.make n None in
-  (match cache with
-  | None -> ()
-  | Some cs ->
-      Array.iteri
-        (fun i u ->
-          if slots.(i) = None then
-            match
-              (load_marshal cs.cs_cache ~kind:"unit"
-                 ~key:(unit_key ~max_errors:me ~digest:u.u_digest)
-                : cached_unit option)
-            with
-            | Some cu -> on_disk.(i) <- Some cu.cu_res
-            | None -> ())
-        units_a);
-  (* --- speculative lex+parse+build of the units the memo lacks, one task
-     per unit --- *)
-  let fresh = Array.map Option.is_none slots in
-  let tmu = Mutex.create () in
+  (* --- the speculative parse of each unit: from the AST memo, else the
+     disk tier, else lexed and parsed here; a fresh parse is remembered
+     in the memo, and on disk when it was not read from there --- *)
   let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
-  let add cell dt =
-    Mutex.lock tmu;
+  let timed cell f =
+    let x, dt = time f in
     cell := !cell +. dt;
-    Mutex.unlock tmu
+    x
   in
-  Typequal.Pool.with_pool ~jobs (fun pool ->
-      Array.iteri
-        (fun i u ->
-          if fresh.(i) then
-            Typequal.Pool.submit pool (fun () ->
-                let res =
-                  match on_disk.(i) with
-                  | Some res -> res
-                  | None ->
-                      let (tb, lex_diags), t_lex =
-                        time (fun () ->
-                            Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
-                      in
-                      add lex_s t_lex;
-                      let res, t_parse =
-                        time (fun () ->
-                            Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
-                      in
-                      add parse_s t_parse;
-                      res
-                in
-                let p, t_build = time (fun () -> parsed_of res) in
-                add build_s t_build;
-                slots.(i) <- Some p))
-        units_a;
-      Typequal.Pool.wait pool);
   let built = ref 0 in
-  (* --- persist fresh speculative parses (memo, and disk when parsed) --- *)
-  Array.iteri
-    (fun i u ->
-      if fresh.(i) then begin
-        incr built;
-        let p = Option.get slots.(i) in
-        remember u.u_digest p;
-        match (cache, on_disk.(i)) with
-        | Some cs, None ->
-            Cache.store cs.cs_cache ~kind:"unit"
-              ~key:(unit_key ~max_errors:me ~digest:u.u_digest)
-              (Marshal.to_string { cu_res = p.pu_res } [])
-        | _ -> ()
-      end)
-    units_a;
-  (* --- serial link: validate each speculative parse against the
+  let unit_cache_key u = unit_key ~max_errors:me ~digest:u.u_digest in
+  let slots =
+    Array.map
+      (fun u ->
+        match lookup u.u_digest with
+        | Some p -> p
+        | None ->
+            let on_disk =
+              Option.bind cache (fun cs ->
+                  (load_marshal cs.cs_cache ~kind:"unit" ~key:(unit_cache_key u)
+                    : cached_unit option))
+            in
+            let res =
+              match on_disk with
+              | Some cu -> cu.cu_res
+              | None ->
+                  let tb, lex_diags =
+                    timed lex_s (fun () ->
+                        Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
+                  in
+                  timed parse_s (fun () ->
+                      Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
+            in
+            let p = timed build_s (fun () -> parsed_of res) in
+            incr built;
+            remember u.u_digest p;
+            (match (cache, on_disk) with
+            | Some cs, None ->
+                Cache.store cs.cs_cache ~kind:"unit" ~key:(unit_cache_key u)
+                  (Marshal.to_string { cu_res = p.pu_res } [])
+            | _ -> ());
+            p)
+      units_a
+  in
+  (* --- link: validate each speculative parse against the
      accumulated environment, re-parse when it could have been
      influenced, thread the diagnostic budget, merge in file order --- *)
   let link_t0 = Unix.gettimeofday () in
@@ -422,7 +369,7 @@ let compile_units ?cache ~fe_memo ~jobs ~me (units : src_unit list) :
   Array.iteri
     (fun i u ->
       let in_unit d = if multi then Cfront.Diag.with_unit u.u_name d else d in
-      let spec = Option.get slots.(i) in
+      let spec = slots.(i) in
       if not !capped then
         if !consumed >= me then begin
           (* the budget ran out exactly at a unit boundary: a
@@ -557,11 +504,11 @@ type rebuild = {
    the next warm run and what was rebuilt. A function's AST lines are
    already unit-local, so its position anchor only needs its home
    unit. *)
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm ~jobs
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm
     ~reparsed mode (co : compiled) =
   let full reason =
     let env, ifaces =
-      Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ~jobs mode
+      Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget mode
         co.co_prog
     in
     let n = Analysis.task_count env in
@@ -698,7 +645,6 @@ type t = {
   s_compact : bool option;
   s_budget : (unit -> Typequal.Budget.t) option;
   s_max_errors : int option;
-  s_jobs : int;
   s_cache : cache_spec option;
   (* the warm tier that survives invalidation: keyed by content digest,
      so a stale entry can never be served — an edit simply stops hitting
@@ -718,8 +664,9 @@ type t = {
 }
 
 let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
-    ?budget ?max_errors ?(jobs = 1) ?cache (units : (string * string) list) :
-    t =
+    ?budget ?max_errors ?jobs:_ ?cache (units : (string * string) list) : t =
+  (* [jobs] is ignored: gatebench still passes it, and a later benchmark
+     revision drops it *)
   {
     s_rules = Option.value rules ~default:Analysis.const_rules;
     s_default_mode = mode;
@@ -728,7 +675,6 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
     s_compact = compact;
     s_budget = budget;
     s_max_errors = max_errors;
-    s_jobs = jobs;
     (* budgeted runs are load-dependent, not reproducible artifacts:
        never cached, never served from cache *)
     s_cache = (match budget with Some _ -> None | None -> cache);
@@ -798,8 +744,7 @@ let ensure_compiled t =
       let me = Option.value t.s_max_errors ~default:20 in
       let misses0 = t.s_fe_memo.fm_misses in
       let c =
-        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~jobs:t.s_jobs ~me
-          t.s_units
+        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~me t.s_units
       in
       t.s_reparsed <- t.s_fe_memo.fm_misses - misses0;
       t.s_compiled <- Some c;
@@ -823,7 +768,7 @@ let ensure_mode t mode : mode_state =
         analyze ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact
           ?budget:(Option.map (fun f -> f ()) t.s_budget)
-          ?warm ~jobs:t.s_jobs ~reparsed:t.s_reparsed mode co
+          ?warm ~reparsed:t.s_reparsed mode co
       in
       t.s_last_rebuild <- Some rb;
       let keys = Array.map (fun r -> r.Report.r_key) rows.Report.in_order in
@@ -943,18 +888,16 @@ let verdict_of_solver = function
   | Solver.Forced_down -> Report.Must_not_const
   | Solver.Free -> Report.Either
 
-(** "What breaks if I add [$qual] here?" — split into a serial prepare
-    step and a pure evaluation thunk. The prepare step resolves the key
-    and qualifier and builds (once per solved store) the what-if index;
-    it must run with exclusive access to the session (the daemon does
-    this on its event loop). The returned thunk speculates the
-    annotation as a lower bound over the live solved store
-    ({!Solver.speculate_leq_cv}) and re-classifies only the positions
-    whose representative it raised. It writes no session or store
-    state, so any number of thunks may run concurrently on the domain
-    pool; they must all be forced before the session's next edit, since
-    the mode's next run re-analyzes this store in place. A store whose analysis budget tripped holds a partial
-    solution and answers [Error]. *)
+(** "What breaks if I add [$qual] here?" — split into a prepare step and
+    an evaluation thunk. The prepare step resolves the key and qualifier
+    and builds (once per solved store) the what-if index. The returned
+    thunk speculates the annotation as a lower bound over the live solved
+    store ({!Solver.speculate_leq_cv}) and re-classifies only the
+    positions whose representative it raised; it writes no session or
+    store state. Force it before the session's next edit, since the
+    mode's next run re-analyzes this store in place. A store whose
+    analysis budget tripped holds a partial solution and answers
+    [Error]. *)
 let whatif_task ?mode t ~qual key :
     ((unit -> whatif_result), string) result =
   let ms = ensure_mode t (mode_of t mode) in
@@ -1108,8 +1051,10 @@ let pp_mode_long ppf = function
     diagnostics go to stderr and stay in the CLI). The daemon's [render]
     method returns this same text, which is what the CI smoke job diffs
     against a cold [cqualc] run. *)
-let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
+let render_run ?(stats = false) ?(positions = false) ?jobs:_ ~name mode
     (r : run) : string =
+  (* [jobs] is ignored: gatebench still passes it, and a later benchmark
+     revision drops it *)
   let b = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let res = r.results in
@@ -1141,22 +1086,7 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
            %.3fs, link %.3fs\n"
           fs.fs_units fs.fs_reparsed fs.fs_lex_s fs.fs_parse_s fs.fs_build_s
           fs.fs_link_s
-    | None -> ());
-    (match oversubscription ~jobs with
-    | Some cores ->
-        pr "oversubscribed: %d jobs on %d available cores\n" jobs cores
-    | None -> ());
-    match r.par with
-    | Some p ->
-        (* empty batches are a scheduling event of the wavefront, so
-           they are counted here, on the line only jobs > 1 print *)
-        pr
-          "parallel: %d jobs, %d tasks, %d empty batches skipped, generate \
-           %.3fs, merge %.3fs\n"
-          p.Analysis.ps_jobs p.Analysis.ps_tasks
-          r.solver_stats.Typequal.Solver.empty_batches_skipped
-          p.Analysis.ps_gen_s p.Analysis.ps_merge_s
-    | None -> ()
+    | None -> ())
   end;
   pr
     "interesting const positions: %d total; %d declared, %d possible (%d \
@@ -1177,4 +1107,4 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
 (** Render one mode of the session — the daemon's [render] method. *)
 let render ?mode ?stats ?positions ?(name = "session") t : string =
   let m = mode_of t mode in
-  render_run ?stats ?positions ~jobs:t.s_jobs ~name m (run ~mode:m t)
+  render_run ?stats ?positions ~name m (run ~mode:m t)

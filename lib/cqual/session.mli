@@ -13,9 +13,7 @@ type timing = {
   t_analysis : float;  (** constraint generation + solving *)
 }
 
-(** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
-    times are summed across worker domains, so they can exceed the
-    compile wall clock. *)
+(** Frontend phase breakdown. *)
 type frontend_stats = {
   fs_units : int;
   fs_reparsed : int;
@@ -39,20 +37,13 @@ type run = {
   fdg_scc_count : int;
   fdg_largest_scc : int;
   wavefront_width : int;
-  par : Analysis.par_stats option;  (** [None] for serial runs *)
+  par : Analysis.par_stats option;
+      (** always [None]: gatebench still fills it; a later benchmark
+          revision removes it *)
   frontend : frontend_stats option;  (** [None] for whole-run cache hits *)
 }
 
 exception Error of string
-
-val oversubscription : jobs:int -> int option
-(** [Some cores] when [jobs] exceeds the host's available cores. *)
-
-val oversubscription_notice : jobs:int -> Cfront.Diag.t option
-(** The oversubscription advisory as a structured {!Cfront.Diag.Notice}
-    (code N0901). The CLIs print it with a ["warning: "] prefix —
-    byte-identical to the historical free-form line — and the daemon
-    ships it to clients as data. *)
 
 val mode_name : Analysis.mode -> string
 
@@ -108,7 +99,9 @@ val create :
     called after the parse, so a deadline it sets covers analysis only.
     A budgeted session never touches [cache]. [cache] attaches the two
     disk tiers: per-unit ASTs and whole-run records. Nothing is parsed
-    or analyzed until the first {!run} or query. *)
+    or analyzed until the first {!run} or query. [jobs] is ignored:
+    gatebench still passes it, and a later benchmark revision drops
+    it. *)
 
 val units : t -> string list
 (** Current unit names, in link order. *)
@@ -150,7 +143,7 @@ val run_sources :
   (string * string) list ->
   run
 (** [run_sources files] is [run (create files)]: one mode of a session
-    used once. [budget] bounds that one analysis. *)
+    used once. [budget] bounds that one analysis; [jobs] is ignored. *)
 
 val program : t -> Cfront.Cprog.t
 (** The linked program of the current units (parsed on first use) — for
@@ -209,16 +202,15 @@ val whatif_task :
   qual:string ->
   string ->
   (unit -> whatif_result, string) result
-(** "What breaks if I add [$qual] here?" — the serial prepare step
-    resolves the key and qualifier and, on the first whatif against a
-    solved store, builds its what-if index (run it with exclusive
-    session access). The returned thunk speculates the annotation over
-    the live store ({!Typequal.Solver.speculate_leq_cv}) and
-    re-classifies only the positions in the cone it raises; it writes
-    no session or store state, so any number of thunks may run
-    concurrently on the domain pool. Force every thunk before the next
-    {!update_unit} or {!remove_unit}: the mode's next run re-analyzes
-    this very store in place. [w_changed] is in report order;
+(** "What breaks if I add [$qual] here?" — the prepare step resolves
+    the key and qualifier and, on the first whatif against a solved
+    store, builds its what-if index. The returned thunk speculates the
+    annotation over the live store
+    ({!Typequal.Solver.speculate_leq_cv}) and re-classifies only the
+    positions in the cone it raises; it writes no session or store
+    state. Force every thunk before the next {!update_unit} or
+    {!remove_unit}: the mode's next run re-analyzes this very store in
+    place. [w_changed] is in report order;
     [w_errors_after] is what adding the bound and re-solving would
     count. [Error] for unknown keys and qualifiers, and when the mode's
     analysis budget tripped (its solution is partial). *)
@@ -292,7 +284,7 @@ val render_run :
   run ->
   string
 (** The per-run report exactly as [cqualc] prints it (stdout block
-    only). *)
+    only). [jobs] is ignored. *)
 
 val render :
   ?mode:Analysis.mode ->

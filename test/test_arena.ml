@@ -1,11 +1,10 @@
 (* Certificates for the flat-arena solver: on random op sequences, the
-   serial, batch-splice and mirror-bound absorb paths each report the
-   least and greatest solutions of the atoms their store logged (§3.1),
-   recomputed by the store-free evaluator [Solver.solve_atoms], and fail
-   exactly when that solution breaks a bound. Pinned digests freeze what
-   the definition does not fix: counters, error messages and solutions
-   on a fixed-seed op stream. Plus determinism of the multi-file cbench
-   corpora and the multi-file Session entry point. *)
+   store reports the least and greatest solutions of the atoms it logged
+   (§3.1), recomputed by the store-free evaluator [Solver.solve_atoms],
+   and fails exactly when that solution breaks a bound. A pinned digest
+   freezes what the definition does not fix: counters, error messages
+   and solutions on a fixed-seed op stream. Plus determinism of the
+   multi-file cbench corpora and the multi-file Session entry point. *)
 
 open Typequal
 module S = Solver
@@ -90,7 +89,7 @@ let pinned_scenarios =
      List.init 300 (fun _ -> scenario rng))
 
 (* ------------------------------------------------------------------ *)
-(* The three paths: what each leaves behind                            *)
+(* What a run leaves behind                                            *)
 (* ------------------------------------------------------------------ *)
 
 type run = {
@@ -112,17 +111,11 @@ let apply st v = function
   | Solve -> ignore (S.solve st)
   | Full -> ignore (S.solve_from_scratch st)
 
-(* record the atoms [f] adds to [st] (a fresh store, so they are its
-   whole log), then solve; [f] returns the scenario's variables *)
-let finish sp st ~ground_failed f =
-  let vars, atoms = S.recording st f in
-  assert (List.length atoms = S.num_atoms st);
-  let failed = Result.is_error (S.solve st) in
-  { sp; st; vars; atoms; failed; ground_failed }
-
+(* apply [ops] to a fresh store, recording the atoms they add (the
+   store's whole log), then solve *)
 let serial sp n ops =
   let st = S.create sp in
-  let v = Array.init n (fun _ -> S.fresh st) in
+  let vars = Array.init n (fun _ -> S.fresh st) in
   let ground_failed =
     List.exists
       (function
@@ -130,34 +123,10 @@ let serial sp n ops =
         | _ -> false)
       ops
   in
-  finish sp st ~ground_failed (fun () ->
-      List.iter (apply st v) ops;
-      v)
-
-(* The parallel engine's path: build in a worker store, export the
-   batch and splice it into a fresh main store, observed through the
-   returned renaming. The first [mirrors] batch variables resolve to
-   variables created in the main store beforehand, as worker mirrors of
-   shared globals do. Ground violations stay in the worker. *)
-let spliced ~mirrors sp n ops =
-  let w = S.create sp in
-  let v = Array.init n (fun _ -> S.fresh w) in
-  List.iter (apply w v) ops;
-  let batch = S.export w in
-  let main = S.create sp in
-  let pre = Array.init mirrors (fun _ -> S.fresh main) in
-  let bind x =
-    let r = ref None in
-    Array.iteri (fun i y -> if i < mirrors && x == y then r := Some pre.(i)) v;
-    !r
-  in
-  finish sp main ~ground_failed:false (fun () ->
-      let look = S.absorb main ~bind batch in
-      Array.map (fun x -> Option.get (look x)) v)
-
-let batched = spliced ~mirrors:0
-let merge sp n ops = spliced ~mirrors:(n / 3) sp n ops
-let paths = [ ("serial", serial); ("batched", batched); ("merge", merge) ]
+  let (), atoms = S.recording st (fun () -> List.iter (apply st vars) ops) in
+  assert (List.length atoms = S.num_atoms st);
+  let failed = Result.is_error (S.solve st) in
+  { sp; st; vars; atoms; failed; ground_failed }
 
 let solution r = Array.map (fun v -> (S.least r.st v, S.greatest r.st v)) r.vars
 
@@ -182,25 +151,15 @@ let certify r solution =
   Array.for_all2 agrees r.vars solution
   && r.failed = (List.exists over r.atoms || r.ground_failed)
 
-let certificate_prop name path =
-  scenario_prop ~name (fun sp n ops ->
-      let r = path sp n ops in
+let prop_serial_certificate =
+  scenario_prop ~name:"certificate: serial solve = least solution of its log"
+    (fun sp n ops ->
+      let r = serial sp n ops in
       certify r (solution r))
 
-let prop_serial_certificate =
-  certificate_prop "certificate: serial solve = least solution of its log" serial
-
-let prop_batch_certificate =
-  certificate_prop "certificate: batch splice = least solution of its log"
-    batched
-
-let prop_merge_certificate =
-  certificate_prop "certificate: mirror-bound absorb = least solution" merge
-
 (* A certificate that cannot fail is not a check: a flipped [lo] bit, a
-   dropped [Avv]/[Acv] atom, or a flipped verdict must each be rejected
-   on every path. The chain [top <= v0 <= v1 <= ...] makes every atom
-   matter. *)
+   dropped [Avv]/[Acv] atom, or a flipped verdict must each be rejected.
+   The chain [top <= v0 <= v1 <= ...] makes every atom matter. *)
 let test_certificate_rejects_tampering () =
   let sp = Cqual.Analysis.const_space in
   let full = E.full_mask sp in
@@ -208,32 +167,29 @@ let test_certificate_rejects_tampering () =
   let chain =
     Lower (E.top sp, 0, full) :: List.init (n - 1) (fun i -> Edge (i, i + 1, full))
   in
-  List.iter
-    (fun (name, path) ->
-      let r = path sp n chain in
-      let sol = solution r in
-      Alcotest.(check bool) (name ^ ": untampered run certifies") true (certify r sol);
-      Array.iteri
-        (fun i (lo, hi) ->
-          let sol' = Array.copy sol in
-          sol'.(i) <- (lo lxor 1, hi);
+  let r = serial sp n chain in
+  let sol = solution r in
+  Alcotest.(check bool) "untampered run certifies" true (certify r sol);
+  Array.iteri
+    (fun i (lo, hi) ->
+      let sol' = Array.copy sol in
+      sol'.(i) <- (lo lxor 1, hi);
+      Alcotest.(check bool)
+        (Printf.sprintf "lo bit of v%d flipped" i)
+        false (certify r sol'))
+    sol;
+  List.iteri
+    (fun k a ->
+      match a with
+      | S.Avc _ -> ()
+      | S.Avv _ | S.Acv _ ->
+          let atoms = List.filteri (fun j _ -> j <> k) r.atoms in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: lo bit of v%d flipped" name i)
-            false (certify r sol'))
-        sol;
-      List.iteri
-        (fun k a ->
-          match a with
-          | S.Avc _ -> ()
-          | S.Avv _ | S.Acv _ ->
-              let atoms = List.filteri (fun j _ -> j <> k) r.atoms in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: atom %d dropped" name k)
-                false (certify { r with atoms } sol))
-        r.atoms;
-      Alcotest.(check bool) (name ^ ": verdict flipped") false
-        (certify { r with failed = not r.failed } sol))
-    paths
+            (Printf.sprintf "atom %d dropped" k)
+            false (certify { r with atoms } sol))
+    r.atoms;
+  Alcotest.(check bool) "verdict flipped" false
+    (certify { r with failed = not r.failed } sol)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned digests: what the definition does not fix                    *)
@@ -260,38 +216,17 @@ let observe r =
   Buffer.contents b
 
 (* Computed through both the arena and the pre-arena store it replaced,
-   which agreed on all three. The batched and merge paths create the
-   same variables in the same order (mirrors come first either way),
-   hence one digest. A change here means the solver's counters,
-   solutions or error messages moved; the CI jobs 1 vs 4 and
-   --no-compact --stats diffs watch the counters on real programs. *)
-let pinned =
-  [
-    ("serial", "5a05228890ec99fb428b5d6efb82640d");
-    ("batched", "9c9975fa2f64fdb2059cc696eb9da4c1");
-    ("merge", "9c9975fa2f64fdb2059cc696eb9da4c1");
-  ]
-
-let test_pinned_digests () =
-  List.iter
-    (fun (name, path) ->
-      let all =
-        List.map
-          (fun (sp, n, ops) -> observe (path sp n ops))
-          (Lazy.force pinned_scenarios)
-      in
-      Alcotest.(check string) (name ^ " digest") (List.assoc name pinned)
-        (Digest.to_hex (Digest.string (String.concat "" all))))
-    paths
-
-let prop_serial_eq_batch =
-  (* absorbing a whole store into an empty one renames but must not
-     change any solution (the splice invariant DESIGN.md states).
-     Counters are excluded: Solve ops in the sequence run in the worker
-     store, so the main store's solve cadence legitimately differs. *)
-  scenario_prop ~name:"arena: batch splice preserves the serial solutions"
-    (fun sp n ops ->
-      solution (serial sp n ops) = solution (batched sp n ops))
+   which agreed. A change here means the solver's counters, solutions or
+   error messages moved; CI's --stats diffs against the base branch
+   watch the counters on real programs. *)
+let test_pinned_digest () =
+  let all =
+    List.map
+      (fun (sp, n, ops) -> observe (serial sp n ops))
+      (Lazy.force pinned_scenarios)
+  in
+  Alcotest.(check string) "serial digest" "5a05228890ec99fb428b5d6efb82640d"
+    (Digest.to_hex (Digest.string (String.concat "" all)))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-file corpora: determinism and the Session entry point         *)
@@ -322,12 +257,9 @@ let test_project_shape () =
   let r = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly files)) in
   Alcotest.(check bool) "functions analyzed" true (r.Cqual.Session.n_functions > 0)
 
-let test_multifile_driver_parity () =
+let test_multifile_driver () =
   let files = Cbench.Programs.miniproject in
-  let serial = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:1 files)) in
-  let par = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:4 files)) in
-  Alcotest.(check string) "miniproject: jobs 4 = jobs 1"
-    (Test_parallel.digest serial) (Test_parallel.digest par);
+  let serial = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly files)) in
   Alcotest.(check int) "no degradations" 0
     (List.length
        (List.filter
@@ -335,31 +267,26 @@ let test_multifile_driver_parity () =
             match o with Cqual.Analysis.Degraded _ -> true | _ -> false)
           serial.Cqual.Session.results.Cqual.Report.outcomes))
 
-let test_scale_corpus_parity () =
-  (* a small instance of the scale corpus end-to-end: serial and jobs-4
-     reports identical, as CI diffs on the big one *)
+let test_scale_corpus_repeatable () =
+  (* a small instance of the scale corpus end-to-end: two sessions
+     report identically, down to the solver counters *)
   let files = Cbench.Gen.generate_project ~seed:0xA12 ~target_lines:6_000 () in
-  let serial = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:1 files)) in
-  let par = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly ~jobs:4 files)) in
-  Alcotest.(check string) "scale corpus: jobs 4 = jobs 1"
-    (Test_parallel.digest serial) (Test_parallel.digest par)
+  let run () = Cqual.Session.(run (create ~mode:Cqual.Analysis.Poly files)) in
+  Alcotest.(check string) "scale corpus: two runs agree"
+    (Support.digest (run ())) (Support.digest (run ()))
 
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_serial_certificate;
-    QCheck_alcotest.to_alcotest prop_batch_certificate;
-    QCheck_alcotest.to_alcotest prop_merge_certificate;
-    QCheck_alcotest.to_alcotest prop_serial_eq_batch;
     Alcotest.test_case "multi-file project generation deterministic" `Quick
       test_project_deterministic;
     Alcotest.test_case "multi-file project shape and analyzability" `Slow
       test_project_shape;
-    Alcotest.test_case "multi-file driver: jobs 4 = jobs 1" `Quick
-      test_multifile_driver_parity;
-    Alcotest.test_case "scale corpus (small): jobs 4 = jobs 1" `Slow
-      test_scale_corpus_parity;
+    Alcotest.test_case "multi-file driver: no degradations" `Quick
+      test_multifile_driver;
+    Alcotest.test_case "scale corpus (small): two runs agree" `Slow
+      test_scale_corpus_repeatable;
     Alcotest.test_case "certificate rejects a tampered run" `Quick
       test_certificate_rejects_tampering;
-    Alcotest.test_case "pinned digests: serial, batched, merge" `Quick
-      test_pinned_digests;
+    Alcotest.test_case "pinned digest: serial" `Quick test_pinned_digest;
   ]

@@ -281,17 +281,17 @@ let run_entry_file (cs : Session.cache_spec) =
 let test_driver_cold_warm_corrupt () =
   let files = Cbench.Gen.generate_project ~seed:0x51 ~target_lines:2_500 () in
   let mode = Analysis.Poly in
-  let base = Test_parallel.digest Session.(run (create ~mode files)) in
+  let base = Support.digest Session.(run (create ~mode files)) in
   let dir = fresh_dir () in
   (* cold: populates, changes nothing observable *)
   let cs = open_cache_exn dir in
   let cold = Session.(run (create ~mode ~cache:cs files)) in
-  Alcotest.(check string) "cold = uncached" base (Test_parallel.digest cold);
+  Alcotest.(check string) "cold = uncached" base (Support.digest cold);
   Alcotest.(check int) "no hits cold" 0 (cache_stats cs).Cache.hits;
   (* warm no-op: whole-run tier serves it *)
   let cs = open_cache_exn dir in
   let warm = Session.(run (create ~mode ~cache:cs files)) in
-  Alcotest.(check string) "warm = cold" base (Test_parallel.digest warm);
+  Alcotest.(check string) "warm = cold" base (Support.digest warm);
   Alcotest.(check (pair int int)) "run-tier hit" (1, 0) (kind_counts cs "run");
   (* each fault in the run entry: rejected and counted under its own
      cause, then recomputed to the cold report. The warm run before each
@@ -304,7 +304,7 @@ let test_driver_cold_warm_corrupt () =
       let cs = open_cache_exn dir in
       let recovered = Session.(run (create ~mode ~cache:cs files)) in
       Alcotest.(check string) (cause ^ ": report = cold") base
-        (Test_parallel.digest recovered);
+        (Support.digest recovered);
       Alcotest.(check (list (pair string int)))
         (cause ^ ": the only reject, counted once")
         [ (cause, 1) ]
@@ -315,11 +315,7 @@ let test_driver_cold_warm_corrupt () =
       ("corrupt", fun p -> flip_byte p (String.length (read_file p) - 1));
       ("bad-magic", fun p -> flip_byte p Cache.off_magic);
       ("bad-version", fun p -> flip_byte p (Cache.off_version + 1));
-    ];
-  (* parallel warm run: same report under jobs:4 *)
-  let cs = open_cache_exn dir in
-  let par = Session.(run (create ~mode ~jobs:4 ~cache:cs files)) in
-  Alcotest.(check string) "warm jobs 4 = cold" base (Test_parallel.digest par)
+    ]
 
 (* unit identity is the per-file content hash, so renaming or editing a
    file invalidates the whole-run entry and exactly that unit's parse;
@@ -345,7 +341,7 @@ let test_rename_invalidates_one_unit () =
   let cs = open_cache_exn dir in
   let renamed = Session.(run (create ~mode ~cache:cs (proj true false))) in
   Alcotest.(check string) "rename: report unchanged"
-    (Test_parallel.digest cold) (Test_parallel.digest renamed);
+    (Support.digest cold) (Support.digest renamed);
   Alcotest.(check (pair int int)) "rename: exactly one unit missed" (2, 1)
     (kind_counts cs "unit")
 
@@ -361,7 +357,7 @@ let test_edit_dirty_unit () =
     (kind_counts cs "unit");
   let fresh = Session.(run (create ~mode (proj false true))) in
   Alcotest.(check string) "edited warm = edited cold"
-    (Test_parallel.digest fresh) (Test_parallel.digest edited)
+    (Support.digest fresh) (Support.digest edited)
 
 (* a cold cached run writes one parse per unit plus the whole-run entry,
    and nothing else *)
@@ -374,20 +370,20 @@ let test_cold_entry_count () =
     (List.length files + 1)
     (List.length (Cache.entry_files cs.Session.cs_cache))
 
-(* ---------------- property: the 4-run identity, serial and jobs:4 ------ *)
+(* ---------------- property: the 4-run identity ---------------- *)
 
 let prop_cache_identity =
   QCheck2.Test.make ~count:6
     ~name:"cache: cold/warm/corrupt-one-entry runs byte-identical"
-    QCheck2.Gen.(pair (int_bound 10_000) (oneofl [ 1; 4 ]))
-    (fun (seed, jobs) ->
+    (QCheck2.Gen.int_bound 10_000)
+    (fun seed ->
       let files = Cbench.Gen.generate_project ~seed ~target_lines:1_200 () in
       let mode = Analysis.Poly in
-      let base = Test_parallel.digest Session.(run (create ~mode ~jobs files)) in
+      let base = Support.digest Session.(run (create ~mode files)) in
       let dir = fresh_dir () in
       let run () =
         let cs = open_cache_exn dir in
-        (Test_parallel.digest Session.(run (create ~mode ~jobs ~cache:cs files)), cs)
+        (Support.digest Session.(run (create ~mode ~cache:cs files)), cs)
       in
       let cold, _ = run () in
       let warm, cs = run () in

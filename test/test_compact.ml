@@ -350,32 +350,27 @@ let global_leasts (env : Cqual.Analysis.env) : (string * string) list =
     env.Cqual.Analysis.globals []
   |> List.sort compare
 
-let run_digest ~compact ~jobs mode prog =
+let run_digest ~compact mode prog =
   let open Cqual in
-  let env, ifaces = Analysis.run ~compact ~jobs mode prog in
+  let env, ifaces = Analysis.run ~compact mode prog in
   let results = Report.measure env ifaces in
   observable_digest results (global_leasts env)
 
 let prop_end_to_end_invisible =
   QCheck2.Test.make ~count:12
     ~name:
-      "end-to-end: --no-compact vs default observably identical (3 modes, \
-       jobs 1 and 4)"
+      "end-to-end: --no-compact vs default observably identical (3 modes)"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:300 () in
       let prog = Support.compile src in
       List.for_all
         (fun mode ->
-          List.for_all
-            (fun jobs ->
-              let on = run_digest ~compact:true ~jobs mode prog in
-              let off = run_digest ~compact:false ~jobs mode prog in
-              if on <> off then
-                QCheck2.Test.fail_reportf "seed %d jobs %d:@.%s@.vs@.%s" seed
-                  jobs on off
-              else true)
-            [ 1; 4 ])
+          let on = run_digest ~compact:true mode prog in
+          let off = run_digest ~compact:false mode prog in
+          if on <> off then
+            QCheck2.Test.fail_reportf "seed %d:@.%s@.vs@.%s" seed on off
+          else true)
         [ Cqual.Analysis.Mono; Cqual.Analysis.Poly; Cqual.Analysis.Polyrec ])
 
 let prop_end_to_end_chains =
@@ -388,25 +383,18 @@ let prop_end_to_end_chains =
       in
       let open Cqual in
       let prog = Support.compile src in
-      List.for_all
-        (fun jobs ->
-          let on = run_digest ~compact:true ~jobs Analysis.Poly prog in
-          let off = run_digest ~compact:false ~jobs Analysis.Poly prog in
-          let env_on, _ = Analysis.run ~compact:true ~jobs Analysis.Poly prog in
-          let env_off, _ =
-            Analysis.run ~compact:false ~jobs Analysis.Poly prog
-          in
-          let von = (Analysis.stats env_on).S.vars_created in
-          let voff = (Analysis.stats env_off).S.vars_created in
-          if on <> off then
-            QCheck2.Test.fail_reportf "chains seed %d jobs %d reports differ"
-              seed jobs
-          else if von >= voff then
-            QCheck2.Test.fail_reportf
-              "chains seed %d jobs %d: no variable reduction (%d vs %d)" seed
-              jobs von voff
-          else true)
-        [ 1; 4 ])
+      let on = run_digest ~compact:true Analysis.Poly prog in
+      let off = run_digest ~compact:false Analysis.Poly prog in
+      let env_on, _ = Analysis.run ~compact:true Analysis.Poly prog in
+      let env_off, _ = Analysis.run ~compact:false Analysis.Poly prog in
+      let von = (Analysis.stats env_on).S.vars_created in
+      let voff = (Analysis.stats env_off).S.vars_created in
+      if on <> off then
+        QCheck2.Test.fail_reportf "chains seed %d reports differ" seed
+      else if von >= voff then
+        QCheck2.Test.fail_reportf
+          "chains seed %d: no variable reduction (%d vs %d)" seed von voff
+      else true)
 
 (* ------------------------------------------------------------------ *)
 (* The instantiation memo: it must actually fire, and every rejected    *)
@@ -495,7 +483,7 @@ let test_chains_32k_reduction () =
   let open Cqual in
   let src = Cbench.Gen.generate_chains ~seed:7 ~target_lines:32_000 () in
   let run compact =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:1 ~compact
+    Session.run_sources ~mode:Analysis.Poly ~compact
       [ ("chains.c", src) ]
   in
   let on = run true and off = run false in
@@ -523,7 +511,7 @@ let test_phase_timers_sane () =
   let open Cqual in
   let t0 = Unix.gettimeofday () in
   let r =
-    Session.(run (create ~mode:Analysis.Poly ~jobs:1 Cbench.Programs.miniproject))
+    Session.(run (create ~mode:Analysis.Poly Cbench.Programs.miniproject))
   in
   let wall = Unix.gettimeofday () -. t0 in
   let st = r.Session.solver_stats in
@@ -535,7 +523,6 @@ let test_phase_timers_sane () =
       ("instantiate", st.S.instantiate_s);
       ("report", st.S.report_s);
       ("solve", st.S.solve_s);
-      ("absorb", st.S.absorb_s);
     ]
   in
   List.iter

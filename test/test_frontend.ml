@@ -1,6 +1,5 @@
 (* The per-unit frontend: parity with a whole-program parse of the
-   concatenated units (reports, diagnostics, counters) and across job
-   counts, unit-boundary diagnostic positions, cross-unit
+   concatenated units (reports, diagnostics, counters), unit-boundary diagnostic positions, cross-unit
    parser-environment threading (typedef / enum-constant / anonymous-tag
    reparses), the diagnostic budget crossing unit boundaries, the
    per-unit AST cache tier, and the outcome-list construction on
@@ -10,42 +9,16 @@ open Cqual
 module Diag = Cfront.Diag
 module Solver = Typequal.Solver
 
-(* everything observable from a run: the test_parallel digest plus the
-   rendered diagnostics (unit prefix and all) *)
+(* everything observable from a run: {!Support.digest} plus the line
+   count and the rendered diagnostics (unit prefix and all) *)
 let digest (r : Session.run) : string =
-  let b = Buffer.create 1024 in
-  let res = r.Session.results in
-  List.iter
-    (fun d -> Buffer.add_string b (Diag.to_string d ^ "\n"))
-    r.Session.diagnostics;
-  List.iter
-    (fun pv -> Buffer.add_string b (Fmt.str "%a\n" Report.pp_position pv))
-    res.Report.positions;
-  Buffer.add_string b
-    (Printf.sprintf "lines=%d declared=%d possible=%d must=%d total=%d \
-                     errors=%d\n"
-       r.Session.lines res.Report.declared res.Report.possible res.Report.must
-       res.Report.total res.Report.type_errors);
-  List.iter
-    (fun w -> Buffer.add_string b ("warning " ^ w ^ "\n"))
-    res.Report.warnings;
-  List.iter
-    (fun (f, o) ->
-      Buffer.add_string b
-        (match o with
-        | Analysis.Analyzed -> "analyzed " ^ f ^ "\n"
-        | Analysis.Degraded why -> "degraded " ^ f ^ ": " ^ why ^ "\n"))
-    res.Report.outcomes;
-  let st = r.Session.solver_stats in
-  Buffer.add_string b
-    (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
-       st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
-       st.Solver.edges_deduped st.Solver.cycles_collapsed
-       st.Solver.worklist_pops);
-  Buffer.contents b
+  String.concat ""
+    (List.map (fun d -> Diag.to_string d ^ "\n") r.Session.diagnostics)
+  ^ Printf.sprintf "lines=%d\n" r.Session.lines
+  ^ Support.digest r
 
-let run ?mode ?jobs ?max_errors ?cache files =
-  Session.run (Session.create ?mode ?jobs ?max_errors ?cache files)
+let run ?mode ?max_errors ?cache files =
+  Session.run (Session.create ?mode ?max_errors ?cache files)
 
 (* The oracle: the same sources as one translation unit. Linking
    separately parsed units must give the program a whole-program parse
@@ -91,19 +64,14 @@ let frontend_stats (r : Session.run) =
   | Some fs -> fs
   | None -> Alcotest.fail "expected per-unit frontend stats"
 
-(* serial, jobs 4 and the one-unit oracle must agree observably *)
+(* the linked units and the one-unit oracle must agree observably *)
 let check_parity ?mode ?max_errors what files =
-  let r = run ?mode ?max_errors ~jobs:1 files in
-  let d0 = digest r in
-  Alcotest.(check string)
-    (what ^ ": jobs 4 = serial")
-    d0
-    (digest (run ?mode ?max_errors ~jobs:4 files));
+  let r = run ?mode ?max_errors files in
   let src, starts = Cfront.Cprog.concat_units files in
   let whole = run ?mode ?max_errors [ ("whole.c", src) ] in
   Alcotest.(check string)
     (what ^ ": linked units = one concatenated unit")
-    (Test_parallel.digest whole) (Test_parallel.digest r);
+    (Support.digest whole) (Support.digest r);
   (* one unit renders without a unit prefix; the linked run names the
      unit only when there are several *)
   let render ds =
@@ -117,7 +85,7 @@ let check_parity ?mode ?max_errors what files =
     (what ^ ": same diagnostics, in order, as one concatenated unit")
     (render (List.map snd (localize starts whole.Session.diagnostics)))
     (render r.Session.diagnostics);
-  d0
+  digest r
 
 (* ---------------- parity on generated projects ---------------- *)
 
@@ -378,7 +346,7 @@ let test_peak_heap_below_one_file () =
         let lines =
           String.split_on_char '\n'
             (cqualc
-               ([ "--mode"; mode; "--stats"; "--positions"; "--jobs"; "1" ]
+               ([ "--mode"; mode; "--stats"; "--positions" ]
                @ inputs))
         in
         let peak =
@@ -451,17 +419,6 @@ let test_dirty_unit_reparses_one () =
         r_cold.Session.results.Report.possible
         r_dirty.Session.results.Report.possible)
 
-(* ---------------- oversubscription warning predicate ---------------- *)
-
-let test_oversubscription () =
-  let cores = Typequal.Pool.cores_available () in
-  Alcotest.(check (option int)) "jobs=1 never oversubscribes" None
-    (Session.oversubscription ~jobs:1);
-  Alcotest.(check (option int)) "cores+1 oversubscribes" (Some cores)
-    (Session.oversubscription ~jobs:(cores + 1));
-  Alcotest.(check (option int)) "jobs=cores fits" None
-    (Session.oversubscription ~jobs:cores)
-
 let tests =
   [
     Alcotest.test_case "parity on generated projects" `Quick
@@ -486,8 +443,6 @@ let tests =
       test_many_degraded_outcomes;
     Alcotest.test_case "dirty unit re-parses exactly one unit" `Quick
       test_dirty_unit_reparses_one;
-    Alcotest.test_case "oversubscription predicate" `Quick
-      test_oversubscription;
     Alcotest.test_case "per-unit peak heap below one file (cqualc)" `Slow
       test_peak_heap_below_one_file;
   ]

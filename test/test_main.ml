@@ -11,7 +11,6 @@ let () =
       ("cfront", Test_cfront.tests);
       ("resilience", Test_resilience.tests);
       ("cqual", Test_cqual.tests);
-      ("parallel", Test_parallel.tests);
       ("frontend", Test_frontend.tests);
       ("cache", Test_cache.tests);
       ("session", Test_session.tests);

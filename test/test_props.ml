@@ -180,36 +180,38 @@ let prop_speculation_is_resolve =
         if !m = 0 then E.full_mask sp else !m
       in
       let full = E.full_mask sp in
-      let st = S.create sp in
-      let vars = Array.init g.g_nvars (fun _ -> S.fresh st) in
-      List.iteri
-        (fun k (a, b) ->
-          let bits = Option.value (List.nth_opt masks k) ~default:0 in
-          S.add_leq_vv ~mask:(mask_of bits) st vars.(a) vars.(b))
-        g.g_edges;
-      List.iter
-        (fun (v, e) -> S.add_leq_cv st (e land full) vars.(v))
-        g.g_lowers;
-      List.iter
-        (fun (v, e) -> S.add_leq_vc st vars.(v) (e land full))
-        g.g_uppers;
+      (* the system, built twice: once to speculate on, once to add to *)
+      let build () =
+        let st = S.create sp in
+        let vars = Array.init g.g_nvars (fun _ -> S.fresh st) in
+        List.iteri
+          (fun k (a, b) ->
+            let bits = Option.value (List.nth_opt masks k) ~default:0 in
+            S.add_leq_vv ~mask:(mask_of bits) st vars.(a) vars.(b))
+          g.g_edges;
+        List.iter
+          (fun (v, e) -> S.add_leq_cv st (e land full) vars.(v))
+          g.g_lowers;
+        List.iter
+          (fun (v, e) -> S.add_leq_vc st vars.(v) (e land full))
+          g.g_uppers;
+        (st, vars)
+      in
+      let st, vars = build () in
       ignore (S.solve st);
-      let v0 = vars.(at mod g.g_nvars) in
+      let at = at mod g.g_nvars in
       let mask = mask_of msel and c = extra land full in
       let lo0 = Array.map (S.least st) vars in
-      let spec = S.speculate_leq_cv ~mask st c v0 in
-      let clone = S.create sp in
-      let rn = S.absorb clone (S.export st) in
-      let tr v = Option.value (rn v) ~default:v in
-      S.add_leq_cv ~mask clone c (tr v0);
+      let spec = S.speculate_leq_cv ~mask st c vars.(at) in
+      let clone, cvars = build () in
+      S.add_leq_cv ~mask clone c cvars.(at);
       ignore (S.solve clone);
-      Array.for_all
-        (fun v ->
+      Array.for_all2
+        (fun v cv ->
           List.for_all
-            (fun i ->
-              S.classify_speculative spec v i = S.classify clone (tr v) i)
+            (fun i -> S.classify_speculative spec v i = S.classify clone cv i)
             (List.init n Fun.id))
-        vars
+        vars cvars
       && S.error_count st + S.speculation_new_errors spec
          = List.length (S.last_errors clone)
       && Array.for_all2 (fun l v -> l = S.least st v) lo0 vars)

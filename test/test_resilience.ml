@@ -327,6 +327,35 @@ let test_redefinition_arity () =
         ])
     [ Analysis.Mono; Analysis.Poly; Analysis.Polyrec ]
 
+(* [use] and [body] fault during analysis (their typedef was lost to
+   parser recovery, so building [use]'s interface and [body]'s local
+   raise): in every mode the fault degrades those functions only —
+   mono's interface pass and bodies, and the per-SCC isolation alike *)
+let test_faulting_function_isolated () =
+  let src =
+    "typedef int T, 5;\n\
+     int use(T *p) { return *p; }\n\
+     int body(int *q) { T x; return *q; }\n\
+     int ok(int *q) { return *q; }\n\
+     int caller(int *r) { return use(r) + ok(r) + body(r); }\n"
+  in
+  List.iter
+    (fun mode ->
+      let mname = Session.mode_name mode in
+      let r = Support.run_source ~mode src in
+      check_analyzed r "ok";
+      List.iter (fun f -> ignore (check_degraded r f)) [ "use"; "body" ];
+      (* a degraded SCC is forgotten, so its callers treat it as an
+         undeclared function; a degraded mono body keeps the interface
+         every caller links to, whatever their order *)
+      Alcotest.(check bool)
+        (mname ^ ": caller links to degraded body")
+        (mode = Analysis.Mono)
+        (not
+           (List.mem "call to undeclared function body"
+              r.Session.results.Report.warnings)))
+    [ Analysis.Mono; Analysis.Poly; Analysis.Polyrec ]
+
 (* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -403,6 +432,24 @@ let test_budget_untripped_is_clean () =
   | [ (_, v) ] ->
       Alcotest.(check bool) "still precise" true (v = Report.Must_const)
   | _ -> Alcotest.fail "expected one position"
+
+(* a budget that trips mid-run: some functions degrade, every function
+   still gets an outcome, and the report is produced (the CLI exits 0 on
+   this path) *)
+let test_budget_mid_run () =
+  let src = Cbench.Gen.generate ~seed:16 ~target_lines:600 () in
+  List.iter
+    (fun mode ->
+      let mname = Session.mode_name mode in
+      let budget = Budget.create ~max_vars:60 ~clock:Unix.gettimeofday () in
+      let r = Support.run_source ~mode ~budget src in
+      Alcotest.(check bool) (mname ^ ": budget tripped somewhere") true
+        (degraded_of r <> []);
+      Alcotest.(check bool)
+        (mname ^ ": every function has an outcome")
+        true
+        (List.length (outcomes r) >= r.Session.n_functions))
+    [ Analysis.Mono; Analysis.Poly; Analysis.Polyrec ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection property                                            *)
@@ -689,6 +736,8 @@ let tests =
       test_newlines_in_literals;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
+    Alcotest.test_case "degrade: faulting function isolated, every mode"
+      `Quick test_faulting_function_isolated;
     Alcotest.test_case "degrade: redefinition with another arity" `Quick
       test_redefinition_arity;
     Alcotest.test_case "budget: worklist pops" `Quick test_budget_pops;
@@ -698,5 +747,7 @@ let tests =
       test_budget_whatif_refused;
     Alcotest.test_case "budget: untripped stays precise" `Quick
       test_budget_untripped_is_clean;
+    Alcotest.test_case "budget: exhaustion mid-run degrades gracefully" `Slow
+      test_budget_mid_run;
     QCheck_alcotest.to_alcotest prop_fault_injection;
   ]

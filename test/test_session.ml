@@ -43,8 +43,8 @@ let snapshot mode t =
   ( Session.render ~mode ~positions:true ~name:"replay" t,
     render_diags (Session.diagnostics t) )
 
-(* cold oracle: a fresh serial session over the same sources *)
-let cold_snapshot mode units = snapshot mode (Session.create ~mode ~jobs:1 units)
+(* cold oracle: a fresh session over the same sources *)
+let cold_snapshot mode units = snapshot mode (Session.create ~mode units)
 
 (* How a step's analysis ran: the edits that change globals, types or
    prototypes run in full; every other edit re-runs warm, unless the
@@ -63,16 +63,16 @@ let check_rebuild ~global mode step (rb : Session.rebuild option) =
       Alcotest.(check bool) (step ^ ": full")
         (rb.Session.rb_reason <> "incremental") rb.Session.rb_full
 
-(* Apply [script] (a list of (unit, new-source) edits) to a warm session
-   at [jobs], checking warm = cold after every step, in every mode, and
+(* Apply [script] (a list of (unit, new-source) edits) to a warm session,
+   checking warm = cold after every step, in every mode, and
    that only the steps listed in [global] analyze in full for a global
    change. The script must end with the units back at their original
    sources. *)
-let rec replay ?(global = []) ~jobs units script =
-  List.iter (fun mode -> replay_mode ~global ~mode ~jobs units script) modes
+let rec replay ?(global = []) units script =
+  List.iter (fun mode -> replay_mode ~global ~mode units script) modes
 
-and replay_mode ~global ~mode ~jobs units script =
-  let t = Session.create ~mode ~jobs units in
+and replay_mode ~global ~mode units script =
+  let t = Session.create ~mode units in
   let snapshot = snapshot mode in
   let check step units =
     let warm_r, warm_d = snapshot t in
@@ -116,13 +116,8 @@ let broken_script () =
     ("viol.c", viol_src);
   ]
 
-let test_replay_clean_serial () = replay ~jobs:1 clean_units (clean_script ())
-let test_replay_clean_par () = replay ~jobs:4 clean_units (clean_script ())
-
-let test_replay_broken_serial () =
-  replay ~jobs:1 broken_units (broken_script ())
-
-let test_replay_broken_par () = replay ~jobs:4 broken_units (broken_script ())
+let test_replay_clean_serial () = replay clean_units (clean_script ())
+let test_replay_broken_serial () = replay broken_units (broken_script ())
 
 (* ---------------- the cone script ---------------- *)
 
@@ -198,12 +193,7 @@ let test_replay_cone_serial () =
   (* [viol.c] is appended by the script; the final state keeps it fixed,
      so the initial render is compared against a corpus that ends so *)
   let units = cone_units @ [ ("viol.c", viol_fixed) ] in
-  replay ~global:cone_global_steps ~jobs:1 units (cone_script ())
-
-let test_replay_cone_par () =
-  replay ~global:cone_global_steps ~jobs:4
-    (cone_units @ [ ("viol.c", viol_fixed) ])
-    (cone_script ())
+  replay ~global:cone_global_steps units (cone_script ())
 
 (* the store the cone corpus builds has the two violations the header
    comment promises, and a warm rerun of [fa] alone keeps both *)
@@ -369,9 +359,9 @@ let test_explain_contract () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must be an Error"
 
-(* ---------------- whatif: concurrent thunks = inline ---------------- *)
+(* ---------------- whatif: deferred thunks = inline ---------------- *)
 
-let test_whatif_concurrent_matches_inline () =
+let test_whatif_deferred_matches_inline () =
   let t = Session.create clean_units in
   let keys =
     List.filteri (fun i _ -> i < 6) (Session.positions t)
@@ -386,7 +376,8 @@ let test_whatif_concurrent_matches_inline () =
         | Error e -> Alcotest.fail ("inline whatif failed: " ^ e))
       keys
   in
-  (* prepare serially, evaluate the thunks concurrently on the pool *)
+  (* prepare every thunk first, then evaluate them in turn: one thunk's
+     evaluation must not disturb another's prepared state *)
   let thunks =
     List.map
       (fun k ->
@@ -395,34 +386,24 @@ let test_whatif_concurrent_matches_inline () =
         | Error e -> Alcotest.fail ("whatif_task failed: " ^ e))
       keys
   in
-  let out = Array.make (List.length thunks) None in
-  Typequal.Pool.with_pool ~jobs:4 (fun pool ->
-      List.iteri
-        (fun i f ->
-          Typequal.Pool.submit pool (fun () -> out.(i) <- Some (f ())))
-        thunks;
-      Typequal.Pool.wait pool);
   List.iteri
-    (fun i expect ->
-      match out.(i) with
-      | None -> Alcotest.fail "thunk did not run"
-      | Some got ->
-          Alcotest.(check bool)
-            (Printf.sprintf "pooled whatif %d matches inline" i)
-            true (got = expect))
-    inline
+    (fun i (f, expect) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "deferred whatif %d matches inline" i)
+        true (f () = expect))
+    (List.combine thunks inline)
 
 (* ---------------- whatif in a daemon batch ---------------- *)
 
 (* [sink]'s interface is kept when only its body changes, so a mono
-   warm rerun re-analyzes the store a pending whatif over [p] reads.
-   Before the edit a const [p] breaks nothing; after it, it does. *)
+   warm rerun re-analyzes the store a whatif over [p] read. Before the
+   edit a const [p] breaks nothing; after it, it does. *)
 let sink_src body =
   Printf.sprintf "void sink(char *p) { %s }\nvoid g(void) { char b[4]; sink(b); }\n"
     body
 
-(* the daemon's responses to [requests], all sent in one read: stdin is
-   a file, so the first read takes every line *)
+(* the daemon's responses to [requests], written to its stdin as one
+   file: requests that fit in one read arrive together *)
 let daemon_batch ~dir ~unit requests =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/typequald.exe"
@@ -488,6 +469,44 @@ let test_daemon_whatif_before_update () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir;
   Alcotest.(check bool) "the edit changes the answer" true (after <> serial)
+
+(* A request line far longer than one read: the daemon frames it across
+   every read it spans, then answers the short request sent behind it. *)
+let test_daemon_long_line () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "tq-daemon-long-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let unit = Filename.concat dir "sink.c" in
+  Out_channel.with_open_bin unit (fun oc -> output_string oc (sink_src ""));
+  let pad = String.make (3 * 1024 * 1024) 'x' in
+  let long =
+    Wire.to_string
+      (Wire.Obj
+         [
+           ("id", Wire.num_int 1);
+           ("method", Wire.Str "stats");
+           ("params", Wire.Obj [ ("pad", Wire.Str pad) ]);
+         ])
+  in
+  let lines =
+    daemon_batch ~dir ~unit [ long; {|{"id":2,"method":"units"}|} ]
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  match List.map Wire.of_string lines with
+  | [ Ok r1; Ok r2 ] ->
+      Alcotest.(check (option int)) "long request answered first" (Some 1)
+        (Wire.mem_int "id" r1);
+      Alcotest.(check bool) "with the stats reply" true
+        (Option.bind (Wire.mem "result" r1) (Wire.mem_int "units") = Some 1);
+      Alcotest.(check (option int)) "short request answered next" (Some 2)
+        (Wire.mem_int "id" r2);
+      Alcotest.(check string) "with the units reply"
+        (Wire.to_string (Wire.Obj [ ("units", Wire.Arr [ Wire.Str unit ]) ]))
+        (Wire.to_string (Option.get (Wire.mem "result" r2)))
+  | _ -> Alcotest.failf "expected two responses, got: %s" (String.concat " | " lines)
 
 (* ---------------- whatif = its clone-and-resolve definition ---------------- *)
 
@@ -642,27 +661,6 @@ let test_whatif_certificate () =
         modes)
     (Lazy.force whatif_corpora);
   Alcotest.(check int) "all three verdicts seen" 3 (Hashtbl.length seen)
-
-(* ---------------- the oversubscription notice ---------------- *)
-
-let test_oversubscription_notice () =
-  (match Session.oversubscription_notice ~jobs:1 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "jobs:1 must not warn");
-  match Session.oversubscription_notice ~jobs:9999 with
-  | None -> Alcotest.fail "jobs:9999 must warn"
-  | Some d ->
-      Alcotest.(check bool)
-        "is a Notice" true
-        (d.Cfront.Diag.d_severity = Cfront.Diag.Notice);
-      Alcotest.(check string) "stable code" "N0901" d.Cfront.Diag.d_code;
-      Alcotest.(check string)
-        "severity renders as notice" "notice"
-        (Fmt.str "%a" Cfront.Diag.pp_severity d.Cfront.Diag.d_severity);
-      Alcotest.(check bool)
-        "legacy message text" true
-        (String.length d.Cfront.Diag.d_message > 0
-        && String.sub d.Cfront.Diag.d_message 0 12 = "--jobs 9999 ")
 
 (* ---------------- the wire format ---------------- *)
 
@@ -1026,7 +1024,7 @@ let run_counters (r : Session.run) =
   ]
 
 let check_warm_cold ~step mode warm units =
-  let cold = Session.create ~mode ~jobs:1 units in
+  let cold = Session.create ~mode units in
   let fail what = QCheck2.Test.fail_reportf "%s, %s: %s differs" step (Session.mode_name mode) what in
   if Session.render ~mode ~positions:true ~name:"g" warm
      <> Session.render ~mode ~positions:true ~name:"g" cold
@@ -1068,7 +1066,7 @@ let prop_warm_equals_cold =
       in
       List.iter
         (fun mode ->
-          let warm = Session.create ~mode ~jobs:1 (gunits p0) in
+          let warm = Session.create ~mode (gunits p0) in
           check_warm_cold ~step:"initial" mode warm (gunits p0);
           List.iteri
             (fun i (what, p) ->
@@ -1111,15 +1109,10 @@ let tests =
   [
     Alcotest.test_case "replay: clean corpus, serial" `Quick
       test_replay_clean_serial;
-    Alcotest.test_case "replay: clean corpus, jobs 4" `Quick
-      test_replay_clean_par;
     Alcotest.test_case "replay: broken corpus, serial" `Quick
       test_replay_broken_serial;
-    Alcotest.test_case "replay: broken corpus, jobs 4" `Quick
-      test_replay_broken_par;
     Alcotest.test_case "replay: cone script, serial" `Quick
       test_replay_cone_serial;
-    Alcotest.test_case "replay: cone script, jobs 4" `Quick test_replay_cone_par;
     Alcotest.test_case "warm rerun replays the store in task order" `Quick
       test_cone_order;
     Alcotest.test_case "unchanged update invalidates nothing" `Quick
@@ -1137,16 +1130,16 @@ let tests =
       test_position_key_aliases;
     Alcotest.test_case "explain: Ok on known, Error on unknown" `Quick
       test_explain_contract;
-    Alcotest.test_case "whatif: pooled thunks match inline" `Quick
-      test_whatif_concurrent_matches_inline;
+    Alcotest.test_case "whatif: deferred thunks match inline" `Quick
+      test_whatif_deferred_matches_inline;
     Alcotest.test_case "daemon: a batched whatif answers before the update"
       `Quick test_daemon_whatif_before_update;
+    Alcotest.test_case "daemon: a multi-MiB request line is framed" `Quick
+      test_daemon_long_line;
     Alcotest.test_case "whatif: matches clone-and-resolve at every position"
       `Quick test_whatif_parity;
     Alcotest.test_case "whatif: section 4.4 certificate" `Quick
       test_whatif_certificate;
-    Alcotest.test_case "oversubscription is a structured notice" `Quick
-      test_oversubscription_notice;
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire: unicode escapes" `Quick test_wire_unicode;
     Alcotest.test_case "wire: malformed input" `Quick test_wire_errors;
