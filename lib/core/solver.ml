@@ -54,68 +54,130 @@ module Iset = struct
   type t = {
     mutable keys : int array;  (* 4 * cap *)
     mutable state : Bytes.t;   (* cap bytes; '\001' = occupied *)
+    mutable vals : int array;
+        (* per slot, packed: a client value above bit 31 (the store keeps
+           the log index of the atom holding the key there), and below it
+           how many insertions named the key (the store's refcount of the
+           atoms holding it) *)
     mutable cap : int;         (* power of two *)
     mutable count : int;
+    mutable last : int;  (* the slot [mem_add] last hit or filled *)
   }
 
   let create ?(cap = 64) () =
-    { keys = Array.make (4 * cap) 0; state = Bytes.make cap '\000'; cap;
-      count = 0 }
+    { keys = Array.make (4 * cap) 0; state = Bytes.make cap '\000';
+      vals = Array.make cap 0; cap; count = 0;
+      last = -1 }
 
   let hash a b c d =
     ((a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (c * 0xC2B2AE35)
      lxor (d * 0x27D4EB2F))
     land max_int
 
-  (* membership test that inserts on miss; returns [true] iff the key was
-     already present *)
-  let rec mem_add s a b c d =
-    if 2 * s.count >= s.cap then grow s;
+  (* the slot holding the key, or the empty slot that ends its probe run *)
+  let probe s a b c d =
     let m = s.cap - 1 in
     let i = ref (hash a b c d land m) in
     let r = ref (-1) in
     while !r < 0 do
       let j = !i in
-      if Bytes.unsafe_get s.state j = '\000' then begin
-        Bytes.unsafe_set s.state j '\001';
-        let k = 4 * j in
-        Array.unsafe_set s.keys k a;
-        Array.unsafe_set s.keys (k + 1) b;
-        Array.unsafe_set s.keys (k + 2) c;
-        Array.unsafe_set s.keys (k + 3) d;
-        s.count <- s.count + 1;
-        r := 0
-      end
-      else begin
-        let k = 4 * j in
-        if
-          Array.unsafe_get s.keys k = a
-          && Array.unsafe_get s.keys (k + 1) = b
-          && Array.unsafe_get s.keys (k + 2) = c
-          && Array.unsafe_get s.keys (k + 3) = d
-        then r := 1
-        else i := (j + 1) land m
-      end
+      let k = 4 * j in
+      if
+        Bytes.unsafe_get s.state j = '\000'
+        || Array.unsafe_get s.keys k = a
+           && Array.unsafe_get s.keys (k + 1) = b
+           && Array.unsafe_get s.keys (k + 2) = c
+           && Array.unsafe_get s.keys (k + 3) = d
+      then r := j
+      else i := (j + 1) land m
     done;
-    !r = 1
+    !r
 
-  and grow s =
+  let fill s j a b c d =
+    Bytes.unsafe_set s.state j '\001';
+    let k = 4 * j in
+    Array.unsafe_set s.keys k a;
+    Array.unsafe_set s.keys (k + 1) b;
+    Array.unsafe_set s.keys (k + 2) c;
+    Array.unsafe_set s.keys (k + 3) d
+
+  let grow s =
     let ocap = s.cap and okeys = s.keys and ostate = s.state in
+    let ovals = s.vals in
     s.cap <- s.cap * 2;
     s.keys <- Array.make (4 * s.cap) 0;
     s.state <- Bytes.make s.cap '\000';
-    s.count <- 0;
+    s.vals <- Array.make s.cap 0;
     for j = 0 to ocap - 1 do
       if Bytes.unsafe_get ostate j = '\001' then begin
         let k = 4 * j in
-        ignore
-          (mem_add s okeys.(k) okeys.(k + 1) okeys.(k + 2) okeys.(k + 3))
+        let a = okeys.(k) and b = okeys.(k + 1) and c = okeys.(k + 2)
+        and d = okeys.(k + 3) in
+        let j' = probe s a b c d in
+        fill s j' a b c d;
+        s.vals.(j') <- ovals.(j)
       end
+    done
+
+  (* membership test that inserts on miss; returns [true] iff the key was
+     already present. Either way the key's count goes up by one and
+     [last] names its slot. *)
+  let mem_add s a b c d =
+    if 2 * s.count >= s.cap then grow s;
+    let j = probe s a b c d in
+    s.last <- j;
+    if Bytes.unsafe_get s.state j = '\001' then begin
+      Array.unsafe_set s.vals j (Array.unsafe_get s.vals j + 1);
+      true
+    end
+    else begin
+      fill s j a b c d;
+      s.vals.(j) <- 1;
+      s.count <- s.count + 1;
+      false
+    end
+
+  (* the key's slot, or -1 *)
+  let find s a b c d =
+    let j = probe s a b c d in
+    if Bytes.unsafe_get s.state j = '\001' then j else -1
+
+  (* delete the entry in slot [j], shifting later entries of its probe run
+     back so that every remaining key stays reachable *)
+  let remove_slot s j =
+    let m = s.cap - 1 in
+    Bytes.unsafe_set s.state j '\000';
+    s.count <- s.count - 1;
+    let hole = ref j and k = ref ((j + 1) land m) in
+    while Bytes.unsafe_get s.state !k = '\001' do
+      let b = 4 * !k in
+      let h =
+        hash s.keys.(b) s.keys.(b + 1) s.keys.(b + 2) s.keys.(b + 3) land m
+      in
+      (* the entry may fill the hole unless its home lies cyclically in
+         (hole, k] *)
+      let stays =
+        if !hole <= !k then h > !hole && h <= !k else h > !hole || h <= !k
+      in
+      if not stays then begin
+        fill s !hole s.keys.(b) s.keys.(b + 1) s.keys.(b + 2) s.keys.(b + 3);
+        s.vals.(!hole) <- s.vals.(!k);
+        Bytes.unsafe_set s.state !k '\000';
+        hole := !k
+      end;
+      k := (!k + 1) land m
     done
 
   let clear s =
     Bytes.fill s.state 0 s.cap '\000';
     s.count <- 0
+
+  (* the packed [vals] fields *)
+  let low = (1 lsl 31) - 1
+  let count_at s j = s.vals.(j) land low
+  let set_count s j c = s.vals.(j) <- s.vals.(j) land lnot low lor c
+  let owner s j = (s.vals.(j) lsr 31) - 1
+  let set_owner s j o = s.vals.(j) <- ((o + 1) lsl 31) lor (s.vals.(j) land low)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -144,7 +206,8 @@ and t = {
   mutable hi : int array;  (* greatest solution *)
   mutable succ_head : int array;  (* head cell of the succ chain, -1 end *)
   mutable pred_head : int array;
-  mutable lo_reasons : (Elt.t * int * reason) list array;  (* provenance *)
+  mutable lo_reasons : (Elt.t * int * reason) list array;
+      (* provenance: one entry per distinct constant bound *)
   mutable hi_reasons : (Elt.t * int * reason) list array;
   (* edge arena: one cell per chain entry (two per logical edge) *)
   mutable ecells : int array;
@@ -155,6 +218,27 @@ and t = {
   (* the atom log, insertion order *)
   mutable log : atom array;
   mutable nlog : int;
+  mutable ord : int array;
+      (* per log entry: its rank in the client's task order, which is the
+         order a cold store would have received it (see {!retract}); -1
+         once deleted. Entries past its end rank as their log index: a
+         store no retraction has touched needs no column. *)
+  mutable live_slices : (int * int) list;
+      (* the live atoms below [fresh_from], as log slices in task order *)
+  mutable fresh_from : int;
+      (* log entries from here on were added since the last {!checkpoint} *)
+  mutable fresh_var0 : int;  (* variables from here on likewise *)
+  mutable chk_unified : int;  (* [s_unified] at the checkpoint *)
+  mutable chk_cycles : int;  (* [s_cycles] at the checkpoint *)
+  dfs_rec : (int, int list) Hashtbl.t;
+      (* variable -> the log indices of the atoms whose cycle search read
+         its succ chain and was cut short or closed a cycle (rare: four
+         searches of 17 k on midi-project-sim) *)
+  mutable fp_buf : int array;  (* the variables the current search read *)
+  mutable nfp : int;
+  mutable fresh_hazards : (int * int array) list;
+      (* the cycle searches since the checkpoint that were cut short or
+         closed a cycle: trigger and the variables whose chains it read *)
   mutable ground_errors : error list;
   errors : (int, error) Hashtbl.t;
       (* persistent bound-violation table, keyed by the representative id
@@ -278,6 +362,16 @@ let create ?(cycle_elim = true) space =
     necells = 0;
     log = [||];
     nlog = 0;
+    ord = [||];
+    live_slices = [];
+    fresh_from = 0;
+    fresh_var0 = 0;
+    chk_unified = 0;
+    chk_cycles = 0;
+    dfs_rec = Hashtbl.create 16;
+    fp_buf = Array.make 64 0;
+    nfp = 0;
+    fresh_hazards = [];
     ground_errors = [];
     errors = Hashtbl.create 16;
     recorders = [];
@@ -370,10 +464,6 @@ let note_memo_miss t = t.s_memo_misses <- t.s_memo_misses + 1
 
 let reset_stats t =
   t.s_vars_base <- t.nvars;
-  t.s_unified <- 0;
-  t.s_edges <- 0;
-  t.s_dedup <- 0;
-  t.s_cycles <- 0;
   t.s_incr <- 0;
   t.s_full <- 0;
   t.s_pops <- 0;
@@ -467,6 +557,7 @@ let ensure_var_capacity t v =
     (let b = Array.make cap' [] in
      Array.blit t.hi_reasons 0 b 0 cap;
      t.hi_reasons <- b);
+
     t.dirty_mark <- grow_bytes t.dirty_mark cap';
     t.inq <- grow_bytes t.inq cap';
     t.fp_stamp <- grow_int t.fp_stamp cap'
@@ -508,6 +599,7 @@ let fresh ?(name = "q") t =
   v
 
 let var_id v = v.id
+let var_of_id t i = t.objs.(i)
 let var_uid v = v.uid
 let var_name v = v.vname
 let pp_var ppf v = Fmt.pf ppf "%s#%d" v.vname v.id
@@ -544,6 +636,8 @@ let log_atom t atom =
     t.log <- b
   end;
   t.log.(t.nlog) <- atom;
+  (* until a retraction ranks it, an atom sorts after every earlier one *)
+  if t.nlog < Array.length t.ord then t.ord.(t.nlog) <- t.nlog;
   t.nlog <- t.nlog + 1
 
 let mark_dirty t i =
@@ -591,6 +685,7 @@ let add_leq_vc ?reason ?mask t v c =
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 1) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
+    Iset.set_owner t.bound_seen t.bound_seen.last (t.nlog - 1);
     t.hi_reasons.(r) <- (c, mask, reason) :: t.hi_reasons.(r);
     let hb' = Elt.meet t.sp t.hi_bound.(r) (Elt.embed_top t.sp ~mask c) in
     if hb' <> t.hi_bound.(r) then begin
@@ -609,6 +704,7 @@ let add_leq_cv ?reason ?mask t c v =
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 0) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
+    Iset.set_owner t.bound_seen t.bound_seen.last (t.nlog - 1);
     t.lo_reasons.(r) <- (c, mask, reason) :: t.lo_reasons.(r);
     let lb' = Elt.join t.sp t.lo_bound.(r) (Elt.embed_bottom t.sp ~mask c) in
     if lb' <> t.lo_bound.(r) then begin
@@ -692,18 +788,29 @@ let union_id t a b =
    propagation work, never soundness. *)
 let cycle_budget = 64
 
+let dfs_rec t v = Option.value (Hashtbl.find_opt t.dfs_rec v) ~default:[]
+
 let find_path t src dst =
   let full = Elt.full_mask t.sp in
   t.fp_gen <- t.fp_gen + 1;
   let gen = t.fp_gen in
   let steps = ref 0 in
+  let cut = ref false in
+  t.nfp <- 0;
   let rec go v =
     let v = find_id t v in
     if v = dst then Some [ v ]
-    else if Array.unsafe_get t.fp_stamp v = gen || !steps >= cycle_budget
-    then None
+    else if Array.unsafe_get t.fp_stamp v = gen then None
+    else if !steps >= cycle_budget then begin
+      cut := true;
+      None
+    end
     else begin
       Array.unsafe_set t.fp_stamp v gen;
+      if t.nfp >= Array.length t.fp_buf then
+        t.fp_buf <- grow_int t.fp_buf (2 * t.nfp);
+      Array.unsafe_set t.fp_buf t.nfp v;
+      t.nfp <- t.nfp + 1;
       let rec try_edges e =
         if e < 0 then None
         else begin
@@ -719,7 +826,22 @@ let find_path t src dst =
       try_edges t.succ_head.(v)
     end
   in
-  go src
+  let path = go src in
+  (* A search that was cut short, or that found a cycle, could end
+     differently over other edges: record which chains it read, so that
+     a retraction touching them falls back to a rebuild. A search that
+     ran to the end without a path needs no record: no edge added later
+     or deleted can give it one (see {!retract}). *)
+  if !cut || path <> None then begin
+    let trig = t.nlog - 1 in
+    for k = 0 to t.nfp - 1 do
+      let v = t.fp_buf.(k) in
+      Hashtbl.replace t.dfs_rec v (trig :: dfs_rec t v)
+    done;
+    if trig >= t.fresh_from then
+      t.fresh_hazards <- (trig, Array.sub t.fp_buf 0 t.nfp) :: t.fresh_hazards
+  end;
+  path
 
 (* The edge [ra <= rb] was just inserted; a path [rb ~> ra] over full-mask
    edges closes a cycle, and every variable on it takes the same value in
@@ -744,6 +866,7 @@ let add_leq_vv ?reason ?mask t a b =
            the system is unchanged, [solved] stays valid *)
       else begin
         t.s_edges <- t.s_edges + 1;
+        Iset.set_owner t.edge_seen t.edge_seen.last (t.nlog - 1);
         t.succ_head.(ra) <- new_cell t rb mask reason t.succ_head.(ra);
         t.pred_head.(rb) <- new_cell t ra mask reason t.pred_head.(rb);
         t.solved <- false;
@@ -1250,7 +1373,7 @@ let instantiate t s =
   rn
 
 (* ------------------------------------------------------------------ *)
-(* Segments and rebuild (the warm session's in-store deletion)        *)
+(* Segments and rebuild (the fallback of the warm session's deletion) *)
 (* ------------------------------------------------------------------ *)
 
 (* A segment is the stretch of the arena one unit of client work (one
@@ -1300,6 +1423,7 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
     t.lo_reasons.(i) <- [];
     t.hi_reasons.(i) <- []
   done;
+  Hashtbl.reset t.dfs_rec;
   dirty_reset t;
   wl_reset t;
   t.necells <- 0;
@@ -1314,7 +1438,11 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
   let live = List.fold_left (fun n (_, len) -> n + len) 0 slices in
   (* a little headroom for the next segments, so they do not double it *)
   t.log <- (if live = 0 then [||] else Array.make (max 256 (live + (live / 8))) old.(0));
+  t.ord <- [||];
   t.nlog <- 0;
+  t.live_slices <- [];
+  t.fresh_from <- 0;
+  t.fresh_hazards <- [];
   let starts =
     List.map
       (fun (start, len) ->
@@ -1331,6 +1459,615 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
   t.ground_errors <- ground;
   ignore (solve_from_scratch t : (unit, error list) result);
   starts
+
+(* ------------------------------------------------------------------ *)
+(* Decremental retraction (delete-and-rederive)                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything logged so far is the live store (or atoms a retraction
+   will delete); everything logged after this point is the edit's fresh
+   work, which the next [retract] keeps. *)
+let checkpoint t =
+  if t.nlog > t.fresh_from then
+    t.live_slices <- t.live_slices @ [ (t.fresh_from, t.nlog - t.fresh_from) ];
+  t.fresh_from <- t.nlog;
+  t.fresh_var0 <- t.nvars;
+  t.chk_unified <- t.s_unified;
+  t.chk_cycles <- t.s_cycles;
+  t.fresh_hazards <- []
+
+type retract_path = Decremental | Rebuilt of string
+
+type retraction = {
+  rt_path : retract_path;
+  rt_deleted : int;
+  rt_reset : int;
+  rt_starts : int list;
+}
+
+let singleton t i = t.parent.(i) = i && t.rank.(i) = 0
+
+let endpoints_singleton t = function
+  | Avv (a, b, _, _) -> singleton t a.id && singleton t b.id
+  | Avc (v, _, _, _) | Acv (_, v, _, _) -> singleton t v.id
+
+(* An atom's dedup key, for an atom whose endpoints are singletons (so
+   each endpoint is its own representative): the three leading key ints
+   its insertion used, the last one saying which table (edge or
+   bound). *)
+let key_of = function
+  | Avv (a, b, m, _) -> (a.id, b.id, m, true)
+  | Avc (v, c, m, _) -> ((v.id lsl 1) lor 1, c, m, false)
+  | Acv (c, v, m, _) -> (v.id lsl 1, c, m, false)
+
+let key_slot t atom =
+  let a, b, c, edge = key_of atom in
+  let s = if edge then t.edge_seen else t.bound_seen in
+  (s, Iset.find s a b c 0)
+
+(* the log index of the atom holding a key's cell or provenance entry *)
+let key_owner t atom =
+  let s, j = key_slot t atom in
+  Iset.owner s j
+
+(* a log entry's task rank (see [ord]) *)
+let rank t i = if i < Array.length t.ord then t.ord.(i) else i
+
+(* The atom holding cell [c] of [v]'s succ ([succ]) or pred chain, by the
+   cell's key: -1 when a union's relinking formed the key (no one atom
+   holds it), -2 when the key is gone (the cell is deleted). *)
+let cell_owner t ~succ v c =
+  let b = 3 * c in
+  let d = t.ecells.(b) and m = t.ecells.(b + 1) in
+  let j =
+    if succ then Iset.find t.edge_seen v d m 0 else Iset.find t.edge_seen d v m 0
+  in
+  if j < 0 then -2 else Iset.owner t.edge_seen j
+
+(* Is the key of succ cell [c] of [v] among [pending], the edge keys a
+   dead or a fresh atom holds? Its holder is then not yet the one a cold
+   store inserted first. *)
+let pending_cell t pending v c =
+  let b = 3 * c in
+  Hashtbl.mem pending (v, t.ecells.(b), t.ecells.(b + 1))
+
+let atom_reason = function
+  | Avv (_, _, _, r) | Avc (_, _, _, r) | Acv (_, _, _, r) -> r
+
+(* Could the cycle search of the edge logged at [trig] find a path over
+   the live full-mask cells ranked below [below]? An exact breadth-first
+   walk, bounded: past [path_cap] cells it answers yes. A search with no
+   such path returns no cycle whatever order or budget it runs with. *)
+let path_cap = 4096
+
+let path_possible t pending trig ~below =
+  match t.log.(trig) with
+  | Avc _ | Acv _ -> true
+  | Avv (a, b, _, _) ->
+      let src = find_id t b.id and dst = find_id t a.id in
+      src = dst
+      ||
+      let full = Elt.full_mask t.sp in
+      t.fp_gen <- t.fp_gen + 1;
+      let gen = t.fp_gen in
+      let q = Queue.create () in
+      t.fp_stamp.(src) <- gen;
+      Queue.push src q;
+      let steps = ref 0 and found = ref false in
+      while (not !found) && not (Queue.is_empty q) do
+        let v = Queue.pop q in
+        let e = ref t.succ_head.(v) in
+        while !e >= 0 && not !found do
+          let c = !e in
+          let b = 3 * c in
+          e := t.ecells.(b + 2);
+          incr steps;
+          if !steps > path_cap then found := true;
+          if
+            t.ecells.(b + 1) land full = full
+            &&
+            let o = cell_owner t ~succ:true v c in
+            o = -1
+            || pending_cell t pending v c
+            || (o >= 0 && rank t o >= 0 && rank t o < below)
+          then begin
+            let s = find_id t t.ecells.(b) in
+            if s = dst then found := true
+            else if t.fp_stamp.(s) <> gen then begin
+              t.fp_stamp.(s) <- gen;
+              Queue.push s q
+            end
+          end
+        done
+      done;
+      !found
+
+(* Would a cold store show a search ranked [trig] the chain of [x] it
+   read here? Yes if, at the time, the chain held only live cells ranked
+   before it, newest rank first, on a singleton. *)
+let chain_as_cold t pending x trig =
+  singleton t x
+  &&
+  let ok = ref true and prev = ref max_int and e = ref t.succ_head.(x) in
+  while !ok && !e >= 0 do
+    let c = !e in
+    e := t.ecells.((3 * c) + 2);
+    let o = cell_owner t ~succ:true x c in
+    if o >= 0 && o < trig then begin
+      let r = rank t o in
+      if r < 0 || r >= rank t trig || r >= !prev || pending_cell t pending x c then
+        ok := false;
+      prev := r
+    end
+  done;
+  !ok
+
+(* A singleton's chain in the order a cold store builds it: newest first,
+   i.e. by falling task rank of the holding atom; deleted cells drop. *)
+let normalize_chain t ~succ x =
+  let heads = if succ then t.succ_head else t.pred_head in
+  let cells = ref [] in
+  let e = ref heads.(x) in
+  while !e >= 0 do
+    let c = !e in
+    e := t.ecells.((3 * c) + 2);
+    let o = cell_owner t ~succ x c in
+    if o >= 0 && rank t o >= 0 then cells := (rank t o, c) :: !cells
+  done;
+  let a = Array.of_list !cells in
+  Array.sort (fun (r1, _) (r2, _) -> compare r2 r1) a;
+  let head = ref (-1) in
+  for k = Array.length a - 1 downto 0 do
+    let c = snd a.(k) in
+    t.ecells.((3 * c) + 2) <- !head;
+    head := c
+  done;
+  heads.(x) <- !head
+
+(* the same for a singleton's provenance list on one side (1: upper) *)
+let normalize_reasons t x side l =
+  let ranked =
+    List.filter_map
+      (fun ((c, m, _) as e) ->
+        let j = Iset.find t.bound_seen ((x lsl 1) lor side) c m 0 in
+        if j < 0 then None
+        else
+          let r = rank t (Iset.owner t.bound_seen j) in
+          if r < 0 then None else Some (r, e))
+      l
+  in
+  List.map snd (List.stable_sort (fun (r1, _) (r2, _) -> compare r2 r1) ranked)
+
+(* Keep only the atoms of [slices] (log slices in task order), deleting
+   the rest: delete-and-rederive (DRed; Gupta, Mumick and Subrahmanian
+   1993) over the least/greatest solutions, which are monotone in the
+   atoms (Section 3.1).
+
+   The atoms logged since the last {!checkpoint} are the edit's fresh
+   ones; they were added through the normal path while the dead ones
+   were still in place. What a cold store would hold — the live atoms
+   inserted in task order — differs from this store only where the dead
+   or fresh atoms reached, and [retract] repairs exactly that:
+
+   - each dedup key counts the atoms holding it, so deleting an atom
+     another live atom duplicates keeps the key, and the key's cell or
+     provenance entry moves to the holder of least task rank, which is
+     the one a cold store inserted first (the fresh atoms are checked
+     the same way against the live holders ranked after them);
+   - the chains and provenance lists of the singletons involved are put
+     back in cold order (newest task rank first), which [explain]'s
+     breadth-first walk and the cycle search read;
+   - the least-solution bits forward-reachable from a deleted atom's
+     target and the greatest-solution bits backward-reachable from its
+     source are reset where they could have come through it, then
+     re-derived from the surviving atoms over that cone only; the fresh
+     atoms' effects propagate in the same incremental solve;
+   - violations are re-checked on the cone, every recorded message is
+     re-explained on the repaired store, and the live ground violations
+     are restored; the structural counters lose the deleted atoms'
+     contributions.
+
+   It falls back to {!rebuild}, which reaches the same store by replay,
+   whenever the store shows that a cold run could have unified, deduped
+   or searched differently: a dead atom or a fresh atom on a collapsed
+   cycle, a fresh atom that unified classes or whose cycle search was cut
+   short or closed a cycle, a search that was cut short or closed a
+   cycle after reading a chain the edit changes, kept segments out of
+   their earlier order, or dead log entries outnumbering live ones (the
+   rebuild then compacts the log). A search that ran to the end without
+   finding a path needs no such guard: no deleted edge can have been on
+   a path it missed, and a fresh edge on such a path would close a cycle
+   through a fresh atom, which that atom's own full search would have
+   found. *)
+let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
+  if t.recorders <> [] then invalid_arg "Solver.retract: inside a recording";
+  let t0 = Unix.gettimeofday () in
+  let n = t.nlog in
+  if Array.length t.ord < n then begin
+    let o = t.ord in
+    t.ord <- Array.init (Array.length t.log) (fun i -> if i < Array.length o then o.(i) else i)
+  end;
+  let bad = ref None in
+  let fallback r = if !bad = None then bad := Some r in
+  let covered = Bytes.make n '\000' in
+  let nlive = ref 0 in
+  List.iter
+    (fun (start, len) ->
+      for i = start to start + len - 1 do
+        if Bytes.get covered i = '\001' || t.ord.(i) < 0 then
+          fallback "a slice names a deleted or repeated atom";
+        Bytes.set covered i '\001'
+      done;
+      nlive := !nlive + len)
+    slices;
+  if n - !nlive > !nlive then fallback "dead log entries outnumber live ones";
+  for i = t.fresh_from to n - 1 do
+    if Bytes.get covered i = '\000' then fallback "a fresh atom outside the live slices"
+  done;
+  (let last = ref (-1) in
+   List.iter
+     (fun (start, len) ->
+       if len > 0 && start < t.fresh_from then begin
+         if t.ord.(start) <= !last then fallback "kept segments reordered";
+         last := t.ord.(start + len - 1)
+       end)
+     slices);
+  let dead = ref [] in
+  for i = t.fresh_from - 1 downto 0 do
+    if t.ord.(i) >= 0 && Bytes.get covered i = '\000' then dead := i :: !dead
+  done;
+  let dead = !dead in
+  let ndead = List.length dead in
+  List.iter
+    (fun i ->
+      if not (endpoints_singleton t t.log.(i)) then
+        fallback "a dead atom on a collapsed cycle")
+    dead;
+  if t.s_unified <> t.chk_unified || t.s_cycles <> t.chk_cycles then
+    fallback "a fresh atom unified classes";
+  for i = t.fresh_from to n - 1 do
+    if not (endpoints_singleton t t.log.(i)) then
+      fallback "a fresh atom on a collapsed cycle"
+  done;
+  (* the chains the edit changes, as the cycle search reads them *)
+  let changed = ref [] in
+  let note_changed i =
+    match t.log.(i) with
+    | Avv (a, _, _, _) when a.id < t.fresh_var0 -> changed := a.id :: !changed
+    | _ -> ()
+  in
+  List.iter note_changed dead;
+  for i = t.fresh_from to n - 1 do note_changed i done;
+  (* the edge keys whose holder this retraction may change *)
+  let pending = Hashtbl.create 64 in
+  let note_pending i =
+    match t.log.(i) with
+    | Avv (a, b, m, _) -> Hashtbl.replace pending (a.id, b.id, m) ()
+    | Avc _ | Acv _ -> ()
+  in
+  if !bad = None then begin
+    List.iter note_pending dead;
+    for i = t.fresh_from to n - 1 do note_pending i done
+  end;
+  (* task ranks: the live atoms in slice order (a rebuild resets them) *)
+  let last_live = ref (-1) in
+  if !bad = None then begin
+    List.iter (fun i -> t.ord.(i) <- -1) dead;
+    let k = ref 0 in
+    List.iter
+      (fun (start, len) ->
+        if start < t.fresh_from && len > 0 then last_live := !k + len - 1;
+        for i = start to start + len - 1 do
+          t.ord.(i) <- !k;
+          incr k
+        done)
+      slices
+  end;
+  (* A kept search that was cut short or closed a cycle, and read a
+     chain the edit changes, may end otherwise over the cold chains; it
+     cannot if no path was there to find. *)
+  if !bad = None then
+    List.iter
+      (fun x ->
+        if
+          List.exists
+            (fun trig ->
+              trig < t.fresh_from && t.ord.(trig) >= 0
+              && path_possible t pending trig ~below:t.ord.(trig))
+            (dfs_rec t x)
+        then fallback "a cut-short or cycle-closing search read an edited chain")
+      !changed;
+  (* A fresh search that was cut short saw the dead atoms and the fresh
+     atoms ahead of the live ones. It is the search a cold store runs if
+     every chain it read was as cold and no live atom ranks after it (no
+     later live search could then see its edge); otherwise it must have
+     had no cycle to find at all. *)
+  if !bad = None then
+    List.iter
+      (fun (trig, visited) ->
+        if
+          not
+            (t.ord.(trig) > !last_live
+            && Array.for_all (fun x -> chain_as_cold t pending x trig) visited)
+          && path_possible t pending trig ~below:max_int
+        then fallback "a fresh atom's cut-short search read an edited chain")
+      t.fresh_hazards;
+  match !bad with
+  | Some reason ->
+      let starts = rebuild t ~slices ~ground in
+      { rt_path = Rebuilt reason; rt_deleted = ndead; rt_reset = t.nvars;
+        rt_starts = starts }
+  | None ->
+      let sp = t.sp in
+      let top = Elt.top sp in
+      t.fresh_hazards <- [];
+      List.iter
+        (fun x ->
+          match List.filter (fun i -> t.ord.(i) >= 0) (dfs_rec t x) with
+          | [] -> Hashtbl.remove t.dfs_rec x
+          | l -> Hashtbl.replace t.dfs_rec x l)
+        !changed;
+      (* the vertices whose chains or provenance the repair touches *)
+      let touched = Hashtbl.create 16 in
+      let touch x = Hashtbl.replace touched x () in
+      let touch_atom = function
+        | Avv (a, b, _, _) ->
+            touch a.id;
+            touch b.id
+        | Avc (v, _, _, _) | Acv (_, v, _, _) -> touch v.id
+      in
+      (* 1. the dead atoms leave their keys *)
+      let removed = ref [] and orphans = Hashtbl.create 8 in
+      List.iter
+        (fun i ->
+          let atom = t.log.(i) in
+          touch_atom atom;
+          let s, j = key_slot t atom in
+          let c = Iset.count_at s j - 1 in
+          Iset.set_count s j c;
+          if c > 0 then begin
+            t.s_dedup <- t.s_dedup - 1;
+            if t.ord.(key_owner t atom) < 0 then Hashtbl.replace orphans (key_of atom) (-1)
+          end
+          else begin
+            (* the cell goes with its key (the chains drop it below) *)
+            (match atom with
+            | Avv _ -> t.s_edges <- t.s_edges - 1
+            | Avc (v, c, m, _) ->
+                t.hi_reasons.(v.id) <-
+                  List.filter (fun (c', m', _) -> c' <> c || m' <> m) t.hi_reasons.(v.id)
+            | Acv (c, v, m, _) ->
+                t.lo_reasons.(v.id) <-
+                  List.filter (fun (c', m', _) -> c' <> c || m' <> m) t.lo_reasons.(v.id));
+            Iset.remove_slot s j;
+            removed := atom :: !removed
+          end)
+        dead;
+      (* a key whose last holders were all dead is gone already *)
+      Hashtbl.filter_map_inplace
+        (fun ((a, b, c, edge) as _k) v ->
+          if Iset.find (if edge then t.edge_seen else t.bound_seen) a b c 0 >= 0
+          then Some v
+          else None)
+        orphans;
+      (* 2. a key whose holder died passes to its live holder of least
+         rank: one scan of the live log, in task order, over the atoms
+         whose first endpoint holds such a key *)
+      let transfer atom i =
+        let s, j = key_slot t atom in
+        let r = atom_reason t.log.(i) in
+        touch_atom atom;
+        Iset.set_owner s j i;
+        let retag l c m =
+          List.map (fun ((c', m', _) as e) -> if c' = c && m' = m then (c, m, r) else e) l
+        in
+        match atom with
+        | Avv (a, b, m, _) ->
+            (* the key's cell pair: its succ cell in [a]'s chain, the pred
+               cell next to it *)
+            let e = ref t.succ_head.(a.id) in
+            while !e >= 0 do
+              let c = !e in
+              let bc = 3 * c in
+              e := t.ecells.(bc + 2);
+              if t.ecells.(bc) = b.id && t.ecells.(bc + 1) = m then begin
+                t.e_reason.(c) <- r;
+                t.e_reason.(c + 1) <- r;
+                e := -1
+              end
+            done
+        | Avc (v, c, m, _) -> t.hi_reasons.(v.id) <- retag t.hi_reasons.(v.id) c m
+        | Acv (c, v, m, _) -> t.lo_reasons.(v.id) <- retag t.lo_reasons.(v.id) c m
+      in
+      if Hashtbl.length orphans > 0 then begin
+        t.fp_gen <- t.fp_gen + 1;
+        let g = t.fp_gen in
+        let first = function
+          | Avv (a, _, _, _) -> a.id
+          | Avc (v, _, _, _) | Acv (_, v, _, _) -> v.id
+        in
+        (* a bound key packs the side into the variable id *)
+        Hashtbl.iter
+          (fun (a, _, _, edge) _ -> t.fp_stamp.(if edge then a else a lsr 1) <- g)
+          orphans;
+        let left = ref (Hashtbl.length orphans) in
+        List.iter
+          (fun (start, len) ->
+            let i = ref start in
+            while !left > 0 && !i < start + len do
+              let atom = t.log.(!i) in
+              if t.fp_stamp.(first atom) = g then begin
+                let k = key_of atom in
+                match Hashtbl.find_opt orphans k with
+                | Some (-1) ->
+                    Hashtbl.replace orphans k !i;
+                    decr left;
+                    transfer atom !i
+                | _ -> ()
+              end;
+              incr i
+            done)
+          slices
+      end;
+      (* 3. a fresh atom ranked before its key's holder takes the key *)
+      for i = t.fresh_from to n - 1 do
+        let atom = t.log.(i) in
+        (match atom with
+        | Avv (a, b, _, _) ->
+            if a.id < t.fresh_var0 then touch a.id;
+            if b.id < t.fresh_var0 then touch b.id
+        | Avc (v, _, _, _) | Acv (_, v, _, _) ->
+            if v.id < t.fresh_var0 then touch v.id);
+        let o = key_owner t atom in
+        if o <> i && t.ord.(o) > t.ord.(i) then transfer atom i
+      done;
+      (* 4. cold order for the chains and provenance involved, and the
+         constant bounds of the vertices that lost one *)
+      Hashtbl.iter
+        (fun x () ->
+          normalize_chain t ~succ:true x;
+          normalize_chain t ~succ:false x;
+          t.lo_reasons.(x) <- normalize_reasons t x 0 t.lo_reasons.(x);
+          t.hi_reasons.(x) <- normalize_reasons t x 1 t.hi_reasons.(x))
+        touched;
+      let rlo = Hashtbl.create 16 and rhi = Hashtbl.create 16 in
+      let qlo = Queue.create () and qhi = Queue.create () in
+      let grow tbl q v bits =
+        if bits <> 0 then begin
+          let old = Option.value (Hashtbl.find_opt tbl v) ~default:0 in
+          if bits land lnot old <> 0 then begin
+            Hashtbl.replace tbl v (old lor bits);
+            Queue.push v q
+          end
+        end
+      in
+      let rebound = ref [] in
+      List.iter
+        (function
+          | Avc (v, c, m, _) ->
+              let v = v.id in
+              t.hi_bound.(v) <-
+                List.fold_left
+                  (fun acc (c, m, _) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
+                  top t.hi_reasons.(v);
+              rebound := v :: !rebound;
+              grow rhi qhi v
+                (lnot (Elt.embed_top sp ~mask:m c) land lnot t.hi.(v) land t.hi_bound.(v))
+          | Acv (c, v, m, _) ->
+              let v = v.id in
+              t.lo_bound.(v) <-
+                List.fold_left
+                  (fun acc (c, m, _) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
+                  (Elt.bottom sp) t.lo_reasons.(v);
+              rebound := v :: !rebound;
+              grow rlo qlo v
+                (Elt.embed_bottom sp ~mask:m c land t.lo.(v) land lnot t.lo_bound.(v))
+          | Avv _ -> ())
+        !removed;
+      List.iter
+        (function
+          | Avv (a, b, m, _) ->
+              let a = a.id and b = b.id in
+              grow rlo qlo b (t.lo.(a) land m land t.lo.(b) land lnot t.lo_bound.(b));
+              grow rhi qhi a (m land lnot t.hi.(b) land lnot t.hi.(a) land t.hi_bound.(a))
+          | Avc _ | Acv _ -> ())
+        !removed;
+      (* 5. overdelete: the bits that may have flowed through a deleted
+         atom, along surviving edges that carry them, except where the
+         vertex's own constant bound supplies them *)
+      while not (Queue.is_empty qlo) do
+        let v = Queue.pop qlo in
+        let r = Hashtbl.find rlo v in
+        let e = ref t.succ_head.(v) in
+        while !e >= 0 do
+          let b = 3 * !e in
+          e := t.ecells.(b + 2);
+          let s = find_id t t.ecells.(b) in
+          if s <> v then
+            grow rlo qlo s
+              (r land t.ecells.(b + 1) land t.lo.(s) land lnot t.lo_bound.(s))
+        done
+      done;
+      while not (Queue.is_empty qhi) do
+        let v = Queue.pop qhi in
+        let z = Hashtbl.find rhi v in
+        let e = ref t.pred_head.(v) in
+        while !e >= 0 do
+          let b = 3 * !e in
+          e := t.ecells.(b + 2);
+          let p = find_id t t.ecells.(b) in
+          if p <> v then
+            grow rhi qhi p
+              (z land t.ecells.(b + 1) land lnot t.hi.(p) land t.hi_bound.(p))
+        done
+      done;
+      Hashtbl.iter (fun v r -> t.lo.(v) <- t.lo.(v) land lnot r) rlo;
+      Hashtbl.iter (fun v z -> t.hi.(v) <- t.hi.(v) lor z) rhi;
+      (* 6. rederive the cone from its surviving inflow; the incremental
+         solve below then closes it, together with the fresh atoms *)
+      Hashtbl.iter
+        (fun v _ ->
+          let acc = ref (t.lo.(v) lor t.lo_bound.(v)) in
+          let e = ref t.pred_head.(v) in
+          while !e >= 0 do
+            let b = 3 * !e in
+            e := t.ecells.(b + 2);
+            acc := !acc lor (t.lo.(find_id t t.ecells.(b)) land t.ecells.(b + 1))
+          done;
+          t.lo.(v) <- !acc)
+        rlo;
+      Hashtbl.iter
+        (fun v _ ->
+          let acc = ref (t.hi.(v) land t.hi_bound.(v)) in
+          let e = ref t.succ_head.(v) in
+          while !e >= 0 do
+            let b = 3 * !e in
+            e := t.ecells.(b + 2);
+            let m = t.ecells.(b + 1) in
+            acc :=
+              !acc land ((t.hi.(find_id t t.ecells.(b)) land m) lor (top land lnot m))
+          done;
+          t.hi.(v) <- !acc)
+        rhi;
+      let recheck v =
+        Hashtbl.remove t.errors v;
+        mark_dirty t v
+      in
+      Hashtbl.iter (fun v _ -> recheck v) rlo;
+      Hashtbl.iter (fun v _ -> if not (Hashtbl.mem rlo v) then recheck v) rhi;
+      List.iter recheck !rebound;
+      let reset =
+        Hashtbl.length rlo
+        + Hashtbl.fold (fun v _ n -> if Hashtbl.mem rlo v then n else n + 1) rhi 0
+      in
+      t.ground_errors <- ground;
+      t.live_slices <- slices;
+      t.fresh_from <- n;
+      t.solved <- false;
+      t.s_solve_s <- t.s_solve_s +. (Unix.gettimeofday () -. t0);
+      ignore (solve t : (unit, error list) result);
+      (* 7. an explanation reads the chains upstream of its variable,
+         which the edit may have changed anywhere: explain every
+         recorded violation afresh. An entry a solve recorded before its
+         variable was unified into another class stands for that class,
+         as a fresh store would record it. *)
+      let merged = ref [] in
+      Hashtbl.filter_map_inplace
+        (fun i e ->
+          if t.parent.(i) = i then Some { e with err_msg = explain t t.objs.(i) }
+          else begin
+            merged := find_id t i :: !merged;
+            None
+          end)
+        t.errors;
+      List.iter
+        (fun r ->
+          if (not (Hashtbl.mem t.errors r)) && not (Elt.leq sp t.lo.(r) t.hi_bound.(r))
+          then
+            Hashtbl.add t.errors r { err_var = Some t.objs.(r); err_msg = explain t t.objs.(r) })
+        !merged;
+      { rt_path = Decremental; rt_deleted = ndead; rt_reset = reset;
+        rt_starts = List.map fst slices }
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c
@@ -1914,7 +2651,18 @@ let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
 (* Replay the full constraint log through the store-free evaluator: an
    independent oracle for the optimized solver, keyed by original (stable)
    variable ids. Used by the property tests and the [solver] bench. *)
-let atoms t = Array.to_list (Array.sub t.log 0 t.nlog)
+let atoms t =
+  let acc = ref [] in
+  for i = t.nlog - 1 downto t.fresh_from do
+    acc := t.log.(i) :: !acc
+  done;
+  List.iter
+    (fun (start, len) ->
+      for i = start + len - 1 downto start do
+        acc := t.log.(i) :: !acc
+      done)
+    (List.rev t.live_slices);
+  !acc
 let naive_bounds t = solve_atoms t.sp (atoms t)
 
 (* Present a scheme as a constrained type qualifier prefix — the notation

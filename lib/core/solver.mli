@@ -59,6 +59,9 @@ val space : t -> Space.t
 val num_vars : t -> int
 (** number of variables created so far (also a size proxy) *)
 
+val var_of_id : t -> int -> var
+(** the variable with this {!var_id}, which must be below {!num_vars} *)
+
 val set_budget : t -> Budget.t option -> unit
 (** Attach (or detach) a resource budget. Variable creation counts toward
     [max_vars]; every worklist pop counts toward [max_pops] and polls the
@@ -215,12 +218,13 @@ val instantiate : t -> scheme -> var -> var
     locals (so instances cannot interfere — the existential binding of
     Section 3.2); returns the renaming, the identity on non-locals. *)
 
-(** {1 Segments and rebuild}
+(** {1 Segments, retraction and rebuild}
 
     A warm client keeps one store across edits: each unit of its work (an
     analysis task) is a {e segment} of the arena, delimited by a {!mark}
     taken before it. Deleting the segments an edit invalidated is a
-    {!rebuild} over the live ones. *)
+    {!retract} to the live ones, which deletes in place or, when it must,
+    runs a {!rebuild} over them. *)
 
 type mark
 (** a position in the store: variable count, atom-log length and the
@@ -252,9 +256,45 @@ val rebuild : t -> slices:(int * int) list -> ground:error list -> int list
     [edges_deduped], [cycles_collapsed]) restart from zero, so afterwards
     they describe the rebuilt system. Returns each slice's new start. *)
 
+val checkpoint : t -> unit
+(** mark the end of the live store: the atoms logged from here on are an
+    edit's fresh work, which the next {!retract} keeps wherever the
+    slices put them *)
+
+(** which way a {!retract} went: delete-and-rederive, or the {!rebuild}
+    fallback with the property of the store that required it *)
+type retract_path = Decremental | Rebuilt of string
+
+type retraction = {
+  rt_path : retract_path;
+  rt_deleted : int;  (** live atoms this retraction deleted *)
+  rt_reset : int;
+      (** variables whose solution was reset and re-derived (the cone);
+          every variable for a rebuild *)
+  rt_starts : int list;  (** each slice's start in the log afterwards *)
+}
+
+val retract : t -> slices:(int * int) list -> ground:error list -> retraction
+(** [retract t ~slices ~ground] keeps only the atoms of the log slices
+    [(start, length)], given in task order: the atoms logged before the
+    last {!checkpoint} that no slice names are deleted, the ones logged
+    after it must all be named. Afterwards the store is the one a fresh
+    store fed the slices' atoms in that order would hold, up to variable
+    renaming — solutions, error messages, [explain] output, the four
+    structural counters and {!atoms} — with [ground] as its ground
+    violations. It deletes the dead atoms in place and re-derives only
+    the solution bits they could have supported (delete-and-rederive),
+    unless the store shows that a fresh store could have unified,
+    deduplicated or searched for cycles differently; then, and when dead
+    log entries outnumber live ones, it runs {!rebuild}. Either way no
+    variable is created and the fresh atoms end up solved. *)
+
 val reset_stats : t -> unit
-(** zero every counter and phase time; [vars_created] then counts the
-    variables created from here on *)
+(** zero every per-run counter and phase time; [vars_created] then counts
+    the variables created from here on. The four structural counters
+    ([vars_unified], [edges_added], [edges_deduped], [cycles_collapsed])
+    describe the store and stay: {!retract} and {!rebuild} keep them equal
+    to a fresh store's *)
 
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
@@ -311,7 +351,8 @@ val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
     property tests to re-solve a store's atom log *)
 
 val atoms : t -> atom list
-(** the store's atom log, in insertion order *)
+(** the store's live atoms: in insertion order, or after a {!retract}
+    the slices' atoms in the order given, then the atoms logged since *)
 
 val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** replay the store's full constraint log through {!solve_atoms}: an

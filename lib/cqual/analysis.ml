@@ -1422,9 +1422,19 @@ let entry_digest (e : fentry option) : string =
       go_fsig s;
       Digest.string (Buffer.contents b)
 
-(** What a warm rerun did: the tasks it kept and re-ran, and how many
-    functions the re-run tasks hold. *)
-type rerun_info = { ri_tasks : int; ri_rerun : int; ri_rerun_members : int }
+(** What a warm rerun did: the tasks it kept and re-ran, how many
+    functions the re-run tasks hold, and how the store dropped the dead
+    tasks' atoms ({!Solver.retract}): ["decremental"] or
+    ["rebuild: <reason>"], the atoms deleted and the variables whose
+    solution was re-derived. *)
+type rerun_info = {
+  ri_tasks : int;
+  ri_rerun : int;
+  ri_rerun_members : int;
+  ri_solve : string;
+  ri_atoms_deleted : int;
+  ri_vars_reset : int;
+}
 
 (** Re-analyze [prog] in [base]'s store, re-inferring only the tasks the
     edit reaches, and return the updated env (sharing [base]'s store and
@@ -1441,8 +1451,9 @@ type rerun_info = { ri_tasks : int; ri_rerun : int; ri_rerun_members : int }
     segment: its summaries, outcome events, warnings and auto-global
     lookups are replayed in task order, so each re-run task sees exactly
     the tables a fresh run would show it. Re-run tasks append their
-    segments to the arena; then {!Solver.rebuild} replays the live
-    segments' atoms in task order, which deletes the dead ones.
+    segments to the arena; then {!Solver.retract} deletes the dead
+    segments' atoms and re-derives what they supported, leaving the
+    store a fresh run in task order would build.
 
     [Error reason] (nothing touched) when the rerun cannot be
     incremental: [base] has no segments or ran under a budget, the
@@ -1464,6 +1475,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
       in
       let st = env.store in
       Solver.reset_stats st;
+      Solver.checkpoint st;
       let old_fdg = ly.ly_fdg in
       let fdg = Fdg.build ~prev:old_fdg prog in
       (* the graphs match by name: [old_of.(v)] is new node [v]'s old id *)
@@ -1630,12 +1642,12 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
            the caller runs afresh *)
         Error "dead variables outnumber live ones"
       else begin
-        let starts =
-          Solver.rebuild st
+        let rt =
+          Solver.retract st
             ~slices:(List.map (fun sg -> (sg.sg_log0, sg.sg_nlog)) segs)
             ~ground:(List.fold_left (fun acc sg -> sg.sg_ground @ acc) [] segs)
         in
-        List.iter2 (fun sg at -> sg.sg_log0 <- at) segs starts;
+        List.iter2 (fun sg at -> sg.sg_log0 <- at) segs rt.Solver.rt_starts;
         env.layout <-
           Some
             (layout_of ~watermark:ly.ly_watermark ~live_vars env fdg tasks segs);
@@ -1646,6 +1658,12 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
               ri_tasks = List.length task_segs;
               ri_rerun = !rerun_n;
               ri_rerun_members = !members_n;
+              ri_solve =
+                (match rt.Solver.rt_path with
+                | Solver.Decremental -> "decremental"
+                | Solver.Rebuilt reason -> "rebuild: " ^ reason);
+              ri_atoms_deleted = rt.Solver.rt_deleted;
+              ri_vars_reset = rt.Solver.rt_reset;
             } )
       end
 

@@ -493,6 +493,11 @@ type rebuild = {
   rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
   rb_index_patched : bool;
       (** the key index was updated by the changed rows, not rebuilt *)
+  rb_solve : string;
+      (** how the store dropped the dead atoms: ["decremental"],
+          ["rebuild: <reason>"], or ["cold"] on a full run *)
+  rb_atoms_deleted : int;  (** atoms the edit deleted from the store *)
+  rb_vars_reset : int;  (** variables whose solution was re-derived *)
 }
 
 (* Analyze, measure, and attach FDG statistics (from the graph the
@@ -513,7 +518,19 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm
     in
     let n = Analysis.task_count env in
     let m = Array.length (Option.get (Analysis.fdg env)).Fdg.names in
-    (env, ifaces, None, true, reason, { Analysis.ri_tasks = n; ri_rerun = n; ri_rerun_members = m })
+    ( env,
+      ifaces,
+      None,
+      true,
+      reason,
+      {
+        Analysis.ri_tasks = n;
+        ri_rerun = n;
+        ri_rerun_members = m;
+        ri_solve = "cold";
+        ri_atoms_deleted = 0;
+        ri_vars_reset = 0;
+      } )
   in
   let (env, ifaces, prev, is_full, reason, ri), t =
     time (fun () ->
@@ -585,6 +602,9 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm
       rb_condensation_reused = fdg.Fdg.condensation_reused;
       rb_rows_remeasured = rows.Report.remeasured;
       rb_index_patched = rows.Report.index_patched;
+      rb_solve = ri.Analysis.ri_solve;
+      rb_atoms_deleted = ri.Analysis.ri_atoms_deleted;
+      rb_vars_reset = ri.Analysis.ri_vars_reset;
     }
   in
   (run, env, rows, rb)
@@ -834,6 +854,7 @@ let run_sources ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
        ?jobs ?max_errors ?cache files)
 
 let program t : Cfront.Cprog.t = (ensure_compiled t).co_prog
+let store ?mode t = (ensure_mode t (mode_of t mode)).ms_env.Analysis.store
 let diagnostics t : Cfront.Diag.t list = (ensure_compiled t).co_diags
 
 (** Every interesting position with its canonical key and verdict. *)
@@ -1025,6 +1046,9 @@ let stats_json (st : session_stats) : Wire.json =
         ("condensation_reused", Wire.Bool rb.rb_condensation_reused);
         ("rows_remeasured", int rb.rb_rows_remeasured);
         ("index_patched", Wire.Bool rb.rb_index_patched);
+        ("solve", Wire.Str rb.rb_solve);
+        ("atoms_deleted", int rb.rb_atoms_deleted);
+        ("vars_reset", int rb.rb_vars_reset);
       ]
   in
   let opt f = function Some x -> f x | None -> Wire.Null in

@@ -149,6 +149,10 @@ val program : t -> Cfront.Cprog.t
 (** The linked program of the current units (parsed on first use) — for
     callers that drive {!Analysis.run} directly. *)
 
+val store : ?mode:Analysis.mode -> t -> Typequal.Solver.t
+(** the solved store of the mode's analysis (analyzing first if needed),
+    for checking it against its own atoms; do not add to it *)
+
 val diagnostics : t -> Cfront.Diag.t list
 (** Frontend diagnostics for the current units (mode-independent). *)
 
@@ -251,6 +255,15 @@ type rebuild = {
   rb_index_patched : bool;
       (** the position-key index was updated by the changed rows alone,
           not rebuilt *)
+  rb_solve : string;
+      (** how the store dropped the dead tasks' atoms
+          ({!Typequal.Solver.retract}): ["decremental"], or
+          ["rebuild: <reason>"] for the replay fallback; ["cold"] on a
+          full run *)
+  rb_atoms_deleted : int;  (** atoms the edit deleted from the store *)
+  rb_vars_reset : int;
+      (** variables whose solution was reset and re-derived (every
+          variable for a rebuild) *)
 }
 
 type session_stats = {

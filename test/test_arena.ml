@@ -229,6 +229,257 @@ let test_pinned_digest () =
     (Digest.to_hex (Digest.string (String.concat "" all)))
 
 (* ------------------------------------------------------------------ *)
+(* Decremental retraction = rebuild                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A warm client's store over segments: each segment (one task) makes a
+   few variables of its own and adds atoms over them and the shared
+   ones. An edit keeps some of the current segments, drops the rest and
+   runs fresh ones at chosen places in the task order; then the store
+   drops the dead atoms, by [retract] or, as the reference, by
+   [rebuild], which replays the live atoms in task order. *)
+type seg = { own : int; sops : op list }
+
+type step = Keep of int | Fresh of seg
+
+let gen_seg rng sp n =
+  let rint = Cbench.Rng.int rng in
+  let full = E.full_mask sp in
+  let own = rint 4 in
+  let shared () = rint n in
+  (* a variable of the segment's own when it has any *)
+  let mine () = if own = 0 then rint n else n + rint own in
+  let var () = rint (n + own) in
+  (* constants mostly at the ends, so duplicate bounds (and the
+     violations whose messages name their reasons) are common *)
+  let elt () =
+    match rint 4 with 0 -> E.top sp | 1 -> E.bottom sp | _ -> rint (full + 1)
+  in
+  let mask () = if rint 5 < 3 then full else rint (full + 1) in
+  let edge a b = Edge (a, b, mask ()) in
+  (* mostly task-shaped: edges among its own variables and reads of the
+     shared ones, fewer writes back; then bounds, the odd cycle and
+     duplicate shared edges (dedup and key transfer) *)
+  let op () =
+    match rint 18 with
+    | 0 | 1 | 2 | 3 ->
+        let a = mine () in
+        let b = mine () in
+        edge a b
+    | 4 | 5 ->
+        let a = shared () in
+        let b = mine () in
+        edge a b
+    | 6 ->
+        let a = mine () in
+        let b = shared () in
+        edge a b
+    | 7 ->
+        let a = shared () in
+        let b = shared () in
+        Edge (a, b, full)
+    | 8 | 9 ->
+        let c = elt () in
+        let a = var () in
+        Lower (c, a, mask ())
+    | 10 | 11 ->
+        let a = var () in
+        let c = elt () in
+        Upper (a, c, mask ())
+    | 12 ->
+        let a = var () in
+        let b = var () in
+        Eqvv (a, b, mask ())
+    | 13 ->
+        let a = var () in
+        let c = elt () in
+        Eqvc (a, c, mask ())
+    | 14 ->
+        let c1 = elt () in
+        let c2 = elt () in
+        Ground (c1, c2, mask ())
+    | 15 -> Solve
+    | _ ->
+        let a = mine () in
+        let b = var () in
+        edge a b
+  in
+  let sops = List.init (1 + rint 8) (fun _ -> op ()) in
+  (* now and then a hub: a shared variable read by more own variables
+     than a cycle search may visit, so searches through it are cut
+     short *)
+  if rint 6 = 0 then
+    let h = shared () and k = 66 + rint 8 in
+    { own = own + k; sops = List.init k (fun i -> Edge (h, n + own + i, full)) @ sops }
+  else { own; sops }
+
+let gen_edit rng sp n ntasks =
+  let rint = Cbench.Rng.int rng in
+  let kept = List.filter (fun _ -> rint 10 < 7) (List.init ntasks Fun.id) in
+  let steps = ref (List.map (fun i -> Keep i) kept) in
+  for _ = 1 to rint 4 do
+    let at = rint (List.length !steps + 1) in
+    let seg = gen_seg rng sp n in
+    steps := List.filteri (fun i _ -> i < at) !steps @ (Fresh seg :: List.filteri (fun i _ -> i >= at) !steps)
+  done;
+  !steps
+
+let decr_scenario rng =
+  let sp, n, _ = scenario rng in
+  let n = max 6 (min n 12) in
+  let rint = Cbench.Rng.int rng in
+  let base = List.init (1 + rint 8) (fun _ -> gen_seg rng sp n) in
+  let ntasks = ref (List.length base) in
+  let edits =
+    List.init (1 + rint 3) (fun _ ->
+        let e = gen_edit rng sp n !ntasks in
+        ntasks := List.length e;
+        e)
+  in
+  (sp, n, base, edits)
+
+type warm = {
+  wst : S.t;
+  wvars : S.var list;  (* every variable, in creation order *)
+  paths : S.retract_path list;  (* each edit's, newest first *)
+}
+
+let warm_run ~decremental (sp, n, base, edits) =
+  let st = S.create sp in
+  let made = ref [] in
+  let fresh () =
+    let v = S.fresh st in
+    made := v :: !made;
+    v
+  in
+  let shared = Array.init n (fun _ -> fresh ()) in
+  (* every atom gets a reason of its own, so the error messages show
+     which of two duplicate atoms holds a key *)
+  let nsegs = ref 0 in
+  let run_seg seg =
+    let m = S.mark st in
+    let own = Array.init seg.own (fun _ -> fresh ()) in
+    let v = Array.append shared own in
+    incr nsegs;
+    List.iteri
+      (fun k op ->
+        let reason = Printf.sprintf "s%d.%d" !nsegs k in
+        match op with
+        | Edge (a, b, m) -> S.add_leq_vv ~reason ~mask:m st v.(a) v.(b)
+        | Lower (c, a, m) -> S.add_leq_cv ~reason ~mask:m st c v.(a)
+        | Upper (a, c, m) -> S.add_leq_vc ~reason ~mask:m st v.(a) c
+        | Eqvv (a, b, m) -> S.add_eq_vv ~reason ~mask:m st v.(a) v.(b)
+        | Eqvc (a, c, m) -> S.add_eq_vc ~reason ~mask:m st v.(a) c
+        | op -> apply st v op)
+      seg.sops;
+    (S.mark_log m, S.num_atoms st - S.mark_log m, S.ground_since st m)
+  in
+  let tasks = ref (List.map run_seg base) in
+  ignore (S.solve st);
+  let paths = ref [] in
+  List.iter
+    (fun edit ->
+      S.checkpoint st;
+      let next =
+        List.rev
+          (List.fold_left
+             (fun acc step ->
+               (match step with Keep i -> List.nth !tasks i | Fresh seg -> run_seg seg)
+               :: acc)
+             [] edit)
+      in
+      let slices = List.map (fun (a, l, _) -> (a, l)) next in
+      let ground = List.fold_left (fun acc (_, _, g) -> g @ acc) [] next in
+      let starts =
+        if decremental then begin
+          let rt = S.retract st ~slices ~ground in
+          paths := rt.S.rt_path :: !paths;
+          rt.S.rt_starts
+        end
+        else S.rebuild st ~slices ~ground
+      in
+      tasks := List.map2 (fun (_, l, g) at -> (at, l, g)) next starts)
+    edits;
+  { wst = st; wvars = List.rev !made; paths = !paths }
+
+let atom_key = function
+  | S.Avc (v, c, m, r) -> (0, S.var_id v, c, m, r)
+  | S.Acv (c, v, m, r) -> (1, S.var_id v, c, m, r)
+  | S.Avv (a, b, m, r) -> (2, S.var_id a, S.var_id b * 1000 + m, 0, r)
+
+(* everything a client can observe of a solved store *)
+let observe_warm sp w =
+  let s = S.stats w.wst in
+  ( List.map (fun v -> (S.least w.wst v, S.greatest w.wst v)) w.wvars,
+    List.map S.error_message (S.last_errors w.wst),
+    (s.S.edges_added, s.S.edges_deduped, s.S.vars_unified, s.S.cycles_collapsed),
+    List.map atom_key (S.atoms w.wst),
+    (* the certificate: the store's solution is the least solution of
+       the atoms it reports as live *)
+    (let nb = S.solve_atoms sp (S.atoms w.wst) in
+     List.for_all
+       (fun v ->
+         let lo, hi = nb (S.var_id v) in
+         E.equal lo (S.least w.wst v) && E.equal hi (S.greatest w.wst v))
+       w.wvars) )
+
+let decremental_agrees sc =
+  let sp, _, _, _ = sc in
+  let d = warm_run ~decremental:true sc and r = warm_run ~decremental:false sc in
+  let (_, _, _, _, cert) as od = observe_warm sp d in
+  cert && od = observe_warm sp r
+
+let prop_decremental =
+  QCheck2.Test.make ~count:300
+    ~name:"retract: decremental delete = rebuild over the survivors"
+    ~print:(Printf.sprintf "seed %d") QCheck2.Gen.int (fun seed ->
+      decremental_agrees (decr_scenario (Cbench.Rng.create seed)))
+
+(* on a fixed stream every edit agrees with the rebuild, and a good share
+   of them take the decremental path (the generator collapses cycles
+   often on purpose, so the fallbacks are exercised too): the property
+   above is not vacuous *)
+let test_decremental_share () =
+  let rng = Cbench.Rng.create 0xDEC in
+  let dec = ref 0 and all = ref 0 in
+  for _ = 1 to 300 do
+    let sc = decr_scenario rng in
+    Alcotest.(check bool) "agrees with rebuild" true (decremental_agrees sc);
+    List.iter
+      (fun p ->
+        incr all;
+        if p = S.Decremental then incr dec)
+      (warm_run ~decremental:true sc).paths
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d edits decremental" !dec !all)
+    true
+    (3 * !dec >= !all)
+
+(* the two shapes the store must hand to [rebuild]: a dead atom that
+   helped collapse a cycle, and a fresh atom that closes one *)
+let test_decremental_fallbacks () =
+  let sp = Cqual.Analysis.const_space in
+  let full = E.full_mask sp in
+  let case name base edits expected =
+    let sc = (sp, 3, base, edits) in
+    let w = warm_run ~decremental:true sc in
+    Alcotest.(check bool) (name ^ ": agrees with rebuild") true (decremental_agrees sc);
+    match w.paths with
+    | S.Rebuilt reason :: _ -> Alcotest.(check string) name expected reason
+    | _ -> Alcotest.failf "%s: took the decremental path" name
+  in
+  let seg sops = { own = 0; sops } in
+  case "dead atom on a collapsed cycle"
+    [ seg [ Edge (0, 1, full) ]; seg [ Edge (1, 0, full) ]; seg [ Lower (E.top sp, 0, full) ] ]
+    [ [ Keep 0; Keep 2 ] ]
+    "a dead atom on a collapsed cycle";
+  case "fresh atom closing a cycle"
+    [ seg [ Edge (0, 1, full) ]; seg [ Upper (2, E.bottom sp, full) ] ]
+    [ [ Keep 0; Fresh (seg [ Edge (1, 0, full) ]); Keep 1 ] ]
+    "a fresh atom unified classes"
+
+(* ------------------------------------------------------------------ *)
 (* Multi-file corpora: determinism and the Session entry point         *)
 (* ------------------------------------------------------------------ *)
 
@@ -289,4 +540,9 @@ let tests =
     Alcotest.test_case "certificate rejects a tampered run" `Quick
       test_certificate_rejects_tampering;
     Alcotest.test_case "pinned digest: serial" `Quick test_pinned_digest;
+    QCheck_alcotest.to_alcotest prop_decremental;
+    Alcotest.test_case "retract: a third of the edits delete in place" `Quick
+      test_decremental_share;
+    Alcotest.test_case "retract: collapsed cycles fall back to rebuild" `Quick
+      test_decremental_fallbacks;
   ]

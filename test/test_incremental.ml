@@ -443,6 +443,71 @@ let test_edit_counters () =
        (Session.create ~mode:Analysis.Poly (replace units name edited)))
     (Session.render ~positions:true ~name:"midi" t)
 
+(* the unit's first definition whose first parameter is [char *s], with
+   [*s = 0;] written through it after its brace (the even edits of the
+   gating benchmark's stream); no other definition's lines move *)
+let write_through_param src =
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let i = ref 0 in
+  while
+    let l = lines.(!i) in
+    not
+      (String.length l > 0 && l.[0] <> ' ' && String.contains l '{'
+      && (match String.index_opt l '(' with
+         | Some p -> p + 8 <= String.length l && String.sub l p 8 = "(char *s"
+         | None -> false))
+  do
+    incr i
+  done;
+  let l = lines.(!i) in
+  let brace = String.index l '{' in
+  lines.(!i) <-
+    String.sub l 0 (brace + 1) ^ " *s = 0;" ^ String.sub l (brace + 1) (String.length l - brace - 1);
+  String.concat "\n" (Array.to_list lines)
+
+(* The two kinds of edit the gating benchmark makes take the decremental
+   path in every mode, delete what the edited tasks logged, and leave the
+   store a cold run builds. *)
+let test_decremental_path () =
+  let units = Lazy.force project in
+  let name, src = first_mod units in
+  List.iter
+    (fun mode ->
+      let m = Session.mode_name mode in
+      let t = Session.create ~mode units in
+      ignore (Session.run t);
+      List.iter
+        (fun (what, edited) ->
+          let rb = rerun_after t name edited in
+          Alcotest.(check string) (m ^ ", " ^ what ^ ": solve") "decremental" rb.Session.rb_solve;
+          Alcotest.(check bool) (m ^ ", " ^ what ^ ": atoms deleted") true
+            (rb.Session.rb_atoms_deleted > 0);
+          Alcotest.(check string) (m ^ ", " ^ what ^ ": warm = cold")
+            (Session.render ~positions:true ~name:"p"
+               (Session.create ~mode (replace units name edited)))
+            (Session.render ~positions:true ~name:"p" t))
+        [
+          ("parameter write", write_through_param src);
+          ("leaf append", write_through_param src ^ "\nint leaf_appended(char *s) { return *s; }\n");
+        ])
+    modes
+
+(* A dead atom on a collapsed cycle cannot be deleted in place (the class
+   it helped form would have to split): the store rebuilds. *)
+let test_cycle_falls_back () =
+  let src body =
+    Printf.sprintf "char *g; char *h;\nvoid f(void) { %s }\nvoid k(void) { g = h; }\n" body
+  in
+  let t = Session.create ~mode:Analysis.Mono [ ("c.c", src "h = g;") ] in
+  ignore (Session.run t);
+  Alcotest.(check bool) "the cycle collapsed" true
+    ((Session.run t).Session.solver_stats.S.cycles_collapsed > 0);
+  let rb = rerun_after t "c.c" (src "") in
+  Alcotest.(check string) "solve" "rebuild: a dead atom on a collapsed cycle" rb.Session.rb_solve;
+  Alcotest.(check string) "warm = cold"
+    (Session.render ~positions:true ~name:"p" (Session.create ~mode:Analysis.Mono [ ("c.c", src "") ]))
+    (Session.render ~positions:true ~name:"p" t)
+
 let tests =
   [
     Alcotest.test_case "fdg: golden SCC lists" `Quick test_fdg_golden;
@@ -465,4 +530,8 @@ let tests =
       `Quick test_arena_bound;
     Alcotest.test_case "warm: a one-function edit rebuilds only its own unit"
       `Quick test_edit_counters;
+    Alcotest.test_case "warm: parameter writes and leaf appends delete in place"
+      `Quick test_decremental_path;
+    Alcotest.test_case "warm: a dead atom on a collapsed cycle rebuilds" `Quick
+      test_cycle_falls_back;
   ]

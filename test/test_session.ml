@@ -1033,6 +1033,15 @@ let check_warm_cold ~step mode warm units =
     fail "diagnostics";
   if run_counters (Session.run ~mode warm) <> run_counters (Session.run ~mode cold) then
     fail "counters";
+  (* the warm store's certificate: every variable's solution is the
+     least and greatest solution of the atoms the store reports live *)
+  (let module S = Typequal.Solver in
+   let st = Session.store ~mode warm in
+   let nb = S.solve_atoms (S.space st) (S.atoms st) in
+   for id = 0 to S.num_vars st - 1 do
+     let v = S.var_of_id st id in
+     if nb id <> (S.least st v, S.greatest st v) then fail "certificate"
+   done);
   let ps = Session.positions ~mode cold in
   if Session.positions ~mode warm <> ps then fail "positions";
   List.iteri
