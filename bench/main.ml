@@ -34,8 +34,7 @@
                enforced), edit + re-query vs cold (the 10x target is
                recorded, not enforced), each edit re-parsing only its
                unit, and warm render == cold; writes BENCH_daemon.json.
-               Runs only when named (or under "all");
-               TYPEQUAL_DAEMON_LINES overrides the line target.
+               Runs only when named (or under "all").
 
    Every section that runs records wall times, sizes and solver stats
    into BENCH_solver.json (machine-readable, tracked across PRs). *)
@@ -923,14 +922,9 @@ let percentiles samples =
 let daemon_bench () =
   Fmt.pr "@.=== Daemon: warm Session queries vs cold re-analysis ===@.";
   let b = List.hd Cbench.Suite.scale_smoke in
-  let target =
-    match Sys.getenv_opt "TYPEQUAL_DAEMON_LINES" with
-    | Some v -> ( try int_of_string v with _ -> b.Cbench.Suite.b_lines)
-    | None -> b.Cbench.Suite.b_lines
-  in
   let files =
     Cbench.Gen.generate_project ~seed:b.Cbench.Suite.b_seed
-      ~target_lines:target ()
+      ~target_lines:b.Cbench.Suite.b_lines ()
   in
   let lines = Cbench.Gen.project_lines files in
   Fmt.pr "corpus %s: %d files, %d lines@.@." b.Cbench.Suite.b_name

@@ -407,8 +407,8 @@ let cache_dir =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist analysis results (per-unit parsed ASTs and whole-run \
-           reports) under $(docv), and reuse any entry whose full \
+          "Persist each run's report under $(docv), keyed by the options \
+           and every file's name and content, and reuse an entry whose full \
            verification chain — format, version, lattice, content hash, \
            payload checksum — still holds. Anything else is recomputed \
            cold, so reports are \

@@ -42,16 +42,7 @@ let space_of_lattice_file path =
         Fmt.epr "%s: %a@." path Typequal.Lattice.pp_space_error e;
         exit 2)
 
-let spacekind_name = function
-  | SConst -> "const"
-  | SNonzero -> "nonzero"
-  | SBindingTime -> "binding-time"
-  | SCn -> "cn"
-  | SFig2 -> "fig2"
-  | STaint -> "taint"
-
-let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
-    cache_dir =
+let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
   let space, hooks =
     match lattice with
     | Some path -> (space_of_lattice_file path, Infer.no_hooks)
@@ -69,56 +60,6 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
         Fmt.epr "need -e EXPR or FILE@.";
         exit 2
   in
-  (* Output-level cache: the verdict is a pure function of the source, the
-     qualifier space and the inference options, so the rendered report and
-     exit code are cached whole under one self-checking envelope. Bypassed
-     for --run and --stats, whose output (evaluation effects, timings) is
-     not a pure function of the input. *)
-  let cache, key =
-    match cache_dir with
-    | Some dir when (not run_it) && not stats ->
-        let ctx =
-          Digest.string
-            (Fmt.str "qualc-out-1|%a|%s" Typequal.Lattice.Space.pp_dump space
-               Sys.ocaml_version)
-        in
-        (* hooks are chosen by the space's provenance, not its contents: a
-           --lattice file dumping identically to a predefined space still
-           runs without its per-qualifier hooks *)
-        let hooks_id =
-          match lattice with
-          | Some _ -> "lattice"
-          | None -> spacekind_name spacekind
-        in
-        let key =
-          Digest.string
-            (String.concat "\000"
-               [ hooks_id; string_of_bool poly; string_of_bool no_compact; src ])
-        in
-        ( Typequal.Cache.open_dir
-            ~warn:(fun m -> Fmt.epr "warning: %s@." m)
-            ~ctx dir,
-          key )
-    | _ -> (None, Digest.string "")
-  in
-  (match cache with
-  | Some c -> (
-      match Typequal.Cache.load c ~kind:"out" ~key with
-      | Some payload -> (
-          match (Marshal.from_string payload 0 : int * string) with
-          | code, out ->
-              print_string out;
-              exit code
-          | exception _ -> Typequal.Cache.reject_undecodable c ~kind:"out" ~key)
-      | None -> ())
-  | None -> ());
-  let store_out code out =
-    match cache with
-    | Some c ->
-        Typequal.Cache.store c ~kind:"out" ~key
-          (Marshal.to_string (code, out) [])
-    | None -> ()
-  in
   match Parse.parse_result src with
   | Error m ->
       Fmt.epr "parse error: %s@." m;
@@ -126,19 +67,11 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice
   | Ok ast -> (
       match Infer.check ~hooks ~poly ~compact:(not no_compact) space ast with
       | Error msgs ->
-          let out =
-            Fmt.str "ill-typed:@."
-            ^ String.concat "" (List.map (fun m -> Fmt.str "  %s@." m) msgs)
-          in
-          print_string out;
-          store_out 1 out;
+          Fmt.pr "ill-typed:@.";
+          List.iter (fun m -> Fmt.pr "  %s@." m) msgs;
           exit 1
       | Ok r ->
-          let out =
-            Fmt.str "type: %a@." (Qtype.pp_solved r.Infer.store) r.Infer.qtyp
-          in
-          print_string out;
-          store_out 0 out;
+          Fmt.pr "type: %a@." (Qtype.pp_solved r.Infer.store) r.Infer.qtyp;
           if stats then
             Fmt.pr "solver: %a@." Typequal.Solver.pp_stats (Infer.stats r);
           if run_it then begin
@@ -211,24 +144,11 @@ let dump_lattice =
           "Print the active qualifier space (qualifiers, levels, order, bit \
            layout) and exit")
 
-let cache_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:
-          "Cache the rendered verdict and exit code under $(docv), keyed by \
-           the source, the qualifier space and the inference options. A \
-           verified hit replays the report without re-running inference; any \
-           corrupt, truncated or mismatched entry is evicted and the check \
-           runs cold. Ignored with $(b,--run) or $(b,--stats), whose output \
-           is not a pure function of the input.")
-
 let cmd =
   let doc = "qualified type inference for the example language (PLDI 1999)" in
   Cmd.v (Cmd.info "qualc" ~doc)
     Term.(
       const main $ expr $ file $ poly $ run_it $ spacekind $ stats
-      $ no_compact $ lattice $ dump_lattice $ cache_dir)
+      $ no_compact $ lattice $ dump_lattice)
 
 let () = exit (Cmd.eval cmd)

@@ -492,34 +492,14 @@ let load_units files bench =
   | [], None -> []
 
 let main files bench mode _jobs max_errors no_compact taint lattice qual
-    cache_dir socket client =
+    socket client =
   match client with
   | Some path -> run_client path
   | None -> (
       let rules = rules_of ~taint ~lattice ~qual in
-      let cache =
-        match cache_dir with
-        | None -> None
-        | Some dir ->
-            let opts_id =
-              String.concat ":"
-                [
-                  (match lattice with
-                  | Some path ->
-                      "lattice="
-                      ^ Digest.to_hex (Digest.string (read_file path))
-                  | None -> if taint then "taint" else "const");
-                  (match qual with Some q -> q | None -> "-");
-                ]
-            in
-            Session.open_cache
-              ~warn:(fun m -> Fmt.epr "warning: %s@." m)
-              ~rules ~opts_id dir
-      in
       let units = load_units files bench in
       let session =
-        Session.create ~rules ~mode ~max_errors ~compact:(not no_compact)
-          ?cache units
+        Session.create ~rules ~mode ~max_errors ~compact:(not no_compact) units
       in
       match socket with
       | None ->
@@ -611,13 +591,6 @@ let qual =
     & info [ "qual" ] ~docv:"NAME"
         ~doc:"With --lattice: the qualifier whose verdicts are reported")
 
-let cache_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:"Attach the persistent disk cache tiers under $(docv)")
-
 let socket =
   Arg.(
     value
@@ -642,7 +615,7 @@ let cmd =
     (Cmd.info "typequald" ~doc)
     Term.(
       const main $ files $ bench $ mode $ jobs $ max_errors $ no_compact
-      $ taint $ lattice $ qual $ cache_dir $ socket $ client)
+      $ taint $ lattice $ qual $ socket $ client)
 
 let () =
   exit

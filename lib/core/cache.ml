@@ -38,7 +38,6 @@ type stats = {
   mutable evictions : int;
   mutable write_skips : int;
   rejects : (string, int) Hashtbl.t;
-  by_kind : (string, int * int) Hashtbl.t;
 }
 
 type t = {
@@ -73,7 +72,6 @@ let fresh_stats () =
     evictions = 0;
     write_skips = 0;
     rejects = Hashtbl.create 8;
-    by_kind = Hashtbl.create 4;
   }
 
 let open_dir ?(warn = fun _ -> ()) ~ctx dir =
@@ -109,8 +107,7 @@ let open_dir ?(warn = fun _ -> ()) ~ctx dir =
       warn ("cache disabled: cannot open " ^ dir);
       None
 
-let entry_path t ~kind ~key =
-  Filename.concat t.dir (kind ^ "-" ^ Digest.to_hex key ^ ".tqc")
+let entry_path t ~key = Filename.concat t.dir (Digest.to_hex key ^ ".tqc")
 
 let entry_files t =
   match Sys.readdir t.dir with
@@ -125,33 +122,23 @@ let entry_files t =
 (* Counters (the [_u] helpers require [t.mu] held)                     *)
 (* ------------------------------------------------------------------ *)
 
-let bump_kind_u t kind ~hit =
-  let h, m = try Hashtbl.find t.st.by_kind kind with Not_found -> (0, 0) in
-  Hashtbl.replace t.st.by_kind kind
-    (if hit then (h + 1, m) else (h, m + 1))
-
 let evict_u t path =
   (try Sys.remove path with _ -> ());
   t.st.evictions <- t.st.evictions + 1
 
-let rejected_u t ~kind ~path cause =
+let rejected_u t ~path cause =
   let name = reject_name cause in
   let n = try Hashtbl.find t.st.rejects name with Not_found -> 0 in
   Hashtbl.replace t.st.rejects name (n + 1);
-  bump_kind_u t kind ~hit:false;
   evict_u t path
 
-let reject_undecodable t ~kind ~key =
+let reject_undecodable t ~key =
   locked t (fun () ->
       (* the load already counted a hit for this entry; re-book it as a
          miss *)
       t.st.hits <- t.st.hits - 1;
       t.st.misses <- t.st.misses + 1;
-      let h, m =
-        try Hashtbl.find t.st.by_kind kind with Not_found -> (1, 0)
-      in
-      Hashtbl.replace t.st.by_kind kind (h - 1, m);
-      rejected_u t ~kind ~path:(entry_path t ~kind ~key) Undecodable)
+      rejected_u t ~path:(entry_path t ~key) Undecodable)
 
 (* ------------------------------------------------------------------ *)
 (* Envelope encode/decode                                              *)
@@ -219,12 +206,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load t ~kind ~key =
-  let path = entry_path t ~kind ~key in
+let load t ~key =
+  let path = entry_path t ~key in
   if not (Sys.file_exists path) then begin
-    locked t (fun () ->
-        t.st.misses <- t.st.misses + 1;
-        bump_kind_u t kind ~hit:false);
+    locked t (fun () -> t.st.misses <- t.st.misses + 1);
     None
   end
   else
@@ -232,20 +217,19 @@ let load t ~kind ~key =
     | exception _ ->
         locked t (fun () ->
             t.st.misses <- t.st.misses + 1;
-            rejected_u t ~kind ~path Io_error);
+            rejected_u t ~path Io_error);
         None
     | raw -> (
         match verify ~ctx:t.ctx ~key raw with
         | Ok payload ->
             locked t (fun () ->
                 t.st.hits <- t.st.hits + 1;
-                t.st.bytes_read <- t.st.bytes_read + String.length raw;
-                bump_kind_u t kind ~hit:true);
+                t.st.bytes_read <- t.st.bytes_read + String.length raw);
             Some payload
         | Error cause ->
             locked t (fun () ->
                 t.st.misses <- t.st.misses + 1;
-                rejected_u t ~kind ~path cause);
+                rejected_u t ~path cause);
             None)
 
 (* ------------------------------------------------------------------ *)
@@ -365,11 +349,11 @@ let write_atomic t ~path blob =
       (try Sys.remove tmp with _ -> ());
       raise e
 
-let store t ~kind ~key payload =
+let store t ~key payload =
   if not (locked t (fun () -> t.writes_ok)) then
     locked t (fun () -> t.st.write_skips <- t.st.write_skips + 1)
   else
-    let path = entry_path t ~kind ~key in
+    let path = entry_path t ~key in
     let blob = encode ~ctx:t.ctx ~key payload in
     let wrote =
       try
@@ -397,21 +381,14 @@ let store t ~kind ~key payload =
 (* ------------------------------------------------------------------ *)
 
 let pp_stats ppf (s : stats) =
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let kinds =
-    sorted s.by_kind
-    |> List.map (fun (k, (h, m)) -> Printf.sprintf "%s %d/%d" k h (h + m))
-  in
   let rejects =
-    sorted s.rejects |> List.map (fun (k, n) -> Printf.sprintf "%s %d" k n)
+    Hashtbl.fold (fun k n acc -> (k, n) :: acc) s.rejects []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map (fun (k, n) -> Printf.sprintf "%s %d" k n)
   in
   Fmt.pf ppf
     "hits %d, misses %d, rejects [%s], read %d B, wrote %d B, evicted %d, \
-     skipped writes %d, per-kind hits [%s]"
+     skipped writes %d"
     s.hits s.misses
     (String.concat ", " rejects)
     s.bytes_read s.bytes_written s.evictions s.write_skips
-    (String.concat ", " kinds)

@@ -8,7 +8,7 @@
          0    8  magic            "TQCACHE1"
          8    2  format version   (big-endian)
         10   16  context digest   (qualifier-space fingerprint)
-        26   16  key digest       (content hash of the cached unit)
+        26   16  key digest       (the caller's content hash)
         42    8  payload length   (big-endian)
         50   16  payload digest   (MD5)
         66    .  payload bytes
@@ -60,7 +60,6 @@ type stats = {
   mutable evictions : int;  (** rejected entries unlinked *)
   mutable write_skips : int;  (** stores skipped (lock contention / disabled) *)
   rejects : (string, int) Hashtbl.t;  (** reject cause -> count *)
-  by_kind : (string, int * int) Hashtbl.t;  (** kind -> (hits, misses) *)
 }
 
 val open_dir : ?warn:(string -> unit) -> ctx:Digest.t -> string -> t option
@@ -70,25 +69,26 @@ val open_dir : ?warn:(string -> unit) -> ctx:Digest.t -> string -> t option
     when the path cannot be used as a directory at all; the caller then
     runs cold. Never raises. *)
 
-val load : t -> kind:string -> key:Digest.t -> string option
-(** Look up the entry for [kind]/[key]; verify magic, version, context,
+val load : t -> key:Digest.t -> string option
+(** Look up the entry for [key]; verify magic, version, context,
     key and the payload checksum. [Some payload] only if the whole chain holds.
     Rejections are counted by cause and the bad file evicted. Never
     raises. *)
 
-val store : t -> kind:string -> key:Digest.t -> string -> unit
+val store : t -> key:Digest.t -> string -> unit
 (** Write an entry via temp file + fsync + atomic rename, under the lock.
     Skips silently (counted in [write_skips]) on lock contention; a
     filesystem error warns once and disables further writes. Never
     raises. *)
 
-val reject_undecodable : t -> kind:string -> key:Digest.t -> unit
+val reject_undecodable : t -> key:Digest.t -> unit
 (** Record a client-side decode failure for an entry whose envelope
     verified (e.g. the payload unmarshals to an impossible value): counts
     an [Undecodable] reject and evicts the file. *)
 
-val entry_path : t -> kind:string -> key:Digest.t -> string
-(** the file an entry of this kind/key lives at (for tests and tools) *)
+val entry_path : t -> key:Digest.t -> string
+(** the file the entry for [key] lives at, [<hex key>.tqc] (for tests
+    and tools) *)
 
 val entry_files : t -> string list
 (** every entry file currently in the directory (absolute paths, sorted);

@@ -72,7 +72,7 @@ let time f =
 exception Error of string
 
 (* ------------------------------------------------------------------ *)
-(* Persistent cache (two disk tiers; see DESIGN.md)                    *)
+(* Persistent cache (the whole-run record; see DESIGN.md)              *)
 (* ------------------------------------------------------------------ *)
 
 module Cache = Typequal.Cache
@@ -103,8 +103,8 @@ let open_cache ?warn ?(rules = Analysis.const_rules) ~opts_id dir :
   | None -> None
 
 (* Unit identity: the per-file content hash that keys invalidation. The
-   name participates, so renaming a file on disk invalidates exactly the
-   units (and run) that file contributes to. *)
+   name participates, so renaming a file misses the AST memo for that
+   unit and the whole-run record. *)
 let unit_digest name content = Digest.string (name ^ "\000" ^ content)
 
 let mode_name = function
@@ -158,18 +158,19 @@ type cached_run = {
   cr_wavefront : int;
 }
 
-(* load kind/key and unmarshal as ['a]; any decode failure rejects the
-   entry (the envelope verified, so the payload was well-formed bytes that
-   mean nothing to us — e.g. written by a differently-shaped build) *)
-let load_marshal (type a) (c : Cache.t) ~kind ~key : a option =
-  match Cache.load c ~kind ~key with
+(* load [key] and unmarshal it as a run record; any decode failure
+   rejects the entry (the envelope verified, so the payload was
+   well-formed bytes that mean nothing to us — e.g. written by a
+   differently-shaped build) *)
+let load_run (c : Cache.t) ~key : cached_run option =
+  match Cache.load c ~key with
   | None -> None
   | Some payload -> (
-      match (Marshal.from_string payload 0 : a) with
+      match (Marshal.from_string payload 0 : cached_run) with
       | v -> Some v
       | exception ((Out_of_memory | Sys.Break) as e) -> raise e
       | exception _ ->
-          Cache.reject_undecodable c ~kind ~key;
+          Cache.reject_undecodable c ~key;
           None)
 
 let run_of_cached (cr : cached_run) ~t_lookup : run =
@@ -237,15 +238,6 @@ type compiled = {
   co_units_built : int;  (* per-unit tables built, not taken from the memo *)
 }
 
-(* the per-unit AST cache payload: the speculative (environment-free)
-   parse of one unit, reusable under any link order. Reparses triggered
-   by the link environment are never cached on disk — they depend on
-   it. *)
-type cached_unit = { cu_res : Cfront.Cparse.uresult }
-
-let unit_key ~max_errors ~digest =
-  Digest.string (Printf.sprintf "unit\000%d\000%s" max_errors digest)
-
 (* one parse of a unit with its built table *)
 type parsed = { pu_res : Cfront.Cparse.uresult; pu_prog : Cfront.Cprog.t }
 
@@ -284,10 +276,9 @@ let seed_key digest (seed : Cfront.Cparse.useed) =
     unit, then a deterministic link that replays the cross-unit parser
     environment in file order and re-parses the rare unit whose
     speculative result it could have influenced. [fe_memo] is
-    the session's in-memory AST tier, probed before the disk tier, fed by
-    every parse, and pruned to what this compile read. *)
-let compile_units ?cache ~fe_memo ~me (units : src_unit list) :
-    compiled =
+    the session's in-memory AST tier, probed before any unit is parsed,
+    fed by every parse, and pruned to what this compile read. *)
+let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
   let lines = List.fold_left (fun acc u -> acc + u.u_lines) 0 units in
   let multi = match units with [] | [ _ ] -> false | _ -> true in
   let t0 = Unix.gettimeofday () in
@@ -308,9 +299,8 @@ let compile_units ?cache ~fe_memo ~me (units : src_unit list) :
     Hashtbl.replace fe_memo.fm_tbl key p;
     Hashtbl.replace read key ()
   in
-  (* --- the speculative parse of each unit: from the AST memo, else the
-     disk tier, else lexed and parsed here; a fresh parse is remembered
-     in the memo, and on disk when it was not read from there --- *)
+  (* --- the speculative parse of each unit: from the AST memo, else
+     lexed and parsed here and remembered in the memo --- *)
   let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
   let timed cell f =
     let x, dt = time f in
@@ -318,37 +308,23 @@ let compile_units ?cache ~fe_memo ~me (units : src_unit list) :
     x
   in
   let built = ref 0 in
-  let unit_cache_key u = unit_key ~max_errors:me ~digest:u.u_digest in
   let slots =
     Array.map
       (fun u ->
         match lookup u.u_digest with
         | Some p -> p
         | None ->
-            let on_disk =
-              Option.bind cache (fun cs ->
-                  (load_marshal cs.cs_cache ~kind:"unit" ~key:(unit_cache_key u)
-                    : cached_unit option))
+            let tb, lex_diags =
+              timed lex_s (fun () ->
+                  Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
             in
             let res =
-              match on_disk with
-              | Some cu -> cu.cu_res
-              | None ->
-                  let tb, lex_diags =
-                    timed lex_s (fun () ->
-                        Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
-                  in
-                  timed parse_s (fun () ->
-                      Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
+              timed parse_s (fun () ->
+                  Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
             in
             let p = timed build_s (fun () -> parsed_of res) in
             incr built;
             remember u.u_digest p;
-            (match (cache, on_disk) with
-            | Some cs, None ->
-                Cache.store cs.cs_cache ~kind:"unit" ~key:(unit_cache_key u)
-                  (Marshal.to_string { cu_res = p.pu_res } [])
-            | _ -> ());
             p)
       units_a
   in
@@ -763,9 +739,7 @@ let ensure_compiled t =
       if t.s_units = [] then raise (Error "session has no units");
       let me = Option.value t.s_max_errors ~default:20 in
       let misses0 = t.s_fe_memo.fm_misses in
-      let c =
-        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~me t.s_units
-      in
+      let c = compile_units ~fe_memo:t.s_fe_memo ~me t.s_units in
       t.s_reparsed <- t.s_fe_memo.fm_misses - misses0;
       t.s_compiled <- Some c;
       c
@@ -825,14 +799,11 @@ let cached_run_or t mode compute : run =
           ^ String.concat "" (List.map (fun u -> u.u_digest) t.s_units)
           )
       in
-      match
-        (load_marshal cs.cs_cache ~kind:"run" ~key : cached_run option)
-      with
+      match load_run cs.cs_cache ~key with
       | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
       | None ->
           let r = compute () in
-          Cache.store cs.cs_cache ~kind:"run" ~key
-            (Marshal.to_string (cached_of_run r) []);
+          Cache.store cs.cs_cache ~key (Marshal.to_string (cached_of_run r) []);
           r)
 
 (** Run one mode over the session's current units — warm: a repeat of
@@ -994,7 +965,6 @@ type session_stats = {
   ss_modes : string list;  (** warm (already analyzed) modes *)
   ss_memo_hits : int;  (** per-unit AST memo, cumulative *)
   ss_memo_misses : int;
-  ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
   ss_last_rebuild : rebuild option;  (** the most recent analysis *)
 }
 
@@ -1004,8 +974,6 @@ let stats t : session_stats =
     ss_modes = List.of_seq (Hashtbl.to_seq_keys t.s_modes);
     ss_memo_hits = t.s_fe_memo.fm_hits;
     ss_memo_misses = t.s_fe_memo.fm_misses;
-    ss_cache =
-      Option.map (fun cs -> Typequal.Cache.stats cs.cs_cache) t.s_cache;
     ss_last_rebuild = t.s_last_rebuild;
   }
 
@@ -1013,24 +981,6 @@ let stats t : session_stats =
    numbers, arrays and objects, nothing pre-rendered. *)
 let stats_json (st : session_stats) : Wire.json =
   let int = Wire.num_int in
-  let sorted h = List.sort compare (List.of_seq (Hashtbl.to_seq h)) in
-  let cache (cs : Cache.stats) =
-    Wire.Obj
-      [
-        ("hits", int cs.Cache.hits);
-        ("misses", int cs.misses);
-        ("bytes_read", int cs.bytes_read);
-        ("bytes_written", int cs.bytes_written);
-        ("evictions", int cs.evictions);
-        ("write_skips", int cs.write_skips);
-        ("rejects", Wire.Obj (List.map (fun (k, n) -> (k, int n)) (sorted cs.rejects)));
-        ( "by_kind",
-          Wire.Obj
-            (List.map
-               (fun (k, (h, m)) -> (k, Wire.Obj [ ("hits", int h); ("misses", int m) ]))
-               (sorted cs.by_kind)) );
-      ]
-  in
   let rebuild rb =
     Wire.Obj
       [
@@ -1058,7 +1008,6 @@ let stats_json (st : session_stats) : Wire.json =
       ("modes", Wire.Arr (List.map (fun m -> Wire.Str m) st.ss_modes));
       ("memo_hits", int st.ss_memo_hits);
       ("memo_misses", int st.ss_memo_misses);
-      ("cache", opt cache st.ss_cache);
       ("last_rebuild", opt rebuild st.ss_last_rebuild);
     ]
 

@@ -97,11 +97,11 @@ val create :
     query/analysis mode (default [Poly]). [budget] makes a fresh budget
     for each analysis (trips latch, so modes cannot share one); it is
     called after the parse, so a deadline it sets covers analysis only.
-    A budgeted session never touches [cache]. [cache] attaches the two
-    disk tiers: per-unit ASTs and whole-run records. Nothing is parsed
-    or analyzed until the first {!run} or query. [jobs] is ignored:
-    gatebench still passes it, and a later benchmark revision drops
-    it. *)
+    A budgeted session never touches [cache]. [cache] attaches the
+    whole-run disk tier, which {!run} reads and writes and no query
+    touches. Nothing is parsed or analyzed until the first {!run} or
+    query. [jobs] is ignored: gatebench still passes it, and a later
+    benchmark revision drops it. *)
 
 val units : t -> string list
 (** Current unit names, in link order. *)
@@ -275,7 +275,6 @@ type session_stats = {
           unit the link re-parses is looked up once more, under its
           seed) *)
   ss_memo_misses : int;  (** units lexed and parsed afresh, cumulative *)
-  ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
   ss_last_rebuild : rebuild option;  (** the most recent analysis *)
 }
 
@@ -283,8 +282,8 @@ val stats : t -> session_stats
 
 val stats_json : session_stats -> Wire.json
 (** The daemon's [stats] reply: every field as a JSON number, string,
-    array or object — the cache counters and the last rebuild included,
-    nothing pre-rendered. *)
+    array or object — the last rebuild included, nothing
+    pre-rendered. *)
 
 (** {2 Rendering} *)
 

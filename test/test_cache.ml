@@ -1,8 +1,8 @@
-(* The persistent analysis cache (Typequal.Cache + the Session disk tiers):
-   envelope verification per fault cause, the lock protocol, resilience on
-   unusable directories, and the contract the fault-injection harness
-   enforces — every corruption mode yields a report byte-identical to a
-   cold run, with the reject counted and the bad entry evicted. *)
+(* The persistent analysis cache (Typequal.Cache + the Session whole-run
+   tier): envelope verification per fault cause, the lock protocol,
+   resilience on unusable directories, and the contract the fault-injection
+   harness enforces — every corruption mode yields a report byte-identical
+   to a cold run, with the reject counted and the bad entry evicted. *)
 
 module Cache = Typequal.Cache
 open Cqual
@@ -47,8 +47,8 @@ let open_exn ?warn ?(ctx = ctx) dir =
 (* store one entry, hand its file path back for corruption *)
 let populate dir =
   let t = open_exn dir in
-  Cache.store t ~kind:"k" ~key payload;
-  Cache.entry_path t ~kind:"k" ~key
+  Cache.store t ~key payload;
+  Cache.entry_path t ~key
 
 let reject_count t cause =
   match Hashtbl.find_opt (Cache.stats t).Cache.rejects cause with
@@ -59,7 +59,7 @@ let reject_count t cause =
    the entry evicted, and nothing else counted as rejected *)
 let check_rejected name ?ctx cause dir =
   let t = open_exn ?ctx dir in
-  (match Cache.load t ~kind:"k" ~key with
+  (match Cache.load t ~key with
   | Some _ -> Alcotest.fail (name ^ ": corrupt entry was served")
   | None -> ());
   let st = Cache.stats t in
@@ -74,17 +74,14 @@ let check_rejected name ?ctx cause dir =
 let test_roundtrip () =
   let dir = fresh_dir () in
   let t = open_exn dir in
-  Cache.store t ~kind:"k" ~key payload;
+  Cache.store t ~key payload;
   Alcotest.(check (option string))
     "payload back" (Some payload)
-    (Cache.load t ~kind:"k" ~key);
+    (Cache.load t ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "one hit" 1 st.Cache.hits;
   Alcotest.(check bool) "bytes read" true (st.Cache.bytes_read > 0);
-  Alcotest.(check bool) "bytes written" true (st.Cache.bytes_written > 0);
-  Alcotest.(check (option (pair int int)))
-    "per-kind hit" (Some (1, 0))
-    (Hashtbl.find_opt st.Cache.by_kind "k")
+  Alcotest.(check bool) "bytes written" true (st.Cache.bytes_written > 0)
 
 let test_missing_entry_is_a_miss () =
   let dir = fresh_dir () in
@@ -93,7 +90,7 @@ let test_missing_entry_is_a_miss () =
   let t = open_exn dir in
   Alcotest.(check (option string))
     "miss" None
-    (Cache.load t ~kind:"k" ~key);
+    (Cache.load t ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "counted as miss" 1 st.Cache.misses;
   Alcotest.(check int) "not a reject" 0
@@ -147,7 +144,7 @@ let test_reject_undecodable () =
   let dir = fresh_dir () in
   let _ = populate dir in
   let t = open_exn dir in
-  Cache.reject_undecodable t ~kind:"k" ~key;
+  Cache.reject_undecodable t ~key;
   Alcotest.(check int) "counted" 1 (reject_count t "undecodable");
   Alcotest.(check (list string)) "evicted" [] (Cache.entry_files t)
 
@@ -170,7 +167,7 @@ let test_lock_held_by_live_process () =
      under contention skips rather than waits *)
   write_file (Filename.concat dir ".lock") (string_of_int (Unix.getpid ()));
   Alcotest.(check bool) "lock refused" false (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~kind:"k" ~key payload;
+  Cache.store t ~key payload;
   let st = Cache.stats t in
   Alcotest.(check bool) "store skipped" true (st.Cache.write_skips >= 1);
   Alcotest.(check (list string)) "nothing written" [] (Cache.entry_files t);
@@ -183,7 +180,7 @@ let test_stale_lock_broken () =
   write_file (Filename.concat dir ".lock") "99999999";
   Alcotest.(check bool) "stale lock broken" true
     (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~kind:"k" ~key payload;
+  Cache.store t ~key payload;
   Alcotest.(check int) "store went through" 1
     (List.length (Cache.entry_files t))
 
@@ -198,25 +195,21 @@ let test_concurrent_stats () =
   let present =
     List.init 8 (fun i -> Digest.string (Printf.sprintf "present-%d" i))
   in
-  List.iter (fun k -> Cache.store t ~kind:"k" ~key:k payload) present;
+  List.iter (fun k -> Cache.store t ~key:k payload) present;
   let ndom = 4 in
   let worker d () =
     List.iter
       (fun k ->
-        match Cache.load t ~kind:"k" ~key:k with
+        match Cache.load t ~key:k with
         | Some p -> assert (p = payload)
         | None -> failwith "present entry missed")
       present;
     for i = 0 to 7 do
       ignore
-        (Cache.load t ~kind:"k"
-           ~key:(Digest.string (Printf.sprintf "absent-%d-%d" d i))
-           )
+        (Cache.load t ~key:(Digest.string (Printf.sprintf "absent-%d-%d" d i)))
     done;
     for i = 0 to 3 do
-      Cache.store t ~kind:"k"
-        ~key:(Digest.string (Printf.sprintf "new-%d-%d" d i))
-        payload
+      Cache.store t ~key:(Digest.string (Printf.sprintf "new-%d-%d" d i)) payload
     done
   in
   let doms = List.init ndom (fun d -> Domain.spawn (worker d)) in
@@ -224,12 +217,6 @@ let test_concurrent_stats () =
   let st = Cache.stats t in
   Alcotest.(check int) "hits exact" (ndom * 8) st.Cache.hits;
   Alcotest.(check int) "misses exact" (ndom * 8) st.Cache.misses;
-  let hm =
-    match Hashtbl.find_opt st.Cache.by_kind "k" with
-    | Some hm -> hm
-    | None -> (0, 0)
-  in
-  Alcotest.(check (pair int int)) "by-kind exact" (ndom * 8, ndom * 8) hm;
   (* every concurrent store either landed as a distinct file or was
      counted as skipped (lock contention) — none may vanish uncounted *)
   Alcotest.(check int) "stores accounted"
@@ -263,18 +250,11 @@ let open_cache_exn dir =
 
 let cache_stats (cs : Session.cache_spec) = Cache.stats cs.Session.cs_cache
 
-let kind_counts cs kind =
-  match Hashtbl.find_opt (cache_stats cs).Cache.by_kind kind with
-  | Some hm -> hm
-  | None -> (0, 0)
+(* (hits, misses) of the run entry *)
+let counts cs = ((cache_stats cs).Cache.hits, (cache_stats cs).Cache.misses)
 
 let run_entry_file (cs : Session.cache_spec) =
-  match
-    List.filter
-      (fun p -> String.length (Filename.basename p) >= 4
-                && String.sub (Filename.basename p) 0 4 = "run-")
-      (Cache.entry_files cs.Session.cs_cache)
-  with
+  match Cache.entry_files cs.Session.cs_cache with
   | [ p ] -> p
   | l -> Alcotest.fail (Printf.sprintf "expected 1 run entry, found %d" (List.length l))
 
@@ -292,7 +272,7 @@ let test_driver_cold_warm_corrupt () =
   let cs = open_cache_exn dir in
   let warm = Session.(run (create ~mode ~cache:cs files)) in
   Alcotest.(check string) "warm = cold" base (Support.digest warm);
-  Alcotest.(check (pair int int)) "run-tier hit" (1, 0) (kind_counts cs "run");
+  Alcotest.(check (pair int int)) "run-tier hit" (1, 0) (counts cs);
   (* each fault in the run entry: rejected and counted under its own
      cause, then recomputed to the cold report. The warm run before each
      fault makes sure the run entry is there. *)
@@ -318,8 +298,7 @@ let test_driver_cold_warm_corrupt () =
     ]
 
 (* unit identity is the per-file content hash, so renaming or editing a
-   file invalidates the whole-run entry and exactly that unit's parse;
-   every other unit's parse stays warm *)
+   file misses the whole-run entry and gives the cold report *)
 let proj rename edit =
   [
     ((if rename then "a2.c" else "a.c"), "int f(int *p) { return *p; }\n");
@@ -330,45 +309,35 @@ let proj rename edit =
     ("main.c", "int g(int *q);\nint main(void) { int x; return g(&x); }\n");
   ]
 
-let test_rename_invalidates_one_unit () =
-  let mode = Analysis.Poly in
-  let dir = fresh_dir () in
-  let cs = open_cache_exn dir in
-  let cold = Session.(run (create ~mode ~cache:cs (proj false false))) in
-  Alcotest.(check (pair int int)) "cold: all units missed" (0, 3)
-    (kind_counts cs "unit");
-  (* rename a.c -> a2.c: a2.c re-parses, b.c and main.c stay warm *)
-  let cs = open_cache_exn dir in
-  let renamed = Session.(run (create ~mode ~cache:cs (proj true false))) in
-  Alcotest.(check string) "rename: report unchanged"
-    (Support.digest cold) (Support.digest renamed);
-  Alcotest.(check (pair int int)) "rename: exactly one unit missed" (2, 1)
-    (kind_counts cs "unit")
-
-let test_edit_dirty_unit () =
+(* run [proj rename edit] over a cache already filled by the original
+   project: the run entry misses and the report is the uncached one *)
+let check_misses_run_entry ~rename ~edit =
   let mode = Analysis.Poly in
   let dir = fresh_dir () in
   let cs = open_cache_exn dir in
   let _ = Session.(run (create ~mode ~cache:cs (proj false false))) in
-  (* edit g's body: only b.c re-parses; a.c and main.c hit *)
   let cs = open_cache_exn dir in
-  let edited = Session.(run (create ~mode ~cache:cs (proj false true))) in
-  Alcotest.(check (pair int int)) "edit: only the dirty unit missed" (2, 1)
-    (kind_counts cs "unit");
-  let fresh = Session.(run (create ~mode (proj false true))) in
-  Alcotest.(check string) "edited warm = edited cold"
-    (Support.digest fresh) (Support.digest edited)
+  let changed = Session.(run (create ~mode ~cache:cs (proj rename edit))) in
+  Alcotest.(check (pair int int)) "the run entry missed" (0, 1) (counts cs);
+  let fresh = Session.(run (create ~mode (proj rename edit))) in
+  Alcotest.(check string) "report = cold"
+    (Support.digest fresh) (Support.digest changed)
 
-(* a cold cached run writes one parse per unit plus the whole-run entry,
-   and nothing else *)
-let test_cold_entry_count () =
-  let files = proj false false in
+let test_rename_misses_run () = check_misses_run_entry ~rename:true ~edit:false
+let test_edit_misses_run () = check_misses_run_entry ~rename:false ~edit:true
+
+(* a cold cached run writes the whole-run entry and nothing else; a run
+   over an edited file writes one more *)
+let test_entry_count () =
   let dir = fresh_dir () in
-  let cs = open_cache_exn dir in
-  let _ = Session.(run (create ~mode:Analysis.Poly ~cache:cs files)) in
-  Alcotest.(check int) "k units -> k+1 entries"
-    (List.length files + 1)
-    (List.length (Cache.entry_files cs.Session.cs_cache))
+  let entries_after files =
+    let cs = open_cache_exn dir in
+    ignore Session.(run (create ~mode:Analysis.Poly ~cache:cs files));
+    List.length (Cache.entry_files cs.Session.cs_cache)
+  in
+  Alcotest.(check int) "cold run: 1 entry" 1 (entries_after (proj false false));
+  Alcotest.(check int) "edited rerun: 1 more" 2
+    (entries_after (proj false true))
 
 (* ---------------- property: the 4-run identity ---------------- *)
 
@@ -422,11 +391,11 @@ let tests =
       test_open_on_file_path;
     Alcotest.test_case "driver: cold/warm/corrupt identity" `Slow
       test_driver_cold_warm_corrupt;
-    Alcotest.test_case "rename invalidates exactly one unit" `Quick
-      test_rename_invalidates_one_unit;
-    Alcotest.test_case "edit re-parses only the dirty unit" `Quick
-      test_edit_dirty_unit;
-    Alcotest.test_case "cold run writes k+1 entries" `Quick
-      test_cold_entry_count;
+    Alcotest.test_case "a renamed file misses the run entry" `Quick
+      test_rename_misses_run;
+    Alcotest.test_case "a body edit misses the run entry" `Quick
+      test_edit_misses_run;
+    Alcotest.test_case "1 entry per run: cold, then edited" `Quick
+      test_entry_count;
     QCheck_alcotest.to_alcotest ~long:false prop_cache_identity;
   ]

@@ -2,7 +2,7 @@
    concatenated units (reports, diagnostics, counters), unit-boundary diagnostic positions, cross-unit
    parser-environment threading (typedef / enum-constant / anonymous-tag
    reparses), the diagnostic budget crossing unit boundaries, the
-   per-unit AST cache tier, and the outcome-list construction on
+   per-unit AST memo, and the outcome-list construction on
    many-degraded programs. *)
 
 open Cqual
@@ -17,8 +17,8 @@ let digest (r : Session.run) : string =
   ^ Printf.sprintf "lines=%d\n" r.Session.lines
   ^ Support.digest r
 
-let run ?mode ?max_errors ?cache files =
-  Session.run (Session.create ?mode ?max_errors ?cache files)
+let run ?mode ?max_errors files =
+  Session.run (Session.create ?mode ?max_errors files)
 
 (* The oracle: the same sources as one translation unit. Linking
    separately parsed units must give the program a whole-program parse
@@ -379,45 +379,32 @@ let test_peak_heap_below_one_file () =
           | _ -> Alcotest.failf "%s: no peak heap in --stats" mode)
         [ "mono"; "poly" ])
 
-(* ---------------- per-unit AST cache ---------------- *)
+(* ---------------- per-unit AST memo ---------------- *)
 
-let unit_counts (cs : Session.cache_spec) =
-  match
-    Hashtbl.find_opt (Typequal.Cache.stats cs.Session.cs_cache).Typequal.Cache.by_kind
-      "unit"
-  with
-  | Some hm -> hm
-  | None -> (0, 0)
-
+(* one session, one touched unit: the in-memory AST memo serves every
+   other unit, and the verdicts stay the same *)
 let test_dirty_unit_reparses_one () =
-  with_temp_dir (fun dir ->
-      let files = Cbench.Gen.generate_project ~seed:31 ~target_lines:1500 () in
-      let nunits = List.length files in
-      Alcotest.(check bool) "project has several units" true (nunits > 1);
-      let open_cs () =
-        match Session.open_cache ~opts_id:"test" dir with
-        | Some cs -> cs
-        | None -> Alcotest.fail "cannot open cache"
-      in
-      let cs = open_cs () in
-      let r_cold = run ~mode:Analysis.Mono ~cache:cs files in
-      Alcotest.(check (pair int int)) "cold: all units miss" (0, nunits)
-        (unit_counts cs);
-      let dirty =
-        match List.rev files with
-        | (name, src) :: rest ->
-            List.rev ((name, src ^ "/* touched */\n") :: rest)
-        | [] -> assert false
-      in
-      let cs2 = open_cs () in
-      let r_dirty = run ~mode:Analysis.Mono ~cache:cs2 dirty in
-      Alcotest.(check (pair int int)) "dirty: one unit re-parses"
-        (nunits - 1, 1) (unit_counts cs2);
-      (* the touched comment changes no report content except the line
-         count *)
-      Alcotest.(check int) "same verdicts"
-        r_cold.Session.results.Report.possible
-        r_dirty.Session.results.Report.possible)
+  let files = Cbench.Gen.generate_project ~seed:31 ~target_lines:1500 () in
+  let nunits = List.length files in
+  Alcotest.(check bool) "project has several units" true (nunits > 1);
+  let t = Session.create ~mode:Analysis.Mono files in
+  let memo () =
+    let st = Session.stats t in
+    (st.Session.ss_memo_hits, st.Session.ss_memo_misses)
+  in
+  let r_cold = Session.run t in
+  Alcotest.(check (pair int int)) "cold: all units miss" (0, nunits) (memo ());
+  let name, src = List.nth files (nunits - 1) in
+  ignore (Session.update_unit t name (src ^ "/* touched */\n"));
+  let r_dirty = Session.run t in
+  let hits, misses = memo () in
+  Alcotest.(check (pair int int)) "dirty: one unit re-parses"
+    (nunits - 1, 1) (hits, misses - nunits);
+  (* the touched comment changes no report content except the line
+     count *)
+  Alcotest.(check int) "same verdicts"
+    r_cold.Session.results.Report.possible
+    r_dirty.Session.results.Report.possible
 
 let tests =
   [
