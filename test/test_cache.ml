@@ -395,7 +395,7 @@ let tests =
       test_rename_misses_run;
     Alcotest.test_case "a body edit misses the run entry" `Quick
       test_edit_misses_run;
-    Alcotest.test_case "1 entry per run: cold, then edited" `Quick
+    Alcotest.test_case "one entry per run: cold, then edited" `Quick
       test_entry_count;
     QCheck_alcotest.to_alcotest ~long:false prop_cache_identity;
   ]
