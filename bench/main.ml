@@ -2,8 +2,8 @@
    evaluation (Section 4.4) on the synthetic benchmark suite, plus the
    scaling/overhead claims of the text and the ablations of DESIGN.md.
 
-   Sections (run all but daemon by default, or select: table1 table2
-   figure6 scaling lattice ablation solver extensions micro daemon):
+   Sections (run all by default, or select: table1 table2 figure6
+   scaling lattice ablation solver extensions micro):
 
      table1  — the benchmark suite (paper Table 1)
      table2  — compile/mono/poly times (avg of 5, like the paper) and
@@ -29,12 +29,6 @@
                simplification (Section 6's open problem)
      micro   — Bechamel micro-benchmarks of the solver and both inference
                modes
-     daemon  — typequald's persistent Session on the CI smoke corpus:
-               cold analysis, warm query and whatif p50 (<= 10 ms,
-               enforced), edit + re-query vs cold (the 10x target is
-               recorded, not enforced), each edit re-parsing only its
-               unit, and warm render == cold; writes BENCH_daemon.json.
-               Runs only when named (or under "all").
 
    Every section that runs records wall times, sizes and solver stats
    into BENCH_solver.json (machine-readable, tracked across PRs). *)
@@ -189,9 +183,6 @@ let paper_table2 =
    session; [compile] stops at the linked program, for the sections that
    drive [Analysis.run] directly. *)
 let compile src = Session.program (Session.create [ ("<input>", src) ])
-
-let run_source ?field_sharing ~mode src =
-  Session.run (Session.create ~mode ?field_sharing [ ("<input>", src) ])
 
 let timings n f =
   List.init n (fun _ ->
@@ -466,24 +457,24 @@ let ablation () =
      void f(struct buf *x, const char *s) { x->data = s; }\n\
      void g(struct buf *y) { *(y->data) = 'c'; }"
   in
-  let with_sharing = run_source ~mode:Analysis.Mono shared_conflict in
-  let without =
-    run_source ~mode:Analysis.Mono ~field_sharing:false shared_conflict
+  let mono ?field_sharing src =
+    let env, ifaces = Analysis.run ?field_sharing Analysis.Mono (compile src) in
+    Report.measure env ifaces
   in
+  let with_sharing = mono shared_conflict in
+  let without = mono ~field_sharing:false shared_conflict in
   Fmt.pr
     "    conflicting uses of one struct type: sharing detects %d error(s), \
      no-sharing misses it (%d errors)@."
-    with_sharing.Session.results.Report.type_errors
-    without.Session.results.Report.type_errors;
+    with_sharing.Report.type_errors without.Report.type_errors;
   let b = List.nth Cbench.Suite.table1 2 in
   let src = Cbench.Suite.source_of b in
-  let on = run_source ~mode:Analysis.Mono src in
-  let off = run_source ~mode:Analysis.Mono ~field_sharing:false src in
+  let on = mono src in
+  let off = mono ~field_sharing:false src in
   Fmt.pr
     "    %s possible consts: sharing=%d, no-sharing=%d (no-sharing is \
      unsound, not more precise)@."
-    b.b_name on.Session.results.Report.possible
-    off.Session.results.Report.possible;
+    b.b_name on.Report.possible off.Report.possible;
 
   (* (c) worklist vs naive solver *)
   Fmt.pr "@.(c) solver: worklist propagation vs naive round-robin@.";
@@ -905,238 +896,6 @@ let extensions () =
      — both are asserted.)@."
 
 (* ------------------------------------------------------------------ *)
-(* Daemon: the persistent Session that typequald serves                *)
-(* ------------------------------------------------------------------ *)
-
-(* nearest-rank p50 / p90 / p99 *)
-let percentiles samples =
-  let a = Array.of_list samples in
-  Array.sort compare a;
-  let n = Array.length a in
-  let at p =
-    if n = 0 then nan
-    else a.(min (n - 1) (int_of_float (ceil (p /. 100. *. float n)) - 1))
-  in
-  (at 50., at 90., at 99.)
-
-let daemon_bench () =
-  Fmt.pr "@.=== Daemon: warm Session queries vs cold re-analysis ===@.";
-  let b = List.hd Cbench.Suite.scale_smoke in
-  let files =
-    Cbench.Gen.generate_project ~seed:b.Cbench.Suite.b_seed
-      ~target_lines:b.Cbench.Suite.b_lines ()
-  in
-  let lines = Cbench.Gen.project_lines files in
-  Fmt.pr "corpus %s: %d files, %d lines@.@." b.Cbench.Suite.b_name
-    (List.length files) lines;
-  let ok, check = checker () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-
-  (* ---- cold: fresh session, full analysis (the daemon's startup) ---- *)
-  let cold_runs = 3 in
-  let cold_samples =
-    List.init cold_runs (fun _ ->
-        let t = Session.create files in
-        snd (time (fun () -> Session.run t)))
-  in
-  let cold_p50, cold_p90, cold_p99 = percentiles cold_samples in
-  Fmt.pr "cold analysis (%d runs): p50 %.3fs, p90 %.3fs, p99 %.3fs@."
-    cold_runs cold_p50 cold_p90 cold_p99;
-
-  (* ---- warm queries against a live session ---- *)
-  let t = Session.create files in
-  ignore (Session.run t);
-  let keys =
-    match Session.positions t with
-    | [] -> failwith "daemon bench: no positions"
-    | ps -> Array.of_list (List.map (fun (k, _, _) -> k) ps)
-  in
-  let nq = 200 in
-  let query_samples =
-    List.init nq (fun i ->
-        let k = keys.(i mod Array.length keys) in
-        let r, dt = time (fun () -> Session.classify t k) in
-        if r = None then failwith ("daemon bench: unknown key " ^ k);
-        dt)
-  in
-  let q_p50, q_p90, q_p99 = percentiles query_samples in
-  Fmt.pr "warm query (%d samples): p50 %.3fms, p90 %.3fms, p99 %.3fms@." nq
-    (q_p50 *. 1e3) (q_p90 *. 1e3) (q_p99 *. 1e3);
-
-  (* ---- warm what-if queries against the same live session ---- *)
-  (* the first whatif builds the store's what-if index; warm means after
-     it, like the classify samples above *)
-  let whatif k =
-    match Session.whatif t ~qual:"const" k with
-    | Ok w -> w
-    | Error m -> failwith ("daemon bench: whatif " ^ k ^ ": " ^ m)
-  in
-  ignore (whatif keys.(0));
-  let whatif_samples =
-    List.init nq (fun i ->
-        let k = keys.(i * 7919 mod Array.length keys) in
-        snd (time (fun () -> whatif k)))
-  in
-  let w_p50, w_p90, w_p99 = percentiles whatif_samples in
-  Fmt.pr "warm whatif (%d samples): p50 %.3fms, p90 %.3fms, p99 %.3fms@." nq
-    (w_p50 *. 1e3) (w_p90 *. 1e3) (w_p99 *. 1e3);
-
-  (* ---- single-unit edit + re-query ---- *)
-  (* alternate appending and restoring one unit's source so every step
-     is a real digest change; each sample is the daemon's full
-     edit-to-answer path: update, re-run, classify. The edit moves no
-     definition, so the warm rerun keeps every task: what remains is the
-     re-parse of the unit, the graph, the store's decremental solve and
-     the report *)
-  let edit_name, edit_src =
-    match List.rev files with (n, s) :: _ -> (n, s) | [] -> assert false
-  in
-  let n_edits = 10 in
-  let st0 = Session.stats t in
-  let rerun = ref 0 and full = ref 0 in
-  (* what the edits rebuilt outside the solver, summed *)
-  let built = ref 0 and rescanned = ref 0 and remeasured = ref 0 in
-  let cond_reused = ref 0 and patched = ref 0 in
-  (* how the store dropped the dead atoms, summed *)
-  let decremental = ref 0 and deleted = ref 0 and reset = ref 0 in
-  let edit_samples =
-    List.init n_edits (fun i ->
-        let src = if i mod 2 = 0 then edit_src ^ "\n" else edit_src in
-        let dt =
-          snd
-            (time (fun () ->
-                 (match Session.update_unit t edit_name src with
-                 | `Updated -> ()
-                 | `Added | `Unchanged ->
-                     failwith "daemon bench: edit did not dirty the unit");
-                 ignore (Session.run t);
-                 ignore (Session.classify t keys.(0))))
-        in
-        (match (Session.stats t).Session.ss_last_rebuild with
-        | Some rb ->
-            rerun := !rerun + rb.Session.rb_tasks_rerun;
-            if rb.Session.rb_full then incr full;
-            built := !built + rb.Session.rb_units_built;
-            rescanned := !rescanned + rb.Session.rb_defs_rescanned;
-            remeasured := !remeasured + rb.Session.rb_rows_remeasured;
-            if rb.Session.rb_condensation_reused then incr cond_reused;
-            if rb.Session.rb_index_patched then incr patched;
-            if rb.Session.rb_solve = "decremental" then incr decremental;
-            deleted := !deleted + rb.Session.rb_atoms_deleted;
-            reset := !reset + rb.Session.rb_vars_reset
-        | None -> ());
-        dt)
-  in
-  let e_p50, e_p90, e_p99 = percentiles edit_samples in
-  let speedup = cold_p50 /. e_p50 in
-  Fmt.pr
-    "edit + re-query (%d samples): p50 %.3fs, p90 %.3fs, p99 %.3fs \
-     (%.1fx vs cold p50)@."
-    n_edits e_p50 e_p90 e_p99 speedup;
-  let st = Session.stats t in
-  let edit_hits = st.Session.ss_memo_hits - st0.Session.ss_memo_hits
-  and edit_misses = st.Session.ss_memo_misses - st0.Session.ss_memo_misses in
-  Fmt.pr "AST memo over the edits: %d hits, %d misses@." edit_hits
-    edit_misses;
-  Fmt.pr "warm reruns: %d tasks re-inferred, %d full runs@." !rerun !full;
-  Fmt.pr
-    "rebuilt over the edits: %d units built, %d definitions rescanned, %d \
-     condensations reused, %d functions' rows re-measured, %d index \
-     patches@."
-    !built !rescanned !cond_reused !remeasured !patched;
-  Fmt.pr
-    "store over the edits: %d decremental solves, %d atoms deleted, %d \
-     variables re-derived@."
-    !decremental !deleted !reset;
-
-  (* the warm session after all those edits must still render exactly
-     what a cold analysis of the same sources renders *)
-  let warm_render = Session.render ~positions:true ~name:"daemon" t in
-  let cold_render =
-    Session.render ~positions:true ~name:"daemon" (Session.create files)
-  in
-
-  check "warm query p50 <= 10 ms" (q_p50 <= 0.010)
-    (Printf.sprintf " measured %.3fms" (q_p50 *. 1e3));
-  check "warm whatif p50 <= 10 ms" (w_p50 <= 0.010)
-    (Printf.sprintf " measured %.3fms" (w_p50 *. 1e3));
-  check "warm render byte-identical to cold" (warm_render = cold_render) "";
-  check "each edit re-parses only the dirty unit"
-    ((edit_hits, edit_misses)
-    = (n_edits * (List.length files - 1), n_edits))
-    (Printf.sprintf " (%d hits / %d misses over %d edits)" edit_hits
-       edit_misses n_edits);
-  check "every edit stays warm" (!full = 0)
-    (Printf.sprintf " (%d full runs, %d tasks re-inferred)" !full !rerun);
-  check "every edit deletes in place, not by rebuild" (!decremental = n_edits)
-    (Printf.sprintf " (%d of %d decremental)" !decremental n_edits);
-  (* Recorded, not enforced: the 10x edit-to-answer target. A warm edit
-     re-infers only its cone and re-derives only what its dead atoms
-     supported, but still re-parses its unit, re-merges the program
-     tables and re-reads the report; the re-parse is the largest stage
-     (ROADMAP "Make an edit cost what the edit touches"). *)
-  let meets_10x = speedup >= 10. in
-  Fmt.pr "  [%s] edit + re-query >= 10x faster than cold measured %.1fx%s@."
-    (if meets_10x then "ok" else "target unmet")
-    speedup
-    (if meets_10x then ""
-     else " (re-parse, merge and report floor; recorded honestly, not enforced)");
-  Fmt.pr "%s@."
-    (if !ok then "ALL DAEMON CHECKS PASSED" else "DAEMON CHECKS FAILED");
-
-  (* ---- BENCH_daemon.json ---- *)
-  let jp3 (p50, p90, p99) =
-    [ ("p50_s", jf p50); ("p90_s", jf p90); ("p99_s", jf p99) ]
-  in
-  let jms samples (p50, p90, p99) =
-    Jobj
-      [
-        ("samples", ji samples);
-        ("p50_ms", jf (p50 *. 1e3));
-        ("p90_ms", jf (p90 *. 1e3));
-        ("p99_ms", jf (p99 *. 1e3));
-      ]
-  in
-  write_bench "BENCH_daemon.json"
-    [
-      ("env", jenv ());
-      ("corpus", Jstr b.Cbench.Suite.b_name);
-      ("files", ji (List.length files));
-      ("lines", ji lines);
-      ("mode", Jstr "poly");
-      ("cold", Jobj (("runs", ji cold_runs) :: jp3 (cold_p50, cold_p90, cold_p99)));
-      ("warm_query", jms nq (q_p50, q_p90, q_p99));
-      ("warm_whatif", jms nq (w_p50, w_p90, w_p99));
-      ( "edit_requery",
-        Jobj
-          (("samples", ji n_edits)
-          :: jp3 (e_p50, e_p90, e_p99)
-          @ [
-              ("speedup_vs_cold_p50", jf speedup);
-              ("meets_10x_target", jb meets_10x);
-              ("memo_hits", ji edit_hits);
-              ("memo_misses", ji edit_misses);
-              ("tasks_rerun", ji !rerun);
-              ("full_runs", ji !full);
-              ("units_built", ji !built);
-              ("defs_rescanned", ji !rescanned);
-              ("condensation_reused", ji !cond_reused);
-              ("rows_remeasured", ji !remeasured);
-              ("index_patched", ji !patched);
-              ("decremental_solves", ji !decremental);
-              ("atoms_deleted", ji !deleted);
-              ("vars_reset", ji !reset);
-            ]) );
-      ("warm_render_identical_to_cold", jb (warm_render = cold_render));
-      ("all_checks_passed", jb !ok);
-    ];
-  if not !ok then exit 1
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1154,7 +913,5 @@ let () =
   if want "ablation" || want "micro" || want "solver" then solver_ablation ();
   if want "extensions" then extensions ();
   if want "micro" then micro ();
-  (* daemon only when asked for by name *)
-  if List.mem "daemon" args || List.mem "all" args then daemon_bench ();
   write_json ();
   if !failed then exit 1

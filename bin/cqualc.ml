@@ -15,12 +15,6 @@
 
 open Cqual
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --budget spec: "vars=N,pops=N,ms=N" (any subset) or a bare integer,
    which bounds worklist pops. A fresh Budget.t is built per analysis run
    (trips latch, so a budget cannot be shared between the mono and poly
@@ -118,37 +112,18 @@ let run_flow name src insensitive =
         1
       end
 
-(* --lattice FILE: build the analysis rules from a user-defined lattice
-   config (CQual-style; see the README for the format). The measured
-   qualifier defaults to the first one declared; --qual overrides. *)
-let rules_of_lattice_file path qual_override =
-  let src = read_file path in
-  match Typequal.Qualifier.Config.parse src with
-  | Error m ->
-      Fmt.epr "%s: %s@." path m;
-      exit 2
-  | Ok quals -> (
-      let sp =
-        try Typequal.Lattice.Space.create quals
-        with Typequal.Lattice.Space_error e ->
-          Fmt.epr "%s: %a@." path Typequal.Lattice.pp_space_error e;
-          exit 2
-      in
-      let qual =
-        match qual_override with
-        | Some q -> q
-        | None -> Typequal.Qualifier.name (List.hd quals)
-      in
-      try Analysis.lattice_rules sp ~qual
-      with Invalid_argument m ->
-        Fmt.epr "%s@." m;
-        exit 2)
-
 let main files bench mode positions taint flow insensitive stats budget _jobs
     max_errors no_compact lattice qual dump_lattice cache_dir =
   let rules =
     match lattice with
-    | Some path -> rules_of_lattice_file path qual
+    | Some path -> (
+        (* --lattice FILE: the measured qualifier defaults to the first
+           one declared; --qual overrides *)
+        match Analysis.lattice_rules_of_file ?qual path with
+        | Ok rules -> rules
+        | Error m ->
+            Fmt.epr "%s@." m;
+            exit 2)
     | None -> if taint then Analysis.taint_rules else Analysis.const_rules
   in
   if dump_lattice then begin
@@ -157,39 +132,29 @@ let main files bench mode positions taint flow insensitive stats budget _jobs
   end;
   let name, units =
     match (files, bench) with
-    | [ f ], _ -> (f, [ (f, read_file f) ])
-    | _ :: _ :: _, _ ->
-        (* multiple translation units: whole-program analysis, linked in
-           command-line order *)
-        (String.concat "+" files, List.map (fun f -> (f, read_file f)) files)
+    | _ :: _, _ ->
+        (* each file is a translation unit: whole-program analysis,
+           linked in command-line order *)
+        ( String.concat "+" files,
+          List.map
+            (fun f -> (f, In_channel.with_open_bin f In_channel.input_all))
+            files )
     | [], Some b -> (
-        match List.assoc_opt b Cbench.Programs.all with
-        | Some src -> (b, [ (b, src) ])
-        | None when b = "miniproject" -> (b, Cbench.Programs.miniproject)
-        | None -> (
-            let find l =
-              List.find_opt (fun (x : Cbench.Suite.bench) -> x.b_name = b) l
-            in
-            match find Cbench.Suite.table1 with
-            | Some bb -> (b, [ (b, Cbench.Suite.source_of bb) ])
-            | None -> (
-                match
-                  find (Cbench.Suite.scale @ Cbench.Suite.scale_smoke)
-                with
-                | Some bb -> (b, Cbench.Suite.project_of bb)
-                | None ->
-                    Fmt.epr
-                      "unknown benchmark %s; embedded: %a, miniproject; \
-                       synthetic: %a@."
-                      b
-                      Fmt.(list ~sep:comma string)
-                      (List.map fst Cbench.Programs.all)
-                      Fmt.(list ~sep:comma string)
-                      (List.map
-                         (fun (x : Cbench.Suite.bench) -> x.b_name)
-                         (Cbench.Suite.table1 @ Cbench.Suite.scale
-                        @ Cbench.Suite.scale_smoke));
-                    exit 2)))
+        match Cbench.Suite.units_of_name b with
+        | Some units -> (b, units)
+        | None ->
+            Fmt.epr
+              "unknown benchmark %s; embedded: %a, miniproject; synthetic: \
+               %a@."
+              b
+              Fmt.(list ~sep:comma string)
+              (List.map fst Cbench.Programs.all)
+              Fmt.(list ~sep:comma string)
+              (List.map
+                 (fun (x : Cbench.Suite.bench) -> x.b_name)
+                 (Cbench.Suite.table1 @ Cbench.Suite.scale
+                @ Cbench.Suite.scale_smoke));
+            exit 2)
     | [], None ->
         Fmt.epr "need a FILE or --bench NAME@.";
         exit 2
@@ -216,7 +181,7 @@ let main files bench mode positions taint flow insensitive stats budget _jobs
               [
                 (match lattice with
                 | Some path ->
-                    "lattice=" ^ Digest.to_hex (Digest.string (read_file path))
+                    "lattice=" ^ Digest.to_hex (Digest.file path)
                 | None -> if taint then "taint" else "const");
                 (match qual with Some q -> q | None -> "-");
               ]
@@ -407,9 +372,11 @@ let cache_dir =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist each run's report under $(docv), keyed by the options \
-           and every file's name and content, and reuse an entry whose full \
-           verification chain — format, version, lattice, content hash, \
+          "Persist each run's report under $(docv), one entry per option \
+           set and file list (an edited file's run replaces it), keyed by \
+           the options and every file's name and content, and reuse an \
+           entry whose full verification chain — format, version, \
+           lattice, content hash, \
            payload checksum — still holds. Anything else is recomputed \
            cold, so reports are \
            byte-identical with or without a cache. Safe under concurrent \

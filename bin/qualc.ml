@@ -11,12 +11,6 @@
 
 open Qlambda
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 type spacekind = SConst | SNonzero | SBindingTime | SCn | SFig2 | STaint
 
 let space_of = function
@@ -27,25 +21,19 @@ let space_of = function
   | SFig2 -> (Rules.fig2_space, Rules.fig2_hooks)
   | STaint -> (Rules.taint_space, Rules.taint_hooks)
 
-(* --lattice FILE: a user-defined qualifier space. Only the framework
-   rules apply (annotations/assertions resolving qualifier and level names
-   against the space); predefined spaces keep their per-qualifier hooks. *)
-let space_of_lattice_file path =
-  let src = read_file path in
-  match Typequal.Qualifier.Config.parse src with
-  | Error m ->
-      Fmt.epr "%s: %s@." path m;
-      exit 2
-  | Ok quals -> (
-      try Typequal.Lattice.Space.create quals
-      with Typequal.Lattice.Space_error e ->
-        Fmt.epr "%s: %a@." path Typequal.Lattice.pp_space_error e;
-        exit 2)
-
 let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
   let space, hooks =
     match lattice with
-    | Some path -> (space_of_lattice_file path, Infer.no_hooks)
+    | Some path -> (
+        (* --lattice FILE: a user-defined qualifier space. Only the
+           framework rules apply (annotations/assertions resolving
+           qualifier and level names against the space); predefined
+           spaces keep their per-qualifier hooks. *)
+        match Typequal.Lattice.Space.of_config_file path with
+        | Ok (space, _) -> (space, Infer.no_hooks)
+        | Error m ->
+            Fmt.epr "%s@." m;
+            exit 2)
     | None -> space_of spacekind
   in
   if dump_lattice then begin
@@ -55,7 +43,7 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
   let src =
     match (expr, file) with
     | Some e, _ -> e
-    | None, Some f -> read_file f
+    | None, Some f -> In_channel.with_open_bin f In_channel.input_all
     | None, None ->
         Fmt.epr "need -e EXPR or FILE@.";
         exit 2

@@ -25,12 +25,6 @@
 open Cqual
 module U = Unix
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -447,48 +441,25 @@ let run_client path =
 let rules_of ~taint ~lattice ~qual =
   match lattice with
   | Some path -> (
-      let src = read_file path in
-      match Typequal.Qualifier.Config.parse src with
+      match Analysis.lattice_rules_of_file ?qual path with
+      | Ok rules -> rules
       | Error m ->
-          Fmt.epr "%s: %s@." path m;
-          exit 2
-      | Ok quals -> (
-          let sp =
-            try Typequal.Lattice.Space.create quals
-            with Typequal.Lattice.Space_error e ->
-              Fmt.epr "%s: %a@." path Typequal.Lattice.pp_space_error e;
-              exit 2
-          in
-          let qual =
-            match qual with
-            | Some q -> q
-            | None -> Typequal.Qualifier.name (List.hd quals)
-          in
-          try Analysis.lattice_rules sp ~qual
-          with Invalid_argument m ->
-            Fmt.epr "%s@." m;
-            exit 2))
+          Fmt.epr "%s@." m;
+          exit 2)
   | None -> if taint then Analysis.taint_rules else Analysis.const_rules
 
 let load_units files bench =
   match (files, bench) with
-  | _ :: _, _ -> List.map (fun f -> (f, read_file f)) files
+  | _ :: _, _ ->
+      List.map
+        (fun f -> (f, In_channel.with_open_bin f In_channel.input_all))
+        files
   | [], Some b -> (
-      match List.assoc_opt b Cbench.Programs.all with
-      | Some src -> [ (b, src) ]
-      | None when b = "miniproject" -> Cbench.Programs.miniproject
-      | None -> (
-          let find l =
-            List.find_opt (fun (x : Cbench.Suite.bench) -> x.b_name = b) l
-          in
-          match find Cbench.Suite.table1 with
-          | Some bb -> [ (b, Cbench.Suite.source_of bb) ]
-          | None -> (
-              match find (Cbench.Suite.scale @ Cbench.Suite.scale_smoke) with
-              | Some bb -> Cbench.Suite.project_of bb
-              | None ->
-                  Fmt.epr "unknown benchmark %s@." b;
-                  exit 2)))
+      match Cbench.Suite.units_of_name b with
+      | Some units -> units
+      | None ->
+          Fmt.epr "unknown benchmark %s@." b;
+          exit 2)
   | [], None -> []
 
 let main files bench mode _jobs max_errors no_compact taint lattice qual

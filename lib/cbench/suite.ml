@@ -90,7 +90,8 @@ let scale =
   ]
 
 (** The reduced scale corpus (~100 kloc): what the CI scale-smoke,
-    perf-smoke and cache-smoke jobs and the daemon bench run. *)
+    perf-smoke and cache-smoke jobs and the session suite's warm daemon
+    case run. *)
 let scale_smoke =
   [
     {
@@ -103,3 +104,17 @@ let scale_smoke =
 
 let project_of (b : bench) : (string * string) list =
   Gen.generate_project ~seed:b.b_seed ~target_lines:b.b_lines ()
+
+(** The units [--bench NAME] analyzes: an embedded program
+    ({!Programs.all}, or the multi-file [miniproject]), a Table 1 row
+    (one generated file) or a scale corpus (a generated project). [None]
+    for an unknown name. *)
+let units_of_name name : (string * string) list option =
+  match List.assoc_opt name Programs.all with
+  | Some src -> Some [ (name, src) ]
+  | None when name = "miniproject" -> Some Programs.miniproject
+  | None -> (
+      let find l = List.find_opt (fun b -> b.b_name = name) l in
+      match find table1 with
+      | Some b -> Some [ (name, source_of b) ]
+      | None -> Option.map project_of (find (scale @ scale_smoke)))

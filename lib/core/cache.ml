@@ -107,7 +107,7 @@ let open_dir ?(warn = fun _ -> ()) ~ctx dir =
       warn ("cache disabled: cannot open " ^ dir);
       None
 
-let entry_path t ~key = Filename.concat t.dir (Digest.to_hex key ^ ".tqc")
+let entry_path t ~name = Filename.concat t.dir (Digest.to_hex name ^ ".tqc")
 
 let entry_files t =
   match Sys.readdir t.dir with
@@ -132,13 +132,13 @@ let rejected_u t ~path cause =
   Hashtbl.replace t.st.rejects name (n + 1);
   evict_u t path
 
-let reject_undecodable t ~key =
+let reject_undecodable t ~name =
   locked t (fun () ->
       (* the load already counted a hit for this entry; re-book it as a
          miss *)
       t.st.hits <- t.st.hits - 1;
       t.st.misses <- t.st.misses + 1;
-      rejected_u t ~path:(entry_path t ~key) Undecodable)
+      rejected_u t ~path:(entry_path t ~name) Undecodable)
 
 (* ------------------------------------------------------------------ *)
 (* Envelope encode/decode                                              *)
@@ -206,8 +206,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load t ~key =
-  let path = entry_path t ~key in
+let load t ~name ~key =
+  let path = entry_path t ~name in
   if not (Sys.file_exists path) then begin
     locked t (fun () -> t.st.misses <- t.st.misses + 1);
     None
@@ -349,11 +349,11 @@ let write_atomic t ~path blob =
       (try Sys.remove tmp with _ -> ());
       raise e
 
-let store t ~key payload =
+let store t ~name ~key payload =
   if not (locked t (fun () -> t.writes_ok)) then
     locked t (fun () -> t.st.write_skips <- t.st.write_skips + 1)
   else
-    let path = entry_path t ~key in
+    let path = entry_path t ~name in
     let blob = encode ~ctx:t.ctx ~key payload in
     let wrote =
       try

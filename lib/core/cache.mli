@@ -1,7 +1,8 @@
 (** Persistent analysis cache with a versioned, self-checking envelope.
 
-    Every entry is one file under the cache directory, wrapped in a binary
-    envelope that chains every assumption the payload depends on:
+    Every entry is one file under the cache directory, named by the
+    caller's [name] digest, wrapped in a binary envelope that chains every
+    assumption the payload depends on:
 
     {v
     offset size  field
@@ -17,9 +18,13 @@
     {!load} verifies the whole chain front to back and returns the payload
     only when every field matches what the caller expects {e now}; any
     mismatch — truncation, flipped byte, version skew, foreign lattice,
-    wrong key — rejects the entry, counts the cause, and
-    evicts the file. A rejected or missing entry is indistinguishable from
-    a cold cache: the caller recomputes. The cache never repairs an entry
+    wrong key — rejects the entry, counts the cause, and evicts the
+    file. A caller that names an entry by less than its key (the
+    whole-run record: by options and unit names, keyed by their
+    contents) keeps one file per name: a load under a changed key
+    rejects the old entry, and the store that follows takes its place.
+    A rejected or missing entry is indistinguishable from a cold cache:
+    the caller recomputes. The cache never repairs an entry
     and never raises; I/O failures disable the affected side (reads or
     writes) and are reported through [warn] once.
 
@@ -46,7 +51,8 @@ type reject =
   | Bad_magic
   | Bad_version
   | Context_mismatch  (** wrong qualifier-space fingerprint *)
-  | Key_mismatch  (** envelope was written for a different content hash *)
+  | Key_mismatch  (** envelope was written for a different content hash:
+                      a stale entry under the same name *)
   | Corrupt  (** payload bytes do not match their digest *)
   | Undecodable  (** envelope verified but the client could not decode *)
 
@@ -69,26 +75,28 @@ val open_dir : ?warn:(string -> unit) -> ctx:Digest.t -> string -> t option
     when the path cannot be used as a directory at all; the caller then
     runs cold. Never raises. *)
 
-val load : t -> key:Digest.t -> string option
-(** Look up the entry for [key]; verify magic, version, context,
-    key and the payload checksum. [Some payload] only if the whole chain holds.
+val load : t -> name:Digest.t -> key:Digest.t -> string option
+(** Look up the entry named [name]; verify magic, version, context,
+    [key] and the payload checksum. [Some payload] only if the whole chain holds.
     Rejections are counted by cause and the bad file evicted. Never
     raises. *)
 
-val store : t -> key:Digest.t -> string -> unit
-(** Write an entry via temp file + fsync + atomic rename, under the lock.
+val store : t -> name:Digest.t -> key:Digest.t -> string -> unit
+(** Write the entry named [name], stamped with [key], via temp file +
+    fsync + atomic rename, under the lock; it replaces any entry of that
+    name.
     Skips silently (counted in [write_skips]) on lock contention; a
     filesystem error warns once and disables further writes. Never
     raises. *)
 
-val reject_undecodable : t -> key:Digest.t -> unit
+val reject_undecodable : t -> name:Digest.t -> unit
 (** Record a client-side decode failure for an entry whose envelope
     verified (e.g. the payload unmarshals to an impossible value): counts
     an [Undecodable] reject and evicts the file. *)
 
-val entry_path : t -> key:Digest.t -> string
-(** the file the entry for [key] lives at, [<hex key>.tqc] (for tests
-    and tools) *)
+val entry_path : t -> name:Digest.t -> string
+(** the file the entry named [name] lives at, [<hex name>.tqc] (for
+    tests and tools) *)
 
 val entry_files : t -> string list
 (** every entry file currently in the directory (absolute paths, sorted);

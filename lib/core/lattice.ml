@@ -190,6 +190,16 @@ module Space = struct
               (Qualifier.Order.level_names o);
             Fmt.pf ppf "@.")
       sp.coords
+
+  let of_config_file path =
+    let src = In_channel.with_open_bin path In_channel.input_all in
+    match Qualifier.Config.parse src with
+    | Error m -> Error (path ^ ": " ^ m)
+    | Ok quals -> (
+        match create quals with
+        | sp -> Ok (sp, quals)
+        | exception Space_error e ->
+            Error (Fmt.str "%s: %a" path pp_space_error e))
 end
 
 (** Elements of the product lattice [L], relative to a {!Space.t}. *)

@@ -68,6 +68,13 @@ module Space : sig
   val pp_dump : t Fmt.t
   (** debugging dump: every coordinate with its levels, order and bit
       layout (the [--dump-lattice] output) *)
+
+  val of_config_file : string -> (t * Qualifier.t list, string) result
+  (** The [--lattice FILE] loader: read a CQual-style config
+      ({!Qualifier.Config.parse}) and build its space, with its
+      qualifiers in declaration order. [Error] is the message to print,
+      headed by the path. Raises [Sys_error] when the file cannot be
+      read. *)
 end
 
 (** Elements of the product lattice, relative to a {!Space.t}. *)

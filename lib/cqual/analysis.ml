@@ -182,6 +182,20 @@ let lattice_rules sp ~qual : qrules =
           quals);
   }
 
+(** The [--lattice FILE] rules: {!lattice_rules} over the file's space
+    ({!Typequal.Lattice.Space.of_config_file}), measuring [qual]
+    (default: the first qualifier the file declares). [Error] is the
+    message to print. Raises [Sys_error] when the file cannot be
+    read. *)
+let lattice_rules_of_file ?qual path : (qrules, string) result =
+  match Space.of_config_file path with
+  | Error m -> Error m
+  | Ok (sp, quals) -> (
+      let qual =
+        match qual with Some q -> q | None -> Q.name (List.hd quals)
+      in
+      try Ok (lattice_rules sp ~qual) with Invalid_argument m -> Error m)
+
 type fentry =
   | FMono of fsig  (** constraints link directly to these cells *)
   | FPoly of Solver.scheme * fsig  (** instantiated per occurrence *)
@@ -274,6 +288,9 @@ type env = {
           memoization (default on); [false] restores the uncompacted
           behaviour — reports are identical either way, only the
           constraint-system size differs *)
+  simplify : bool;
+      (** poly schemes are simplified ({!Solver.simplify_scheme}) before
+          compaction (default off); a {!rerun} keeps its base's setting *)
   shapes : Shape.table;  (** hash-consed r-type skeletons, per store *)
   imemo : (int * string * (int * int list) list, fsig) Hashtbl.t;
       (** instantiation memo: (scheme id, callee, per-argument
@@ -868,7 +885,7 @@ let analyze_body env (f : Cast.fundef) (iface : fsig) =
 (* ------------------------------------------------------------------ *)
 
 let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
-    ?budget mode (prog : Cprog.t) : env =
+    ?(simplify = false) ?budget mode (prog : Cprog.t) : env =
   let store = Solver.create rules.qr_space in
   Solver.set_budget store budget;
   {
@@ -886,6 +903,7 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     budget;
     par = None;
     compact;
+    simplify;
     shapes = Shape.create_table ();
     imemo = Hashtbl.create 64;
     memo_ok = Hashtbl.create 16;
@@ -1211,13 +1229,13 @@ let segment env kind (f : unit -> (string * fsig) list) : seg =
 type processor =
   env -> is_global:(Solver.var -> bool) -> Cast.fundef list -> (Cast.fundef * fsig) list
 
-let processor ~simplify mode : processor =
+let processor mode : processor =
  fun env ~is_global members ->
   match mode with
   | Mono ->
       mono_bodies env members;
       []
-  | Poly -> fst (poly_scc env ~is_global ~simplify members)
+  | Poly -> fst (poly_scc env ~is_global ~simplify:env.simplify members)
   | Polyrec -> fst (polyrec_scc env ~is_global members)
 
 (* The monomorphic environment of the store: everything created
@@ -1309,9 +1327,11 @@ let task_count env =
     order in one store. Every unit of work is recorded as a segment
     ({!layout}), which is what {!rerun} starts from. [jobs] is ignored:
     gatebench still passes it, and a later benchmark revision drops it. *)
-let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?jobs:_
-    mode (prog : Cprog.t) : env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
+let run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs:_ mode
+    (prog : Cprog.t) : env * (string * fsig) list =
+  let env =
+    make_env ?rules ?field_sharing ?compact ?simplify ?budget mode prog
+  in
   let globals =
     segment env Sglobals (fun () ->
         build_global_env env;
@@ -1330,7 +1350,7 @@ let run ?rules ?field_sharing ?(simplify = false) ?compact ?budget ?jobs:_
   in
   let tasks = task_list env fdg in
   let task_segs =
-    run_in_order env ~watermark ~process:(processor ~simplify mode) tasks
+    run_in_order env ~watermark ~process:(processor mode) tasks
   in
   let inits =
     segment env Sinits (fun () ->
@@ -1455,11 +1475,14 @@ type rerun_info = {
     segments' atoms and re-derives what they supported, leaving the
     store a fresh run in task order would build.
 
-    [Error reason] (nothing touched) when the rerun cannot be
-    incremental: [base] has no segments or ran under a budget, the
-    global environment changed ({!global_key}), or dead variables
-    outnumber live ones — the full run then bounds the arena. *)
-let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
+    [Error reason] when the rerun cannot be incremental: [base] has no
+    segments or ran under a budget, the global environment changed
+    ({!global_key}), or dead variables outnumber live ones — the full
+    run then bounds the arena. The last is decided only after the re-run
+    tasks have added their atoms to [base]'s store, so [base] is spent
+    on every outcome, [Error] included: the caller runs afresh, and
+    {!Session} never reuses a base. *)
+let rerun (base : env) (prog : Cprog.t) :
     (env * (string * fsig) list * rerun_info, string) result =
   match base.layout with
   | None -> Error "no segments to start from"
@@ -1563,7 +1586,7 @@ let rerun ?(simplify = false) (base : env) (prog : Cprog.t) :
                     segment env Siface (fun () -> mono_interface env f))
               (linked_functions prog)
       in
-      let process = processor ~simplify env.mode in
+      let process = processor env.mode in
       let is_global = is_mono_var env ~watermark:ly.ly_watermark in
       let rerun_n = ref 0 and members_n = ref 0 in
       (* one task over FDG nodes [nodes]: kept when the old task had the

@@ -8,12 +8,13 @@
     (keyed by unit content digest), so after {!update_unit} only the
     edited unit is lexed and parsed again; and each analyzed mode's
     solved store with its segment table, so the next run of that mode
-    re-infers only the edit's cone ({!Analysis.rerun}) and rebuilds the
-    store from the live constraints — falling back to a full
-    {!Analysis.run} when globals, types or prototypes changed. Queries
-    ({!classify}, {!explain}, {!whatif}) are answered against the warm
-    solved store through stable [unit:line:col] position keys (see
-    {!Report.position_key}).
+    re-infers only the edit's cone ({!Analysis.rerun}) and deletes the
+    dead tasks' atoms from the store in place ({!Typequal.Solver.retract},
+    which rebuilds the store from the live atoms only as its fallback) —
+    falling back to a full {!Analysis.run} when globals, types or
+    prototypes changed. Queries ({!classify}, {!explain}, {!whatif}) are
+    answered against the warm solved store through stable
+    [unit:line:col] position keys (see {!Report.position_key}).
 
     The frontend is per-unit: each translation unit is lexed and parsed
     independently, then a deterministic link step merges the unit
@@ -88,7 +89,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
    any marshaled type in this file changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
-    (Fmt.str "%a|%s|payload-fmt-4" Typequal.Lattice.Space.pp_dump sp
+    (Fmt.str "%a|%s|payload-fmt-5" Typequal.Lattice.Space.pp_dump sp
        Sys.ocaml_version)
 
 (** Open a cache directory for runs under this rule set (default: const
@@ -114,16 +115,13 @@ let mode_name = function
 
 (* Everything that parameterizes inference besides the program text and
    the qualifier space (already in the envelope context). *)
-let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
-    ~max_errors : string =
+let opt_fingerprint ~opts_id ~mode ~compact ~max_errors : string =
   let ob = function Some b -> string_of_bool b | None -> "-" in
   Digest.string
     (String.concat "|"
        [
          opts_id;
          mode_name mode;
-         ob field_sharing;
-         ob simplify;
          ob compact;
          (match max_errors with Some n -> string_of_int n | None -> "-");
        ])
@@ -162,15 +160,15 @@ type cached_run = {
    rejects the entry (the envelope verified, so the payload was
    well-formed bytes that mean nothing to us — e.g. written by a
    differently-shaped build) *)
-let load_run (c : Cache.t) ~key : cached_run option =
-  match Cache.load c ~key with
+let load_run (c : Cache.t) ~name ~key : cached_run option =
+  match Cache.load c ~name ~key with
   | None -> None
   | Some payload -> (
       match (Marshal.from_string payload 0 : cached_run) with
       | v -> Some v
       | exception ((Out_of_memory | Sys.Break) as e) -> raise e
       | exception _ ->
-          Cache.reject_undecodable c ~key;
+          Cache.reject_undecodable c ~name;
           None)
 
 let run_of_cached (cr : cached_run) ~t_lookup : run =
@@ -485,13 +483,9 @@ type rebuild = {
    the next warm run and what was rebuilt. A function's AST lines are
    already unit-local, so its position anchor only needs its home
    unit. *)
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm
-    ~reparsed mode (co : compiled) =
+let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let full reason =
-    let env, ifaces =
-      Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget mode
-        co.co_prog
-    in
+    let env, ifaces = Analysis.run ?rules ?compact ?budget mode co.co_prog in
     let n = Analysis.task_count env in
     let m = Array.length (Option.get (Analysis.fdg env)).Fdg.names in
     ( env,
@@ -514,7 +508,7 @@ let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?warm
         | None -> full "no kept store"
         | Some _ when budget <> None -> full "budgeted analysis"
         | Some (base, rows) -> (
-            match Analysis.rerun ?simplify base co.co_prog with
+            match Analysis.rerun base co.co_prog with
             | Ok (env, ifaces, ri) -> (env, ifaces, Some rows, false, "incremental", ri)
             | Error reason -> full reason))
   in
@@ -636,8 +630,6 @@ type mode_state = {
 type t = {
   s_rules : Analysis.qrules;
   s_default_mode : Analysis.mode;
-  s_field_sharing : bool option;
-  s_simplify : bool option;
   s_compact : bool option;
   s_budget : (unit -> Typequal.Budget.t) option;
   s_max_errors : int option;
@@ -659,15 +651,13 @@ type t = {
   mutable s_last_rebuild : rebuild option;
 }
 
-let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
-    ?budget ?max_errors ?jobs:_ ?cache (units : (string * string) list) : t =
+let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
+    ?cache (units : (string * string) list) : t =
   (* [jobs] is ignored: gatebench still passes it, and a later benchmark
      revision drops it *)
   {
     s_rules = Option.value rules ~default:Analysis.const_rules;
     s_default_mode = mode;
-    s_field_sharing = field_sharing;
-    s_simplify = simplify;
     s_compact = compact;
     s_budget = budget;
     s_max_errors = max_errors;
@@ -759,8 +749,7 @@ let ensure_mode t mode : mode_state =
          again, whatever the outcome *)
       Hashtbl.remove t.s_bases key;
       let run, env, rows, rb =
-        analyze ~rules:t.s_rules ?field_sharing:t.s_field_sharing
-          ?simplify:t.s_simplify ?compact:t.s_compact
+        analyze ~rules:t.s_rules ?compact:t.s_compact
           ?budget:(Option.map (fun f -> f ()) t.s_budget)
           ?warm ~reparsed:t.s_reparsed mode co
       in
@@ -780,18 +769,26 @@ let ensure_mode t mode : mode_state =
 
 let mode_of t = function Some m -> m | None -> t.s_default_mode
 
-(* The whole-run disk tier: the run record keyed by the options and every
-   unit's content digest. Only {!run} reads it — queries need the live
-   store, which is never persisted. *)
+(* The whole-run disk tier: the run record named by the options and the
+   unit names in link order, and keyed by the options and every unit's
+   content digest. A run over edited files finds the stale record under
+   its name, rejects it on the key and writes its own in its place, so
+   the directory holds one record per option set and file list. Only
+   {!run} reads it — queries need the live store, which is never
+   persisted. *)
 let cached_run_or t mode compute : run =
   match t.s_cache with
   | None -> compute ()
   | Some cs -> (
       let t0 = Unix.gettimeofday () in
       let optfp =
-        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode
-          ~field_sharing:t.s_field_sharing ~simplify:t.s_simplify
-          ~compact:t.s_compact ~max_errors:t.s_max_errors
+        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~compact:t.s_compact
+          ~max_errors:t.s_max_errors
+      in
+      let name =
+        Digest.string
+          (optfp
+          ^ String.concat "\000" (List.map (fun u -> u.u_name) t.s_units))
       in
       let key =
         Digest.string
@@ -799,11 +796,12 @@ let cached_run_or t mode compute : run =
           ^ String.concat "" (List.map (fun u -> u.u_digest) t.s_units)
           )
       in
-      match load_run cs.cs_cache ~key with
+      match load_run cs.cs_cache ~name ~key with
       | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
       | None ->
           let r = compute () in
-          Cache.store cs.cs_cache ~key (Marshal.to_string (cached_of_run r) []);
+          Cache.store cs.cs_cache ~name ~key
+            (Marshal.to_string (cached_of_run r) []);
           r)
 
 (** Run one mode over the session's current units — warm: a repeat of
@@ -817,10 +815,10 @@ let run ?mode t : run =
   | Some ms -> ms.ms_run
   | None -> cached_run_or t mode (fun () -> (ensure_mode t mode).ms_run)
 
-let run_sources ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?max_errors ?cache files : run =
+let run_sources ?mode ?rules ?compact ?budget ?jobs ?max_errors ?cache files :
+    run =
   run
-    (create ?rules ?mode ?field_sharing ?simplify ?compact
+    (create ?rules ?mode ?compact
        ?budget:(Option.map (fun b () -> b) budget)
        ?jobs ?max_errors ?cache files)
 

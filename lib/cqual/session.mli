@@ -83,8 +83,6 @@ type t
 val create :
   ?rules:Analysis.qrules ->
   ?mode:Analysis.mode ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
   ?compact:bool ->
   ?budget:(unit -> Typequal.Budget.t) ->
   ?max_errors:int ->
@@ -133,8 +131,6 @@ val run : ?mode:Analysis.mode -> t -> run
 val run_sources :
   ?mode:Analysis.mode ->
   ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->

@@ -4,8 +4,8 @@
 
 open Cqual
 
-let run_source ?rules ?field_sharing ?budget ?jobs ?max_errors ~mode src =
-  Session.run_sources ?rules ~mode ?field_sharing ?budget ?jobs ?max_errors
+let run_source ?rules ?budget ?jobs ?max_errors ~mode src =
+  Session.run_sources ?rules ~mode ?budget ?jobs ?max_errors
     [ ("<input>", src) ]
 
 (* the linked program of one source, for suites that drive

@@ -36,6 +36,7 @@ let truncate_to path len = write_file path (String.sub (read_file path) 0 len)
 (* ---------------- envelope verification, cause by cause ---------------- *)
 
 let ctx = Digest.string "test-ctx"
+let entry = Digest.string "entry-a"
 let key = Digest.string "unit-a"
 let payload = String.init 300 (fun i -> Char.chr (i mod 251))
 
@@ -47,8 +48,8 @@ let open_exn ?warn ?(ctx = ctx) dir =
 (* store one entry, hand its file path back for corruption *)
 let populate dir =
   let t = open_exn dir in
-  Cache.store t ~key payload;
-  Cache.entry_path t ~key
+  Cache.store t ~name:entry ~key payload;
+  Cache.entry_path t ~name:entry
 
 let reject_count t cause =
   match Hashtbl.find_opt (Cache.stats t).Cache.rejects cause with
@@ -59,7 +60,7 @@ let reject_count t cause =
    the entry evicted, and nothing else counted as rejected *)
 let check_rejected name ?ctx cause dir =
   let t = open_exn ?ctx dir in
-  (match Cache.load t ~key with
+  (match Cache.load t ~name:entry ~key with
   | Some _ -> Alcotest.fail (name ^ ": corrupt entry was served")
   | None -> ());
   let st = Cache.stats t in
@@ -74,10 +75,10 @@ let check_rejected name ?ctx cause dir =
 let test_roundtrip () =
   let dir = fresh_dir () in
   let t = open_exn dir in
-  Cache.store t ~key payload;
+  Cache.store t ~name:entry ~key payload;
   Alcotest.(check (option string))
     "payload back" (Some payload)
-    (Cache.load t ~key);
+    (Cache.load t ~name:entry ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "one hit" 1 st.Cache.hits;
   Alcotest.(check bool) "bytes read" true (st.Cache.bytes_read > 0);
@@ -90,7 +91,7 @@ let test_missing_entry_is_a_miss () =
   let t = open_exn dir in
   Alcotest.(check (option string))
     "miss" None
-    (Cache.load t ~key);
+    (Cache.load t ~name:entry ~key);
   let st = Cache.stats t in
   Alcotest.(check int) "counted as miss" 1 st.Cache.misses;
   Alcotest.(check int) "not a reject" 0
@@ -144,7 +145,7 @@ let test_reject_undecodable () =
   let dir = fresh_dir () in
   let _ = populate dir in
   let t = open_exn dir in
-  Cache.reject_undecodable t ~key;
+  Cache.reject_undecodable t ~name:entry;
   Alcotest.(check int) "counted" 1 (reject_count t "undecodable");
   Alcotest.(check (list string)) "evicted" [] (Cache.entry_files t)
 
@@ -167,7 +168,7 @@ let test_lock_held_by_live_process () =
      under contention skips rather than waits *)
   write_file (Filename.concat dir ".lock") (string_of_int (Unix.getpid ()));
   Alcotest.(check bool) "lock refused" false (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~key payload;
+  Cache.store t ~name:entry ~key payload;
   let st = Cache.stats t in
   Alcotest.(check bool) "store skipped" true (st.Cache.write_skips >= 1);
   Alcotest.(check (list string)) "nothing written" [] (Cache.entry_files t);
@@ -180,7 +181,7 @@ let test_stale_lock_broken () =
   write_file (Filename.concat dir ".lock") "99999999";
   Alcotest.(check bool) "stale lock broken" true
     (Cache.with_lock t (fun () -> ()));
-  Cache.store t ~key payload;
+  Cache.store t ~name:entry ~key payload;
   Alcotest.(check int) "store went through" 1
     (List.length (Cache.entry_files t))
 
@@ -195,21 +196,23 @@ let test_concurrent_stats () =
   let present =
     List.init 8 (fun i -> Digest.string (Printf.sprintf "present-%d" i))
   in
-  List.iter (fun k -> Cache.store t ~key:k payload) present;
+  List.iter (fun k -> Cache.store t ~name:k ~key:k payload) present;
   let ndom = 4 in
   let worker d () =
     List.iter
       (fun k ->
-        match Cache.load t ~key:k with
+        match Cache.load t ~name:k ~key:k with
         | Some p -> assert (p = payload)
         | None -> failwith "present entry missed")
       present;
     for i = 0 to 7 do
       ignore
-        (Cache.load t ~key:(Digest.string (Printf.sprintf "absent-%d-%d" d i)))
+        (let k = Digest.string (Printf.sprintf "absent-%d-%d" d i) in
+         Cache.load t ~name:k ~key:k)
     done;
     for i = 0 to 3 do
-      Cache.store t ~key:(Digest.string (Printf.sprintf "new-%d-%d" d i)) payload
+      let k = Digest.string (Printf.sprintf "new-%d-%d" d i) in
+      Cache.store t ~name:k ~key:k payload
     done
   in
   let doms = List.init ndom (fun d -> Domain.spawn (worker d)) in
@@ -327,17 +330,27 @@ let test_rename_misses_run () = check_misses_run_entry ~rename:true ~edit:false
 let test_edit_misses_run () = check_misses_run_entry ~rename:false ~edit:true
 
 (* a cold cached run writes the whole-run entry and nothing else; a run
-   over an edited file writes one more *)
+   over an edited file finds that entry under its name, rejects it on its
+   key and writes its own in its place; the original files then miss *)
 let test_entry_count () =
+  let mode = Analysis.Poly in
   let dir = fresh_dir () in
-  let entries_after files =
+  let run_cached files =
     let cs = open_cache_exn dir in
-    ignore Session.(run (create ~mode:Analysis.Poly ~cache:cs files));
-    List.length (Cache.entry_files cs.Session.cs_cache)
+    (Session.(run (create ~mode ~cache:cs files)), cs)
   in
-  Alcotest.(check int) "cold run: 1 entry" 1 (entries_after (proj false false));
-  Alcotest.(check int) "edited rerun: 1 more" 2
-    (entries_after (proj false true))
+  let entries cs = List.length (Cache.entry_files cs.Session.cs_cache) in
+  let _, cs = run_cached (proj false false) in
+  Alcotest.(check int) "cold run: 1 entry" 1 (entries cs);
+  let _, cs = run_cached (proj false true) in
+  Alcotest.(check int) "edited rerun: still 1 entry" 1 (entries cs);
+  Alcotest.(check int) "the stale entry rejected on its key" 1
+    (reject_count cs.Session.cs_cache "key-mismatch");
+  let again, cs = run_cached (proj false false) in
+  Alcotest.(check (pair int int)) "the original files miss" (0, 1) (counts cs);
+  Alcotest.(check string) "report = uncached"
+    (Support.digest Session.(run (create ~mode (proj false false))))
+    (Support.digest again)
 
 (* ---------------- property: the 4-run identity ---------------- *)
 

@@ -1105,6 +1105,75 @@ let test_link_reparse_memo () =
       (Session.render ~positions:true ~name:"l" t)
   done
 
+(* ---------------- the warm daemon path on the smoke corpus ---------------- *)
+
+(* nearest-rank median wall time of [f 0] .. [f (n - 1)] *)
+let p50_of n f =
+  let a =
+    Array.init n (fun i ->
+        let t0 = Unix.gettimeofday () in
+        f i;
+        Unix.gettimeofday () -. t0)
+  in
+  Array.sort compare a;
+  a.(((n + 1) / 2) - 1)
+
+(* typequald's warm path on midi-project-sim (poly): classify and whatif
+   answer from the warm store within 10 ms at the median, and each of ten
+   one-unit edits (append a newline to the last unit, then restore it)
+   re-parses only that unit, stays warm, deletes its dead atoms in place,
+   and leaves a store that renders exactly as a cold session does.
+   gatebench's daemon-edit and daemon-query workloads time this path. *)
+let test_warm_daemon_path () =
+  let files = Cbench.Suite.project_of (List.hd Cbench.Suite.scale_smoke) in
+  let t = Session.create files in
+  ignore (Session.run t);
+  let keys =
+    Array.of_list (List.map (fun (k, _, _) -> k) (Session.positions t))
+  in
+  let nk = Array.length keys in
+  Alcotest.(check bool) "some positions" true (nk > 0);
+  let under_10ms what p50 =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s p50 <= 10 ms (measured %.3f ms)" what (p50 *. 1e3))
+      true (p50 <= 0.010)
+  in
+  under_10ms "classify"
+    (p50_of 200 (fun i ->
+         let k = keys.(i mod nk) in
+         if Session.classify t k = None then Alcotest.failf "unknown key %s" k));
+  let whatif k =
+    match Session.whatif t ~qual:"const" k with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "whatif %s: %s" k m
+  in
+  (* the first whatif builds the store's what-if index; the samples
+     come after it *)
+  whatif keys.(0);
+  under_10ms "whatif" (p50_of 200 (fun i -> whatif keys.(i * 7919 mod nk)));
+  let edit_name, edit_src = List.nth files (List.length files - 1) in
+  let n = List.length files in
+  for i = 1 to 10 do
+    let step = Printf.sprintf "edit %d" i in
+    let src = if i mod 2 = 1 then edit_src ^ "\n" else edit_src in
+    Alcotest.(check (pair int int))
+      (step ^ ": only the edited unit is parsed")
+      (n - 1, 1)
+      (memo_delta t (fun () ->
+           (match Session.update_unit t edit_name src with
+           | `Updated -> ()
+           | `Added | `Unchanged -> Alcotest.failf "%s left the unit clean" step);
+           ignore (Session.run t)));
+    let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+    Alcotest.(check bool) (step ^ ": stays warm") false rb.Session.rb_full;
+    Alcotest.(check string)
+      (step ^ ": deletes in place")
+      "decremental" rb.Session.rb_solve
+  done;
+  Alcotest.(check string) "warm render = cold render"
+    (Session.render ~positions:true ~name:"daemon" (Session.create files))
+    (Session.render ~positions:true ~name:"daemon" t)
+
 let tests =
   [
     Alcotest.test_case "replay: clean corpus, serial" `Quick
@@ -1153,4 +1222,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "a link re-parse comes from the memo" `Quick
       test_link_reparse_memo;
+    Alcotest.test_case "warm queries and one-unit edits on midi-project-sim"
+      `Slow test_warm_daemon_path;
   ]
