@@ -21,7 +21,7 @@ let space_of = function
   | SFig2 -> (Rules.fig2_space, Rules.fig2_hooks)
   | STaint -> (Rules.taint_space, Rules.taint_hooks)
 
-let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
+let main_exn expr file poly run_it spacekind stats no_compact lattice dump_lattice =
   let space, hooks =
     match lattice with
     | Some path -> (
@@ -67,6 +67,14 @@ let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
             Fmt.pr "value: %a@." (Eval.pp_outcome space) out
           end;
           exit 0)
+
+let main expr file poly run_it spacekind stats no_compact lattice dump_lattice =
+  (* a FILE or --lattice path that cannot be read is a one-line error and
+     exit 2, as in cqualc and typequald *)
+  try main_exn expr file poly run_it spacekind stats no_compact lattice dump_lattice
+  with Sys_error m ->
+    Fmt.epr "error: %s@." m;
+    exit 2
 
 open Cmdliner
 

@@ -273,16 +273,17 @@ let take_lines (c : client) buf n : string list =
   in
   go 0 []
 
-(* The major GC is paced by allocation. A warm rerun sends about 45 MiB
-   to the major heap on midi-project-sim (more than half of it from
-   re-lexing and re-parsing the edited unit), far less than a full
-   re-analysis, and at that pace the heap grew to near three times its
-   live data. So after every batch that ran a warm rerun the daemon
-   collects in full whenever the heap has doubled since the last full
-   collection left it, or when no full collection has measured it yet:
-   the heap stays within about twice its live data, for one collection
-   (about 0.2 s on that corpus) every two or three edits (EXPERIMENTS.md
-   "Sublinear warm rebuild"). *)
+(* The major GC is paced by allocation. A warm rerun on
+   midi-project-sim allocates about 27 MiB and sends about 11 MiB of it
+   to the major heap (the edited unit is spliced, so only its changed
+   declarations are lexed and parsed; re-parsing it whole sent about
+   20 MiB), far less than a full re-analysis. Left to its pacing, the
+   heap grew to near three times its live data. So after every batch
+   that ran a warm rerun the daemon collects in full whenever the heap
+   has doubled since the last full collection left it, or when no full
+   collection has measured it yet: the heap stays within about twice
+   its live data, for one collection (about 0.2 s on that corpus) every
+   few edits (EXPERIMENTS.md "Sublinear warm rebuild"). *)
 let heap_floor = ref 0
 
 let bound_heap () =

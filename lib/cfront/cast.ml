@@ -290,3 +290,65 @@ let equal_fundef_mod_locs (a : fundef) (b : fundef) =
   a == b
   || equal_signature a b && a.f_static = b.f_static
      && List.equal equal_stmt_mod_locs a.f_body b.f_body
+
+(* ------------------------------------------------------------------ *)
+(* Moving a declaration                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [List.map f l], or [l] itself when [f] returned every element as is *)
+let map_shared f l =
+  let l' = List.map f l in
+  if List.for_all2 ( == ) l l' then l else l'
+
+(** [g] as it parses [delta] lines further down the source: every line it
+    carries moves by [delta], and a (0, 0) location stays unknown.
+    Expressions and types carry no locations, and a statement with no
+    local declaration in it none either: those are shared with [g]. *)
+let shift_global delta g =
+  if delta = 0 then g
+  else
+    let ln l = if l > 0 then l + delta else l in
+    let loc ((l, c) as p) = if l > 0 then (l + delta, c) else p in
+    let decl d = { d with d_line = ln d.d_line } in
+    let rec stmt s =
+      (* [s] rebuilt by [k] around its one sub-statement [b], if that moved *)
+      let one b k =
+        let b' = stmt b in
+        if b' == b then s else k b'
+      in
+      match s with
+      | SDecl ds -> SDecl (List.map decl ds)
+      | SBlock ss ->
+          let ss' = map_shared stmt ss in
+          if ss' == ss then s else SBlock ss'
+      | SIf (e, a, None) -> one a (fun a' -> SIf (e, a', None))
+      | SIf (e, a, Some b) ->
+          let a' = stmt a and b' = stmt b in
+          if a' == a && b' == b then s else SIf (e, a', Some b')
+      | SFor (Some i, c, st, b) ->
+          let i' = stmt i and b' = stmt b in
+          if i' == i && b' == b then s else SFor (Some i', c, st, b')
+      | SFor (None, c, st, b) -> one b (fun b' -> SFor (None, c, st, b'))
+      | SWhile (e, b) -> one b (fun b' -> SWhile (e, b'))
+      | SDoWhile (b, e) -> one b (fun b' -> SDoWhile (b', e))
+      | SSwitch (e, b) -> one b (fun b' -> SSwitch (e, b'))
+      | SCase (e, b) -> one b (fun b' -> SCase (e, b'))
+      | SDefault b -> one b (fun b' -> SDefault b')
+      | SLabel (l, b) -> one b (fun b' -> SLabel (l, b'))
+      | SExpr _ | SReturn _ | SBreak | SContinue | SGoto _ | SNull -> s
+    in
+    match g with
+    | GVar d -> GVar (decl d)
+    | GFun f ->
+        GFun
+          {
+            f with
+            f_body = map_shared stmt f.f_body;
+            f_line = ln f.f_line;
+            f_name_loc = loc f.f_name_loc;
+            f_param_locs = List.map loc f.f_param_locs;
+          }
+    | GProto (n, t, l) -> GProto (n, t, ln l)
+    | GTypedef (n, t, l) -> GTypedef (n, t, ln l)
+    | GComp (tag, u, fs, l) -> GComp (tag, u, fs, ln l)
+    | GEnum (tag, cs, l) -> GEnum (tag, cs, ln l)

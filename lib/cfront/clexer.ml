@@ -5,12 +5,14 @@
    Preprocessor lines (`#...') are skipped — benchmark inputs are assumed
    to be post-expansion, as with the paper's use of a real C front end.
 
-   The lexer scans the source string by index. The current line and the
-   offset where it starts are two ints; every newline the scanner steps
-   over, inside a comment, string or character literal too, advances
-   them. Tokens and their spans go straight into a {!Tokbuf.t}, and names
-   are interned by their bytes, so a name's string is allocated once per
-   unit. Each lexeme is the longest prefix any token form matches, with
+   The lexer scans the source string by index, or one range of it that
+   starts a line. The current line and the offset where it starts are two
+   ints; every newline the scanner steps over, inside a comment, string
+   or character literal too, advances them. When asked, it is also
+   recorded with whether it lay outside any comment or literal (a clean
+   break, where the parser may cut the unit into reusable groups). Tokens and their spans
+   go straight into a {!Tokbuf.t}, and names are interned by their
+   bytes, so a name's string is allocated once per unit. Each lexeme is the longest prefix any token form matches, with
    ties going to the form listed first below (as in a lex grammar).
 
    Lexical errors are diagnostics, never exceptions: a bad character
@@ -52,10 +54,14 @@ let is_alnum c = is_alpha c || is_digit c
 
 type lx = {
   src : string;
-  len : int;
+  start : int;  (** first byte of the range lexed *)
+  len : int;  (** just past the last byte of the range lexed *)
   mutable pos : int;  (** next byte to scan *)
   mutable line : int;  (** line of [pos], 1-based *)
   mutable bol : int;  (** offset where [line] starts *)
+  line0 : int;  (** the line of [start] *)
+  mutable lines : int array;
+      (** as {!Tokbuf.t}'s [lines]; empty when lines are not recorded *)
   mutable toks : Ctoken.t array;
   mutable spans : int array;
   mutable n : int;
@@ -68,10 +74,23 @@ type lx = {
 
 let at lx i = if i < lx.len then String.unsafe_get lx.src i else '\000'
 
-(* [i] is the offset just past a newline *)
-let newline lx i =
+(* [i] is the offset just past a newline; [clean] is 1 when the newline
+   lies outside any comment or literal, else 0 *)
+let note_line lx i clean =
   lx.line <- lx.line + 1;
-  lx.bol <- i
+  lx.bol <- i;
+  if Array.length lx.lines > 0 then begin
+    let k = lx.line - lx.line0 in
+    if k = Array.length lx.lines then begin
+      let lines = Array.make (2 * k) 0 in
+      Array.blit lx.lines 0 lines 0 k;
+      lx.lines <- lines
+    end;
+    Array.unsafe_set lx.lines k ((i lsl 1) lor clean)
+  end
+
+(* a newline inside a comment or literal *)
+let newline lx i = note_line lx i 0
 
 (* The first index at or after [i] whose byte fails [p]. *)
 let rec skip_while p s len i =
@@ -85,7 +104,9 @@ let rec skip_while p s len i =
 let push lx t sl sc =
   if lx.n = Array.length lx.toks then begin
     let cap =
-      lx.n + ((lx.len - lx.pos) * lx.n / max lx.pos 1) + (lx.n / 8) + 16
+      lx.n
+      + ((lx.len - lx.pos) * lx.n / max (lx.pos - lx.start) 1)
+      + (lx.n / 8) + 16
     in
     let toks = Array.make cap EOF and spans = Array.make (2 * cap) 0 in
     Array.blit lx.toks 0 toks 0 lx.n;
@@ -280,7 +301,7 @@ let rec skip_space lx i =
     match String.unsafe_get lx.src i with
     | ' ' | '\t' | '\r' -> skip_space lx (i + 1)
     | '\n' ->
-        newline lx (i + 1);
+        note_line lx (i + 1) 1;
         skip_space lx (i + 1)
     | _ -> lx.pos <- i
 
@@ -390,9 +411,21 @@ let step lx =
 
 (** Tokenize one unit's source into a flat {!Tokbuf.t}, with its lexical
     diagnostics in source order. At most [max_errors] diagnostics are
-    produced; the stream ends at the one that reaches the cap. *)
-let tokenize_buf ?(max_errors = 20) (src : string) : Tokbuf.t * Diag.t list =
-  let len = String.length src in
+    produced; the stream ends at the one that reaches the cap.
+
+    With [start], [stop] and [line], only the bytes from [start] to just
+    before [stop] are lexed, as if the source ended at [stop]; [start]
+    must be the first byte of a line, and [line] is its number. Positions
+    stay those of the whole source.
+
+    With [~lines:true] the buffer also records what a parse needs to
+    record its declaration boundaries for a later splice
+    ({!Cparse.reparse_unit}): where each line starts and whether the
+    break before it was clean ({!Tokbuf.t}'s [lines]), and how often each
+    name was lexed. Otherwise [lines] is empty and no use is counted. *)
+let tokenize_buf ?(max_errors = 20) ?(start = 0) ?stop ?(line = 1)
+    ?(lines = false) (src : string) : Tokbuf.t * Diag.t list =
+  let len = match stop with Some s -> s | None -> String.length src in
   (* C source has 0.30-0.38 tokens per byte (0.36 on average over the
      generated corpora); 9 per 16 bytes, 1.5 times the densest unit, sizes
      the buffer once for any realistic unit, and only a pathological one
@@ -400,16 +433,27 @@ let tokenize_buf ?(max_errors = 20) (src : string) : Tokbuf.t * Diag.t list =
      during the analysis that follows, and with it the peak RSS of a
      daemon's set-up and of a one-file batch run: EXPERIMENTS.md "One
      allocation-lean frontend" has the sizes measured. *)
-  let cap = (9 * len / 16) + 16 in
-  let itab = Tokbuf.create_interns 256 in
+  let cap = (9 * (len - start) / 16) + 16 in
+  let itab = Tokbuf.create_interns ~count:lines 256 in
   List.iter (fun (k, t) -> Tokbuf.add itab k t) keywords;
   let lx =
     {
       src;
+      start;
       len;
-      pos = 0;
-      line = 1;
-      bol = 0;
+      pos = start;
+      line;
+      bol = start;
+      line0 = line;
+      lines =
+        (if not lines then [||]
+         else
+           (* one entry per line: C source has 19-38 bytes per line on the
+              generated corpora, so a line per 16 bytes is rarely
+              outgrown *)
+           let a = Array.make (((len - start) / 16) + 16) 0 in
+           a.(0) <- (start lsl 1) lor 1;
+           a);
       toks = Array.make cap EOF;
       spans = Array.make (2 * cap) 0;
       n = 0;
@@ -423,5 +467,14 @@ let tokenize_buf ?(max_errors = 20) (src : string) : Tokbuf.t * Diag.t list =
   while not lx.stop do
     step lx
   done;
-  ( { Tokbuf.toks = lx.toks; spans = lx.spans; n = lx.n; interns = itab },
+  ( {
+      Tokbuf.src;
+      stop = len;
+      toks = lx.toks;
+      spans = lx.spans;
+      n = lx.n;
+      interns = itab;
+      line0 = line;
+      lines = lx.lines;
+    },
     List.rev lx.diags )

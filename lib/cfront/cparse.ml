@@ -1096,6 +1096,69 @@ type useed = {
 let empty_seed =
   { us_typedefs = []; us_enums = []; us_anon = 0; us_count_base = 0 }
 
+(** A digest of everything a parse reads besides its tokens (the parser
+    enters the seed's names into tables, so their order is irrelevant). *)
+let seed_digest (seed : useed) =
+  Digest.string
+    (Marshal.to_string
+       ( List.sort compare seed.us_typedefs,
+         List.sort compare seed.us_enums,
+         seed.us_anon,
+         seed.us_count_base )
+       [])
+
+(** What one group of declarations added to the parser environment. *)
+type regs = {
+  r_typedefs : string list;  (** in registration order *)
+  r_enums : (string * int) list;  (** in registration order *)
+  r_anon : int;  (** anonymous tags minted *)
+}
+
+let no_regs = { r_typedefs = []; r_enums = []; r_anon = 0 }
+
+(* The environment digest after a declaration that registered [regs] and
+   left the anonymous-tag counter at [anon]. It rolls [d] forward one
+   declaration at a time, so however declarations are grouped, equal
+   digests mean equal registration histories from equal seeds. *)
+let env_step d regs anon =
+  let b = Buffer.create 64 in
+  Buffer.add_string b d;
+  List.iter (fun n -> Printf.bprintf b "t%s\000" n) regs.r_typedefs;
+  List.iter (fun (n, v) -> Printf.bprintf b "e%s=%d\000" n v) regs.r_enums;
+  Printf.bprintf b "a%d" anon;
+  Digest.string (Buffer.contents b)
+
+(** A group that registered anything: its index, what it registered,
+    and the environment digest after it. *)
+type mark = { m_group : int; m_regs : regs; m_env : string }
+
+(** Where a clean parse's declarations lie, for a later splice
+    ({!reparse_unit}). The parse is cut into groups: runs of consecutive
+    top-level declarations, with the definitions hoisted out of them,
+    that cover whole lines. A group starts at the first byte of a line
+    and ends just past a line break the lexer crossed outside any
+    comment or literal, or where the parsed text ends; the groups tile
+    the parsed range. The environment digest before a group is the one
+    after the last marked group before it, or [b_env0]. *)
+type bounds = {
+  b_src : string;  (** the text parsed *)
+  b_stop : int;  (** where the parsed range ends *)
+  b_end_line : int;  (** the line [b_stop] is on *)
+  b_cut : bool;  (** [b_stop] is just past a clean line break *)
+  b_starts : int array;
+      (** per group, its line and the offset of its first byte, packed
+          as {!Tokbuf.pack} packs a line and a column (offsets, like
+          columns, stay below 2^32) *)
+  b_sizes : int array;
+      (** per group, its top-level declarations and the globals they
+          parsed to, packed likewise *)
+  b_marks : mark list;  (** the groups that registered anything, in order *)
+  b_env0 : string;  (** environment digest before the first group *)
+  b_prog : global list;  (** every group's globals, in order *)
+  b_names : string array;  (** the parse's [ur_idents] *)
+  b_uses : int array;  (** how often each of them was lexed *)
+}
+
 type uresult = {
   ur_pr : presult;
   ur_typedefs : string list;
@@ -1103,7 +1166,7 @@ type uresult = {
   ur_enums : (string * int) list;
       (** enum constants this unit registered, in registration order *)
   ur_anon : int;  (** anonymous struct/union/enum tags this unit created *)
-  ur_idents : string list;
+  ur_idents : string array;
       (** distinct identifiers lexed from the unit: the link step's
           evidence that a speculative (unseeded) parse could not have
           been influenced by earlier units' exports *)
@@ -1112,15 +1175,121 @@ type uresult = {
           would report "too many errors" if the budget ran out exactly at
           the boundary before this unit *)
   ur_capped : bool;  (** the unit itself emitted E0299 and gave up *)
+  ur_decls : int;  (** top-level declarations parsed, failed ones too *)
+  ur_bounds : bounds option;
+      (** the declaration boundaries; [None] unless the lexer recorded
+          its lines and the parse produced no diagnostic *)
 }
 
-(** Parse one translation unit over an already-lexed token buffer.
-    Seeded with {!empty_seed} this is a speculative, order-independent
-    parse; the link step re-invokes it with the real environment only
-    when the unit's identifiers overlap earlier exports, the unit mints
-    anonymous tags after earlier units did, or the diagnostic budget
-    spills across the unit boundary (see DESIGN.md "Per-unit frontend"). *)
-let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
+(* a group's [b_sizes] entry, unpacked *)
+let decls_of size = Tokbuf.pline size
+let nglobals_of size = Tokbuf.pcol size
+
+(* A growable int array: the per-declaration and per-group records are
+   kept unboxed, so a unit of tens of thousands of declarations adds a
+   few words per declaration while it is parsed. *)
+type ints = { mutable a : int array; mutable n : int }
+
+let ints () = { a = Array.make 64 0; n = 0 }
+
+let push b x =
+  if b.n = Array.length b.a then begin
+    let a = Array.make (2 * b.n) 0 in
+    Array.blit b.a 0 a 0 b.n;
+    b.a <- a
+  end;
+  Array.unsafe_set b.a b.n x;
+  b.n <- b.n + 1
+
+let contents b = Array.sub b.a 0 b.n
+
+(* The registrations in [l] newer than its suffix [old], oldest first *)
+let newer l old =
+  let rec go l acc =
+    if l == old then acc else match l with x :: r -> go r (x :: acc) | [] -> acc
+  in
+  go l []
+
+let merge_regs a b =
+  if a == no_regs then b
+  else
+    {
+      r_typedefs = a.r_typedefs @ b.r_typedefs;
+      r_enums = a.r_enums @ b.r_enums;
+      r_anon = a.r_anon + b.r_anon;
+    }
+
+(* Cut a clean parse's declarations into groups: after each declaration,
+   at the first clean line break before the next token; declarations
+   with no clean break between them share a group. Declaration [i] runs
+   from token [firsts.(i)] to token [lasts.(i)] and parsed to
+   [nglobals.(i)] globals; [marks] are the declarations that registered
+   anything, indexed by declaration, in order. *)
+let group_items (tb : Tokbuf.t) ~firsts ~lasts ~nglobals ~marks ~env0 ~prog
+    ~names ~uses : bounds =
+  let eof_line = Tokbuf.line tb (tb.Tokbuf.n - 1) in
+  let starts = ints () and sizes = ints () and gmarks = ref [] in
+  let marks = ref marks in
+  (* the group being gathered: where it starts, its declarations and
+     globals, and what they registered *)
+  let g_off = ref (Tokbuf.line_start tb tb.Tokbuf.line0)
+  and g_line = ref tb.Tokbuf.line0
+  and decls = ref 0
+  and globals = ref 0
+  and regs = ref no_regs
+  and env = ref env0 in
+  let close off line =
+    if off > !g_off || !decls > 0 then begin
+      if !regs != no_regs then
+        gmarks := { m_group = starts.n; m_regs = !regs; m_env = !env } :: !gmarks;
+      push starts (Tokbuf.pack !g_line !g_off);
+      push sizes (Tokbuf.pack !decls !globals)
+    end;
+    g_off := off;
+    g_line := line;
+    decls := 0;
+    globals := 0;
+    regs := no_regs
+  in
+  for i = 0 to firsts.n - 1 do
+    incr decls;
+    globals := !globals + nglobals.a.(i);
+    (match !marks with
+    | m :: rest when m.m_group = i ->
+        regs := merge_regs !regs m.m_regs;
+        env := m.m_env;
+        marks := rest
+    | _ -> ());
+    let next_line =
+      if i + 1 < firsts.n then Tokbuf.line tb firsts.a.(i + 1) else eof_line
+    in
+    let rec find l =
+      if l > next_line then ()
+      else if Tokbuf.clean_break tb l then close (Tokbuf.line_start tb l) l
+      else find (l + 1)
+    in
+    find (Tokbuf.pline tb.Tokbuf.spans.((2 * lasts.a.(i)) + 1) + 1)
+  done;
+  let stop = tb.Tokbuf.stop in
+  close stop eof_line;
+  {
+    b_src = tb.Tokbuf.src;
+    b_stop = stop;
+    b_end_line = eof_line;
+    b_cut = Tokbuf.line_start tb eof_line = stop && Tokbuf.clean_break tb eof_line;
+    b_starts = contents starts;
+    b_sizes = contents sizes;
+    b_marks = List.rev !gmarks;
+    b_env0 = env0;
+    b_prog = prog;
+    b_names = names;
+    b_uses = uses;
+  }
+
+(* [parse_unit] with the environment digest before the first declaration
+   given: a splice's region continues the digest where the text before
+   it left it *)
+let parse_tokens ~max_errors ~seed ~env0 (tb : Tokbuf.t)
     ~(lex_diags : Diag.t list) : uresult =
   let typedefs = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace typedefs n ()) seed.us_typedefs;
@@ -1151,9 +1320,14 @@ let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
      diagnostics, the earlier units' [us_count_base] and this unit's
      lexical ones included, has reached [max_errors], so a parse error
      never takes the total past it; the E0299 note quotes the caller's
-     budget *)
+     budget. While no diagnostic is in, and when the lexer recorded its
+     lines, each declaration is also recorded for the boundary table. *)
+  let record = Tokbuf.has_lines tb in
   let globals = ref [] in
   let capped = ref false in
+  let decls = ref 0 in
+  let firsts = ints () and lasts = ints () and nglobals = ints () in
+  let marks = ref [] and env = ref env0 in
   while peek st != EOF && not !capped do
     if seed.us_count_base + st.n_diags >= max_errors then begin
       capped := true;
@@ -1163,27 +1337,404 @@ let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
               "too many errors (%d); giving up on the rest of the file"
               max_errors))
     end
-    else
+    else begin
+      incr decls;
+      let first = st.pos
+      and td0 = st.new_typedefs
+      and en0 = st.new_enums
+      and anon0 = st.anon in
       let hoist = ref [] in
       match parse_global st hoist with
-      | gs -> globals := List.rev_append gs (List.rev_append !hoist !globals)
+      | gs ->
+          globals := List.rev_append gs (List.rev_append !hoist !globals);
+          if record && st.n_diags = 0 then begin
+            if not (st.new_typedefs == td0 && st.new_enums == en0 && st.anon = anon0)
+            then begin
+              let regs =
+                {
+                  r_typedefs = newer st.new_typedefs td0;
+                  r_enums = newer st.new_enums en0;
+                  r_anon = st.anon - anon0;
+                }
+              in
+              env := env_step !env regs st.anon;
+              marks := { m_group = firsts.n; m_regs = regs; m_env = !env } :: !marks
+            end;
+            push firsts first;
+            push lasts (st.pos - 1);
+            push nglobals (List.length !hoist + List.length gs)
+          end
       | exception Parse_error (m, sp) ->
           add_diag st (Diag.error ~code:"E0201" sp m);
           (* keep whatever was hoisted before the failure *)
           globals := List.rev_append !hoist !globals;
           sync st
+    end
   done;
+  let prog = List.rev !globals in
+  let idents, uses = Tokbuf.idents tb in
   {
     ur_pr =
       {
-        pr_prog = List.rev !globals;
+        pr_prog = prog;
         pr_diags = List.rev st.diags;
         pr_degraded = List.rev st.degraded;
       };
     ur_typedefs = List.rev st.new_typedefs;
     ur_enums = List.rev st.new_enums;
     ur_anon = st.anon - seed.us_anon;
-    ur_idents = Tokbuf.ident_names tb;
+    ur_idents = idents;
     ur_first_span = first_span;
     ur_capped = !capped;
+    ur_decls = !decls;
+    ur_bounds =
+      (if (not record) || st.n_diags > 0 || !capped then None
+       else
+         Some
+           (group_items tb ~firsts ~lasts ~nglobals ~marks:(List.rev !marks)
+              ~env0 ~prog ~names:idents ~uses));
   }
+
+(** Parse one translation unit over an already-lexed token buffer.
+    Seeded with {!empty_seed} this is a speculative, order-independent
+    parse; the link step re-invokes it with the real environment only
+    when the unit's identifiers overlap earlier exports, the unit mints
+    anonymous tags after earlier units did, or the diagnostic budget
+    spills across the unit boundary (see DESIGN.md "Per-unit frontend").
+    A parse with no diagnostic of a buffer lexed with its lines recorded
+    also records its declaration boundaries ([ur_bounds]) for
+    {!reparse_unit}. *)
+let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
+    ~(lex_diags : Diag.t list) : uresult =
+  let env0 = if Tokbuf.has_lines tb then seed_digest seed else "" in
+  parse_tokens ~max_errors ~seed ~env0 tb ~lex_diags
+
+(* Are [a.[ao .. ao+n-1]] and [b.[bo .. bo+n-1]] the same bytes? Eight at
+   a time, then one at a time. *)
+let same_bytes a ao b bo n =
+  let rec words i =
+    if i + 8 > n then bytes i
+    else String.get_int64_ne a (ao + i) = String.get_int64_ne b (bo + i)
+         && words (i + 8)
+  and bytes i =
+    i >= n
+    || String.unsafe_get a (ao + i) = String.unsafe_get b (bo + i)
+       && bytes (i + 1)
+  in
+  words 0
+
+(* The length of the longest common prefix of [a] and [b], at most [n] *)
+let common_prefix a b n =
+  let rec words i =
+    if i + 8 <= n && String.get_int64_ne a i = String.get_int64_ne b i then
+      words (i + 8)
+    else bytes i
+  and bytes i =
+    if i < n && String.unsafe_get a i = String.unsafe_get b i then bytes (i + 1)
+    else i
+  in
+  words 0
+
+(* The length of the longest common suffix of [a]'s first [al] bytes and
+   [b]'s first [bl], at most [n] *)
+let common_suffix a al b bl n =
+  let rec words i =
+    if i + 8 <= n
+       && String.get_int64_ne a (al - i - 8) = String.get_int64_ne b (bl - i - 8)
+    then words (i + 8)
+    else bytes i
+  and bytes i =
+    if i < n && String.unsafe_get a (al - i - 1) = String.unsafe_get b (bl - i - 1)
+    then bytes (i + 1)
+    else i
+  in
+  words 0
+
+(* The line breaks in [s.[i .. j-1]] *)
+let count_newlines s i j =
+  let rec go i acc =
+    if i >= j then acc
+    else go (i + 1) (if String.unsafe_get s i = '\n' then acc + 1 else acc)
+  in
+  go i 0
+
+exception Decline
+
+(** Parse [src], a new text of the unit [prev] was parsed from, by
+    splicing it against [prev] — the boundaries of that earlier clean
+    parse, under the same [seed]. A group of [prev] is reused when its
+    bytes are identical in [src] from the start of a line on, and the
+    environment digest before it is equal: as the same values where it
+    starts on the same line, else with its lines shifted
+    ({!Cast.shift_global}). It is looked for where the line shift of the
+    last group reused puts it, then where the shift of the whole text's
+    line count does, then one line either side of the first: so an edit
+    at one place, or two edits that each insert or delete a line, leave
+    only the groups they changed to parse. Everything else forms
+    regions, each lexed with [lex] (as {!Clexer.tokenize_buf} over a
+    range, recording its lines) and parsed by {!parse_unit}'s own loop,
+    seeded with the environment at its start. Returns the result, equal to a whole parse of [src] in
+    every field but the order of [ur_idents], with the number of
+    declarations parsed afresh. The uses of the names in dropped groups
+    are counted out of [prev]'s by lexing their old text again.
+
+    Returns [None] (parse it whole) when a region has a diagnostic or
+    does not end on a clean line break, when [src] has no token, and
+    before the splice would do more than half of a whole parse's work:
+    a byte of a region counts twice (lexed and parsed), a byte of a
+    dropped group once (lexed), against twice the length of [src]. *)
+let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
+    ~(lex : start:int -> stop:int -> line:int -> string -> Tokbuf.t * Diag.t list)
+    (prev : bounds) (src : string) : (uresult * int) option =
+  let len = String.length src in
+  let old = prev.b_src in
+  let m = Array.length prev.b_starts in
+  let off_of p = Tokbuf.pcol p and line_of p = Tokbuf.pline p in
+  let old_off k = off_of prev.b_starts.(k) and old_line k = line_of prev.b_starts.(k) in
+  let old_end k = if k + 1 < m then old_off (k + 1) else prev.b_stop in
+  let old_end_line k = if k + 1 < m then old_line (k + 1) else prev.b_end_line in
+  (* how many more lines [src] has than the old text: the line breaks
+     between their common prefix and their common suffix; needed only
+     once a group is not where the last shift puts it *)
+  let end_shift =
+    lazy
+      (let pre = common_prefix old src (min prev.b_stop len) in
+       let suf =
+         common_suffix old prev.b_stop src len (min prev.b_stop len - pre)
+       in
+       count_newlines src pre (len - suf)
+       - count_newlines old pre (prev.b_stop - suf))
+  in
+  (* the cursor: offset [no] where line [nl] of [src] starts, the first
+     text no group or region covers yet; and where lines [tbase],
+     [tbase + 1], ... of [src] start, as far as scanned. The table is
+     scanned on from its end and restarted where the cursor passes it,
+     so no byte is scanned twice *)
+  let no = ref 0 and nl = ref 1 in
+  let tab = ints () and tbase = ref 1 in
+  push tab 0;
+  let rec line_off l =
+    (* [len] past the last line *)
+    let i = l - !tbase in
+    if i < tab.n then tab.a.(i)
+    else
+      match String.index_from_opt src tab.a.(tab.n - 1) '\n' with
+      | Some j ->
+          push tab (j + 1);
+          line_off l
+      | None -> len
+  in
+  let move o l =
+    no := o;
+    nl := l;
+    if l - !tbase >= tab.n then begin
+      tab.n <- 0;
+      push tab o;
+      tbase := l
+    end
+  in
+  (* the work spent, in the units above; over [len] the splice declines *)
+  let spent = ref 0 in
+  let spend n =
+    spent := !spent + n;
+    if !spent > len then raise Decline
+  in
+  (* the new groups, marks (newest first) and globals (newest first),
+     and the declarations parsed afresh *)
+  let starts = ints () and sizes = ints () and marks = ref [] in
+  let prog = ref [] and fresh = ref 0 in
+  let uses = Hashtbl.create (2 * Array.length prev.b_names) in
+  let count sign names counts =
+    Array.iteri
+      (fun i n ->
+        Hashtbl.replace uses n
+          ((sign * counts.(i)) + Option.value (Hashtbl.find_opt uses n) ~default:0))
+      names
+  in
+  count 1 prev.b_names prev.b_uses;
+  (* old ranges whose names' uses leave the count, newest first *)
+  let dropped = ref [] in
+  let drop k =
+    spend (old_end k - old_off k);
+    match !dropped with
+    | (s, e, l) :: rest when e = old_off k -> dropped := (s, old_end k, l) :: rest
+    | ds -> dropped := (old_off k, old_end k, old_line k) :: ds
+  in
+  (* the environment so far: its digest and the registrations since the
+     seed, newest first *)
+  let env = ref (seed_digest seed) in
+  let tds = ref [] and ens = ref [] and anon = ref 0 in
+  let add_group start size regs =
+    if regs != no_regs then begin
+      marks := { m_group = starts.n; m_regs = regs; m_env = !env } :: !marks;
+      tds := List.rev_append regs.r_typedefs !tds;
+      ens := List.rev_append regs.r_enums !ens;
+      anon := !anon + regs.r_anon
+    end;
+    push starts start;
+    push sizes size
+  in
+  (* the line the new text ends on, and whether its last group ends just
+     past a clean break *)
+  let end_line = ref 1 and end_cut = ref true in
+  let region start line stop =
+    if stop > start then begin
+      spend (2 * (stop - start));
+      let tb, lex_diags = lex ~start ~stop ~line src in
+      if lex_diags <> [] then raise Decline;
+      let rseed =
+        {
+          us_typedefs = List.rev_append !tds seed.us_typedefs;
+          us_enums = seed.us_enums @ List.rev !ens;
+          us_anon = seed.us_anon + !anon;
+          us_count_base = seed.us_count_base;
+        }
+      in
+      let r = parse_tokens ~max_errors ~seed:rseed ~env0:!env tb ~lex_diags in
+      match r.ur_bounds with
+      | Some b when b.b_cut || stop = len ->
+          let bmarks = ref b.b_marks in
+          Array.iteri
+            (fun i start ->
+              let regs =
+                match !bmarks with
+                | mk :: rest when mk.m_group = i ->
+                    bmarks := rest;
+                    env := mk.m_env;
+                    mk.m_regs
+                | _ -> no_regs
+              in
+              add_group start b.b_sizes.(i) regs)
+            b.b_starts;
+          prog := List.rev_append b.b_prog !prog;
+          fresh := !fresh + r.ur_decls;
+          end_line := b.b_end_line;
+          end_cut := b.b_cut;
+          count 1 b.b_names b.b_uses
+      | _ -> raise Decline
+    end
+  in
+  (* the line shift of the last group reused; whether the environment
+     differs from the old one (it then differs before every later group
+     too); the old globals not yet passed, the old environment before
+     group [k] and the old marks not yet passed *)
+  let shift = ref 0 in
+  let diverged = ref false in
+  let old_prog = ref prev.b_prog in
+  let old_env = ref prev.b_env0 and old_marks = ref prev.b_marks in
+  (* does group [k]'s text start line [l] of [src]? (a group is never
+     empty, so none starts past the last line) *)
+  let at k l =
+    l >= !nl
+    &&
+    let off = old_off k and o = line_off l in
+    let size = old_end k - off in
+    o + size <= len
+    && (k < m - 1 || prev.b_cut || o + size = len)
+    && same_bytes old off src o size
+  in
+  match
+    for k = 0 to m - 1 do
+      let line = old_line k in
+      let size = old_end k - old_off k in
+      let found =
+        if !diverged then None
+        else if at k (line + !shift) then Some (line + !shift)
+        else
+          Option.map (( + ) line)
+            (List.find_opt
+               (fun d -> at k (line + d))
+               [ Lazy.force end_shift; !shift - 1; !shift + 1 ])
+      in
+      let env_before = !old_env in
+      let regs =
+        match !old_marks with
+        | mk :: rest when mk.m_group = k ->
+            old_marks := rest;
+            old_env := mk.m_env;
+            mk.m_regs
+        | _ -> no_regs
+      in
+      (* the text before the group is parsed first: the environment
+         before it is known then *)
+      let reused =
+        match found with
+        | None -> false
+        | Some l ->
+            region !no !nl (line_off l);
+            move (line_off l) l;
+            String.equal !env env_before || (diverged := true; false)
+      in
+      let delta = !nl - line in
+      for _ = 1 to nglobals_of prev.b_sizes.(k) do
+        match !old_prog with
+        | g :: rest ->
+            if reused then prog := Cast.shift_global delta g :: !prog;
+            old_prog := rest
+        | [] -> ()
+      done;
+      if reused then begin
+        (* equal environments before, equal declarations: equal after *)
+        env := !old_env;
+        add_group (Tokbuf.pack !nl !no) prev.b_sizes.(k) regs;
+        move (!no + size) (!nl + old_end_line k - line);
+        end_line := !nl;
+        shift := delta;
+        end_cut := k < m - 1 || prev.b_cut
+      end
+      else drop k
+    done;
+    region !no !nl len
+  with
+  | exception Decline -> None
+  | () -> (
+      let decls k = decls_of sizes.a.(k) in
+      let rec first k = if k >= sizes.n then -1 else if decls k > 0 then k else first (k + 1) in
+      match first 0 with
+      | -1 -> None
+      | k ->
+          (* the first token's span, from that group lexed alone *)
+          let stop = if k + 1 < starts.n then off_of starts.a.(k + 1) else len in
+          let tb, _ =
+            lex ~start:(off_of starts.a.(k)) ~stop ~line:(line_of starts.a.(k)) src
+          in
+          List.iter
+            (fun (start, stop, line) ->
+              let names, counts = Tokbuf.idents (fst (lex ~start ~stop ~line old)) in
+              count (-1) names counts)
+            !dropped;
+          let names =
+            Array.of_list (Hashtbl.fold (fun n u acc -> if u > 0 then n :: acc else acc) uses [])
+          in
+          let prog = List.rev !prog in
+          let total = ref 0 in
+          for k = 0 to sizes.n - 1 do
+            total := !total + decls k
+          done;
+          Some
+            ( {
+                ur_pr = { pr_prog = prog; pr_diags = []; pr_degraded = [] };
+                ur_typedefs = List.rev !tds;
+                ur_enums = List.rev !ens;
+                ur_anon = !anon;
+                ur_idents = names;
+                ur_first_span = Tokbuf.span tb 0;
+                ur_capped = false;
+                ur_decls = !total;
+                ur_bounds =
+                  Some
+                    {
+                      b_src = src;
+                      b_stop = len;
+                      b_end_line = !end_line;
+                      b_cut = !end_cut;
+                      b_starts = contents starts;
+                      b_sizes = contents sizes;
+                      b_marks = List.rev !marks;
+                      b_env0 = seed_digest seed;
+                      b_prog = prog;
+                      b_names = names;
+                      b_uses = Array.map (Hashtbl.find uses) names;
+                    };
+              },
+              !fresh ))

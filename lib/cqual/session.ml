@@ -234,6 +234,7 @@ type compiled = {
   co_frontend : frontend_stats;
   co_home : (string, string) Hashtbl.t;
   co_units_built : int;  (* per-unit tables built, not taken from the memo *)
+  co_decls_reparsed : int;  (* declarations lexed and parsed afresh *)
 }
 
 (* one parse of a unit with its built table *)
@@ -248,27 +249,20 @@ let parsed_of (res : Cfront.Cparse.uresult) =
 (* The persistent session's in-memory AST tier, with hit/miss counters
    for {!stats}. A speculative parse is keyed by the unit's digest, a
    link re-parse by the digest and a digest of the seed the link handed
-   it ({!seed_key}). Each compile keeps exactly the entries it read, so
-   a clean unit's parse, table and definitions are physically the same
-   values from one compile to the next. *)
+   it. Each compile keeps exactly the entries it read, so a clean unit's
+   parse, table and definitions are physically the same values from one
+   compile to the next. A miss is spliced against [fm_last]: per unit
+   name, and apart for link re-parses, the last parse with no
+   diagnostic, which holds its source and declaration boundaries
+   ({!Cfront.Cparse.reparse_unit}). A session that compiles once
+   ([fm_splice] false) records and keeps no such parse. *)
 type fe_memo = {
   fm_tbl : (string, parsed) Hashtbl.t;
+  fm_splice : bool;
+  fm_last : (string * bool, Cfront.Cparse.bounds) Hashtbl.t;
   mutable fm_hits : int;
   mutable fm_misses : int;
 }
-
-(* everything a link re-parse reads besides the unit's source (the
-   parser enters the seed's names into tables, so their order is
-   irrelevant) *)
-let seed_key digest (seed : Cfront.Cparse.useed) =
-  digest
-  ^ Digest.string
-      (Marshal.to_string
-         ( List.sort compare seed.Cfront.Cparse.us_typedefs,
-           List.sort compare seed.Cfront.Cparse.us_enums,
-           seed.Cfront.Cparse.us_anon,
-           seed.Cfront.Cparse.us_count_base )
-         [])
 
 (** The per-unit frontend: speculative lex+parse+build per translation
     unit, then a deterministic link that replays the cross-unit parser
@@ -305,23 +299,63 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
     cell := !cell +. dt;
     x
   in
-  let built = ref 0 in
+  let built = ref 0 and decls = ref 0 in
+  (* A parse of [u] afresh, [linked] for a link re-parse: spliced against
+     the unit's last clean parse when it has one, else (or when the
+     splice declines) lexed and parsed whole, recording the boundaries of
+     a clean parse when the session splices. The lexer's time inside a
+     splice counts as lexing, the rest of the splice as parsing. *)
+  let splice = fe_memo.fm_splice in
+  let fresh ~linked ?(seed = Cfront.Cparse.empty_seed) ~lex_max u =
+    incr built;
+    let lex ~start ~stop ~line src =
+      timed lex_s (fun () ->
+          Cfront.Clexer.tokenize_buf ~max_errors:lex_max ~start ~stop ~line
+            ~lines:true src)
+    in
+    let spliced =
+      match Hashtbl.find_opt fe_memo.fm_last (u.u_name, linked) with
+      | Some prev ->
+          let lex0 = !lex_s in
+          let r, dt =
+            time (fun () ->
+                Cfront.Cparse.reparse_unit ~max_errors:me ~seed ~lex prev
+                  u.u_src)
+          in
+          parse_s := !parse_s +. dt -. (!lex_s -. lex0);
+          r
+      | None -> None
+    in
+    let res =
+      match spliced with
+      | Some (res, k) ->
+          decls := !decls + k;
+          res
+      | None ->
+          let tb, lex_diags =
+            timed lex_s (fun () ->
+                Cfront.Clexer.tokenize_buf ~max_errors:lex_max ~lines:splice
+                  u.u_src)
+          in
+          let res =
+            timed parse_s (fun () ->
+                Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags)
+          in
+          decls := !decls + res.Cfront.Cparse.ur_decls;
+          res
+    in
+    Option.iter
+      (Hashtbl.replace fe_memo.fm_last (u.u_name, linked))
+      res.Cfront.Cparse.ur_bounds;
+    timed build_s (fun () -> parsed_of res)
+  in
   let slots =
     Array.map
       (fun u ->
         match lookup u.u_digest with
         | Some p -> p
         | None ->
-            let tb, lex_diags =
-              timed lex_s (fun () ->
-                  Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
-            in
-            let res =
-              timed parse_s (fun () ->
-                  Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
-            in
-            let p = timed build_s (fun () -> parsed_of res) in
-            incr built;
+            let p = fresh ~linked:false ~lex_max:me u in
             remember u.u_digest p;
             p)
       units_a
@@ -330,6 +364,10 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
      accumulated environment, re-parse when it could have been
      influenced, thread the diagnostic budget, merge in file order --- *)
   let link_t0 = Unix.gettimeofday () in
+  (* the link's own time leaves out the re-parses it asks for: those
+     count as lexing, parsing and building *)
+  let fresh_s () = !lex_s +. !parse_s +. !build_s in
+  let fresh_s0 = fresh_s () in
   let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let env_anon = ref 0 in
@@ -340,6 +378,8 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
   let diags = ref [] in
   let degraded = ref [] in
   let home : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  (* units this link re-parsed (or took a re-parse of from the memo) *)
+  let linked : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
     (fun i u ->
       let in_unit d = if multi then Cfront.Diag.with_unit u.u_name d else d in
@@ -364,7 +404,7 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
           let k = List.length sres.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
           let mention_hit =
             (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
-            && List.exists
+            && Array.exists
                  (fun id ->
                    Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
                  sres.Cfront.Cparse.ur_idents
@@ -384,20 +424,15 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
                   us_count_base = !consumed;
                 }
               in
-              let key = seed_key u.u_digest seed in
+              let key = u.u_digest ^ Cfront.Cparse.seed_digest seed in
+              Hashtbl.replace linked u.u_name ();
               match lookup key with
               | Some p -> p
               | None ->
                   incr reparsed;
-                  incr built;
-                  let tb, lex_diags =
-                    Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
-                      u.u_src
+                  let p =
+                    fresh ~linked:true ~seed ~lex_max:(me - !consumed) u
                   in
-                  let res =
-                    Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags
-                  in
-                  let p = parsed_of res in
                   remember key p;
                   p
             end
@@ -427,8 +462,17 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
   Hashtbl.filter_map_inplace
     (fun key p -> if Hashtbl.mem read key then Some p else None)
     fe_memo.fm_tbl;
+  (* a splice base outlives its unit's edits, not the unit, and a link
+     re-parse's base only the units the link re-parsed *)
+  let names = Hashtbl.create (2 * n) in
+  Array.iter (fun u -> Hashtbl.replace names u.u_name ()) units_a;
+  Hashtbl.filter_map_inplace
+    (fun (name, is_linked) b ->
+      if Hashtbl.mem (if is_linked then linked else names) name then Some b
+      else None)
+    fe_memo.fm_last;
   let prog = Cfront.Cprog.merge (List.rev !progs) in
-  let link_s = Unix.gettimeofday () -. link_t0 in
+  let link_s = Unix.gettimeofday () -. link_t0 -. (fresh_s () -. fresh_s0) in
   {
     co_prog = prog;
     co_diags = List.rev !diags;
@@ -446,6 +490,7 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
       };
     co_home = home;
     co_units_built = !built;
+    co_decls_reparsed = !decls;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -462,6 +507,9 @@ type rebuild = {
   rb_full : bool;  (** a fresh store rather than a warm rerun *)
   rb_reason : string;  (** why a full run, or "incremental" *)
   rb_units_built : int;  (** per-unit tables built, not taken from the memo *)
+  rb_decls_reparsed : int;
+      (** top-level declarations lexed and parsed afresh: a splice's
+          changed regions, or every declaration of a unit parsed whole *)
   rb_defs_rescanned : int;  (** definitions whose body the FDG scanned *)
   rb_condensation_reused : bool;  (** the FDG kept the previous SCC list *)
   rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
@@ -568,6 +616,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       rb_full = is_full;
       rb_reason = reason;
       rb_units_built = co.co_units_built;
+      rb_decls_reparsed = co.co_decls_reparsed;
       rb_defs_rescanned = fdg.Fdg.rescanned;
       rb_condensation_reused = fdg.Fdg.condensation_reused;
       rb_rows_remeasured = rows.Report.remeasured;
@@ -664,7 +713,14 @@ let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
     (* budgeted runs are load-dependent, not reproducible artifacts:
        never cached, never served from cache *)
     s_cache = (match budget with Some _ -> None | None -> cache);
-    s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
+    s_fe_memo =
+      {
+        fm_tbl = Hashtbl.create 64;
+        fm_last = Hashtbl.create 16;
+        fm_splice = true;
+        fm_hits = 0;
+        fm_misses = 0;
+      };
     s_units = List.map src_unit units;
     s_compiled = None;
     s_modes = Hashtbl.create 4;
@@ -817,10 +873,13 @@ let run ?mode t : run =
 
 let run_sources ?mode ?rules ?compact ?budget ?jobs ?max_errors ?cache files :
     run =
-  run
-    (create ?rules ?mode ?compact
-       ?budget:(Option.map (fun b () -> b) budget)
-       ?jobs ?max_errors ?cache files)
+  let t =
+    create ?rules ?mode ?compact
+      ?budget:(Option.map (fun b () -> b) budget)
+      ?jobs ?max_errors ?cache files
+  in
+  (* one compile: nothing is ever spliced against its parses *)
+  run { t with s_fe_memo = { t.s_fe_memo with fm_splice = false } }
 
 let program t : Cfront.Cprog.t = (ensure_compiled t).co_prog
 let store ?mode t = (ensure_mode t (mode_of t mode)).ms_env.Analysis.store
@@ -990,6 +1049,7 @@ let stats_json (st : session_stats) : Wire.json =
         ("full", Wire.Bool rb.rb_full);
         ("reason", Wire.Str rb.rb_reason);
         ("units_built", int rb.rb_units_built);
+        ("decls_reparsed", int rb.rb_decls_reparsed);
         ("defs_rescanned", int rb.rb_defs_rescanned);
         ("condensation_reused", Wire.Bool rb.rb_condensation_reused);
         ("rows_remeasured", int rb.rb_rows_remeasured);

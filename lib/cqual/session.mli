@@ -139,7 +139,10 @@ val run_sources :
   (string * string) list ->
   run
 (** [run_sources files] is [run (create files)]: one mode of a session
-    used once. [budget] bounds that one analysis; [jobs] is ignored. *)
+    used once. [budget] bounds that one analysis; [jobs] is ignored.
+    Since nothing is ever spliced against its parses, it records no
+    declaration boundaries (a session from {!create} does, for the
+    edits that may follow). *)
 
 val program : t -> Cfront.Cprog.t
 (** The linked program of the current units (parsed on first use) — for
@@ -239,6 +242,11 @@ type rebuild = {
   rb_units_built : int;
       (** per-unit tables built for it; a clean unit's comes from the
           AST memo *)
+  rb_decls_reparsed : int;
+      (** top-level declarations lexed and parsed afresh by the compile
+          it read: an edited unit spliced against its last clean parse
+          counts its changed regions' declarations, and a unit parsed
+          whole counts all of its own *)
   rb_defs_rescanned : int;
       (** definitions whose body the FDG scanned for mentions; an
           unchanged definition keeps its edges *)

@@ -498,7 +498,7 @@ let test_tokbuf_interns () =
   Alcotest.(check bool) "mentions foo_t" true (Tokbuf.mentions tb "foo_t");
   Alcotest.(check bool) "keyword not an ident" false (Tokbuf.mentions tb "int");
   Alcotest.(check bool) "absent name" false (Tokbuf.mentions tb "quux");
-  let names = List.sort String.compare (Tokbuf.ident_names tb) in
+  let names = List.sort String.compare (Array.to_list (fst (Tokbuf.idents tb))) in
   Alcotest.(check (list string)) "ident set" [ "bar"; "baz"; "foo"; "foo_t" ]
     names
 

@@ -2,8 +2,8 @@
    concatenated units (reports, diagnostics, counters), unit-boundary diagnostic positions, cross-unit
    parser-environment threading (typedef / enum-constant / anonymous-tag
    reparses), the diagnostic budget crossing unit boundaries, the
-   per-unit AST memo, and the outcome-list construction on
-   many-degraded programs. *)
+   per-unit AST memo, the outcome-list construction on many-degraded
+   programs, and the spliced re-parse of an edited unit. *)
 
 open Cqual
 module Diag = Cfront.Diag
@@ -406,6 +406,208 @@ let test_dirty_unit_reparses_one () =
     r_cold.Session.results.Report.possible
     r_dirty.Session.results.Report.possible
 
+(* ---------------- spliced re-parse ---------------- *)
+
+module Cparse = Cfront.Cparse
+
+let lex ~start ~stop ~line src =
+  Cfront.Clexer.tokenize_buf ~start ~stop ~line ~lines:true src
+
+let whole src =
+  let tb, lex_diags = Cfront.Clexer.tokenize_buf ~lines:true src in
+  Cparse.parse_unit tb ~lex_diags
+
+(* every field of a unit parse the link and the report read: the globals
+   (structurally), diagnostics, typedef and enum exports in order, the
+   anonymous-tag count, the identifier set, the first token's span, and
+   whether it capped *)
+let observed (r : Cparse.uresult) =
+  ( (r.Cparse.ur_pr.Cparse.pr_prog, r.Cparse.ur_pr.Cparse.pr_diags),
+    (r.Cparse.ur_typedefs, r.Cparse.ur_enums, r.Cparse.ur_anon),
+    (List.sort compare (Array.to_list r.Cparse.ur_idents), r.Cparse.ur_first_span,
+     r.Cparse.ur_capped, r.Cparse.ur_decls) )
+
+(* One random edit of a unit's lines, named for the failure report. The
+   names in [probe] are the ones [env_decl] may define later, above it:
+   a splice that reused the probe without checking the environment
+   would keep its old parse. *)
+let probe k =
+  Printf.sprintf
+    "int probe%d(void) { T0 * p0; T1 * p1; struct { int a; } q; return E0 + \
+     E1; } "
+    k
+
+let edit rng (lines : string array) : string * string array =
+  let rint = Cbench.Rng.int rng in
+  let n = Array.length lines in
+  let at () = rint (max n 1) in
+  (* a line that starts a top-level declaration, when there is one *)
+  let top () =
+    let starts =
+      List.filter
+        (fun i ->
+          String.length lines.(i) > 0
+          && match lines.(i).[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
+        (List.init n Fun.id)
+    in
+    match starts with [] -> at () | l -> Cbench.Rng.pick_list rng l
+  in
+  let set i f =
+    let a = Array.copy lines in
+    if i < n then a.(i) <- f a.(i);
+    a
+  in
+  let insert i l =
+    Array.concat [ Array.sub lines 0 i; [| l |]; Array.sub lines i (n - i) ]
+  in
+  match rint 12 with
+  | 0 ->
+      let l =
+        Cbench.Rng.pick rng
+          [| ""; "/* moved */"; "// moved"; Printf.sprintf "int fresh%d(char *s) { return *s; }" (rint 100) |]
+      in
+      ("insert a line (moves lines)", insert (at ()) l)
+  | 1 when n > 1 ->
+      let i = at () in
+      ("delete a line (moves lines)", Array.append (Array.sub lines 0 i) (Array.sub lines (i + 1) (n - i - 1)))
+  | 2 | 3 ->
+      let d =
+        match rint 3 with
+        | 0 -> Printf.sprintf "typedef int T%d; " (rint 2)
+        | 1 -> Printf.sprintf "enum { E%d = %d }; " (rint 2) (rint 9)
+        | _ -> "struct { int a; } anon; "
+      in
+      ("add a typedef, enum constant or anonymous struct", set (top ()) (fun l -> d ^ l))
+  | 4 -> ("add a probe", set (top ()) (fun l -> probe (rint 1000) ^ l))
+  | 5 ->
+      let i = at () in
+      ( "write through a body",
+        set i (fun l ->
+            match String.index_opt l '{' with
+            | Some b -> String.sub l 0 (b + 1) ^ " ;" ^ String.sub l (b + 1) (String.length l - b - 1)
+            | None -> l) )
+  | 6 ->
+      let u = if rint 2 = 0 then " /* open" else " \"open" in
+      ("an unterminated comment or string", set (at ()) (fun l -> l ^ u))
+  | 7 -> ("a parse error", set (at ()) (fun l -> ") " ^ l))
+  | 8 when n > 2 ->
+      let i = rint (n - 1) in
+      let j = i + 1 + rint (min 6 (n - i - 1)) in
+      let a = set i (fun l -> l ^ " /* straddle") in
+      if j < n then a.(j) <- "*/ " ^ a.(j);
+      ("a comment straddling lines", a)
+  | 9 -> ("two declarations on one line", set (top ()) (fun l -> Printf.sprintf "int g_two%d; " (rint 100) ^ l))
+  | 10 when n > 1 ->
+      let i = rint (n - 1) in
+      ( "join two lines (moves lines)",
+        Array.concat
+          [ Array.sub lines 0 i; [| lines.(i) ^ " " ^ lines.(i + 1) |]; Array.sub lines (i + 2) (n - i - 2) ] )
+  | _ -> ("an edit that keeps the text", lines)
+
+(* per kind of edit whose text parses without a diagnostic: the splices
+   made, and the ones declined *)
+let outcomes : (string, int * int) Hashtbl.t = Hashtbl.create 16
+
+let tally what spliced =
+  let s, d = Option.value (Hashtbl.find_opt outcomes what) ~default:(0, 0) in
+  Hashtbl.replace outcomes what (if spliced then (s + 1, d) else (s, d + 1))
+
+(* Run one random edit sequence on a generated unit. After every edit
+   the spliced parse (against the last clean parse, as the session keeps
+   it) must equal a whole parse of the new text. *)
+let splice_agrees seed =
+  let rng = Cbench.Rng.create seed in
+  let src =
+    Cbench.Gen.generate ~seed:(Cbench.Rng.int rng 1000) ~target_lines:(40 + Cbench.Rng.int rng 80) ()
+  in
+  let lines = ref (Array.of_list (String.split_on_char '\n' src)) in
+  let base = ref (whole src).Cparse.ur_bounds in
+  let log = ref [] in
+  for _ = 1 to 12 do
+    let what, l = if Cbench.Rng.int rng 8 = 0 then ("revert", Array.of_list (String.split_on_char '\n' src)) else edit rng !lines in
+    lines := l;
+    log := what :: !log;
+    let text = String.concat "\n" (Array.to_list l) in
+    let w = whole text in
+    let spliced =
+      match !base with
+      | None -> None
+      | Some b -> Cparse.reparse_unit ~lex b text
+    in
+    if Option.is_some !base && Option.is_some w.Cparse.ur_bounds then
+      tally what (Option.is_some spliced);
+    match spliced with
+    | Some (s, k) ->
+        if observed s <> observed w || k > w.Cparse.ur_decls then
+          QCheck2.Test.fail_reportf
+            "seed %d: the spliced parse differs from a whole parse after: \
+             %s\n%s"
+            seed
+            (String.concat "; " (List.rev !log))
+            text;
+        base := s.Cparse.ur_bounds
+    | None -> if Option.is_some w.Cparse.ur_bounds then base := w.Cparse.ur_bounds
+  done;
+  true
+
+let prop_splice_equals_whole =
+  QCheck2.Test.make ~count:300
+    ~name:"splice: a spliced re-parse equals a whole parse"
+    ~print:(Printf.sprintf "seed %d") QCheck2.Gen.int splice_agrees
+
+(* the property is not vacuous: on fixed seeds, every edit that moves
+   lines, writes through a body, puts two declarations on one line or
+   keeps the text splices. The others may decline: an edit that changes
+   the parser environment above most of the unit, a revert of many edits
+   (each re-parses more than half the unit), or a comment that an
+   unchanged group closes. *)
+let test_splice_fixed_stream () =
+  Hashtbl.reset outcomes;
+  for seed = 1 to 40 do
+    ignore (splice_agrees seed)
+  done;
+  List.iter
+    (fun what ->
+      let s, d = Option.value (Hashtbl.find_opt outcomes what) ~default:(0, 0) in
+      Alcotest.(check (pair bool int)) (what ^ ": spliced, declined") (true, 0) (s >= 10, d))
+    [
+      "insert a line (moves lines)";
+      "delete a line (moves lines)";
+      "join two lines (moves lines)";
+      "write through a body";
+      "two declarations on one line";
+      "an edit that keeps the text";
+    ]
+
+(* one body edit: one declaration is parsed afresh, and every other
+   global is physically the previous one; a comment line inserted at the
+   top re-parses no declaration, and the ones it moved equal a whole
+   parse's *)
+let test_splice_reuses_values () =
+  let src =
+    "typedef char *str;\nint a(str s) { return *s; }\nint b(str s) { return a(s); }\n\
+     int c(str s) { return b(s); }\n"
+  in
+  let r0 = whole src in
+  let b0 = Option.get r0.Cparse.ur_bounds in
+  let edited =
+    "typedef char *str;\nint a(str s) { return *s; }\nint b(str s) { *s = 0; return a(s); }\n\
+     int c(str s) { return b(s); }\n"
+  in
+  let r1, k = Option.get (Cparse.reparse_unit ~lex b0 edited) in
+  Alcotest.(check int) "one declaration re-parsed" 1 k;
+  Alcotest.(check bool) "equal to a whole parse" true (observed r1 = observed (whole edited));
+  let p0 = r0.Cparse.ur_pr.Cparse.pr_prog and p1 = r1.Cparse.ur_pr.Cparse.pr_prog in
+  List.iteri
+    (fun i (g0, g1) ->
+      Alcotest.(check bool) (Printf.sprintf "global %d kept" i) (i <> 2) (g0 == g1))
+    (List.combine p0 p1);
+  let moved = "/* a comment line */\n" ^ src in
+  let r2, k = Option.get (Cparse.reparse_unit ~lex b0 moved) in
+  Alcotest.(check int) "a moved line re-parses nothing" 0 k;
+  Alcotest.(check bool) "moved: equal to a whole parse" true
+    (observed r2 = observed (whole moved))
+
 let tests =
   [
     Alcotest.test_case "parity on generated projects" `Quick
@@ -432,4 +634,9 @@ let tests =
       test_dirty_unit_reparses_one;
     Alcotest.test_case "per-unit peak heap below one file (cqualc)" `Slow
       test_peak_heap_below_one_file;
+    QCheck_alcotest.to_alcotest prop_splice_equals_whole;
+    Alcotest.test_case "splice: most edits of a fixed stream splice" `Quick
+      test_splice_fixed_stream;
+    Alcotest.test_case "splice: unchanged declarations are the same values"
+      `Quick test_splice_reuses_values;
   ]

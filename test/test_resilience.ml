@@ -204,6 +204,29 @@ let test_int_literal_overflow_cqualc () =
       Alcotest.(check bool) "report printed" true
         (contains ~sub:"functions: 2 (2 analyzed, 0 degraded)" (read out)))
 
+(* qualc on a FILE or --lattice path it cannot read: a one-line error
+   naming the path and exit 2, as cqualc and typequald give *)
+let test_qualc_unreadable_path () =
+  with_temp_dir (fun dir ->
+      let missing = Filename.concat dir "missing" in
+      let err = Filename.concat dir "err.txt" in
+      List.iter
+        (fun (what, args) ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s > /dev/null 2> %s"
+                 (Filename.quote (built "qualc.exe"))
+                 args (Filename.quote err))
+          in
+          Alcotest.(check int) (what ^ ": exit status") 2 code;
+          Alcotest.(check string) (what ^ ": stderr")
+            (Printf.sprintf "error: %s: No such file or directory\n" missing)
+            (read err))
+        [
+          ("FILE", Filename.quote missing);
+          ("--lattice", "--lattice " ^ Filename.quote missing ^ " -e 1");
+        ])
+
 (* the daemon survives an update whose source has one, and serves it as
    a diagnostic *)
 let test_int_literal_overflow_daemon () =
@@ -732,6 +755,8 @@ let tests =
       test_int_literal_overflow_cqualc;
     Alcotest.test_case "recovery: E0104 through a daemon update" `Quick
       test_int_literal_overflow_daemon;
+    Alcotest.test_case "qualc: an unreadable FILE or --lattice path" `Quick
+      test_qualc_unreadable_path;
     Alcotest.test_case "recovery: newlines inside literals" `Quick
       test_newlines_in_literals;
     Alcotest.test_case "degrade: unknown typedef" `Quick

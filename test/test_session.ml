@@ -1105,6 +1105,89 @@ let test_link_reparse_memo () =
       (Session.render ~positions:true ~name:"l" t)
   done
 
+(* A body edit of one function of a generated unit is spliced: only its
+   declaration is parsed afresh, every other definition of the unit is
+   physically the one the previous compile held, and the FDG rescans
+   only the edited body. A comment line inserted above that function
+   then re-parses at most its declaration: the definitions above it stay
+   the same values, the ones below are reused with their lines shifted. *)
+let test_splice_keeps_definitions () =
+  let files = Cbench.Gen.generate_project ~seed:41 ~target_lines:3000 () in
+  let name, src = List.nth files (List.length files - 1) in
+  let t = Session.create ~mode:Analysis.Poly files in
+  ignore (Session.run t);
+  let unit_funs =
+    List.map
+      (fun (f : Cfront.Cast.fundef) -> f.Cfront.Cast.f_name)
+      (Cfront.Cprog.functions (Session.program (Session.create [ (name, src) ])))
+  in
+  let defs () =
+    let p = Session.program t in
+    List.map (fun f -> (f, Option.get (Cfront.Cprog.find_fun p f))) unit_funs
+  in
+  let before = defs () in
+  (* a null statement at the top of the last definition *)
+  let lines = Array.of_list (String.split_on_char '\n' src) in
+  let i =
+    List.find
+      (fun i ->
+        let l = lines.(i) in
+        String.length l > 0 && l.[0] <> ' ' && String.contains l '('
+        && String.contains l '{')
+      (List.rev (List.init (Array.length lines) Fun.id))
+  in
+  let b = String.index lines.(i) '{' in
+  lines.(i) <-
+    String.sub lines.(i) 0 (b + 1)
+    ^ " ;"
+    ^ String.sub lines.(i) (b + 1) (String.length lines.(i) - b - 1);
+  let edited = String.concat "\n" (Array.to_list lines) in
+  ignore (Session.update_unit t name edited);
+  ignore (Session.run t);
+  let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+  Alcotest.(check int) "one declaration re-parsed" 1 rb.Session.rb_decls_reparsed;
+  Alcotest.(check int) "one body rescanned" 1 rb.Session.rb_defs_rescanned;
+  let changed =
+    List.filter
+      (fun ((f, d0), (_, d1)) ->
+        ignore f;
+        d0 != d1)
+      (List.combine before (defs ()))
+  in
+  Alcotest.(check int) "one definition is a new value" 1 (List.length changed);
+  Alcotest.(check bool) "the unit has other definitions" true (List.length before > 5);
+  let cold src =
+    Session.render ~positions:true ~name:"s"
+      (Session.create ~mode:Analysis.Poly
+         (List.map (fun (n, s) -> if n = name then (n, src) else (n, s)) files))
+  in
+  Alcotest.(check string) "warm = cold" (cold edited)
+    (Session.render ~positions:true ~name:"s" t);
+  let edited_defs = defs () in
+  let moved =
+    String.concat "\n"
+      (List.concat
+         (List.mapi
+            (fun j l -> if j = i then [ "/* a moved line */"; l ] else [ l ])
+            (Array.to_list lines)))
+  in
+  ignore (Session.update_unit t name moved);
+  ignore (Session.run t);
+  let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+  Alcotest.(check bool) "at most one declaration re-parsed" true
+    (rb.Session.rb_decls_reparsed <= 1);
+  let kept =
+    List.filter (fun ((_, d0), (_, d1)) -> d0 == d1) (List.combine edited_defs (defs ()))
+  in
+  Alcotest.(check int) "every definition above the line is kept"
+    (List.length
+       (List.filter
+          (fun (_, (d : Cfront.Cast.fundef)) -> d.Cfront.Cast.f_line <= i)
+          edited_defs))
+    (List.length kept);
+  Alcotest.(check string) "moved: warm = cold" (cold moved)
+    (Session.render ~positions:true ~name:"s" t)
+
 (* ---------------- the warm daemon path on the smoke corpus ---------------- *)
 
 (* nearest-rank median wall time of [f 0] .. [f (n - 1)] *)
@@ -1222,6 +1305,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     Alcotest.test_case "a link re-parse comes from the memo" `Quick
       test_link_reparse_memo;
+    Alcotest.test_case "a spliced edit keeps the unit's other definitions"
+      `Quick test_splice_keeps_definitions;
     Alcotest.test_case "warm queries and one-unit edits on midi-project-sim"
       `Slow test_warm_daemon_path;
   ]
