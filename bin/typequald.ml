@@ -274,10 +274,11 @@ let take_lines (c : client) buf n : string list =
   go 0 []
 
 (* The major GC is paced by allocation. A warm rerun on
-   midi-project-sim allocates about 27 MiB and sends about 11 MiB of it
+   midi-project-sim allocates about 23 MiB and sends about 8 MiB of it
    to the major heap (the edited unit is spliced, so only its changed
-   declarations are lexed and parsed; re-parsing it whole sent about
-   20 MiB), far less than a full re-analysis. Left to its pacing, the
+   declarations are lexed and parsed, and the link patches the last
+   linked program; re-parsing the unit whole sent about 20 MiB), far
+   less than a full re-analysis. Left to its pacing, the
    heap grew to near three times its live data. So after every batch
    that ran a warm rerun the daemon collects in full whenever the heap
    has doubled since the last full collection left it, or when no full

@@ -1473,16 +1473,19 @@ exception Decline
     only the groups they changed to parse. Everything else forms
     regions, each lexed with [lex] (as {!Clexer.tokenize_buf} over a
     range, recording its lines) and parsed by {!parse_unit}'s own loop,
-    seeded with the environment at its start. Returns the result, equal to a whole parse of [src] in
+    seeded with the environment at its start. A region whose text ends
+    inside a comment takes in the group after it, which is then parsed
+    afresh, until the comment closes. Returns the result, equal to a whole parse of [src] in
     every field but the order of [ur_idents], with the number of
     declarations parsed afresh. The uses of the names in dropped groups
     are counted out of [prev]'s by lexing their old text again.
 
-    Returns [None] (parse it whole) when a region has a diagnostic or
-    does not end on a clean line break, when [src] has no token, and
-    before the splice would do more than half of a whole parse's work:
-    a byte of a region counts twice (lexed and parsed), a byte of a
-    dropped group once (lexed), against twice the length of [src]. *)
+    Returns [None] (parse it whole) when a region has any other
+    diagnostic or does not end on a clean line break, when [src] has no
+    token, and before the splice would do more than half of a whole
+    parse's work: a byte counts once each time a region lexes it and
+    once more when the region parses it, and a byte of a dropped group
+    once (lexed), against twice the length of [src]. *)
 let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
     ~(lex : start:int -> stop:int -> line:int -> string -> Tokbuf.t * Diag.t list)
     (prev : bounds) (src : string) : (uresult * int) option =
@@ -1577,11 +1580,29 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
   (* the line the new text ends on, and whether its last group ends just
      past a clean break *)
   let end_line = ref 1 and end_cut = ref true in
+  (* where the last comment a region left open closes: no group before
+     it is reused *)
+  let comment_end = ref 0 in
+  (* parse [src.[start .. stop-1]]; [false], parsing nothing, when its
+     text ends inside a comment, which the first "*/" past it closes *)
   let region start line stop =
-    if stop > start then begin
-      spend (2 * (stop - start));
-      let tb, lex_diags = lex ~start ~stop ~line src in
-      if lex_diags <> [] then raise Decline;
+    stop <= start
+    ||
+    let n = stop - start in
+    spend n;
+    let tb, lex_diags = lex ~start ~stop ~line src in
+    match lex_diags with
+    | [ d ] when d.Diag.d_code = "E0103" && stop < len ->
+        let rec close i =
+          if i + 1 >= len then len
+          else if src.[i] = '*' && src.[i + 1] = '/' then i + 2
+          else close (i + 1)
+        in
+        comment_end := close stop;
+        false
+    | _ :: _ -> raise Decline
+    | [] -> (
+      spend n;
       let rseed =
         {
           us_typedefs = List.rev_append !tds seed.us_typedefs;
@@ -1610,9 +1631,9 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
           fresh := !fresh + r.ur_decls;
           end_line := b.b_end_line;
           end_cut := b.b_cut;
-          count 1 b.b_names b.b_uses
-      | _ -> raise Decline
-    end
+          count 1 b.b_names b.b_uses;
+          true
+      | _ -> raise Decline)
   in
   (* the line shift of the last group reused; whether the environment
      differs from the old one (it then differs before every later group
@@ -1629,7 +1650,8 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
     &&
     let off = old_off k and o = line_off l in
     let size = old_end k - off in
-    o + size <= len
+    o >= !comment_end
+    && o + size <= len
     && (k < m - 1 || prev.b_cut || o + size = len)
     && same_bytes old off src o size
   in
@@ -1656,14 +1678,17 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
         | _ -> no_regs
       in
       (* the text before the group is parsed first: the environment
-         before it is known then *)
+         before it is known then. A comment that text leaves open makes
+         the group part of the text after it. *)
       let reused =
         match found with
         | None -> false
         | Some l ->
-            region !no !nl (line_off l);
-            move (line_off l) l;
-            String.equal !env env_before || (diverged := true; false)
+            region !no !nl (line_off l)
+            && begin
+                 move (line_off l) l;
+                 String.equal !env env_before || (diverged := true; false)
+               end
       in
       let delta = !nl - line in
       for _ = 1 to nglobals_of prev.b_sizes.(k) do
@@ -1684,7 +1709,8 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
       end
       else drop k
     done;
-    region !no !nl len
+    (* the last region leaves no comment to a later one *)
+    ignore (region !no !nl len : bool)
   with
   | exception Decline -> None
   | () -> (

@@ -11,8 +11,9 @@ type t = {
   comps : (string, (string * ctype) list) Hashtbl.t;  (* struct/union tag -> fields *)
   fundefs : (string, fundef) Hashtbl.t;
   protos : (string, ctype) Hashtbl.t;  (* declared but possibly undefined *)
-  globals : (string, decl) Hashtbl.t;
-  order : global list;  (* original order *)
+  order : global list list;
+      (* each unit's globals in declaration order, the units in link
+         order: the global variables' only table *)
 }
 
 exception Frontend_error of string
@@ -24,8 +25,7 @@ let build (prog : program) : t =
       comps = Hashtbl.create 16;
       fundefs = Hashtbl.create 16;
       protos = Hashtbl.create 16;
-      globals = Hashtbl.create 16;
-      order = prog;
+      order = [ prog ];
     }
   in
   List.iter
@@ -35,30 +35,32 @@ let build (prog : program) : t =
       | GFun f -> Hashtbl.replace t.fundefs f.f_name f
       | GProto (name, ty, _) ->
           if not (Hashtbl.mem t.protos name) then Hashtbl.replace t.protos name ty
-      | GVar d -> Hashtbl.replace t.globals d.d_name d
-      | GEnum _ -> ())
+      | GVar _ | GEnum _ -> ())
     prog;
   t
 
 (** Link per-unit tables into one whole-program table, in unit order.
     Deterministically equivalent to {!build} over the concatenation of
-    the units' globals: typedefs, struct/union layouts, function
-    definitions and global variables resolve last-definition-wins, while
-    prototypes keep the first declaration — each per-unit table has
-    already collapsed its within-unit duplicates the same way, so a
-    cross-unit table fold in file order reproduces the sequential scan.
-    A single unit is its own whole program. *)
+    the units' globals: typedefs, struct/union layouts and function
+    definitions resolve last-definition-wins, while prototypes keep the
+    first declaration — each per-unit table has already collapsed its
+    within-unit duplicates the same way, so a cross-unit table fold in
+    file order reproduces the sequential scan. The function and
+    prototype tables start at the units' summed sizes, so they never
+    grow. The struct table keeps its fixed start: the global pass
+    creates variables in its iteration order, which its bucket count
+    decides. A single unit is its own whole program. *)
 let merge (units : t list) : t =
   match units with
   | [ u ] -> u
   | _ ->
+    let sum tbl = List.fold_left (fun n u -> n + Hashtbl.length (tbl u)) 0 units in
     let t =
       {
         typedefs = Hashtbl.create 64;
         comps = Hashtbl.create 64;
-        fundefs = Hashtbl.create 64;
-        protos = Hashtbl.create 64;
-        globals = Hashtbl.create 64;
+        fundefs = Hashtbl.create (sum (fun u -> u.fundefs));
+        protos = Hashtbl.create (sum (fun u -> u.protos));
         order = List.concat_map (fun u -> u.order) units;
       }
     in
@@ -70,10 +72,102 @@ let merge (units : t list) : t =
         Hashtbl.iter
           (fun k v ->
             if not (Hashtbl.mem t.protos k) then Hashtbl.replace t.protos k v)
-          u.protos;
-        Hashtbl.iter (fun k v -> Hashtbl.replace t.globals k v) u.globals)
+          u.protos)
       units;
     t
+
+(* the same bindings in the same iteration order: tables that [merge]
+   folds into the same table *)
+let same_table a b =
+  a == b
+  || Hashtbl.length a = Hashtbl.length b
+     && Seq.equal
+          (fun (k, v) (k', v') -> String.equal k k' && compare v v' = 0)
+          (Hashtbl.to_seq a) (Hashtbl.to_seq b)
+
+(** The first unit of [units] that defines [name], or the last with
+    [~last:true]. *)
+let defining_unit ~last (units : t array) name =
+  let n = Array.length units in
+  let rec go k =
+    if k = n then None
+    else
+      let j = if last then n - 1 - k else k in
+      if Hashtbl.mem units.(j).fundefs name then Some j else go (k + 1)
+  in
+  go 0
+
+(** [relink ~prev ~before after] is [merge after], built from [prev], the
+    merge of [before]: the same number of units, a unit of [after] that
+    is physically its predecessor being unchanged. The typedef, struct
+    and prototype tables are [prev]'s own; the function table is a copy
+    of [prev]'s with the changed units' definitions patched in, the last
+    definition winning; the per-unit declaration lists are gathered
+    afresh. No table of [prev] or of a unit is written. Also returns the
+    names whose defining units changed: those a changed unit defines
+    and did not, or defined and does not.
+
+    [None] when a changed unit's typedefs, struct layouts or prototypes
+    differ from its predecessor's, in a binding or in iteration order:
+    [merge] alone then builds tables laid out as a cold link's. *)
+let relink ~(prev : t) ~(before : t array) (after : t array) :
+    (t * string list) option =
+  let altered (p, u) =
+    u != p
+    && not
+         (same_table p.typedefs u.typedefs
+         && same_table p.comps u.comps
+         && same_table p.protos u.protos)
+  in
+  if Seq.exists altered (Array.to_seq (Array.combine before after)) then None
+  else begin
+    let fundefs = Hashtbl.copy prev.fundefs in
+    let moved = ref [] in
+    Array.iteri
+      (fun i u ->
+        let p = before.(i) in
+        if u != p then begin
+          let kept = ref 0 in
+          Hashtbl.iter
+            (fun name f ->
+              match Hashtbl.find_opt p.fundefs name with
+              | None -> moved := name :: !moved
+              | Some old -> (
+                  incr kept;
+                  (* this unit still defines it: unless another changed
+                     unit started or stopped defining it (resolved
+                     below), the same unit wins, and where that is this
+                     one, with its new definition. Each unit's
+                     definitions are its own values, so [prev] holds
+                     this unit's old one exactly when this unit won. *)
+                  if f != old then
+                    match Hashtbl.find_opt prev.fundefs name with
+                    | Some w when w == old -> Hashtbl.replace fundefs name f
+                    | _ -> ()))
+            u.fundefs;
+          if !kept < Hashtbl.length p.fundefs then
+            Hashtbl.iter
+              (fun name _ ->
+                if not (Hashtbl.mem u.fundefs name) then moved := name :: !moved)
+              p.fundefs
+        end)
+      after;
+    (* after every patch above, which a moved name's resolution
+       overrides *)
+    List.iter
+      (fun name ->
+        match defining_unit ~last:true after name with
+        | Some j -> Hashtbl.replace fundefs name (Hashtbl.find after.(j).fundefs name)
+        | None -> Hashtbl.remove fundefs name)
+      !moved;
+    Some
+      ( {
+          prev with
+          fundefs;
+          order = List.concat_map (fun u -> u.order) (Array.to_list after);
+        },
+        !moved )
+  end
 
 (** Expand typedefs away (macro-expansion semantics, Section 4.2): the
     qualifiers written on the use site are merged with the definition's.
@@ -120,11 +214,16 @@ let is_defined t name = Hashtbl.mem t.fundefs name
     the paper's "library function" case (Section 4.2). *)
 let find_proto t name = Hashtbl.find_opt t.protos name
 
-let functions t =
-  List.filter_map (function GFun f -> Some f | _ -> None) t.order
+(* [pick]'s values over every global, in order *)
+let gather pick t =
+  List.rev
+    (List.fold_left
+       (List.fold_left (fun acc g ->
+            match pick g with Some x -> x :: acc | None -> acc))
+       [] t.order)
 
-let global_vars t =
-  List.filter_map (function GVar d -> Some d | _ -> None) t.order
+let functions t = gather (function GFun f -> Some f | _ -> None) t
+let global_vars t = gather (function GVar d -> Some d | _ -> None) t
 
 (** Count physical source lines (for Table 1-style reporting). *)
 let count_lines src =

@@ -1368,18 +1368,33 @@ let run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs:_ mode
 (* Warm reruns                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What [build_global_env], prototypes and typedef expansion read from a
-   program: typedefs, struct/union layouts, prototypes (in the tables'
-   iteration order, which the global pass follows) and the global
-   variables' names and types in declaration order. Initializers are not
-   part of it — the initializer segment is re-run every time. *)
-let global_key (prog : Cprog.t) =
-  let tbl h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
-  ( tbl prog.Cprog.typedefs,
-    tbl prog.Cprog.comps,
-    tbl prog.Cprog.protos,
-    List.map (fun (d : Cast.decl) -> (d.d_name, d.d_type)) (Cprog.global_vars prog)
-  )
+(* Do [a] and [b] show the global pass the same program? It reads their
+   typedefs, struct/union layouts and prototypes, and the global
+   variables' names and types in declaration order; initializers are
+   not part of it, as the initializer segment is re-run every time. A
+   table is the same when it is physically shared, as a patched link
+   shares it ({!Cfront.Cprog.relink}), or holds the same bindings; the
+   struct table also in the same iteration order, which the global pass
+   follows when it creates the fields' variables. *)
+let same_globals (a : Cprog.t) (b : Cprog.t) =
+  let same_bindings x y =
+    x == y
+    || Hashtbl.length x = Hashtbl.length y
+       && Hashtbl.fold
+            (fun k v ok ->
+              ok
+              && match Hashtbl.find_opt y k with Some w -> compare v w = 0 | None -> false)
+            x true
+  in
+  let in_order h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
+  let vars p =
+    List.map (fun (d : Cast.decl) -> (d.d_name, d.d_type)) (Cprog.global_vars p)
+  in
+  same_bindings a.Cprog.typedefs b.Cprog.typedefs
+  && same_bindings a.Cprog.protos b.Cprog.protos
+  && (a.Cprog.comps == b.Cprog.comps
+     || compare (in_order a.Cprog.comps) (in_order b.Cprog.comps) = 0)
+  && compare (vars a) (vars b) = 0
 
 (* A var-id-free digest of a registered summary: the scheme's locals are
    numbered by position, free variables (the monomorphic environment,
@@ -1477,7 +1492,7 @@ type rerun_info = {
 
     [Error reason] when the rerun cannot be incremental: [base] has no
     segments or ran under a budget, the global environment changed
-    ({!global_key}), or dead variables outnumber live ones — the full
+    ({!same_globals}), or dead variables outnumber live ones — the full
     run then bounds the arena. The last is decided only after the re-run
     tasks have added their atoms to [base]'s store, so [base] is spent
     on every outcome, [Error] included: the caller runs afresh, and
@@ -1487,7 +1502,7 @@ let rerun (base : env) (prog : Cprog.t) :
   match base.layout with
   | None -> Error "no segments to start from"
   | Some _ when base.budget <> None -> Error "budgeted analysis"
-  | Some _ when compare (global_key base.prog) (global_key prog) <> 0 ->
+  | Some _ when not (same_globals base.prog prog) ->
       Error "globals, types or prototypes changed"
   | Some ly when Solver.num_vars base.store - ly.ly_live_vars > ly.ly_live_vars
     ->

@@ -224,7 +224,10 @@ let src_unit (name, src) =
 
 (* the frontend's product: the linked program, its recovered
    diagnostics and demoted bodies, and the function-name ->
-   defining-unit table that anchors the report's stable position keys *)
+   defining-unit table that anchors the report's stable position keys.
+   The unit names in link order and each linked unit's table are what
+   the next compile over the same names patches the program and the
+   home table from; [co_link] says how this compile built them. *)
 type compiled = {
   co_prog : Cfront.Cprog.t;
   co_diags : Cfront.Diag.t list;
@@ -233,6 +236,9 @@ type compiled = {
   co_t_compile : float;
   co_frontend : frontend_stats;
   co_home : (string, string) Hashtbl.t;
+  co_names : string array;
+  co_progs : Cfront.Cprog.t array;  (* the units linked, in order *)
+  co_link : string;  (* "patched", "merged: <reason>" or "cold" *)
   co_units_built : int;  (* per-unit tables built, not taken from the memo *)
   co_decls_reparsed : int;  (* declarations lexed and parsed afresh *)
 }
@@ -264,13 +270,61 @@ type fe_memo = {
   mutable fm_misses : int;
 }
 
+(* The function-name -> home-unit table of the linked units [progs]
+   named [names]: a name's home is the first unit that defines it. *)
+let home_table names (progs : Cfront.Cprog.t array) =
+  let size = Array.fold_left (fun n p -> n + Hashtbl.length p.Cfront.Cprog.fundefs) 0 progs in
+  let home = Hashtbl.create size in
+  Array.iteri
+    (fun i p ->
+      Hashtbl.iter
+        (fun name _ ->
+          if not (Hashtbl.mem home name) then Hashtbl.replace home name names.(i))
+        p.Cfront.Cprog.fundefs)
+    progs;
+  home
+
+(* The linked program of the units [progs] named [names], its home
+   table, and how they were built. When [prev] linked the same names in
+   the same order, the program is patched from [prev]'s
+   ({!Cfront.Cprog.relink}) and so is its home table. Otherwise, and
+   when a changed unit's typedefs, structs or prototypes differ or a
+   diagnostic budget cap left units unlinked, both are built afresh. *)
+let link_tables ?prev ~capped names progs =
+  let merged how =
+    (Cfront.Cprog.merge (Array.to_list progs), home_table names progs, how)
+  in
+  match prev with
+  | None -> merged "cold"
+  | Some p when p.co_names <> names -> merged "merged: unit list changed"
+  | Some p when capped || Array.length p.co_progs <> Array.length names ->
+      merged "merged: diagnostic budget capped"
+  | Some p -> (
+      let before = p.co_progs in
+      match Cfront.Cprog.relink ~prev:p.co_prog ~before progs with
+      | None -> merged "merged: a unit's typedefs, structs or prototypes changed"
+      | Some (prog, moved) ->
+          (* the home table is the session's own, and [prev] is the
+             compile this one supersedes: it is patched in place, for
+             the names whose defining units changed *)
+          let home = p.co_home in
+          List.iter
+            (fun name ->
+              match Cfront.Cprog.defining_unit ~last:false progs name with
+              | Some j -> Hashtbl.replace home name names.(j)
+              | None -> Hashtbl.remove home name)
+            moved;
+          (prog, home, "patched"))
+
 (** The per-unit frontend: speculative lex+parse+build per translation
     unit, then a deterministic link that replays the cross-unit parser
     environment in file order and re-parses the rare unit whose
     speculative result it could have influenced. [fe_memo] is
     the session's in-memory AST tier, probed before any unit is parsed,
-    fed by every parse, and pruned to what this compile read. *)
-let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
+    fed by every parse, and pruned to what this compile read. [prev],
+    the session's last compile, is what the link patches when it can
+    (see [link_tables]). *)
+let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
   let lines = List.fold_left (fun acc u -> acc + u.u_lines) 0 units in
   let multi = match units with [] | [ _ ] -> false | _ -> true in
   let t0 = Unix.gettimeofday () in
@@ -377,7 +431,6 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
   let progs = ref [] in
   let diags = ref [] in
   let degraded = ref [] in
-  let home : (string, string) Hashtbl.t = Hashtbl.create 64 in
   (* units this link re-parsed (or took a re-parse of from the memo) *)
   let linked : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
@@ -449,12 +502,7 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
           env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
           progs := prog :: !progs;
           List.iter (fun d -> diags := in_unit d :: !diags) pr.Cfront.Cparse.pr_diags;
-          List.iter (fun dg -> degraded := dg :: !degraded) pr.Cfront.Cparse.pr_degraded;
-          List.iter
-            (fun (f : Cfront.Cast.fundef) ->
-              if not (Hashtbl.mem home f.Cfront.Cast.f_name) then
-                Hashtbl.replace home f.Cfront.Cast.f_name u.u_name)
-            (Cfront.Cprog.functions prog)
+          List.iter (fun dg -> degraded := dg :: !degraded) pr.Cfront.Cparse.pr_degraded
         end)
     units_a;
   (* an entry this compile did not read is dead weight: an edit that is
@@ -464,14 +512,16 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
     fe_memo.fm_tbl;
   (* a splice base outlives its unit's edits, not the unit, and a link
      re-parse's base only the units the link re-parsed *)
-  let names = Hashtbl.create (2 * n) in
-  Array.iter (fun u -> Hashtbl.replace names u.u_name ()) units_a;
+  let current = Hashtbl.create (2 * n) in
+  Array.iter (fun u -> Hashtbl.replace current u.u_name ()) units_a;
   Hashtbl.filter_map_inplace
     (fun (name, is_linked) b ->
-      if Hashtbl.mem (if is_linked then linked else names) name then Some b
+      if Hashtbl.mem (if is_linked then linked else current) name then Some b
       else None)
     fe_memo.fm_last;
-  let prog = Cfront.Cprog.merge (List.rev !progs) in
+  let names = Array.map (fun u -> u.u_name) units_a in
+  let progs = Array.of_list (List.rev !progs) in
+  let prog, home, how = link_tables ?prev ~capped:!capped names progs in
   let link_s = Unix.gettimeofday () -. link_t0 -. (fresh_s () -. fresh_s0) in
   {
     co_prog = prog;
@@ -489,6 +539,9 @@ let compile_units ~fe_memo ~me (units : src_unit list) : compiled =
         fs_link_s = link_s;
       };
     co_home = home;
+    co_names = names;
+    co_progs = progs;
+    co_link = how;
     co_units_built = !built;
     co_decls_reparsed = !decls;
   }
@@ -510,6 +563,9 @@ type rebuild = {
   rb_decls_reparsed : int;
       (** top-level declarations lexed and parsed afresh: a splice's
           changed regions, or every declaration of a unit parsed whole *)
+  rb_link : string;
+      (** how the compile it read linked the program: ["patched"],
+          ["merged: <reason>"] or ["cold"] *)
   rb_defs_rescanned : int;  (** definitions whose body the FDG scanned *)
   rb_condensation_reused : bool;  (** the FDG kept the previous SCC list *)
   rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
@@ -617,6 +673,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       rb_reason = reason;
       rb_units_built = co.co_units_built;
       rb_decls_reparsed = co.co_decls_reparsed;
+      rb_link = co.co_link;
       rb_defs_rescanned = fdg.Fdg.rescanned;
       rb_condensation_reused = fdg.Fdg.condensation_reused;
       rb_rows_remeasured = rows.Report.remeasured;
@@ -690,6 +747,8 @@ type t = {
   mutable s_units : src_unit list;  (* in link order *)
   (* stages derived from the unit table; dropped on any unit edit *)
   mutable s_compiled : compiled option;
+  (* the last compile, kept across edits: the next link patches it *)
+  mutable s_linked : compiled option;
   (* every analyzed mode stays warm until the next edit *)
   s_modes : (string, mode_state) Hashtbl.t;
   (* an edit moves each mode's state here: the base its next run
@@ -723,6 +782,7 @@ let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
       };
     s_units = List.map src_unit units;
     s_compiled = None;
+    s_linked = None;
     s_modes = Hashtbl.create 4;
     s_bases = Hashtbl.create 4;
     s_reparsed = 0;
@@ -785,9 +845,14 @@ let ensure_compiled t =
       if t.s_units = [] then raise (Error "session has no units");
       let me = Option.value t.s_max_errors ~default:20 in
       let misses0 = t.s_fe_memo.fm_misses in
-      let c = compile_units ~fe_memo:t.s_fe_memo ~me t.s_units in
+      let prev = t.s_linked in
+      (* the link may patch [prev]'s home table in place: a compile cut
+         short must not leave it as the next one's base *)
+      t.s_linked <- None;
+      let c = compile_units ?prev ~fe_memo:t.s_fe_memo ~me t.s_units in
       t.s_reparsed <- t.s_fe_memo.fm_misses - misses0;
       t.s_compiled <- Some c;
+      t.s_linked <- Some c;
       c
 
 let ensure_mode t mode : mode_state =
@@ -1050,6 +1115,7 @@ let stats_json (st : session_stats) : Wire.json =
         ("reason", Wire.Str rb.rb_reason);
         ("units_built", int rb.rb_units_built);
         ("decls_reparsed", int rb.rb_decls_reparsed);
+        ("link", Wire.Str rb.rb_link);
         ("defs_rescanned", int rb.rb_defs_rescanned);
         ("condensation_reused", Wire.Bool rb.rb_condensation_reused);
         ("rows_remeasured", int rb.rb_rows_remeasured);

@@ -247,6 +247,13 @@ type rebuild = {
           it read: an edited unit spliced against its last clean parse
           counts its changed regions' declarations, and a unit parsed
           whole counts all of its own *)
+  rb_link : string;
+      (** how the compile it read linked the program: ["patched"] (the
+          last compile's program and home table patched for the changed
+          units), ["merged: <reason>"] (built afresh: the unit list
+          changed, a changed unit's typedefs, structs or prototypes
+          changed, or a diagnostic budget cap) or ["cold"] (the
+          session's first compile) *)
   rb_defs_rescanned : int;
       (** definitions whose body the FDG scanned for mentions; an
           unchanged definition keeps its edges *)

@@ -113,7 +113,7 @@ let test_struct_def () =
 let test_typedef () =
   let p = parse "typedef int *ip; ip c, d;" in
   let prog = Cprog.build p in
-  let c = Hashtbl.find prog.Cprog.globals "c" in
+  let c = List.find (fun d -> d.d_name = "c") (Cprog.global_vars prog) in
   match Cprog.expand prog c.d_type with
   | TPtr (TInt _, _) -> ()
   | t -> Alcotest.failf "typedef expansion: %s" (ctype_to_string t)
@@ -121,7 +121,7 @@ let test_typedef () =
 let test_typedef_quals_merge () =
   let p = parse "typedef char *str; const str s;" in
   let prog = Cprog.build p in
-  let s = Hashtbl.find prog.Cprog.globals "s" in
+  let s = List.find (fun d -> d.d_name = "s") (Cprog.global_vars prog) in
   (* const str = char * const (const applies to the pointer) *)
   match Cprog.expand prog s.d_type with
   | TPtr (TInt (IChar, _), q) -> Alcotest.(check bool) "const on ptr" true (is_const q)

@@ -558,9 +558,13 @@ let prop_splice_equals_whole =
 (* the property is not vacuous: on fixed seeds, every edit that moves
    lines, writes through a body, puts two declarations on one line or
    keeps the text splices. The others may decline: an edit that changes
-   the parser environment above most of the unit, a revert of many edits
-   (each re-parses more than half the unit), or a comment that an
-   unchanged group closes. *)
+   the parser environment above most of the unit, or a revert of many
+   edits (each re-parses more than half the unit). A comment that an
+   unchanged group closes takes that group into the parsed region, so a
+   comment straddling lines declines only on the same grounds: on these
+   seeds, twice where it comments out the header's typedefs (every
+   later group is then parsed afresh) and once where it spans 53 lines,
+   a region past the work bound. *)
 let test_splice_fixed_stream () =
   Hashtbl.reset outcomes;
   for seed = 1 to 40 do
@@ -577,7 +581,12 @@ let test_splice_fixed_stream () =
       "write through a body";
       "two declarations on one line";
       "an edit that keeps the text";
-    ]
+    ];
+  let s, d =
+    Option.value (Hashtbl.find_opt outcomes "a comment straddling lines") ~default:(0, 0)
+  in
+  Alcotest.(check (pair bool int)) "a comment straddling lines: spliced, declined" (true, 3)
+    (s >= 10, d)
 
 (* one body edit: one declaration is parsed afresh, and every other
    global is physically the previous one; a comment line inserted at the
@@ -607,6 +616,28 @@ let test_splice_reuses_values () =
   Alcotest.(check int) "a moved line re-parses nothing" 0 k;
   Alcotest.(check bool) "moved: equal to a whole parse" true
     (observed r2 = observed (whole moved))
+
+(* an edit that opens a comment which a later, unchanged group's text
+   closes: that group is parsed afresh with the edited one, the groups
+   the comment swallows are dropped, and the groups after it are reused.
+   The comment spans ten groups, each lexed once: a region re-lexed from
+   its start for every group it takes in would pass the work bound. *)
+let test_splice_comment_closed_later () =
+  let defs fmt n = String.concat "" (List.init n (Printf.sprintf fmt)) in
+  let text a =
+    a ^ "\n"
+    ^ defs "int b%d(char *s) { return a(s); }\n" 10
+    ^ "/* note */\nint c(char *s) { return a(s); }\n"
+    ^ defs "int d%d(char *s) { return c(s); }\n" 40
+  in
+  let src = text "int a(char *s) { return *s; }" in
+  let b0 = Option.get (whole src).Cparse.ur_bounds in
+  let edited = text "int a(char *s) { return *s; } /* open" in
+  match Cparse.reparse_unit ~lex b0 edited with
+  | None -> Alcotest.fail "the splice declined"
+  | Some (r, k) ->
+      Alcotest.(check int) "a and c re-parsed, the b's commented out" 2 k;
+      Alcotest.(check bool) "equal to a whole parse" true (observed r = observed (whole edited))
 
 let tests =
   [
@@ -639,4 +670,6 @@ let tests =
       test_splice_fixed_stream;
     Alcotest.test_case "splice: unchanged declarations are the same values"
       `Quick test_splice_reuses_values;
+    Alcotest.test_case "splice: a comment a later group closes" `Quick
+      test_splice_comment_closed_later;
   ]

@@ -1077,6 +1077,181 @@ let prop_warm_equals_cold =
         modes;
       true)
 
+(* ---------------- a patched link equals a fresh one ---------------- *)
+
+(* A unit's top-level items, one a line: a typedef, a struct, a
+   prototype, a global or a definition, numbered from small ranges so
+   that several units declare or define the same names; [variant]
+   changes an item's text without changing its name. *)
+type litem = { l_kind : int; l_num : int; l_variant : int }
+
+let render_litem it =
+  let n = it.l_num and v = it.l_variant mod 2 = 0 in
+  match it.l_kind with
+  | 0 -> Printf.sprintf "typedef %s T%d;" (if v then "int" else "char *") n
+  | 1 -> Printf.sprintf "struct S%d { int a; %s };" n (if v then "char *b;" else "int c;")
+  | 2 -> Printf.sprintf "%s P%d(char *s);" (if v then "char *" else "int") n
+  | 3 -> Printf.sprintf "%s G%d;" (if v then "char *" else "int") n
+  | _ ->
+      Printf.sprintf "char *F%d(char *s) { %sreturn P%d(s) ? s : s; }" n
+        (if v then "" else "*s = 0; ") (n mod 3)
+
+let random_litem rng =
+  let kind = Random.State.int rng 8 in
+  {
+    l_kind = min kind 4;
+    l_num = Random.State.int rng (if kind >= 4 then 8 else 3);
+    l_variant = Random.State.int rng 2;
+  }
+
+let lunits units =
+  List.map
+    (fun (name, items) -> (name, String.concat "\n" (List.map render_litem items) ^ "\n"))
+    units
+
+(* One random edit of one or two units: an item changed, added or
+   removed; now and then a unit added or removed. *)
+let ledit rng counter units =
+  let n = List.length units in
+  let edit_unit (name, items) =
+    let k = List.length items in
+    let items =
+      match Random.State.int rng 3 with
+      | 0 when k > 0 ->
+          let j = Random.State.int rng k in
+          List.mapi (fun i it -> if i = j then { it with l_variant = it.l_variant + 1 } else it) items
+      | 1 when k > 0 ->
+          let j = Random.State.int rng k in
+          List.filteri (fun i _ -> i <> j) items
+      | _ ->
+          let j = Random.State.int rng (k + 1) in
+          List.filteri (fun i _ -> i < j) items
+          @ [ random_litem rng ]
+          @ List.filteri (fun i _ -> i >= j) items
+    in
+    (name, items)
+  in
+  match Random.State.int rng 12 with
+  | 0 ->
+      incr counter;
+      units @ [ (Printf.sprintf "x%d.c" !counter, List.init 3 (fun _ -> random_litem rng)) ]
+  | 1 when n > 2 ->
+      let j = Random.State.int rng n in
+      List.filteri (fun i _ -> i <> j) units
+  | r ->
+      let a = Random.State.int rng n and b = Random.State.int rng n in
+      List.mapi (fun i u -> if i = a || (r mod 2 = 0 && i = b) then edit_unit u else u) units
+
+(* every table of a linked program as a sorted association list, its
+   per-unit declaration lists and functions, and for each function
+   whether the function table resolves its name to that very
+   definition (what the analysis keeps of a name defined twice) *)
+let program_view (p : Cfront.Cprog.t) =
+  let sorted h = List.sort compare (List.of_seq (Hashtbl.to_seq h)) in
+  let fs = Cfront.Cprog.functions p in
+  ( (sorted p.Cfront.Cprog.typedefs, sorted p.Cfront.Cprog.comps, sorted p.Cfront.Cprog.protos),
+    (sorted p.Cfront.Cprog.fundefs, p.Cfront.Cprog.order, fs),
+    List.map
+      (fun (f : Cfront.Cast.fundef) ->
+        match Cfront.Cprog.find_fun p f.Cfront.Cast.f_name with Some g -> g == f | None -> false)
+      fs )
+
+(* how often each link outcome was seen, for the fixed-seed check *)
+let link_outcomes : (string, int) Hashtbl.t = Hashtbl.create 8
+
+let link_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let counter = ref 0 in
+  let units =
+    ref
+      (List.init
+         (3 + Random.State.int rng 3)
+         (fun i -> (Printf.sprintf "u%d.c" i, List.init (4 + Random.State.int rng 5) (fun _ -> random_litem rng))))
+  in
+  let t = Session.create ~mode:Analysis.Poly (lunits !units) in
+  let fail step what =
+    QCheck2.Test.fail_reportf "seed %d, %s: %s\n%s" seed step what
+      (String.concat "" (List.map (fun (n, s) -> "--- " ^ n ^ "\n" ^ s) (lunits !units)))
+  in
+  (* every definition has a pointer parameter, so every linked function
+     has positions, whose keys name its home unit *)
+  let check step =
+    let cold = Session.create ~mode:Analysis.Poly (lunits !units) in
+    if program_view (Session.program t) <> program_view (Session.program cold) then
+      fail step "the linked program differs from a fresh link";
+    if Session.positions t <> Session.positions cold then
+      fail step "the position keys (home units) differ"
+  in
+  check "initial";
+  for step = 1 to 10 do
+    let step = Printf.sprintf "step %d" step in
+    let kept = Session.program t in
+    let before = program_view kept in
+    let units' = ledit rng counter !units in
+    List.iter
+      (fun (name, _) ->
+        if not (List.mem_assoc name units') then ignore (Session.remove_unit t name))
+      !units;
+    units := units';
+    List.iter (fun (name, src) -> ignore (Session.update_unit t name src)) (lunits units');
+    ignore (Session.run t);
+    let how = (Option.get (Session.stats t).Session.ss_last_rebuild).Session.rb_link in
+    Hashtbl.replace link_outcomes how
+      (1 + Option.value (Hashtbl.find_opt link_outcomes how) ~default:0);
+    check step;
+    if program_view kept <> before then fail step "a program taken before the edit changed"
+  done;
+  true
+
+let prop_link_patch_equals_merge =
+  QCheck2.Test.make ~count:150 ~name:"link: a patched link equals a fresh one"
+    ~print:string_of_int QCheck2.Gen.int link_agrees
+
+(* the property is not vacuous: on fixed seeds, most edits patch the
+   link and every fallback is seen *)
+let test_link_outcomes () =
+  Hashtbl.reset link_outcomes;
+  for seed = 1 to 30 do
+    ignore (link_agrees seed)
+  done;
+  let seen how = Option.value (Hashtbl.find_opt link_outcomes how) ~default:0 in
+  Alcotest.(check bool) "most edits patch" true (seen "patched" > 100);
+  List.iter
+    (fun reason -> Alcotest.(check bool) reason true (seen ("merged: " ^ reason) > 10))
+    [ "unit list changed"; "a unit's typedefs, structs or prototypes changed" ]
+
+(* A prototype or typedef edit takes the merged path, a body edit the
+   patched one, and each renders as a cold session does. *)
+let test_link_paths () =
+  let a ~proto ~td body =
+    Printf.sprintf "%s\n%s\nchar *fa(char *s) { %sreturn s; }\n"
+      (if td then "typedef int num;" else "typedef char num;")
+      (if proto then "char *lib(char *s);" else "char *lib(const char *s);")
+      body
+  in
+  let b = "char *lib(char *s);\nchar *fb(char *s) { return lib(fa(s)); }\n" in
+  let t = Session.create ~mode:Analysis.Poly [ ("a.c", a ~proto:true ~td:true ""); ("b.c", b) ] in
+  ignore (Session.run t);
+  List.iter
+    (fun (what, src, expect) ->
+      ignore (Session.update_unit t "a.c" src);
+      ignore (Session.run t);
+      let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+      Alcotest.(check string) (what ^ ": link") expect rb.Session.rb_link;
+      Alcotest.(check string) (what ^ ": warm = cold")
+        (Session.render ~positions:true ~name:"l" (Session.create [ ("a.c", src); ("b.c", b) ]))
+        (Session.render ~positions:true ~name:"l" t))
+    [
+      ("a body edit", a ~proto:true ~td:true "*s = 0; ", "patched");
+      ( "a prototype edit",
+        a ~proto:false ~td:true "*s = 0; ",
+        "merged: a unit's typedefs, structs or prototypes changed" );
+      ( "a typedef edit",
+        a ~proto:false ~td:false "*s = 0; ",
+        "merged: a unit's typedefs, structs or prototypes changed" );
+      ("a body edit again", a ~proto:false ~td:false "", "patched");
+    ]
+
 (* A unit that mentions an earlier unit's typedef is re-parsed by the
    link under that environment; a body edit of the earlier unit leaves
    the environment as it was, so the re-parse comes from the memo and
@@ -1303,6 +1478,11 @@ let tests =
     Alcotest.test_case "daemon: a malformed escape is a bad request" `Quick
       test_daemon_bad_escape;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    QCheck_alcotest.to_alcotest prop_link_patch_equals_merge;
+    Alcotest.test_case "link: most edits patch, every fallback is seen" `Quick
+      test_link_outcomes;
+    Alcotest.test_case "link: a prototype or typedef edit merges, warm = cold" `Quick
+      test_link_paths;
     Alcotest.test_case "a link re-parse comes from the memo" `Quick
       test_link_reparse_memo;
     Alcotest.test_case "a spliced edit keeps the unit's other definitions"
