@@ -18,9 +18,9 @@
                writes BENCH_lattice.json
      ablation— (a) unsound covariant ref vs (SubRef); (b) struct field
                sharing off; (c) worklist vs naive solver
-     solver  — online cycle elimination + incremental re-solve vs the
-               seed solver (full re-solve per query, no unification) on
-               cyclic / chain / polymorphic-instantiation workloads, and
+     solver  — incremental re-solve vs a from-scratch re-solve per
+               query on cyclic / chain / polymorphic-instantiation
+               workloads, and
                the flat arena on one 32k-variable constraint stream
                (solutions = the naive re-solve of its atom log, counters
                = pinned); also runs under `ablation` and `micro`, and a
@@ -91,10 +91,8 @@ let jstats (s : TS.stats) =
   Jobj
     [
       ("vars_created", ji s.TS.vars_created);
-      ("vars_unified", ji s.TS.vars_unified);
       ("edges_added", ji s.TS.edges_added);
       ("edges_deduped", ji s.TS.edges_deduped);
-      ("cycles_collapsed", ji s.TS.cycles_collapsed);
       ("incr_solves", ji s.TS.incr_solves);
       ("full_solves", ji s.TS.full_solves);
       ("worklist_pops", ji s.TS.worklist_pops);
@@ -543,12 +541,11 @@ let counters stats =
   String.concat ","
     (upto (String.split_on_char ',' (Fmt.str "%a" TS.pp_stats stats)))
 
-(* [ablation_ops]' counters, pinned from runs through this arena and the
-   pre-arena store it replaced, which agreed. They move only if the
-   solver's insertion, dedup, collapse or worklist order does. *)
+(* [ablation_ops]' counters. They move only if the solver's insertion,
+   dedup or worklist order does. *)
 let pinned_counters =
-  "vars 32000 (3516 unified), edges 213676 (46670 deduped), cycles 2142, \
-   solves 18969 incr + 0 full, 905640 worklist pops"
+  "vars 32000, edges 215710 (39273 deduped), solves 18989 incr + 0 full, \
+   919345 worklist pops"
 
 (* Replay [ops] into a fresh store, solved *)
 let replay sp ops nvars =
@@ -567,34 +564,28 @@ let replay sp ops nvars =
   ignore (TS.solve st);
   (st, v)
 
-(* Solver ablation: cycle elimination + incremental re-solving vs the
-   seed solver's behavior (no unification, full re-solve after every
-   constraint addition). Each workload interleaves constraint additions
-   with solution queries, which is exactly the access pattern inference
-   produces: generate some constraints, classify some variables, repeat. *)
+(* Solver ablation: incremental re-solving vs a from-scratch re-solve
+   of the whole system at every query. Each workload interleaves
+   constraint additions with solution queries, which is exactly the
+   access pattern inference produces: generate some constraints,
+   classify some variables, repeat. *)
 let solver_ablation () =
-  Fmt.pr
-    "@.=== Solver ablation: online cycle elimination + incremental solve \
-     ===@.";
+  Fmt.pr "@.=== Solver ablation: incremental solve ===@.";
   let sp = Analysis.const_space in
   let top = Elt.top sp in
-  let create = function
-    | `Seed -> TS.create ~cycle_elim:false sp
-    | `Optimized -> TS.create ~cycle_elim:true sp
-  in
-  (* the seed solver invalidated everything on any addition and re-ran the
-     full least+greatest fixpoint at the next query *)
+  (* the scratch arm re-runs the full least+greatest fixpoint at every
+     query *)
   let query strategy st v =
     (match strategy with
-    | `Seed -> ignore (TS.solve_from_scratch st)
-    | `Optimized -> ());
+    | `Scratch -> ignore (TS.solve_from_scratch st)
+    | `Incremental -> ());
     ignore (TS.least st v)
   in
   let cyclic strategy =
     (* mutual-subtyping pairs chained together: the kappa1 <= kappa2 <=
        kappa1 shape ref cells produce constantly *)
     let n = 3000 and stride = 30 in
-    let st = create strategy in
+    let st = TS.create sp in
     let vars = Array.init n (fun _ -> TS.fresh st) in
     for i = 0 to n - 2 do
       TS.add_leq_vv st vars.(i) vars.(i + 1);
@@ -605,9 +596,9 @@ let solver_ablation () =
     st
   in
   let chain strategy =
-    (* acyclic control: cycle elimination must never hurt *)
+    (* acyclic control *)
     let n = 3000 and stride = 30 in
-    let st = create strategy in
+    let st = TS.create sp in
     let vars = Array.init n (fun _ -> TS.fresh st) in
     TS.add_leq_cv st top vars.(0);
     for i = 0 to n - 2 do
@@ -620,7 +611,7 @@ let solver_ablation () =
     (* a scheme whose body carries an internal two-cycle, instantiated
        repeatedly against one shared variable — polymorphic instantiation's
        signature workload *)
-    let st = create strategy in
+    let st = TS.create sp in
     let shared = TS.fresh st in
     let (g, a, b), atoms =
       TS.recording st (fun () ->
@@ -642,30 +633,31 @@ let solver_ablation () =
   let workloads =
     [ ("cyclic", cyclic, true); ("chain", chain, false); ("poly", poly, true) ]
   in
-  Fmt.pr "%-8s %12s %12s %9s@." "workload" "seed(s)" "optimized(s)" "speedup";
+  Fmt.pr "%-8s %12s %14s %9s@." "workload" "scratch(s)" "incremental(s)"
+    "speedup";
   let ok, check = checker () in
   let jrows =
     List.map
       (fun (name, wl, want_2x) ->
-        let seed_s = time_avg 3 (fun () -> wl `Seed) in
-        let opt_s = time_avg 3 (fun () -> wl `Optimized) in
-        let stats = TS.stats (wl `Optimized) in
-        Fmt.pr "%-8s %12.4f %12.4f %8.1fx@." name seed_s opt_s
-          (seed_s /. opt_s);
-        (name, seed_s, opt_s, want_2x, stats))
+        let scratch_s = time_avg 3 (fun () -> wl `Scratch) in
+        let incr_s = time_avg 3 (fun () -> wl `Incremental) in
+        let stats = TS.stats (wl `Incremental) in
+        Fmt.pr "%-8s %12.4f %14.4f %8.1fx@." name scratch_s incr_s
+          (scratch_s /. incr_s);
+        (name, scratch_s, incr_s, want_2x, stats))
       workloads
   in
   List.iter
-    (fun (name, seed_s, opt_s, want_2x, _) ->
+    (fun (name, scratch_s, incr_s, want_2x, _) ->
       check
-        (Printf.sprintf "%s: optimized never slower" name)
-        (opt_s <= seed_s *. 1.05)
-        (Printf.sprintf " (%.4fs vs %.4fs)" opt_s seed_s);
+        (Printf.sprintf "%s: incremental never slower" name)
+        (incr_s <= scratch_s *. 1.05)
+        (Printf.sprintf " (%.4fs vs %.4fs)" incr_s scratch_s);
       if want_2x then
         check
-          (Printf.sprintf "%s: optimized >= 2x faster" name)
-          (seed_s /. opt_s >= 2.)
-          (Printf.sprintf " measured %.1fx" (seed_s /. opt_s)))
+          (Printf.sprintf "%s: incremental >= 2x faster" name)
+          (scratch_s /. incr_s >= 2.)
+          (Printf.sprintf " measured %.1fx" (scratch_s /. incr_s)))
     jrows;
   (* the flat arena on a stream sized to a 32-kloc poly analysis (~1
      qualifier variable per line): every solution must be the least
@@ -697,11 +689,11 @@ let solver_ablation () =
   Fmt.pr "%s@."
     (if !ok then "ALL SOLVER ABLATION CHECKS PASSED"
      else "SOLVER ABLATION CHECKS FAILED");
-  let jrow (name, seed_s, opt_s, want_2x, stats) =
+  let jrow (name, scratch_s, incr_s, want_2x, stats) =
     Jobj
-      [ ("name", Jstr name); ("seed_s", jf seed_s); ("optimized_s", jf opt_s);
-        ("speedup", jf (seed_s /. opt_s)); ("required_2x", jb want_2x);
-        ("solver", jstats stats) ]
+      [ ("name", Jstr name); ("scratch_s", jf scratch_s);
+        ("incremental_s", jf incr_s); ("speedup", jf (scratch_s /. incr_s));
+        ("required_2x", jb want_2x); ("solver", jstats stats) ]
   in
   record_section "solver_ablation"
     (Jobj

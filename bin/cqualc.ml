@@ -283,8 +283,8 @@ let stats =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print constraint-solver statistics (unifications, edge dedup, \
-              cycle collapses, worklist pops)")
+        ~doc:"Print constraint-solver statistics (edges, edge dedup, \
+              worklist pops)")
 
 let budget =
   let budget_conv =

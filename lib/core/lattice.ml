@@ -214,12 +214,6 @@ module Elt = struct
 
   let full_mask sp = sp.Space.full
 
-  (* Does [mask] cover every coordinate of the space? Full-mask relations
-     equate variables when they form a cycle; masked ones never do. *)
-  let is_full_mask sp mask =
-    let full = full_mask sp in
-    mask land full = full
-
   (* Bottom of L: every coordinate at its lattice bottom — no
      join-irreducibles below it, i.e. no bits. *)
   let bottom _sp = 0

@@ -84,10 +84,6 @@ module Elt : sig
 
   val full_mask : Space.t -> int
 
-  val is_full_mask : Space.t -> int -> bool
-  (** does the mask cover every coordinate of the space? (full-mask
-      [var <= var] edges are the ones eligible for cycle collapse) *)
-
   val bottom : Space.t -> t
   (** every coordinate at its sub-lattice bottom (= 0) *)
 

@@ -2,26 +2,25 @@
     flat-arena implementation.
 
     The constraint system and algorithms: masked atomic constraints
-    over a Birkhoff-encoded lattice, union-find with partial online cycle
-    elimination, insertion-time edge/bound dedup, incremental worklist
-    solving with a monotone error table, and recorded constraint schemes
-    with renaming instantiation.
+    over a Birkhoff-encoded lattice, insertion-time edge/bound dedup,
+    incremental worklist solving with a monotone error table, and
+    recorded constraint schemes with renaming instantiation. Every
+    variable is its own graph node: propagation raises a variable's
+    solution at most once per lattice bit (Section 3.1), so cycles need
+    no special case.
 
     The {e representation} (DESIGN.md, "Flat-arena solver"):
 
-    - Variable state (union-find parent/rank, constant bounds, current
-      least/greatest solution, adjacency heads) lives in dense [int]
-      columns indexed by the creation-order id. A [var] handle is a tiny
-      immutable record — id, name, uid, store back-pointer — shared with
-      atoms, schemes and error values, so the public interface is
-      unchanged.
+    - Variable state (constant bounds, current least/greatest solution,
+      adjacency heads) lives in dense [int] columns indexed by the
+      creation-order id. A [var] handle is a tiny immutable record — id,
+      name, uid — shared with atoms, schemes and error values.
     - Adjacency is a linked {e edge arena}: per logical edge one succ cell
       and one pred cell in the packed [ecells] arena, chained by the
       cell's next slot with
       prepend-to-head insertion, so enumeration order matches the old
-      list-prepend order cell for cell. Cycle collapse relinks cells
-      between chains without allocating.
-    - The [(src, dst, mask)] edge-dedup and [(rep, const, mask, side)]
+      list-prepend order cell for cell.
+    - The [(src, dst, mask)] edge-dedup and [(var, const, mask, side)]
       bound-dedup tables are open-addressing int-keyed hash sets
       ([Iset]) — no tuple allocation, no polymorphic hashing.
     - The propagation worklist is an int ring buffer with a byte-array
@@ -190,7 +189,6 @@ type var = {
   uid : int;
       (* globally unique across stores (atomic counter); renaming maps
          that can mix variables of two stores key on it *)
-  store : t;  (* back-pointer: lets [repr] resolve without a store arg *)
 }
 
 and t = {
@@ -198,8 +196,6 @@ and t = {
   mutable nvars : int;
   (* variable columns, indexed by id; grown together *)
   mutable objs : var array;  (* id -> the (unique) handle *)
-  mutable parent : int array;  (* union-find: self iff representative *)
-  mutable rank : int array;
   mutable lo_bound : int array;  (* join of constant lower bounds *)
   mutable hi_bound : int array;  (* meet of constant upper bounds *)
   mutable lo : int array;  (* least solution, valid after [solve] *)
@@ -228,27 +224,14 @@ and t = {
   mutable fresh_from : int;
       (* log entries from here on were added since the last {!checkpoint} *)
   mutable fresh_var0 : int;  (* variables from here on likewise *)
-  mutable chk_unified : int;  (* [s_unified] at the checkpoint *)
-  mutable chk_cycles : int;  (* [s_cycles] at the checkpoint *)
-  dfs_rec : (int, int list) Hashtbl.t;
-      (* variable -> the log indices of the atoms whose cycle search read
-         its succ chain and was cut short or closed a cycle (rare: four
-         searches of 17 k on midi-project-sim) *)
-  mutable fp_buf : int array;  (* the variables the current search read *)
-  mutable nfp : int;
-  mutable fresh_hazards : (int * int array) list;
-      (* the cycle searches since the checkpoint that were cut short or
-         closed a cycle: trigger and the variables whose chains it read *)
   mutable ground_errors : error list;
   errors : (int, error) Hashtbl.t;
-      (* persistent bound-violation table, keyed by the representative id
-         at detection time; monotone since constraints are only added *)
+      (* persistent bound-violation table, keyed by variable id;
+         monotone since constraints are only added *)
   mutable recorders : atom list ref list;
   mutable solved : bool;
-  (* dirty set: insertion-ordered stack + membership mark. Removal clears
-     the mark and leaves a stale stack entry; re-marking pushes again —
-     seeding filters on the mark, so semantics match a Hashtbl dirty set
-     with a separate insertion-order list. *)
+  (* dirty set: insertion-ordered stack + membership mark, which keeps
+     each variable on the stack once *)
   mutable dirty_stack : int array;
   mutable ndirty : int;
   mutable dirty_mark : Bytes.t;
@@ -258,23 +241,21 @@ and t = {
   mutable wl_head : int;
   mutable wl_tail : int;
   mutable inq : Bytes.t;
-  (* representatives popped by the last propagate, in pop order *)
+  (* variables popped by the last propagate, in pop order *)
   mutable touched : int array;
   mutable ntouched : int;
   mutable fp_stamp : int array;
-      (* generation-stamped seen-set for the cycle-detection DFS: a slot
-         equal to [fp_gen] means visited this call — no per-call allocation *)
+      (* generation-stamped variable mark for {!retract}'s key-transfer
+         scan: a slot equal to [fp_gen] means marked this call — no
+         per-call allocation *)
   mutable fp_gen : int;
   edge_seen : Iset.t;  (* (src, dst, mask, 0) *)
   bound_seen : Iset.t;
-      (* ((rep << 1) | is_upper, const, mask, 0): constant bounds already
-         applied to a representative *)
-  cycle_elim : bool;
+      (* ((var << 1) | is_upper, const, mask, 0): constant bounds already
+         applied to a variable *)
   mutable budget : Budget.t option;
-  mutable s_unified : int;
   mutable s_edges : int;
   mutable s_dedup : int;
-  mutable s_cycles : int;
   mutable s_incr : int;
   mutable s_full : int;
   mutable s_pops : int;
@@ -315,7 +296,6 @@ and error = {
 
 type stats = {
   vars_created : int;
-  vars_unified : int;
   edges_added : int;
   edges_deduped : int;
   cycles_collapsed : int;
@@ -342,13 +322,11 @@ type stats = {
   cores_available : int;
 }
 
-let create ?(cycle_elim = true) space =
+let create space =
   {
     sp = space;
     nvars = 0;
     objs = [||];
-    parent = [||];
-    rank = [||];
     lo_bound = [||];
     hi_bound = [||];
     lo = [||];
@@ -366,12 +344,6 @@ let create ?(cycle_elim = true) space =
     live_slices = [];
     fresh_from = 0;
     fresh_var0 = 0;
-    chk_unified = 0;
-    chk_cycles = 0;
-    dfs_rec = Hashtbl.create 16;
-    fp_buf = Array.make 64 0;
-    nfp = 0;
-    fresh_hazards = [];
     ground_errors = [];
     errors = Hashtbl.create 16;
     recorders = [];
@@ -389,12 +361,9 @@ let create ?(cycle_elim = true) space =
     ntouched = 0;
     edge_seen = Iset.create ~cap:256 ();
     bound_seen = Iset.create ~cap:256 ();
-    cycle_elim;
     budget = None;
-    s_unified = 0;
     s_edges = 0;
     s_dedup = 0;
-    s_cycles = 0;
     s_incr = 0;
     s_full = 0;
     s_pops = 0;
@@ -426,10 +395,9 @@ let budget_tripped t =
 let stats t =
   {
     vars_created = t.nvars - t.s_vars_base;
-    vars_unified = t.s_unified;
     edges_added = t.s_edges;
     edges_deduped = t.s_dedup;
-    cycles_collapsed = t.s_cycles;
+    cycles_collapsed = 0;
     incr_solves = t.s_incr;
     full_solves = t.s_full;
     worklist_pops = t.s_pops;
@@ -502,11 +470,11 @@ let phase_seconds t = function
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "vars %d (%d unified), edges %d (%d deduped), cycles %d, solves %d incr + \
-     %d full, %d worklist pops, %.3fs solving; compaction: scheme vars %d \
-     -> %d, scheme atoms %d -> %d, %d memoized instantiations"
-    s.vars_created s.vars_unified s.edges_added s.edges_deduped
-    s.cycles_collapsed s.incr_solves s.full_solves s.worklist_pops s.solve_s
+    "vars %d, edges %d (%d deduped), solves %d incr + %d full, %d worklist \
+     pops, %.3fs solving; compaction: scheme vars %d -> %d, scheme atoms %d \
+     -> %d, %d memoized instantiations"
+    s.vars_created s.edges_added s.edges_deduped s.incr_solves s.full_solves
+    s.worklist_pops s.solve_s
     s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
     s.scheme_edges_after s.instantiations_memo_hits;
   Fmt.pf ppf
@@ -537,11 +505,9 @@ let grow_bytes a cap' =
 (* grow every per-variable column to hold id [t.nvars]; [v] supplies the
    fill value for [objs] (an empty store has no var to fabricate one) *)
 let ensure_var_capacity t v =
-  let cap = Array.length t.parent in
+  let cap = Array.length t.lo in
   if t.nvars >= cap then begin
     let cap' = if cap = 0 then 64 else cap * 2 in
-    t.parent <- grow_int t.parent cap';
-    t.rank <- grow_int t.rank cap';
     t.lo_bound <- grow_int t.lo_bound cap';
     t.hi_bound <- grow_int t.hi_bound cap';
     t.lo <- grow_int t.lo cap';
@@ -577,13 +543,9 @@ let uid_counter = Atomic.make 0
 
 let fresh ?(name = "q") t =
   let id = t.nvars in
-  let v =
-    { id; vname = name; uid = Atomic.fetch_and_add uid_counter 1; store = t }
-  in
+  let v = { id; vname = name; uid = Atomic.fetch_and_add uid_counter 1 } in
   ensure_var_capacity t v;
   t.objs.(id) <- v;
-  t.parent.(id) <- id;
-  t.rank.(id) <- 0;
   t.lo_bound.(id) <- Elt.bottom t.sp;
   t.hi_bound.(id) <- Elt.top t.sp;
   t.lo.(id) <- Elt.bottom t.sp;
@@ -603,26 +565,6 @@ let var_of_id t i = t.objs.(i)
 let var_uid v = v.uid
 let var_name v = v.vname
 let pp_var ppf v = Fmt.pf ppf "%s#%d" v.vname v.id
-
-(* union-find over the parent column, with path compression *)
-let rec find_id t i =
-  let p = Array.unsafe_get t.parent i in
-  if p = i then i
-  else begin
-    let r = find_id t p in
-    Array.unsafe_set t.parent i r;
-    r
-  end
-
-(* the same lookup without path compression: it writes nothing, so any
-   number of domains may run it on a store no one is mutating *)
-let rec find_ro t i =
-  let p = Array.unsafe_get t.parent i in
-  if p = i then i else find_ro t p
-
-let repr v =
-  let t = v.store in
-  t.objs.(find_id t v.id)
 
 let record t atom = List.iter (fun r -> r := atom :: !r) t.recorders
 
@@ -649,8 +591,6 @@ let mark_dirty t i =
     t.ndirty <- t.ndirty + 1
   end
 
-let dirty_remove t i = Bytes.unsafe_set t.dirty_mark i '\000'
-
 let dirty_reset t =
   for k = 0 to t.ndirty - 1 do
     Bytes.unsafe_set t.dirty_mark t.dirty_stack.(k) '\000'
@@ -674,14 +614,14 @@ let new_cell t dst mask reason next =
 
 (* var <= const, restricted to the coordinates in [mask]. Constant bounds
    are deduplicated on insertion like edges: a repeated instantiation that
-   re-derives an identical bound on the same representative is counted as
+   re-derives an identical bound on the same variable is counted as
    deduped and adds nothing — in particular no provenance entry, so
    [hi_reasons] stops growing with the instantiation count. The dedup key
-   packs the side flag into the representative id's low bit. *)
+   packs the side flag into the variable id's low bit. *)
 let add_leq_vc ?reason ?mask t v c =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
   log_atom t (Avc (v, c, mask, reason));
-  let r = find_id t v.id in
+  let r = v.id in
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 1) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
@@ -700,7 +640,7 @@ let add_leq_vc ?reason ?mask t v c =
 let add_leq_cv ?reason ?mask t c v =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
   log_atom t (Acv (c, v, mask, reason));
-  let r = find_id t v.id in
+  let r = v.id in
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 0) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
@@ -715,166 +655,25 @@ let add_leq_cv ?reason ?mask t c v =
     end
   end
 
-(* Merge representative [o] into representative [r] (rank order decided by
-   the caller): bounds join/meet, provenance concatenates, and [o]'s edge
-   cells are {e relinked} into [r]'s chains — no allocation — with
-   self-loops dropped and duplicates skipped. Cells left behind (dropped
-   self-loops/duplicates) simply go dead in the arena. Stale cells naming
-   [o] as a destination in other chains stay; traversal resolves every
-   endpoint through [find_id]. *)
-let absorb_id t r o =
-  let sp = t.sp in
-  t.parent.(o) <- r;
-  t.lo_bound.(r) <- Elt.join sp t.lo_bound.(r) t.lo_bound.(o);
-  t.hi_bound.(r) <- Elt.meet sp t.hi_bound.(r) t.hi_bound.(o);
-  t.lo.(r) <- Elt.join sp t.lo.(r) t.lo.(o);
-  t.hi.(r) <- Elt.meet sp t.hi.(r) t.hi.(o);
-  t.lo_reasons.(r) <- List.rev_append t.lo_reasons.(o) t.lo_reasons.(r);
-  t.hi_reasons.(r) <- List.rev_append t.hi_reasons.(o) t.hi_reasons.(r);
-  t.lo_reasons.(o) <- [];
-  t.hi_reasons.(o) <- [];
-  let e = ref t.succ_head.(o) in
-  t.succ_head.(o) <- -1;
-  while !e >= 0 do
-    let cell = !e in
-    let b = 3 * cell in
-    e := t.ecells.(b + 2);
-    let s = find_id t t.ecells.(b) in
-    if s <> r then begin
-      if Iset.mem_add t.edge_seen r s t.ecells.(b + 1) 0 then
-        t.s_dedup <- t.s_dedup + 1
-      else begin
-        t.ecells.(b) <- s;
-        t.ecells.(b + 2) <- t.succ_head.(r);
-        t.succ_head.(r) <- cell
-      end
-    end
-  done;
-  let e = ref t.pred_head.(o) in
-  t.pred_head.(o) <- -1;
-  while !e >= 0 do
-    let cell = !e in
-    let b = 3 * cell in
-    e := t.ecells.(b + 2);
-    let p = find_id t t.ecells.(b) in
-    if p <> r then begin
-      if Iset.mem_add t.edge_seen p r t.ecells.(b + 1) 0 then
-        t.s_dedup <- t.s_dedup + 1
-      else begin
-        t.ecells.(b) <- p;
-        t.ecells.(b + 2) <- t.pred_head.(r);
-        t.pred_head.(r) <- cell
-      end
-    end
-  done;
-  t.s_unified <- t.s_unified + 1;
-  dirty_remove t o;
-  mark_dirty t r
-
-let union_id t a b =
-  let a = find_id t a and b = find_id t b in
-  if a = b then a
-  else begin
-    let r, o = if t.rank.(a) >= t.rank.(b) then (a, b) else (b, a) in
-    if t.rank.(r) = t.rank.(o) then t.rank.(r) <- t.rank.(r) + 1;
-    absorb_id t r o;
-    r
-  end
-
-(* Bounded DFS over full-mask edges from [src] looking for [dst]; returns
-   the path of representative ids (src first, dst last). The budget bounds
-   total edge traversals, keeping cycle detection cheap on large graphs —
-   partial online cycle elimination: missing a long cycle only costs
-   propagation work, never soundness. *)
-let cycle_budget = 64
-
-let dfs_rec t v = Option.value (Hashtbl.find_opt t.dfs_rec v) ~default:[]
-
-let find_path t src dst =
-  let full = Elt.full_mask t.sp in
-  t.fp_gen <- t.fp_gen + 1;
-  let gen = t.fp_gen in
-  let steps = ref 0 in
-  let cut = ref false in
-  t.nfp <- 0;
-  let rec go v =
-    let v = find_id t v in
-    if v = dst then Some [ v ]
-    else if Array.unsafe_get t.fp_stamp v = gen then None
-    else if !steps >= cycle_budget then begin
-      cut := true;
-      None
-    end
-    else begin
-      Array.unsafe_set t.fp_stamp v gen;
-      if t.nfp >= Array.length t.fp_buf then
-        t.fp_buf <- grow_int t.fp_buf (2 * t.nfp);
-      Array.unsafe_set t.fp_buf t.nfp v;
-      t.nfp <- t.nfp + 1;
-      let rec try_edges e =
-        if e < 0 then None
-        else begin
-          incr steps;
-          let b = 3 * e in
-          if Array.unsafe_get t.ecells (b + 1) land full = full then (
-            match go (Array.unsafe_get t.ecells b) with
-            | Some p -> Some (v :: p)
-            | None -> try_edges (Array.unsafe_get t.ecells (b + 2)))
-          else try_edges (Array.unsafe_get t.ecells (b + 2))
-        end
-      in
-      try_edges t.succ_head.(v)
-    end
-  in
-  let path = go src in
-  (* A search that was cut short, or that found a cycle, could end
-     differently over other edges: record which chains it read, so that
-     a retraction touching them falls back to a rebuild. A search that
-     ran to the end without a path needs no record: no edge added later
-     or deleted can give it one (see {!retract}). *)
-  if !cut || path <> None then begin
-    let trig = t.nlog - 1 in
-    for k = 0 to t.nfp - 1 do
-      let v = t.fp_buf.(k) in
-      Hashtbl.replace t.dfs_rec v (trig :: dfs_rec t v)
-    done;
-    if trig >= t.fresh_from then
-      t.fresh_hazards <- (trig, Array.sub t.fp_buf 0 t.nfp) :: t.fresh_hazards
-  end;
-  path
-
-(* The edge [ra <= rb] was just inserted; a path [rb ~> ra] over full-mask
-   edges closes a cycle, and every variable on it takes the same value in
-   any solution — unify the lot. *)
-let try_collapse t ra rb =
-  match find_path t rb ra with
-  | None | Some [] -> ()
-  | Some (first :: rest) ->
-      t.s_cycles <- t.s_cycles + 1;
-      ignore (List.fold_left (fun acc v -> union_id t acc v) first rest)
-
-(* var <= var, restricted to [mask]. *)
+(* var <= var, restricted to [mask]. A self-edge is vacuous and never
+   logged, so no chain holds one. *)
 let add_leq_vv ?reason ?mask t a b =
   if a != b then begin
     let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
     log_atom t (Avv (a, b, mask, reason));
-    let ra = find_id t a.id and rb = find_id t b.id in
-    if ra <> rb then begin
-      if Iset.mem_add t.edge_seen ra rb mask 0 then
-        t.s_dedup <- t.s_dedup + 1
-        (* the identical edge already exists between these representatives:
-           the system is unchanged, [solved] stays valid *)
-      else begin
-        t.s_edges <- t.s_edges + 1;
-        Iset.set_owner t.edge_seen t.edge_seen.last (t.nlog - 1);
-        t.succ_head.(ra) <- new_cell t rb mask reason t.succ_head.(ra);
-        t.pred_head.(rb) <- new_cell t ra mask reason t.pred_head.(rb);
-        t.solved <- false;
-        mark_dirty t ra;
-        mark_dirty t rb;
-        if t.cycle_elim && Elt.is_full_mask t.sp mask then
-          try_collapse t ra rb
-      end
+    let ra = a.id and rb = b.id in
+    if Iset.mem_add t.edge_seen ra rb mask 0 then
+      t.s_dedup <- t.s_dedup + 1
+      (* the identical edge already exists: the system is unchanged,
+         [solved] stays valid *)
+    else begin
+      t.s_edges <- t.s_edges + 1;
+      Iset.set_owner t.edge_seen t.edge_seen.last (t.nlog - 1);
+      t.succ_head.(ra) <- new_cell t rb mask reason t.succ_head.(ra);
+      t.pred_head.(rb) <- new_cell t ra mask reason t.pred_head.(rb);
+      t.solved <- false;
+      mark_dirty t ra;
+      mark_dirty t rb
     end
   end
 
@@ -956,18 +755,16 @@ let touched_push t i =
    edges. The lattice operations are inlined bit operations (join = lor,
    meet = land, embed_bottom = mask off, embed_top = mask off + fill the
    complement with top): this loop is the hot core of the solver and must
-   not allocate. Every popped representative is appended to [touched] so
-   the caller can re-check bound violations on exactly the affected
-   region. *)
+   not allocate. Every popped variable is appended to [touched] so the
+   caller can re-check bound violations on exactly the affected region. *)
 let propagate t ~seed =
   let top = Elt.top t.sp in
   t.ntouched <- 0;
-  let push i = wl_push t (find_id t i) in
   (* A tripped budget drains the worklists without propagating: (lo, hi)
      are left partial, which is why budgeted runs are reported degraded
      and classified conservatively by the caller. *)
   (* least pass *)
-  seed push;
+  seed (wl_push t);
   while t.wl_head < t.wl_tail && not (budget_tripped t) do
     let v = wl_pop t in
     t.s_pops <- t.s_pops + 1;
@@ -978,21 +775,18 @@ let propagate t ~seed =
     while !e >= 0 do
       let b = 3 * !e in
       e := Array.unsafe_get t.ecells (b + 2);
-      let d = Array.unsafe_get t.ecells b in
-      let s = if Array.unsafe_get t.parent d = d then d else find_id t d in
-      if s <> v then begin
-        let los = Array.unsafe_get t.lo s in
-        let lo' = los lor (lov land Array.unsafe_get t.ecells (b + 1)) in
-        if lo' <> los then begin
-          Array.unsafe_set t.lo s lo';
-          wl_push t s
-        end
+      let s = Array.unsafe_get t.ecells b in
+      let los = Array.unsafe_get t.lo s in
+      let lo' = los lor (lov land Array.unsafe_get t.ecells (b + 1)) in
+      if lo' <> los then begin
+        Array.unsafe_set t.lo s lo';
+        wl_push t s
       end
     done
   done;
   wl_reset t;
   (* greatest pass: dual, meets along reversed edges *)
-  seed push;
+  seed (wl_push t);
   while t.wl_head < t.wl_tail && not (budget_tripped t) do
     let v = wl_pop t in
     t.s_pops <- t.s_pops + 1;
@@ -1003,16 +797,13 @@ let propagate t ~seed =
     while !e >= 0 do
       let b = 3 * !e in
       e := Array.unsafe_get t.ecells (b + 2);
-      let d = Array.unsafe_get t.ecells b in
-      let p = if Array.unsafe_get t.parent d = d then d else find_id t d in
-      if p <> v then begin
-        let m = Array.unsafe_get t.ecells (b + 1) in
-        let hip = Array.unsafe_get t.hi p in
-        let hi' = hip land ((hiv land m) lor (top land lnot m)) in
-        if hi' <> hip then begin
-          Array.unsafe_set t.hi p hi';
-          wl_push t p
-        end
+      let p = Array.unsafe_get t.ecells b in
+      let m = Array.unsafe_get t.ecells (b + 1) in
+      let hip = Array.unsafe_get t.hi p in
+      let hi' = hip land ((hiv land m) lor (top land lnot m)) in
+      if hi' <> hip then begin
+        Array.unsafe_set t.hi p hi';
+        wl_push t p
       end
     done
   done;
@@ -1022,7 +813,7 @@ let propagate t ~seed =
    offending coordinate, then walk backwards (BFS over a queue) to a
    constant lower bound that raised it. *)
 let explain t v =
-  let vi = find_id t v.id in
+  let vi = v.id in
   let sp = t.sp in
   let bad = ref None in
   for i = 0 to Space.size sp - 1 do
@@ -1033,7 +824,7 @@ let explain t v =
     end
   done;
   match !bad with
-  | None -> Fmt.str "%a: bound violation" pp_var t.objs.(vi)
+  | None -> Fmt.str "%a: bound violation" pp_var v
   | Some i ->
       let q = Space.qual sp i in
       let mask = Elt.singleton_mask sp i in
@@ -1068,7 +859,7 @@ let explain t v =
               let cell = !e in
               let b = 3 * cell in
               e := t.ecells.(b + 2);
-              let p = find_id t t.ecells.(b) in
+              let p = t.ecells.(b) in
               if t.ecells.(b + 1) land mask <> 0 && coord_of t.lo.(p) = target
               then Queue.push p frontier
             done
@@ -1101,14 +892,14 @@ let explain t v =
               (Elt.level_name sp i t.hi_bound.(vi))
       in
       Fmt.str "qualifier %a of %a violates an upper bound%s%a%s" Qualifier.pp
-        q pp_var t.objs.(vi) levels
+        q pp_var v levels
         Fmt.(option (any " (" ++ string ++ any ")"))
         bound_reason origin
 
 (* Public query surface for store-resident clients (the analysis daemon):
    explain one variable on demand instead of scanning [last_errors]. *)
 let explain_var t v =
-  let vi = find_id t v.id in
+  let vi = v.id in
   if Elt.leq t.sp t.lo.(vi) t.hi_bound.(vi) then None else Some (explain t v)
 
 let last_errors t =
@@ -1125,7 +916,7 @@ let last_errors t =
 (* no sort: ground violations are rare, the table keeps its size *)
 let error_count t = List.length t.ground_errors + Hashtbl.length t.errors
 
-(* Record a violation for every representative popped by the last
+(* Record a violation for every variable popped by the last
    propagate whose least solution escapes its constant upper bound.
    Violations are monotone (constraints are only added; [lo] only rises,
    [hi_bound] only falls), so entries never need revisiting. [explain]
@@ -1157,8 +948,7 @@ let solve t =
     let t0 = Unix.gettimeofday () in
     propagate t ~seed:(fun push ->
         for k = 0 to t.ndirty - 1 do
-          let i = t.dirty_stack.(k) in
-          if Bytes.unsafe_get t.dirty_mark i = '\001' then push i
+          push t.dirty_stack.(k)
         done);
     check_violations t;
     dirty_reset t;
@@ -1168,7 +958,7 @@ let solve t =
   end;
   result_of_errors t
 
-(* Full solve: reset every representative to its bounds and propagate from
+(* Full solve: reset every variable to its bounds and propagate from
    everywhere (in reverse creation order, a fixed order that keeps the
    counters deterministic). The ablation baseline for incremental solving,
    and a self-check hook (the fixpoint is unique, so the results must
@@ -1176,22 +966,16 @@ let solve t =
 let solve_from_scratch t =
   let t0 = Unix.gettimeofday () in
   for i = t.nvars - 1 downto 0 do
-    if t.parent.(i) = i then begin
-      t.lo.(i) <- t.lo_bound.(i);
-      t.hi.(i) <- t.hi_bound.(i)
-    end
+    t.lo.(i) <- t.lo_bound.(i);
+    t.hi.(i) <- t.hi_bound.(i)
   done;
   propagate t ~seed:(fun push ->
       for i = t.nvars - 1 downto 0 do
-        if t.parent.(i) = i then push i
+        push i
       done);
   Hashtbl.reset t.errors;
   for i = t.nvars - 1 downto 0 do
-    if
-      t.parent.(i) = i
-      && (not (Hashtbl.mem t.errors i))
-      && not (Elt.leq t.sp t.lo.(i) t.hi_bound.(i))
-    then
+    if not (Elt.leq t.sp t.lo.(i) t.hi_bound.(i)) then
       Hashtbl.add t.errors i
         { err_var = Some t.objs.(i); err_msg = explain t t.objs.(i) }
   done;
@@ -1203,11 +987,11 @@ let solve_from_scratch t =
 
 let least t v =
   if not t.solved then ignore (solve t);
-  t.lo.(find_id t v.id)
+  t.lo.(v.id)
 
 let greatest t v =
   if not t.solved then ignore (solve t);
-  t.hi.(find_id t v.id)
+  t.hi.(v.id)
 
 (* Classification of one coordinate of a variable, per Section 4.4. *)
 type verdict =
@@ -1228,8 +1012,7 @@ let verdict_of sp ~lo ~hi i =
 (* read-only on a solved store, so a what-if query leaves it as it was *)
 let classify t v i =
   if not t.solved then ignore (solve t);
-  let r = find_ro t v.id in
-  verdict_of t.sp ~lo:t.lo.(r) ~hi:t.hi.(r) i
+  verdict_of t.sp ~lo:t.lo.(v.id) ~hi:t.hi.(v.id) i
 
 let classify_name t v name = classify t v (Space.find t.sp name)
 
@@ -1248,12 +1031,12 @@ let pp_verdict ppf = function
    characterization of Section 3.1). So the new least solution is the
    solved [lo] plus a sparse overlay over that cone, computed by the same
    [lor]/mask step as [propagate]'s least pass, seeded exactly as
-   [add_leq_cv] seeds it. Nothing in the store is written: lookups go
-   through [find_ro], and the overlay, queue and result are private. *)
+   [add_leq_cv] seeds it. Nothing in the store is written: the overlay,
+   queue and result are private. *)
 type speculation = {
   sp_store : t;
   sp_lo : (int, Elt.t) Hashtbl.t;
-      (* representative id -> raised least solution; only raised ids *)
+      (* variable id -> raised least solution; only raised ids *)
   sp_raised : int list;  (* the same ids, in the order first raised *)
 }
 
@@ -1273,7 +1056,7 @@ let speculate_leq_cv ?mask t c v =
     Hashtbl.replace overlay i x;
     Queue.push i queue
   in
-  let r = find_ro t v.id in
+  let r = v.id in
   let lo' = Elt.join t.sp t.lo.(r) (Elt.embed_bottom t.sp ~mask c) in
   if lo' <> t.lo.(r) then raise_to r lo';
   while not (Queue.is_empty queue) do
@@ -1283,28 +1066,26 @@ let speculate_leq_cv ?mask t c v =
     while !e >= 0 do
       let b = 3 * !e in
       e := Array.unsafe_get t.ecells (b + 2);
-      let s = find_ro t (Array.unsafe_get t.ecells b) in
-      if s <> u then begin
-        let los = lo_of s in
-        let lo' = los lor (lou land Array.unsafe_get t.ecells (b + 1)) in
-        if lo' <> los then raise_to s lo'
-      end
+      let s = Array.unsafe_get t.ecells b in
+      let los = lo_of s in
+      let lo' = los lor (lou land Array.unsafe_get t.ecells (b + 1)) in
+      if lo' <> los then raise_to s lo'
     done
   done;
   { sp_store = t; sp_lo = overlay; sp_raised = List.rev !raised }
 
-let speculation_reps s = List.map (fun i -> s.sp_store.objs.(i)) s.sp_raised
+let speculation_vars s = List.map (fun i -> s.sp_store.objs.(i)) s.sp_raised
 
 let classify_speculative s v i =
   let t = s.sp_store in
-  let r = find_ro t v.id in
+  let r = v.id in
   let lo =
     match Hashtbl.find_opt s.sp_lo r with Some x -> x | None -> t.lo.(r)
   in
   verdict_of t.sp ~lo ~hi:t.hi.(r) i
 
 (* the violations [solve] would add: [check_violations] over the raised
-   representatives, which are exactly the ones whose [lo] moves *)
+   variables, which are exactly the ones whose [lo] moves *)
 let speculation_new_errors s =
   let t = s.sp_store in
   List.fold_left
@@ -1355,7 +1136,7 @@ let scheme_atoms s = s.atoms
 (* Re-emit the scheme's constraints under a fresh renaming of its locals.
    Returns the renaming so callers can rebuild the instantiated type.
    Atoms name original variables, so each instance re-derives its own
-   edges (and hence its own unifications) among the fresh copies. *)
+   edges among the fresh copies. *)
 let instantiate t s =
   let t0 = Unix.gettimeofday () in
   let map = Hashtbl.create (List.length s.locals) in
@@ -1397,23 +1178,20 @@ let ground_since t m =
   take t.ground_errors
 
 (* Delete every atom outside [slices] by rebuilding the derived state from
-   the live ones: reset the union-find, bounds, solutions, chains,
-   provenance, dedup sets and error table of every variable, replay each
-   slice of the atom log in the order given through the normal add path
-   (which re-logs it, so the log ends up holding exactly the live atoms,
-   compacted), restore the live ground violations, and solve from
-   scratch. Variables are neither created nor freed: a dead segment's
-   variables stay in the arena as unconstrained singletons. Replaying the
-   live atoms in the order a fresh store would have received them makes
-   unions, partial cycle collapse and dedup — and so the structural
+   the live ones: reset the bounds, solutions, chains, provenance, dedup
+   sets and error table of every variable, replay each slice of the atom
+   log in the order given through the normal add path (which re-logs it,
+   so the log ends up holding exactly the live atoms, compacted), restore
+   the live ground violations, and solve from scratch. Variables are
+   neither created nor freed: a dead segment's variables stay in the
+   arena, unconstrained. Replaying the live atoms in the order a fresh
+   store would have received them makes dedup — and so the structural
    counters, which restart from zero — match that store's up to variable
    renaming. Returns each slice's new start in the log. *)
 let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
   if t.recorders <> [] then invalid_arg "Solver.rebuild: inside a recording";
   let bot = Elt.bottom t.sp and top = Elt.top t.sp in
   for i = 0 to t.nvars - 1 do
-    t.parent.(i) <- i;
-    t.rank.(i) <- 0;
     t.lo_bound.(i) <- bot;
     t.hi_bound.(i) <- top;
     t.lo.(i) <- bot;
@@ -1423,17 +1201,14 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
     t.lo_reasons.(i) <- [];
     t.hi_reasons.(i) <- []
   done;
-  Hashtbl.reset t.dfs_rec;
   dirty_reset t;
   wl_reset t;
   t.necells <- 0;
   Iset.clear t.edge_seen;
   Iset.clear t.bound_seen;
   Hashtbl.reset t.errors;
-  t.s_unified <- 0;
   t.s_edges <- 0;
   t.s_dedup <- 0;
-  t.s_cycles <- 0;
   let old = t.log in
   let live = List.fold_left (fun n (_, len) -> n + len) 0 slices in
   (* a little headroom for the next segments, so they do not double it *)
@@ -1442,7 +1217,6 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
   t.nlog <- 0;
   t.live_slices <- [];
   t.fresh_from <- 0;
-  t.fresh_hazards <- [];
   let starts =
     List.map
       (fun (start, len) ->
@@ -1471,10 +1245,7 @@ let checkpoint t =
   if t.nlog > t.fresh_from then
     t.live_slices <- t.live_slices @ [ (t.fresh_from, t.nlog - t.fresh_from) ];
   t.fresh_from <- t.nlog;
-  t.fresh_var0 <- t.nvars;
-  t.chk_unified <- t.s_unified;
-  t.chk_cycles <- t.s_cycles;
-  t.fresh_hazards <- []
+  t.fresh_var0 <- t.nvars
 
 type retract_path = Decremental | Rebuilt of string
 
@@ -1485,16 +1256,8 @@ type retraction = {
   rt_starts : int list;
 }
 
-let singleton t i = t.parent.(i) = i && t.rank.(i) = 0
-
-let endpoints_singleton t = function
-  | Avv (a, b, _, _) -> singleton t a.id && singleton t b.id
-  | Avc (v, _, _, _) | Acv (_, v, _, _) -> singleton t v.id
-
-(* An atom's dedup key, for an atom whose endpoints are singletons (so
-   each endpoint is its own representative): the three leading key ints
-   its insertion used, the last one saying which table (edge or
-   bound). *)
+(* An atom's dedup key: the three leading key ints its insertion used,
+   the last one saying which table (edge or bound). *)
 let key_of = function
   | Avv (a, b, m, _) -> (a.id, b.id, m, true)
   | Avc (v, c, m, _) -> ((v.id lsl 1) lor 1, c, m, false)
@@ -1514,95 +1277,19 @@ let key_owner t atom =
 let rank t i = if i < Array.length t.ord then t.ord.(i) else i
 
 (* The atom holding cell [c] of [v]'s succ ([succ]) or pred chain, by the
-   cell's key: -1 when a union's relinking formed the key (no one atom
-   holds it), -2 when the key is gone (the cell is deleted). *)
+   cell's key; -1 when the key is gone (the cell is deleted). *)
 let cell_owner t ~succ v c =
   let b = 3 * c in
   let d = t.ecells.(b) and m = t.ecells.(b + 1) in
   let j =
     if succ then Iset.find t.edge_seen v d m 0 else Iset.find t.edge_seen d v m 0
   in
-  if j < 0 then -2 else Iset.owner t.edge_seen j
-
-(* Is the key of succ cell [c] of [v] among [pending], the edge keys a
-   dead or a fresh atom holds? Its holder is then not yet the one a cold
-   store inserted first. *)
-let pending_cell t pending v c =
-  let b = 3 * c in
-  Hashtbl.mem pending (v, t.ecells.(b), t.ecells.(b + 1))
+  if j < 0 then -1 else Iset.owner t.edge_seen j
 
 let atom_reason = function
   | Avv (_, _, _, r) | Avc (_, _, _, r) | Acv (_, _, _, r) -> r
 
-(* Could the cycle search of the edge logged at [trig] find a path over
-   the live full-mask cells ranked below [below]? An exact breadth-first
-   walk, bounded: past [path_cap] cells it answers yes. A search with no
-   such path returns no cycle whatever order or budget it runs with. *)
-let path_cap = 4096
-
-let path_possible t pending trig ~below =
-  match t.log.(trig) with
-  | Avc _ | Acv _ -> true
-  | Avv (a, b, _, _) ->
-      let src = find_id t b.id and dst = find_id t a.id in
-      src = dst
-      ||
-      let full = Elt.full_mask t.sp in
-      t.fp_gen <- t.fp_gen + 1;
-      let gen = t.fp_gen in
-      let q = Queue.create () in
-      t.fp_stamp.(src) <- gen;
-      Queue.push src q;
-      let steps = ref 0 and found = ref false in
-      while (not !found) && not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        let e = ref t.succ_head.(v) in
-        while !e >= 0 && not !found do
-          let c = !e in
-          let b = 3 * c in
-          e := t.ecells.(b + 2);
-          incr steps;
-          if !steps > path_cap then found := true;
-          if
-            t.ecells.(b + 1) land full = full
-            &&
-            let o = cell_owner t ~succ:true v c in
-            o = -1
-            || pending_cell t pending v c
-            || (o >= 0 && rank t o >= 0 && rank t o < below)
-          then begin
-            let s = find_id t t.ecells.(b) in
-            if s = dst then found := true
-            else if t.fp_stamp.(s) <> gen then begin
-              t.fp_stamp.(s) <- gen;
-              Queue.push s q
-            end
-          end
-        done
-      done;
-      !found
-
-(* Would a cold store show a search ranked [trig] the chain of [x] it
-   read here? Yes if, at the time, the chain held only live cells ranked
-   before it, newest rank first, on a singleton. *)
-let chain_as_cold t pending x trig =
-  singleton t x
-  &&
-  let ok = ref true and prev = ref max_int and e = ref t.succ_head.(x) in
-  while !ok && !e >= 0 do
-    let c = !e in
-    e := t.ecells.((3 * c) + 2);
-    let o = cell_owner t ~succ:true x c in
-    if o >= 0 && o < trig then begin
-      let r = rank t o in
-      if r < 0 || r >= rank t trig || r >= !prev || pending_cell t pending x c then
-        ok := false;
-      prev := r
-    end
-  done;
-  !ok
-
-(* A singleton's chain in the order a cold store builds it: newest first,
+(* A variable's chain in the order a cold store builds it: newest first,
    i.e. by falling task rank of the holding atom; deleted cells drop. *)
 let normalize_chain t ~succ x =
   let heads = if succ then t.succ_head else t.pred_head in
@@ -1624,7 +1311,7 @@ let normalize_chain t ~succ x =
   done;
   heads.(x) <- !head
 
-(* the same for a singleton's provenance list on one side (1: upper) *)
+(* the same for a variable's provenance list on one side (1: upper) *)
 let normalize_reasons t x side l =
   let ranked =
     List.filter_map
@@ -1654,9 +1341,9 @@ let normalize_reasons t x side l =
      provenance entry moves to the holder of least task rank, which is
      the one a cold store inserted first (the fresh atoms are checked
      the same way against the live holders ranked after them);
-   - the chains and provenance lists of the singletons involved are put
-     back in cold order (newest task rank first), which [explain]'s
-     breadth-first walk and the cycle search read;
+   - the chains and provenance lists of the variables involved are put
+     back in cold order (newest task rank first), which propagation and
+     [explain]'s breadth-first walk read;
    - the least-solution bits forward-reachable from a deleted atom's
      target and the greatest-solution bits backward-reachable from its
      source are reset where they could have come through it, then
@@ -1668,17 +1355,10 @@ let normalize_reasons t x side l =
      contributions.
 
    It falls back to {!rebuild}, which reaches the same store by replay,
-   whenever the store shows that a cold run could have unified, deduped
-   or searched differently: a dead atom or a fresh atom on a collapsed
-   cycle, a fresh atom that unified classes or whose cycle search was cut
-   short or closed a cycle, a search that was cut short or closed a
-   cycle after reading a chain the edit changes, kept segments out of
-   their earlier order, or dead log entries outnumbering live ones (the
-   rebuild then compacts the log). A search that ran to the end without
-   finding a path needs no such guard: no deleted edge can have been on
-   a path it missed, and a fresh edge on such a path would close a cycle
-   through a fresh atom, which that atom's own full search would have
-   found. *)
+   when a slice names a deleted or repeated atom, a fresh atom lies
+   outside the slices, kept segments are out of their earlier order, or
+   dead log entries outnumber live ones (the rebuild then compacts the
+   log). *)
 let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   if t.recorders <> [] then invalid_arg "Solver.retract: inside a recording";
   let t0 = Unix.gettimeofday () in
@@ -1718,80 +1398,6 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   done;
   let dead = !dead in
   let ndead = List.length dead in
-  List.iter
-    (fun i ->
-      if not (endpoints_singleton t t.log.(i)) then
-        fallback "a dead atom on a collapsed cycle")
-    dead;
-  if t.s_unified <> t.chk_unified || t.s_cycles <> t.chk_cycles then
-    fallback "a fresh atom unified classes";
-  for i = t.fresh_from to n - 1 do
-    if not (endpoints_singleton t t.log.(i)) then
-      fallback "a fresh atom on a collapsed cycle"
-  done;
-  (* the chains the edit changes, as the cycle search reads them *)
-  let changed = ref [] in
-  let note_changed i =
-    match t.log.(i) with
-    | Avv (a, _, _, _) when a.id < t.fresh_var0 -> changed := a.id :: !changed
-    | _ -> ()
-  in
-  List.iter note_changed dead;
-  for i = t.fresh_from to n - 1 do note_changed i done;
-  (* the edge keys whose holder this retraction may change *)
-  let pending = Hashtbl.create 64 in
-  let note_pending i =
-    match t.log.(i) with
-    | Avv (a, b, m, _) -> Hashtbl.replace pending (a.id, b.id, m) ()
-    | Avc _ | Acv _ -> ()
-  in
-  if !bad = None then begin
-    List.iter note_pending dead;
-    for i = t.fresh_from to n - 1 do note_pending i done
-  end;
-  (* task ranks: the live atoms in slice order (a rebuild resets them) *)
-  let last_live = ref (-1) in
-  if !bad = None then begin
-    List.iter (fun i -> t.ord.(i) <- -1) dead;
-    let k = ref 0 in
-    List.iter
-      (fun (start, len) ->
-        if start < t.fresh_from && len > 0 then last_live := !k + len - 1;
-        for i = start to start + len - 1 do
-          t.ord.(i) <- !k;
-          incr k
-        done)
-      slices
-  end;
-  (* A kept search that was cut short or closed a cycle, and read a
-     chain the edit changes, may end otherwise over the cold chains; it
-     cannot if no path was there to find. *)
-  if !bad = None then
-    List.iter
-      (fun x ->
-        if
-          List.exists
-            (fun trig ->
-              trig < t.fresh_from && t.ord.(trig) >= 0
-              && path_possible t pending trig ~below:t.ord.(trig))
-            (dfs_rec t x)
-        then fallback "a cut-short or cycle-closing search read an edited chain")
-      !changed;
-  (* A fresh search that was cut short saw the dead atoms and the fresh
-     atoms ahead of the live ones. It is the search a cold store runs if
-     every chain it read was as cold and no live atom ranks after it (no
-     later live search could then see its edge); otherwise it must have
-     had no cycle to find at all. *)
-  if !bad = None then
-    List.iter
-      (fun (trig, visited) ->
-        if
-          not
-            (t.ord.(trig) > !last_live
-            && Array.for_all (fun x -> chain_as_cold t pending x trig) visited)
-          && path_possible t pending trig ~below:max_int
-        then fallback "a fresh atom's cut-short search read an edited chain")
-      t.fresh_hazards;
   match !bad with
   | Some reason ->
       let starts = rebuild t ~slices ~ground in
@@ -1800,13 +1406,16 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   | None ->
       let sp = t.sp in
       let top = Elt.top sp in
-      t.fresh_hazards <- [];
-      List.iter
-        (fun x ->
-          match List.filter (fun i -> t.ord.(i) >= 0) (dfs_rec t x) with
-          | [] -> Hashtbl.remove t.dfs_rec x
-          | l -> Hashtbl.replace t.dfs_rec x l)
-        !changed;
+      (* task ranks: the live atoms in slice order *)
+      List.iter (fun i -> t.ord.(i) <- -1) dead;
+      (let k = ref 0 in
+       List.iter
+         (fun (start, len) ->
+           for i = start to start + len - 1 do
+             t.ord.(i) <- !k;
+             incr k
+           done)
+         slices);
       (* the vertices whose chains or provenance the repair touches *)
       let touched = Hashtbl.create 16 in
       let touch x = Hashtbl.replace touched x () in
@@ -1982,10 +1591,9 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
         while !e >= 0 do
           let b = 3 * !e in
           e := t.ecells.(b + 2);
-          let s = find_id t t.ecells.(b) in
-          if s <> v then
-            grow rlo qlo s
-              (r land t.ecells.(b + 1) land t.lo.(s) land lnot t.lo_bound.(s))
+          let s = t.ecells.(b) in
+          grow rlo qlo s
+            (r land t.ecells.(b + 1) land t.lo.(s) land lnot t.lo_bound.(s))
         done
       done;
       while not (Queue.is_empty qhi) do
@@ -1995,10 +1603,9 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
         while !e >= 0 do
           let b = 3 * !e in
           e := t.ecells.(b + 2);
-          let p = find_id t t.ecells.(b) in
-          if p <> v then
-            grow rhi qhi p
-              (z land t.ecells.(b + 1) land lnot t.hi.(p) land t.hi_bound.(p))
+          let p = t.ecells.(b) in
+          grow rhi qhi p
+            (z land t.ecells.(b + 1) land lnot t.hi.(p) land t.hi_bound.(p))
         done
       done;
       Hashtbl.iter (fun v r -> t.lo.(v) <- t.lo.(v) land lnot r) rlo;
@@ -2012,7 +1619,7 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
           while !e >= 0 do
             let b = 3 * !e in
             e := t.ecells.(b + 2);
-            acc := !acc lor (t.lo.(find_id t t.ecells.(b)) land t.ecells.(b + 1))
+            acc := !acc lor (t.lo.(t.ecells.(b)) land t.ecells.(b + 1))
           done;
           t.lo.(v) <- !acc)
         rlo;
@@ -2025,7 +1632,7 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
             e := t.ecells.(b + 2);
             let m = t.ecells.(b + 1) in
             acc :=
-              !acc land ((t.hi.(find_id t t.ecells.(b)) land m) lor (top land lnot m))
+              !acc land ((t.hi.(t.ecells.(b)) land m) lor (top land lnot m))
           done;
           t.hi.(v) <- !acc)
         rhi;
@@ -2048,24 +1655,10 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
       ignore (solve t : (unit, error list) result);
       (* 7. an explanation reads the chains upstream of its variable,
          which the edit may have changed anywhere: explain every
-         recorded violation afresh. An entry a solve recorded before its
-         variable was unified into another class stands for that class,
-         as a fresh store would record it. *)
-      let merged = ref [] in
+         recorded violation afresh *)
       Hashtbl.filter_map_inplace
-        (fun i e ->
-          if t.parent.(i) = i then Some { e with err_msg = explain t t.objs.(i) }
-          else begin
-            merged := find_id t i :: !merged;
-            None
-          end)
+        (fun i e -> Some { e with err_msg = explain t t.objs.(i) })
         t.errors;
-      List.iter
-        (fun r ->
-          if (not (Hashtbl.mem t.errors r)) && not (Elt.leq sp t.lo.(r) t.hi_bound.(r))
-          then
-            Hashtbl.add t.errors r { err_var = Some t.objs.(r); err_msg = explain t t.objs.(r) })
-        !merged;
       { rt_path = Decremental; rt_deleted = ndead; rt_reset = reset;
         rt_starts = List.map fst slices }
 
@@ -2081,14 +1674,12 @@ let error_message e = e.err_msg
 (* Baseline solvers (ablation; see DESIGN.md)                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Forced full worklist least-solution pass (no incrementality), over
-   representatives. Kept as a benchmark arm. *)
+(* Forced full worklist least-solution pass (no incrementality). Kept as
+   a benchmark arm. *)
 let solve_least t =
   for i = t.nvars - 1 downto 0 do
-    if t.parent.(i) = i then begin
-      t.lo.(i) <- t.lo_bound.(i);
-      wl_push t i
-    end
+    t.lo.(i) <- t.lo_bound.(i);
+    wl_push t i
   done;
   while t.wl_head < t.wl_tail do
     let v = wl_pop t in
@@ -2098,15 +1689,12 @@ let solve_least t =
     while !e >= 0 do
       let b = 3 * !e in
       e := Array.unsafe_get t.ecells (b + 2);
-      let d = Array.unsafe_get t.ecells b in
-      let s = if Array.unsafe_get t.parent d = d then d else find_id t d in
-      if s <> v then begin
-        let los = Array.unsafe_get t.lo s in
-        let lo' = los lor (lov land Array.unsafe_get t.ecells (b + 1)) in
-        if lo' <> los then begin
-          Array.unsafe_set t.lo s lo';
-          wl_push t s
-        end
+      let s = Array.unsafe_get t.ecells b in
+      let los = Array.unsafe_get t.lo s in
+      let lo' = los lor (lov land Array.unsafe_get t.ecells (b + 1)) in
+      if lo' <> los then begin
+        Array.unsafe_set t.lo s lo';
+        wl_push t s
       end
     done
   done;
@@ -2116,28 +1704,23 @@ let solve_least t =
    no worklist. Kept as the ablation baseline for the micro-benchmarks. *)
 let solve_least_naive t =
   for i = t.nvars - 1 downto 0 do
-    if t.parent.(i) = i then t.lo.(i) <- t.lo_bound.(i)
+    t.lo.(i) <- t.lo_bound.(i)
   done;
   let changed = ref true in
   while !changed do
     changed := false;
     for i = t.nvars - 1 downto 0 do
-      if t.parent.(i) = i then begin
-        let e = ref t.succ_head.(i) in
-        while !e >= 0 do
-          let cell = !e in
-          let b = 3 * cell in
-          e := t.ecells.(b + 2);
-          let s = find_id t t.ecells.(b) in
-          if s <> i then begin
-            let lo' = t.lo.(s) lor (t.lo.(i) land t.ecells.(b + 1)) in
-            if lo' <> t.lo.(s) then begin
-              t.lo.(s) <- lo';
-              changed := true
-            end
-          end
-        done
-      end
+      let e = ref t.succ_head.(i) in
+      while !e >= 0 do
+        let b = 3 * !e in
+        e := t.ecells.(b + 2);
+        let s = t.ecells.(b) in
+        let lo' = t.lo.(s) lor (t.lo.(i) land t.ecells.(b + 1)) in
+        if lo' <> t.lo.(s) then begin
+          t.lo.(s) <- lo';
+          changed := true
+        end
+      done
     done
   done
 
@@ -2357,13 +1940,12 @@ let scheme_size s = List.length s.atoms
      eliminated only if the composed atoms do not outnumber the removed
      ones (plus slack 2); iteration can unlock such variables later.
 
-   Unification with (or among) interface variables needs no special case:
-   full-mask cycles survive as composed edge chains, which the store
-   re-collapses at instantiation.
+   Cycles through interface variables need no special case: they survive
+   as composed edge chains, which instantiation re-emits as edges.
 
    Determinism matters downstream (a warm rerun must rebuild the scheme a
-   cold run builds): the pass never consults representatives
-   ([find_id]) or iterates a hashtable for output; surviving atoms keep
+   cold run builds): the pass never consults store state or iterates a
+   hashtable for output; surviving atoms keep
    their original order, composed atoms append in generation order, and
    the local list keeps its original order filtered to interface members
    and variables still mentioned. The atom-dedup keys are packed into

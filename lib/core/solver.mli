@@ -47,12 +47,7 @@ type error
 type t
 (** a constraint store over one qualifier space *)
 
-val create : ?cycle_elim:bool -> Space.t -> t
-(** [cycle_elim] (default [true]) enables online cycle elimination:
-    whenever a full-mask [var <= var] edge closes a cycle, the whole
-    strongly-connected component is unified into one union-find
-    representative. Disable it to get the plain worklist solver (the
-    ablation baseline). *)
+val create : Space.t -> t
 
 val space : t -> Space.t
 
@@ -73,17 +68,13 @@ val set_budget : t -> Budget.t option -> unit
 val fresh : ?name:string -> t -> var
 
 val var_id : var -> int
-(** stable creation-order id; unaffected by unification. Unique within one
-    store only — use {!var_uid} when variables of two stores can mix. *)
+(** stable creation-order id. Unique within one store only — use
+    {!var_uid} when variables of two stores can mix. *)
 
 val var_uid : var -> int
-(** globally unique id (across stores); stable under unification *)
+(** globally unique id (across stores) *)
 
 val var_name : var -> string
-
-val repr : var -> var
-(** the variable's current union-find representative (itself unless a
-    cycle collapse merged it); solution queries resolve this internally *)
 
 val pp_var : var Fmt.t
 
@@ -91,7 +82,7 @@ val pp_var : var Fmt.t
 
     All take an optional [mask] restricting the affected coordinates
     (default: all) and an optional human-readable [reason]. Edges and
-    constant bounds are deduplicated on insertion (per representative), so
+    constant bounds are deduplicated on insertion, so
     repeated scheme instantiations against the same variables stop growing
     edge and provenance lists. *)
 
@@ -119,7 +110,7 @@ val solve : t -> (unit, error list) result
     [lo]/[hi] are updated monotonically. *)
 
 val solve_from_scratch : t -> (unit, error list) result
-(** reset every representative to its constant bounds and solve the whole
+(** reset every variable to its constant bounds and solve the whole
     system; same fixpoint as {!solve} (it is unique), kept as the
     incremental-solving ablation baseline *)
 
@@ -150,8 +141,8 @@ type verdict =
   | Free  (** could be either *)
 
 val classify : t -> var -> int -> verdict
-(** On a solved store this writes nothing (its union-find lookup does no
-    path compression), so domains may classify concurrently. *)
+(** On a solved store this writes nothing, so domains may classify
+    concurrently. *)
 
 val classify_name : t -> var -> string -> verdict
 val pp_verdict : verdict Fmt.t
@@ -176,17 +167,17 @@ val speculate_leq_cv : ?mask:int -> t -> Elt.t -> var -> speculation
     would produce, without adding anything. Raises [Invalid_argument]
     unless the store is solved. *)
 
-val speculation_reps : speculation -> var list
-(** the representatives whose least solution the bound raises, in the
-    order first raised; every other variable keeps its verdicts *)
+val speculation_vars : speculation -> var list
+(** the variables whose least solution the bound raises, in the order
+    first raised; every other variable keeps its verdicts *)
 
 val classify_speculative : speculation -> var -> int -> verdict
 (** {!classify} against the speculative least solution *)
 
 val speculation_new_errors : speculation -> int
 (** how many violations {!solve} would record on top of {!error_count}:
-    raised representatives pushed past their constant upper bound that
-    are not already in the error table *)
+    raised variables pushed past their constant upper bound that are not
+    already in the error table *)
 
 val error_message : error -> string
 val pp_error : error Fmt.t
@@ -247,14 +238,14 @@ val ground_since : t -> mark -> error list
 
 val rebuild : t -> slices:(int * int) list -> ground:error list -> int list
 (** [rebuild t ~slices ~ground] keeps only the atoms of the log slices
-    [(start, length)]: it resets every variable's derived state (union-find,
-    bounds, solutions, chains, provenance, dedup sets, the error table),
-    replays the slices in the order given through the normal add path —
-    the log is left holding exactly those atoms, in that order — sets the
-    ground violations to [ground], and solves from scratch. No variable is
-    created. The structural counters ([vars_unified], [edges_added],
-    [edges_deduped], [cycles_collapsed]) restart from zero, so afterwards
-    they describe the rebuilt system. Returns each slice's new start. *)
+    [(start, length)]: it resets every variable's derived state (bounds,
+    solutions, chains, provenance, dedup sets, the error table), replays
+    the slices in the order given through the normal add path — the log
+    is left holding exactly those atoms, in that order — sets the ground
+    violations to [ground], and solves from scratch. No variable is
+    created. The structural counters ([edges_added], [edges_deduped])
+    restart from zero, so afterwards they describe the rebuilt system.
+    Returns each slice's new start. *)
 
 val checkpoint : t -> unit
 (** mark the end of the live store: the atoms logged from here on are an
@@ -280,21 +271,20 @@ val retract : t -> slices:(int * int) list -> ground:error list -> retraction
     last {!checkpoint} that no slice names are deleted, the ones logged
     after it must all be named. Afterwards the store is the one a fresh
     store fed the slices' atoms in that order would hold, up to variable
-    renaming — solutions, error messages, [explain] output, the four
+    renaming — solutions, error messages, [explain] output, the
     structural counters and {!atoms} — with [ground] as its ground
     violations. It deletes the dead atoms in place and re-derives only
-    the solution bits they could have supported (delete-and-rederive),
-    unless the store shows that a fresh store could have unified,
-    deduplicated or searched for cycles differently; then, and when dead
-    log entries outnumber live ones, it runs {!rebuild}. Either way no
-    variable is created and the fresh atoms end up solved. *)
+    the solution bits they could have supported (delete-and-rederive).
+    It runs {!rebuild} instead when a slice names a deleted or repeated
+    atom, a fresh atom lies outside the slices, kept segments are out of
+    their earlier order, or dead log entries outnumber live ones. Either
+    way no variable is created and the fresh atoms end up solved. *)
 
 val reset_stats : t -> unit
 (** zero every per-run counter and phase time; [vars_created] then counts
-    the variables created from here on. The four structural counters
-    ([vars_unified], [edges_added], [edges_deduped], [cycles_collapsed])
-    describe the store and stay: {!retract} and {!rebuild} keep them equal
-    to a fresh store's *)
+    the variables created from here on. The structural counters
+    ([edges_added], [edges_deduped]) describe the store and stay:
+    {!retract} and {!rebuild} keep them equal to a fresh store's *)
 
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
@@ -365,10 +355,12 @@ val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** counters accumulated over the store's lifetime *)
 type stats = {
   vars_created : int;
-  vars_unified : int;  (** merged into another representative *)
   edges_added : int;
   edges_deduped : int;  (** duplicate insertions skipped *)
-  cycles_collapsed : int;  (** cycles detected and unified online *)
+  cycles_collapsed : int;
+      (** always 0: the solver collapses no cycles. Kept because the
+          gating benchmark reads it; a later benchmark revision removes
+          it *)
   incr_solves : int;  (** incremental {!solve} runs *)
   full_solves : int;  (** {!solve_from_scratch} runs *)
   worklist_pops : int;  (** total propagation steps across all solves *)

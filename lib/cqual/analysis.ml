@@ -1152,8 +1152,8 @@ let polyrec_scc env ~is_global members =
   let max_rounds = 6 in
   (* simplify and compact both reduce the scheme to its interface-reachable
      core and are exact on interface solutions; compact additionally
-     dedupes and collapses cycles, so when it is on running both would be
-     wasted work (measured: they reach the same size) *)
+     dedupes and composes masked atoms, so when it is on running both
+     would be wasted work (measured: they reach the same size) *)
   let simplify = not env.compact in
   let is_recursive =
     match members with

@@ -46,8 +46,8 @@ type run = {
   n_functions : int;
   n_constraints : int;  (** number of qualifier variables, a proxy for size *)
   solver_stats : Typequal.Solver.stats;
-      (** constraint-store counters (unifications, dedup, cycle collapses,
-          worklist pops) accumulated over the whole run *)
+      (** constraint-store counters (edges, dedup, worklist pops)
+          accumulated over the whole run *)
   diagnostics : Cfront.Diag.t list;
       (** lexer/parser diagnostics recovered from, in source order; empty
           for a clean parse. Multi-unit runs carry unit-local positions
@@ -694,12 +694,12 @@ module Lat = Typequal.Lattice
 
 (* The what-if index of one solved store: each report position's
    function and (key-owning) variable by report ordinal, and the ordinals
-   grouped by their variable's representative id — a speculation only
-   has to look at the representatives it raised. *)
+   grouped by their variable's id — a speculation only has to look at
+   the variables it raised. *)
 type whatif_index = {
   wi_funs : string array;
   wi_vars : Solver.var array;
-  wi_by_rep : (int, int list) Hashtbl.t;
+  wi_by_var : (int, int list) Hashtbl.t;
 }
 
 let whatif_index (run : run) (rows : Report.rows) keys : whatif_index =
@@ -712,14 +712,14 @@ let whatif_index (run : run) (rows : Report.rows) keys : whatif_index =
          (fun ((p : Report.position), _) -> p.Report.p_fun)
          run.results.Report.positions)
   in
-  let wi_by_rep = Hashtbl.create 1024 in
+  let wi_by_var = Hashtbl.create 1024 in
   Array.iteri
     (fun n var ->
-      let r = Solver.var_id (Solver.repr var) in
-      Hashtbl.replace wi_by_rep r
-        (n :: Option.value (Hashtbl.find_opt wi_by_rep r) ~default:[]))
+      let r = Solver.var_id var in
+      Hashtbl.replace wi_by_var r
+        (n :: Option.value (Hashtbl.find_opt wi_by_var r) ~default:[]))
     wi_vars;
-  { wi_funs; wi_vars; wi_by_rep }
+  { wi_funs; wi_vars; wi_by_var }
 
 (* one mode's warm artifacts: the solved store, the report rows with the
    stable-key index into it, every position's canonical key in report
@@ -1007,7 +1007,7 @@ let verdict_of_solver = function
     and builds (once per solved store) the what-if index. The returned
     thunk speculates the annotation as a lower bound over the live solved
     store ({!Solver.speculate_leq_cv}) and re-classifies only the
-    positions whose representative it raised; it writes no session or
+    positions whose variable it raised; it writes no session or
     store state. Force it before the session's next edit, since the
     mode's next run re-analyzes this store in place. A store whose
     analysis budget tripped holds a partial solution and answers
@@ -1040,10 +1040,10 @@ let whatif_task ?mode t ~qual key :
                   let spec = Solver.speculate_leq_cv ~mask store c var0 in
                   let moved =
                     List.concat_map
-                      (fun rep ->
+                      (fun v ->
                         Option.value ~default:[]
-                          (Hashtbl.find_opt wi.wi_by_rep (Solver.var_id rep)))
-                      (Solver.speculation_reps spec)
+                          (Hashtbl.find_opt wi.wi_by_var (Solver.var_id v)))
+                      (Solver.speculation_vars spec)
                   in
                   let changed =
                     List.filter_map

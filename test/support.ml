@@ -42,9 +42,8 @@ let digest (r : Session.run) : string =
   let st = r.Session.solver_stats in
   let module S = Typequal.Solver in
   Buffer.add_string b
-    (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
-       st.S.vars_created st.S.vars_unified st.S.edges_added st.S.edges_deduped
-       st.S.cycles_collapsed st.S.worklist_pops);
+    (Printf.sprintf "vars=%d edges=%d deduped=%d pops=%d\n" st.S.vars_created
+       st.S.edges_added st.S.edges_deduped st.S.worklist_pops);
   Buffer.contents b
 
 (* What a whatif means by definition, the oracle of [Session.whatif]:

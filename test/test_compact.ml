@@ -8,7 +8,7 @@
    solutions must agree exactly on every observable variable (interface
    members and free variables), and the set of bound-violating variables
    must be preserved exactly. A second pass replays both systems through
-   real stores (exercising dedup, cycle collapse and propagation) and
+   real stores (exercising dedup and propagation) and
    compares store solutions. *)
 
 open Typequal
@@ -212,8 +212,8 @@ let prop_compact_exact =
       obs_ok && viol_ok)
 
 (* Same comparison through real stores: replay both systems through the
-   normal add_leq_* entry points (dedup, online cycle collapse,
-   incremental propagation all active) and compare store solutions. *)
+   normal add_leq_* entry points (dedup and incremental propagation
+   active) and compare store solutions. *)
 let prop_compact_exact_in_store =
   QCheck2.Test.make ~count:500
     ~name:"compact: store replay agrees on observables and satisfiability"

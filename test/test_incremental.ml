@@ -231,11 +231,10 @@ let test_rebuild_counters () =
   Alcotest.(check int) "every atom kept" 4 (S.num_atoms st);
   Alcotest.(check (list int))
     "structural counters as built"
-    [ cold.S.edges_added; cold.S.edges_deduped; cold.S.vars_unified; cold.S.cycles_collapsed ]
-    [ warm.S.edges_added; warm.S.edges_deduped; warm.S.vars_unified; warm.S.cycles_collapsed ];
+    [ cold.S.edges_added; cold.S.edges_deduped ]
+    [ warm.S.edges_added; warm.S.edges_deduped ];
   let st, a, _, _ = segments () in
   rebuild st [ a ];
-  Alcotest.(check int) "a dead cycle unifies nothing" 0 (S.stats st).S.vars_unified;
   Alcotest.(check int) "only the live atoms remain" 1 (S.num_atoms st)
 
 (* ---------------- warm reruns ---------------- *)
@@ -358,13 +357,11 @@ let test_rebuild_matches_cold () =
           r.Session.n_constraints;
           s.S.edges_added;
           s.S.edges_deduped;
-          s.S.vars_unified;
-          s.S.cycles_collapsed;
           r.Session.results.Report.type_errors;
         ]
       in
       Alcotest.(check bool) (m ^ ": incremental") false (last_rebuild t).Session.rb_full;
-      Alcotest.(check (list int)) (m ^ ": vars, edges, dedup, unions, cycles, errors") (c cold) (c warm))
+      Alcotest.(check (list int)) (m ^ ": vars, edges, dedup, errors") (c cold) (c warm))
     modes
 
 (* a stream of edits whose cones are large keeps the arena within twice
@@ -492,18 +489,17 @@ let test_decremental_path () =
         ])
     modes
 
-(* A dead atom on a collapsed cycle cannot be deleted in place (the class
-   it helped form would have to split): the store rebuilds. *)
-let test_cycle_falls_back () =
+(* A dead atom on a cycle (f's [h = g] against k's [g = h]) is deleted
+   in place like any other. *)
+let test_cycle_decremental () =
   let src body =
     Printf.sprintf "char *g; char *h;\nvoid f(void) { %s }\nvoid k(void) { g = h; }\n" body
   in
   let t = Session.create ~mode:Analysis.Mono [ ("c.c", src "h = g;") ] in
   ignore (Session.run t);
-  Alcotest.(check bool) "the cycle collapsed" true
-    ((Session.run t).Session.solver_stats.S.cycles_collapsed > 0);
   let rb = rerun_after t "c.c" (src "") in
-  Alcotest.(check string) "solve" "rebuild: a dead atom on a collapsed cycle" rb.Session.rb_solve;
+  Alcotest.(check string) "solve" "decremental" rb.Session.rb_solve;
+  Alcotest.(check bool) "atoms deleted" true (rb.Session.rb_atoms_deleted > 0);
   Alcotest.(check string) "warm = cold"
     (Session.render ~positions:true ~name:"p" (Session.create ~mode:Analysis.Mono [ ("c.c", src "") ]))
     (Session.render ~positions:true ~name:"p" t)
@@ -532,6 +528,6 @@ let tests =
       `Quick test_edit_counters;
     Alcotest.test_case "warm: parameter writes and leaf appends delete in place"
       `Quick test_decremental_path;
-    Alcotest.test_case "warm: a dead atom on a collapsed cycle rebuilds" `Quick
-      test_cycle_falls_back;
+    Alcotest.test_case "warm: a dead atom on a cycle, in place" `Quick
+      test_cycle_decremental;
   ]

@@ -419,15 +419,15 @@ let tests =
   tests @ [ QCheck_alcotest.to_alcotest prop_simplify_equiv ]
 
 (* ------------------------------------------------------------------ *)
-(* Optimized solver (cycle elimination + incremental) equivalence      *)
+(* Incremental solver equivalence                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Random interleaved add/query sequences, masked constraints included.
-   The optimized store (cycle elimination on, queries forcing incremental
-   re-solves mid-stream) must agree with (1) a cycle-elimination-off store
-   solved from scratch at the end, (2) the constraint-log replay oracle,
-   and (3) the round-robin naive least-solution pass — on satisfiability
-   and on the least/greatest solution of every variable. *)
+   The incremental store (queries forcing re-solves mid-stream) must
+   agree with (1) a store solved from scratch at the end, (2) the
+   constraint-log replay oracle, and (3) the round-robin naive
+   least-solution pass — on satisfiability and on the least/greatest
+   solution of every variable. *)
 
 type op =
   | OEdge of int * int * int  (* a <= b on a mask *)
@@ -457,10 +457,11 @@ let prop_optimized_equals_naive =
     (QCheck2.Gen.pair space_gen ops_gen)
     (fun (sp, (nvars, ops)) ->
       let full = E.full_mask sp in
-      (* a mix of full masks (cycle-elimination eligible) and partial ones *)
+      (* a mix of full masks and partial ones *)
       let mask_of raw = if raw mod 3 = 0 then full else raw land full in
-      let opt = S.create ~cycle_elim:true sp in
-      let base = S.create ~cycle_elim:false sp in
+      (* [opt] solves incrementally, [base] from scratch once at the end *)
+      let opt = S.create sp in
+      let base = S.create sp in
       let vo = Array.init nvars (fun _ -> S.fresh opt) in
       let vb = Array.init nvars (fun _ -> S.fresh base) in
       List.iter

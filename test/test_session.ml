@@ -122,12 +122,10 @@ let test_replay_broken_serial () = replay broken_units (broken_script ())
 (* ---------------- the cone script ---------------- *)
 
 (* A corpus whose edits exercise every way a warm rerun decides what to
-   re-infer. [fa]..[fd] build a constraint cycle g -> m -> h -> g whose
-   closing edge (from [fc]) is found by cycle elimination only when the
-   atoms arrive in task order: [fb]'s 70 dead-end edges out of g use up
-   the search budget first. Re-running [fa] alone appends its segment
-   last in the arena, so replaying the store in arena order would unify
-   the two violating cells and report one type error instead of two. *)
+   re-infer. [fa]..[fd] build a constraint cycle g -> m -> h -> g that
+   carries two violating cells, and [fb] adds 70 dead-end edges out of
+   g. Re-running [fa] alone appends its segment last in the arena, out
+   of task order; both cells must still report a type error. *)
 let cone_globals =
   "int *g; int *h; int *m; const int *cptr;\n"
   ^ "int "
@@ -1006,8 +1004,6 @@ let run_counters (r : Session.run) =
     r.Session.n_constraints;
     s.S.edges_added;
     s.S.edges_deduped;
-    s.S.vars_unified;
-    s.S.cycles_collapsed;
     r.Session.fdg_scc_count;
     r.Session.fdg_largest_scc;
     r.Session.wavefront_width;

@@ -408,29 +408,28 @@ let test_last_errors () =
   Alcotest.(check int) "stable across further queries" n
     (List.length (S.last_errors st))
 
-let test_cycle_collapse () =
+(* a full-mask cycle forces its members equal in every solution; plain
+   propagation gets there without merging them *)
+let test_full_mask_cycle () =
   let sp = space () in
   let st = S.create sp in
   let a = S.fresh st and b = S.fresh st and c = S.fresh st in
-  let ids = List.map S.var_id [ a; b; c ] in
   S.add_leq_vv st a b;
   S.add_leq_vv st b c;
   S.add_leq_vv st c a;
-  let s = S.stats st in
-  Alcotest.(check bool) "a cycle collapsed" true (s.S.cycles_collapsed >= 1);
-  Alcotest.(check int) "two vars absorbed" 2 s.S.vars_unified;
-  Alcotest.(check bool) "one representative" true
-    (S.var_id (S.repr a) = S.var_id (S.repr b)
-    && S.var_id (S.repr b) = S.var_id (S.repr c));
-  Alcotest.(check (list int)) "var ids stay stable" ids
-    (List.map S.var_id [ a; b; c ]);
+  Alcotest.(check int) "three edges" 3 (S.stats st).S.edges_added;
   S.add_leq_cv st (const_elt sp) b;
+  S.add_leq_vc st c (E.not_name sp "nonzero");
   Alcotest.(check bool) "still satisfiable" true (Result.is_ok (S.solve st));
   List.iter
     (fun v ->
-      Alcotest.(check bool) "whole SCC const" true
-        (E.has_name sp "const" (S.least st v)))
-    [ a; b; c ]
+      Alcotest.(check bool) "least: const, like b" true
+        (E.equal (S.least st b) (S.least st v));
+      Alcotest.(check bool) "greatest: not nonzero, like c" true
+        (E.equal (S.greatest st c) (S.greatest st v)))
+    [ a; b; c ];
+  Alcotest.(check bool) "the bound reached the whole cycle" true
+    (E.has_name sp "const" (S.least st a))
 
 let test_edge_dedup () =
   let sp = space () in
@@ -489,23 +488,22 @@ let test_instantiate_bound_dedup () =
   Alcotest.(check bool) "system stays satisfiable" true
     (match S.solve st with Ok () -> true | Error _ -> false)
 
-let test_masked_cycle_not_unified () =
+let test_masked_cycle_apart () =
   let sp = space () in
   let st = S.create sp in
   let a = S.fresh st and b = S.fresh st in
   let mc = E.singleton_mask sp (Sp.find sp "const") in
   (* a two-cycle on the const coordinate only: the variables may still
-     differ on nonzero, so unification would be unsound *)
+     differ on nonzero *)
   S.add_leq_vv ~mask:mc st a b;
   S.add_leq_vv ~mask:mc st b a;
-  Alcotest.(check int) "masked cycles never unify" 0
-    (S.stats st).S.vars_unified;
-  Alcotest.(check bool) "distinct representatives" true
-    (S.var_id (S.repr a) <> S.var_id (S.repr b));
-  (* a full-mask edge one way + masked back edge is not a collapsible
-     cycle either *)
+  (* a full-mask edge one way + masked back edge does not tie the other
+     coordinates either *)
   S.add_leq_vv st a b;
-  Alcotest.(check int) "still not unified" 0 (S.stats st).S.vars_unified;
+  let mn = E.singleton_mask sp (Sp.find sp "nonzero") in
+  S.add_leq_cv ~mask:mn st (E.top sp) b;
+  Alcotest.(check bool) "b's nonzero bound stays off a" true
+    (E.equal (E.bottom sp) (S.least st a));
   S.add_leq_cv st (E.top sp) a;
   ignore (S.solve st);
   Alcotest.(check bool) "const flowed" true
@@ -555,13 +553,14 @@ let tests =
   @ [
       Alcotest.test_case "last_errors after silent queries" `Quick
         test_last_errors;
-      Alcotest.test_case "online cycle collapse" `Quick test_cycle_collapse;
+      Alcotest.test_case "a full-mask cycle's members agree" `Quick
+        test_full_mask_cycle;
       Alcotest.test_case "edge dedup on insertion" `Quick test_edge_dedup;
       Alcotest.test_case "bound dedup on insertion" `Quick test_bound_dedup;
       Alcotest.test_case "instantiation dedups shared bounds" `Quick
         test_instantiate_bound_dedup;
       Alcotest.test_case "masked cycles stay apart" `Quick
-        test_masked_cycle_not_unified;
+        test_masked_cycle_apart;
       Alcotest.test_case "incremental = from-scratch = oracle" `Quick
         test_incremental_matches_scratch;
     ]
