@@ -381,13 +381,13 @@ module Config = struct
     let* levels, order =
       List.fold_left
         (fun acc l ->
-          let* lvs, ord = acc in
+          let* lvs, orders = acc in
           match l.words with
-          | "levels" :: ls when ls <> [] -> Ok (lvs @ ls, ord)
+          | "levels" :: ls when ls <> [] -> Ok (lvs @ ls, orders)
           | "levels" :: _ -> err l.lno "levels wants at least one name"
           | "order" :: ws ->
               let* pairs = parse_order_chain l.lno ws in
-              Ok (lvs, ord @ pairs)
+              Ok (lvs, orders @ pairs)
           | w :: _ -> err l.lno "unknown directive %S (want levels or order)" w
           | [] -> acc)
         (Ok ([], [])) body

@@ -202,28 +202,25 @@ and t = {
   mutable hi : int array;  (* greatest solution *)
   mutable succ_head : int array;  (* head cell of the succ chain, -1 end *)
   mutable pred_head : int array;
-  mutable lo_reasons : (Elt.t * int * reason) list array;
-      (* provenance: one entry per distinct constant bound *)
-  mutable hi_reasons : (Elt.t * int * reason) list array;
+  mutable lo_consts : (Elt.t * int) list array;
+      (* one (const, mask) entry per distinct constant lower bound; the
+         atom holding its dedup key carries the reason *)
+  mutable hi_consts : (Elt.t * int) list array;
   (* edge arena: one cell per chain entry (two per logical edge) *)
   mutable ecells : int array;
       (* 3 ints per cell, adjacent: dst, mask, next — one cache line per
          traversal step, the reason the chains beat pointer-chased lists *)
-  mutable e_reason : reason array;
   mutable necells : int;
   (* the atom log, insertion order *)
   mutable log : atom array;
   mutable nlog : int;
-  mutable ord : int array;
-      (* per log entry: its rank in the client's task order, which is the
-         order a cold store would have received it (see {!retract}); -1
-         once deleted. Entries past its end rank as their log index: a
-         store no retraction has touched needs no column. *)
   mutable live_slices : (int * int) list;
       (* the live atoms below [fresh_from], as log slices in task order *)
+  mutable slice_index : (int * int * int) array;
+      (* [live_slices] as runs of the log, sorted by start: start,
+         length, task rank of the first atom (see [rank]) *)
   mutable fresh_from : int;
       (* log entries from here on were added since the last {!checkpoint} *)
-  mutable fresh_var0 : int;  (* variables from here on likewise *)
   mutable ground_errors : error list;
   errors : (int, error) Hashtbl.t;
       (* persistent bound-violation table, keyed by variable id;
@@ -333,17 +330,15 @@ let create space =
     hi = [||];
     succ_head = [||];
     pred_head = [||];
-    lo_reasons = [||];
-    hi_reasons = [||];
+    lo_consts = [||];
+    hi_consts = [||];
     ecells = [||];
-    e_reason = [||];
     necells = 0;
     log = [||];
     nlog = 0;
-    ord = [||];
     live_slices = [];
+    slice_index = [||];
     fresh_from = 0;
-    fresh_var0 = 0;
     ground_errors = [];
     errors = Hashtbl.create 16;
     recorders = [];
@@ -518,11 +513,11 @@ let ensure_var_capacity t v =
      Array.blit t.objs 0 b 0 cap;
      t.objs <- b);
     (let b = Array.make cap' [] in
-     Array.blit t.lo_reasons 0 b 0 cap;
-     t.lo_reasons <- b);
+     Array.blit t.lo_consts 0 b 0 cap;
+     t.lo_consts <- b);
     (let b = Array.make cap' [] in
-     Array.blit t.hi_reasons 0 b 0 cap;
-     t.hi_reasons <- b);
+     Array.blit t.hi_consts 0 b 0 cap;
+     t.hi_consts <- b);
 
     t.dirty_mark <- grow_bytes t.dirty_mark cap';
     t.inq <- grow_bytes t.inq cap';
@@ -530,14 +525,9 @@ let ensure_var_capacity t v =
   end
 
 let ensure_edge_capacity t =
-  let cap = Array.length t.e_reason in
-  if t.necells >= cap then begin
-    let cap' = if cap = 0 then 256 else cap * 2 in
-    t.ecells <- grow_int t.ecells (3 * cap');
-    let b = Array.make cap' None in
-    Array.blit t.e_reason 0 b 0 cap;
-    t.e_reason <- b
-  end
+  let cap = Array.length t.ecells / 3 in
+  if t.necells >= cap then
+    t.ecells <- grow_int t.ecells (3 * if cap = 0 then 256 else cap * 2)
 
 let uid_counter = Atomic.make 0
 
@@ -552,8 +542,8 @@ let fresh ?(name = "q") t =
   t.hi.(id) <- Elt.top t.sp;
   t.succ_head.(id) <- -1;
   t.pred_head.(id) <- -1;
-  t.lo_reasons.(id) <- [];
-  t.hi_reasons.(id) <- [];
+  t.lo_consts.(id) <- [];
+  t.hi_consts.(id) <- [];
   t.nvars <- id + 1;
   Option.iter Budget.note_var t.budget;
   (* a fresh variable has no constraints: its current (lo, hi) is already
@@ -578,8 +568,6 @@ let log_atom t atom =
     t.log <- b
   end;
   t.log.(t.nlog) <- atom;
-  (* until a retraction ranks it, an atom sorts after every earlier one *)
-  if t.nlog < Array.length t.ord then t.ord.(t.nlog) <- t.nlog;
   t.nlog <- t.nlog + 1
 
 let mark_dirty t i =
@@ -598,25 +586,75 @@ let dirty_reset t =
   t.ndirty <- 0
 
 (* ------------------------------------------------------------------ *)
+(* Task ranks                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A log entry's task rank is its position in the order a cold store
+   would have received the live atoms: the live slices in turn, then the
+   atoms logged since the last {!checkpoint} (ranked by log index, which
+   no live slice's rank reaches); -1 for an entry a retraction deleted.
+   A store that was never retracted ranks every entry by its log index.
+   Ranks are read from [slice_index], never stored per atom. Slices that
+   follow each other both in task order and in the log share one entry,
+   since their ranks run on: a store that kept its cold layout has a
+   handful of entries, however many slices it has. *)
+let set_live t slices =
+  t.live_slices <- slices;
+  let runs, _ =
+    List.fold_left
+      (fun (runs, k) (start, len) ->
+        let runs =
+          match runs with
+          | _ when len = 0 -> runs
+          | (s, l, r) :: rest when s + l = start -> (s, l + len, r) :: rest
+          | _ -> (start, len, k) :: runs
+        in
+        (runs, k + len))
+      ([], 0) slices
+  in
+  t.slice_index <-
+    Array.of_list (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) runs)
+
+let rank t i =
+  if i >= t.fresh_from then i
+  else begin
+    let ix = t.slice_index in
+    (* the last slice starting at or before [i]: its start is <= i at
+       [lo] and > i at [hi], with -1 and the slice count as sentinels *)
+    let lo = ref (-1) and hi = ref (Array.length ix) in
+    while !hi - !lo > 1 do
+      let m = (!lo + !hi) / 2 in
+      let start, _, _ = ix.(m) in
+      if start <= i then lo := m else hi := m
+    done;
+    if !lo < 0 then -1
+    else
+      let start, len, r = ix.(!lo) in
+      if i < start + len then r + i - start else -1
+  end
+
+let atom_reason = function
+  | Avv (_, _, _, r) | Avc (_, _, _, r) | Acv (_, _, _, r) -> r
+
+(* ------------------------------------------------------------------ *)
 (* Adding constraints                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let new_cell t dst mask reason next =
+let new_cell t dst mask next =
   ensure_edge_capacity t;
   let e = t.necells in
   let b = 3 * e in
   t.ecells.(b) <- dst;
   t.ecells.(b + 1) <- mask;
   t.ecells.(b + 2) <- next;
-  t.e_reason.(e) <- reason;
   t.necells <- e + 1;
   e
 
 (* var <= const, restricted to the coordinates in [mask]. Constant bounds
    are deduplicated on insertion like edges: a repeated instantiation that
    re-derives an identical bound on the same variable is counted as
-   deduped and adds nothing — in particular no provenance entry, so
-   [hi_reasons] stops growing with the instantiation count. The dedup key
+   deduped and adds nothing — in particular no [hi_consts] entry, so
+   that list stops growing with the instantiation count. The dedup key
    packs the side flag into the variable id's low bit. *)
 let add_leq_vc ?reason ?mask t v c =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
@@ -626,7 +664,7 @@ let add_leq_vc ?reason ?mask t v c =
     t.s_dedup <- t.s_dedup + 1
   else begin
     Iset.set_owner t.bound_seen t.bound_seen.last (t.nlog - 1);
-    t.hi_reasons.(r) <- (c, mask, reason) :: t.hi_reasons.(r);
+    t.hi_consts.(r) <- (c, mask) :: t.hi_consts.(r);
     let hb' = Elt.meet t.sp t.hi_bound.(r) (Elt.embed_top t.sp ~mask c) in
     if hb' <> t.hi_bound.(r) then begin
       t.hi_bound.(r) <- hb';
@@ -645,7 +683,7 @@ let add_leq_cv ?reason ?mask t c v =
     t.s_dedup <- t.s_dedup + 1
   else begin
     Iset.set_owner t.bound_seen t.bound_seen.last (t.nlog - 1);
-    t.lo_reasons.(r) <- (c, mask, reason) :: t.lo_reasons.(r);
+    t.lo_consts.(r) <- (c, mask) :: t.lo_consts.(r);
     let lb' = Elt.join t.sp t.lo_bound.(r) (Elt.embed_bottom t.sp ~mask c) in
     if lb' <> t.lo_bound.(r) then begin
       t.lo_bound.(r) <- lb';
@@ -669,8 +707,8 @@ let add_leq_vv ?reason ?mask t a b =
     else begin
       t.s_edges <- t.s_edges + 1;
       Iset.set_owner t.edge_seen t.edge_seen.last (t.nlog - 1);
-      t.succ_head.(ra) <- new_cell t rb mask reason t.succ_head.(ra);
-      t.pred_head.(rb) <- new_cell t ra mask reason t.pred_head.(rb);
+      t.succ_head.(ra) <- new_cell t rb mask t.succ_head.(ra);
+      t.pred_head.(rb) <- new_cell t ra mask t.pred_head.(rb);
       t.solved <- false;
       mark_dirty t ra;
       mark_dirty t rb
@@ -809,9 +847,26 @@ let propagate t ~seed =
   done;
   wl_reset t
 
+(* [x]'s constant bounds on one side (1: upper) with the reason of the
+   atom holding each one's key, newest holder first *)
+let consts_by_rank t x side l =
+  List.map
+    (fun (c, m) ->
+      let s = t.bound_seen in
+      let o = Iset.owner s (Iset.find s ((x lsl 1) lor side) c m 0) in
+      (rank t o, (c, m, atom_reason t.log.(o))))
+    l
+  |> List.sort (fun (r1, _) (r2, _) -> Int.compare r2 r1)
+  |> List.map snd
+
 (* Explain why [v]'s least solution violates its upper bound: find the
    offending coordinate, then walk backwards (BFS over a queue) to a
-   constant lower bound that raised it. *)
+   constant lower bound that raised it. The walk reads each pred chain,
+   and each list of constant bounds, in falling task rank of the atom
+   holding the entry's key: the newest-first order a cold store's
+   prepend-on-insert chains have, whatever order a retraction left them
+   in. So which origin and reason the message names depends only on the
+   live atoms in task order. *)
 let explain t v =
   let vi = v.id in
   let sp = t.sp in
@@ -849,20 +904,24 @@ let explain t v =
                   if m land mask <> 0 && coord_of c = target then
                     Some (Option.value r ~default:"constant bound")
                   else None)
-                t.lo_reasons.(u)
+                (consts_by_rank t u 0 t.lo_consts.(u))
             in
             found :=
               Some (u, Option.value reason ~default:"constant bound")
           else begin
+            let preds = ref [] in
             let e = ref t.pred_head.(u) in
             while !e >= 0 do
-              let cell = !e in
-              let b = 3 * cell in
+              let b = 3 * !e in
               e := t.ecells.(b + 2);
-              let p = t.ecells.(b) in
-              if t.ecells.(b + 1) land mask <> 0 && coord_of t.lo.(p) = target
-              then Queue.push p frontier
-            done
+              let p = t.ecells.(b) and m = t.ecells.(b + 1) in
+              if m land mask <> 0 && coord_of t.lo.(p) = target then
+                let o = Iset.owner t.edge_seen (Iset.find t.edge_seen p u m 0) in
+                preds := (rank t o, p) :: !preds
+            done;
+            List.iter
+              (fun (_, p) -> Queue.push p frontier)
+              (List.sort (fun (r1, _) (r2, _) -> Int.compare r2 r1) !preds)
           end
         end
       done;
@@ -879,7 +938,7 @@ let explain t v =
               && not (Elt.leq_masked sp ~mask t.lo.(vi) t.hi_bound.(vi))
             then r
             else None)
-          t.hi_reasons.(vi)
+          (consts_by_rank t vi 1 t.hi_consts.(vi))
       in
       (* Ordered coordinates name the violating levels; classic two-point
          coordinates keep the historical message byte-for-byte. *)
@@ -1198,8 +1257,8 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
     t.hi.(i) <- top;
     t.succ_head.(i) <- -1;
     t.pred_head.(i) <- -1;
-    t.lo_reasons.(i) <- [];
-    t.hi_reasons.(i) <- []
+    t.lo_consts.(i) <- [];
+    t.hi_consts.(i) <- []
   done;
   dirty_reset t;
   wl_reset t;
@@ -1213,9 +1272,8 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
   let live = List.fold_left (fun n (_, len) -> n + len) 0 slices in
   (* a little headroom for the next segments, so they do not double it *)
   t.log <- (if live = 0 then [||] else Array.make (max 256 (live + (live / 8))) old.(0));
-  t.ord <- [||];
   t.nlog <- 0;
-  t.live_slices <- [];
+  set_live t [];
   t.fresh_from <- 0;
   let starts =
     List.map
@@ -1243,9 +1301,8 @@ let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
    work, which the next [retract] keeps. *)
 let checkpoint t =
   if t.nlog > t.fresh_from then
-    t.live_slices <- t.live_slices @ [ (t.fresh_from, t.nlog - t.fresh_from) ];
-  t.fresh_from <- t.nlog;
-  t.fresh_var0 <- t.nvars
+    set_live t (t.live_slices @ [ (t.fresh_from, t.nlog - t.fresh_from) ]);
+  t.fresh_from <- t.nlog
 
 type retract_path = Decremental | Rebuilt of string
 
@@ -1268,62 +1325,17 @@ let key_slot t atom =
   let s = if edge then t.edge_seen else t.bound_seen in
   (s, Iset.find s a b c 0)
 
-(* the log index of the atom holding a key's cell or provenance entry *)
-let key_owner t atom =
-  let s, j = key_slot t atom in
-  Iset.owner s j
-
-(* a log entry's task rank (see [ord]) *)
-let rank t i = if i < Array.length t.ord then t.ord.(i) else i
-
-(* The atom holding cell [c] of [v]'s succ ([succ]) or pred chain, by the
-   cell's key; -1 when the key is gone (the cell is deleted). *)
-let cell_owner t ~succ v c =
-  let b = 3 * c in
-  let d = t.ecells.(b) and m = t.ecells.(b + 1) in
-  let j =
-    if succ then Iset.find t.edge_seen v d m 0 else Iset.find t.edge_seen d v m 0
+(* drop the cell [(dst, mask)], which must be there, from [x]'s chain in
+   [heads] *)
+let unlink t heads x dst mask =
+  let rec go prev e =
+    let b = 3 * e in
+    let next = t.ecells.(b + 2) in
+    if t.ecells.(b) <> dst || t.ecells.(b + 1) <> mask then go e next
+    else if prev < 0 then heads.(x) <- next
+    else t.ecells.((3 * prev) + 2) <- next
   in
-  if j < 0 then -1 else Iset.owner t.edge_seen j
-
-let atom_reason = function
-  | Avv (_, _, _, r) | Avc (_, _, _, r) | Acv (_, _, _, r) -> r
-
-(* A variable's chain in the order a cold store builds it: newest first,
-   i.e. by falling task rank of the holding atom; deleted cells drop. *)
-let normalize_chain t ~succ x =
-  let heads = if succ then t.succ_head else t.pred_head in
-  let cells = ref [] in
-  let e = ref heads.(x) in
-  while !e >= 0 do
-    let c = !e in
-    e := t.ecells.((3 * c) + 2);
-    let o = cell_owner t ~succ x c in
-    if o >= 0 && rank t o >= 0 then cells := (rank t o, c) :: !cells
-  done;
-  let a = Array.of_list !cells in
-  Array.sort (fun (r1, _) (r2, _) -> compare r2 r1) a;
-  let head = ref (-1) in
-  for k = Array.length a - 1 downto 0 do
-    let c = snd a.(k) in
-    t.ecells.((3 * c) + 2) <- !head;
-    head := c
-  done;
-  heads.(x) <- !head
-
-(* the same for a variable's provenance list on one side (1: upper) *)
-let normalize_reasons t x side l =
-  let ranked =
-    List.filter_map
-      (fun ((c, m, _) as e) ->
-        let j = Iset.find t.bound_seen ((x lsl 1) lor side) c m 0 in
-        if j < 0 then None
-        else
-          let r = rank t (Iset.owner t.bound_seen j) in
-          if r < 0 then None else Some (r, e))
-      l
-  in
-  List.map snd (List.stable_sort (fun (r1, _) (r2, _) -> compare r2 r1) ranked)
+  go (-1) heads.(x)
 
 (* Keep only the atoms of [slices] (log slices in task order), deleting
    the rest: delete-and-rederive (DRed; Gupta, Mumick and Subrahmanian
@@ -1337,13 +1349,12 @@ let normalize_reasons t x side l =
    or fresh atoms reached, and [retract] repairs exactly that:
 
    - each dedup key counts the atoms holding it, so deleting an atom
-     another live atom duplicates keeps the key, and the key's cell or
-     provenance entry moves to the holder of least task rank, which is
-     the one a cold store inserted first (the fresh atoms are checked
-     the same way against the live holders ranked after them);
-   - the chains and provenance lists of the variables involved are put
-     back in cold order (newest task rank first), which propagation and
-     [explain]'s breadth-first walk read;
+     another live atom duplicates keeps the key, and the key passes to
+     the holder of least task rank, the one a cold store inserted first
+     (the fresh atoms, and the kept segments that moved ahead of one
+     they used to follow, are checked the same way against the current
+     holder); a key no live atom holds goes, with its two chain cells or
+     its constant-bound entry;
    - the least-solution bits forward-reachable from a deleted atom's
      target and the greatest-solution bits backward-reachable from its
      source are reset where they could have come through it, then
@@ -1354,47 +1365,42 @@ let normalize_reasons t x side l =
      are restored; the structural counters lose the deleted atoms'
      contributions.
 
-   It falls back to {!rebuild}, which reaches the same store by replay,
+   Chains keep whatever order the edits left: propagation reaches the
+   same fixpoint in any order, and [explain] reads them by task rank.
+   Ranks come from the slices (see [rank]), so a reordering of the kept
+   segments costs only the re-check of the ones that moved ahead. It
+   falls back to {!rebuild}, which reaches the same store by replay,
    when a slice names a deleted or repeated atom, a fresh atom lies
-   outside the slices, kept segments are out of their earlier order, or
-   dead log entries outnumber live ones (the rebuild then compacts the
-   log). *)
+   outside the slices, or dead log entries outnumber live ones (the
+   rebuild then compacts the log). *)
 let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   if t.recorders <> [] then invalid_arg "Solver.retract: inside a recording";
   let t0 = Unix.gettimeofday () in
-  let n = t.nlog in
-  if Array.length t.ord < n then begin
-    let o = t.ord in
-    t.ord <- Array.init (Array.length t.log) (fun i -> if i < Array.length o then o.(i) else i)
-  end;
+  let n = t.nlog and fresh0 = t.fresh_from in
   let bad = ref None in
   let fallback r = if !bad = None then bad := Some r in
-  let covered = Bytes.make n '\000' in
+  (* per log entry: 1 while live (in a live slice, or fresh), 2 once a
+     slice names it, 0 if an earlier retraction deleted it *)
+  let state = Bytes.make n '\000' in
+  List.iter (fun (start, len) -> Bytes.fill state start len '\001') t.live_slices;
+  Bytes.fill state fresh0 (n - fresh0) '\001';
   let nlive = ref 0 in
   List.iter
     (fun (start, len) ->
       for i = start to start + len - 1 do
-        if Bytes.get covered i = '\001' || t.ord.(i) < 0 then
+        if Bytes.get state i <> '\001' then
           fallback "a slice names a deleted or repeated atom";
-        Bytes.set covered i '\001'
+        Bytes.set state i '\002'
       done;
       nlive := !nlive + len)
     slices;
   if n - !nlive > !nlive then fallback "dead log entries outnumber live ones";
-  for i = t.fresh_from to n - 1 do
-    if Bytes.get covered i = '\000' then fallback "a fresh atom outside the live slices"
+  for i = fresh0 to n - 1 do
+    if Bytes.get state i = '\001' then fallback "a fresh atom outside the live slices"
   done;
-  (let last = ref (-1) in
-   List.iter
-     (fun (start, len) ->
-       if len > 0 && start < t.fresh_from then begin
-         if t.ord.(start) <= !last then fallback "kept segments reordered";
-         last := t.ord.(start + len - 1)
-       end)
-     slices);
   let dead = ref [] in
-  for i = t.fresh_from - 1 downto 0 do
-    if t.ord.(i) >= 0 && Bytes.get covered i = '\000' then dead := i :: !dead
+  for i = fresh0 - 1 downto 0 do
+    if Bytes.get state i = '\001' then dead := i :: !dead
   done;
   let dead = !dead in
   let ndead = List.length dead in
@@ -1406,48 +1412,46 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   | None ->
       let sp = t.sp in
       let top = Elt.top sp in
-      (* task ranks: the live atoms in slice order *)
-      List.iter (fun i -> t.ord.(i) <- -1) dead;
-      (let k = ref 0 in
-       List.iter
-         (fun (start, len) ->
-           for i = start to start + len - 1 do
-             t.ord.(i) <- !k;
-             incr k
-           done)
-         slices);
-      (* the vertices whose chains or provenance the repair touches *)
-      let touched = Hashtbl.create 16 in
-      let touch x = Hashtbl.replace touched x () in
-      let touch_atom = function
-        | Avv (a, b, _, _) ->
-            touch a.id;
-            touch b.id
-        | Avc (v, _, _, _) | Acv (_, v, _, _) -> touch v.id
-      in
+      (* the kept segments that moved ahead of one they used to follow,
+         by the ranks before this retraction (a kept slice lies inside
+         one earlier live slice, so its ranks are consecutive) *)
+      let moved = ref [] in
+      ignore
+        (List.fold_right
+           (fun (start, len) least ->
+             if len = 0 || start >= fresh0 then least
+             else
+               let r = rank t start in
+               if r > least then moved := (start, len) :: !moved;
+               min least r)
+           slices max_int);
+      (* from here on, ranks are the new task order *)
+      set_live t slices;
+      t.fresh_from <- n;
       (* 1. the dead atoms leave their keys *)
       let removed = ref [] and orphans = Hashtbl.create 8 in
       List.iter
         (fun i ->
           let atom = t.log.(i) in
-          touch_atom atom;
           let s, j = key_slot t atom in
           let c = Iset.count_at s j - 1 in
           Iset.set_count s j c;
           if c > 0 then begin
             t.s_dedup <- t.s_dedup - 1;
-            if t.ord.(key_owner t atom) < 0 then Hashtbl.replace orphans (key_of atom) (-1)
+            if rank t (Iset.owner s j) < 0 then Hashtbl.replace orphans (key_of atom) (-1)
           end
           else begin
-            (* the cell goes with its key (the chains drop it below) *)
             (match atom with
-            | Avv _ -> t.s_edges <- t.s_edges - 1
+            | Avv (a, b, m, _) ->
+                t.s_edges <- t.s_edges - 1;
+                unlink t t.succ_head a.id b.id m;
+                unlink t t.pred_head b.id a.id m
             | Avc (v, c, m, _) ->
-                t.hi_reasons.(v.id) <-
-                  List.filter (fun (c', m', _) -> c' <> c || m' <> m) t.hi_reasons.(v.id)
+                t.hi_consts.(v.id) <-
+                  List.filter (fun (c', m') -> c' <> c || m' <> m) t.hi_consts.(v.id)
             | Acv (c, v, m, _) ->
-                t.lo_reasons.(v.id) <-
-                  List.filter (fun (c', m', _) -> c' <> c || m' <> m) t.lo_reasons.(v.id));
+                t.lo_consts.(v.id) <-
+                  List.filter (fun (c', m') -> c' <> c || m' <> m) t.lo_consts.(v.id));
             Iset.remove_slot s j;
             removed := atom :: !removed
           end)
@@ -1464,29 +1468,7 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
          whose first endpoint holds such a key *)
       let transfer atom i =
         let s, j = key_slot t atom in
-        let r = atom_reason t.log.(i) in
-        touch_atom atom;
-        Iset.set_owner s j i;
-        let retag l c m =
-          List.map (fun ((c', m', _) as e) -> if c' = c && m' = m then (c, m, r) else e) l
-        in
-        match atom with
-        | Avv (a, b, m, _) ->
-            (* the key's cell pair: its succ cell in [a]'s chain, the pred
-               cell next to it *)
-            let e = ref t.succ_head.(a.id) in
-            while !e >= 0 do
-              let c = !e in
-              let bc = 3 * c in
-              e := t.ecells.(bc + 2);
-              if t.ecells.(bc) = b.id && t.ecells.(bc + 1) = m then begin
-                t.e_reason.(c) <- r;
-                t.e_reason.(c + 1) <- r;
-                e := -1
-              end
-            done
-        | Avc (v, c, m, _) -> t.hi_reasons.(v.id) <- retag t.hi_reasons.(v.id) c m
-        | Acv (c, v, m, _) -> t.lo_reasons.(v.id) <- retag t.lo_reasons.(v.id) c m
+        Iset.set_owner s j i
       in
       if Hashtbl.length orphans > 0 then begin
         t.fp_gen <- t.fp_gen + 1;
@@ -1518,27 +1500,24 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
             done)
           slices
       end;
-      (* 3. a fresh atom ranked before its key's holder takes the key *)
-      for i = t.fresh_from to n - 1 do
-        let atom = t.log.(i) in
-        (match atom with
-        | Avv (a, b, _, _) ->
-            if a.id < t.fresh_var0 then touch a.id;
-            if b.id < t.fresh_var0 then touch b.id
-        | Avc (v, _, _, _) | Acv (_, v, _, _) ->
-            if v.id < t.fresh_var0 then touch v.id);
-        let o = key_owner t atom in
-        if o <> i && t.ord.(o) > t.ord.(i) then transfer atom i
+      (* 3. an atom of a segment that moved ahead, or a fresh one, takes
+         its key when it ranks before the key's holder *)
+      let claim i =
+        let s, j = key_slot t t.log.(i) in
+        let o = Iset.owner s j in
+        if o <> i && rank t o > rank t i then Iset.set_owner s j i
+      in
+      List.iter
+        (fun (start, len) ->
+          for i = start to start + len - 1 do
+            claim i
+          done)
+        !moved;
+      for i = fresh0 to n - 1 do
+        claim i
       done;
-      (* 4. cold order for the chains and provenance involved, and the
-         constant bounds of the vertices that lost one *)
-      Hashtbl.iter
-        (fun x () ->
-          normalize_chain t ~succ:true x;
-          normalize_chain t ~succ:false x;
-          t.lo_reasons.(x) <- normalize_reasons t x 0 t.lo_reasons.(x);
-          t.hi_reasons.(x) <- normalize_reasons t x 1 t.hi_reasons.(x))
-        touched;
+      (* 4. the constant bounds of the vertices that lost one, and the
+         overdelete's seeds *)
       let rlo = Hashtbl.create 16 and rhi = Hashtbl.create 16 in
       let qlo = Queue.create () and qhi = Queue.create () in
       let grow tbl q v bits =
@@ -1557,8 +1536,8 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
               let v = v.id in
               t.hi_bound.(v) <-
                 List.fold_left
-                  (fun acc (c, m, _) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
-                  top t.hi_reasons.(v);
+                  (fun acc (c, m) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
+                  top t.hi_consts.(v);
               rebound := v :: !rebound;
               grow rhi qhi v
                 (lnot (Elt.embed_top sp ~mask:m c) land lnot t.hi.(v) land t.hi_bound.(v))
@@ -1566,8 +1545,8 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
               let v = v.id in
               t.lo_bound.(v) <-
                 List.fold_left
-                  (fun acc (c, m, _) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
-                  (Elt.bottom sp) t.lo_reasons.(v);
+                  (fun acc (c, m) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
+                  (Elt.bottom sp) t.lo_consts.(v);
               rebound := v :: !rebound;
               grow rlo qlo v
                 (Elt.embed_bottom sp ~mask:m c land t.lo.(v) land lnot t.lo_bound.(v))
@@ -1648,8 +1627,6 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
         + Hashtbl.fold (fun v _ n -> if Hashtbl.mem rlo v then n else n + 1) rhi 0
       in
       t.ground_errors <- ground;
-      t.live_slices <- slices;
-      t.fresh_from <- n;
       t.solved <- false;
       t.s_solve_s <- t.s_solve_s +. (Unix.gettimeofday () -. t0);
       ignore (solve t : (unit, error list) result);

@@ -126,7 +126,11 @@ val explain_var : t -> var -> string option
 (** after a {!solve}: why this variable's least solution violates its
     upper bound — the same bound-violation walk (offending coordinate,
     then backwards to the constant bound that forced it) that builds
-    {!last_errors} messages, run on demand for one variable. [None] when
+    {!last_errors} messages, run on demand for one variable. The walk
+    reads each pred chain and each variable's constant bounds in falling
+    task rank of the atom holding the key (see {!retract}), which is a
+    cold store's newest-first chain order, so the origin and reasons it
+    names depend only on the live atoms in task order. [None] when
     the variable is within bounds. The query surface the store-resident
     daemon serves "explain this violation path" from, without rescanning
     the whole error set. *)
@@ -269,15 +273,19 @@ val retract : t -> slices:(int * int) list -> ground:error list -> retraction
 (** [retract t ~slices ~ground] keeps only the atoms of the log slices
     [(start, length)], given in task order: the atoms logged before the
     last {!checkpoint} that no slice names are deleted, the ones logged
-    after it must all be named. Afterwards the store is the one a fresh
-    store fed the slices' atoms in that order would hold, up to variable
-    renaming — solutions, error messages, [explain] output, the
-    structural counters and {!atoms} — with [ground] as its ground
-    violations. It deletes the dead atoms in place and re-derives only
-    the solution bits they could have supported (delete-and-rederive).
-    It runs {!rebuild} instead when a slice names a deleted or repeated
-    atom, a fresh atom lies outside the slices, kept segments are out of
-    their earlier order, or dead log entries outnumber live ones. Either
+    after it must all be named, and a slice of the earlier atoms must
+    lie inside one slice of the live set it replaces (a client that
+    keeps whole segments passes them so). Afterwards the store is the
+    one a fresh store fed the slices' atoms in that order would hold,
+    up to variable renaming — solutions, error messages, [explain]
+    output, the structural counters and {!atoms} — with [ground] as its
+    ground violations. It deletes the dead atoms in place and
+    re-derives only the solution bits they could have supported
+    (delete-and-rederive), in whatever order the slices put the kept
+    segments: an atom's task rank is read from the slices, not stored,
+    by the key hand-off and {!explain_var}. It runs {!rebuild} instead
+    when a slice names a deleted or repeated atom, a fresh atom lies
+    outside the slices, or dead log entries outnumber live ones. Either
     way no variable is created and the fresh atoms end up solved. *)
 
 val reset_stats : t -> unit

@@ -318,7 +318,7 @@ let gen_seg rng sp n =
   in
   let sops = List.init (1 + rint 8) (fun _ -> op ()) in
   (* now and then a hub: a shared variable read by some seventy own
-     variables, a long chain for the repair to put back in order *)
+     variables, a long pred chain for [explain] to read in task order *)
   if rint 6 = 0 then
     let h = shared () and k = 66 + rint 8 in
     { own = own + k; sops = List.init k (fun i -> Edge (h, n + own + i, full)) @ sops }
@@ -326,8 +326,19 @@ let gen_seg rng sp n =
 
 let gen_edit rng sp n ntasks =
   let rint = Cbench.Rng.int rng in
-  let kept = List.filter (fun _ -> rint 10 < 7) (List.init ntasks Fun.id) in
-  let steps = ref (List.map (fun i -> Keep i) kept) in
+  let kept =
+    Array.of_list (List.filter (fun _ -> rint 10 < 7) (List.init ntasks Fun.id))
+  in
+  (* now and then two kept tasks trade places, as when an edit to the
+     call graph changes the order its components come out in *)
+  let nk = Array.length kept in
+  if nk >= 2 && rint 3 = 0 then begin
+    let i = rint nk and j = rint nk in
+    let x = kept.(i) in
+    kept.(i) <- kept.(j);
+    kept.(j) <- x
+  end;
+  let steps = ref (Array.to_list (Array.map (fun i -> Keep i) kept)) in
   for _ = 1 to rint 4 do
     let at = rint (List.length !steps + 1) in
     let seg = gen_seg rng sp n in
@@ -468,25 +479,41 @@ let test_decremental_share () =
     true
     (3 * !dec >= !all)
 
+(* a fixed scenario over three shared variables of the const space:
+   every edit deletes in place and agrees with the rebuild *)
+let in_place name base edits =
+  let sc = (Cqual.Analysis.const_space, 3, base, edits) in
+  Alcotest.(check bool) (name ^ ": agrees with rebuild") true (decremental_agrees sc);
+  Alcotest.(check bool) (name ^ ": decremental") true
+    (List.for_all (( = ) S.Decremental) (warm_run ~decremental:true sc).paths)
+
+let seg sops = { own = 0; sops }
+
 (* cycles need no fallback: a dead atom on a cycle (the edge that carried
    [1]'s bound back to [0]) and a fresh atom that closes one are deleted
    and inserted in place *)
 let test_decremental_cycles () =
   let sp = Cqual.Analysis.const_space in
   let full = E.full_mask sp in
-  let case name base edits =
-    let sc = (sp, 3, base, edits) in
-    Alcotest.(check bool) (name ^ ": agrees with rebuild") true (decremental_agrees sc);
-    Alcotest.(check bool) (name ^ ": decremental") true
-      (List.for_all (( = ) S.Decremental) (warm_run ~decremental:true sc).paths)
-  in
-  let seg sops = { own = 0; sops } in
-  case "dead atom on a cycle"
+  in_place "dead atom on a cycle"
     [ seg [ Edge (0, 1, full) ]; seg [ Edge (1, 0, full) ]; seg [ Lower (E.top sp, 1, full) ] ]
     [ [ Keep 0; Keep 2 ] ];
-  case "fresh atom closing a cycle"
+  in_place "fresh atom closing a cycle"
     [ seg [ Edge (0, 1, full) ]; seg [ Upper (2, E.bottom sp, full) ] ]
     [ [ Keep 0; Fresh (seg [ Edge (1, 0, full) ]); Keep 1 ] ]
+
+(* nor does a reordering of kept segments. After the swap a cold store
+   meets [2 <= 0] first, so [0]'s pred chain reads [1] first, and it
+   inserts the second segment's bound on [1] first, so that atom's
+   reason is the one the message names *)
+let test_decremental_swapped () =
+  let sp = Cqual.Analysis.const_space in
+  let full = E.full_mask sp in
+  in_place "kept segments swapped"
+    [ seg [ Edge (1, 0, full); Lower (E.top sp, 1, full) ];
+      seg [ Edge (2, 0, full); Lower (E.top sp, 2, full); Lower (E.top sp, 1, full) ];
+      seg [ Upper (0, E.bottom sp, full) ] ]
+    [ [ Keep 1; Keep 0; Keep 2 ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-file corpora: determinism and the Session entry point         *)
@@ -557,4 +584,6 @@ let tests =
       test_decremental_share;
     Alcotest.test_case "retract on a cycle: in place = rebuild" `Quick
       test_decremental_cycles;
+    Alcotest.test_case "retract: kept segments swapped, in place = rebuild" `Quick
+      test_decremental_swapped;
   ]

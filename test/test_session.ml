@@ -1068,7 +1068,18 @@ let prop_warm_equals_cold =
             (fun i (what, p) ->
               let units = gunits p in
               List.iter (fun (name, src) -> ignore (Session.update_unit warm name src)) units;
-              check_warm_cold ~step:(Printf.sprintf "step %d (%s)" i what) mode warm units)
+              let step = Printf.sprintf "step %d (%s)" i what in
+              check_warm_cold ~step mode warm units;
+              (* a warm rerun deletes in place; only log compaction rebuilds *)
+              match (Session.stats warm).Session.ss_last_rebuild with
+              | Some rb
+                when (not rb.Session.rb_full)
+                     && not
+                          (List.mem rb.Session.rb_solve
+                             [ "decremental"; "rebuild: dead log entries outnumber live ones" ]) ->
+                  QCheck2.Test.fail_reportf "%s, %s: solve %s" step
+                    (Session.mode_name mode) rb.Session.rb_solve
+              | _ -> ())
             edits)
         modes;
       true)
