@@ -14,6 +14,10 @@ type t = {
   order : global list list;
       (* each unit's globals in declaration order, the units in link
          order: the global variables' only table *)
+  defs : fundef array array;
+      (* each unit's function definitions in declaration order, the units
+         in link order; built once per unit table and shared by every
+         program that links it *)
 }
 
 exception Frontend_error of string
@@ -26,6 +30,8 @@ let build (prog : program) : t =
       fundefs = Hashtbl.create 16;
       protos = Hashtbl.create 16;
       order = [ prog ];
+      defs =
+        [| Array.of_list (List.filter_map (function GFun f -> Some f | _ -> None) prog) |];
     }
   in
   List.iter
@@ -62,6 +68,7 @@ let merge (units : t list) : t =
         fundefs = Hashtbl.create (sum (fun u -> u.fundefs));
         protos = Hashtbl.create (sum (fun u -> u.protos));
         order = List.concat_map (fun u -> u.order) units;
+        defs = Array.concat (List.map (fun u -> u.defs) units);
       }
     in
     List.iter
@@ -103,7 +110,8 @@ let defining_unit ~last (units : t array) name =
     and prototype tables are [prev]'s own; the function table is a copy
     of [prev]'s with the changed units' definitions patched in, the last
     definition winning; the per-unit declaration lists are gathered
-    afresh. No table of [prev] or of a unit is written. Also returns the
+    afresh and the per-unit definition arrays are the units' own. No
+    table of [prev] or of a unit is written. Also returns the
     names whose defining units changed: those a changed unit defines
     and did not, or defined and does not.
 
@@ -165,6 +173,7 @@ let relink ~(prev : t) ~(before : t array) (after : t array) :
           prev with
           fundefs;
           order = List.concat_map (fun u -> u.order) (Array.to_list after);
+          defs = Array.concat (Array.to_list (Array.map (fun u -> u.defs) after));
         },
         !moved )
   end
@@ -222,7 +231,9 @@ let gather pick t =
             match pick g with Some x -> x :: acc | None -> acc))
        [] t.order)
 
-let functions t = gather (function GFun f -> Some f | _ -> None) t
+(** Every function definition, in link order. *)
+let functions t = List.concat_map Array.to_list (Array.to_list t.defs)
+
 let global_vars t = gather (function GVar d -> Some d | _ -> None) t
 
 (** Count physical source lines (for Table 1-style reporting). *)

@@ -262,6 +262,12 @@ type layout = {
   ly_fdg : Fdg.t;
   ly_task_of : seg option array;  (** FDG node -> its task's segment *)
   ly_iface_of : seg option array;  (** FDG node -> its mono interface's *)
+  ly_moved : int list;
+      (** the nodes whose report rows or outcome a warm rerun may have
+          moved: the graph's [touched] (added, redefined or moved to
+          another unit) and those whose task or mono interface it built
+          afresh, each once; empty after a full run, whose graph is built
+          cold *)
 }
 
 type env = {
@@ -981,16 +987,6 @@ let analyze_global_inits env =
           | None -> ())
         (Cprog.global_vars env.prog))
 
-(* The definitions mono analyzes: of a name defined more than once, only
-   the one the program's function table resolves it to (the last) — the
-   one calls link to, the polymorphic modes analyze and the report
-   measures. Each body is then checked against its own interface. *)
-let linked_functions prog =
-  List.filter
-    (fun (f : Cast.fundef) ->
-      match Cprog.find_fun prog f.f_name with Some g -> g == f | None -> false)
-    (Cprog.functions prog)
-
 (* Mono's interface pass, in the store before any body, so calls
    in any order link directly; a function whose interface cannot be built
    is degraded and left out of env.funs, so its callers fall back to the
@@ -1257,34 +1253,31 @@ let run_in_order env ~watermark ~(process : processor) tasks =
   let is_global = is_mono_var env ~watermark in
   List.map (run_task env ~is_global ~process) tasks
 
-(* The task list of a mode over [prog]. Mono has one task per function
-   whose interface was built, in link order; poly and polyrec one per FDG
-   SCC, callees first. *)
-let task_list env (fdg : Fdg.t) : Cast.fundef list list =
+(* The task list of a mode over its FDG, as node arrays. Mono has one
+   task per linked definition (of a name defined more than once, the one
+   calls link to: the last) whose interface was built, in link order;
+   poly and polyrec one per FDG SCC, callees first. *)
+let task_list env (fdg : Fdg.t) : int array list =
   match env.mode with
   | Mono ->
       List.filter_map
-        (fun (f : Cast.fundef) ->
-          if Hashtbl.mem env.funs f.f_name then Some [ f ] else None)
-        (linked_functions env.prog)
-  | Poly | Polyrec ->
-      Array.to_list
-        (Array.map
-           (fun scc -> Array.to_list (Array.map (fun v -> fdg.Fdg.defs.(v)) scc))
-           fdg.Fdg.scc_nodes)
+        (fun v -> if Hashtbl.mem env.funs fdg.Fdg.names.(v) then Some [| v |] else None)
+        (Array.to_list (Fdg.linked fdg))
+  | Poly | Polyrec -> Fdg.scc_list fdg
 
-let layout_of ~watermark ~live_vars env (fdg : Fdg.t) tasks segs =
+let members (fdg : Fdg.t) nodes = Array.to_list (Array.map (fun v -> fdg.Fdg.defs.(v)) nodes)
+
+let layout_of ~watermark ~live_vars ~moved env (fdg : Fdg.t) tasks segs =
   let n = Array.length fdg.Fdg.names in
   let task_of = Array.make n None and iface_of = Array.make n None in
-  let node (f : Cast.fundef) = Hashtbl.find fdg.Fdg.ids f.f_name in
   (match env.mode with
   | Mono ->
       List.iter2
-        (fun f sg -> iface_of.(node f) <- Some sg)
-        (linked_functions env.prog)
+        (fun v sg -> iface_of.(v) <- Some sg)
+        (Array.to_list (Fdg.linked fdg))
         (List.filter (fun sg -> sg.sg_kind = Siface) segs);
       List.iter2
-        (fun members sg -> task_of.(node (List.hd members)) <- Some sg)
+        (fun nodes sg -> task_of.(nodes.(0)) <- Some sg)
         tasks
         (List.filter (fun sg -> sg.sg_kind = Stask) segs)
   | Poly | Polyrec ->
@@ -1304,12 +1297,51 @@ let layout_of ~watermark ~live_vars env (fdg : Fdg.t) tasks segs =
     ly_fdg = fdg;
     ly_task_of = task_of;
     ly_iface_of = iface_of;
+    ly_moved = moved;
   }
 
 let reported segs = List.concat_map (fun sg -> sg.sg_ifaces) segs
 
 (** The dependence graph the last run scheduled over. *)
 let fdg env = Option.map (fun ly -> ly.ly_fdg) env.layout
+
+(** Apply [f] to every FDG node of the last run in report order: the
+    linked definitions' order in mono, whose interface segments follow
+    it, and the SCCs' in the poly modes, whose task segments do. A
+    segment reports either nothing or one interface per node, in order,
+    so the reported interfaces are those of the nodes that report one,
+    in this order. *)
+let iter_report_order env f =
+  match env.layout with
+  | None -> ()
+  | Some { ly_fdg = fdg; _ } -> (
+      match env.mode with
+      | Mono -> Array.iter f (Fdg.linked fdg)
+      | Poly | Polyrec ->
+          for k = 0 to fdg.Fdg.nsccs - 1 do
+            Array.iter f fdg.Fdg.scc_nodes.(k)
+          done)
+
+(** The interface FDG node [v] reports in the last run, with its name:
+    [None] when its task (its mono interface) reported nothing. *)
+let reported_iface env v =
+  match env.layout with
+  | None -> None
+  | Some ly -> (
+      match env.mode with
+      | Mono -> ( match ly.ly_iface_of.(v) with Some { sg_ifaces = [ x ]; _ } -> Some x | _ -> None)
+      | Poly | Polyrec -> (
+          match ly.ly_task_of.(v) with
+          | Some { sg_ifaces = _ :: _ as ifaces; _ } ->
+              (* one interface per SCC member, in order *)
+              let fdg = ly.ly_fdg in
+              let nodes = fdg.Fdg.scc_nodes.(fdg.Fdg.scc_of.(v)) in
+              let rec find i = function
+                | [] -> None
+                | x :: rest -> if nodes.(i) = v then Some x else find (i + 1) rest
+              in
+              find 0 ifaces
+          | _ -> None))
 
 let live_vars env =
   match env.layout with
@@ -1344,13 +1376,13 @@ let run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs:_ mode
     match mode with
     | Mono ->
         List.map
-          (fun f -> segment env Siface (fun () -> mono_interface env f))
-          (linked_functions prog)
+          (fun v -> segment env Siface (fun () -> mono_interface env fdg.Fdg.defs.(v)))
+          (Array.to_list (Fdg.linked fdg))
     | Poly | Polyrec -> []
   in
   let tasks = task_list env fdg in
   let task_segs =
-    run_in_order env ~watermark ~process:(processor mode) tasks
+    run_in_order env ~watermark ~process:(processor mode) (List.map (members fdg) tasks)
   in
   let inits =
     segment env Sinits (fun () ->
@@ -1360,7 +1392,7 @@ let run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs:_ mode
   let segs = (globals :: iface_segs) @ task_segs @ [ inits ] in
   env.layout <-
     Some
-      (layout_of ~watermark ~live_vars:(Solver.num_vars env.store) env fdg
+      (layout_of ~watermark ~live_vars:(Solver.num_vars env.store) ~moved:[] env fdg
          tasks segs);
   (env, reported segs)
 
@@ -1507,6 +1539,9 @@ let rerun (base : env) (prog : Cprog.t) :
   | Some ly when Solver.num_vars base.store - ly.ly_live_vars > ly.ly_live_vars
     ->
       Error "dead variables outnumber live ones"
+  | Some ly when Fdg.dead_ids ly.ly_fdg > ly.ly_fdg.Fdg.live ->
+      (* a full run builds the graph cold, which renumbers its nodes *)
+      Error "dead FDG ids outnumber live ones"
   | Some ly ->
       let env =
         { base with prog; warnings = []; layout = None }
@@ -1514,42 +1549,42 @@ let rerun (base : env) (prog : Cprog.t) :
       let st = env.store in
       Solver.reset_stats st;
       Solver.checkpoint st;
-      let old_fdg = ly.ly_fdg in
-      let fdg = Fdg.build ~prev:old_fdg prog in
-      (* the graphs match by name: [old_of.(v)] is new node [v]'s old id *)
-      let old_of = fdg.Fdg.prev_id in
-      let present = Bytes.make (Array.length old_fdg.Fdg.names) '\000' in
-      Array.iter (fun u -> if u >= 0 then Bytes.set present u '\001') old_of;
-      let removed u = Bytes.get present u = '\000' in
-      (* [dirty] marks the functions whose task must re-run although their
-         definitions are unchanged: a callee set that gained or lost a
-         name, or a callee whose summary (interface, in mono) is not the
-         one last read *)
+      (* the old graph is handed over: the new one keeps its node ids, so
+         a node live in both names the same function in both, and a live
+         node below [prev_ids] was live in the old graph *)
+      let fdg = Fdg.build ~prev:ly.ly_fdg prog in
+      let was v = v < fdg.Fdg.prev_ids in
+      (* [dirty] marks the functions whose task must re-run: a definition
+         that changed beyond its locations, a callee set that gained or
+         lost a name, or a callee whose summary (interface, in mono) is
+         not the one last read *)
       let dirty = Bytes.make (Array.length fdg.Fdg.names) '\000' in
       let mark v = Bytes.set dirty v '\001' in
-      Array.iteri
-        (fun v succ -> if Array.exists (fun w -> old_of.(w) < 0) succ then mark v)
-        fdg.Fdg.succ;
-      Array.iteri
-        (fun u succ ->
-          if (not (removed u)) && Array.exists removed succ then
-            Option.iter mark (Hashtbl.find_opt fdg.Fdg.ids old_fdg.Fdg.names.(u)))
-        old_fdg.Fdg.succ;
-      let callers = lazy (Fdg.callers fdg) in
-      let changed v = Array.iter mark (Lazy.force callers).(v) in
-      let node (f : Cast.fundef) = Hashtbl.find fdg.Fdg.ids f.f_name in
+      List.iter mark fdg.Fdg.changed;
+      List.iter mark fdg.Fdg.callees_changed;
+      (* the nodes whose report rows or outcome may move, each once: the
+         ones the edit touched and those whose task or mono interface is
+         built afresh *)
+      let moved = ref [] and seen = Bytes.make (Array.length fdg.Fdg.names) '\000' in
+      let move v =
+        if Bytes.get seen v = '\000' then begin
+          Bytes.set seen v '\001';
+          moved := v :: !moved
+        end
+      in
+      List.iter move fdg.Fdg.touched;
+      let changed v = List.iter mark (Fdg.callers fdg v) in
       (* the tables a fresh run would show the first task: summaries and
          outcomes of functions that no longer exist go; every other entry
          is kept or reset when its task re-runs (a task only reads the
          summaries of its callees, which precede it). Warnings and auto
          globals are refilled in task order. *)
-      Array.iteri
-        (fun u g ->
-          if removed u then begin
-            Hashtbl.remove env.funs g;
-            Hashtbl.remove env.outcomes g
-          end)
-        old_fdg.Fdg.names;
+      List.iter
+        (fun u ->
+          let g = fdg.Fdg.names.(u) in
+          Hashtbl.remove env.funs g;
+          Hashtbl.remove env.outcomes g)
+        fdg.Fdg.removed;
       Hashtbl.reset env.imemo;
       Hashtbl.reset env.memo_ok;
       Hashtbl.reset env.shapes.Shape.by_cell;
@@ -1585,45 +1620,36 @@ let rerun (base : env) (prog : Cprog.t) :
         | Poly | Polyrec -> []
         | Mono ->
             List.map
-              (fun (f : Cast.fundef) ->
-                let v = node f in
-                let u = old_of.(v) in
-                match if u < 0 then None else ly.ly_iface_of.(u) with
-                | Some sg when Cast.equal_signature old_fdg.Fdg.defs.(u) f ->
+              (fun v ->
+                let f = fdg.Fdg.defs.(v) in
+                match if was v then ly.ly_iface_of.(v) else None with
+                | Some sg when Cast.equal_signature (Fdg.prev_def fdg v) f ->
                     keep sg
                 | _ ->
                     (* a rebuilt interface: its own body and its callers
                        link to fresh variables *)
                     mark v;
                     changed v;
+                    move v;
                     Hashtbl.remove env.funs f.f_name;
                     Hashtbl.remove env.outcomes f.f_name;
                     segment env Siface (fun () -> mono_interface env f))
-              (linked_functions prog)
+              (Array.to_list (Fdg.linked fdg))
       in
       let process = processor env.mode in
       let is_global = is_mono_var env ~watermark:ly.ly_watermark in
       let rerun_n = ref 0 and members_n = ref 0 in
-      (* one task over FDG nodes [nodes]: kept when the old task had the
-         same members in the same order, with definitions equal up to
-         locations and no dirty mark; re-run otherwise *)
-      let task (nodes : int array) =
+      (* task [k], over FDG nodes [nodes]: kept when the old task had the
+         same members in the same order and none is dirty; re-run
+         otherwise *)
+      let task k (nodes : int array) =
         let clean v = Bytes.get dirty v = '\000' in
-        let same_def u v = old_of.(v) = u && Bytes.get fdg.Fdg.same v = '\001' in
-        let u0 = old_of.(nodes.(0)) in
+        let u0 = nodes.(0) in
         let kept =
-          if u0 < 0 || not (Array.for_all clean nodes) then None
+          if not (was u0 && Array.for_all clean nodes) then None
           else
             match ly.ly_task_of.(u0) with
-            | Some sg
-              when (env.mode = Mono && same_def u0 nodes.(0))
-                   || env.mode <> Mono
-                      &&
-                      let olds = old_fdg.Fdg.scc_nodes.(old_fdg.Fdg.scc_of.(u0)) in
-                      Array.length olds = Array.length nodes
-                      && Array.for_all2 same_def olds nodes
-              ->
-                Some sg
+            | Some sg when env.mode = Mono || Fdg.scc_kept fdg k -> Some sg
             | _ -> None
         in
         match kept with
@@ -1631,11 +1657,12 @@ let rerun (base : env) (prog : Cprog.t) :
         | None ->
             incr rerun_n;
             members_n := !members_n + Array.length nodes;
+            Array.iter move nodes;
             (* the members' outcomes are the task's: a mono interface
                that was built only marks [Analyzed], which the body's
                own verdict subsumes *)
             Array.iter (fun v -> Hashtbl.remove env.outcomes fdg.Fdg.names.(v)) nodes;
-            let members = Array.to_list (Array.map (fun v -> fdg.Fdg.defs.(v)) nodes) in
+            let members = members fdg nodes in
             (* the summaries the members' callers last read *)
             let before =
               List.map
@@ -1653,13 +1680,8 @@ let rerun (base : env) (prog : Cprog.t) :
                 (Array.to_list nodes) before;
             sg
       in
-      let tasks, task_segs =
-        match env.mode with
-        | Mono ->
-            let tasks = task_list env fdg in
-            (tasks, List.map (fun members -> task [| node (List.hd members) |]) tasks)
-        | Poly | Polyrec -> ([], Array.to_list (Array.map task fdg.Fdg.scc_nodes))
-      in
+      let tasks = task_list env fdg in
+      let task_segs = List.mapi task tasks in
       let inits =
         segment env Sinits (fun () ->
             analyze_global_inits env;
@@ -1688,7 +1710,8 @@ let rerun (base : env) (prog : Cprog.t) :
         List.iter2 (fun sg at -> sg.sg_log0 <- at) segs rt.Solver.rt_starts;
         env.layout <-
           Some
-            (layout_of ~watermark:ly.ly_watermark ~live_vars env fdg tasks segs);
+            (layout_of ~watermark:ly.ly_watermark ~live_vars ~moved:!moved env fdg
+               tasks segs);
         Ok
           ( env,
             reported segs,

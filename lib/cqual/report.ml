@@ -147,11 +147,12 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     its solver variable, which hold for as long as the function's rows
     are reused, and its verdict, re-read on every measurement. *)
 type row = {
-  mutable r_pos : position;  (** [p_levels] is re-read with the verdict *)
+  mutable r_result : position * verdict;
+      (** as {!results} lists it; [p_levels] is re-read with the verdict,
+          and the pair is replaced only when either moved *)
   r_var : Solver.var;
   r_key : string;  (** canonical key *)
   r_skey : string;  (** structural key; physically [r_key] when equal *)
-  mutable r_verdict : verdict;
   mutable r_ord : int;  (** place in report order *)
 }
 
@@ -164,13 +165,12 @@ type fun_rows = {
   fr_iface : fsig;
   fr_unit : string;
   fr_rows : row array;
-  mutable fr_run : int;  (** the measurement that last used it *)
 }
 
 (** A measurement, kept to seed the next one of the same, re-analyzed
-    store ([?prev]): the rows by FDG node of the graph it measured (the
-    next graph maps its nodes back through [Fdg.prev_id]), every row in
-    report order, and the key index. Each
+    store ([?prev]): the rows and the outcome of every function by FDG
+    node of the graph it measured (the next graph, built from that one,
+    keeps its node ids), every row in report order, and the key index. Each
     row is registered under its structural key and (when the anchor has
     column precision) its canonical [unit:line:col@level] key; when rows
     share a key, [shared] lists them and the first in report order owns
@@ -178,7 +178,10 @@ type fun_rows = {
     meaningful against the live store and must not be marshaled. *)
 type rows = {
   mutable by_node : fun_rows option array;
+  mutable outcome_of : (string * Analysis.outcome) array;
+      (** FDG node -> its name and outcome, as {!results} lists them *)
   mutable graph : int;  (** the measured graph's [Fdg.stamp] *)
+  mutable homes : (string, string) Hashtbl.t option;  (** the [home] table measured with *)
   mutable in_order : row array;
   mutable index : (string, row) Hashtbl.t;
   shared : (string, row list) Hashtbl.t;
@@ -187,7 +190,6 @@ type rows = {
       (** the last call updated the index by the changed rows only *)
 }
 
-let run_counter = Atomic.make 0
 
 (* what {!positions_of_fun} reads of a definition *)
 let same_anchors (a : Cast.fundef) (b : Cast.fundef) =
@@ -203,7 +205,7 @@ let make_row ~keys (p, var) =
       let ck = position_key p in
       ((if ck = sk then sk (* one string for both *) else ck), sk)
   in
-  { r_pos = p; r_var = var; r_key; r_skey; r_verdict = Either; r_ord = 0 }
+  { r_result = (p, Either); r_var = var; r_key; r_skey; r_ord = 0 }
 
 let iter_keys f r =
   f r.r_skey;
@@ -259,12 +261,20 @@ let patch_index st ~removed ~added =
     conservatively classified [Either] and every function is reported
     degraded (keeping any more specific per-function reason already
     recorded). With [keys] (the default) every position comes with its
-    stable keys and the index over them; rows of [prev] are reused where
-    they still apply, and [prev] is updated in place (a fresh state
-    without it) and returned, holding exactly this measurement's rows for
-    the next call. Without, the keys are empty and there is no index.
-    [home] (function name -> defining unit) anchors positions like
-    [locate] does. *)
+    stable keys and the index over them. Without, the keys are empty and
+    there is no index. [prev] is updated in place (a fresh state without
+    it) and returned, holding exactly this measurement's rows for the
+    next call. When the analysis's graph was built from the one [prev]
+    measured, only the removed functions and those the rerun says may
+    have moved ({!Analysis.layout}'s [ly_moved]) are looked at: their
+    rows are kept when their interface is physically the one measured
+    and their anchors and home unit are the same, and measured afresh
+    otherwise; every other function keeps its rows and outcome. Otherwise
+    every reported function is measured. [ifaces] are the interfaces the
+    analysis's last run reported; [home] (function name -> defining
+    unit) anchors positions like [locate] does, and a [home] table other
+    than [prev]'s may move any function's home, so every function with
+    rows is looked at. *)
 let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
     ?(keys = true) (env : Analysis.env) (ifaces : (string * fsig) list) :
     results * rows =
@@ -282,14 +292,17 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
     | Some b -> Typequal.Budget.exhausted b
     | None -> None
   in
-  let g = Option.get (Analysis.fdg env) in
+  let ly = Option.get env.Analysis.layout in
+  let g = ly.Analysis.ly_fdg in
   let st =
     match prev with
     | Some st -> st
     | None ->
         {
           by_node = [||];
+          outcome_of = [||];
           graph = -1;
+          homes = None;
           in_order = [||];
           index = Hashtbl.create 1;
           shared = Hashtbl.create 16;
@@ -297,64 +310,98 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
           index_patched = false;
         }
   in
-  (* [prev]'s rows apply when this graph was built from the one they
-     measured *)
-  let from_prev = st.graph >= 0 && st.graph = g.Fdg.prev_stamp in
-  let old_rows = if from_prev then st.by_node else [||] in
-  let by_node = Array.make (Array.length g.Fdg.names) None in
-  let run = Atomic.fetch_and_add run_counter 1 in
-  let removed = ref [] and added = ref [] in
-  let blocks =
-    List.filter_map
-      (fun (name, iface) ->
-        match Hashtbl.find_opt g.Fdg.ids name with
-        | None -> None
-        | Some v -> (
-            let f = g.Fdg.defs.(v) in
-            let u = g.Fdg.prev_id.(v) in
-            let old = if u >= 0 && u < Array.length old_rows then old_rows.(u) else None in
-            match old with
-            | Some fr
-              when fr.fr_iface == iface
-                   && (fr.fr_def == f || same_anchors fr.fr_def f)
-                   && fr.fr_unit = fst (locate name 1) ->
-                (* hold the current definition, not a re-parse's
-                   predecessor (and its whole body) *)
-                fr.fr_def <- f;
-                fr.fr_run <- run;
-                by_node.(v) <- old;
-                Some fr.fr_rows
-            | _ -> (
-                match
-                  positions_of_fun ~qual ~locate env.Analysis.prog f iface
-                with
-                | ps ->
-                    let fr_rows = Array.of_list (List.map (make_row ~keys) ps) in
-                    by_node.(v) <-
-                      Some
-                        {
-                          fr_def = f;
-                          fr_iface = iface;
-                          fr_unit = fst (locate name 1);
-                          fr_rows;
-                          fr_run = run;
-                        };
-                    added := fr_rows :: !added;
-                    Some fr_rows
-                | exception Cprog.Frontend_error m ->
-                    Analysis.degrade env name ("measurement failed: " ^ m);
-                    None)))
-      ifaces
+  (* [prev]'s rows and outcomes apply when this graph was built from the
+     one they measured: only the functions the edit touched and the
+     members of re-run tasks can differ *)
+  let from_prev = st.graph >= 0 && st.graph = g.Fdg.prev_stamp && budget_trip = None in
+  let ids = g.Fdg.ids in
+  let fit a x =
+    let m = Array.length a in
+    if not from_prev then Array.make ids x
+    else if m >= ids then a
+    else Array.append a (Array.make (max ids (2 * m) - m) x)
   in
-  (* every previous row this measurement did not keep leaves the index *)
-  Array.iter
-    (function
-      | Some fr when fr.fr_run <> run -> removed := fr.fr_rows :: !removed
-      | _ -> ())
-    old_rows;
+  let by_node = fit st.by_node None in
+  let outcome_of = fit st.outcome_of ("", Analysis.Analyzed) in
+  (* the nodes whose rows and outcome are looked at again: the link
+     patches its home table in place, for the names whose first
+     definition moved in the unit list, which the graph flags; a new
+     table may move any of them *)
+  let moved =
+    match (home, st.homes) with
+    | _ when not from_prev -> []
+    | Some h, Some h' when h == h' -> ly.Analysis.ly_moved
+    | _ ->
+        let all = ref [] in
+        Array.iteri (fun v fr -> if Option.is_some fr then all := v :: !all) by_node;
+        List.iter (fun v -> if by_node.(v) = None then all := v :: !all) ly.Analysis.ly_moved;
+        !all
+  in
+  st.homes <- home;
+  let removed = ref [] and added = ref [] in
+  let total = ref (if from_prev then Array.length st.in_order else 0) in
+  let drop fr =
+    removed := fr.fr_rows :: !removed;
+    total := !total - Array.length fr.fr_rows
+  in
+  (* node [v]'s rows, for the interface it reports: kept when the
+     interface is physically the one they were measured for and nothing
+     they read moved, else measured afresh *)
+  let settle v = function
+    | None ->
+        Option.iter drop by_node.(v);
+        by_node.(v) <- None
+    | Some (name, iface) -> (
+        let f = g.Fdg.defs.(v) in
+        match by_node.(v) with
+        | Some fr
+          when fr.fr_iface == iface
+               && (fr.fr_def == f || same_anchors fr.fr_def f)
+               && fr.fr_unit = fst (locate name 1) ->
+            (* hold the current definition, not a re-parse's predecessor
+               (and its whole body) *)
+            fr.fr_def <- f
+        | old -> (
+            Option.iter drop old;
+            by_node.(v) <- None;
+            match positions_of_fun ~qual ~locate env.Analysis.prog f iface with
+            | ps ->
+                let fr_rows = Array.of_list (List.map (make_row ~keys) ps) in
+                by_node.(v) <-
+                  Some { fr_def = f; fr_iface = iface; fr_unit = fst (locate name 1); fr_rows };
+                added := fr_rows :: !added;
+                total := !total + Array.length fr_rows
+            | exception Cprog.Frontend_error m ->
+                Analysis.degrade env name ("measurement failed: " ^ m)))
+  in
+  if from_prev then begin
+    (* the rows of every other node stand: its task, and so its
+       interface, was kept, and its definition is physically the one
+       measured *)
+    List.iter (fun u -> settle u None) g.Fdg.removed;
+    List.iter (fun v -> settle v (Analysis.reported_iface env v)) moved
+  end
+  else
+    List.iter
+      (fun ((name, _) as x) ->
+        match Fdg.node g name with
+        | Some v -> settle v (Some x)
+        | None -> invalid_arg "Report.measure: not the interfaces of the analysis's last run")
+      ifaces;
+  (* the rows in report order *)
+  let in_order = ref [||] and k = ref 0 in
+  let total = !total in
+  Analysis.iter_report_order env (fun v ->
+      match by_node.(v) with
+      | Some { fr_rows; _ } when Array.length fr_rows > 0 ->
+          if !k = 0 then in_order := Array.make total fr_rows.(0);
+          Array.blit fr_rows 0 !in_order !k (Array.length fr_rows);
+          k := !k + Array.length fr_rows
+      | _ -> ());
+  let in_order = !in_order in
   st.by_node <- by_node;
   st.graph <- g.Fdg.stamp;
-  st.in_order <- Array.concat blocks;
+  st.in_order <- in_order;
   st.remeasured <- List.length !added;
   (* the verdicts are re-read for every row: one new atom can move any
      of them. When the measured qualifier is an ordered coordinate, the
@@ -366,17 +413,19 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
     | Some i -> Typequal.Lattice.Space.order sp i <> None
     | None -> false
   in
+  let declared = ref 0 and possible = ref 0 and must = ref 0 in
   Array.iteri
     (fun i r ->
       let var = r.r_var in
       r.r_ord <- i;
-      r.r_verdict <-
-        (if budget_trip <> None then Either
-         else
-           match Solver.classify store var (Lazy.force qi) with
-           | Solver.Forced_up -> Must_const
-           | Solver.Forced_down -> Must_not_const
-           | Solver.Free -> Either);
+      let verdict =
+        if budget_trip <> None then Either
+        else
+          match Solver.classify store var (Lazy.force qi) with
+          | Solver.Forced_up -> Must_const
+          | Solver.Forced_down -> Must_not_const
+          | Solver.Free -> Either
+      in
       let levels =
         if budget_trip = None && ordered then
           let i = Lazy.force qi in
@@ -385,50 +434,52 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
               Typequal.Lattice.Elt.level_name sp i (Solver.greatest store var) )
         else None
       in
-      if levels <> r.r_pos.p_levels then r.r_pos <- { r.r_pos with p_levels = levels })
-    st.in_order;
+      let pos, v = r.r_result in
+      if levels <> pos.p_levels || verdict <> v then
+        r.r_result <-
+          ((if levels <> pos.p_levels then { pos with p_levels = levels } else pos), verdict);
+      if pos.p_declared then incr declared;
+      if verdict <> Must_not_const then incr possible;
+      if verdict = Must_const then incr must)
+    in_order;
   if keys then begin
     st.index_patched <- from_prev;
     if from_prev then patch_index st ~removed:!removed ~added:!added
     else rebuild_index st
   end;
-  let outcomes =
-    List.map
-      (fun (f : Cast.fundef) ->
-        let o =
-          match Hashtbl.find_opt env.Analysis.outcomes f.f_name with
-          | Some (Analysis.Degraded _ as o) -> o
-          | recorded -> (
-              match budget_trip with
-              | Some r -> Analysis.Degraded ("budget exhausted: " ^ r)
-              | None -> (
-                  match recorded with
-                  | Some o -> o
-                  | None -> Analysis.Analyzed))
-        in
-        (f.f_name, o))
-      (Cprog.functions env.Analysis.prog)
+  (* each function's fate, read again where the edit could have moved
+     it, and everywhere in a cold measurement *)
+  let read v =
+    let name = g.Fdg.names.(v) in
+    let o =
+      match Hashtbl.find_opt env.Analysis.outcomes name with
+      | Some (Analysis.Degraded _ as o) -> o
+      | recorded -> (
+          match budget_trip with
+          | Some r -> Analysis.Degraded ("budget exhausted: " ^ r)
+          | None -> ( match recorded with Some o -> o | None -> Analysis.Analyzed))
+    in
+    if snd outcome_of.(v) <> o || fst outcome_of.(v) != name then outcome_of.(v) <- (name, o)
   in
-  let declared = ref 0 and possible = ref 0 and must = ref 0 in
-  let positions =
-    Array.fold_right
-      (fun r acc ->
-        let v = r.r_verdict in
-        if r.r_pos.p_declared then incr declared;
-        if v <> Must_not_const then incr possible;
-        if v = Must_const then incr must;
-        (r.r_pos, v) :: acc)
-      st.in_order []
-  in
+  if from_prev then List.iter read moved
+  else
+    for v = 0 to ids - 1 do
+      if g.Fdg.rank.(v) >= 0 then read v
+    done;
+  st.outcome_of <- outcome_of;
   ( {
-      positions;
+      positions = Array.fold_right (fun r l -> r.r_result :: l) in_order [];
       declared = !declared;
       possible = !possible;
       must = !must;
-      total = Array.length st.in_order;
+      total = Array.length in_order;
       type_errors;
       warnings = env.Analysis.warnings;
-      outcomes;
+      (* one outcome per definition, in link order *)
+      outcomes =
+        Array.fold_right
+          (fun nodes l -> Array.fold_right (fun v l -> outcome_of.(v) :: l) nodes l)
+          g.Fdg.unit_nodes [];
     },
     st )
 

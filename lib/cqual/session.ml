@@ -222,12 +222,27 @@ let src_unit (name, src) =
     u_lines = Cfront.Cprog.count_lines src;
   }
 
+(* one parse of a unit with its built table *)
+type parsed = { pu_res : Cfront.Cparse.uresult; pu_prog : Cfront.Cprog.t }
+
+(* What the link decided for one unit: its speculative parse, whether
+   that parse mentions a typedef or enum name of the units before it,
+   and the parse it linked, whose typedef and enum names and anonymous
+   tags are what it adds to the environment of the units after it. *)
+type linked_unit = {
+  lu_spec : parsed;
+  lu_mention : bool;
+  lu_res : Cfront.Cparse.uresult;
+}
+
 (* the frontend's product: the linked program, its recovered
    diagnostics and demoted bodies, and the function-name ->
    defining-unit table that anchors the report's stable position keys.
    The unit names in link order and each linked unit's table are what
    the next compile over the same names patches the program and the
-   home table from; [co_link] says how this compile built them. *)
+   home table from; [co_link] says how this compile built them, and
+   [co_linked] what its link decided per unit, which the next link
+   reuses where a unit and the environment before it are unchanged. *)
 type compiled = {
   co_prog : Cfront.Cprog.t;
   co_diags : Cfront.Diag.t list;
@@ -239,12 +254,10 @@ type compiled = {
   co_names : string array;
   co_progs : Cfront.Cprog.t array;  (* the units linked, in order *)
   co_link : string;  (* "patched", "merged: <reason>" or "cold" *)
+  co_linked : linked_unit array;
   co_units_built : int;  (* per-unit tables built, not taken from the memo *)
   co_decls_reparsed : int;  (* declarations lexed and parsed afresh *)
 }
-
-(* one parse of a unit with its built table *)
-type parsed = { pu_res : Cfront.Cparse.uresult; pu_prog : Cfront.Cprog.t }
 
 let parsed_of (res : Cfront.Cparse.uresult) =
   {
@@ -429,6 +442,17 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
   let capped = ref false in
   let reparsed = ref 0 in
   let progs = ref [] in
+  let decided = ref [] in
+  (* the environment before the unit at hand is the one the previous
+     compile's link saw there: every unit before it added the same
+     names and anonymous tags *)
+  let env_same = ref (prev <> None) in
+  let same_additions (a : Cfront.Cparse.uresult) (b : Cfront.Cparse.uresult) =
+    a == b
+    || a.Cfront.Cparse.ur_anon = b.Cfront.Cparse.ur_anon
+       && a.Cfront.Cparse.ur_typedefs = b.Cfront.Cparse.ur_typedefs
+       && List.map fst a.Cfront.Cparse.ur_enums = List.map fst b.Cfront.Cparse.ur_enums
+  in
   let diags = ref [] in
   let degraded = ref [] in
   (* units this link re-parsed (or took a re-parse of from the memo) *)
@@ -455,12 +479,20 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
         else begin
           let sres = spec.pu_res in
           let k = List.length sres.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
+          let before =
+            match prev with
+            | Some p when !env_same && i < Array.length p.co_linked -> Some p.co_linked.(i)
+            | _ -> None
+          in
           let mention_hit =
-            (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
-            && Array.exists
-                 (fun id ->
-                   Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
-                 sres.Cfront.Cparse.ur_idents
+            match before with
+            | Some lu when lu.lu_spec == spec -> lu.lu_mention
+            | _ ->
+                (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
+                && Array.exists
+                     (fun id ->
+                       Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
+                     sres.Cfront.Cparse.ur_idents
           in
           let anon_hit = !env_anon > 0 && sres.Cfront.Cparse.ur_anon > 0 in
           let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
@@ -490,6 +522,10 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
                   p
             end
           in
+          decided := { lu_spec = spec; lu_mention = mention_hit; lu_res = res } :: !decided;
+          env_same :=
+            !env_same
+            && (match before with Some lu -> same_additions lu.lu_res res | None -> false);
           let pr = res.Cfront.Cparse.ur_pr in
           consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
           if res.Cfront.Cparse.ur_capped then capped := true;
@@ -542,6 +578,7 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
     co_names = names;
     co_progs = progs;
     co_link = how;
+    co_linked = Array.of_list (List.rev !decided);
     co_units_built = !built;
     co_decls_reparsed = !decls;
   }
@@ -567,7 +604,10 @@ type rebuild = {
       (** how the compile it read linked the program: ["patched"],
           ["merged: <reason>"] or ["cold"] *)
   rb_defs_rescanned : int;  (** definitions whose body the FDG scanned *)
-  rb_condensation_reused : bool;  (** the FDG kept the previous SCC list *)
+  rb_condensation : string;
+      (** how the FDG came by its SCC list: ["kept"] (the previous one),
+          ["spliced"] (the previous one with singleton blocks spliced in
+          and out) or ["tarjan"] *)
   rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
   rb_index_patched : bool;
       (** the key index was updated by the changed rows, not rebuilt *)
@@ -591,7 +631,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let full reason =
     let env, ifaces = Analysis.run ?rules ?compact ?budget mode co.co_prog in
     let n = Analysis.task_count env in
-    let m = Array.length (Option.get (Analysis.fdg env)).Fdg.names in
+    let m = (Option.get (Analysis.fdg env)).Fdg.live in
     ( env,
       ifaces,
       None,
@@ -675,7 +715,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       rb_decls_reparsed = co.co_decls_reparsed;
       rb_link = co.co_link;
       rb_defs_rescanned = fdg.Fdg.rescanned;
-      rb_condensation_reused = fdg.Fdg.condensation_reused;
+      rb_condensation = Fdg.condensation_name fdg.Fdg.condensation;
       rb_rows_remeasured = rows.Report.remeasured;
       rb_index_patched = rows.Report.index_patched;
       rb_solve = ri.Analysis.ri_solve;
@@ -963,7 +1003,7 @@ let positions ?mode t :
 let classify ?mode t key : (Report.position * Report.verdict) option =
   let ms = ensure_mode t (mode_of t mode) in
   Option.map
-    (fun r -> (r.Report.r_pos, r.Report.r_verdict))
+    (fun r -> r.Report.r_result)
     (Hashtbl.find_opt ms.ms_rows.Report.index key)
 
 (** Explain why a position's qualifier variable is forced: the solver's
@@ -975,9 +1015,10 @@ let explain ?mode t key :
   match Hashtbl.find_opt ms.ms_rows.Report.index key with
   | None -> Result.Error (Printf.sprintf "unknown position key %S" key)
   | Some r ->
+      let pos, verdict = r.Report.r_result in
       Ok
-        ( r.Report.r_pos,
-          r.Report.r_verdict,
+        ( pos,
+          verdict,
           Solver.explain_var ms.ms_env.Analysis.store r.Report.r_var )
 
 (* ---- speculative queries (what-if) ---- *)
@@ -1117,7 +1158,7 @@ let stats_json (st : session_stats) : Wire.json =
         ("decls_reparsed", int rb.rb_decls_reparsed);
         ("link", Wire.Str rb.rb_link);
         ("defs_rescanned", int rb.rb_defs_rescanned);
-        ("condensation_reused", Wire.Bool rb.rb_condensation_reused);
+        ("condensation", Wire.Str rb.rb_condensation);
         ("rows_remeasured", int rb.rb_rows_remeasured);
         ("index_patched", Wire.Bool rb.rb_index_patched);
         ("solve", Wire.Str rb.rb_solve);

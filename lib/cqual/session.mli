@@ -257,9 +257,12 @@ type rebuild = {
   rb_defs_rescanned : int;
       (** definitions whose body the FDG scanned for mentions; an
           unchanged definition keeps its edges *)
-  rb_condensation_reused : bool;
-      (** every successor array was equal, so the FDG kept its SCC list
-          and wavefront width *)
+  rb_condensation : string;
+      (** how the FDG came by its SCC list and wavefront width:
+          ["kept"] (no edge, node or definition order changed),
+          ["spliced"] (the previous list with the edit's singleton blocks
+          spliced in and out) or ["tarjan"] (computed afresh, as on every
+          full run) *)
   rb_rows_remeasured : int;
       (** functions whose report rows were measured afresh: the re-run
           tasks' members, and rows whose anchors or home unit moved *)

@@ -169,6 +169,206 @@ let test_fdg_deep_chain () =
   Alcotest.(check (list string)) "the deepest callee first" [ name (n - 1) ]
     (List.hd (Fdg.sccs fdg))
 
+(* ---------------- the FDG built from its previous version ---------------- *)
+
+(* A program as units of definitions, each a call list; a definition
+   keeps its [fundef] value until an edit replaces it, and a unit its
+   table, so a built graph sees what a session's compile shares. *)
+type fprog = { fp_units : (string * string list * Cfront.Cast.fundef) list array }
+
+let fdef name calls tag =
+  let f = fundef name calls in
+  (* a body statement of its own, so a rewrite is a new definition even
+     when it keeps its calls *)
+  { f with f_body = Cfront.Cast.SExpr (Cfront.Cast.EVar (Printf.sprintf "tag%d" tag)) :: f.f_body }
+
+let fprog_units fp =
+  Array.map
+    (fun defs -> Cfront.Cprog.build (List.map (fun (_, _, f) -> Cfront.Cast.GFun f) defs))
+    fp.fp_units
+
+(* the graph by name: every SCC's members in order, each live name's SCC
+   index and successors, the width and the largest SCC *)
+let fdg_view (g : Fdg.t) =
+  let by_name = Hashtbl.create 64 in
+  List.iteri (fun k scc -> List.iter (fun n -> Hashtbl.replace by_name n k) scc) (Fdg.sccs g);
+  let nodes =
+    List.sort compare
+      (Hashtbl.fold
+         (fun n k acc ->
+           let v = Option.get (Fdg.node g n) in
+           ( n,
+             k,
+             g.Fdg.scc_of.(v) = k,
+             Array.to_list (Array.map (fun w -> g.Fdg.names.(w)) g.Fdg.succ.(v)) )
+           :: acc)
+         by_name [])
+  in
+  (Fdg.sccs g, nodes, Fdg.wavefront_width g, Fdg.largest_scc g, Fdg.scc_count g)
+
+(* One random edit of [fp]: the edited unit's table is rebuilt, every
+   other unit keeps its own. *)
+let fdg_edit rng counter (fp : fprog) (tables : Cfront.Cprog.t array) =
+  let units = Array.copy fp.fp_units in
+  let nu = Array.length units in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let all_names = List.concat_map (List.map (fun (n, _, _) -> n)) (Array.to_list units) in
+  let fresh () =
+    incr counter;
+    Printf.sprintf "n%d" !counter
+  in
+  let callees () =
+    List.init (Random.State.int rng 3) (fun _ ->
+        if all_names = [] || Random.State.int rng 5 = 0 then Printf.sprintf "u%d" (Random.State.int rng 4)
+        else pick all_names)
+  in
+  let def name calls = (name, calls, fdef name calls (incr counter; !counter)) in
+  let u = Random.State.int rng nu in
+  let defs = units.(u) in
+  let touched = ref [ u ] in
+  (match Random.State.int rng 7 with
+  | 0 when defs <> [] ->
+      (* a body edit that keeps the calls *)
+      let i = Random.State.int rng (List.length defs) in
+      units.(u) <- List.mapi (fun j (n, c, f) -> if j = i then def n c else (n, c, f)) defs
+  | 1 ->
+      (* a leaf: a fresh name calling existing ones *)
+      let at = Random.State.int rng (List.length defs + 1) in
+      let x = def (fresh ()) (callees ()) in
+      units.(u) <- List.filteri (fun j _ -> j < at) defs @ (x :: List.filteri (fun j _ -> j >= at) defs)
+  | 2 when all_names <> [] ->
+      (* a fresh name and a caller of it *)
+      let x = fresh () in
+      let caller = pick all_names in
+      units.(u) <- defs @ [ def x (callees ()) ];
+      Array.iteri
+        (fun k ds ->
+          if List.exists (fun (n, _, _) -> n = caller) ds then begin
+            touched := k :: !touched;
+            units.(k) <-
+              List.map (fun (n, c, f) -> if n = caller then def n (x :: c) else (n, c, f)) units.(k)
+          end)
+        units
+  | 3 when defs <> [] ->
+      (* a removal, the function possibly still called *)
+      let i = Random.State.int rng (List.length defs) in
+      units.(u) <- List.filteri (fun j _ -> j <> i) defs
+  | 4 when defs <> [] ->
+      (* new calls: cycles merge, or split when calls go *)
+      let i = Random.State.int rng (List.length defs) in
+      units.(u) <-
+        List.mapi
+          (fun j (n, c, f) ->
+            if j <> i then (n, c, f)
+            else if c <> [] && Random.State.bool rng then def n (List.tl c)
+            else def n (callees () @ c))
+          defs
+  | 5 when defs <> [] ->
+      (* a definition moved, within its unit or to another *)
+      let i = Random.State.int rng (List.length defs) in
+      let d = List.nth defs i in
+      let rest = List.filteri (fun j _ -> j <> i) defs in
+      let v = Random.State.int rng nu in
+      touched := v :: !touched;
+      units.(u) <- rest;
+      let into = units.(v) in
+      let at = Random.State.int rng (List.length into + 1) in
+      units.(v) <- List.filteri (fun j _ -> j < at) into @ (d :: List.filteri (fun j _ -> j >= at) into)
+  | _ when all_names <> [] ->
+      (* a second definition of a name, which then resolves to the last *)
+      units.(u) <- defs @ [ def (pick all_names) (callees ()) ]
+  | _ -> units.(u) <- [ def (fresh ()) [] ]);
+  let fp = { fp_units = units } in
+  let fresh_tables = fprog_units fp in
+  (fp, Array.mapi (fun k t -> if List.mem k !touched then fresh_tables.(k) else t) tables)
+
+let fdg_paths : (string, int) Hashtbl.t = Hashtbl.create 4
+
+let fdg_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let counter = ref 0 in
+  let fp =
+    ref
+      {
+        fp_units =
+          Array.init
+            (1 + Random.State.int rng 3)
+            (fun _ ->
+              List.init (Random.State.int rng 6) (fun _ ->
+                  incr counter;
+                  let n = Printf.sprintf "n%d" !counter in
+                  (n, [], fdef n [] !counter)));
+      }
+  in
+  let tables = ref (fprog_units !fp) in
+  let link t = Cfront.Cprog.merge (Array.to_list t) in
+  let g = ref (Fdg.build (link !tables)) in
+  for step = 1 to 25 do
+    let fp', tables' = fdg_edit rng counter !fp !tables in
+    fp := fp';
+    tables := tables';
+    let prog = link tables' in
+    let warm = Fdg.build ~prev:!g prog in
+    let cold = Fdg.build prog in
+    let path = Fdg.condensation_name warm.Fdg.condensation in
+    Hashtbl.replace fdg_paths path (1 + Option.value (Hashtbl.find_opt fdg_paths path) ~default:0);
+    if fdg_view warm <> fdg_view cold then
+      QCheck2.Test.fail_reportf "seed %d, step %d (%s): the graph differs from a cold build" seed
+        step path;
+    g := warm
+  done;
+  true
+
+let prop_fdg_warm_equals_cold =
+  QCheck2.Test.make ~count:300 ~name:"fdg: a graph built from its last equals a cold one"
+    ~print:string_of_int QCheck2.Gen.int fdg_agrees
+
+(* the property is not vacuous: on fixed seeds every path is taken, the
+   splice and the kept list often *)
+let test_fdg_paths_seen () =
+  Hashtbl.reset fdg_paths;
+  for seed = 1 to 60 do
+    ignore (fdg_agrees seed)
+  done;
+  let seen p = Option.value (Hashtbl.find_opt fdg_paths p) ~default:0 in
+  List.iter
+    (fun p -> Alcotest.(check bool) (p ^ " taken often") true (seen p > 100))
+    [ "kept"; "spliced"; "tarjan" ]
+
+(* which path each kind of edit takes *)
+let test_fdg_path_cases () =
+  let tables defs = Array.map (fun d -> Cfront.Cprog.build (List.map (fun f -> Cfront.Cast.GFun f) d)) defs in
+  let link t = Cfront.Cprog.merge (Array.to_list t) in
+  let a = fdef "a" [] 1 and b = fdef "b" [ "a" ] 2 and c = fdef "c" [ "b"; "d" ] 3 in
+  let d = fdef "d" [ "c" ] 4 in
+  let t0 = tables [| [ a; b ]; [ c; d ] |] in
+  let g0 = Fdg.build (link t0) in
+  let path what expected (g : Fdg.t) prog =
+    Alcotest.(check string) what expected (Fdg.condensation_name g.Fdg.condensation);
+    Alcotest.(check bool) (what ^ ": equals a cold build") true (fdg_view g = fdg_view (Fdg.build prog))
+  in
+  (* a body edit that keeps its calls *)
+  let t1 = [| t0.(0); (tables [| [ fdef "c" [ "b"; "d" ] 5; d ] |]).(0) |] in
+  let g1 = Fdg.build ~prev:g0 (link t1) in
+  path "a body edit keeping its calls" "kept" g1 (link t1);
+  Alcotest.(check int) "one definition scanned" 1 (List.length g1.Fdg.changed);
+  (* an uncalled function whose callees all finished earlier *)
+  let e = fdef "e" [ "a"; "b" ] 6 in
+  let t2 = [| (tables [| [ a; b; e ] |]).(0); t1.(1) |] in
+  let g2 = Fdg.build ~prev:g1 (link t2) in
+  path "an uncalled leaf" "spliced" g2 (link t2);
+  (* and removing it again *)
+  let t3 = [| (tables [| [ a; b ] |]).(0); t1.(1) |] in
+  let g3 = Fdg.build ~prev:g2 (link t3) in
+  path "the leaf removed" "spliced" g3 (link t3);
+  Alcotest.(check int) "its id is dead" 1 (Fdg.dead_ids g3);
+  (* a new edge from [a]'s block into the later block of [c] and [d] *)
+  let t4 = [| (tables [| [ fdef "a" [ "c" ] 7; b ] |]).(0); t1.(1) |] in
+  let g4 = Fdg.build ~prev:g3 (link t4) in
+  path "an edge into a later block" "tarjan" g4 (link t4);
+  Alcotest.(check (list (list string))) "one cycle through both units"
+    [ [ "a"; "c"; "b"; "d" ] ] (Fdg.sccs g4)
+
 (* ---------------- the solver's segment rebuild ---------------- *)
 
 let sp = Typequal.Lattice.Space.create [ Typequal.Qualifier.const ]
@@ -430,8 +630,8 @@ let test_edit_counters () =
        rb.Session.rb_defs_rescanned defs_in_unit)
     true
     (rb.Session.rb_defs_rescanned >= 1 && rb.Session.rb_defs_rescanned <= defs_in_unit);
-  Alcotest.(check bool) "a body write keeps the condensation" true
-    rb.Session.rb_condensation_reused;
+  Alcotest.(check string) "a body write keeps the condensation" "kept"
+    rb.Session.rb_condensation;
   Alcotest.(check int) "rows re-measured = the re-run tasks' members"
     rb.Session.rb_members_rerun rb.Session.rb_rows_remeasured;
   Alcotest.(check bool) "the key index is patched" true rb.Session.rb_index_patched;
@@ -510,6 +710,9 @@ let tests =
     Alcotest.test_case "fdg: random graphs match the recursive reference" `Quick
       test_fdg_random;
     Alcotest.test_case "fdg: a 100k-deep call chain" `Quick test_fdg_deep_chain;
+    QCheck_alcotest.to_alcotest prop_fdg_warm_equals_cold;
+    Alcotest.test_case "fdg: every condensation path is taken" `Quick test_fdg_paths_seen;
+    Alcotest.test_case "fdg: the path each kind of edit takes" `Quick test_fdg_path_cases;
     Alcotest.test_case "rebuild: live ground errors kept, dead ones dropped"
       `Quick test_rebuild_ground;
     Alcotest.test_case "rebuild: counters describe the rebuilt system" `Quick

@@ -1287,6 +1287,79 @@ let test_link_reparse_memo () =
       (Session.render ~positions:true ~name:"l" t)
   done
 
+(* The link reuses a unit's mention verdict only while the environment
+   before it is the one its last link saw: a typedef that an earlier
+   unit starts to define, and a later unit mentions, still has the later
+   unit re-parsed, and dropping it again takes the re-parse back. *)
+let test_link_new_typedef () =
+  let b = "int g(str s) { return 0; }\nint h(char *p) { return g(p); }\n" in
+  let with_td = "typedef char *str;\nint f(char *s) { return 0; }\n" in
+  let without = "int f(char *s) { return 0; }\n" in
+  let t = Session.create ~mode:Analysis.Poly [ ("a.c", without); ("b.c", b) ] in
+  let reparsed (r : Session.run) = (Option.get r.Session.frontend).Session.fs_reparsed in
+  Alcotest.(check int) "cold: nothing to re-parse" 0 (reparsed (Session.run t));
+  List.iter
+    (fun (what, a, expect) ->
+      ignore (Session.update_unit t "a.c" a);
+      let r = Session.run t in
+      Alcotest.(check int) (what ^ ": units the link re-parsed") expect (reparsed r);
+      Alcotest.(check string) (what ^ ": warm = cold")
+        (Session.render ~positions:true ~name:"l" (Session.create [ ("a.c", a); ("b.c", b) ]))
+        (Session.render ~positions:true ~name:"l" t))
+    [
+      ("a typedef b.c mentions", with_td, 1);
+      ("the typedef removed", without, 0);
+      ("the typedef again", with_td, 1);
+    ]
+
+(* A stream like gatebench's daemon-edit one: each step rewrites one
+   [mod_*] unit from its original text, odd steps appending an uncalled
+   leaf, even steps writing through a [char *s] parameter. After the cold
+   run no step runs Tarjan's algorithm: a leaf is spliced in (and out,
+   when its unit is rewritten again), a parameter write adds no edge. *)
+let test_edit_stream_splices () =
+  let files = Cbench.Gen.generate_project ~seed:43 ~target_lines:3000 () in
+  let mods = List.filter (fun (n, _) -> String.starts_with ~prefix:"mod_" n) files in
+  let rng = Random.State.make [| 43 |] in
+  let t = Session.create ~mode:Analysis.Poly files in
+  ignore (Session.run t);
+  let current = ref files in
+  for k = 1 to 16 do
+    let name, src = List.nth mods (Random.State.int rng (List.length mods)) in
+    let edited =
+      if k mod 2 = 1 then Printf.sprintf "%sint bench_edit_%d(char *s) { return *s; }\n" src k
+      else
+        let lines = Array.of_list (String.split_on_char '\n' src) in
+        let heads =
+          List.filter
+            (fun i ->
+              let l = lines.(i) in
+              String.length l > 0 && l.[0] <> ' ' && String.contains l '{'
+              &&
+              match String.index_opt l '(' with
+              | Some p -> String.length l > p + 8 && String.sub l p 8 = "(char *s"
+              | None -> false)
+            (List.init (Array.length lines) Fun.id)
+        in
+        let i = List.nth heads (Random.State.int rng (List.length heads)) in
+        let l = lines.(i) in
+        let b = String.index l '{' in
+        lines.(i) <-
+          Printf.sprintf "%s *s = 0; /* e%d */%s" (String.sub l 0 (b + 1)) k
+            (String.sub l (b + 1) (String.length l - b - 1));
+        String.concat "\n" (Array.to_list lines)
+    in
+    current := List.map (fun (n, s) -> if n = name then (n, edited) else (n, s)) !current;
+    ignore (Session.update_unit t name edited);
+    ignore (Session.run t);
+    let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
+    Alcotest.(check bool) (Printf.sprintf "step %d: warm" k) false rb.Session.rb_full;
+    if rb.Session.rb_condensation = "tarjan" then Alcotest.failf "step %d ran Tarjan's algorithm" k
+  done;
+  Alcotest.(check string) "warm = cold"
+    (Session.render ~positions:true ~name:"s" (Session.create ~mode:Analysis.Poly !current))
+    (Session.render ~positions:true ~name:"s" t)
+
 (* A body edit of one function of a generated unit is spliced: only its
    declaration is parsed afresh, every other definition of the unit is
    physically the one the previous compile held, and the FDG rescans
@@ -1492,6 +1565,10 @@ let tests =
       test_link_paths;
     Alcotest.test_case "a link re-parse comes from the memo" `Quick
       test_link_reparse_memo;
+    Alcotest.test_case "link: a new typedef re-parses the units after it" `Quick
+      test_link_new_typedef;
+    Alcotest.test_case "an edit stream like gatebench's never runs Tarjan" `Quick
+      test_edit_stream_splices;
     Alcotest.test_case "a spliced edit keeps the unit's other definitions"
       `Quick test_splice_keeps_definitions;
     Alcotest.test_case "warm queries and one-unit edits on midi-project-sim"
