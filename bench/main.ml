@@ -3,7 +3,7 @@
    scaling/overhead claims of the text and the ablations of DESIGN.md.
 
    Sections (run all by default, or select: table1 table2 figure6
-   scaling lattice ablation solver extensions micro):
+   scaling lattice ablation solver extensions):
 
      table1  — the benchmark suite (paper Table 1)
      table2  — compile/mono/poly times (avg of 5, like the paper) and
@@ -17,18 +17,16 @@
                (user-defined lattice); asserts identical verdicts and
                writes BENCH_lattice.json
      ablation— (a) unsound covariant ref vs (SubRef); (b) struct field
-               sharing off; (c) worklist vs naive solver
+               sharing off
      solver  — incremental re-solve vs a from-scratch re-solve per
                query on cyclic / chain / polymorphic-instantiation
                workloads, and
                the flat arena on one 32k-variable constraint stream
                (solutions = the naive re-solve of its atom log, counters
-               = pinned); also runs under `ablation` and `micro`, and a
-               failed check exits 1
+               = pinned); also runs under `ablation`, and a failed
+               check exits 1
      extensions — polymorphic recursion (Section 4.3's wish) and scheme
-               simplification (Section 6's open problem)
-     micro   — Bechamel micro-benchmarks of the solver and both inference
-               modes
+               compaction (Section 6's open problem)
 
    Every section that runs records wall times, sizes and solver stats
    into BENCH_solver.json (machine-readable, tracked across PRs). *)
@@ -472,30 +470,7 @@ let ablation () =
   Fmt.pr
     "    %s possible consts: sharing=%d, no-sharing=%d (no-sharing is \
      unsound, not more precise)@."
-    b.b_name on.Report.possible off.Report.possible;
-
-  (* (c) worklist vs naive solver *)
-  Fmt.pr "@.(c) solver: worklist propagation vs naive round-robin@.";
-  let sp = Analysis.const_space in
-  let st =
-    let st = TS.create sp in
-    let n = 20000 in
-    let vars = Array.init n (fun _ -> TS.fresh st) in
-    let rng = Cbench.Rng.create 7 in
-    for i = 0 to n - 1 do
-      TS.add_leq_vv st vars.(i) vars.(Cbench.Rng.int rng n);
-      if Cbench.Rng.int rng 100 < 3 then
-        TS.add_leq_cv st (Elt.top sp) vars.(i)
-    done;
-    st
-  in
-  let t_work = time_avg 3 (fun () -> TS.solve_least st) in
-  let t_naive = time_avg 3 (fun () -> TS.solve_least_naive st) in
-  Fmt.pr "    20k vars / 20k edges: worklist %.4fs, naive %.4fs (%.1fx)@."
-    t_work t_naive (t_naive /. t_work);
-  record_section "ablation"
-    (Jobj [ ("worklist_s", jf t_work); ("naive_s", jf t_naive);
-            ("solver", jstats (TS.stats st)) ])
+    b.b_name on.Report.possible off.Report.possible
 
 (* ------------------------------------------------------------------ *)
 
@@ -709,77 +684,6 @@ let solver_ablation () =
        ]);
   if not !ok then failed := true
 
-let micro () =
-  Fmt.pr "@.=== Bechamel micro-benchmarks ===@.";
-  let open Bechamel in
-  let open Toolkit in
-  let src = Cbench.Gen.generate ~seed:99 ~target_lines:2000 () in
-  let prog = compile src in
-  let sp = Analysis.const_space in
-  let solver_input =
-    let st = TS.create sp in
-    let n = 5000 in
-    let vars = Array.init n (fun _ -> TS.fresh st) in
-    let rng = Cbench.Rng.create 11 in
-    for i = 0 to n - 1 do
-      TS.add_leq_vv st vars.(i) vars.(Cbench.Rng.int rng n)
-    done;
-    TS.add_leq_cv st (Elt.top sp) vars.(0);
-    st
-  in
-  let tests =
-    Test.make_grouped ~name:"typequal"
-      [
-        Test.make ~name:"solver-worklist-5k"
-          (Staged.stage (fun () -> TS.solve_least solver_input));
-        Test.make ~name:"solver-naive-5k"
-          (Staged.stage (fun () -> TS.solve_least_naive solver_input));
-        Test.make ~name:"parse-2kloc"
-          (Staged.stage (fun () -> ignore (compile src)));
-        Test.make ~name:"mono-infer-2kloc"
-          (Staged.stage (fun () ->
-               let env, ifaces = Analysis.run Analysis.Mono prog in
-               ignore (Report.measure env ifaces)));
-        Test.make ~name:"poly-infer-2kloc"
-          (Staged.stage (fun () ->
-               let env, ifaces = Analysis.run Analysis.Poly prog in
-               ignore (Report.measure env ifaces)));
-        Test.make ~name:"lambda-poly-infer"
-          (Staged.stage (fun () ->
-               let open Qlambda in
-               ignore
-                 (Infer.typechecks ~hooks:Rules.cn_hooks ~poly:true
-                    Rules.cn_space
-                    (Parse.parse
-                       "let id = fun x -> x in let y = id (ref 1) in let z \
-                        = id (@[const] ref 1) in !y"))));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let res = Analyze.all ols Instance.monotonic_clock raw in
-  let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) res [] in
-  Fmt.pr "%-40s %12s@." "benchmark" "time/run";
-  let jrows = ref [] in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ ns ] ->
-          let pp ppf ns =
-            if ns > 1e9 then Fmt.pf ppf "%9.3f s " (ns /. 1e9)
-            else if ns > 1e6 then Fmt.pf ppf "%9.3f ms" (ns /. 1e6)
-            else if ns > 1e3 then Fmt.pf ppf "%9.3f us" (ns /. 1e3)
-            else Fmt.pf ppf "%9.1f ns" ns
-          in
-          jrows := Jobj [ ("name", Jstr name); ("ns_per_run", jf ns) ] :: !jrows;
-          Fmt.pr "%-40s %a@." name pp ns
-      | _ -> Fmt.pr "%-40s (no estimate)@." name)
-    (List.sort compare items);
-  record_section "micro" (Jlist (List.rev !jrows))
-
 (* ------------------------------------------------------------------ *)
 (* User-defined lattices: a wider space must not slow the default path *)
 (* ------------------------------------------------------------------ *)
@@ -860,32 +764,32 @@ let lattice () =
 (* ------------------------------------------------------------------ *)
 
 let extensions () =
-  Fmt.pr "@.=== Extensions: polymorphic recursion & scheme simplification ===@.";
+  Fmt.pr "@.=== Extensions: polymorphic recursion & scheme compaction ===@.";
   Fmt.pr "(Section 4.3 wished for polymorphic recursion; Section 6 poses@.";
   Fmt.pr " constraint simplification as an open problem)@.@.";
-  Fmt.pr "%-20s %6s %6s %8s %11s %11s %11s@." "Name" "Poly" "PolyRec"
-    "Total" "Poly(s)" "PolyRec(s)" "Simpl(s)";
+  Fmt.pr "%-20s %6s %6s %8s %11s %11s %8s %12s@." "Name" "Poly" "PolyRec"
+    "Total" "Poly(s)" "PolyRec(s)" "Vars" "Vars(uncomp)";
   List.iter
     (fun (b : Cbench.Suite.bench) ->
       let src = Cbench.Suite.source_of b in
       let prog = compile src in
-      let run_once mode simplify =
+      let run_once ?compact mode =
         let t0 = Unix.gettimeofday () in
-        let env, ifaces = Analysis.run ~simplify mode prog in
+        let env, ifaces = Analysis.run ?compact mode prog in
         let r = Report.measure env ifaces in
-        (r, Unix.gettimeofday () -. t0)
+        (r, (Analysis.stats env).TS.vars_created, Unix.gettimeofday () -. t0)
       in
-      let rp, tp = run_once Analysis.Poly false in
-      let rr, tr = run_once Analysis.Polyrec false in
-      let rs, ts = run_once Analysis.Poly true in
-      assert (rs.Report.possible = rp.Report.possible);
+      let rp, vp, tp = run_once Analysis.Poly in
+      let rr, _, tr = run_once Analysis.Polyrec in
+      let ru, vu, _ = run_once ~compact:false Analysis.Poly in
+      assert (ru.Report.possible = rp.Report.possible);
       assert (rr.Report.possible >= rp.Report.possible);
-      Fmt.pr "%-20s %6d %6d %8d %11.3f %11.3f %11.3f@." b.b_name
-        rp.Report.possible rr.Report.possible rp.Report.total tp tr ts)
+      Fmt.pr "%-20s %6d %6d %8d %11.3f %11.3f %8d %12d@." b.b_name
+        rp.Report.possible rr.Report.possible rp.Report.total tp tr vp vu)
     Cbench.Suite.table1;
   Fmt.pr
-    "@.(PolyRec >= Poly everywhere; simplification preserves all results \
-     — both are asserted.)@."
+    "@.(PolyRec >= Poly everywhere; compaction preserves all results — \
+     both are asserted.)@."
 
 (* ------------------------------------------------------------------ *)
 
@@ -902,8 +806,7 @@ let () =
   if want "scaling" then scaling ();
   if want "lattice" then lattice ();
   if want "ablation" then ablation ();
-  if want "ablation" || want "micro" || want "solver" then solver_ablation ();
+  if want "ablation" || want "solver" then solver_ablation ();
   if want "extensions" then extensions ();
-  if want "micro" then micro ();
   write_json ();
   if !failed then exit 1

@@ -1644,245 +1644,7 @@ let pp_atom sp ppf = function
   | Acv (c, v, _, _) -> Fmt.pf ppf "%a <= %a" (Elt.pp_full sp) c pp_var v
   | Avv (a, b, _, _) -> Fmt.pf ppf "%a <= %a" pp_var a pp_var b
 
-let pp_error ppf e = Fmt.string ppf e.err_msg
 let error_message e = e.err_msg
-
-(* ------------------------------------------------------------------ *)
-(* Baseline solvers (ablation; see DESIGN.md)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Forced full worklist least-solution pass (no incrementality). Kept as
-   a benchmark arm. *)
-let solve_least t =
-  for i = t.nvars - 1 downto 0 do
-    t.lo.(i) <- t.lo_bound.(i);
-    wl_push t i
-  done;
-  while t.wl_head < t.wl_tail do
-    let v = wl_pop t in
-    t.s_pops <- t.s_pops + 1;
-    let lov = Array.unsafe_get t.lo v in
-    let e = ref (Array.unsafe_get t.succ_head v) in
-    while !e >= 0 do
-      let b = 3 * !e in
-      e := Array.unsafe_get t.ecells (b + 2);
-      let s = Array.unsafe_get t.ecells b in
-      let los = Array.unsafe_get t.lo s in
-      let lo' = los lor (lov land Array.unsafe_get t.ecells (b + 1)) in
-      if lo' <> los then begin
-        Array.unsafe_set t.lo s lo';
-        wl_push t s
-      end
-    done
-  done;
-  wl_reset t
-
-(* Same least solution computed by round-robin iteration to fixpoint, with
-   no worklist. Kept as the ablation baseline for the micro-benchmarks. *)
-let solve_least_naive t =
-  for i = t.nvars - 1 downto 0 do
-    t.lo.(i) <- t.lo_bound.(i)
-  done;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = t.nvars - 1 downto 0 do
-      let e = ref t.succ_head.(i) in
-      while !e >= 0 do
-        let b = 3 * !e in
-        e := t.ecells.(b + 2);
-        let s = t.ecells.(b) in
-        let lo' = t.lo.(s) lor (t.lo.(i) land t.ecells.(b + 1)) in
-        if lo' <> t.lo.(s) then begin
-          t.lo.(s) <- lo';
-          changed := true
-        end
-      done
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Scheme simplification (the open problem of Section 6, basic form)   *)
-(* ------------------------------------------------------------------ *)
-
-(* A scheme's meaning is the projection of its solution set onto the
-   observable variables (the interface variables of the generalized type
-   plus any free variables); the existentially bound internals can be
-   eliminated whenever elimination is exact. Over a lattice, a variable v
-   with full-mask constraints {a_i <= v, L_i <= v, v <= b_j, v <= U_j} can
-   be replaced by the pairwise compositions (take v = the join of its
-   lower bounds), which is exact. We apply three passes to a fixed point:
-
-   1. duplicate atoms are dropped;
-   2. a non-observable local with no upper (resp. no lower) atoms is
-      dropped together with its atoms — they are vacuous;
-   3. a non-observable local whose in-degree or out-degree is at most 1
-      (so composition does not grow the system) is eliminated by pairwise
-      composition.
-
-   Masked atoms (per-coordinate well-formedness conditions) are treated
-   conservatively: a variable with any non-full-mask atom is kept.
-
-   Atom dedup packs the (tag, var ids, const, mask) key into int-keyed
-   [Iset] entries — the tag rides in the low bits of the first id — so no
-   tuple is allocated and no polymorphic hashing runs. *)
-
-let simplify_scheme t ~(interface : var list) (s : scheme) : scheme =
-  let full = Lattice.Elt.full_mask t.sp in
-  let sp = t.sp in
-  let local_ids = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace local_ids v.id ()) s.locals;
-  let observable = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace observable v.id ()) interface;
-  (* free variables of the scheme are observable too *)
-  List.iter
-    (fun a ->
-      let mark v =
-        if not (Hashtbl.mem local_ids v.id) then
-          Hashtbl.replace observable v.id ()
-      in
-      match a with
-      | Avc (v, _, _, _) | Acv (_, v, _, _) -> mark v
-      | Avv (x, y, _, _) ->
-          mark x;
-          mark y)
-    s.atoms;
-  (* dedup: key = (tag in low bits of id1, id2, const, mask) *)
-  let seen = Iset.create ~cap:128 () in
-  let seen_before = function
-    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 0) (-1) c m
-    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 1) (-1) c m
-    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.id lsl 2) lor 2) y.id 0 m
-  in
-  let atoms =
-    ref
-      (List.filter
-         (fun a ->
-           if seen_before a then false
-           else begin
-             (* drop trivially vacuous atoms *)
-             match a with
-             | Avc (_, c, m, _) ->
-                 not (Lattice.Elt.leq_masked sp ~mask:m (Lattice.Elt.top sp) c)
-             | Acv (c, _, m, _) ->
-                 not
-                   (Lattice.Elt.leq_masked sp ~mask:m c (Lattice.Elt.bottom sp))
-             | Avv (x, y, _, _) -> x.id <> y.id
-           end)
-         s.atoms)
-  in
-  let eliminated = Hashtbl.create 32 in
-  let changed = ref true in
-  let passes = ref 0 in
-  while !changed && !passes < 20 do
-    changed := false;
-    incr passes;
-    (* index: per variable, lower-side atoms (x <= v) and upper-side *)
-    let lowers = Hashtbl.create 64 and uppers = Hashtbl.create 64 in
-    let masked_ok = Hashtbl.create 64 in
-    let add tbl id a = Hashtbl.replace tbl id (a :: try Hashtbl.find tbl id with Not_found -> []) in
-    List.iter
-      (fun a ->
-        match a with
-        | Avc (v, _, m, _) ->
-            add uppers v.id a;
-            if m <> full then Hashtbl.replace masked_ok v.id ()
-        | Acv (_, v, m, _) ->
-            add lowers v.id a;
-            if m <> full then Hashtbl.replace masked_ok v.id ()
-        | Avv (x, y, m, _) ->
-            add uppers x.id a;
-            add lowers y.id a;
-            if m <> full then begin
-              Hashtbl.replace masked_ok x.id ();
-              Hashtbl.replace masked_ok y.id ()
-            end)
-      !atoms;
-    let eliminable v =
-      Hashtbl.mem local_ids v.id
-      && (not (Hashtbl.mem observable v.id))
-      && (not (Hashtbl.mem masked_ok v.id))
-      && not (Hashtbl.mem eliminated v.id)
-    in
-    let kill = Hashtbl.create 16 in
-    let extra = ref [] in
-    List.iter
-      (fun v ->
-        if eliminable v && not (Hashtbl.mem kill v.id) then begin
-          let lo = try Hashtbl.find lowers v.id with Not_found -> [] in
-          let up = try Hashtbl.find uppers v.id with Not_found -> [] in
-          let nlo = List.length lo and nup = List.length up in
-          (* never touch a neighbour killed this pass: a freshly composed
-             atom may reference this variable, and deleting or composing
-             against the stale pass-start index would resurrect dead
-             variables; the next pass sees the rebuilt index *)
-          let neighbour_killed =
-            List.exists
-              (fun a ->
-                match a with
-                | Avc (v', _, _, _) | Acv (_, v', _, _) ->
-                    Hashtbl.mem kill v'.id
-                | Avv (x, y, _, _) ->
-                    Hashtbl.mem kill x.id || Hashtbl.mem kill y.id)
-              (lo @ up)
-          in
-          if neighbour_killed then ()
-          else if nlo = 0 || nup = 0 then begin
-            (* vacuous: delete the variable and its atoms *)
-            Hashtbl.replace kill v.id ();
-            Hashtbl.replace eliminated v.id ();
-            changed := true
-          end
-          else if nlo <= 1 || nup <= 1 then begin
-            (* exact pairwise composition *)
-            let ok = ref true in
-            let comps = ref [] in
-            List.iter
-              (fun la ->
-                List.iter
-                  (fun ua ->
-                    match (la, ua) with
-                    | Acv (c, _, _, r), Avc (_, c', _, r') ->
-                        if Lattice.Elt.leq sp c c' then ()
-                        else (
-                          ignore (r, r');
-                          ok := false)
-                    | Acv (c, _, _, r), Avv (_, y, _, _) ->
-                        comps := Acv (c, y, full, r) :: !comps
-                    | Avv (x, _, _, r), Avc (_, c', _, _) ->
-                        comps := Avc (x, c', full, r) :: !comps
-                    | Avv (x, _, _, r), Avv (_, y, _, _) ->
-                        if x.id <> y.id then comps := Avv (x, y, full, r) :: !comps
-                    | _ -> ok := false)
-                  up)
-              lo;
-            if !ok then begin
-              Hashtbl.replace kill v.id ();
-              Hashtbl.replace eliminated v.id ();
-              extra := !comps @ !extra;
-              changed := true
-            end
-          end
-        end)
-      s.locals;
-    if !changed then begin
-      let touches id = Hashtbl.mem kill id in
-      atoms :=
-        List.filter
-          (fun a ->
-            match a with
-            | Avc (v, _, _, _) | Acv (_, v, _, _) -> not (touches v.id)
-            | Avv (x, y, _, _) -> not (touches x.id || touches y.id))
-          !atoms
-        @ !extra
-    end
-  done;
-  let locals =
-    List.filter (fun v -> not (Hashtbl.mem eliminated v.id)) s.locals
-  in
-  make_scheme ~locals ~atoms:!atoms
-
-let scheme_size s = List.length s.atoms
 
 (* ------------------------------------------------------------------ *)
 (* Scheme compaction (exact projection onto the interface)             *)
@@ -1926,8 +1688,9 @@ let scheme_size s = List.length s.atoms
    their original order, composed atoms append in generation order, and
    the local list keeps its original order filtered to interface members
    and variables still mentioned. The atom-dedup keys are packed into
-   int-keyed [Iset] entries exactly as in {!simplify_scheme}, but over
-   [uid]s, which are unique across stores. *)
+   int-keyed [Iset] entries — the tag rides in the low bits of the first
+   [uid] (unique across stores) — so no tuple is allocated and no
+   polymorphic hashing runs. *)
 let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let c0 = Unix.gettimeofday () in
   let sp = t.sp in
@@ -2165,47 +1928,161 @@ let atoms_never_violate sp ~(locals : var list) ~(exposed : var list)
 (* Standalone evaluation of an atom list                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The dense numbering of variable ids: linear probing over a
+   power-of-two table (ids are creation-order, so [id land mask] spreads
+   them evenly), grown at half load. *)
+module Dense = struct
+  type t = { mutable keys : int array; mutable idx : int array; mutable n : int }
+
+  let create () = { keys = Array.make 64 (-1); idx = Array.make 64 0; n = 0 }
+
+  (* the slot holding [id], or the empty slot that ends its probe run *)
+  let slot d id =
+    let m = Array.length d.keys - 1 in
+    let rec go i =
+      let k = Array.unsafe_get d.keys i in
+      if k = id || k < 0 then i else go ((i + 1) land m)
+    in
+    go (id land m)
+
+  (* [id]'s index, or -1 *)
+  let find d id =
+    let i = slot d id in
+    if d.keys.(i) = id then d.idx.(i) else -1
+
+  (* [id]'s index, numbering it on first sight *)
+  let rec add d id =
+    let i = slot d id in
+    if d.keys.(i) = id then d.idx.(i)
+    else if 2 * d.n < Array.length d.keys then begin
+      d.keys.(i) <- id;
+      d.idx.(i) <- d.n;
+      d.n <- d.n + 1;
+      d.n - 1
+    end
+    else begin
+      let keys = d.keys and idx = d.idx in
+      d.keys <- Array.make (2 * Array.length keys) (-1);
+      d.idx <- Array.make (2 * Array.length keys) 0;
+      Array.iteri
+        (fun j k ->
+          if k >= 0 then begin
+            let i = slot d k in
+            d.keys.(i) <- k;
+            d.idx.(i) <- idx.(j)
+          end)
+        keys;
+      add d id
+    end
+end
+
 (* Least/greatest solutions of a bare atom list, computed with local
-   tables and without touching any store or variable record. Variables not
+   arrays and without touching any store or variable record. Variables not
    mentioned default to (bottom, top). Used to summarize schemes in
-   isolation (polymorphic recursion's convergence test). *)
+   isolation (polymorphic recursion's convergence test) and as the
+   certificates' oracle.
+
+   The ids are dense-indexed in first-mention order and the edges laid out
+   as flat successor and predecessor arrays (counting sort by endpoint).
+   [lo] is pushed forward along successors and [hi] backward along
+   predecessors by two worklists; a variable is queued again only when
+   its bound moves, which happens at most once per lattice bit, so the
+   pass is linear in atoms × bits (Section 3.1). It shares no code with
+   the store. *)
 let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
-  let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
-  let get tbl dflt id = try Hashtbl.find tbl id with Not_found -> dflt in
   let bot = Elt.bottom sp and top = Elt.top sp in
-  let edges = ref [] in
-  List.iter
-    (function
-      | Acv (c, v, m, _) ->
-          Hashtbl.replace lo v.id
-            (Elt.join sp (get lo bot v.id) (Elt.embed_bottom sp ~mask:m c))
-      | Avc (v, c, m, _) ->
-          Hashtbl.replace hi v.id
-            (Elt.meet sp (get hi top v.id) (Elt.embed_top sp ~mask:m c))
-      | Avv (x, y, m, _) -> edges := (x.id, y.id, m) :: !edges)
+  let index = Dense.create () in
+  let dense (v : var) = Dense.add index v.id in
+  (* pass 1: number the variables, remembering each atom's endpoints *)
+  let na = List.length atoms in
+  let ends = Array.make (2 * na) 0 in
+  let ne = ref 0 in
+  List.iteri
+    (fun k -> function
+      | Avc (v, _, _, _) | Acv (_, v, _, _) -> ends.(2 * k) <- dense v
+      | Avv (x, y, _, _) ->
+          ends.(2 * k) <- dense x;
+          ends.((2 * k) + 1) <- dense y;
+          incr ne)
     atoms;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (x, y, m) ->
-        (* forward: lo flows x -> y *)
-        let contrib = Elt.embed_bottom sp ~mask:m (get lo bot x) in
-        let lo' = Elt.join sp (get lo bot y) contrib in
-        if not (Elt.equal lo' (get lo bot y)) then begin
-          Hashtbl.replace lo y lo';
-          changed := true
-        end;
-        (* backward: hi flows y -> x *)
-        let contrib = Elt.embed_top sp ~mask:m (get hi top y) in
-        let hi' = Elt.meet sp (get hi top x) contrib in
-        if not (Elt.equal hi' (get hi top x)) then begin
-          Hashtbl.replace hi x hi';
-          changed := true
-        end)
-      !edges
-  done;
-  fun id -> (get lo bot id, get hi top id)
+  let n = index.n and ne = !ne in
+  (* pass 2: the constant bounds and the edge list *)
+  let lo = Array.make n bot and hi = Array.make n top in
+  let esrc = Array.make ne 0 and edst = Array.make ne 0 in
+  let emask = Array.make ne 0 in
+  let e = ref 0 in
+  List.iteri
+    (fun k -> function
+      | Acv (c, _, m, _) ->
+          let i = ends.(2 * k) in
+          lo.(i) <- Elt.join sp lo.(i) (Elt.embed_bottom sp ~mask:m c)
+      | Avc (_, c, m, _) ->
+          let i = ends.(2 * k) in
+          hi.(i) <- Elt.meet sp hi.(i) (Elt.embed_top sp ~mask:m c)
+      | Avv (_, _, m, _) ->
+          esrc.(!e) <- ends.(2 * k);
+          edst.(!e) <- ends.((2 * k) + 1);
+          emask.(!e) <- m;
+          incr e)
+    atoms;
+  (* [adj ~key ~other]: the edges grouped by [key] endpoint, as a start
+     offset per variable and the [other] endpoint and mask per edge *)
+  let adj ~key ~other =
+    let start = Array.make (n + 1) 0 in
+    for e = 0 to ne - 1 do
+      start.(key.(e) + 1) <- start.(key.(e) + 1) + 1
+    done;
+    for i = 1 to n do
+      start.(i) <- start.(i) + start.(i - 1)
+    done;
+    let fill = Array.sub start 0 n in
+    let nbr = Array.make ne 0 and msk = Array.make ne 0 in
+    for e = 0 to ne - 1 do
+      let k = key.(e) in
+      nbr.(fill.(k)) <- other.(e);
+      msk.(fill.(k)) <- emask.(e);
+      fill.(k) <- fill.(k) + 1
+    done;
+    (start, nbr, msk)
+  in
+  (* a worklist over one direction: [step m x y] is [y]'s bound after
+     [x]'s flows into it along an edge of mask [m] *)
+  let propagate bound (start, nbr, msk) ~unset step =
+    (* a ring of [n] slots: [queued] keeps each variable in it at most
+       once *)
+    let queue = Array.make (max n 1) 0 and queued = Bytes.make n '\000' in
+    let head = ref 0 and len = ref 0 in
+    let push i =
+      if Bytes.unsafe_get queued i = '\000' then begin
+        Bytes.unsafe_set queued i '\001';
+        queue.((!head + !len) mod n) <- i;
+        incr len
+      end
+    in
+    for i = 0 to n - 1 do
+      if not (Elt.equal bound.(i) unset) then push i
+    done;
+    while !len > 0 do
+      let x = queue.(!head) in
+      head := (!head + 1) mod n;
+      decr len;
+      Bytes.unsafe_set queued x '\000';
+      for e = start.(x) to start.(x + 1) - 1 do
+        let y = nbr.(e) in
+        let b = step msk.(e) bound.(x) bound.(y) in
+        if not (Elt.equal b bound.(y)) then begin
+          bound.(y) <- b;
+          push y
+        end
+      done
+    done
+  in
+  propagate lo (adj ~key:esrc ~other:edst) ~unset:bot (fun m x y ->
+      Elt.join sp y (Elt.embed_bottom sp ~mask:m x));
+  propagate hi (adj ~key:edst ~other:esrc) ~unset:top (fun m x y ->
+      Elt.meet sp y (Elt.embed_top sp ~mask:m x));
+  fun id ->
+    match Dense.find index id with -1 -> (bot, top) | i -> (lo.(i), hi.(i))
 
 (* Replay the full constraint log through the store-free evaluator: an
    independent oracle for the optimized solver, keyed by original (stable)
@@ -2227,7 +2104,7 @@ let naive_bounds t = solve_atoms t.sp (atoms t)
 (* Present a scheme as a constrained type qualifier prefix — the notation
    question raised in Section 6 ("we currently do not have a notation for
    specifying constraints in the source language"). Combine with
-   [simplify_scheme] for readable output. *)
+   {!compact} for readable output. *)
 let pp_scheme space ppf (s : scheme) =
   Fmt.pf ppf "∀%a. {%a}"
     (Fmt.list ~sep:(Fmt.any " ") pp_var)

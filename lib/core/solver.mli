@@ -184,7 +184,6 @@ val speculation_new_errors : speculation -> int
     already in the error table *)
 
 val error_message : error -> string
-val pp_error : error Fmt.t
 
 (** {1 Recording and schemes (Section 3.2)} *)
 
@@ -204,9 +203,6 @@ val scheme_atoms : scheme -> atom list
 val scheme_id : scheme -> int
 (** unique identity of this scheme value (globally unique, assigned at
     {!make_scheme}); instantiation-memo keys hang off it *)
-
-val scheme_size : scheme -> int
-(** number of atoms *)
 
 val instantiate : t -> scheme -> var -> var
 (** Re-emit the scheme's constraints under a fresh renaming of all its
@@ -294,15 +290,6 @@ val reset_stats : t -> unit
     ([edges_added], [edges_deduped]) describe the store and stay:
     {!retract} and {!rebuild} keep them equal to a fresh store's *)
 
-val simplify_scheme : t -> interface:var list -> scheme -> scheme
-(** Simplify a scheme (a basic answer to the open problem of Section 6):
-    duplicate and vacuous atoms are dropped, and existentially bound
-    internal variables are eliminated by exact pairwise composition when
-    that does not grow the system. The projection of the solution set
-    onto [interface] and the scheme's free variables is preserved
-    (property-tested). Variables carrying masked atoms are kept
-    conservatively. *)
-
 val compact : ?count:bool -> t -> interface:var list -> scheme -> scheme
 (** Compact a scheme by exact projection onto its observable variables:
     the [interface] list (qualifier variables reachable from the
@@ -334,19 +321,14 @@ val atoms_never_violate :
 
 val pp_atom : Space.t -> atom Fmt.t
 
-(** {1 Baseline (ablation)} *)
-
-val solve_least : t -> unit
-(** worklist least-solution pass only (used by benchmarks) *)
-
-val solve_least_naive : t -> unit
-(** round-robin iteration baseline; computes the same least solution *)
+(** {1 Store-free evaluation} *)
 
 val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** least/greatest solutions of a bare atom list, computed locally without
-    touching any store (unmentioned variables default to (bottom, top));
-    used to summarize schemes in isolation, and by the certificate
-    property tests to re-solve a store's atom log *)
+    touching any store (unmentioned variables default to (bottom, top)):
+    one worklist pass over a flat adjacency of the atoms, linear in atoms
+    × lattice bits. Used to summarize schemes in isolation, and by the
+    certificate property tests to re-solve a store's atom log *)
 
 val atoms : t -> atom list
 (** the store's live atoms: in insertion order, or after a {!retract}
@@ -438,4 +420,4 @@ val phase_seconds : t -> phase -> float
 
 val pp_scheme : Space.t -> scheme Fmt.t
 (** render a constrained scheme (Section 6's presentation concern);
-    combine with {!simplify_scheme} for readable output *)
+    combine with {!compact} for readable output *)

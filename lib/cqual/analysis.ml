@@ -294,9 +294,6 @@ type env = {
           memoization (default on); [false] restores the uncompacted
           behaviour — reports are identical either way, only the
           constraint-system size differs *)
-  simplify : bool;
-      (** poly schemes are simplified ({!Solver.simplify_scheme}) before
-          compaction (default off); a {!rerun} keeps its base's setting *)
   shapes : Shape.table;  (** hash-consed r-type skeletons, per store *)
   imemo : (int * string * (int * int list) list, fsig) Hashtbl.t;
       (** instantiation memo: (scheme id, callee, per-argument
@@ -891,7 +888,7 @@ let analyze_body env (f : Cast.fundef) (iface : fsig) =
 (* ------------------------------------------------------------------ *)
 
 let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
-    ?(simplify = false) ?budget mode (prog : Cprog.t) : env =
+    ?budget mode (prog : Cprog.t) : env =
   let store = Solver.create rules.qr_space in
   Solver.set_budget store budget;
   {
@@ -909,7 +906,6 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     budget;
     par = None;
     compact;
-    simplify;
     shapes = Shape.create_table ();
     imemo = Hashtbl.create 64;
     memo_ok = Hashtbl.create 16;
@@ -1110,19 +1106,16 @@ let record_scc env ~mono members :
           List.iter (fun (f, s) -> analyze_body env f s) is;
           is))
 
-(* Generalize a recorded SCC into one scheme, optionally simplify and
-   compact it down to its interface-reachable core, and register it for
+(* Generalize a recorded SCC into one scheme, compact it down to its
+   interface-reachable core unless compaction is off, and register it for
    the members. *)
-let finish_scc env ~is_global ~simplify (scc_ifaces, atoms) =
+let finish_scc env ~is_global (scc_ifaces, atoms) =
   let sch =
     timed_phase env Solver.Generalize (fun () ->
         generalize_scc ~is_global atoms scc_ifaces)
   in
   let interface =
     List.concat_map (fun (_, s) -> rt_qvars (RFun s)) scc_ifaces
-  in
-  let sch =
-    if simplify then Solver.simplify_scheme env.store ~interface sch else sch
   in
   let sch =
     if env.compact then Solver.compact env.store ~interface sch else sch
@@ -1133,8 +1126,8 @@ let finish_scc env ~is_global ~simplify (scc_ifaces, atoms) =
 (** Process one SCC (Section 4.3, the "Poly" column): its constraints are
     captured and generalized into one scheme shared by its members.
     Raises on analysis failure — fault isolation is the scheduler's job. *)
-let poly_scc env ~is_global ~simplify members =
-  finish_scc env ~is_global ~simplify (record_scc env ~mono:true members)
+let poly_scc env ~is_global members =
+  finish_scc env ~is_global (record_scc env ~mono:true members)
 
 (** Polymorphic recursion: like {!poly_scc}, but recursive calls within
     an SCC are themselves polymorphic. The SCC is re-analyzed with the
@@ -1146,11 +1139,6 @@ let poly_scc env ~is_global ~simplify members =
     typically arrives by the second round). *)
 let polyrec_scc env ~is_global members =
   let max_rounds = 6 in
-  (* simplify and compact both reduce the scheme to its interface-reachable
-     core and are exact on interface solutions; compact additionally
-     dedupes and composes masked atoms, so when it is on running both
-     would be wasted work (measured: they reach the same size) *)
-  let simplify = not env.compact in
   let is_recursive =
     match members with
     | [ (f : Cast.fundef) ] ->
@@ -1159,7 +1147,7 @@ let polyrec_scc env ~is_global members =
         Array.mem f.f_name (Fdg.mentions f)
     | _ -> true
   in
-  if not is_recursive then poly_scc env ~is_global ~simplify members
+  if not is_recursive then poly_scc env ~is_global members
   else begin
     (* round 0: most general summaries — unconstrained skeletons *)
     List.iter
@@ -1170,7 +1158,7 @@ let polyrec_scc env ~is_global members =
       members;
     let rec iterate prev_summaries round =
       let scc_ifaces, sch =
-        finish_scc env ~is_global ~simplify (record_scc env ~mono:false members)
+        finish_scc env ~is_global (record_scc env ~mono:false members)
       in
       let bounds =
         Solver.solve_atoms (Solver.space env.store) (Solver.scheme_atoms sch)
@@ -1231,7 +1219,7 @@ let processor mode : processor =
   | Mono ->
       mono_bodies env members;
       []
-  | Poly -> fst (poly_scc env ~is_global ~simplify:env.simplify members)
+  | Poly -> fst (poly_scc env ~is_global members)
   | Polyrec -> fst (polyrec_scc env ~is_global members)
 
 (* The monomorphic environment of the store: everything created
@@ -1359,11 +1347,9 @@ let task_count env =
     order in one store. Every unit of work is recorded as a segment
     ({!layout}), which is what {!rerun} starts from. [jobs] is ignored:
     gatebench still passes it, and a later benchmark revision drops it. *)
-let run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs:_ mode
+let run ?rules ?field_sharing ?compact ?budget ?jobs:_ mode
     (prog : Cprog.t) : env * (string * fsig) list =
-  let env =
-    make_env ?rules ?field_sharing ?compact ?simplify ?budget mode prog
-  in
+  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
   let globals =
     segment env Sglobals (fun () ->
         build_global_env env;

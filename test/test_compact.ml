@@ -247,18 +247,16 @@ let prop_compact_exact_in_store =
              && E.equal (S.greatest sto co.(i)) (S.greatest stc cc.(i)))
            (observables g vars))
 
-(* compact must be idempotent-safe to chain after simplify_scheme (the
-   production pipeline runs both) *)
-let prop_compact_after_simplify =
+(* compact's output is itself a valid scheme: compacting it again (same
+   interface) stays exact on the observables of the original system *)
+let prop_compact_twice =
   QCheck2.Test.make ~count:500
-    ~name:"compact after simplify_scheme: still exact on observables"
+    ~name:"compact twice: still exact on observables"
     (QCheck2.Gen.pair Test_props.space_gen cgen_gen)
     (fun (sp, g) ->
       let st, vars, atoms, locals, interface = build sp g in
       let s = S.make_scheme ~locals ~atoms in
-      let s' =
-        S.compact st ~interface (S.simplify_scheme st ~interface s)
-      in
+      let s' = S.compact st ~interface (S.compact st ~interface s) in
       let fo = S.solve_atoms sp atoms in
       let fc = S.solve_atoms sp (S.scheme_atoms s') in
       List.for_all
@@ -561,7 +559,7 @@ let tests =
       test_masked_composition;
     QCheck_alcotest.to_alcotest prop_compact_exact;
     QCheck_alcotest.to_alcotest prop_compact_exact_in_store;
-    QCheck_alcotest.to_alcotest prop_compact_after_simplify;
+    QCheck_alcotest.to_alcotest prop_compact_twice;
     QCheck_alcotest.to_alcotest prop_never_violate_sound;
     QCheck_alcotest.to_alcotest prop_end_to_end_invisible;
     QCheck_alcotest.to_alcotest prop_end_to_end_chains;

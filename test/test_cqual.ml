@@ -769,3 +769,40 @@ let embedded_tests =
   ]
 
 let tests = tests @ embedded_tests
+
+(* ---------------- Table 2's count relations (Section 4.4) ---------------- *)
+
+(* The relations the paper's Table 2 shows, on the synthetic stand-ins of
+   its six programs: the absolute counts differ from the paper's, the
+   relations must not. [bench/main.exe table2] prints the same checks
+   beside its timings; "poly time <= 3x mono time" stays printed only. *)
+let test_table2_relations () =
+  let rows =
+    List.map
+      (fun (b : Cbench.Suite.bench) ->
+        let src = Cbench.Suite.source_of b in
+        (b.b_name, results ~mode:Analysis.Mono src,
+         results ~mode:Analysis.Poly src))
+      Cbench.Suite.table1
+  in
+  List.iter
+    (fun (name, (m : Report.results), (p : Report.results)) ->
+      let declared = m.declared and mono = m.possible and poly = p.possible in
+      Alcotest.(check bool) (name ^ ": declared < mono <= poly <= total") true
+        (declared < mono && mono <= poly && poly <= m.total);
+      let ratio = float poly /. float mono in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: poly/mono %.2f in [1.0, 1.25]" name ratio)
+        true
+        (ratio >= 1.0 && ratio <= 1.25);
+      Alcotest.(check int) (name ^ ": no type errors") 0
+        (m.type_errors + p.type_errors))
+    rows;
+  let _, m, p = List.find (fun (n, _, _) -> n = "uucp-1.04-sim") rows in
+  let r = float p.Report.possible /. float m.Report.declared in
+  Alcotest.(check bool) (Printf.sprintf "uucp: poly/declared %.2f >= 2" r) true
+    (r >= 2.)
+
+let tests =
+  tests
+  @ [ Alcotest.test_case "Table 2 count relations" `Quick test_table2_relations ]

@@ -355,79 +355,15 @@ let tests =
       prop_parse_print_roundtrip;
     ]
 
-(* Scheme simplification (Section 6 extension) is semantics-preserving:
-   instantiating the original and the simplified scheme under identical
-   extra constraints yields the same satisfiability and the same bounds on
-   every interface variable. *)
-let prop_simplify_equiv =
-  QCheck2.Test.make ~count:500 ~name:"simplify_scheme preserves projections"
-    (QCheck2.Gen.triple space_gen cgen_gen cgen_gen)
-    (fun (sp, g, extra) ->
-      let st = S.create sp in
-      let vars, atoms =
-        S.recording st (fun () ->
-            let mask = E.full_mask sp in
-            let vars = Array.init g.g_nvars (fun _ -> S.fresh st) in
-            List.iter (fun (a, b) -> S.add_leq_vv st vars.(a) vars.(b)) g.g_edges;
-            List.iter
-              (fun (v, e) -> S.add_leq_cv st (e land mask) vars.(v))
-              g.g_lowers;
-            List.iter
-              (fun (v, e) -> S.add_leq_vc st vars.(v) (e land mask))
-              g.g_uppers;
-            vars)
-      in
-      (* interface: every 3rd variable *)
-      let interface =
-        Array.to_list vars |> List.filteri (fun i _ -> i mod 3 = 0)
-      in
-      let locals = Array.to_list vars in
-      let sch = S.make_scheme ~locals ~atoms in
-      let sch' = S.simplify_scheme st ~interface sch in
-      (* instantiate both into one store, apply the same extra constraints
-         to the interface images, compare *)
-      let apply sch =
-        let st2 = S.create sp in
-        let rn = S.instantiate st2 sch in
-        let imgs = List.map rn interface in
-        let arr = Array.of_list imgs in
-        let mask = E.full_mask sp in
-        if Array.length arr > 0 then begin
-          List.iter
-            (fun (a, b) ->
-              S.add_leq_vv st2
-                arr.(a mod Array.length arr)
-                arr.(b mod Array.length arr))
-            extra.g_edges;
-          List.iter
-            (fun (v, e) ->
-              S.add_leq_cv st2 (e land mask) arr.(v mod Array.length arr))
-            extra.g_lowers;
-          List.iter
-            (fun (v, e) ->
-              S.add_leq_vc st2 arr.(v mod Array.length arr) (e land mask))
-            extra.g_uppers
-        end;
-        let sat = Result.is_ok (S.solve st2) in
-        (sat, List.map (fun v -> (S.least st2 v, S.greatest st2 v)) imgs)
-      in
-      let sat1, bounds1 = apply sch in
-      let sat2, bounds2 = apply sch' in
-      sat1 = sat2 && ((not sat1) || bounds1 = bounds2))
-
-let tests =
-  tests @ [ QCheck_alcotest.to_alcotest prop_simplify_equiv ]
-
 (* ------------------------------------------------------------------ *)
 (* Incremental solver equivalence                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Random interleaved add/query sequences, masked constraints included.
    The incremental store (queries forcing re-solves mid-stream) must
-   agree with (1) a store solved from scratch at the end, (2) the
-   constraint-log replay oracle, and (3) the round-robin naive
-   least-solution pass — on satisfiability and on the least/greatest
-   solution of every variable. *)
+   agree with (1) a store solved from scratch at the end and (2) the
+   constraint-log replay oracle — on satisfiability and on the
+   least/greatest solution of every variable. *)
 
 type op =
   | OEdge of int * int * int  (* a <= b on a mask *)
@@ -497,13 +433,6 @@ let prop_optimized_equals_naive =
             not
               (E.equal l bl && E.equal h bh && E.equal l ol && E.equal h oh)
           then ok := false)
-        vo;
-      (* the round-robin pass recomputes the same least solution in place *)
-      S.solve_least_naive opt;
-      Array.iteri
-        (fun i v ->
-          if not (E.equal (S.least opt v) (S.least base vb.(i))) then
-            ok := false)
         vo;
       !ok)
 

@@ -208,28 +208,6 @@ let test_scheme_cross_talk_via_local () =
   Alcotest.(check bool) "no cross-instance leak" true
     (Result.is_ok (S.solve st))
 
-let test_naive_agrees () =
-  (* the naive baseline solver computes the same least solution *)
-  let sp = space () in
-  let st = S.create sp in
-  let vars = Array.init 50 (fun _ -> S.fresh st) in
-  (* a little random-ish DAG plus a cycle *)
-  for i = 0 to 48 do
-    S.add_leq_vv st vars.(i) vars.((i * 7 + 3) mod 50)
-  done;
-  S.add_leq_cv st (const_elt sp) vars.(0);
-  S.add_leq_cv st (E.top sp) vars.(13);
-  ignore (S.solve st);
-  let expected = Array.map (fun v -> S.least st v) vars in
-  S.solve_least_naive st;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "var %d agrees" i)
-        true
-        (E.equal expected.(i) (S.least st v)))
-    vars
-
 let tests =
   [
     Alcotest.test_case "unconstrained variable" `Quick test_unconstrained;
@@ -250,123 +228,7 @@ let tests =
       test_recording_and_instantiation;
     Alcotest.test_case "no cross-talk through scheme locals" `Quick
       test_scheme_cross_talk_via_local;
-    Alcotest.test_case "naive solver agrees" `Quick test_naive_agrees;
   ]
-
-(* ---------------- scheme simplification (Section 6 extension) -------- *)
-
-let test_simplify_chain () =
-  let sp = space () in
-  let st = S.create sp in
-  (* interface g --> l1 --> l2 --> g' with an upper bound on g' *)
-  let (g, g'), atoms =
-    S.recording st (fun () ->
-        let g = S.fresh ~name:"g" st in
-        let l1 = S.fresh ~name:"l1" st in
-        let l2 = S.fresh ~name:"l2" st in
-        let g' = S.fresh ~name:"g'" st in
-        S.add_leq_vv st g l1;
-        S.add_leq_vv st l1 l2;
-        S.add_leq_vv st l2 g';
-        S.add_leq_vc st g' (E.not_name sp "const");
-        (g, g'))
-  in
-  let locals =
-    List.sort_uniq compare
-      (List.concat_map
-         (function
-           | S.Avv (a, b, _, _) -> [ a; b ]
-           | S.Avc (v, _, _, _) | S.Acv (_, v, _, _) -> [ v ])
-         atoms)
-  in
-  let sch = S.make_scheme ~locals ~atoms in
-  let sch' = S.simplify_scheme st ~interface:[ g; g' ] sch in
-  (* the two internal hops collapse: expect g <= g' and g' <= ¬const *)
-  Alcotest.(check int) "atoms shrink to 2" 2 (S.scheme_size sch');
-  (* behaviour is unchanged: instantiating and pushing const into g still
-     violates g's path to ¬const *)
-  let rn = S.instantiate st sch' in
-  S.add_leq_cv st (const_elt sp) (rn g);
-  Alcotest.(check bool) "still propagates" true (Result.is_error (S.solve st))
-
-let test_simplify_vacuous () =
-  let sp = space () in
-  let st = S.create sp in
-  let g, atoms =
-    S.recording st (fun () ->
-        let g = S.fresh st in
-        let dead = S.fresh st in
-        let dead2 = S.fresh st in
-        (* dead has only lower bounds: vacuous; dead2 only uppers *)
-        S.add_leq_vv st g dead;
-        S.add_leq_cv st (const_elt sp) dead;
-        S.add_leq_vc st dead2 (E.not_name sp "const");
-        g)
-  in
-  let locals =
-    List.sort_uniq compare
-      (List.concat_map
-         (function
-           | S.Avv (a, b, _, _) -> [ a; b ]
-           | S.Avc (v, _, _, _) | S.Acv (_, v, _, _) -> [ v ])
-         atoms)
-  in
-  let sch = S.make_scheme ~locals ~atoms in
-  let sch' = S.simplify_scheme st ~interface:[ g ] sch in
-  Alcotest.(check int) "all atoms vacuous" 0 (S.scheme_size sch')
-
-let test_simplify_preserves_results () =
-  (* end to end: poly const inference with and without simplification must
-     classify every position identically on the embedded programs and a
-     generated benchmark *)
-  let sources =
-    List.map snd Cbench.Programs.all
-    @ [ Cbench.Gen.generate ~seed:17 ~target_lines:600 () ]
-  in
-  List.iter
-    (fun src ->
-      let prog = Support.compile src in
-      let e1, i1 = Cqual.Analysis.run ~simplify:false Cqual.Analysis.Poly prog in
-      let r1 = Cqual.Report.measure e1 i1 in
-      let e2, i2 = Cqual.Analysis.run ~simplify:true Cqual.Analysis.Poly prog in
-      let r2 = Cqual.Report.measure e2 i2 in
-      Alcotest.(check int) "errors equal" r1.Cqual.Report.type_errors
-        r2.Cqual.Report.type_errors;
-      Alcotest.(check int) "declared equal" r1.Cqual.Report.declared
-        r2.Cqual.Report.declared;
-      Alcotest.(check int) "possible equal" r1.Cqual.Report.possible
-        r2.Cqual.Report.possible;
-      Alcotest.(check int) "must equal" r1.Cqual.Report.must
-        r2.Cqual.Report.must;
-      Alcotest.(check int) "total equal" r1.Cqual.Report.total
-        r2.Cqual.Report.total;
-      Alcotest.(check
-                  (list (pair string string)))
-        "verdicts equal"
-        (List.map
-           (fun (p, v) ->
-             (Fmt.str "%s/%a/%d" p.Cqual.Report.p_fun Cqual.Report.pp_where
-                p.Cqual.Report.p_where p.Cqual.Report.p_level,
-              Fmt.str "%a" Cqual.Report.pp_verdict v))
-           r1.Cqual.Report.positions)
-        (List.map
-           (fun (p, v) ->
-             (Fmt.str "%s/%a/%d" p.Cqual.Report.p_fun Cqual.Report.pp_where
-                p.Cqual.Report.p_where p.Cqual.Report.p_level,
-              Fmt.str "%a" Cqual.Report.pp_verdict v))
-           r2.Cqual.Report.positions))
-    sources
-
-let simplify_tests =
-  [
-    Alcotest.test_case "simplify: chain collapse" `Quick test_simplify_chain;
-    Alcotest.test_case "simplify: vacuous internals dropped" `Quick
-      test_simplify_vacuous;
-    Alcotest.test_case "simplify: classifications preserved end-to-end"
-      `Quick test_simplify_preserves_results;
-  ]
-
-let tests = tests @ simplify_tests
 
 let test_pp_scheme () =
   let sp = space () in
