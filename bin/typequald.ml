@@ -5,9 +5,11 @@
    units are never re-parsed, and each analyzed mode keeps its store:
    the next run re-infers only the tasks (SCCs, or mono bodies) whose
    definitions changed or whose callees' summaries changed, then
-   rebuilds the solved store from the live constraints in task order. A
-   change to globals, types or prototypes, or a store more dead than
-   alive, re-analyzes in full; the "stats" method reports which.
+   deletes the dead tasks' constraints from the solved store in place,
+   compacting its constraint log once that is more dead than live. A
+   change to globals, types or prototypes, or a store with more dead
+   variables than live ones, re-analyzes in full; the "stats" method
+   reports which.
 
    Methods (params in braces; "mode" is always optional, defaulting to
    --mode): units, update {name, source}, remove {name}, run {mode},

@@ -167,10 +167,6 @@ module Iset = struct
       k := (!k + 1) land m
     done
 
-  let clear s =
-    Bytes.fill s.state 0 s.cap '\000';
-    s.count <- 0
-
   (* the packed [vals] fields *)
   let low = (1 lsl 31) - 1
   let count_at s j = s.vals.(j) land low
@@ -1213,7 +1209,7 @@ let instantiate t s =
   rn
 
 (* ------------------------------------------------------------------ *)
-(* Segments and rebuild (the fallback of the warm session's deletion) *)
+(* Segments                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A segment is the stretch of the arena one unit of client work (one
@@ -1236,62 +1232,6 @@ let ground_since t m =
   in
   take t.ground_errors
 
-(* Delete every atom outside [slices] by rebuilding the derived state from
-   the live ones: reset the bounds, solutions, chains, provenance, dedup
-   sets and error table of every variable, replay each slice of the atom
-   log in the order given through the normal add path (which re-logs it,
-   so the log ends up holding exactly the live atoms, compacted), restore
-   the live ground violations, and solve from scratch. Variables are
-   neither created nor freed: a dead segment's variables stay in the
-   arena, unconstrained. Replaying the live atoms in the order a fresh
-   store would have received them makes dedup — and so the structural
-   counters, which restart from zero — match that store's up to variable
-   renaming. Returns each slice's new start in the log. *)
-let rebuild t ~(slices : (int * int) list) ~(ground : error list) : int list =
-  if t.recorders <> [] then invalid_arg "Solver.rebuild: inside a recording";
-  let bot = Elt.bottom t.sp and top = Elt.top t.sp in
-  for i = 0 to t.nvars - 1 do
-    t.lo_bound.(i) <- bot;
-    t.hi_bound.(i) <- top;
-    t.lo.(i) <- bot;
-    t.hi.(i) <- top;
-    t.succ_head.(i) <- -1;
-    t.pred_head.(i) <- -1;
-    t.lo_consts.(i) <- [];
-    t.hi_consts.(i) <- []
-  done;
-  dirty_reset t;
-  wl_reset t;
-  t.necells <- 0;
-  Iset.clear t.edge_seen;
-  Iset.clear t.bound_seen;
-  Hashtbl.reset t.errors;
-  t.s_edges <- 0;
-  t.s_dedup <- 0;
-  let old = t.log in
-  let live = List.fold_left (fun n (_, len) -> n + len) 0 slices in
-  (* a little headroom for the next segments, so they do not double it *)
-  t.log <- (if live = 0 then [||] else Array.make (max 256 (live + (live / 8))) old.(0));
-  t.nlog <- 0;
-  set_live t [];
-  t.fresh_from <- 0;
-  let starts =
-    List.map
-      (fun (start, len) ->
-        let at = t.nlog in
-        for i = start to start + len - 1 do
-          match old.(i) with
-          | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t v c
-          | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c v
-          | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t x y
-        done;
-        at)
-      slices
-  in
-  t.ground_errors <- ground;
-  ignore (solve_from_scratch t : (unit, error list) result);
-  starts
-
 (* ------------------------------------------------------------------ *)
 (* Decremental retraction (delete-and-rederive)                        *)
 (* ------------------------------------------------------------------ *)
@@ -1304,10 +1244,7 @@ let checkpoint t =
     set_live t (t.live_slices @ [ (t.fresh_from, t.nlog - t.fresh_from) ]);
   t.fresh_from <- t.nlog
 
-type retract_path = Decremental | Rebuilt of string
-
 type retraction = {
-  rt_path : retract_path;
   rt_deleted : int;
   rt_reset : int;
   rt_starts : int list;
@@ -1336,6 +1273,41 @@ let unlink t heads x dst mask =
     else t.ecells.((3 * prev) + 2) <- next
   in
   go (-1) heads.(x)
+
+(* Move the live [slices] (log slices in task order, [live] atoms in
+   all) down into a log of their own, and each dedup key's holder with
+   its atom: afterwards the live atoms run from index 0 in task order,
+   so an atom's rank is its index. Chains, solutions, bounds and errors
+   name no log index and stay as they are. The log gets an eighth of
+   headroom, so that the next edit's atoms do not double it at once.
+   Returns each slice's new start. *)
+let compact_log t slices live =
+  let old = t.log in
+  t.log <- (if live = 0 then [||] else Array.make (live + (live / 8)) old.(0));
+  let moved_to = Array.make t.nlog (-1) in
+  let starts =
+    List.fold_left_map
+      (fun at (start, len) ->
+        Array.blit old start t.log at len;
+        for k = 0 to len - 1 do
+          moved_to.(start + k) <- at + k
+        done;
+        (at + len, at))
+      0 slices
+    |> snd
+  in
+  let remap (s : Iset.t) =
+    for j = 0 to s.cap - 1 do
+      if Bytes.get s.state j = '\001' then
+        Iset.set_owner s j moved_to.(Iset.owner s j)
+    done
+  in
+  remap t.edge_seen;
+  remap t.bound_seen;
+  t.nlog <- live;
+  set_live t [ (0, live) ];
+  t.fresh_from <- live;
+  starts
 
 (* Keep only the atoms of [slices] (log slices in task order), deleting
    the rest: delete-and-rederive (DRed; Gupta, Mumick and Subrahmanian
@@ -1368,17 +1340,15 @@ let unlink t heads x dst mask =
    Chains keep whatever order the edits left: propagation reaches the
    same fixpoint in any order, and [explain] reads them by task rank.
    Ranks come from the slices (see [rank]), so a reordering of the kept
-   segments costs only the re-check of the ones that moved ahead. It
-   falls back to {!rebuild}, which reaches the same store by replay,
-   when a slice names a deleted or repeated atom, a fresh atom lies
-   outside the slices, or dead log entries outnumber live ones (the
-   rebuild then compacts the log). *)
+   segments costs only the re-check of the ones that moved ahead. Once
+   dead log entries outnumber live ones, the repair ends with
+   [compact_log], linear in the live log and so amortized over the
+   deletions that made it due. A slice that names a deleted or repeated
+   atom, and a fresh atom outside the slices, are caller errors. *)
 let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   if t.recorders <> [] then invalid_arg "Solver.retract: inside a recording";
   let t0 = Unix.gettimeofday () in
   let n = t.nlog and fresh0 = t.fresh_from in
-  let bad = ref None in
-  let fallback r = if !bad = None then bad := Some r in
   (* per log entry: 1 while live (in a live slice, or fresh), 2 once a
      slice names it, 0 if an earlier retraction deleted it *)
   let state = Bytes.make n '\000' in
@@ -1389,14 +1359,14 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
     (fun (start, len) ->
       for i = start to start + len - 1 do
         if Bytes.get state i <> '\001' then
-          fallback "a slice names a deleted or repeated atom";
+          invalid_arg "Solver.retract: a slice names a deleted or repeated atom";
         Bytes.set state i '\002'
       done;
       nlive := !nlive + len)
     slices;
-  if n - !nlive > !nlive then fallback "dead log entries outnumber live ones";
   for i = fresh0 to n - 1 do
-    if Bytes.get state i = '\001' then fallback "a fresh atom outside the live slices"
+    if Bytes.get state i = '\001' then
+      invalid_arg "Solver.retract: a fresh atom outside the slices"
   done;
   let dead = ref [] in
   for i = fresh0 - 1 downto 0 do
@@ -1404,240 +1374,237 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   done;
   let dead = !dead in
   let ndead = List.length dead in
-  match !bad with
-  | Some reason ->
-      let starts = rebuild t ~slices ~ground in
-      { rt_path = Rebuilt reason; rt_deleted = ndead; rt_reset = t.nvars;
-        rt_starts = starts }
-  | None ->
-      let sp = t.sp in
-      let top = Elt.top sp in
-      (* the kept segments that moved ahead of one they used to follow,
-         by the ranks before this retraction (a kept slice lies inside
-         one earlier live slice, so its ranks are consecutive) *)
-      let moved = ref [] in
-      ignore
-        (List.fold_right
-           (fun (start, len) least ->
-             if len = 0 || start >= fresh0 then least
-             else
-               let r = rank t start in
-               if r > least then moved := (start, len) :: !moved;
-               min least r)
-           slices max_int);
-      (* from here on, ranks are the new task order *)
-      set_live t slices;
-      t.fresh_from <- n;
-      (* 1. the dead atoms leave their keys *)
-      let removed = ref [] and orphans = Hashtbl.create 8 in
-      List.iter
-        (fun i ->
-          let atom = t.log.(i) in
-          let s, j = key_slot t atom in
-          let c = Iset.count_at s j - 1 in
-          Iset.set_count s j c;
-          if c > 0 then begin
-            t.s_dedup <- t.s_dedup - 1;
-            if rank t (Iset.owner s j) < 0 then Hashtbl.replace orphans (key_of atom) (-1)
-          end
-          else begin
-            (match atom with
-            | Avv (a, b, m, _) ->
-                t.s_edges <- t.s_edges - 1;
-                unlink t t.succ_head a.id b.id m;
-                unlink t t.pred_head b.id a.id m
-            | Avc (v, c, m, _) ->
-                t.hi_consts.(v.id) <-
-                  List.filter (fun (c', m') -> c' <> c || m' <> m) t.hi_consts.(v.id)
-            | Acv (c, v, m, _) ->
-                t.lo_consts.(v.id) <-
-                  List.filter (fun (c', m') -> c' <> c || m' <> m) t.lo_consts.(v.id));
-            Iset.remove_slot s j;
-            removed := atom :: !removed
-          end)
-        dead;
-      (* a key whose last holders were all dead is gone already *)
-      Hashtbl.filter_map_inplace
-        (fun ((a, b, c, edge) as _k) v ->
-          if Iset.find (if edge then t.edge_seen else t.bound_seen) a b c 0 >= 0
-          then Some v
-          else None)
-        orphans;
-      (* 2. a key whose holder died passes to its live holder of least
-         rank: one scan of the live log, in task order, over the atoms
-         whose first endpoint holds such a key *)
-      let transfer atom i =
-        let s, j = key_slot t atom in
-        Iset.set_owner s j i
-      in
-      if Hashtbl.length orphans > 0 then begin
-        t.fp_gen <- t.fp_gen + 1;
-        let g = t.fp_gen in
-        let first = function
-          | Avv (a, _, _, _) -> a.id
-          | Avc (v, _, _, _) | Acv (_, v, _, _) -> v.id
-        in
-        (* a bound key packs the side into the variable id *)
-        Hashtbl.iter
-          (fun (a, _, _, edge) _ -> t.fp_stamp.(if edge then a else a lsr 1) <- g)
-          orphans;
-        let left = ref (Hashtbl.length orphans) in
-        List.iter
-          (fun (start, len) ->
-            let i = ref start in
-            while !left > 0 && !i < start + len do
-              let atom = t.log.(!i) in
-              if t.fp_stamp.(first atom) = g then begin
-                let k = key_of atom in
-                match Hashtbl.find_opt orphans k with
-                | Some (-1) ->
-                    Hashtbl.replace orphans k !i;
-                    decr left;
-                    transfer atom !i
-                | _ -> ()
-              end;
-              incr i
-            done)
-          slices
-      end;
-      (* 3. an atom of a segment that moved ahead, or a fresh one, takes
-         its key when it ranks before the key's holder *)
-      let claim i =
-        let s, j = key_slot t t.log.(i) in
-        let o = Iset.owner s j in
-        if o <> i && rank t o > rank t i then Iset.set_owner s j i
-      in
-      List.iter
-        (fun (start, len) ->
-          for i = start to start + len - 1 do
-            claim i
-          done)
-        !moved;
-      for i = fresh0 to n - 1 do
+  let sp = t.sp in
+  let top = Elt.top sp in
+  (* the kept segments that moved ahead of one they used to follow,
+     by the ranks before this retraction (a kept slice lies inside
+     one earlier live slice, so its ranks are consecutive) *)
+  let moved = ref [] in
+  ignore
+    (List.fold_right
+       (fun (start, len) least ->
+         if len = 0 || start >= fresh0 then least
+         else
+           let r = rank t start in
+           if r > least then moved := (start, len) :: !moved;
+           min least r)
+       slices max_int);
+  (* from here on, ranks are the new task order *)
+  set_live t slices;
+  t.fresh_from <- n;
+  (* 1. the dead atoms leave their keys *)
+  let removed = ref [] and orphans = Hashtbl.create 8 in
+  List.iter
+    (fun i ->
+      let atom = t.log.(i) in
+      let s, j = key_slot t atom in
+      let c = Iset.count_at s j - 1 in
+      Iset.set_count s j c;
+      if c > 0 then begin
+        t.s_dedup <- t.s_dedup - 1;
+        if rank t (Iset.owner s j) < 0 then Hashtbl.replace orphans (key_of atom) (-1)
+      end
+      else begin
+        (match atom with
+        | Avv (a, b, m, _) ->
+            t.s_edges <- t.s_edges - 1;
+            unlink t t.succ_head a.id b.id m;
+            unlink t t.pred_head b.id a.id m
+        | Avc (v, c, m, _) ->
+            t.hi_consts.(v.id) <-
+              List.filter (fun (c', m') -> c' <> c || m' <> m) t.hi_consts.(v.id)
+        | Acv (c, v, m, _) ->
+            t.lo_consts.(v.id) <-
+              List.filter (fun (c', m') -> c' <> c || m' <> m) t.lo_consts.(v.id));
+        Iset.remove_slot s j;
+        removed := atom :: !removed
+      end)
+    dead;
+  (* a key whose last holders were all dead is gone already *)
+  Hashtbl.filter_map_inplace
+    (fun ((a, b, c, edge) as _k) v ->
+      if Iset.find (if edge then t.edge_seen else t.bound_seen) a b c 0 >= 0
+      then Some v
+      else None)
+    orphans;
+  (* 2. a key whose holder died passes to its live holder of least
+     rank: one scan of the live log, in task order, over the atoms
+     whose first endpoint holds such a key *)
+  let transfer atom i =
+    let s, j = key_slot t atom in
+    Iset.set_owner s j i
+  in
+  if Hashtbl.length orphans > 0 then begin
+    t.fp_gen <- t.fp_gen + 1;
+    let g = t.fp_gen in
+    let first = function
+      | Avv (a, _, _, _) -> a.id
+      | Avc (v, _, _, _) | Acv (_, v, _, _) -> v.id
+    in
+    (* a bound key packs the side into the variable id *)
+    Hashtbl.iter
+      (fun (a, _, _, edge) _ -> t.fp_stamp.(if edge then a else a lsr 1) <- g)
+      orphans;
+    let left = ref (Hashtbl.length orphans) in
+    List.iter
+      (fun (start, len) ->
+        let i = ref start in
+        while !left > 0 && !i < start + len do
+          let atom = t.log.(!i) in
+          if t.fp_stamp.(first atom) = g then begin
+            let k = key_of atom in
+            match Hashtbl.find_opt orphans k with
+            | Some (-1) ->
+                Hashtbl.replace orphans k !i;
+                decr left;
+                transfer atom !i
+            | _ -> ()
+          end;
+          incr i
+        done)
+      slices
+  end;
+  (* 3. an atom of a segment that moved ahead, or a fresh one, takes
+     its key when it ranks before the key's holder *)
+  let claim i =
+    let s, j = key_slot t t.log.(i) in
+    let o = Iset.owner s j in
+    if o <> i && rank t o > rank t i then Iset.set_owner s j i
+  in
+  List.iter
+    (fun (start, len) ->
+      for i = start to start + len - 1 do
         claim i
+      done)
+    !moved;
+  for i = fresh0 to n - 1 do
+    claim i
+  done;
+  (* 4. the constant bounds of the vertices that lost one, and the
+     overdelete's seeds *)
+  let rlo = Hashtbl.create 16 and rhi = Hashtbl.create 16 in
+  let qlo = Queue.create () and qhi = Queue.create () in
+  let grow tbl q v bits =
+    if bits <> 0 then begin
+      let old = Option.value (Hashtbl.find_opt tbl v) ~default:0 in
+      if bits land lnot old <> 0 then begin
+        Hashtbl.replace tbl v (old lor bits);
+        Queue.push v q
+      end
+    end
+  in
+  let rebound = ref [] in
+  List.iter
+    (function
+      | Avc (v, c, m, _) ->
+          let v = v.id in
+          t.hi_bound.(v) <-
+            List.fold_left
+              (fun acc (c, m) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
+              top t.hi_consts.(v);
+          rebound := v :: !rebound;
+          grow rhi qhi v
+            (lnot (Elt.embed_top sp ~mask:m c) land lnot t.hi.(v) land t.hi_bound.(v))
+      | Acv (c, v, m, _) ->
+          let v = v.id in
+          t.lo_bound.(v) <-
+            List.fold_left
+              (fun acc (c, m) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
+              (Elt.bottom sp) t.lo_consts.(v);
+          rebound := v :: !rebound;
+          grow rlo qlo v
+            (Elt.embed_bottom sp ~mask:m c land t.lo.(v) land lnot t.lo_bound.(v))
+      | Avv _ -> ())
+    !removed;
+  List.iter
+    (function
+      | Avv (a, b, m, _) ->
+          let a = a.id and b = b.id in
+          grow rlo qlo b (t.lo.(a) land m land t.lo.(b) land lnot t.lo_bound.(b));
+          grow rhi qhi a (m land lnot t.hi.(b) land lnot t.hi.(a) land t.hi_bound.(a))
+      | Avc _ | Acv _ -> ())
+    !removed;
+  (* 5. overdelete: the bits that may have flowed through a deleted
+     atom, along surviving edges that carry them, except where the
+     vertex's own constant bound supplies them *)
+  while not (Queue.is_empty qlo) do
+    let v = Queue.pop qlo in
+    let r = Hashtbl.find rlo v in
+    let e = ref t.succ_head.(v) in
+    while !e >= 0 do
+      let b = 3 * !e in
+      e := t.ecells.(b + 2);
+      let s = t.ecells.(b) in
+      grow rlo qlo s
+        (r land t.ecells.(b + 1) land t.lo.(s) land lnot t.lo_bound.(s))
+    done
+  done;
+  while not (Queue.is_empty qhi) do
+    let v = Queue.pop qhi in
+    let z = Hashtbl.find rhi v in
+    let e = ref t.pred_head.(v) in
+    while !e >= 0 do
+      let b = 3 * !e in
+      e := t.ecells.(b + 2);
+      let p = t.ecells.(b) in
+      grow rhi qhi p
+        (z land t.ecells.(b + 1) land lnot t.hi.(p) land t.hi_bound.(p))
+    done
+  done;
+  Hashtbl.iter (fun v r -> t.lo.(v) <- t.lo.(v) land lnot r) rlo;
+  Hashtbl.iter (fun v z -> t.hi.(v) <- t.hi.(v) lor z) rhi;
+  (* 6. rederive the cone from its surviving inflow; the incremental
+     solve below then closes it, together with the fresh atoms *)
+  Hashtbl.iter
+    (fun v _ ->
+      let acc = ref (t.lo.(v) lor t.lo_bound.(v)) in
+      let e = ref t.pred_head.(v) in
+      while !e >= 0 do
+        let b = 3 * !e in
+        e := t.ecells.(b + 2);
+        acc := !acc lor (t.lo.(t.ecells.(b)) land t.ecells.(b + 1))
       done;
-      (* 4. the constant bounds of the vertices that lost one, and the
-         overdelete's seeds *)
-      let rlo = Hashtbl.create 16 and rhi = Hashtbl.create 16 in
-      let qlo = Queue.create () and qhi = Queue.create () in
-      let grow tbl q v bits =
-        if bits <> 0 then begin
-          let old = Option.value (Hashtbl.find_opt tbl v) ~default:0 in
-          if bits land lnot old <> 0 then begin
-            Hashtbl.replace tbl v (old lor bits);
-            Queue.push v q
-          end
-        end
-      in
-      let rebound = ref [] in
-      List.iter
-        (function
-          | Avc (v, c, m, _) ->
-              let v = v.id in
-              t.hi_bound.(v) <-
-                List.fold_left
-                  (fun acc (c, m) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
-                  top t.hi_consts.(v);
-              rebound := v :: !rebound;
-              grow rhi qhi v
-                (lnot (Elt.embed_top sp ~mask:m c) land lnot t.hi.(v) land t.hi_bound.(v))
-          | Acv (c, v, m, _) ->
-              let v = v.id in
-              t.lo_bound.(v) <-
-                List.fold_left
-                  (fun acc (c, m) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
-                  (Elt.bottom sp) t.lo_consts.(v);
-              rebound := v :: !rebound;
-              grow rlo qlo v
-                (Elt.embed_bottom sp ~mask:m c land t.lo.(v) land lnot t.lo_bound.(v))
-          | Avv _ -> ())
-        !removed;
-      List.iter
-        (function
-          | Avv (a, b, m, _) ->
-              let a = a.id and b = b.id in
-              grow rlo qlo b (t.lo.(a) land m land t.lo.(b) land lnot t.lo_bound.(b));
-              grow rhi qhi a (m land lnot t.hi.(b) land lnot t.hi.(a) land t.hi_bound.(a))
-          | Avc _ | Acv _ -> ())
-        !removed;
-      (* 5. overdelete: the bits that may have flowed through a deleted
-         atom, along surviving edges that carry them, except where the
-         vertex's own constant bound supplies them *)
-      while not (Queue.is_empty qlo) do
-        let v = Queue.pop qlo in
-        let r = Hashtbl.find rlo v in
-        let e = ref t.succ_head.(v) in
-        while !e >= 0 do
-          let b = 3 * !e in
-          e := t.ecells.(b + 2);
-          let s = t.ecells.(b) in
-          grow rlo qlo s
-            (r land t.ecells.(b + 1) land t.lo.(s) land lnot t.lo_bound.(s))
-        done
+      t.lo.(v) <- !acc)
+    rlo;
+  Hashtbl.iter
+    (fun v _ ->
+      let acc = ref (t.hi.(v) land t.hi_bound.(v)) in
+      let e = ref t.succ_head.(v) in
+      while !e >= 0 do
+        let b = 3 * !e in
+        e := t.ecells.(b + 2);
+        let m = t.ecells.(b + 1) in
+        acc :=
+          !acc land ((t.hi.(t.ecells.(b)) land m) lor (top land lnot m))
       done;
-      while not (Queue.is_empty qhi) do
-        let v = Queue.pop qhi in
-        let z = Hashtbl.find rhi v in
-        let e = ref t.pred_head.(v) in
-        while !e >= 0 do
-          let b = 3 * !e in
-          e := t.ecells.(b + 2);
-          let p = t.ecells.(b) in
-          grow rhi qhi p
-            (z land t.ecells.(b + 1) land lnot t.hi.(p) land t.hi_bound.(p))
-        done
-      done;
-      Hashtbl.iter (fun v r -> t.lo.(v) <- t.lo.(v) land lnot r) rlo;
-      Hashtbl.iter (fun v z -> t.hi.(v) <- t.hi.(v) lor z) rhi;
-      (* 6. rederive the cone from its surviving inflow; the incremental
-         solve below then closes it, together with the fresh atoms *)
-      Hashtbl.iter
-        (fun v _ ->
-          let acc = ref (t.lo.(v) lor t.lo_bound.(v)) in
-          let e = ref t.pred_head.(v) in
-          while !e >= 0 do
-            let b = 3 * !e in
-            e := t.ecells.(b + 2);
-            acc := !acc lor (t.lo.(t.ecells.(b)) land t.ecells.(b + 1))
-          done;
-          t.lo.(v) <- !acc)
-        rlo;
-      Hashtbl.iter
-        (fun v _ ->
-          let acc = ref (t.hi.(v) land t.hi_bound.(v)) in
-          let e = ref t.succ_head.(v) in
-          while !e >= 0 do
-            let b = 3 * !e in
-            e := t.ecells.(b + 2);
-            let m = t.ecells.(b + 1) in
-            acc :=
-              !acc land ((t.hi.(t.ecells.(b)) land m) lor (top land lnot m))
-          done;
-          t.hi.(v) <- !acc)
-        rhi;
-      let recheck v =
-        Hashtbl.remove t.errors v;
-        mark_dirty t v
-      in
-      Hashtbl.iter (fun v _ -> recheck v) rlo;
-      Hashtbl.iter (fun v _ -> if not (Hashtbl.mem rlo v) then recheck v) rhi;
-      List.iter recheck !rebound;
-      let reset =
-        Hashtbl.length rlo
-        + Hashtbl.fold (fun v _ n -> if Hashtbl.mem rlo v then n else n + 1) rhi 0
-      in
-      t.ground_errors <- ground;
-      t.solved <- false;
-      t.s_solve_s <- t.s_solve_s +. (Unix.gettimeofday () -. t0);
-      ignore (solve t : (unit, error list) result);
-      (* 7. an explanation reads the chains upstream of its variable,
-         which the edit may have changed anywhere: explain every
-         recorded violation afresh *)
-      Hashtbl.filter_map_inplace
-        (fun i e -> Some { e with err_msg = explain t t.objs.(i) })
-        t.errors;
-      { rt_path = Decremental; rt_deleted = ndead; rt_reset = reset;
-        rt_starts = List.map fst slices }
+      t.hi.(v) <- !acc)
+    rhi;
+  let recheck v =
+    Hashtbl.remove t.errors v;
+    mark_dirty t v
+  in
+  Hashtbl.iter (fun v _ -> recheck v) rlo;
+  Hashtbl.iter (fun v _ -> if not (Hashtbl.mem rlo v) then recheck v) rhi;
+  List.iter recheck !rebound;
+  let reset =
+    Hashtbl.length rlo
+    + Hashtbl.fold (fun v _ n -> if Hashtbl.mem rlo v then n else n + 1) rhi 0
+  in
+  t.ground_errors <- ground;
+  t.solved <- false;
+  t.s_solve_s <- t.s_solve_s +. (Unix.gettimeofday () -. t0);
+  ignore (solve t : (unit, error list) result);
+  (* 7. an explanation reads the chains upstream of its variable,
+     which the edit may have changed anywhere: explain every
+     recorded violation afresh *)
+  Hashtbl.filter_map_inplace
+    (fun i e -> Some { e with err_msg = explain t t.objs.(i) })
+    t.errors;
+  (* 8. a log more dead than live is compacted *)
+  let starts =
+    if n - !nlive > !nlive then compact_log t slices !nlive else List.map fst slices
+  in
+  { rt_deleted = ndead; rt_reset = reset; rt_starts = starts }
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c

@@ -209,13 +209,13 @@ val instantiate : t -> scheme -> var -> var
     locals (so instances cannot interfere — the existential binding of
     Section 3.2); returns the renaming, the identity on non-locals. *)
 
-(** {1 Segments, retraction and rebuild}
+(** {1 Segments and retraction}
 
     A warm client keeps one store across edits: each unit of its work (an
     analysis task) is a {e segment} of the arena, delimited by a {!mark}
     taken before it. Deleting the segments an edit invalidated is a
-    {!retract} to the live ones, which deletes in place or, when it must,
-    runs a {!rebuild} over them. *)
+    {!retract} to the live ones, which deletes in place and compacts the
+    atom log in place once it is more dead than live. *)
 
 type mark
 (** a position in the store: variable count, atom-log length and the
@@ -236,32 +236,15 @@ val ground_since : t -> mark -> error list
     first: they are checked on insertion and never logged, so a segment
     must carry them itself *)
 
-val rebuild : t -> slices:(int * int) list -> ground:error list -> int list
-(** [rebuild t ~slices ~ground] keeps only the atoms of the log slices
-    [(start, length)]: it resets every variable's derived state (bounds,
-    solutions, chains, provenance, dedup sets, the error table), replays
-    the slices in the order given through the normal add path — the log
-    is left holding exactly those atoms, in that order — sets the ground
-    violations to [ground], and solves from scratch. No variable is
-    created. The structural counters ([edges_added], [edges_deduped])
-    restart from zero, so afterwards they describe the rebuilt system.
-    Returns each slice's new start. *)
-
 val checkpoint : t -> unit
 (** mark the end of the live store: the atoms logged from here on are an
     edit's fresh work, which the next {!retract} keeps wherever the
     slices put them *)
 
-(** which way a {!retract} went: delete-and-rederive, or the {!rebuild}
-    fallback with the property of the store that required it *)
-type retract_path = Decremental | Rebuilt of string
-
 type retraction = {
-  rt_path : retract_path;
   rt_deleted : int;  (** live atoms this retraction deleted *)
   rt_reset : int;
-      (** variables whose solution was reset and re-derived (the cone);
-          every variable for a rebuild *)
+      (** variables whose solution was reset and re-derived (the cone) *)
   rt_starts : int list;  (** each slice's start in the log afterwards *)
 }
 
@@ -279,16 +262,20 @@ val retract : t -> slices:(int * int) list -> ground:error list -> retraction
     re-derives only the solution bits they could have supported
     (delete-and-rederive), in whatever order the slices put the kept
     segments: an atom's task rank is read from the slices, not stored,
-    by the key hand-off and {!explain_var}. It runs {!rebuild} instead
-    when a slice names a deleted or repeated atom, a fresh atom lies
-    outside the slices, or dead log entries outnumber live ones. Either
-    way no variable is created and the fresh atoms end up solved. *)
+    by the key hand-off and {!explain_var}. When dead log entries then
+    outnumber live ones, it compacts the log in place: the live atoms
+    move down in task order and each dedup key's holder with its atom,
+    so {!num_atoms} stays within twice [List.length (atoms t)]. No
+    variable is created and the fresh atoms end up solved.
+    @raise Invalid_argument inside a {!recording}, when a slice names a
+    deleted or repeated atom, or when a fresh atom lies outside the
+    slices; the store is then as it was. *)
 
 val reset_stats : t -> unit
 (** zero every per-run counter and phase time; [vars_created] then counts
     the variables created from here on. The structural counters
     ([edges_added], [edges_deduped]) describe the store and stay:
-    {!retract} and {!rebuild} keep them equal to a fresh store's *)
+    {!retract} keeps them equal to a fresh store's *)
 
 val compact : ?count:bool -> t -> interface:var list -> scheme -> scheme
 (** Compact a scheme by exact projection onto its observable variables:

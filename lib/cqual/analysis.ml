@@ -1476,15 +1476,13 @@ let entry_digest (e : fentry option) : string =
       Digest.string (Buffer.contents b)
 
 (** What a warm rerun did: the tasks it kept and re-ran, how many
-    functions the re-run tasks hold, and how the store dropped the dead
-    tasks' atoms ({!Solver.retract}): ["decremental"] or
-    ["rebuild: <reason>"], the atoms deleted and the variables whose
-    solution was re-derived. *)
+    functions the re-run tasks hold, and what the store's deletion of the
+    dead tasks' atoms ({!Solver.retract}) did: the atoms deleted and the
+    variables whose solution was re-derived. *)
 type rerun_info = {
   ri_tasks : int;
   ri_rerun : int;
   ri_rerun_members : int;
-  ri_solve : string;
   ri_atoms_deleted : int;
   ri_vars_reset : int;
 }
@@ -1705,10 +1703,6 @@ let rerun (base : env) (prog : Cprog.t) :
               ri_tasks = List.length task_segs;
               ri_rerun = !rerun_n;
               ri_rerun_members = !members_n;
-              ri_solve =
-                (match rt.Solver.rt_path with
-                | Solver.Decremental -> "decremental"
-                | Solver.Rebuilt reason -> "rebuild: " ^ reason);
               ri_atoms_deleted = rt.Solver.rt_deleted;
               ri_vars_reset = rt.Solver.rt_reset;
             } )

@@ -10,9 +10,9 @@
     solved store with its segment table, so the next run of that mode
     re-infers only the edit's cone ({!Analysis.rerun}) and deletes the
     dead tasks' atoms from the store in place ({!Typequal.Solver.retract},
-    which rebuilds the store from the live atoms only as its fallback) —
-    falling back to a full {!Analysis.run} when globals, types or
-    prototypes changed. Queries ({!classify}, {!explain}, {!whatif}) are
+    which also compacts the store's atom log in place once it is more
+    dead than live) — falling back to a full {!Analysis.run} when
+    globals, types or prototypes changed. Queries ({!classify}, {!explain}, {!whatif}) are
     answered against the warm solved store through stable
     [unit:line:col] position keys (see {!Report.position_key}).
 
@@ -286,8 +286,7 @@ type fe_memo = {
 (* The function-name -> home-unit table of the linked units [progs]
    named [names]: a name's home is the first unit that defines it. *)
 let home_table names (progs : Cfront.Cprog.t array) =
-  let size = Array.fold_left (fun n p -> n + Hashtbl.length p.Cfront.Cprog.fundefs) 0 progs in
-  let home = Hashtbl.create size in
+  let home = Hashtbl.create 16 in
   Array.iteri
     (fun i p ->
       Hashtbl.iter
@@ -611,9 +610,6 @@ type rebuild = {
   rb_rows_remeasured : int;  (** functions whose report rows were measured afresh *)
   rb_index_patched : bool;
       (** the key index was updated by the changed rows, not rebuilt *)
-  rb_solve : string;
-      (** how the store dropped the dead atoms: ["decremental"],
-          ["rebuild: <reason>"], or ["cold"] on a full run *)
   rb_atoms_deleted : int;  (** atoms the edit deleted from the store *)
   rb_vars_reset : int;  (** variables whose solution was re-derived *)
 }
@@ -641,7 +637,6 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
         Analysis.ri_tasks = n;
         ri_rerun = n;
         ri_rerun_members = m;
-        ri_solve = "cold";
         ri_atoms_deleted = 0;
         ri_vars_reset = 0;
       } )
@@ -718,7 +713,6 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       rb_condensation = Fdg.condensation_name fdg.Fdg.condensation;
       rb_rows_remeasured = rows.Report.remeasured;
       rb_index_patched = rows.Report.index_patched;
-      rb_solve = ri.Analysis.ri_solve;
       rb_atoms_deleted = ri.Analysis.ri_atoms_deleted;
       rb_vars_reset = ri.Analysis.ri_vars_reset;
     }
@@ -1161,7 +1155,6 @@ let stats_json (st : session_stats) : Wire.json =
         ("condensation", Wire.Str rb.rb_condensation);
         ("rows_remeasured", int rb.rb_rows_remeasured);
         ("index_patched", Wire.Bool rb.rb_index_patched);
-        ("solve", Wire.Str rb.rb_solve);
         ("atoms_deleted", int rb.rb_atoms_deleted);
         ("vars_reset", int rb.rb_vars_reset);
       ]

@@ -269,15 +269,11 @@ type rebuild = {
   rb_index_patched : bool;
       (** the position-key index was updated by the changed rows alone,
           not rebuilt *)
-  rb_solve : string;
-      (** how the store dropped the dead tasks' atoms
-          ({!Typequal.Solver.retract}): ["decremental"], or
-          ["rebuild: <reason>"] for the replay fallback; ["cold"] on a
-          full run *)
-  rb_atoms_deleted : int;  (** atoms the edit deleted from the store *)
+  rb_atoms_deleted : int;
+      (** atoms the edit deleted from the store
+          ({!Typequal.Solver.retract}) *)
   rb_vars_reset : int;
-      (** variables whose solution was reset and re-derived (every
-          variable for a rebuild) *)
+      (** variables whose solution was reset and re-derived *)
 }
 
 type session_stats = {

@@ -241,15 +241,16 @@ let test_pinned_errors () =
     (pinned_digest observe_errors)
 
 (* ------------------------------------------------------------------ *)
-(* Decremental retraction = rebuild                                    *)
+(* Decremental retraction = a fresh store fed the survivors            *)
 (* ------------------------------------------------------------------ *)
 
 (* A warm client's store over segments: each segment (one task) makes a
    few variables of its own and adds atoms over them and the shared
    ones. An edit keeps some of the current segments, drops the rest and
-   runs fresh ones at chosen places in the task order; then the store
-   drops the dead atoms, by [retract] or, as the reference, by
-   [rebuild], which replays the live atoms in task order. *)
+   runs fresh ones at chosen places in the task order; then [retract]
+   drops the dead atoms. The reference is what [retract] promises: a
+   fresh store that makes the same variables and is fed the live
+   segments' atoms in task order. *)
 type seg = { own : int; sops : op list }
 
 type step = Keep of int | Fresh of seg
@@ -360,45 +361,62 @@ let decr_scenario rng =
   in
   (sp, n, base, edits)
 
-type warm = {
-  wst : S.t;
-  wvars : S.var list;  (* every variable, in creation order *)
-  paths : S.retract_path list;  (* each edit's, newest first *)
+(* a segment as run: its log slice and ground violations, and what a
+   replay needs: the ids of its own variables, and its number, which
+   names its atoms' reasons *)
+type task = {
+  log0 : int;
+  len : int;
+  ground : S.error list;
+  seg : seg;
+  own_ids : int array;
+  num : int;
 }
 
-let warm_run ~decremental (sp, n, base, edits) =
+type warm = {
+  wst : S.t;
+  nshared : int;
+  live : task list;  (* in task order *)
+  compactions : int;  (* retractions that compacted the atom log *)
+}
+
+(* add a segment's ops over [v] (the shared variables, then its own);
+   every atom gets a reason of its own, so the error messages show which
+   of two duplicate atoms holds a key. Without [solves] the [Solve] ops
+   are skipped. *)
+let feed ?(solves = true) st v num seg =
+  List.iteri
+    (fun k op ->
+      let reason = Printf.sprintf "s%d.%d" num k in
+      match op with
+      | Edge (a, b, m) -> S.add_leq_vv ~reason ~mask:m st v.(a) v.(b)
+      | Lower (c, a, m) -> S.add_leq_cv ~reason ~mask:m st c v.(a)
+      | Upper (a, c, m) -> S.add_leq_vc ~reason ~mask:m st v.(a) c
+      | Eqvv (a, b, m) -> S.add_eq_vv ~reason ~mask:m st v.(a) v.(b)
+      | Eqvc (a, c, m) -> S.add_eq_vc ~reason ~mask:m st v.(a) c
+      | Solve when not solves -> ()
+      | op -> apply st v op)
+    seg.sops
+
+(* run the base segments, then each edit followed by a [retract];
+   [after] sees the warm store after every retraction *)
+let warm_run ?(after = fun _ -> ()) (sp, n, base, edits) =
   let st = S.create sp in
-  let made = ref [] in
-  let fresh () =
-    let v = S.fresh st in
-    made := v :: !made;
-    v
-  in
-  let shared = Array.init n (fun _ -> fresh ()) in
-  (* every atom gets a reason of its own, so the error messages show
-     which of two duplicate atoms holds a key *)
+  let shared = Array.init n (fun _ -> S.fresh st) in
   let nsegs = ref 0 in
   let run_seg seg =
     let m = S.mark st in
-    let own = Array.init seg.own (fun _ -> fresh ()) in
-    let v = Array.append shared own in
+    let own = Array.init seg.own (fun _ -> S.fresh st) in
     incr nsegs;
-    List.iteri
-      (fun k op ->
-        let reason = Printf.sprintf "s%d.%d" !nsegs k in
-        match op with
-        | Edge (a, b, m) -> S.add_leq_vv ~reason ~mask:m st v.(a) v.(b)
-        | Lower (c, a, m) -> S.add_leq_cv ~reason ~mask:m st c v.(a)
-        | Upper (a, c, m) -> S.add_leq_vc ~reason ~mask:m st v.(a) c
-        | Eqvv (a, b, m) -> S.add_eq_vv ~reason ~mask:m st v.(a) v.(b)
-        | Eqvc (a, c, m) -> S.add_eq_vc ~reason ~mask:m st v.(a) c
-        | op -> apply st v op)
-      seg.sops;
-    (S.mark_log m, S.num_atoms st - S.mark_log m, S.ground_since st m)
+    feed st (Array.append shared own) !nsegs seg;
+    { log0 = S.mark_log m; len = S.num_atoms st - S.mark_log m;
+      ground = S.ground_since st m; seg; own_ids = Array.map S.var_id own;
+      num = !nsegs }
   in
   let tasks = ref (List.map run_seg base) in
   ignore (S.solve st);
-  let paths = ref [] in
+  let compactions = ref 0 in
+  let warm () = { wst = st; nshared = n; live = !tasks; compactions = !compactions } in
   List.iter
     (fun edit ->
       S.checkpoint st;
@@ -410,19 +428,37 @@ let warm_run ~decremental (sp, n, base, edits) =
                :: acc)
              [] edit)
       in
-      let slices = List.map (fun (a, l, _) -> (a, l)) next in
-      let ground = List.fold_left (fun acc (_, _, g) -> g @ acc) [] next in
-      let starts =
-        if decremental then begin
-          let rt = S.retract st ~slices ~ground in
-          paths := rt.S.rt_path :: !paths;
-          rt.S.rt_starts
-        end
-        else S.rebuild st ~slices ~ground
+      let before = S.num_atoms st in
+      let rt =
+        S.retract st
+          ~slices:(List.map (fun t -> (t.log0, t.len)) next)
+          ~ground:(List.fold_left (fun acc t -> t.ground @ acc) [] next)
       in
-      tasks := List.map2 (fun (_, l, g) at -> (at, l, g)) next starts)
+      (* only a compaction shortens the log *)
+      if S.num_atoms st < before then incr compactions;
+      tasks := List.map2 (fun t at -> { t with log0 = at }) next rt.S.rt_starts;
+      after (warm ()))
     edits;
-  { wst = st; wvars = List.rev !made; paths = !paths }
+  warm ()
+
+(* The reference, through the public API only: the same variables (same
+   ids), then the live segments' atoms in task order with their
+   reasons, then one solve. A [Solve] op inside a segment is not
+   replayed: it would explain a violation on a store that has not yet
+   seen every atom, while [retract] explains them all on the final
+   one. *)
+let fresh_store sp w =
+  let st = S.create sp in
+  let vars = Array.init (S.num_vars w.wst) (fun _ -> S.fresh st) in
+  let shared = Array.sub vars 0 w.nshared in
+  List.iter
+    (fun t ->
+      feed ~solves:false st
+        (Array.append shared (Array.map (fun i -> vars.(i)) t.own_ids))
+        t.num t.seg)
+    w.live;
+  ignore (S.solve st);
+  st
 
 let atom_key = function
   | S.Avc (v, c, m, r) -> (0, S.var_id v, c, m, r)
@@ -430,26 +466,29 @@ let atom_key = function
   | S.Avv (a, b, m, r) -> (2, S.var_id a, S.var_id b * 1000 + m, 0, r)
 
 (* everything a client can observe of a solved store *)
-let observe_warm sp w =
-  let s = S.stats w.wst in
-  ( List.map (fun v -> (S.least w.wst v, S.greatest w.wst v)) w.wvars,
-    List.map S.error_message (S.last_errors w.wst),
+let observe sp st =
+  let s = S.stats st in
+  let vars = List.init (S.num_vars st) (S.var_of_id st) in
+  ( List.map (fun v -> (S.least st v, S.greatest st v)) vars,
+    List.map S.error_message (S.last_errors st),
     (s.S.edges_added, s.S.edges_deduped),
-    List.map atom_key (S.atoms w.wst),
+    List.map atom_key (S.atoms st),
     (* the certificate: the store's solution is the least solution of
        the atoms it reports as live *)
-    (let nb = S.solve_atoms sp (S.atoms w.wst) in
+    (let nb = S.solve_atoms sp (S.atoms st) in
      List.for_all
        (fun v ->
          let lo, hi = nb (S.var_id v) in
-         E.equal lo (S.least w.wst v) && E.equal hi (S.greatest w.wst v))
-       w.wvars) )
+         E.equal lo (S.least st v) && E.equal hi (S.greatest st v))
+       vars) )
+
+let agrees sp w =
+  let (_, _, _, _, cert) as o = observe sp w.wst in
+  cert && o = observe sp (fresh_store sp w)
 
 let decremental_agrees sc =
   let sp, _, _, _ = sc in
-  let d = warm_run ~decremental:true sc and r = warm_run ~decremental:false sc in
-  let (_, _, _, _, cert) as od = observe_warm sp d in
-  cert && od = observe_warm sp r
+  agrees sp (warm_run sc)
 
 let prop_decremental =
   QCheck2.Test.make ~count:300
@@ -457,39 +496,63 @@ let prop_decremental =
     ~print:(Printf.sprintf "seed %d") QCheck2.Gen.int (fun seed ->
       decremental_agrees (decr_scenario (Cbench.Rng.create seed)))
 
-(* on a fixed stream every edit agrees with the rebuild, and a good share
-   of them take the decremental path (each edit drops about a third of
-   the tasks, so dead log entries soon outnumber live ones and the
-   log-compacting rebuild is exercised too): the property above is not
-   vacuous *)
-let test_decremental_share () =
+(* Fixed streams of 320 edits over twelve tasks, each edit re-running
+   about a third of the tasks (and now and then trading two kept ones'
+   places): dead atoms pile up fast, so the log is compacted again and
+   again. After every retraction the log holds at most twice the live
+   atoms, and the store agrees with a fresh one. Fewer shared variables
+   make more atoms share a key, more make longer chains to explain. *)
+let log_bound_stream n =
   let rng = Cbench.Rng.create 0xDEC in
-  let dec = ref 0 and all = ref 0 in
-  for _ = 1 to 300 do
-    let sc = decr_scenario rng in
-    Alcotest.(check bool) "agrees with rebuild" true (decremental_agrees sc);
-    List.iter
-      (fun p ->
-        incr all;
-        if p = S.Decremental then incr dec)
-      (warm_run ~decremental:true sc).paths
-  done;
+  let rint = Cbench.Rng.int rng in
+  let sp, _, _ = scenario rng in
+  let base = List.init 12 (fun _ -> gen_seg rng sp n) in
+  let segs = ref (Array.of_list base) in
+  let edits =
+    List.init 320 (fun _ ->
+        let k = Array.length !segs in
+        let order = Array.init k Fun.id in
+        if rint 3 = 0 then begin
+          let i = rint k and j = rint k in
+          let x = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- x
+        end;
+        let steps =
+          Array.map (fun i -> if rint 3 = 0 then Fresh !segs.(i) else Keep i) order
+        in
+        segs := Array.map (fun i -> !segs.(i)) order;
+        Array.to_list steps)
+  in
+  let edits_seen = ref 0 in
+  let w =
+    warm_run
+      ~after:(fun w ->
+        incr edits_seen;
+        let live = List.length (S.atoms w.wst) in
+        if S.num_atoms w.wst > 2 * live then
+          Alcotest.failf "%d shared, edit %d: %d log entries for %d live atoms" n
+            !edits_seen (S.num_atoms w.wst) live;
+        if not (agrees sp w) then
+          Alcotest.failf "%d shared, edit %d: differs from a fresh store" n !edits_seen)
+      (sp, n, base, edits)
+  in
+  Alcotest.(check int) "every edit retracted" 320 !edits_seen;
   Alcotest.(check bool)
-    (Printf.sprintf "%d of %d edits decremental" !dec !all)
-    true
-    (3 * !dec >= !all)
+    (Printf.sprintf "%d shared: %d compactions" n w.compactions)
+    true (w.compactions >= 20)
+
+let test_log_bound () = List.iter log_bound_stream [ 6; 10 ]
 
 (* a fixed scenario over three shared variables of the const space:
-   every edit deletes in place and agrees with the rebuild *)
+   every edit agrees with a fresh store *)
 let in_place name base edits =
   let sc = (Cqual.Analysis.const_space, 3, base, edits) in
-  Alcotest.(check bool) (name ^ ": agrees with rebuild") true (decremental_agrees sc);
-  Alcotest.(check bool) (name ^ ": decremental") true
-    (List.for_all (( = ) S.Decremental) (warm_run ~decremental:true sc).paths)
+  Alcotest.(check bool) (name ^ ": agrees with a fresh store") true (decremental_agrees sc)
 
 let seg sops = { own = 0; sops }
 
-(* cycles need no fallback: a dead atom on a cycle (the edge that carried
+(* cycles need no special case: a dead atom on a cycle (the edge that carried
    [1]'s bound back to [0]) and a fresh atom that closes one are deleted
    and inserted in place *)
 let test_decremental_cycles () =
@@ -514,6 +577,42 @@ let test_decremental_swapped () =
       seg [ Edge (2, 0, full); Lower (E.top sp, 2, full); Lower (E.top sp, 1, full) ];
       seg [ Upper (0, E.bottom sp, full) ] ]
     [ [ Keep 1; Keep 0; Keep 2 ] ]
+
+(* [retract]'s caller errors raise and leave the store as it was. The
+   store below logs [0 <= 1] (index 0) and [top <= 0] (index 1), then
+   retracts index 1. *)
+let contract_store () =
+  let sp = Cqual.Analysis.const_space in
+  let st = S.create sp in
+  let a = S.fresh st and b = S.fresh st in
+  S.add_leq_vv st a b;
+  S.add_leq_cv st (E.top sp) a;
+  ignore (S.solve st);
+  S.checkpoint st;
+  ignore (S.retract st ~slices:[ (0, 1) ] ~ground:[]);
+  S.checkpoint st;
+  (st, b)
+
+let rejects st what slices =
+  let before = (S.num_atoms st, S.atoms st) in
+  (match S.retract st ~slices ~ground:[] with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) (what ^ ": store unchanged") true
+    (before = (S.num_atoms st, S.atoms st))
+
+let test_contract_dead_slice () =
+  let st, _ = contract_store () in
+  rejects st "a slice over a deleted atom" [ (0, 2) ];
+  rejects st "an atom named twice" [ (0, 1); (0, 1) ];
+  ignore (S.retract st ~slices:[ (0, 1) ] ~ground:[])
+
+let test_contract_fresh_outside () =
+  let st, b = contract_store () in
+  S.add_leq_vc st b (E.bottom Cqual.Analysis.const_space);
+  rejects st "a fresh atom outside the slices" [ (0, 1) ];
+  ignore (S.retract st ~slices:[ (0, 1); (2, 1) ] ~ground:[]);
+  Alcotest.(check int) "both atoms live" 2 (List.length (S.atoms st))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-file corpora: determinism and the Session entry point         *)
@@ -580,10 +679,14 @@ let tests =
     Alcotest.test_case "pinned digest: serial errors, counters" `Quick
       test_pinned_errors;
     QCheck_alcotest.to_alcotest prop_decremental;
-    Alcotest.test_case "retract: a third of the edits delete in place" `Quick
-      test_decremental_share;
+    Alcotest.test_case "retract: the atom log stays within twice the live atoms"
+      `Quick test_log_bound;
     Alcotest.test_case "retract on a cycle: in place = rebuild" `Quick
       test_decremental_cycles;
     Alcotest.test_case "retract: kept segments swapped, in place = rebuild" `Quick
       test_decremental_swapped;
+    Alcotest.test_case "retract rejects a slice over a deleted or repeated atom"
+      `Quick test_contract_dead_slice;
+    Alcotest.test_case "retract rejects a fresh atom outside the slices" `Quick
+      test_contract_fresh_outside;
   ]

@@ -1,5 +1,5 @@
 (* The pieces of the warm rebuild: the FDG over interned ids, the
-   solver's segment rebuild, and the warm rerun's task counts, counters
+   solver's segment retraction, and the warm rerun's task counts, counters
    and arena bound. Warm = cold renders are checked by the replay harness
    in test_session. *)
 
@@ -369,7 +369,7 @@ let test_fdg_path_cases () =
   Alcotest.(check (list (list string))) "one cycle through both units"
     [ [ "a"; "c"; "b"; "d" ] ] (Fdg.sccs g4)
 
-(* ---------------- the solver's segment rebuild ---------------- *)
+(* ---------------- the solver's segment retraction ---------------- *)
 
 let sp = Typequal.Lattice.Space.create [ Typequal.Qualifier.const ]
 let const = Typequal.Lattice.Elt.of_names_up sp [ "const" ]
@@ -400,9 +400,10 @@ let segments () =
   in
   (st, a, b, c)
 
-let rebuild st segs =
+let retract st segs =
+  S.checkpoint st;
   ignore
-    (S.rebuild st
+    (S.retract st
        ~slices:(List.map (fun (l, n, _) -> (l, n)) segs)
        ~ground:(List.concat_map (fun (_, _, g) -> g) (List.rev segs)))
 
@@ -410,22 +411,31 @@ let test_rebuild_ground () =
   let st, a, b, c = segments () in
   ignore (S.solve st);
   Alcotest.(check int) "ground + bound violation" 2 (S.error_count st);
-  rebuild st [ a; b; c ];
+  retract st [ a; b; c ];
   Alcotest.(check int) "all live: both kept" 2 (S.error_count st);
   let st, a, _, c = segments () in
-  rebuild st [ a; c ];
+  ignore (S.solve st);
+  retract st [ a; c ];
   Alcotest.(check int) "the bound's segment gone: the ground one stays" 1
     (S.error_count st);
   let st, _, b, c = segments () in
-  rebuild st [ b; c ];
-  Alcotest.(check int) "the ground segment gone" 0 (S.error_count st)
+  ignore (S.solve st);
+  retract st [ b; c ];
+  Alcotest.(check int) "the ground segment gone" 0 (S.error_count st);
+  (* three of four atoms dead: the log is compacted, the ground
+     violation stays *)
+  let st, a, _, _ = segments () in
+  ignore (S.solve st);
+  retract st [ a ];
+  Alcotest.(check int) "compacted to the live atom" 1 (S.num_atoms st);
+  Alcotest.(check int) "compacted: the ground one stays" 1 (S.error_count st)
 
 let test_rebuild_counters () =
   let st, a, b, c = segments () in
   ignore (S.solve st);
   let cold = S.stats st in
   let vars = S.num_vars st in
-  rebuild st [ a; b; c ];
+  retract st [ a; b; c ];
   let warm = S.stats st in
   Alcotest.(check int) "no variable created" vars (S.num_vars st);
   Alcotest.(check int) "every atom kept" 4 (S.num_atoms st);
@@ -433,9 +443,16 @@ let test_rebuild_counters () =
     "structural counters as built"
     [ cold.S.edges_added; cold.S.edges_deduped ]
     [ warm.S.edges_added; warm.S.edges_deduped ];
+  (* [b]'s bound and [c]'s two edges die: three of four atoms, so the
+     log is compacted *)
   let st, a, _, _ = segments () in
-  rebuild st [ a ];
-  Alcotest.(check int) "only the live atoms remain" 1 (S.num_atoms st)
+  ignore (S.solve st);
+  retract st [ a ];
+  Alcotest.(check int) "only the live atoms remain" 1 (S.num_atoms st);
+  Alcotest.(check int) "no variable freed" vars (S.num_vars st);
+  let warm = S.stats st in
+  Alcotest.(check (list int)) "structural counters of the live atom" [ 0; 0 ]
+    [ warm.S.edges_added; warm.S.edges_deduped ]
 
 (* ---------------- warm reruns ---------------- *)
 
@@ -676,7 +693,7 @@ let test_decremental_path () =
       List.iter
         (fun (what, edited) ->
           let rb = rerun_after t name edited in
-          Alcotest.(check string) (m ^ ", " ^ what ^ ": solve") "decremental" rb.Session.rb_solve;
+          Alcotest.(check bool) (m ^ ", " ^ what ^ ": warm") false rb.Session.rb_full;
           Alcotest.(check bool) (m ^ ", " ^ what ^ ": atoms deleted") true
             (rb.Session.rb_atoms_deleted > 0);
           Alcotest.(check string) (m ^ ", " ^ what ^ ": warm = cold")
@@ -698,7 +715,7 @@ let test_cycle_decremental () =
   let t = Session.create ~mode:Analysis.Mono [ ("c.c", src "h = g;") ] in
   ignore (Session.run t);
   let rb = rerun_after t "c.c" (src "") in
-  Alcotest.(check string) "solve" "decremental" rb.Session.rb_solve;
+  Alcotest.(check bool) "warm" false rb.Session.rb_full;
   Alcotest.(check bool) "atoms deleted" true (rb.Session.rb_atoms_deleted > 0);
   Alcotest.(check string) "warm = cold"
     (Session.render ~positions:true ~name:"p" (Session.create ~mode:Analysis.Mono [ ("c.c", src "") ]))
