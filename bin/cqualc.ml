@@ -85,11 +85,11 @@ let run_one ~rules ~positions ~stats ~budget ~max_errors ~compact
   Fmt.pr "%s" (Session.render_run ~stats ~positions ~name mode r);
   r
 
-let run_flow name src insensitive =
+let run_flow name units insensitive =
   match
-    Flow.analyze_source
+    Flow.analyze_units
       ~mode:(if insensitive then Flow.Insensitive else Flow.Sensitive)
-      src
+      units
   with
   | Error diags ->
       List.iter (fun d -> Fmt.epr "%a@." Cfront.Diag.pp d) diags;
@@ -159,14 +159,7 @@ let main files bench mode positions taint flow insensitive stats budget _jobs
         Fmt.epr "need a FILE or --bench NAME@.";
         exit 2
   in
-  if flow then
-    (* the flow analysis reads one source: a project's units are
-       concatenated for it *)
-    run_flow name
-      (match units with
-      | [ (_, src) ] -> src
-      | _ -> fst (Cfront.Cprog.concat_units units))
-      insensitive
+  if flow then run_flow name units insensitive
   else
     (* the rule-set identity the driver's fingerprints cannot derive:
        which analysis flavour and (for --lattice) which config built it.

@@ -1393,7 +1393,9 @@ let run ?rules ?field_sharing ?compact ?budget ?jobs:_ mode
    table is the same when it is physically shared, as a patched link
    shares it ({!Cfront.Cprog.relink}), or holds the same bindings; the
    struct table also in the same iteration order, which the global pass
-   follows when it creates the fields' variables. *)
+   follows when it creates the fields' variables. The variables are
+   compared unit by unit when the unit count is the same, and an
+   unchanged unit's declaration list is physically its predecessor's. *)
 let same_globals (a : Cprog.t) (b : Cprog.t) =
   let same_bindings x y =
     x == y
@@ -1405,14 +1407,20 @@ let same_globals (a : Cprog.t) (b : Cprog.t) =
             x true
   in
   let in_order h = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] in
-  let vars p =
-    List.map (fun (d : Cast.decl) -> (d.d_name, d.d_type)) (Cprog.global_vars p)
+  let vars globals =
+    List.filter_map
+      (function Cast.GVar (d : Cast.decl) -> Some (d.d_name, d.d_type) | _ -> None)
+      globals
   in
+  let same_vars x y = x == y || compare (vars x) (vars y) = 0 in
   same_bindings a.Cprog.typedefs b.Cprog.typedefs
   && same_bindings a.Cprog.protos b.Cprog.protos
   && (a.Cprog.comps == b.Cprog.comps
      || compare (in_order a.Cprog.comps) (in_order b.Cprog.comps) = 0)
-  && compare (vars a) (vars b) = 0
+  &&
+  if List.compare_lengths a.Cprog.order b.Cprog.order = 0 then
+    List.for_all2 same_vars a.Cprog.order b.Cprog.order
+  else same_vars (List.concat a.Cprog.order) (List.concat b.Cprog.order)
 
 (* A var-id-free digest of a registered summary: the scheme's locals are
    numbered by position, free variables (the monomorphic environment,

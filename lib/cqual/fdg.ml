@@ -53,7 +53,10 @@ type t = {
   rank : int array;
       (** node id -> its place in definition order (of each name's first
           definition); -1 when dead *)
-  home : int array;  (** node id -> the unit of its first definition *)
+  home : int array;
+      (** node id -> the unit of its first definition, by its index in
+          {!Cprog.defs}: the home unit the report anchors the function's
+          positions in *)
   nsccs : int;
   scc_nodes : int array array;
       (** SCC index -> its members' node ids, in reverse topological
@@ -359,7 +362,7 @@ let build ?prev (prog : Cprog.t) : t =
   for v = cap0 to ids - 1 do
     rank.(v) <- -1
   done;
-  (* --- definition order, homes and definitions: one pass, which also
+  (* --- definition order, home units and definitions: one pass, which also
      checks that [prev]'s nodes keep their relative order --- *)
   let prev_defs = Hashtbl.create 8 in
   let touched = ref [] in

@@ -54,6 +54,7 @@ type result = {
 type ctx = {
   store : Solver.t;
   prog : Cprog.t;
+  defined : (string, Cast.fundef) Hashtbl.t;  (** name -> its last definition *)
   addr_taken : (string, unit) Hashtbl.t;
   flow : bool;  (** false: one variable per local (fallback/baseline) *)
   tainted_elt : Elt.t;
@@ -105,7 +106,7 @@ let ret_tainted ctx fname =
   match Cprog.find_proto ctx.prog fname with
   | Some (TFun (ret, _, _)) -> Cast.has_qual "tainted" (Cast.quals_of ret)
   | _ -> (
-      match Cprog.find_fun ctx.prog fname with
+      match Hashtbl.find_opt ctx.defined fname with
       | Some f -> Cast.has_qual "tainted" (Cast.quals_of f.f_ret)
       | None -> false)
 
@@ -113,7 +114,7 @@ let param_decls ctx fname =
   match Cprog.find_proto ctx.prog fname with
   | Some (TFun (_, ps, _)) -> List.map snd ps
   | _ -> (
-      match Cprog.find_fun ctx.prog fname with
+      match Hashtbl.find_opt ctx.defined fname with
       | Some f -> List.map snd f.f_params
       | None -> [])
 
@@ -414,7 +415,7 @@ let addr_taken_locals (f : Cast.fundef) : (string, unit) Hashtbl.t =
     f.f_body;
   tbl
 
-let analyze_function ~tainted_elt ~not_tainted store prog mode
+let analyze_function ~tainted_elt ~not_tainted ~defined store prog mode
     (f : Cast.fundef) : func_result =
   let uses_goto = List.exists stmt_uses_goto f.f_body in
   let flow = mode = Sensitive && not uses_goto in
@@ -422,6 +423,7 @@ let analyze_function ~tainted_elt ~not_tainted store prog mode
     {
       store;
       prog;
+      defined;
       addr_taken = addr_taken_locals f;
       flow;
       tainted_elt;
@@ -458,10 +460,11 @@ let analyze ?(mode = Sensitive) (prog : Cprog.t) : result =
      once, not per function *)
   let tainted_elt = Elt.of_names_up space [ "tainted" ]
   and not_tainted = Elt.not_name space "tainted" in
+  let fns = Cprog.functions prog in
+  let defined = Hashtbl.create 64 in
+  List.iter (fun (f : Cast.fundef) -> Hashtbl.replace defined f.f_name f) fns;
   let functions =
-    List.map
-      (analyze_function ~tainted_elt ~not_tainted store prog mode)
-      (Cprog.functions prog)
+    List.map (analyze_function ~tainted_elt ~not_tainted ~defined store prog mode) fns
   in
   let errors =
     match Solver.solve store with
@@ -470,11 +473,15 @@ let analyze ?(mode = Sensitive) (prog : Cprog.t) : result =
   in
   { errors; functions }
 
-(** Analyze one C source. A source with a lexical or parse error is not
-    analyzed: the result is its diagnostics, in source order. *)
-let analyze_source ?mode src =
-  let tb, lex_diags = Clexer.tokenize_buf src in
-  let pr = (Cparse.parse_unit tb ~lex_diags).Cparse.ur_pr in
-  match pr.Cparse.pr_diags with
-  | [] -> Ok (analyze ?mode (Cprog.build pr.Cparse.pr_prog))
+(** Analyze a project's translation units, linked as every analysis
+    links them ({!Session.program}). A project with a lexical or parse
+    error is not analyzed: the result is its diagnostics, in unit and
+    source order. *)
+let analyze_units ?mode units =
+  let s = Session.create units in
+  match Session.diagnostics s with
+  | [] -> Ok (analyze ?mode (Session.program s))
   | diags -> Error diags
+
+(** Analyze one C source, as a one-unit project. *)
+let analyze_source ?mode src = analyze_units ?mode [ ("<input>", src) ]

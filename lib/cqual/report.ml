@@ -96,8 +96,8 @@ let positions_of_rt ?(qual = "const") ?(loc = ("", 0, 0)) ~fname ~where prog
   go 1 (Cprog.decay (Cprog.expand prog decl_ty)) r []
 
 (* [locate fname line] resolves an AST line to its (unit, local line)
-   pair: per-unit sessions map through the member's home unit, concat
-   mode through the span table. The default leaves lines untouched with
+   pair: a session names the function's home unit ({!Fdg.home}), and its
+   lines are already unit-local. The default leaves lines untouched with
    an anonymous unit, preserving historical output for batch callers. *)
 let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     (f : Cast.fundef) (iface : fsig) : (position * Solver.var) list =
@@ -170,7 +170,8 @@ type fun_rows = {
 (** A measurement, kept to seed the next one of the same, re-analyzed
     store ([?prev]): the rows and the outcome of every function by FDG
     node of the graph it measured (the next graph, built from that one,
-    keeps its node ids), every row in report order, and the key index. Each
+    keeps its node ids), the unit names its positions were anchored in,
+    every row in report order, and the key index. Each
     row is registered under its structural key and (when the anchor has
     column precision) its canonical [unit:line:col@level] key; when rows
     share a key, [shared] lists them and the first in report order owns
@@ -181,7 +182,7 @@ type rows = {
   mutable outcome_of : (string * Analysis.outcome) array;
       (** FDG node -> its name and outcome, as {!results} lists them *)
   mutable graph : int;  (** the measured graph's [Fdg.stamp] *)
-  mutable homes : (string, string) Hashtbl.t option;  (** the [home] table measured with *)
+  mutable unit_names : string array;  (** the [units] measured with *)
   mutable in_order : row array;
   mutable index : (string, row) Hashtbl.t;
   shared : (string, row list) Hashtbl.t;
@@ -271,18 +272,14 @@ let patch_index st ~removed ~added =
     and their anchors and home unit are the same, and measured afresh
     otherwise; every other function keeps its rows and outcome. Otherwise
     every reported function is measured. [ifaces] are the interfaces the
-    analysis's last run reported; [home] (function name -> defining
-    unit) anchors positions like [locate] does, and a [home] table other
-    than [prev]'s may move any function's home, so every function with
-    rows is looked at. *)
-let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
+    analysis's last run reported. [units] (the unit names in link order)
+    anchors positions like [locate] does, each function in its home unit
+    ({!Fdg.home}). The graph flags a function whose home index moved,
+    but not an index that now names another unit: with [units] other
+    than [prev]'s, every function with rows is looked at. *)
+let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
     ?(keys = true) (env : Analysis.env) (ifaces : (string * fsig) list) :
     results * rows =
-  let locate =
-    match home with
-    | Some h -> fun fname line -> (Option.value (Hashtbl.find_opt h fname) ~default:"", line)
-    | None -> locate
-  in
   let store = env.Analysis.store in
   ignore (Solver.solve store : (unit, Solver.error list) result);
   let type_errors = Solver.error_count store in
@@ -294,6 +291,11 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
   in
   let ly = Option.get env.Analysis.layout in
   let g = ly.Analysis.ly_fdg in
+  let locate =
+    if units = [||] then locate
+    else fun fname line ->
+      ((match Fdg.node g fname with Some v -> units.(g.Fdg.home.(v)) | None -> ""), line)
+  in
   let st =
     match prev with
     | Some st -> st
@@ -302,7 +304,7 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
           by_node = [||];
           outcome_of = [||];
           graph = -1;
-          homes = None;
+          unit_names = [||];
           in_order = [||];
           index = Hashtbl.create 1;
           shared = Hashtbl.create 16;
@@ -323,21 +325,20 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?home ?prev
   in
   let by_node = fit st.by_node None in
   let outcome_of = fit st.outcome_of ("", Analysis.Analyzed) in
-  (* the nodes whose rows and outcome are looked at again: the link
-     patches its home table in place, for the names whose first
-     definition moved in the unit list, which the graph flags; a new
-     table may move any of them *)
+  (* the nodes whose rows and outcome are looked at again: the graph
+     flags the names whose first definition moved in the unit list; a new
+     unit list may move any of them *)
   let moved =
-    match (home, st.homes) with
-    | _ when not from_prev -> []
-    | Some h, Some h' when h == h' -> ly.Analysis.ly_moved
-    | _ ->
-        let all = ref [] in
-        Array.iteri (fun v fr -> if Option.is_some fr then all := v :: !all) by_node;
-        List.iter (fun v -> if by_node.(v) = None then all := v :: !all) ly.Analysis.ly_moved;
-        !all
+    if not from_prev then []
+    else if units = st.unit_names then ly.Analysis.ly_moved
+    else begin
+      let all = ref [] in
+      Array.iteri (fun v fr -> if Option.is_some fr then all := v :: !all) by_node;
+      List.iter (fun v -> if by_node.(v) = None then all := v :: !all) ly.Analysis.ly_moved;
+      !all
+    end
   in
-  st.homes <- home;
+  st.unit_names <- units;
   let removed = ref [] and added = ref [] in
   let total = ref (if from_prev then Array.length st.in_order else 0) in
   let drop fr =
@@ -489,8 +490,8 @@ let measure ?locate env ifaces =
 (** Like {!measure}, with the stable keys and their index (see {!rows}):
     pass the returned state back as [prev] to the next measurement of the
     same, re-analyzed store. *)
-let measure_indexed ?locate ?home ?prev env ifaces : results * rows =
-  measure_full ?locate ?home ?prev env ifaces
+let measure_indexed ?locate ?units ?prev env ifaces : results * rows =
+  measure_full ?locate ?units ?prev env ifaces
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

@@ -236,13 +236,13 @@ type linked_unit = {
 }
 
 (* the frontend's product: the linked program, its recovered
-   diagnostics and demoted bodies, and the function-name ->
-   defining-unit table that anchors the report's stable position keys.
-   The unit names in link order and each linked unit's table are what
-   the next compile over the same names patches the program and the
-   home table from; [co_link] says how this compile built them, and
-   [co_linked] what its link decided per unit, which the next link
-   reuses where a unit and the environment before it are unchanged. *)
+   diagnostics and demoted bodies. The unit names in link order (which
+   the report's stable position keys name a function's home unit by)
+   and each linked unit's table are what the next compile over the same
+   names patches the program from; [co_link] says how this compile
+   built it, and [co_linked] what its link decided per unit, which the
+   next link reuses where a unit and the environment before it are
+   unchanged. *)
 type compiled = {
   co_prog : Cfront.Cprog.t;
   co_diags : Cfront.Diag.t list;
@@ -250,7 +250,6 @@ type compiled = {
   co_lines : int;
   co_t_compile : float;
   co_frontend : frontend_stats;
-  co_home : (string, string) Hashtbl.t;
   co_names : string array;
   co_progs : Cfront.Cprog.t array;  (* the units linked, in order *)
   co_link : string;  (* "patched", "merged: <reason>" or "cold" *)
@@ -283,50 +282,22 @@ type fe_memo = {
   mutable fm_misses : int;
 }
 
-(* The function-name -> home-unit table of the linked units [progs]
-   named [names]: a name's home is the first unit that defines it. *)
-let home_table names (progs : Cfront.Cprog.t array) =
-  let home = Hashtbl.create 16 in
-  Array.iteri
-    (fun i p ->
-      Hashtbl.iter
-        (fun name _ ->
-          if not (Hashtbl.mem home name) then Hashtbl.replace home name names.(i))
-        p.Cfront.Cprog.fundefs)
-    progs;
-  home
-
-(* The linked program of the units [progs] named [names], its home
-   table, and how they were built. When [prev] linked the same names in
-   the same order, the program is patched from [prev]'s
-   ({!Cfront.Cprog.relink}) and so is its home table. Otherwise, and
-   when a changed unit's typedefs, structs or prototypes differ or a
-   diagnostic budget cap left units unlinked, both are built afresh. *)
+(* The linked program of the units [progs] named [names], and how it
+   was built. When [prev] linked the same names in the same order, the
+   program is patched from [prev]'s ({!Cfront.Cprog.relink}). Otherwise,
+   and when a changed unit's typedefs, structs or prototypes differ or a
+   diagnostic budget cap left units unlinked, it is built afresh. *)
 let link_tables ?prev ~capped names progs =
-  let merged how =
-    (Cfront.Cprog.merge (Array.to_list progs), home_table names progs, how)
-  in
+  let merged how = (Cfront.Cprog.merge (Array.to_list progs), how) in
   match prev with
   | None -> merged "cold"
   | Some p when p.co_names <> names -> merged "merged: unit list changed"
   | Some p when capped || Array.length p.co_progs <> Array.length names ->
       merged "merged: diagnostic budget capped"
   | Some p -> (
-      let before = p.co_progs in
-      match Cfront.Cprog.relink ~prev:p.co_prog ~before progs with
+      match Cfront.Cprog.relink ~prev:p.co_prog ~before:p.co_progs progs with
       | None -> merged "merged: a unit's typedefs, structs or prototypes changed"
-      | Some (prog, moved) ->
-          (* the home table is the session's own, and [prev] is the
-             compile this one supersedes: it is patched in place, for
-             the names whose defining units changed *)
-          let home = p.co_home in
-          List.iter
-            (fun name ->
-              match Cfront.Cprog.defining_unit ~last:false progs name with
-              | Some j -> Hashtbl.replace home name names.(j)
-              | None -> Hashtbl.remove home name)
-            moved;
-          (prog, home, "patched"))
+      | Some prog -> (prog, "patched"))
 
 (** The per-unit frontend: speculative lex+parse+build per translation
     unit, then a deterministic link that replays the cross-unit parser
@@ -556,7 +527,7 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
     fe_memo.fm_last;
   let names = Array.map (fun u -> u.u_name) units_a in
   let progs = Array.of_list (List.rev !progs) in
-  let prog, home, how = link_tables ?prev ~capped:!capped names progs in
+  let prog, how = link_tables ?prev ~capped:!capped names progs in
   let link_s = Unix.gettimeofday () -. link_t0 -. (fresh_s () -. fresh_s0) in
   {
     co_prog = prog;
@@ -573,7 +544,6 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
         fs_build_s = !build_s;
         fs_link_s = link_s;
       };
-    co_home = home;
     co_names = names;
     co_progs = progs;
     co_link = how;
@@ -622,7 +592,7 @@ type rebuild = {
    stable-key position index the queries go through, the report rows for
    the next warm run and what was rebuilt. A function's AST lines are
    already unit-local, so its position anchor only needs its home
-   unit. *)
+   unit, which the graph records as an index into [co_names]. *)
 let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let full reason =
     let env, ifaces = Analysis.run ?rules ?compact ?budget mode co.co_prog in
@@ -654,7 +624,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
   let (results, rows), t2 =
-    time (fun () -> Report.measure_indexed ~home:co.co_home ?prev env ifaces)
+    time (fun () -> Report.measure_indexed ~units:co.co_names ?prev env ifaces)
   in
   (* the report's own cost, minus the final solve it triggers (that time
      is already accounted to solve_s) *)
@@ -879,11 +849,7 @@ let ensure_compiled t =
       if t.s_units = [] then raise (Error "session has no units");
       let me = Option.value t.s_max_errors ~default:20 in
       let misses0 = t.s_fe_memo.fm_misses in
-      let prev = t.s_linked in
-      (* the link may patch [prev]'s home table in place: a compile cut
-         short must not leave it as the next one's base *)
-      t.s_linked <- None;
-      let c = compile_units ?prev ~fe_memo:t.s_fe_memo ~me t.s_units in
+      let c = compile_units ?prev:t.s_linked ~fe_memo:t.s_fe_memo ~me t.s_units in
       t.s_reparsed <- t.s_fe_memo.fm_misses - misses0;
       t.s_compiled <- Some c;
       t.s_linked <- Some c;

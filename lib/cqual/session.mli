@@ -249,8 +249,7 @@ type rebuild = {
           whole counts all of its own *)
   rb_link : string;
       (** how the compile it read linked the program: ["patched"] (the
-          last compile's program and home table patched for the changed
-          units), ["merged: <reason>"] (built afresh: the unit list
+          last compile's program patched for the changed units), ["merged: <reason>"] (built afresh: the unit list
           changed, a changed unit's typedefs, structs or prototypes
           changed, or a diagnostic budget cap) or ["cold"] (the
           session's first compile) *)

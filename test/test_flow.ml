@@ -139,6 +139,38 @@ let test_sensitive_never_worse () =
       "void f(void) { int t = read_input(); int u = t + 1; use(3); }";
     ]
 
+(* A project's units are linked as every analysis links them: a
+   prototype or definition of one unit is seen by the others, a name
+   defined twice means its last definition, and the violations are those
+   of the units' concatenation. Here [sink] is a sink only by b.c's
+   definition, and [fetch] a source only by a.c's. *)
+let test_units_equal_concatenation () =
+  let a =
+    "$tainted int read_input(void);\n\
+     void sink(int y) { }\n\
+     $tainted int fetch(void) { return read_input(); }\n\
+     void f(void) { sink(read_input()); }\n"
+  and b =
+    "void sink($untainted int y) { }\n\
+     void g(void) { int v = fetch(); v = v + 1; sink(v); }\n\
+     void h(int c) { int d = fetch(); if (c) { d = 0; } else { d = 1; } sink(d); }\n"
+  in
+  let result = function
+    | Ok (r : Flow.result) ->
+        (r.Flow.errors, List.map (fun fr -> (fr.Flow.fr_name, fr.Flow.fr_fell_back)) r.Flow.functions)
+    | Error diags ->
+        Alcotest.failf "parse error: %s" (String.concat "; " (List.map Cfront.Diag.to_string diags))
+  in
+  List.iter
+    (fun (mode, violations) ->
+      let linked = result (Flow.analyze_units ~mode [ ("a.c", a); ("b.c", b) ]) in
+      let whole = result (Flow.analyze_source ~mode (a ^ b)) in
+      Alcotest.(check int) "violations" violations (List.length (fst linked));
+      Alcotest.(check (pair (list string) (list (pair string bool))))
+        "linked units = their concatenation" whole linked)
+    (* f and g; flow-insensitively h too *)
+    [ (Flow.Sensitive, 2); (Flow.Insensitive, 3) ]
+
 let tests =
   [
     Alcotest.test_case "direct source-to-sink" `Quick test_direct_flow;
@@ -159,4 +191,6 @@ let tests =
     Alcotest.test_case "expression taint" `Quick test_expression_taint;
     Alcotest.test_case "sensitive never worse than insensitive" `Quick
       test_sensitive_never_worse;
+    Alcotest.test_case "linked units = their concatenation" `Quick
+      test_units_equal_concatenation;
   ]

@@ -25,6 +25,27 @@ let run ?mode ?max_errors files =
    of their concatenation gives — every verdict, outcome and solver
    counter, and the same diagnostics at the same unit-local places. *)
 
+(* A project's translation units as one source, in order: each unit
+   behind a [/* === name === */] banner line, a final newline added
+   where a unit lacks one. Also returns, per unit, the line of the
+   concatenation its source starts on. *)
+let concat_units (files : (string * string) list) : string * (string * int) list =
+  let b = Buffer.create 65536 in
+  let line = ref 1 in
+  let starts =
+    List.map
+      (fun (name, src) ->
+        Buffer.add_string b (Printf.sprintf "/* === %s === */\n" name);
+        let start = !line + 1 in
+        Buffer.add_string b src;
+        let missing_nl = src <> "" && src.[String.length src - 1] <> '\n' in
+        if missing_nl then Buffer.add_char b '\n';
+        line := start + Cfront.Cprog.count_lines src - (if missing_nl then 0 else 1);
+        (name, start))
+      files
+  in
+  (Buffer.contents b, starts)
+
 (* Rebind the one-unit run's diagnostics to the units they fall in, with
    unit-local lines, in the per-unit frontend's order: unit-major, and
    within a unit lexical (E01xx) before parse diagnostics. A single
@@ -67,7 +88,7 @@ let frontend_stats (r : Session.run) =
 (* the linked units and the one-unit oracle must agree observably *)
 let check_parity ?mode ?max_errors what files =
   let r = run ?mode ?max_errors files in
-  let src, starts = Cfront.Cprog.concat_units files in
+  let src, starts = concat_units files in
   let whole = run ?mode ?max_errors [ ("whole.c", src) ] in
   Alcotest.(check string)
     (what ^ ": linked units = one concatenated unit")
@@ -339,7 +360,7 @@ let test_peak_heap_below_one_file () =
         path
       in
       let units = List.map (fun (name, src) -> write name src) files in
-      let whole = write "whole.c" (fst (Cfront.Cprog.concat_units files)) in
+      let whole = write "whole.c" (fst (concat_units files)) in
       (* the peak from "heap N words (peak M)" on the solver: line, and
          the lines below the header *)
       let run mode inputs =

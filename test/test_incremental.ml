@@ -188,10 +188,25 @@ let fprog_units fp =
     fp.fp_units
 
 (* the graph by name: every SCC's members in order, each live name's SCC
-   index and successors, the width and the largest SCC *)
+   index, successors, home unit and resolved definition, the width and
+   the largest SCC *)
 let fdg_view (g : Fdg.t) =
   let by_name = Hashtbl.create 64 in
   List.iteri (fun k scc -> List.iter (fun n -> Hashtbl.replace by_name n k) scc) (Fdg.sccs g);
+  (* the unit and place of the definition node [v] resolves to, found by
+     [==]: two graphs of one program agree on it exactly when they
+     resolve the name to the same definition value *)
+  let def_place v =
+    let d = g.Fdg.defs.(v) in
+    let rec go i =
+      if i = Array.length g.Fdg.units then None
+      else
+        match Array.find_index (fun f -> f == d) g.Fdg.units.(i) with
+        | Some j -> Some (i, j)
+        | None -> go (i + 1)
+    in
+    go 0
+  in
   let nodes =
     List.sort compare
       (Hashtbl.fold
@@ -200,7 +215,8 @@ let fdg_view (g : Fdg.t) =
            ( n,
              k,
              g.Fdg.scc_of.(v) = k,
-             Array.to_list (Array.map (fun w -> g.Fdg.names.(w)) g.Fdg.succ.(v)) )
+             Array.to_list (Array.map (fun w -> g.Fdg.names.(w)) g.Fdg.succ.(v)),
+             (g.Fdg.home.(v), def_place v) )
            :: acc)
          by_name [])
   in

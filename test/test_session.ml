@@ -1212,18 +1212,28 @@ let ledit rng counter units =
       List.mapi (fun i u -> if i = a || (r mod 2 = 0 && i = b) then edit_unit u else u) units
 
 (* every table of a linked program as a sorted association list, its
-   per-unit declaration lists and functions, and for each function
-   whether the function table resolves its name to that very
-   definition (what the analysis keeps of a name defined twice) *)
+   per-unit declaration lists and its functions *)
 let program_view (p : Cfront.Cprog.t) =
   let sorted h = List.sort compare (List.of_seq (Hashtbl.to_seq h)) in
-  let fs = Cfront.Cprog.functions p in
   ( (sorted p.Cfront.Cprog.typedefs, sorted p.Cfront.Cprog.comps, sorted p.Cfront.Cprog.protos),
-    (sorted p.Cfront.Cprog.fundefs, p.Cfront.Cprog.order, fs),
-    List.map
-      (fun (f : Cfront.Cast.fundef) ->
-        match Cfront.Cprog.find_fun p f.Cfront.Cast.f_name with Some g -> g == f | None -> false)
-      fs )
+    p.Cfront.Cprog.order,
+    Cfront.Cprog.functions p )
+
+(* the definition each name of [p] resolves to, as the graph decides *)
+let resolver (p : Cfront.Cprog.t) =
+  let g = Fdg.build p in
+  fun name -> Option.map (fun v -> g.Fdg.defs.(v)) (Fdg.node g name)
+
+(* whether every name of [p] resolves to its last definition, which is
+   what the analysis keeps of a name defined twice *)
+let resolves_last (p : Cfront.Cprog.t) =
+  let resolve = resolver p and last = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Cfront.Cast.fundef) -> Hashtbl.replace last f.Cfront.Cast.f_name f)
+    (Cfront.Cprog.functions p);
+  Hashtbl.fold
+    (fun name f ok -> ok && match resolve name with Some d -> d == f | None -> false)
+    last true
 
 (* how often each link outcome was seen, for the fixed-seed check *)
 let link_outcomes : (string, int) Hashtbl.t = Hashtbl.create 8
@@ -1248,6 +1258,8 @@ let link_agrees seed =
     let cold = Session.create ~mode:Analysis.Poly (lunits !units) in
     if program_view (Session.program t) <> program_view (Session.program cold) then
       fail step "the linked program differs from a fresh link";
+    if not (resolves_last (Session.program t)) then
+      fail step "a name does not resolve to its last definition";
     if Session.positions t <> Session.positions cold then
       fail step "the position keys (home units) differ"
   in
@@ -1331,7 +1343,7 @@ let test_link_reparse_memo () =
   let t = Session.create ~mode:Analysis.Poly [ ("a.c", a ""); ("b.c", b) ] in
   let reparsed (r : Session.run) = (Option.get r.Session.frontend).Session.fs_reparsed in
   Alcotest.(check int) "cold: b.c is re-parsed by the link" 1 (reparsed (Session.run t));
-  let g () = Option.get (Cfront.Cprog.find_fun (Session.program t) "g") in
+  let g () = Option.get (resolver (Session.program t) "g") in
   let g0 = g () in
   for i = 1 to 3 do
     let body = Printf.sprintf "int k%d; k%d = 1; " i i in
@@ -1439,8 +1451,8 @@ let test_splice_keeps_definitions () =
       (Cfront.Cprog.functions (Session.program (Session.create [ (name, src) ])))
   in
   let defs () =
-    let p = Session.program t in
-    List.map (fun f -> (f, Option.get (Cfront.Cprog.find_fun p f))) unit_funs
+    let resolve = resolver (Session.program t) in
+    List.map (fun f -> (f, Option.get (resolve f))) unit_funs
   in
   let before = defs () in
   (* a null statement at the top of the last definition *)
