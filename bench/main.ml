@@ -111,7 +111,6 @@ let jstats (s : TS.stats) =
       ("memo_reject_may_violate", ji s.TS.memo_reject_may_violate);
       ("heap_words", ji s.TS.heap_words);
       ("top_heap_words", ji s.TS.top_heap_words);
-      ("cores_available", ji s.TS.cores_available);
     ]
 
 (* memory + machine context, attached to every bench section so the perf

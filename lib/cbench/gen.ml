@@ -343,8 +343,7 @@ let generate_chains ?(depth = 24) ~seed ~target_lines () : string =
       everything), giving a dense cross-file call graph;
     - [rings] mutual-recursion rings thread one function through {e each}
       file ([ring_r_f] calls [ring_r_(f+1 mod files)]), so the function
-      dependency graph has many SCCs that span every file — the
-      wavefront scheduler's worst case;
+      dependency graph has many SCCs that span every file;
     - the usual const-annotation mix (readers, writers, helper readers)
       per file, so the analysis results exercise the same mono/poly
       structure as the single-file corpus;

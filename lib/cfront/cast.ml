@@ -145,16 +145,6 @@ let set_quals q = function
 
 let add_quals extra t = set_quals (merge_quals extra (quals_of t)) t
 
-let is_pointer = function
-  | TPtr _ | TArray _ -> true
-  | TNamed _ -> false (* callers expand typedefs first *)
-  | TFun _ | TVoid _ | TInt _ | TFloat _ | TStruct _ -> false
-
-let pointer_target = function
-  | TPtr (t, _) -> Some t
-  | TArray (t, _, _) -> Some t
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)

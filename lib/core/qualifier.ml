@@ -309,7 +309,6 @@ let name q = q.name
 let polarity q = q.polarity
 let order q = q.order
 let is_positive q = q.polarity = Positive
-let is_negative q = q.polarity = Negative
 
 let equal a b = String.equal a.name b.name && a.polarity = b.polarity
 let compare a b =

@@ -94,7 +94,6 @@ val name : t -> string
 val polarity : t -> polarity
 val order : t -> Order.t option
 val is_positive : t -> bool
-val is_negative : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -312,7 +312,6 @@ type stats = {
   memo_misses : int;
   heap_words : int;
   top_heap_words : int;
-  cores_available : int;
 }
 
 let create space =
@@ -409,7 +408,6 @@ let stats t =
     memo_misses = t.s_memo_misses;
     heap_words = (Gc.quick_stat ()).Gc.heap_words;
     top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    cores_available = Domain.recommended_domain_count ();
   }
 
 let note_memo_hit t = t.s_memo_hits <- t.s_memo_hits + 1
@@ -476,8 +474,7 @@ let pp_stats ppf s =
     "; phases: congen %.3fs generalize %.3fs compact %.3fs instantiate \
      %.3fs report %.3fs"
     s.congen_s s.generalize_s s.compact_s s.instantiate_s s.report_s;
-  Fmt.pf ppf "; heap %d words (peak %d), %d cores" s.heap_words
-    s.top_heap_words s.cores_available
+  Fmt.pf ppf "; heap %d words (peak %d)" s.heap_words s.top_heap_words
 
 (* ------------------------------------------------------------------ *)
 (* Arena growth and variable creation                                  *)

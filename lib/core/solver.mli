@@ -373,7 +373,6 @@ type stats = {
   heap_words : int;
       (** live major-heap words at sampling time ([Gc.quick_stat]) *)
   top_heap_words : int;  (** peak major-heap size over the process life *)
-  cores_available : int;  (** [Domain.recommended_domain_count] *)
 }
 
 val stats : t -> stats

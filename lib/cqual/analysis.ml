@@ -1236,11 +1236,6 @@ let run_task env ~is_global ~(process : processor) members : seg =
           List.map (fun ((f : Cast.fundef), s) -> (f.f_name, s)) ifaces
       | None -> [])
 
-(* The tasks in order. *)
-let run_in_order env ~watermark ~(process : processor) tasks =
-  let is_global = is_mono_var env ~watermark in
-  List.map (run_task env ~is_global ~process) tasks
-
 (* The task list of a mode over its FDG, as node arrays. Mono has one
    task per linked definition (of a name defined more than once, the one
    calls link to: the last) whose interface was built, in link order;
@@ -1288,8 +1283,6 @@ let layout_of ~watermark ~live_vars ~moved env (fdg : Fdg.t) tasks segs =
     ly_moved = moved;
   }
 
-let reported segs = List.concat_map (fun sg -> sg.sg_ifaces) segs
-
 (** The dependence graph the last run scheduled over. *)
 let fdg env = Option.map (fun ly -> ly.ly_fdg) env.layout
 
@@ -1336,54 +1329,8 @@ let live_vars env =
   | Some ly -> ly.ly_live_vars
   | None -> Solver.num_vars env.store
 
-let task_count env =
-  match env.layout with
-  | Some ly -> List.length (List.filter (fun sg -> sg.sg_kind = Stask) ly.ly_segs)
-  | None -> 0
-
-(** Run an analysis as a task list. Mono has one task per linked
-    function, after a single interface pass; poly and polyrec have one
-    task per FDG SCC (Section 4.3), callees first. The tasks run in
-    order in one store. Every unit of work is recorded as a segment
-    ({!layout}), which is what {!rerun} starts from. [jobs] is ignored:
-    gatebench still passes it, and a later benchmark revision drops it. *)
-let run ?rules ?field_sharing ?compact ?budget ?jobs:_ mode
-    (prog : Cprog.t) : env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
-  let globals =
-    segment env Sglobals (fun () ->
-        build_global_env env;
-        [])
-  in
-  (* variables created so far (globals, struct fields) are monomorphic *)
-  let watermark = Solver.num_vars env.store in
-  let fdg = Fdg.build prog in
-  let iface_segs =
-    match mode with
-    | Mono ->
-        List.map
-          (fun v -> segment env Siface (fun () -> mono_interface env fdg.Fdg.defs.(v)))
-          (Array.to_list (Fdg.linked fdg))
-    | Poly | Polyrec -> []
-  in
-  let tasks = task_list env fdg in
-  let task_segs =
-    run_in_order env ~watermark ~process:(processor mode) (List.map (members fdg) tasks)
-  in
-  let inits =
-    segment env Sinits (fun () ->
-        analyze_global_inits env;
-        [])
-  in
-  let segs = (globals :: iface_segs) @ task_segs @ [ inits ] in
-  env.layout <-
-    Some
-      (layout_of ~watermark ~live_vars:(Solver.num_vars env.store) ~moved:[] env fdg
-         tasks segs);
-  (env, reported segs)
-
 (* ------------------------------------------------------------------ *)
-(* Warm reruns                                                         *)
+(* The task loop: cold runs and warm reruns                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Do [a] and [b] show the global pass the same program? It reads their
@@ -1483,10 +1430,11 @@ let entry_digest (e : fentry option) : string =
       go_fsig s;
       Digest.string (Buffer.contents b)
 
-(** What a warm rerun did: the tasks it kept and re-ran, how many
-    functions the re-run tasks hold, and what the store's deletion of the
-    dead tasks' atoms ({!Solver.retract}) did: the atoms deleted and the
-    variables whose solution was re-derived. *)
+(** What a run did: the tasks it kept and re-ran, how many functions the
+    re-run tasks hold, and what the store's deletion of the dead tasks'
+    atoms ({!Solver.retract}) did: the atoms deleted and the variables
+    whose solution was re-derived. A cold run re-runs every task and
+    deletes nothing. *)
 type rerun_info = {
   ri_tasks : int;
   ri_rerun : int;
@@ -1495,10 +1443,15 @@ type rerun_info = {
   ri_vars_reset : int;
 }
 
-(** Re-analyze [prog] in [base]'s store, re-inferring only the tasks the
-    edit reaches, and return the updated env (sharing [base]'s store and
-    tables — [base] must not be used again) with the interfaces to report,
-    exactly as {!run} would report them over a fresh store.
+(** The one task loop: analyze [prog] in [base]'s store, starting from
+    [prev], the layout of the last run in that store, and return the
+    updated env (sharing [base]'s store and tables — [base] must not be
+    used again). With [prev = None],
+    [base] is a fresh env and this is a cold run: it builds the FDG
+    cold, then the global segment, takes the monomorphic watermark
+    after it and runs every task. With a [prev], it re-infers only the tasks
+    the edit reaches and reports exactly what a cold run over a fresh
+    store would.
 
     A task re-runs when its membership is new, when a member's definition
     changed other than in its source locations, when its callee set
@@ -1514,15 +1467,233 @@ type rerun_info = {
     segments' atoms and re-derives what they supported, leaving the
     store a fresh run in task order would build.
 
-    [Error reason] when the rerun cannot be incremental: [base] has no
-    segments or ran under a budget, the global environment changed
-    ({!same_globals}), or dead variables outnumber live ones — the full
-    run then bounds the arena. The last is decided only after the re-run
-    tasks have added their atoms to [base]'s store, so [base] is spent
-    on every outcome, [Error] included: the caller runs afresh, and
-    {!Session} never reuses a base. *)
-let rerun (base : env) (prog : Cprog.t) :
-    (env * (string * fsig) list * rerun_info, string) result =
+    [Error] only with a [prev], when dead variables outnumber live ones
+    once the re-run tasks have added their atoms to [base]'s store: the
+    full run then bounds the arena, and [base] is spent. *)
+let advance (base : env) (prev : layout option) (prog : Cprog.t) :
+    (env * rerun_info, string) result =
+  let env = { base with prog; warnings = []; layout = None } in
+  let st = env.store in
+  Solver.reset_stats st;
+  Solver.checkpoint st;
+  (* a graph built from the last one keeps its node ids, so a node live
+     in both names the same function in both, and a live node below
+     [prev_ids] was live in the old graph; a cold graph has no such
+     node *)
+  let fdg = Fdg.build ?prev:(Option.map (fun ly -> ly.ly_fdg) prev) prog in
+  let was v = v < fdg.Fdg.prev_ids and warm = Option.is_some prev in
+  let n = Array.length fdg.Fdg.names in
+  (* [dirty] marks the functions whose task must re-run: a definition
+     that changed beyond its locations, a callee set that gained or
+     lost a name, or a callee whose summary (interface, in mono) is
+     not the one last read *)
+  let dirty = Bytes.make n '\000' in
+  let mark v = Bytes.set dirty v '\001' in
+  List.iter mark fdg.Fdg.changed;
+  List.iter mark fdg.Fdg.callees_changed;
+  (* the nodes whose report rows or outcome may move, each once: the
+     ones the edit touched and those whose task or mono interface is
+     built afresh; a cold run moves nothing, as it has no rows to
+     move *)
+  let moved = ref [] and seen = Bytes.make n '\000' in
+  let move v =
+    if warm && Bytes.get seen v = '\000' then begin
+      Bytes.set seen v '\001';
+      moved := v :: !moved
+    end
+  in
+  let changed v = if warm then List.iter mark (Fdg.callers fdg v) in
+  let keep sg =
+    if sg.sg_warnings <> [] then env.warnings <- sg.sg_warnings @ env.warnings;
+    List.iter
+      (fun x ->
+        match Hashtbl.find_opt env.auto_pool x with
+        | Some c ->
+            Hashtbl.remove env.auto_pool x;
+            Hashtbl.replace env.globals x c
+        | None -> ())
+      sg.sg_touched;
+    sg
+  in
+  let globals, watermark =
+    match prev with
+    | None ->
+        let sg =
+          segment env Sglobals (fun () ->
+              build_global_env env;
+              [])
+        in
+        (* variables created so far (globals, struct fields) are
+           monomorphic *)
+        (sg, Solver.num_vars st)
+    | Some ly ->
+        List.iter move fdg.Fdg.touched;
+        (* the tables a fresh run would show the first task: summaries
+           and outcomes of functions that no longer exist go; every
+           other entry is kept or reset when its task re-runs (a task
+           only reads the summaries of its callees, which precede it).
+           Warnings and auto globals are refilled in task order. *)
+        List.iter
+          (fun u ->
+            let g = fdg.Fdg.names.(u) in
+            Hashtbl.remove env.funs g;
+            Hashtbl.remove env.outcomes g)
+          fdg.Fdg.removed;
+        Hashtbl.reset env.imemo;
+        Hashtbl.reset env.memo_ok;
+        Hashtbl.reset env.shapes.Shape.by_cell;
+        let autos =
+          Hashtbl.fold
+            (fun name (c : cell) acc ->
+              if Hashtbl.mem env.late_mono (Solver.var_id c.q) then (name, c) :: acc
+              else acc)
+            env.globals []
+        in
+        List.iter
+          (fun (name, c) ->
+            Hashtbl.remove env.globals name;
+            Hashtbl.replace env.auto_pool name c)
+          autos;
+        (keep (List.find (fun sg -> sg.sg_kind = Sglobals) ly.ly_segs), ly.ly_watermark)
+  in
+  let iface_segs =
+    match env.mode with
+    | Poly | Polyrec -> []
+    | Mono ->
+        List.map
+          (fun v ->
+            let f = fdg.Fdg.defs.(v) in
+            let last = match prev with Some ly when was v -> ly.ly_iface_of.(v) | _ -> None in
+            match last with
+            | Some sg when Cast.equal_signature (Fdg.prev_def fdg v) f -> keep sg
+            | _ ->
+                (* a built interface: its own body and its callers link
+                   to fresh variables *)
+                mark v;
+                changed v;
+                move v;
+                if warm then begin
+                  Hashtbl.remove env.funs f.f_name;
+                  Hashtbl.remove env.outcomes f.f_name
+                end;
+                segment env Siface (fun () -> mono_interface env f))
+          (Array.to_list (Fdg.linked fdg))
+  in
+  let process = processor env.mode in
+  let is_global = is_mono_var env ~watermark in
+  let rerun_n = ref 0 and members_n = ref 0 in
+  (* the early cutoff compares a re-run task's summaries with the ones
+     its callers read; mono callers read interfaces, and a cold run has
+     no callers that read anything *)
+  let cutoff = warm && env.mode <> Mono in
+  (* task [k], over FDG nodes [nodes]: kept when the old task had the
+     same members in the same order and none is dirty; re-run
+     otherwise *)
+  let task k (nodes : int array) =
+    let clean v = Bytes.get dirty v = '\000' in
+    let u0 = nodes.(0) in
+    let kept =
+      match prev with
+      | Some ly when was u0 && Array.for_all clean nodes -> (
+          match ly.ly_task_of.(u0) with
+          | Some sg when env.mode = Mono || Fdg.scc_kept fdg k -> Some sg
+          | _ -> None)
+      | _ -> None
+    in
+    match kept with
+    | Some sg -> keep sg
+    | None ->
+        incr rerun_n;
+        members_n := !members_n + Array.length nodes;
+        Array.iter move nodes;
+        (* the members' outcomes are the task's: a mono interface
+           that was built only marks [Analyzed], which the body's
+           own verdict subsumes; a fresh env holds no other *)
+        if warm then Array.iter (fun v -> Hashtbl.remove env.outcomes fdg.Fdg.names.(v)) nodes;
+        let members = members fdg nodes in
+        (* the summaries the members' callers last read *)
+        let before =
+          if not cutoff then []
+          else List.map (fun (f : Cast.fundef) -> Hashtbl.find_opt env.funs f.f_name) members
+        in
+        let sg = run_task env ~is_global ~process members in
+        if cutoff then
+          List.iter2
+            (fun v old ->
+              if entry_digest (Hashtbl.find_opt env.funs fdg.Fdg.names.(v)) <> entry_digest old
+              then changed v)
+            (Array.to_list nodes) before;
+        sg
+  in
+  let tasks = task_list env fdg in
+  let task_segs = List.mapi task tasks in
+  let inits =
+    segment env Sinits (fun () ->
+        analyze_global_inits env;
+        [])
+  in
+  let segs = (globals :: iface_segs) @ task_segs @ [ inits ] in
+  (* an auto global lives while a live segment looks it up; the pool
+     holds the dead ones *)
+  let live_vars =
+    List.fold_left (fun n sg -> n + sg.sg_own_vars) 0 segs
+    + Hashtbl.fold
+        (fun _ (c : cell) n ->
+          if Hashtbl.mem env.late_mono (Solver.var_id c.q) then n + 1 else n)
+        env.globals 0
+  in
+  if warm && Solver.num_vars st - live_vars > live_vars then
+    (* the cone was large: rather than a store more dead than alive,
+       the caller runs afresh *)
+    Error "dead variables outnumber live ones"
+  else begin
+    let deleted, reset =
+      match prev with
+      | None -> (0, 0)
+      | Some _ ->
+          let rt =
+            Solver.retract st
+              ~slices:(List.map (fun sg -> (sg.sg_log0, sg.sg_nlog)) segs)
+              ~ground:(List.fold_left (fun acc sg -> sg.sg_ground @ acc) [] segs)
+          in
+          List.iter2 (fun sg at -> sg.sg_log0 <- at) segs rt.Solver.rt_starts;
+          (rt.Solver.rt_deleted, rt.Solver.rt_reset)
+    in
+    env.layout <- Some (layout_of ~watermark ~live_vars ~moved:!moved env fdg tasks segs);
+    Ok
+      ( env,
+        {
+          ri_tasks = List.length task_segs;
+          ri_rerun = !rerun_n;
+          ri_rerun_members = !members_n;
+          ri_atoms_deleted = deleted;
+          ri_vars_reset = reset;
+        } )
+  end
+
+(** A cold run of [mode] over [prog] in a fresh store: {!advance} from
+    nothing. Mono has one task per linked function, after a single
+    interface pass; poly and polyrec have one task per FDG SCC (Section
+    4.3), callees first. Every unit of work is recorded as a segment
+    ({!layout}), which is what {!rerun} starts from. Returns the env
+    with the interfaces its tasks reported, in report order. [jobs] is
+    ignored: gatebench still passes it, and a later benchmark revision
+    drops it. *)
+let run ?rules ?field_sharing ?compact ?budget ?jobs:_ mode (prog : Cprog.t) :
+    env * (string * fsig) list =
+  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
+  (* [advance] declines only when it starts from a predecessor *)
+  let env, _ = Result.get_ok (advance env None prog) in
+  (env, List.concat_map (fun sg -> sg.sg_ifaces) (Option.get env.layout).ly_segs)
+
+(** Re-analyze [prog] in [base]'s store ({!advance} from [base]'s last
+    layout). [Error reason] when the rerun cannot be incremental: [base]
+    has no segments or ran under a budget, the global environment
+    changed ({!same_globals}), dead variables or dead FDG ids outnumber
+    live ones, or the re-run tasks left a store more dead than live. On
+    the last, [base] is spent: the caller runs afresh, and {!Session}
+    never reuses a base. *)
+let rerun (base : env) (prog : Cprog.t) : (env * rerun_info, string) result =
   match base.layout with
   | None -> Error "no segments to start from"
   | Some _ when base.budget <> None -> Error "budgeted analysis"
@@ -1534,187 +1705,7 @@ let rerun (base : env) (prog : Cprog.t) :
   | Some ly when Fdg.dead_ids ly.ly_fdg > ly.ly_fdg.Fdg.live ->
       (* a full run builds the graph cold, which renumbers its nodes *)
       Error "dead FDG ids outnumber live ones"
-  | Some ly ->
-      let env =
-        { base with prog; warnings = []; layout = None }
-      in
-      let st = env.store in
-      Solver.reset_stats st;
-      Solver.checkpoint st;
-      (* the old graph is handed over: the new one keeps its node ids, so
-         a node live in both names the same function in both, and a live
-         node below [prev_ids] was live in the old graph *)
-      let fdg = Fdg.build ~prev:ly.ly_fdg prog in
-      let was v = v < fdg.Fdg.prev_ids in
-      (* [dirty] marks the functions whose task must re-run: a definition
-         that changed beyond its locations, a callee set that gained or
-         lost a name, or a callee whose summary (interface, in mono) is
-         not the one last read *)
-      let dirty = Bytes.make (Array.length fdg.Fdg.names) '\000' in
-      let mark v = Bytes.set dirty v '\001' in
-      List.iter mark fdg.Fdg.changed;
-      List.iter mark fdg.Fdg.callees_changed;
-      (* the nodes whose report rows or outcome may move, each once: the
-         ones the edit touched and those whose task or mono interface is
-         built afresh *)
-      let moved = ref [] and seen = Bytes.make (Array.length fdg.Fdg.names) '\000' in
-      let move v =
-        if Bytes.get seen v = '\000' then begin
-          Bytes.set seen v '\001';
-          moved := v :: !moved
-        end
-      in
-      List.iter move fdg.Fdg.touched;
-      let changed v = List.iter mark (Fdg.callers fdg v) in
-      (* the tables a fresh run would show the first task: summaries and
-         outcomes of functions that no longer exist go; every other entry
-         is kept or reset when its task re-runs (a task only reads the
-         summaries of its callees, which precede it). Warnings and auto
-         globals are refilled in task order. *)
-      List.iter
-        (fun u ->
-          let g = fdg.Fdg.names.(u) in
-          Hashtbl.remove env.funs g;
-          Hashtbl.remove env.outcomes g)
-        fdg.Fdg.removed;
-      Hashtbl.reset env.imemo;
-      Hashtbl.reset env.memo_ok;
-      Hashtbl.reset env.shapes.Shape.by_cell;
-      let autos =
-        Hashtbl.fold
-          (fun name (c : cell) acc ->
-            if Hashtbl.mem env.late_mono (Solver.var_id c.q) then (name, c) :: acc
-            else acc)
-          env.globals []
-      in
-      List.iter
-        (fun (name, c) ->
-          Hashtbl.remove env.globals name;
-          Hashtbl.replace env.auto_pool name c)
-        autos;
-      let keep sg =
-        if sg.sg_warnings <> [] then env.warnings <- sg.sg_warnings @ env.warnings;
-        List.iter
-          (fun x ->
-            match Hashtbl.find_opt env.auto_pool x with
-            | Some c ->
-                Hashtbl.remove env.auto_pool x;
-                Hashtbl.replace env.globals x c
-            | None -> ())
-          sg.sg_touched;
-        sg
-      in
-      let globals =
-        keep (List.find (fun sg -> sg.sg_kind = Sglobals) ly.ly_segs)
-      in
-      let iface_segs =
-        match env.mode with
-        | Poly | Polyrec -> []
-        | Mono ->
-            List.map
-              (fun v ->
-                let f = fdg.Fdg.defs.(v) in
-                match if was v then ly.ly_iface_of.(v) else None with
-                | Some sg when Cast.equal_signature (Fdg.prev_def fdg v) f ->
-                    keep sg
-                | _ ->
-                    (* a rebuilt interface: its own body and its callers
-                       link to fresh variables *)
-                    mark v;
-                    changed v;
-                    move v;
-                    Hashtbl.remove env.funs f.f_name;
-                    Hashtbl.remove env.outcomes f.f_name;
-                    segment env Siface (fun () -> mono_interface env f))
-              (Array.to_list (Fdg.linked fdg))
-      in
-      let process = processor env.mode in
-      let is_global = is_mono_var env ~watermark:ly.ly_watermark in
-      let rerun_n = ref 0 and members_n = ref 0 in
-      (* task [k], over FDG nodes [nodes]: kept when the old task had the
-         same members in the same order and none is dirty; re-run
-         otherwise *)
-      let task k (nodes : int array) =
-        let clean v = Bytes.get dirty v = '\000' in
-        let u0 = nodes.(0) in
-        let kept =
-          if not (was u0 && Array.for_all clean nodes) then None
-          else
-            match ly.ly_task_of.(u0) with
-            | Some sg when env.mode = Mono || Fdg.scc_kept fdg k -> Some sg
-            | _ -> None
-        in
-        match kept with
-        | Some sg -> keep sg
-        | None ->
-            incr rerun_n;
-            members_n := !members_n + Array.length nodes;
-            Array.iter move nodes;
-            (* the members' outcomes are the task's: a mono interface
-               that was built only marks [Analyzed], which the body's
-               own verdict subsumes *)
-            Array.iter (fun v -> Hashtbl.remove env.outcomes fdg.Fdg.names.(v)) nodes;
-            let members = members fdg nodes in
-            (* the summaries the members' callers last read *)
-            let before =
-              List.map
-                (fun (f : Cast.fundef) -> Hashtbl.find_opt env.funs f.f_name)
-                members
-            in
-            let sg = run_task env ~is_global ~process members in
-            if env.mode <> Mono then
-              List.iter2
-                (fun v old ->
-                  if
-                    entry_digest (Hashtbl.find_opt env.funs fdg.Fdg.names.(v))
-                    <> entry_digest old
-                  then changed v)
-                (Array.to_list nodes) before;
-            sg
-      in
-      let tasks = task_list env fdg in
-      let task_segs = List.mapi task tasks in
-      let inits =
-        segment env Sinits (fun () ->
-            analyze_global_inits env;
-            [])
-      in
-      let segs = (globals :: iface_segs) @ task_segs @ [ inits ] in
-      (* an auto global lives while a live segment looks it up; the pool
-         holds the dead ones *)
-      let live_vars =
-        List.fold_left (fun n sg -> n + sg.sg_own_vars) 0 segs
-        + Hashtbl.fold
-            (fun _ (c : cell) n ->
-              if Hashtbl.mem env.late_mono (Solver.var_id c.q) then n + 1 else n)
-            env.globals 0
-      in
-      if Solver.num_vars st - live_vars > live_vars then
-        (* the cone was large: rather than a store more dead than alive,
-           the caller runs afresh *)
-        Error "dead variables outnumber live ones"
-      else begin
-        let rt =
-          Solver.retract st
-            ~slices:(List.map (fun sg -> (sg.sg_log0, sg.sg_nlog)) segs)
-            ~ground:(List.fold_left (fun acc sg -> sg.sg_ground @ acc) [] segs)
-        in
-        List.iter2 (fun sg at -> sg.sg_log0 <- at) segs rt.Solver.rt_starts;
-        env.layout <-
-          Some
-            (layout_of ~watermark:ly.ly_watermark ~live_vars ~moved:!moved env fdg
-               tasks segs);
-        Ok
-          ( env,
-            reported segs,
-            {
-              ri_tasks = List.length task_segs;
-              ri_rerun = !rerun_n;
-              ri_rerun_members = !members_n;
-              ri_atoms_deleted = rt.Solver.rt_deleted;
-              ri_vars_reset = rt.Solver.rt_reset;
-            } )
-      end
+  | Some ly -> advance base (Some ly) prog
 
 (** Solver statistics accumulated by the analysis (see {!Solver.stats}). *)
 let stats (env : env) = Solver.stats env.store

@@ -13,9 +13,9 @@
     defined, gives a new name a fresh id and leaves a removed name's id
     dead. Every name a body mentions is interned as a symbol, and the
     graph keeps, per symbol, the nodes that mention it: the caller index
-    through which an edit finds the edges it adds or removes. Adjacency,
-    SCC membership and the wavefront structure are int arrays over the
-    ids; the definition order is a separate rank. *)
+    through which an edit finds the edges it adds or removes. Adjacency
+    and SCC membership are int arrays over the ids; the definition order
+    is a separate rank. *)
 
 open Cfront
 
@@ -65,13 +65,9 @@ type t = {
   scc_root : int array;
       (** SCC index -> its block root: the node whose search, started
           from the outer loop of Tarjan's algorithm, emitted it *)
-  level : int array;
-      (** SCC index -> its wavefront level: 0 with no dependency, else one
-          more than its dependencies' highest *)
   scc_prev : Bytes.t;
       (** after Tarjan's algorithm: SCC index -> ['\001'] when [prev] had
           the same SCC, member for member *)
-  width : int;  (** see {!wavefront_width} *)
   stamp : int;  (** unique per graph *)
   prev_stamp : int;  (** the [?prev] graph's stamp; -1 when built cold *)
   prev_defs : (int, Cast.fundef) Hashtbl.t;
@@ -167,60 +163,6 @@ let tarjan (order : int array) (succ : int array array) : int * int array array 
     order;
   (!nsccs, scc_nodes, scc_root)
 
-(* Per-SCC dependency structure over the indices of [t.sccs]. An edge
-   [f -> g] means [f] mentions [g], so [f]'s SCC depends on (must be
-   analyzed after) [g]'s. [in_degree.(i)] counts the distinct SCCs that
-   SCC [i] depends on; [dependents.(j)] lists the SCCs depending on
-   [j]. *)
-let deps_of succ scc_nodes n scc_of : int array * int list array =
-  let in_degree = Array.make n 0 in
-  let dependents = Array.make n [] in
-  (* SCC [i]'s edges are scanned in one stretch, so a stamp per target SCC
-     dedups its (i, j) pairs *)
-  let stamp = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun v ->
-        Array.iter
-          (fun w ->
-            let j = scc_of.(w) in
-            if j <> i && stamp.(j) <> i then begin
-              stamp.(j) <- i;
-              in_degree.(i) <- in_degree.(i) + 1;
-              dependents.(j) <- i :: dependents.(j)
-            end)
-          succ.(v))
-      scc_nodes.(i)
-  done;
-  (in_degree, dependents)
-
-(* SCC [i]'s wavefront level, from the levels of the SCCs it depends on,
-   which precede it *)
-let level_of succ scc_nodes scc_of level i =
-  Array.fold_left
-    (fun l v ->
-      Array.fold_left
-        (fun l w ->
-          let j = scc_of.(w) in
-          if j <> i then max l (level.(j) + 1) else l)
-        l succ.(v))
-    0 scc_nodes.(i)
-
-(* Maximum number of SCCs simultaneously ready under level-synchronous
-   (Kahn) scheduling, where the SCCs ready together are those of one
-   level: an upper bound on useful analysis parallelism, and the figure
-   [--stats] reports as the wavefront width. *)
-let width_of level n =
-  let top = ref (-1) in
-  for i = 0 to n - 1 do
-    top := max !top level.(i)
-  done;
-  let count = Array.make (!top + 1) 0 in
-  for i = 0 to n - 1 do
-    count.(level.(i)) <- count.(level.(i)) + 1
-  done;
-  Array.fold_left max 0 count
-
 let stamps = Atomic.make 0
 
 (* a dead id's definition: the removed one is not kept alive *)
@@ -257,9 +199,7 @@ let empty () =
     scc_nodes = [||];
     scc_of = [||];
     scc_root = [||];
-    level = [||];
     scc_prev = Bytes.empty;
-    width = 0;
     stamp = -1;
     prev_stamp = -1;
     prev_defs = Hashtbl.create 1;
@@ -559,42 +499,36 @@ let build ?prev (prog : Cprog.t) : t =
     ok cap0
   in
   let scc_of = grow p.scc_of 0 in
-  let nsccs, scc_nodes, scc_of, scc_root, level, scc_prev, width, condensation =
-    if !in_order && not structural then
-      (p.nsccs, p.scc_nodes, scc_of, p.scc_root, p.level, p.scc_prev, p.width, Kept)
+  let nsccs, scc_nodes, scc_of, scc_root, scc_prev, condensation =
+    if !in_order && not structural then (p.nsccs, p.scc_nodes, scc_of, p.scc_root, p.scc_prev, Kept)
     else if spliceable () then begin
       (* in place: drop the removed singletons, then merge the added
          nodes in from the right, each a singleton block between the
-         blocks whose roots rank around it; [-1] marks a level to
-         compute *)
+         blocks whose roots rank around it *)
       let n0 = p.nsccs in
-      let scc_nodes = p.scc_nodes and scc_root = p.scc_root and level = p.level in
+      let scc_nodes = p.scc_nodes and scc_root = p.scc_root in
       let w = ref 0 and lo = ref n0 in
       for r = 0 to n0 - 1 do
         if rank.(scc_root.(r)) >= 0 then begin
           scc_nodes.(!w) <- scc_nodes.(r);
           scc_root.(!w) <- scc_root.(r);
-          level.(!w) <- level.(r);
           incr w
         end
         else lo := min !lo r
       done;
       let n1 = !w and n2 = !w + ids - cap0 in
       let scc_nodes = room scc_nodes n2 [||] and scc_root = room scc_root n2 0 in
-      let level = room level n2 0 in
       let r = ref (n1 - 1) and w = ref (n2 - 1) in
       List.iter
         (fun x ->
           while !r >= 0 && rank.(scc_root.(!r)) > rank.(x) do
             scc_nodes.(!w) <- scc_nodes.(!r);
             scc_root.(!w) <- scc_root.(!r);
-            level.(!w) <- level.(!r);
             decr r;
             decr w
           done;
           scc_nodes.(!w) <- [| x |];
           scc_root.(!w) <- x;
-          level.(!w) <- -1;
           lo := min !lo !w;
           decr w)
         (List.sort (fun a b -> compare rank.(b) rank.(a)) (List.init (ids - cap0) (( + ) cap0)));
@@ -604,14 +538,7 @@ let build ?prev (prog : Cprog.t) : t =
       for k = !lo to n2 - 1 do
         Array.iter (fun v -> scc_of.(v) <- k) scc_nodes.(k)
       done;
-      (* only the added singletons need a level, unless a kept SCC gained
-         or lost a dependency *)
-      let from = if callees_changed = [] then !lo else 0 in
-      for k = from to n2 - 1 do
-        if callees_changed <> [] || level.(k) < 0 then
-          level.(k) <- level_of succ scc_nodes scc_of level k
-      done;
-      (n2, scc_nodes, scc_of, scc_root, level, p.scc_prev, width_of level n2, Spliced)
+      (n2, scc_nodes, scc_of, scc_root, p.scc_prev, Spliced)
     end
     else begin
       let order = Array.make !live 0 in
@@ -629,11 +556,7 @@ let build ?prev (prog : Cprog.t) : t =
             let u = nodes.(0) in
             if u < cap0 && p.scc_nodes.(p.scc_of.(u)) = nodes then '\001' else '\000')
       in
-      let level = Array.make n 0 in
-      for k = 0 to n - 1 do
-        level.(k) <- level_of succ scc_nodes scc_of level k
-      done;
-      (n, scc_nodes, scc_of, scc_root, level, scc_prev, width_of level n, Tarjan)
+      (n, scc_nodes, scc_of, scc_root, scc_prev, Tarjan)
     end
   in
   {
@@ -655,9 +578,7 @@ let build ?prev (prog : Cprog.t) : t =
     scc_nodes;
     scc_of;
     scc_root;
-    level;
     scc_prev;
-    width;
     stamp;
     prev_stamp = p.stamp;
     prev_defs;
@@ -722,8 +643,7 @@ let sccs t : string list list =
 
 let largest_scc t = List.fold_left (fun m s -> max m (Array.length s)) 0 (scc_list t)
 
-let scc_deps t = deps_of t.succ t.scc_nodes t.nsccs t.scc_of
-
-(** The maximum number of SCCs simultaneously ready under level-synchronous
-    scheduling, kept up to date with the condensation. *)
-let wavefront_width t = t.width
+(** Always 0: the graph keeps no wavefront schedule, as the analysis is
+    serial. Kept only because gatebench still reads it; a later
+    benchmark revision removes it. *)
+let wavefront_width (_ : t) = 0

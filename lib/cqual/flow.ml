@@ -476,9 +476,10 @@ let analyze ?(mode = Sensitive) (prog : Cprog.t) : result =
 (** Analyze a project's translation units, linked as every analysis
     links them ({!Session.program}). A project with a lexical or parse
     error is not analyzed: the result is its diagnostics, in unit and
-    source order. *)
-let analyze_units ?mode units =
-  let s = Session.create units in
+    source order, collected up to [max_errors] as {!Session.create}
+    counts them. *)
+let analyze_units ?mode ?max_errors units =
+  let s = Session.create ?max_errors units in
   match Session.diagnostics s with
   | [] -> Ok (analyze ?mode (Session.program s))
   | diags -> Error diags

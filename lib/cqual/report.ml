@@ -198,15 +198,12 @@ let same_anchors (a : Cast.fundef) (b : Cast.fundef) =
   && a.f_name_loc = b.f_name_loc
   && a.f_param_locs = b.f_param_locs
 
-let make_row ~keys (p, var) =
-  let r_key, r_skey =
-    if not keys then ("", "")
-    else
-      let sk = structural_key p in
-      let ck = position_key p in
-      ((if ck = sk then sk (* one string for both *) else ck), sk)
-  in
-  { r_result = (p, Either); r_var = var; r_key; r_skey; r_ord = 0 }
+let make_row (p, var) =
+  let sk = structural_key p in
+  let ck = position_key p in
+  (* one string for both keys when they are equal *)
+  let r_key = if ck = sk then sk else ck in
+  { r_result = (p, Either); r_var = var; r_key; r_skey = sk; r_ord = 0 }
 
 let iter_keys f r =
   f r.r_skey;
@@ -229,13 +226,6 @@ let settle_shared st =
       in
       Hashtbl.replace st.index k first)
     st.shared
-
-let rebuild_index st =
-  (* sized for every row's two keys: no resizing on the way *)
-  st.index <- Hashtbl.create (2 * Array.length st.in_order);
-  Hashtbl.reset st.shared;
-  Array.iter (fun r -> iter_keys (add_key st r) r) st.in_order;
-  settle_shared st
 
 (* Update the index by the rows that left and the rows that arrived, then
    re-settle the shared keys (report order may have moved). Every row that
@@ -261,25 +251,25 @@ let patch_index st ~removed ~added =
     solver's least/greatest solutions may be partial, so every position is
     conservatively classified [Either] and every function is reported
     degraded (keeping any more specific per-function reason already
-    recorded). With [keys] (the default) every position comes with its
-    stable keys and the index over them. Without, the keys are empty and
-    there is no index. [prev] is updated in place (a fresh state without
-    it) and returned, holding exactly this measurement's rows for the
-    next call. When the analysis's graph was built from the one [prev]
-    measured, only the removed functions and those the rerun says may
-    have moved ({!Analysis.layout}'s [ly_moved]) are looked at: their
-    rows are kept when their interface is physically the one measured
-    and their anchors and home unit are the same, and measured afresh
-    otherwise; every other function keeps its rows and outcome. Otherwise
-    every reported function is measured. [ifaces] are the interfaces the
-    analysis's last run reported. [units] (the unit names in link order)
-    anchors positions like [locate] does, each function in its home unit
+    recorded). Every position comes with its stable keys and the index
+    over them. [prev] is updated in place (a fresh state without it) and
+    returned, holding exactly this measurement's rows for the next call.
+
+    A measurement starts from [prev]'s rows when the analysis's graph was
+    built from the one [prev] measured, and from an empty row table
+    otherwise. Only the removed functions and those that may have moved
+    are looked at: with [prev]'s rows, those the rerun names
+    ({!Analysis.layout}'s [ly_moved]); from an empty table, every live
+    function. A function's rows are kept when its interface is
+    physically the one measured and its anchors and home unit are the
+    same, and measured afresh otherwise; every other function keeps its
+    rows and outcome. [units] (the unit names in link order) anchors
+    positions like [locate] does, each function in its home unit
     ({!Fdg.home}). The graph flags a function whose home index moved,
     but not an index that now names another unit: with [units] other
     than [prev]'s, every function with rows is looked at. *)
-let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
-    ?(keys = true) (env : Analysis.env) (ifaces : (string * fsig) list) :
-    results * rows =
+let measure_indexed ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
+    (env : Analysis.env) : results * rows =
   let store = env.Analysis.store in
   ignore (Solver.solve store : (unit, Solver.error list) result);
   let type_errors = Solver.error_count store in
@@ -314,22 +304,34 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
   in
   (* [prev]'s rows and outcomes apply when this graph was built from the
      one they measured: only the functions the edit touched and the
-     members of re-run tasks can differ *)
+     members of re-run tasks can differ. Otherwise the measurement starts
+     from an empty row table. *)
   let from_prev = st.graph >= 0 && st.graph = g.Fdg.prev_stamp && budget_trip = None in
+  if not from_prev then begin
+    st.by_node <- [||];
+    st.outcome_of <- [||];
+    st.in_order <- [||];
+    Hashtbl.reset st.shared
+  end;
   let ids = g.Fdg.ids in
   let fit a x =
     let m = Array.length a in
-    if not from_prev then Array.make ids x
-    else if m >= ids then a
-    else Array.append a (Array.make (max ids (2 * m) - m) x)
+    if m >= ids then a else Array.append a (Array.make (max ids (2 * m) - m) x)
   in
   let by_node = fit st.by_node None in
   let outcome_of = fit st.outcome_of ("", Analysis.Analyzed) in
-  (* the nodes whose rows and outcome are looked at again: the graph
-     flags the names whose first definition moved in the unit list; a new
-     unit list may move any of them *)
+  (* the nodes whose rows and outcome are looked at again: from an empty
+     table, every live one; the graph flags the names whose first
+     definition moved in the unit list, and a new unit list may move any
+     of them *)
   let moved =
-    if not from_prev then []
+    if not from_prev then begin
+      let all = ref [] in
+      for v = ids - 1 downto 0 do
+        if g.Fdg.rank.(v) >= 0 then all := v :: !all
+      done;
+      !all
+    end
     else if units = st.unit_names then ly.Analysis.ly_moved
     else begin
       let all = ref [] in
@@ -340,7 +342,7 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
   in
   st.unit_names <- units;
   let removed = ref [] and added = ref [] in
-  let total = ref (if from_prev then Array.length st.in_order else 0) in
+  let total = ref (Array.length st.in_order) in
   let drop fr =
     removed := fr.fr_rows :: !removed;
     total := !total - Array.length fr.fr_rows
@@ -367,7 +369,7 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
             by_node.(v) <- None;
             match positions_of_fun ~qual ~locate env.Analysis.prog f iface with
             | ps ->
-                let fr_rows = Array.of_list (List.map (make_row ~keys) ps) in
+                let fr_rows = Array.of_list (List.map make_row ps) in
                 by_node.(v) <-
                   Some { fr_def = f; fr_iface = iface; fr_unit = fst (locate name 1); fr_rows };
                 added := fr_rows :: !added;
@@ -375,20 +377,10 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
             | exception Cprog.Frontend_error m ->
                 Analysis.degrade env name ("measurement failed: " ^ m)))
   in
-  if from_prev then begin
-    (* the rows of every other node stand: its task, and so its
-       interface, was kept, and its definition is physically the one
-       measured *)
-    List.iter (fun u -> settle u None) g.Fdg.removed;
-    List.iter (fun v -> settle v (Analysis.reported_iface env v)) moved
-  end
-  else
-    List.iter
-      (fun ((name, _) as x) ->
-        match Fdg.node g name with
-        | Some v -> settle v (Some x)
-        | None -> invalid_arg "Report.measure: not the interfaces of the analysis's last run")
-      ifaces;
+  (* the rows of every other node stand: its task, and so its interface,
+     was kept, and its definition is physically the one measured *)
+  if from_prev then List.iter (fun u -> settle u None) g.Fdg.removed;
+  List.iter (fun v -> settle v (Analysis.reported_iface env v)) moved;
   (* the rows in report order *)
   let in_order = ref [||] and k = ref 0 in
   let total = !total in
@@ -443,30 +435,25 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
       if verdict <> Must_not_const then incr possible;
       if verdict = Must_const then incr must)
     in_order;
-  if keys then begin
-    st.index_patched <- from_prev;
-    if from_prev then patch_index st ~removed:!removed ~added:!added
-    else rebuild_index st
-  end;
-  (* each function's fate, read again where the edit could have moved
-     it, and everywhere in a cold measurement *)
-  let read v =
-    let name = g.Fdg.names.(v) in
-    let o =
-      match Hashtbl.find_opt env.Analysis.outcomes name with
-      | Some (Analysis.Degraded _ as o) -> o
-      | recorded -> (
-          match budget_trip with
-          | Some r -> Analysis.Degraded ("budget exhausted: " ^ r)
-          | None -> ( match recorded with Some o -> o | None -> Analysis.Analyzed))
-    in
-    if snd outcome_of.(v) <> o || fst outcome_of.(v) != name then outcome_of.(v) <- (name, o)
-  in
-  if from_prev then List.iter read moved
-  else
-    for v = 0 to ids - 1 do
-      if g.Fdg.rank.(v) >= 0 then read v
-    done;
+  (* a fresh index is sized for every row's two keys: no resizing on the
+     way *)
+  if not from_prev then st.index <- Hashtbl.create (2 * Array.length in_order);
+  st.index_patched <- from_prev;
+  patch_index st ~removed:!removed ~added:!added;
+  (* each function's fate, read again where it may have moved *)
+  List.iter
+    (fun v ->
+      let name = g.Fdg.names.(v) in
+      let o =
+        match Hashtbl.find_opt env.Analysis.outcomes name with
+        | Some (Analysis.Degraded _ as o) -> o
+        | recorded -> (
+            match budget_trip with
+            | Some r -> Analysis.Degraded ("budget exhausted: " ^ r)
+            | None -> ( match recorded with Some o -> o | None -> Analysis.Analyzed))
+      in
+      if snd outcome_of.(v) <> o || fst outcome_of.(v) != name then outcome_of.(v) <- (name, o))
+    moved;
   st.outcome_of <- outcome_of;
   ( {
       positions = Array.fold_right (fun r l -> r.r_result :: l) in_order [];
@@ -484,14 +471,11 @@ let measure_full ?(locate = fun _fname line -> ("", line)) ?(units = [||]) ?prev
     },
     st )
 
-let measure ?locate env ifaces =
-  fst (measure_full ?locate ~keys:false env ifaces)
-
-(** Like {!measure}, with the stable keys and their index (see {!rows}):
-    pass the returned state back as [prev] to the next measurement of the
-    same, re-analyzed store. *)
-let measure_indexed ?locate ?units ?prev env ifaces : results * rows =
-  measure_full ?locate ?units ?prev env ifaces
+(** {!measure_indexed} without a [prev], for callers that drive
+    {!Analysis.run} directly. The interface list is inert: the
+    measurement reads the analysis's layout; gatebench still passes it,
+    and a later benchmark revision drops it. *)
+let measure ?locate env (_ : (string * fsig) list) = fst (measure_indexed ?locate env)
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

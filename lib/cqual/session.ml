@@ -55,8 +55,8 @@ type run = {
   fdg_scc_count : int;  (** SCCs in the function dependence graph *)
   fdg_largest_scc : int;  (** size of the largest (mutual-recursion) SCC *)
   wavefront_width : int;
-      (** maximum SCCs simultaneously ready under wavefront scheduling: an
-          upper bound on useful analysis parallelism *)
+      (** always 0: gatebench still fills it; a later benchmark revision
+          removes it *)
   par : Analysis.par_stats option;
       (** always [None]: gatebench still fills it; a later benchmark
           revision removes it *)
@@ -89,7 +89,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
    any marshaled type in this file changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
-    (Fmt.str "%a|%s|payload-fmt-5" Typequal.Lattice.Space.pp_dump sp
+    (Fmt.str "%a|%s|payload-fmt-6" Typequal.Lattice.Space.pp_dump sp
        Sys.ocaml_version)
 
 (** Open a cache directory for runs under this rule set (default: const
@@ -139,66 +139,22 @@ let sanitize_stats (s : Typequal.Solver.stats) : Typequal.Solver.stats =
     report_s = 0.;
     heap_words = 0;
     top_heap_words = 0;
-    cores_available = 0;
   }
-
-(* the run record's cacheable core: no wall-clock, solver counters
-   sanitized of nondeterministic fields *)
-type cached_run = {
-  cr_results : Report.results;
-  cr_lines : int;
-  cr_n_functions : int;
-  cr_n_constraints : int;
-  cr_stats : Typequal.Solver.stats;
-  cr_diags : Cfront.Diag.t list;
-  cr_scc_count : int;
-  cr_largest_scc : int;
-  cr_wavefront : int;
-}
 
 (* load [key] and unmarshal it as a run record; any decode failure
    rejects the entry (the envelope verified, so the payload was
    well-formed bytes that mean nothing to us — e.g. written by a
    differently-shaped build) *)
-let load_run (c : Cache.t) ~name ~key : cached_run option =
+let load_run (c : Cache.t) ~name ~key : run option =
   match Cache.load c ~name ~key with
   | None -> None
   | Some payload -> (
-      match (Marshal.from_string payload 0 : cached_run) with
+      match (Marshal.from_string payload 0 : run) with
       | v -> Some v
       | exception ((Out_of_memory | Sys.Break) as e) -> raise e
       | exception _ ->
           Cache.reject_undecodable c ~name;
           None)
-
-let run_of_cached (cr : cached_run) ~t_lookup : run =
-  {
-    results = cr.cr_results;
-    timing = { t_compile = 0.; t_analysis = t_lookup };
-    lines = cr.cr_lines;
-    n_functions = cr.cr_n_functions;
-    n_constraints = cr.cr_n_constraints;
-    solver_stats = cr.cr_stats;
-    diagnostics = cr.cr_diags;
-    fdg_scc_count = cr.cr_scc_count;
-    fdg_largest_scc = cr.cr_largest_scc;
-    wavefront_width = cr.cr_wavefront;
-    par = None;
-    frontend = None;
-  }
-
-let cached_of_run (r : run) : cached_run =
-  {
-    cr_results = r.results;
-    cr_lines = r.lines;
-    cr_n_functions = r.n_functions;
-    cr_n_constraints = r.n_constraints;
-    cr_stats = sanitize_stats r.solver_stats;
-    cr_diags = r.diagnostics;
-    cr_scc_count = r.fdg_scc_count;
-    cr_largest_scc = r.fdg_largest_scc;
-    cr_wavefront = r.wavefront_width;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit frontend                                                   *)
@@ -588,43 +544,32 @@ type rebuild = {
    analysis scheduled over). With [warm] (the env and report rows of this
    mode's previous run over the session's earlier sources) the analysis
    is first tried as a warm rerun in that store; when the rerun declines
-   (it says why), a full run into a fresh store is taken instead. Also returns the live environment, the
+   (it says why), or with no [warm], the same task loop runs from
+   nothing in a fresh store ({!Analysis.advance}). Also returns the live environment, the
    stable-key position index the queries go through, the report rows for
    the next warm run and what was rebuilt. A function's AST lines are
    already unit-local, so its position anchor only needs its home
    unit, which the graph records as an index into [co_names]. *)
 let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let full reason =
-    let env, ifaces = Analysis.run ?rules ?compact ?budget mode co.co_prog in
-    let n = Analysis.task_count env in
-    let m = (Option.get (Analysis.fdg env)).Fdg.live in
-    ( env,
-      ifaces,
-      None,
-      true,
-      reason,
-      {
-        Analysis.ri_tasks = n;
-        ri_rerun = n;
-        ri_rerun_members = m;
-        ri_atoms_deleted = 0;
-        ri_vars_reset = 0;
-      } )
+    let env = Analysis.make_env ?rules ?compact ?budget mode co.co_prog in
+    (* [advance] declines only when it starts from a predecessor *)
+    (Result.get_ok (Analysis.advance env None co.co_prog), None, reason)
   in
-  let (env, ifaces, prev, is_full, reason, ri), t =
+  let ((env, ri), prev, reason), t =
     time (fun () ->
         match warm with
         | None -> full "no kept store"
         | Some _ when budget <> None -> full "budgeted analysis"
         | Some (base, rows) -> (
             match Analysis.rerun base co.co_prog with
-            | Ok (env, ifaces, ri) -> (env, ifaces, Some rows, false, "incremental", ri)
+            | Ok r -> (r, Some rows, "incremental")
             | Error reason -> full reason))
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
   let (results, rows), t2 =
-    time (fun () -> Report.measure_indexed ~units:co.co_names ?prev env ifaces)
+    time (fun () -> Report.measure_indexed ~units:co.co_names ?prev env)
   in
   (* the report's own cost, minus the final solve it triggers (that time
      is already accounted to solve_s) *)
@@ -662,7 +607,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       diagnostics = co.co_diags;
       fdg_scc_count = Fdg.scc_count fdg;
       fdg_largest_scc = Fdg.largest_scc fdg;
-      wavefront_width = Fdg.wavefront_width fdg;
+      wavefront_width = 0;
       par = env.Analysis.par;
       frontend = Some co.co_frontend;
     }
@@ -674,7 +619,7 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
       rb_tasks_total = ri.Analysis.ri_tasks;
       rb_tasks_rerun = ri.Analysis.ri_rerun;
       rb_members_rerun = ri.Analysis.ri_rerun_members;
-      rb_full = is_full;
+      rb_full = prev = None;
       rb_reason = reason;
       rb_units_built = co.co_units_built;
       rb_decls_reparsed = co.co_decls_reparsed;
@@ -918,11 +863,20 @@ let cached_run_or t mode compute : run =
           )
       in
       match load_run cs.cs_cache ~name ~key with
-      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
+      | Some r -> { r with timing = { t_compile = 0.; t_analysis = Unix.gettimeofday () -. t0 } }
       | None ->
           let r = compute () in
-          Cache.store cs.cs_cache ~name ~key
-            (Marshal.to_string (cached_of_run r) []);
+          (* the record without its wall clock, heap figures and frontend
+             breakdown: what a hit serves *)
+          let stored =
+            {
+              r with
+              timing = { t_compile = 0.; t_analysis = 0. };
+              solver_stats = sanitize_stats r.solver_stats;
+              frontend = None;
+            }
+          in
+          Cache.store cs.cs_cache ~name ~key (Marshal.to_string stored []);
           r)
 
 (** Run one mode over the session's current units — warm: a repeat of
@@ -1174,8 +1128,7 @@ let render_run ?(stats = false) ?(positions = false) ?jobs:_ ~name mode
   List.iter (fun (f, reason) -> pr "degraded: %s: %s\n" f reason) degraded;
   if stats then begin
     pr "solver: %s\n" (Fmt.str "%a" Typequal.Solver.pp_stats r.solver_stats);
-    pr "fdg: %d sccs, largest %d, wavefront width %d\n" r.fdg_scc_count
-      r.fdg_largest_scc r.wavefront_width;
+    pr "fdg: %d sccs, largest %d\n" r.fdg_scc_count r.fdg_largest_scc;
     (match r.frontend with
     | Some fs ->
         pr

@@ -37,6 +37,8 @@ type run = {
   fdg_scc_count : int;
   fdg_largest_scc : int;
   wavefront_width : int;
+      (** always 0: gatebench still fills it; a later benchmark revision
+          removes it *)
   par : Analysis.par_stats option;
       (** always [None]: gatebench still fills it; a later benchmark
           revision removes it *)
@@ -257,7 +259,7 @@ type rebuild = {
       (** definitions whose body the FDG scanned for mentions; an
           unchanged definition keeps its edges *)
   rb_condensation : string;
-      (** how the FDG came by its SCC list and wavefront width:
+      (** how the FDG came by its SCC list:
           ["kept"] (no edge, node or definition order changed),
           ["spliced"] (the previous list with the edit's singleton blocks
           spliced in and out) or ["tarjan"] (computed afresh, as on every

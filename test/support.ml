@@ -58,10 +58,8 @@ let whatif_by_resolve ?rules ~mode ~qual session :
     ((int * Report.verdict * Report.verdict) list * int * int) array =
   let module S = Typequal.Solver in
   let module E = Typequal.Lattice.Elt in
-  let env, ifaces =
-    Analysis.run ?rules mode (Session.program session)
-  in
-  let _, rows = Report.measure_full env ifaces in
+  let env, _ = Analysis.run ?rules mode (Session.program session) in
+  let _, rows = Report.measure_indexed env in
   let store = env.Analysis.store in
   let sp = S.space store in
   let vars = Array.map (fun r -> r.Report.r_var) rows.Report.in_order in

@@ -171,6 +171,26 @@ let test_units_equal_concatenation () =
     (* f and g; flow-insensitively h too *)
     [ (Flow.Sensitive, 2); (Flow.Insensitive, 3) ]
 
+(* The diagnostic budget is the session's: a source with 30 lexical
+   errors gives the same capped diagnostics to the flow analysis as to
+   the const analysis. *)
+let test_max_errors () =
+  let src =
+    String.concat "" (List.init 30 (fun i -> Printf.sprintf "int v%d = 1 @ 2;\n" i))
+  in
+  let flow =
+    match Flow.analyze_units ~max_errors:3 [ ("<input>", src) ] with
+    | Error diags -> diags
+    | Ok _ -> Alcotest.fail "a source with lexical errors was analyzed"
+  in
+  let poly = Support.run_source ~mode:Analysis.Poly ~max_errors:3 src in
+  let errors ds = List.length (List.filter Cfront.Diag.is_error ds) in
+  Alcotest.(check int) "errors" 3 (errors flow);
+  Alcotest.(check (list string))
+    "the const analysis's diagnostics"
+    (List.map Cfront.Diag.to_string poly.Session.diagnostics)
+    (List.map Cfront.Diag.to_string flow)
+
 let tests =
   [
     Alcotest.test_case "direct source-to-sink" `Quick test_direct_flow;
@@ -193,4 +213,5 @@ let tests =
       test_sensitive_never_worse;
     Alcotest.test_case "linked units = their concatenation" `Quick
       test_units_equal_concatenation;
+    Alcotest.test_case "--max-errors caps the diagnostics" `Quick test_max_errors;
   ]

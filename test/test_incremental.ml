@@ -78,8 +78,27 @@ let fdg_sccs_digest fdg =
   Digest.to_hex
     (Digest.string (String.concat "\n" (List.map (String.concat " ") (Fdg.sccs fdg))))
 
-let fdg_deps_digest fdg =
-  let ind, deps = Fdg.scc_deps fdg in
+(* The SCC dependency structure, from the graph's edges: per SCC, how
+   many distinct SCCs it depends on, and the SCCs that depend on it (an
+   edge [f -> g] means [f] mentions [g], so [f]'s SCC depends on
+   [g]'s). *)
+let fdg_deps_digest (fdg : Fdg.t) =
+  let n = Fdg.scc_count fdg in
+  let ind = Array.make n 0 and deps = Array.make n [] and stamp = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    Array.iter
+      (fun v ->
+        Array.iter
+          (fun w ->
+            let j = fdg.Fdg.scc_of.(w) in
+            if j <> i && stamp.(j) <> i then begin
+              stamp.(j) <- i;
+              ind.(i) <- ind.(i) + 1;
+              deps.(j) <- i :: deps.(j)
+            end)
+          fdg.Fdg.succ.(v))
+      fdg.Fdg.scc_nodes.(i)
+  done;
   Digest.to_hex
     (Digest.string
        (String.concat ";"
@@ -107,14 +126,14 @@ let test_fdg_golden () =
     "small program"
     [ [ "d" ]; [ "c"; "e" ]; [ "a"; "b" ]; [ "f"; "g" ]; [ "k" ] ]
     (Fdg.sccs (Fdg.build (Support.compile small)));
-  let check name prog (sccs, deps, n, largest, width) =
+  let check name prog (sccs, deps, n, largest) =
     let fdg = Fdg.build prog in
     Alcotest.(check string) (name ^ ": sccs") sccs (fdg_sccs_digest fdg);
     Alcotest.(check string) (name ^ ": deps") deps (fdg_deps_digest fdg);
     Alcotest.(check (list int))
-      (name ^ ": count, largest, width")
-      [ n; largest; width ]
-      [ Fdg.scc_count fdg; Fdg.largest_scc fdg; Fdg.wavefront_width fdg ]
+      (name ^ ": count, largest")
+      [ n; largest ]
+      [ Fdg.scc_count fdg; Fdg.largest_scc fdg ]
   in
   check "project-2k"
     (Session.program
@@ -122,11 +141,10 @@ let test_fdg_golden () =
     ( "52f9c0bd4861e7d7d009d725fc39e7e4",
       "236f1075228afe15957b7851be5dec08",
       281,
-      4,
-      176 );
+      4 );
   check "chains-500"
     (Support.compile (Cbench.Gen.generate_chains ~seed:7 ~target_lines:500 ()))
-    ("0c8359003a9ef1e999a37809edff2c21", "61587b9e134a741b8bc5356600bf9966", 343, 1, 26)
+    ("0c8359003a9ef1e999a37809edff2c21", "61587b9e134a741b8bc5356600bf9966", 343, 1)
 
 let test_fdg_random () =
   let rng = Random.State.make [| 16 |] in
@@ -220,7 +238,7 @@ let fdg_view (g : Fdg.t) =
            :: acc)
          by_name [])
   in
-  (Fdg.sccs g, nodes, Fdg.wavefront_width g, Fdg.largest_scc g, Fdg.scc_count g)
+  (Fdg.sccs g, nodes, Fdg.largest_scc g, Fdg.scc_count g)
 
 (* One random edit of [fp]: the edited unit's table is rebuilt, every
    other unit keeps its own. *)
@@ -597,6 +615,46 @@ let test_rebuild_matches_cold () =
       Alcotest.(check (list int)) (m ^ ": vars, edges, dedup, errors") (c cold) (c warm))
     modes
 
+(* A cold run is the task loop from nothing: every task re-runs, over
+   every live function, and every variable it created is live. The last
+   is the report header's qualifier-variable count, which a cold run
+   must give as the store's variable count; auto-declared globals are
+   counted apart from the segments that create them. *)
+let test_cold_invariants () =
+  let autos =
+    ( "autos",
+      Session.program
+        (Session.create
+           [
+             ( "autos.c",
+               "int f(int *p) { undeclared_x = *p; return undeclared_y; }\n\
+                int g(void) { return f(&undeclared_x) + undeclared_z; }\n" );
+           ]) )
+  in
+  let midi =
+    ( "midi-project-sim",
+      Session.program
+        (Session.create (Option.get (Cbench.Suite.units_of_name "midi-project-sim"))) )
+  in
+  let embedded = List.map (fun (n, src) -> (n, Support.compile src)) Cbench.Programs.all in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s, %s: " name (Session.mode_name mode) in
+          let env, ri =
+            Result.get_ok (Analysis.advance (Analysis.make_env mode prog) None prog)
+          in
+          let fdg = Option.get (Analysis.fdg env) in
+          Alcotest.(check int) (what ^ "every task re-runs") ri.Analysis.ri_tasks
+            ri.Analysis.ri_rerun;
+          Alcotest.(check int) (what ^ "over every live function") fdg.Fdg.live
+            ri.Analysis.ri_rerun_members;
+          Alcotest.(check int) (what ^ "every variable is live")
+            (S.num_vars env.Analysis.store) (Analysis.live_vars env))
+        modes)
+    (autos :: midi :: embedded)
+
 (* a stream of edits whose cones are large keeps the arena within twice
    the live variables: a rerun that would leave more dead than live
    variables is a full run instead *)
@@ -614,7 +672,7 @@ let test_arena_bound () =
     in
     let prog = Session.program (Session.create (replace units name edited)) in
     (match Analysis.rerun !env prog with
-    | Ok (e, _, _) -> env := e
+    | Ok (e, _) -> env := e
     | Error _ ->
         incr fulls;
         env := fst (Analysis.run Analysis.Poly prog));
@@ -750,6 +808,8 @@ let tests =
       `Quick test_rebuild_ground;
     Alcotest.test_case "rebuild: counters describe the rebuilt system" `Quick
       test_rebuild_counters;
+    Alcotest.test_case "cold: every task re-runs, every variable is live" `Slow
+      test_cold_invariants;
     Alcotest.test_case "warm: a leaf append re-runs one task" `Quick
       test_leaf_append;
     Alcotest.test_case "warm: a whitespace-only edit re-runs nothing" `Quick

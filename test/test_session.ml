@@ -1013,7 +1013,6 @@ let run_counters (r : Session.run) =
     s.S.edges_deduped;
     r.Session.fdg_scc_count;
     r.Session.fdg_largest_scc;
-    r.Session.wavefront_width;
     r.Session.results.Report.type_errors;
   ]
 
