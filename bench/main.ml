@@ -792,8 +792,30 @@ let extensions () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [corpus NAME DIR]: write a suite corpus's units into DIR and print
+   their paths in link order, one a line, so a shell can run cqualc over
+   the files on disk *)
+let corpus name dir =
+  match Cbench.Suite.units_of_name name with
+  | None ->
+      Fmt.epr "unknown corpus %s@." name;
+      exit 2
+  | Some units ->
+      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      List.iter
+        (fun (unit, src) ->
+          let path = Filename.concat dir unit in
+          Out_channel.with_open_bin path (fun oc -> output_string oc src);
+          print_endline path)
+        units
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  (match args with
+  | [ "corpus"; name; dir ] ->
+      corpus name dir;
+      exit 0
+  | _ -> ());
   let want s = args = [] || List.mem s args || List.mem "all" args in
   Fmt.pr "A Theory of Type Qualifiers (PLDI 1999) — experiment harness@.";
   if want "table1" then table1 ();

@@ -421,8 +421,8 @@ let step lx =
     With [~lines:true] the buffer also records what a parse needs to
     record its declaration boundaries for a later splice
     ({!Cparse.reparse_unit}): where each line starts and whether the
-    break before it was clean ({!Tokbuf.t}'s [lines]), and how often each
-    name was lexed. Otherwise [lines] is empty and no use is counted. *)
+    break before it was clean ({!Tokbuf.t}'s [lines]). Otherwise [lines]
+    is empty. *)
 let tokenize_buf ?(max_errors = 20) ?(start = 0) ?stop ?(line = 1)
     ?(lines = false) (src : string) : Tokbuf.t * Diag.t list =
   let len = match stop with Some s -> s | None -> String.length src in
@@ -434,7 +434,7 @@ let tokenize_buf ?(max_errors = 20) ?(start = 0) ?stop ?(line = 1)
      daemon's set-up and of a one-file batch run: EXPERIMENTS.md "One
      allocation-lean frontend" has the sizes measured. *)
   let cap = (9 * (len - start) / 16) + 16 in
-  let itab = Tokbuf.create_interns ~count:lines 256 in
+  let itab = Tokbuf.create_interns 256 in
   List.iter (fun (k, t) -> Tokbuf.add itab k t) keywords;
   let lx =
     {
@@ -473,7 +473,6 @@ let tokenize_buf ?(max_errors = 20) ?(start = 0) ?stop ?(line = 1)
       toks = lx.toks;
       spans = lx.spans;
       n = lx.n;
-      interns = itab;
       line0 = line;
       lines = lx.lines;
     },

@@ -1096,15 +1096,15 @@ type useed = {
 let empty_seed =
   { us_typedefs = []; us_enums = []; us_anon = 0; us_count_base = 0 }
 
-(** A digest of everything a parse reads besides its tokens (the parser
-    enters the seed's names into tables, so their order is irrelevant). *)
+(** A digest of everything a parse with no diagnostic reads besides its
+    tokens (the parser enters the seed's names into tables, so their
+    order is irrelevant). The diagnostics consumed before the unit,
+    [us_count_base], are left out: they change only a parse that reports
+    one. *)
 let seed_digest (seed : useed) =
   Digest.string
     (Marshal.to_string
-       ( List.sort compare seed.us_typedefs,
-         List.sort compare seed.us_enums,
-         seed.us_anon,
-         seed.us_count_base )
+       (List.sort compare seed.us_typedefs, List.sort compare seed.us_enums, seed.us_anon)
        [])
 
 (** What one group of declarations added to the parser environment. *)
@@ -1155,8 +1155,6 @@ type bounds = {
   b_marks : mark list;  (** the groups that registered anything, in order *)
   b_env0 : string;  (** environment digest before the first group *)
   b_prog : global list;  (** every group's globals, in order *)
-  b_names : string array;  (** the parse's [ur_idents] *)
-  b_uses : int array;  (** how often each of them was lexed *)
 }
 
 type uresult = {
@@ -1166,14 +1164,6 @@ type uresult = {
   ur_enums : (string * int) list;
       (** enum constants this unit registered, in registration order *)
   ur_anon : int;  (** anonymous struct/union/enum tags this unit created *)
-  ur_idents : string array;
-      (** distinct identifiers lexed from the unit: the link step's
-          evidence that a speculative (unseeded) parse could not have
-          been influenced by earlier units' exports *)
-  ur_first_span : Diag.span;
-      (** span of the unit's first token — where a whole-program parse
-          would report "too many errors" if the budget ran out exactly at
-          the boundary before this unit *)
   ur_capped : bool;  (** the unit itself emitted E0299 and gave up *)
   ur_decls : int;  (** top-level declarations parsed, failed ones too *)
   ur_bounds : bounds option;
@@ -1225,8 +1215,8 @@ let merge_regs a b =
    from token [firsts.(i)] to token [lasts.(i)] and parsed to
    [nglobals.(i)] globals; [marks] are the declarations that registered
    anything, indexed by declaration, in order. *)
-let group_items (tb : Tokbuf.t) ~firsts ~lasts ~nglobals ~marks ~env0 ~prog
-    ~names ~uses : bounds =
+let group_items (tb : Tokbuf.t) ~firsts ~lasts ~nglobals ~marks ~env0 ~prog :
+    bounds =
   let eof_line = Tokbuf.line tb (tb.Tokbuf.n - 1) in
   let starts = ints () and sizes = ints () and gmarks = ref [] in
   let marks = ref marks in
@@ -1282,8 +1272,6 @@ let group_items (tb : Tokbuf.t) ~firsts ~lasts ~nglobals ~marks ~env0 ~prog
     b_marks = List.rev !gmarks;
     b_env0 = env0;
     b_prog = prog;
-    b_names = names;
-    b_uses = uses;
   }
 
 (* [parse_unit] with the environment digest before the first declaration
@@ -1311,9 +1299,6 @@ let parse_tokens ~max_errors ~seed ~env0 (tb : Tokbuf.t)
       new_enums = [];
       last_params = [];
     }
-  in
-  let first_span =
-    if tb.Tokbuf.n > 0 then Tokbuf.span tb 0 else Diag.dummy_span
   in
   (* panic mode: a global that fails to parse is reported and skipped.
      Before each global, the cap fires if the run's running total of
@@ -1372,7 +1357,6 @@ let parse_tokens ~max_errors ~seed ~env0 (tb : Tokbuf.t)
     end
   done;
   let prog = List.rev !globals in
-  let idents, uses = Tokbuf.idents tb in
   {
     ur_pr =
       {
@@ -1383,8 +1367,6 @@ let parse_tokens ~max_errors ~seed ~env0 (tb : Tokbuf.t)
     ur_typedefs = List.rev st.new_typedefs;
     ur_enums = List.rev st.new_enums;
     ur_anon = st.anon - seed.us_anon;
-    ur_idents = idents;
-    ur_first_span = first_span;
     ur_capped = !capped;
     ur_decls = !decls;
     ur_bounds =
@@ -1392,18 +1374,14 @@ let parse_tokens ~max_errors ~seed ~env0 (tb : Tokbuf.t)
        else
          Some
            (group_items tb ~firsts ~lasts ~nglobals ~marks:(List.rev !marks)
-              ~env0 ~prog ~names:idents ~uses));
+              ~env0 ~prog));
   }
 
-(** Parse one translation unit over an already-lexed token buffer.
-    Seeded with {!empty_seed} this is a speculative, order-independent
-    parse; the link step re-invokes it with the real environment only
-    when the unit's identifiers overlap earlier exports, the unit mints
-    anonymous tags after earlier units did, or the diagnostic budget
-    spills across the unit boundary (see DESIGN.md "Per-unit frontend").
-    A parse with no diagnostic of a buffer lexed with its lines recorded
-    also records its declaration boundaries ([ur_bounds]) for
-    {!reparse_unit}. *)
+(** Parse one translation unit over an already-lexed token buffer,
+    under [seed]: the environment the units linked before it left (see
+    DESIGN.md "Per-unit frontend"). A parse with no diagnostic of a
+    buffer lexed with its lines recorded also records its declaration
+    boundaries ([ur_bounds]) for {!reparse_unit}. *)
 let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
     ~(lex_diags : Diag.t list) : uresult =
   let env0 = if Tokbuf.has_lines tb then seed_digest seed else "" in
@@ -1475,20 +1453,20 @@ exception Decline
     range, recording its lines) and parsed by {!parse_unit}'s own loop,
     seeded with the environment at its start. A region whose text ends
     inside a comment takes in the group after it, which is then parsed
-    afresh, until the comment closes. Returns the result, equal to a whole parse of [src] in
-    every field but the order of [ur_idents], with the number of
-    declarations parsed afresh. The uses of the names in dropped groups
-    are counted out of [prev]'s by lexing their old text again.
+    afresh, until the comment closes. Returns the result, equal to a
+    whole parse of [src], with the number of declarations parsed afresh.
 
-    Returns [None] (parse it whole) when a region has any other
-    diagnostic or does not end on a clean line break, when [src] has no
-    token, and before the splice would do more than half of a whole
-    parse's work: a byte counts once each time a region lexes it and
-    once more when the region parses it, and a byte of a dropped group
-    once (lexed), against twice the length of [src]. *)
+    Returns [None] (parse it whole) at once when [seed]'s digest is not
+    the one [prev] was parsed under, as then no group can be reused. It
+    also does when a region has any other diagnostic or does not end on
+    a clean line break, when [src] has no declaration, and before the
+    splice would do more than half of a whole parse's work: a byte
+    counts once each time a region lexes it and once more when the
+    region parses it, against twice the length of [src]. *)
 let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
     ~(lex : start:int -> stop:int -> line:int -> string -> Tokbuf.t * Diag.t list)
     (prev : bounds) (src : string) : (uresult * int) option =
+  let env0 = seed_digest seed in
   let len = String.length src in
   let old = prev.b_src in
   let m = Array.length prev.b_starts in
@@ -1546,26 +1524,9 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
      and the declarations parsed afresh *)
   let starts = ints () and sizes = ints () and marks = ref [] in
   let prog = ref [] and fresh = ref 0 in
-  let uses = Hashtbl.create (2 * Array.length prev.b_names) in
-  let count sign names counts =
-    Array.iteri
-      (fun i n ->
-        Hashtbl.replace uses n
-          ((sign * counts.(i)) + Option.value (Hashtbl.find_opt uses n) ~default:0))
-      names
-  in
-  count 1 prev.b_names prev.b_uses;
-  (* old ranges whose names' uses leave the count, newest first *)
-  let dropped = ref [] in
-  let drop k =
-    spend (old_end k - old_off k);
-    match !dropped with
-    | (s, e, l) :: rest when e = old_off k -> dropped := (s, old_end k, l) :: rest
-    | ds -> dropped := (old_off k, old_end k, old_line k) :: ds
-  in
   (* the environment so far: its digest and the registrations since the
      seed, newest first *)
-  let env = ref (seed_digest seed) in
+  let env = ref env0 in
   let tds = ref [] and ens = ref [] and anon = ref 0 in
   let add_group start size regs =
     if regs != no_regs then begin
@@ -1631,7 +1592,6 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
           fresh := !fresh + r.ur_decls;
           end_line := b.b_end_line;
           end_cut := b.b_cut;
-          count 1 b.b_names b.b_uses;
           true
       | _ -> raise Decline)
   in
@@ -1656,6 +1616,8 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
     && same_bytes old off src o size
   in
   match
+    (* no group can be reused under another environment *)
+    if not (String.equal env0 prev.b_env0) then raise Decline;
     for k = 0 to m - 1 do
       let line = old_line k in
       let size = old_end k - old_off k in
@@ -1707,60 +1669,39 @@ let reparse_unit ?(max_errors = 20) ?(seed = empty_seed)
         shift := delta;
         end_cut := k < m - 1 || prev.b_cut
       end
-      else drop k
     done;
     (* the last region leaves no comment to a later one *)
     ignore (region !no !nl len : bool)
   with
   | exception Decline -> None
   | () -> (
-      let decls k = decls_of sizes.a.(k) in
-      let rec first k = if k >= sizes.n then -1 else if decls k > 0 then k else first (k + 1) in
-      match first 0 with
-      | -1 -> None
-      | k ->
-          (* the first token's span, from that group lexed alone *)
-          let stop = if k + 1 < starts.n then off_of starts.a.(k + 1) else len in
-          let tb, _ =
-            lex ~start:(off_of starts.a.(k)) ~stop ~line:(line_of starts.a.(k)) src
-          in
-          List.iter
-            (fun (start, stop, line) ->
-              let names, counts = Tokbuf.idents (fst (lex ~start ~stop ~line old)) in
-              count (-1) names counts)
-            !dropped;
-          let names =
-            Array.of_list (Hashtbl.fold (fun n u acc -> if u > 0 then n :: acc else acc) uses [])
-          in
-          let prog = List.rev !prog in
-          let total = ref 0 in
-          for k = 0 to sizes.n - 1 do
-            total := !total + decls k
-          done;
-          Some
-            ( {
-                ur_pr = { pr_prog = prog; pr_diags = []; pr_degraded = [] };
-                ur_typedefs = List.rev !tds;
-                ur_enums = List.rev !ens;
-                ur_anon = !anon;
-                ur_idents = names;
-                ur_first_span = Tokbuf.span tb 0;
-                ur_capped = false;
-                ur_decls = !total;
-                ur_bounds =
-                  Some
-                    {
-                      b_src = src;
-                      b_stop = len;
-                      b_end_line = !end_line;
-                      b_cut = !end_cut;
-                      b_starts = contents starts;
-                      b_sizes = contents sizes;
-                      b_marks = List.rev !marks;
-                      b_env0 = seed_digest seed;
-                      b_prog = prog;
-                      b_names = names;
-                      b_uses = Array.map (Hashtbl.find uses) names;
-                    };
-              },
-              !fresh ))
+      let total = ref 0 in
+      for k = 0 to sizes.n - 1 do
+        total := !total + decls_of sizes.a.(k)
+      done;
+      if !total = 0 then None
+      else
+        let prog = List.rev !prog in
+        Some
+          ( {
+              ur_pr = { pr_prog = prog; pr_diags = []; pr_degraded = [] };
+              ur_typedefs = List.rev !tds;
+              ur_enums = List.rev !ens;
+              ur_anon = !anon;
+              ur_capped = false;
+              ur_decls = !total;
+              ur_bounds =
+                Some
+                  {
+                    b_src = src;
+                    b_stop = len;
+                    b_end_line = !end_line;
+                    b_cut = !end_cut;
+                    b_starts = contents starts;
+                    b_sizes = contents sizes;
+                    b_marks = List.rev !marks;
+                    b_env0 = env0;
+                    b_prog = prog;
+                  };
+            },
+            !fresh ))

@@ -1,20 +1,11 @@
 (** Flat token buffer: what the lexer ({!Clexer.tokenize_buf}) hands the
     parser.
 
-    A [Tokbuf.t] holds one pointer array of tokens (identifiers interned,
-    so each distinct name owns a single boxed [IDENT]) and one flat
-    [int array] of packed span components, two per token. There is no
-    cons cell, tuple or span record per token; spans are rebuilt lazily,
-    only on the error paths that actually report them.
-
-    The intern table doubles as the unit's identifier set: from
-    {!idents} the link step of the per-unit frontend decides whether
-    a speculatively parsed unit could have been influenced by typedef or
-    enum-constant names exported by earlier units (see DESIGN.md
-    "Per-unit frontend"). It also counts how often each name was lexed,
-    so a spliced re-parse ({!Cparse.reparse_unit}) can keep the set up to
-    date from the changed text alone (when the lexer was asked to record
-    what a splice needs).
+    A [Tokbuf.t] holds one pointer array of tokens (identifiers interned
+    while lexing, so each distinct name owns a single boxed [IDENT]) and
+    one flat [int array] of packed span components, two per token. There
+    is no cons cell, tuple or span record per token; spans are rebuilt
+    lazily, only on the error paths that actually report them.
 
     A buffer can also record where each line it lexed starts, and
     whether the line break before it lies outside any comment or
@@ -27,9 +18,6 @@
 type interns = {
   mutable names : string array;  (** [""] marks a free slot *)
   mutable itoks : Ctoken.t array;
-  mutable uses : int array;
-      (** times the slot's name was lexed; empty when uses are not
-          counted *)
   mutable count : int;
 }
 
@@ -40,9 +28,6 @@ type t = {
   spans : int array;
       (** 2 ints per token: start and end position, each {!pack}ed *)
   n : int;
-  interns : interns;
-      (** name -> its unique token: keywords map to their [KW_*], every
-          identifier seen in this unit maps to its shared [IDENT] *)
   line0 : int;  (** the line lexing started on *)
   lines : int array;
       (** empty unless the lexer was asked to record lines; then entry
@@ -84,52 +69,33 @@ let find_slot tbl s off len =
   let mask = Array.length tbl.names - 1 in
   probe tbl.names mask s off len (hash_sub s off len land mask)
 
-let create_interns ?(count = false) size =
-  {
-    names = Array.make size "";
-    itoks = Array.make size Ctoken.EOF;
-    uses = (if count then Array.make size 0 else [||]);
-    count = 0;
-  }
+let create_interns size =
+  { names = Array.make size ""; itoks = Array.make size Ctoken.EOF; count = 0 }
 
-let counts tbl = Array.length tbl.uses > 0
-
-(* Enter [name] with its token and [uses]; the name must be absent. *)
-let rec add_uses tbl name tok uses =
+(** Enter [name] with its token; the name must be absent. *)
+let rec add tbl name tok =
   let i = find_slot tbl name 0 (String.length name) in
   tbl.names.(i) <- name;
   tbl.itoks.(i) <- tok;
-  if counts tbl then tbl.uses.(i) <- uses;
   tbl.count <- tbl.count + 1;
   if 2 * tbl.count > Array.length tbl.names then begin
-    let names = tbl.names and itoks = tbl.itoks and old = tbl.uses in
+    let names = tbl.names and itoks = tbl.itoks in
     let size = 2 * Array.length names in
     tbl.names <- Array.make size "";
     tbl.itoks <- Array.make size Ctoken.EOF;
-    if counts tbl then tbl.uses <- Array.make size 0;
     tbl.count <- 0;
-    Array.iteri
-      (fun j k ->
-        if k <> "" then
-          add_uses tbl k itoks.(j) (if counts tbl then old.(j) else 0))
-      names
+    Array.iteri (fun j k -> if k <> "" then add tbl k itoks.(j)) names
   end
-
-let add tbl name tok = add_uses tbl name tok 0
 
 (** The unique token of the name [s.[off .. off+len-1]]: its keyword, or
-    its [IDENT], made and added on first sight. Counts one use when the
-    table counts them. *)
+    its [IDENT], made and added on first sight. *)
 let intern tbl s off len =
   let i = find_slot tbl s off len in
-  if String.length tbl.names.(i) > 0 then begin
-    if counts tbl then tbl.uses.(i) <- tbl.uses.(i) + 1;
-    tbl.itoks.(i)
-  end
+  if String.length tbl.names.(i) > 0 then tbl.itoks.(i)
   else begin
     let name = String.sub s off len in
     let tok = Ctoken.IDENT name in
-    add_uses tbl name tok 1;
+    add tbl name tok;
     tok
   end
 
@@ -157,33 +123,3 @@ let line_start t l = t.lines.(l - t.line0) lsr 1
 (** Was the line break before line [l] crossed outside any comment or
     literal? *)
 let clean_break t l = t.lines.(l - t.line0) land 1 = 1
-
-(** Did this unit's source mention [name] as an identifier? Keywords map
-    to keyword tokens, so they never answer [true]. *)
-let mentions t name =
-  let tbl = t.interns in
-  match tbl.itoks.(find_slot tbl name 0 (String.length name)) with
-  | Ctoken.IDENT _ -> true
-  | _ -> false
-
-(** The distinct identifier names lexed, in no particular order, with
-    how often each was lexed (empty when the lexer did not count them) —
-    the identifier set the link step of the per-unit frontend reads, and
-    the counts a spliced re-parse keeps it up to date with. *)
-let idents t : string array * int array =
-  let tbl = t.interns in
-  let n = ref 0 in
-  Array.iter (function Ctoken.IDENT _ -> incr n | _ -> ()) tbl.itoks;
-  let names = Array.make !n "" in
-  let uses = if counts tbl then Array.make !n 0 else [||] in
-  let k = ref 0 in
-  Array.iteri
-    (fun i tok ->
-      match tok with
-      | Ctoken.IDENT _ ->
-          names.(!k) <- tbl.names.(i);
-          if counts tbl then uses.(!k) <- tbl.uses.(i);
-          incr k
-      | _ -> ())
-    tbl.itoks;
-  (names, uses)

@@ -17,9 +17,9 @@
     [unit:line:col] position keys (see {!Report.position_key}).
 
     The frontend is per-unit: each translation unit is lexed and parsed
-    independently, then a deterministic link step merges the unit
-    programs and threads the cross-unit parser environment. See DESIGN.md "Per-unit frontend" and "Session
-    architecture". *)
+    once, in link order, under the parser environment the units before
+    it left, and a link step merges the unit programs. See DESIGN.md
+    "Per-unit frontend" and "Session architecture". *)
 
 type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
@@ -29,10 +29,6 @@ type timing = {
 (** Frontend phase breakdown. *)
 type frontend_stats = {
   fs_units : int;
-  fs_reparsed : int;
-      (** units whose speculative parse was discarded and redone with
-          the linked environment (typedef/enum-name overlap, anonymous
-          tag numbering, or a diagnostic budget spill) *)
   fs_lex_s : float;
   fs_parse_s : float;
   fs_build_s : float;
@@ -89,7 +85,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
    any marshaled type in this file changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
-    (Fmt.str "%a|%s|payload-fmt-6" Typequal.Lattice.Space.pp_dump sp
+    (Fmt.str "%a|%s|payload-fmt-7" Typequal.Lattice.Space.pp_dump sp
        Sys.ocaml_version)
 
 (** Open a cache directory for runs under this rule set (default: const
@@ -178,17 +174,13 @@ let src_unit (name, src) =
     u_lines = Cfront.Cprog.count_lines src;
   }
 
-(* one parse of a unit with its built table *)
-type parsed = { pu_res : Cfront.Cparse.uresult; pu_prog : Cfront.Cprog.t }
-
-(* What the link decided for one unit: its speculative parse, whether
-   that parse mentions a typedef or enum name of the units before it,
-   and the parse it linked, whose typedef and enum names and anonymous
-   tags are what it adds to the environment of the units after it. *)
-type linked_unit = {
-  lu_spec : parsed;
-  lu_mention : bool;
-  lu_res : Cfront.Cparse.uresult;
+(* one parse of a unit with its built table, and the diagnostics the
+   units before it had consumed from the run's budget when it was
+   parsed *)
+type parsed = {
+  pu_res : Cfront.Cparse.uresult;
+  pu_prog : Cfront.Cprog.t;
+  pu_base : int;
 }
 
 (* the frontend's product: the linked program, its recovered
@@ -196,9 +188,7 @@ type linked_unit = {
    the report's stable position keys name a function's home unit by)
    and each linked unit's table are what the next compile over the same
    names patches the program from; [co_link] says how this compile
-   built it, and [co_linked] what its link decided per unit, which the
-   next link reuses where a unit and the environment before it are
-   unchanged. *)
+   built it. *)
 type compiled = {
   co_prog : Cfront.Cprog.t;
   co_diags : Cfront.Diag.t list;
@@ -209,31 +199,25 @@ type compiled = {
   co_names : string array;
   co_progs : Cfront.Cprog.t array;  (* the units linked, in order *)
   co_link : string;  (* "patched", "merged: <reason>" or "cold" *)
-  co_linked : linked_unit array;
   co_units_built : int;  (* per-unit tables built, not taken from the memo *)
   co_decls_reparsed : int;  (* declarations lexed and parsed afresh *)
 }
 
-let parsed_of (res : Cfront.Cparse.uresult) =
-  {
-    pu_res = res;
-    pu_prog = Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog;
-  }
-
 (* The persistent session's in-memory AST tier, with hit/miss counters
-   for {!stats}. A speculative parse is keyed by the unit's digest, a
-   link re-parse by the digest and a digest of the seed the link handed
-   it. Each compile keeps exactly the entries it read, so a clean unit's
+   for {!stats}. A unit's parse is keyed by the unit's digest and the
+   digest of the seed it was parsed under; one that reported a
+   diagnostic is read only under the same budget consumed before it.
+   Each compile keeps exactly the entries it read, so a clean unit's
    parse, table and definitions are physically the same values from one
    compile to the next. A miss is spliced against [fm_last]: per unit
-   name, and apart for link re-parses, the last parse with no
-   diagnostic, which holds its source and declaration boundaries
+   name, the last parse with no diagnostic, which holds its source,
+   declaration boundaries and seed digest
    ({!Cfront.Cparse.reparse_unit}). A session that compiles once
    ([fm_splice] false) records and keeps no such parse. *)
 type fe_memo = {
   fm_tbl : (string, parsed) Hashtbl.t;
   fm_splice : bool;
-  fm_last : (string * bool, Cfront.Cparse.bounds) Hashtbl.t;
+  fm_last : (string, Cfront.Cparse.bounds) Hashtbl.t;
   mutable fm_hits : int;
   mutable fm_misses : int;
 }
@@ -255,14 +239,15 @@ let link_tables ?prev ~capped names progs =
       | None -> merged "merged: a unit's typedefs, structs or prototypes changed"
       | Some prog -> (prog, "patched"))
 
-(** The per-unit frontend: speculative lex+parse+build per translation
-    unit, then a deterministic link that replays the cross-unit parser
-    environment in file order and re-parses the rare unit whose
-    speculative result it could have influenced. [fe_memo] is
-    the session's in-memory AST tier, probed before any unit is parsed,
-    fed by every parse, and pruned to what this compile read. [prev],
-    the session's last compile, is what the link patches when it can
-    (see [link_tables]). *)
+(** The per-unit frontend: each unit is lexed, parsed and built once, in
+    link order, seeded with the parser environment the units before it
+    left (their typedef and enum names, the anonymous tags they minted
+    and the diagnostics they consumed), so the linked units are what one
+    parse of their concatenation gives. [fe_memo] is the session's
+    in-memory AST tier, probed before a unit is parsed, fed by every
+    parse, and pruned to what this compile read. [prev], the session's
+    last compile, is what the link patches when it can (see
+    [link_tables]). *)
 let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
   let lines = List.fold_left (fun acc u -> acc + u.u_lines) 0 units in
   let multi = match units with [] | [ _ ] -> false | _ -> true in
@@ -270,22 +255,6 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
   let units_a = Array.of_list units in
   let n = Array.length units_a in
   let read : (string, unit) Hashtbl.t = Hashtbl.create (2 * n) in
-  let lookup key =
-    match Hashtbl.find_opt fe_memo.fm_tbl key with
-    | Some p ->
-        fe_memo.fm_hits <- fe_memo.fm_hits + 1;
-        Hashtbl.replace read key ();
-        Some p
-    | None ->
-        fe_memo.fm_misses <- fe_memo.fm_misses + 1;
-        None
-  in
-  let remember key p =
-    Hashtbl.replace fe_memo.fm_tbl key p;
-    Hashtbl.replace read key ()
-  in
-  (* --- the speculative parse of each unit: from the AST memo, else
-     lexed and parsed here and remembered in the memo --- *)
   let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
   let timed cell f =
     let x, dt = time f in
@@ -293,21 +262,22 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
     x
   in
   let built = ref 0 and decls = ref 0 in
-  (* A parse of [u] afresh, [linked] for a link re-parse: spliced against
-     the unit's last clean parse when it has one, else (or when the
-     splice declines) lexed and parsed whole, recording the boundaries of
-     a clean parse when the session splices. The lexer's time inside a
-     splice counts as lexing, the rest of the splice as parsing. *)
+  (* A parse of [u] under [seed] afresh: spliced against the unit's last
+     clean parse when it has one, else (or when the splice declines)
+     lexed and parsed whole, recording the boundaries of a clean parse
+     when the session splices. The lexer's time inside a splice counts as
+     lexing, the rest of the splice as parsing. *)
   let splice = fe_memo.fm_splice in
-  let fresh ~linked ?(seed = Cfront.Cparse.empty_seed) ~lex_max u =
+  let fresh ~seed u =
     incr built;
+    let lex_max = me - seed.Cfront.Cparse.us_count_base in
     let lex ~start ~stop ~line src =
       timed lex_s (fun () ->
           Cfront.Clexer.tokenize_buf ~max_errors:lex_max ~start ~stop ~line
             ~lines:true src)
     in
     let spliced =
-      match Hashtbl.find_opt fe_memo.fm_last (u.u_name, linked) with
+      match Hashtbl.find_opt fe_memo.fm_last u.u_name with
       | Some prev ->
           let lex0 = !lex_s in
           let r, dt =
@@ -337,132 +307,96 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
           decls := !decls + res.Cfront.Cparse.ur_decls;
           res
     in
-    Option.iter
-      (Hashtbl.replace fe_memo.fm_last (u.u_name, linked))
-      res.Cfront.Cparse.ur_bounds;
-    timed build_s (fun () -> parsed_of res)
+    Option.iter (Hashtbl.replace fe_memo.fm_last u.u_name) res.Cfront.Cparse.ur_bounds;
+    timed build_s (fun () ->
+        {
+          pu_res = res;
+          pu_prog = Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog;
+          pu_base = seed.Cfront.Cparse.us_count_base;
+        })
   in
-  let slots =
-    Array.map
-      (fun u ->
-        match lookup u.u_digest with
-        | Some p -> p
-        | None ->
-            let p = fresh ~linked:false ~lex_max:me u in
-            remember u.u_digest p;
-            p)
-      units_a
-  in
-  (* --- link: validate each speculative parse against the
-     accumulated environment, re-parse when it could have been
-     influenced, thread the diagnostic budget, merge in file order --- *)
-  let link_t0 = Unix.gettimeofday () in
-  (* the link's own time leaves out the re-parses it asks for: those
-     count as lexing, parsing and building *)
-  let fresh_s () = !lex_s +. !parse_s +. !build_s in
-  let fresh_s0 = fresh_s () in
+  (* the environment the units linked so far leave: their typedef and
+     enum names, the anonymous tags they minted and the diagnostics they
+     consumed; and, until a unit adds to it, the seed it makes with the
+     seed's digest *)
   let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let env_anon = ref 0 in
-  let consumed = ref 0 in
-  let capped = ref false in
-  let reparsed = ref 0 in
-  let progs = ref [] in
-  let decided = ref [] in
-  (* the environment before the unit at hand is the one the previous
-     compile's link saw there: every unit before it added the same
-     names and anonymous tags *)
-  let env_same = ref (prev <> None) in
-  let same_additions (a : Cfront.Cparse.uresult) (b : Cfront.Cparse.uresult) =
-    a == b
-    || a.Cfront.Cparse.ur_anon = b.Cfront.Cparse.ur_anon
-       && a.Cfront.Cparse.ur_typedefs = b.Cfront.Cparse.ur_typedefs
-       && List.map fst a.Cfront.Cparse.ur_enums = List.map fst b.Cfront.Cparse.ur_enums
+  let env_anon = ref 0 and consumed = ref 0 and capped = ref false in
+  let env_seed = ref None in
+  let seed_of_env () =
+    match !env_seed with
+    | Some s -> s
+    | None ->
+        let seed =
+          {
+            Cfront.Cparse.us_typedefs = Hashtbl.fold (fun k () acc -> k :: acc) env_typedefs [];
+            us_enums = Hashtbl.fold (fun k v acc -> (k, v) :: acc) env_enums [];
+            us_anon = !env_anon;
+            us_count_base = 0;
+          }
+        in
+        let s = (seed, Cfront.Cparse.seed_digest seed) in
+        env_seed := Some s;
+        s
   in
-  let diags = ref [] in
-  let degraded = ref [] in
-  (* units this link re-parsed (or took a re-parse of from the memo) *)
-  let linked : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i u ->
+  let progs = ref [] and diags = ref [] and degraded = ref [] in
+  Array.iter
+    (fun u ->
       let in_unit d = if multi then Cfront.Diag.with_unit u.u_name d else d in
-      let spec = slots.(i) in
       if not !capped then
         if !consumed >= me then begin
           (* the budget ran out exactly at a unit boundary: a
              whole-program parse would give up at this unit's first
-             token *)
+             token, which lexing the unit finds *)
           capped := true;
+          let tb, _ =
+            timed lex_s (fun () -> Cfront.Clexer.tokenize_buf ~max_errors:me u.u_src)
+          in
           diags :=
             in_unit
-              (Cfront.Diag.note ~code:"E0299"
-                 spec.pu_res.Cfront.Cparse.ur_first_span
+              (Cfront.Diag.note ~code:"E0299" (Cfront.Tokbuf.span tb 0)
                  (Printf.sprintf
                     "too many errors (%d); giving up on the rest of the file"
                     me))
             :: !diags
         end
         else begin
-          let sres = spec.pu_res in
-          let k = List.length sres.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags in
-          let before =
-            match prev with
-            | Some p when !env_same && i < Array.length p.co_linked -> Some p.co_linked.(i)
-            | _ -> None
-          in
-          let mention_hit =
-            match before with
-            | Some lu when lu.lu_spec == spec -> lu.lu_mention
+          let seed, digest = seed_of_env () in
+          let seed = { seed with Cfront.Cparse.us_count_base = !consumed } in
+          let key = u.u_digest ^ digest in
+          let p =
+            match Hashtbl.find_opt fe_memo.fm_tbl key with
+            | Some p
+              when p.pu_res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags = []
+                   || p.pu_base = !consumed ->
+                fe_memo.fm_hits <- fe_memo.fm_hits + 1;
+                p
             | _ ->
-                (Hashtbl.length env_typedefs > 0 || Hashtbl.length env_enums > 0)
-                && Array.exists
-                     (fun id ->
-                       Hashtbl.mem env_typedefs id || Hashtbl.mem env_enums id)
-                     sres.Cfront.Cparse.ur_idents
+                fe_memo.fm_misses <- fe_memo.fm_misses + 1;
+                let p = fresh ~seed u in
+                Hashtbl.replace fe_memo.fm_tbl key p;
+                p
           in
-          let anon_hit = !env_anon > 0 && sres.Cfront.Cparse.ur_anon > 0 in
-          let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
-          let { pu_res = res; pu_prog = prog } =
-            if not (mention_hit || anon_hit || budget_hit) then spec
-            else begin
-              let seed =
-                {
-                  Cfront.Cparse.us_typedefs =
-                    Hashtbl.fold (fun k () acc -> k :: acc) env_typedefs [];
-                  us_enums =
-                    Hashtbl.fold (fun k v acc -> (k, v) :: acc) env_enums [];
-                  us_anon = !env_anon;
-                  us_count_base = !consumed;
-                }
-              in
-              let key = u.u_digest ^ Cfront.Cparse.seed_digest seed in
-              Hashtbl.replace linked u.u_name ();
-              match lookup key with
-              | Some p -> p
-              | None ->
-                  incr reparsed;
-                  let p =
-                    fresh ~linked:true ~seed ~lex_max:(me - !consumed) u
-                  in
-                  remember key p;
-                  p
-            end
-          in
-          decided := { lu_spec = spec; lu_mention = mention_hit; lu_res = res } :: !decided;
-          env_same :=
-            !env_same
-            && (match before with Some lu -> same_additions lu.lu_res res | None -> false);
+          Hashtbl.replace read key ();
+          let res = p.pu_res in
           let pr = res.Cfront.Cparse.ur_pr in
           consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
           if res.Cfront.Cparse.ur_capped then capped := true;
-          List.iter
-            (fun name -> Hashtbl.replace env_typedefs name ())
-            res.Cfront.Cparse.ur_typedefs;
-          List.iter
-            (fun (name, v) -> Hashtbl.replace env_enums name v)
-            res.Cfront.Cparse.ur_enums;
-          env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
-          progs := prog :: !progs;
+          if
+            res.Cfront.Cparse.ur_typedefs <> []
+            || res.Cfront.Cparse.ur_enums <> []
+            || res.Cfront.Cparse.ur_anon > 0
+          then begin
+            List.iter
+              (fun name -> Hashtbl.replace env_typedefs name ())
+              res.Cfront.Cparse.ur_typedefs;
+            List.iter
+              (fun (name, v) -> Hashtbl.replace env_enums name v)
+              res.Cfront.Cparse.ur_enums;
+            env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
+            env_seed := None
+          end;
+          progs := p.pu_prog :: !progs;
           List.iter (fun d -> diags := in_unit d :: !diags) pr.Cfront.Cparse.pr_diags;
           List.iter (fun dg -> degraded := dg :: !degraded) pr.Cfront.Cparse.pr_degraded
         end)
@@ -472,38 +406,35 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
   Hashtbl.filter_map_inplace
     (fun key p -> if Hashtbl.mem read key then Some p else None)
     fe_memo.fm_tbl;
-  (* a splice base outlives its unit's edits, not the unit, and a link
-     re-parse's base only the units the link re-parsed *)
+  (* a splice base outlives its unit's edits, not the unit *)
   let current = Hashtbl.create (2 * n) in
   Array.iter (fun u -> Hashtbl.replace current u.u_name ()) units_a;
   Hashtbl.filter_map_inplace
-    (fun (name, is_linked) b ->
-      if Hashtbl.mem (if is_linked then linked else current) name then Some b
-      else None)
+    (fun name b -> if Hashtbl.mem current name then Some b else None)
     fe_memo.fm_last;
   let names = Array.map (fun u -> u.u_name) units_a in
   let progs = Array.of_list (List.rev !progs) in
   let prog, how = link_tables ?prev ~capped:!capped names progs in
-  let link_s = Unix.gettimeofday () -. link_t0 -. (fresh_s () -. fresh_s0) in
+  (* the link's own time: the compile's, less the lexing, parsing and
+     building of the units *)
+  let elapsed = Unix.gettimeofday () -. t0 in
   {
     co_prog = prog;
     co_diags = List.rev !diags;
     co_degraded = List.rev !degraded;
     co_lines = lines;
-    co_t_compile = Unix.gettimeofday () -. t0;
+    co_t_compile = elapsed;
     co_frontend =
       {
         fs_units = n;
-        fs_reparsed = !reparsed;
         fs_lex_s = !lex_s;
         fs_parse_s = !parse_s;
         fs_build_s = !build_s;
-        fs_link_s = link_s;
+        fs_link_s = elapsed -. !lex_s -. !parse_s -. !build_s;
       };
     co_names = names;
     co_progs = progs;
     co_link = how;
-    co_linked = Array.of_list (List.rev !decided);
     co_units_built = !built;
     co_decls_reparsed = !decls;
   }
@@ -515,7 +446,6 @@ let compile_units ?prev ~fe_memo ~me (units : src_unit list) : compiled =
 (** How the last analysis of a mode was computed. *)
 type rebuild = {
   rb_mode : string;
-  rb_units_reparsed : int;  (** units lexed and parsed afresh for it *)
   rb_tasks_total : int;  (** analysis tasks: SCCs, or mono bodies *)
   rb_tasks_rerun : int;  (** of those, re-inferred *)
   rb_members_rerun : int;  (** functions in the re-inferred tasks *)
@@ -550,7 +480,7 @@ type rebuild = {
    the next warm run and what was rebuilt. A function's AST lines are
    already unit-local, so its position anchor only needs its home
    unit, which the graph records as an index into [co_names]. *)
-let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
+let analyze ?rules ?compact ?budget ?warm mode (co : compiled) =
   let full reason =
     let env = Analysis.make_env ?rules ?compact ?budget mode co.co_prog in
     (* [advance] declines only when it starts from a predecessor *)
@@ -615,7 +545,6 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
   let rb =
     {
       rb_mode = mode_name mode;
-      rb_units_reparsed = reparsed;
       rb_tasks_total = ri.Analysis.ri_tasks;
       rb_tasks_rerun = ri.Analysis.ri_rerun;
       rb_members_rerun = ri.Analysis.ri_rerun_members;
@@ -641,45 +570,32 @@ let analyze ?rules ?compact ?budget ?warm ~reparsed mode (co : compiled) =
 module Solver = Typequal.Solver
 module Lat = Typequal.Lattice
 
-(* The what-if index of one solved store: each report position's
-   function and (key-owning) variable by report ordinal, and the ordinals
-   grouped by their variable's id — a speculation only has to look at
-   the variables it raised. *)
-type whatif_index = {
-  wi_funs : string array;
-  wi_vars : Solver.var array;
-  wi_by_var : (int, int list) Hashtbl.t;
-}
+(* The variable a report row's canonical key resolves to: the row's
+   own, unless an earlier row in report order owns the key. *)
+let key_var (rows : Report.rows) (r : Report.row) =
+  (Hashtbl.find rows.Report.index r.Report.r_key).Report.r_var
 
-let whatif_index (run : run) (rows : Report.rows) keys : whatif_index =
-  let wi_vars =
-    Array.map (fun k -> (Hashtbl.find rows.Report.index k).Report.r_var) keys
-  in
-  let wi_funs =
-    Array.of_list
-      (List.map
-         (fun ((p : Report.position), _) -> p.Report.p_fun)
-         run.results.Report.positions)
-  in
-  let wi_by_var = Hashtbl.create 1024 in
+(* The what-if index of one solved store: report ordinals grouped by the
+   id of the variable their canonical key resolves to — a speculation
+   only has to look at the variables it raised. *)
+let whatif_index (rows : Report.rows) : (int, int list) Hashtbl.t =
+  let by_var = Hashtbl.create 1024 in
   Array.iteri
-    (fun n var ->
-      let r = Solver.var_id var in
-      Hashtbl.replace wi_by_var r
-        (n :: Option.value (Hashtbl.find_opt wi_by_var r) ~default:[]))
-    wi_vars;
-  { wi_funs; wi_vars; wi_by_var }
+    (fun n r ->
+      let id = Solver.var_id (key_var rows r) in
+      Hashtbl.replace by_var id
+        (n :: Option.value (Hashtbl.find_opt by_var id) ~default:[]))
+    rows.Report.in_order;
+  by_var
 
 (* one mode's warm artifacts: the solved store, the report rows with the
-   stable-key index into it, every position's canonical key in report
-   order, and the what-if index (built by the first whatif on this
-   store) *)
+   stable-key index into it, and the what-if index (built by the first
+   whatif on this store) *)
 type mode_state = {
   ms_run : run;
   ms_env : Analysis.env;
   ms_rows : Report.rows;
-  ms_keys : string array;
-  ms_whatif : whatif_index Lazy.t;
+  ms_whatif : (int, int list) Hashtbl.t Lazy.t;
 }
 
 type t = {
@@ -704,7 +620,6 @@ type t = {
      re-analyzes incrementally (consumed by that run, or dropped by the
      next edit that follows some analysis) *)
   s_bases : (string, mode_state) Hashtbl.t;
-  mutable s_reparsed : int;  (* units parsed afresh by the last compile *)
   mutable s_last_rebuild : rebuild option;
 }
 
@@ -734,7 +649,6 @@ let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
     s_linked = None;
     s_modes = Hashtbl.create 4;
     s_bases = Hashtbl.create 4;
-    s_reparsed = 0;
     s_last_rebuild = None;
   }
 
@@ -793,9 +707,7 @@ let ensure_compiled t =
   | None ->
       if t.s_units = [] then raise (Error "session has no units");
       let me = Option.value t.s_max_errors ~default:20 in
-      let misses0 = t.s_fe_memo.fm_misses in
       let c = compile_units ?prev:t.s_linked ~fe_memo:t.s_fe_memo ~me t.s_units in
-      t.s_reparsed <- t.s_fe_memo.fm_misses - misses0;
       t.s_compiled <- Some c;
       t.s_linked <- Some c;
       c
@@ -817,18 +729,11 @@ let ensure_mode t mode : mode_state =
       let run, env, rows, rb =
         analyze ~rules:t.s_rules ?compact:t.s_compact
           ?budget:(Option.map (fun f -> f ()) t.s_budget)
-          ?warm ~reparsed:t.s_reparsed mode co
+          ?warm mode co
       in
       t.s_last_rebuild <- Some rb;
-      let keys = Array.map (fun r -> r.Report.r_key) rows.Report.in_order in
       let ms =
-        {
-          ms_run = run;
-          ms_env = env;
-          ms_rows = rows;
-          ms_keys = keys;
-          ms_whatif = lazy (whatif_index run rows keys);
-        }
+        { ms_run = run; ms_env = env; ms_rows = rows; ms_whatif = lazy (whatif_index rows) }
       in
       Hashtbl.replace t.s_modes key ms;
       ms
@@ -908,8 +813,11 @@ let diagnostics t : Cfront.Diag.t list = (ensure_compiled t).co_diags
 let positions ?mode t :
     (string * Report.position * Report.verdict) list =
   let ms = ensure_mode t (mode_of t mode) in
-  List.mapi (fun n (p, v) -> (ms.ms_keys.(n), p, v))
-    ms.ms_run.results.Report.positions
+  Array.fold_right
+    (fun r l ->
+      let p, v = r.Report.r_result in
+      (r.Report.r_key, p, v) :: l)
+    ms.ms_rows.Report.in_order []
 
 (** Answer "is this position must-const?" (or must-[qual]) by stable
     key — [unit:line:col@level] or the structural
@@ -997,13 +905,14 @@ let whatif_task ?mode t ~qual key :
                     List.concat_map
                       (fun v ->
                         Option.value ~default:[]
-                          (Hashtbl.find_opt wi.wi_by_var (Solver.var_id v)))
+                          (Hashtbl.find_opt wi (Solver.var_id v)))
                       (Solver.speculation_vars spec)
                   in
                   let changed =
                     List.filter_map
                       (fun n ->
-                        let var = wi.wi_vars.(n) in
+                        let r = ms.ms_rows.Report.in_order.(n) in
+                        let var = key_var ms.ms_rows r in
                         let before =
                           verdict_of_solver (Solver.classify store var qi)
                         in
@@ -1015,8 +924,8 @@ let whatif_task ?mode t ~qual key :
                         else
                           Some
                             {
-                              wc_key = ms.ms_keys.(n);
-                              wc_fun = wi.wi_funs.(n);
+                              wc_key = r.Report.r_key;
+                              wc_fun = (fst r.Report.r_result).Report.p_fun;
                               wc_before = before;
                               wc_after = after;
                             })
@@ -1062,7 +971,6 @@ let stats_json (st : session_stats) : Wire.json =
     Wire.Obj
       [
         ("mode", Wire.Str rb.rb_mode);
-        ("units_reparsed", int rb.rb_units_reparsed);
         ("tasks_total", int rb.rb_tasks_total);
         ("tasks_rerun", int rb.rb_tasks_rerun);
         ("members_rerun", int rb.rb_members_rerun);
@@ -1132,10 +1040,9 @@ let render_run ?(stats = false) ?(positions = false) ?jobs:_ ~name mode
     (match r.frontend with
     | Some fs ->
         pr
-          "frontend: %d units, %d reparsed, lex %.3fs, parse %.3fs, build \
-           %.3fs, link %.3fs\n"
-          fs.fs_units fs.fs_reparsed fs.fs_lex_s fs.fs_parse_s fs.fs_build_s
-          fs.fs_link_s
+          "frontend: %d units, lex %.3fs, parse %.3fs, build %.3fs, link \
+           %.3fs\n"
+          fs.fs_units fs.fs_lex_s fs.fs_parse_s fs.fs_build_s fs.fs_link_s
     | None -> ())
   end;
   pr

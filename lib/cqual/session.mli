@@ -16,9 +16,6 @@ type timing = {
 (** Frontend phase breakdown. *)
 type frontend_stats = {
   fs_units : int;
-  fs_reparsed : int;
-      (** units whose speculative parse was discarded and redone with
-          the linked environment *)
   fs_lex_s : float;
   fs_parse_s : float;
   fs_build_s : float;
@@ -233,7 +230,6 @@ val whatif :
 (** How the last analysis of a mode was computed. *)
 type rebuild = {
   rb_mode : string;
-  rb_units_reparsed : int;  (** units lexed and parsed afresh for it *)
   rb_tasks_total : int;  (** analysis tasks: SCCs, or mono bodies *)
   rb_tasks_rerun : int;  (** of those, re-inferred *)
   rb_members_rerun : int;
@@ -242,8 +238,8 @@ type rebuild = {
   rb_full : bool;  (** a fresh store rather than a warm rerun *)
   rb_reason : string;  (** why a full run, or ["incremental"] *)
   rb_units_built : int;
-      (** per-unit tables built for it; a clean unit's comes from the
-          AST memo *)
+      (** units lexed, parsed and built afresh for it; a clean unit
+          whose seed is unchanged comes from the AST memo *)
   rb_decls_reparsed : int;
       (** top-level declarations lexed and parsed afresh by the compile
           it read: an edited unit spliced against its last clean parse
@@ -282,9 +278,10 @@ type session_stats = {
   ss_modes : string list;  (** warm (already analyzed) modes *)
   ss_memo_hits : int;
       (** parses served from the per-unit AST memo, cumulative: a
-          one-unit edit of an n-unit session adds n-1 hits and 1 miss (a
-          unit the link re-parses is looked up once more, under its
-          seed) *)
+          compile looks each unit it parses up once, under the seed the
+          units before it leave, so a one-unit edit of an n-unit session
+          that changes no typedef, enum constant or anonymous tag adds
+          n-1 hits and 1 miss *)
   ss_memo_misses : int;  (** units lexed and parsed afresh, cumulative *)
   ss_last_rebuild : rebuild option;  (** the most recent analysis *)
 }

@@ -493,14 +493,17 @@ let test_golden_errors () =
     "4217da5308e385137b7962a6aa5f086e"
 
 let test_tokbuf_interns () =
-  let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz;\n" in
-  Alcotest.(check bool) "mentions foo" true (Tokbuf.mentions tb "foo");
-  Alcotest.(check bool) "mentions foo_t" true (Tokbuf.mentions tb "foo_t");
-  Alcotest.(check bool) "keyword not an ident" false (Tokbuf.mentions tb "int");
-  Alcotest.(check bool) "absent name" false (Tokbuf.mentions tb "quux");
-  let names = List.sort String.compare (Array.to_list (fst (Tokbuf.idents tb))) in
-  Alcotest.(check (list string)) "ident set" [ "bar"; "baz"; "foo"; "foo_t" ]
-    names
+  let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz; foo = bar;\n" in
+  let t = Tokbuf.tok tb in
+  (* int foo ; int bar ; foo_t baz ; foo = bar ; EOF *)
+  Alcotest.(check bool) "a keyword lexes to its keyword token" true
+    (t 0 = Ctoken.KW_INT && t 3 = Ctoken.KW_INT);
+  Alcotest.(check bool) "one IDENT per name: foo" true (t 1 == t 9);
+  Alcotest.(check bool) "one IDENT per name: bar" true (t 4 == t 11);
+  Alcotest.(check bool) "distinct names, distinct tokens" true
+    (t 1 <> t 4 && t 6 <> t 7);
+  Alcotest.(check bool) "identifiers lex to IDENT" true
+    (t 1 = Ctoken.IDENT "foo" && t 6 = Ctoken.IDENT "foo_t")
 
 (* ---------------- frontend fuzzer ---------------- *)
 

@@ -1,7 +1,8 @@
 (* The per-unit frontend: parity with a whole-program parse of the
-   concatenated units (reports, diagnostics, counters), unit-boundary diagnostic positions, cross-unit
-   parser-environment threading (typedef / enum-constant / anonymous-tag
-   reparses), the diagnostic budget crossing unit boundaries, the
+   concatenated units (reports, diagnostics, counters), unit-boundary
+   diagnostic positions, cross-unit parser-environment threading
+   (typedef / enum-constant / anonymous-tag seeds, each unit parsed
+   once), the diagnostic budget crossing unit boundaries, the
    per-unit AST memo, the outcome-list construction on many-degraded
    programs, and the spliced re-parse of an edited unit. *)
 
@@ -85,6 +86,19 @@ let frontend_stats (r : Session.run) =
   | Some fs -> fs
   | None -> Alcotest.fail "expected per-unit frontend stats"
 
+(* a cold run of [files] and the number of unit parses it made: each
+   unit is parsed once, in link order, under the environment the units
+   before it left *)
+let run_counting ?max_errors files =
+  let t = Session.create ~mode:Analysis.Mono ?max_errors files in
+  let r = Session.run t in
+  (r, (Session.stats t).Session.ss_memo_misses)
+
+let check_parsed_once what files =
+  let r, parses = run_counting files in
+  Alcotest.(check int) (what ^ ": each unit parsed once") (List.length files) parses;
+  r
+
 (* the linked units and the one-unit oracle must agree observably *)
 let check_parity ?mode ?max_errors what files =
   let r = run ?mode ?max_errors files in
@@ -116,12 +130,7 @@ let test_parity_generated () =
       let files =
         Cbench.Gen.generate_project ~seed ~target_lines:2000 ()
       in
-      (* a generated project threads no typedef, enum or tag across
-         units, so linking re-parses nothing *)
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: no link reparses" seed)
-        0
-        (frontend_stats (run ~mode:Analysis.Mono files)).Session.fs_reparsed;
+      ignore (check_parsed_once (Printf.sprintf "seed %d" seed) files);
       List.iter
         (fun (mname, mode) ->
           ignore
@@ -183,18 +192,15 @@ let test_mixed_diagnostic_order () =
 (* ---------------- cross-unit environment threading ---------------- *)
 
 let test_typedef_threading () =
-  (* unit 2 uses a typedef exported by unit 1: its speculative parse
-     (which reads [myint x;] as two declarations) must be discarded and
-     redone with the linked environment *)
+  (* unit 2 uses a typedef exported by unit 1: it is parsed once, seeded
+     with that name (without it, [myint x;] reads as two declarations) *)
   let files =
     [
       ("header.c", "typedef int myint;\n");
       ("use.c", "myint global_x;\nint f(myint m) { return m; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono files in
-  Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Session.fs_reparsed >= 1);
+  let r = check_parsed_once "typedef threading" files in
   Alcotest.(check (list string)) "no diagnostics" []
     (List.map Diag.to_string r.Session.diagnostics);
   ignore (check_parity ~mode:Analysis.Mono "typedef threading" files)
@@ -206,24 +212,20 @@ let test_enum_threading () =
       ("use.c", "int f(void) { return GREEN + BLUE; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono files in
-  Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Session.fs_reparsed >= 1);
+  ignore (check_parsed_once "enum threading" files);
   ignore (check_parity ~mode:Analysis.Mono "enum threading" files)
 
 let test_anon_tag_threading () =
   (* anonymous struct tags are numbered program-wide, as a whole-program
-     parse numbers them; a later unit with its own anonymous tag must be re-parsed
-     with the running counter so the generated tags match *)
+     parse numbers them; a later unit with its own anonymous tag is
+     parsed with the running counter, so the generated tags match *)
   let files =
     [
       ("a.c", "struct { int x; } g_a;\n");
       ("b.c", "struct { int y; } g_b;\nint f(void) { return g_b.y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono files in
-  Alcotest.(check bool) "b.c reparsed" true
-    ((frontend_stats r).Session.fs_reparsed >= 1);
+  ignore (check_parsed_once "anon tags" files);
   ignore (check_parity ~mode:Analysis.Mono "anon tags" files)
 
 let test_independent_units_not_reparsed () =
@@ -233,9 +235,7 @@ let test_independent_units_not_reparsed () =
       ("b.c", "int g(int y) { return y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono files in
-  Alcotest.(check int) "no reparses" 0
-    (frontend_stats r).Session.fs_reparsed;
+  let r = check_parsed_once "independent units" files in
   Alcotest.(check int) "two units" 2 (frontend_stats r).Session.fs_units
 
 (* ---------------- diagnostic budget across units ---------------- *)
@@ -253,9 +253,10 @@ let test_budget_crosses_boundary () =
     ]
   in
   let d = check_parity ~mode:Analysis.Mono ~max_errors:5 "budget" files in
+  let r, parses = run_counting ~max_errors:5 files in
+  Alcotest.(check int) "budget: each unit parsed once" 2 parses;
   Alcotest.(check bool) "cap fired in b.c" true
-    (let r = run ~mode:Analysis.Mono ~max_errors:5 files in
-     List.exists
+    (List.exists
        (fun dg ->
          dg.Diag.d_code = "E0299" && dg.Diag.d_unit = Some "b.c")
        r.Session.diagnostics);
@@ -440,13 +441,11 @@ let whole src =
 
 (* every field of a unit parse the link and the report read: the globals
    (structurally), diagnostics, typedef and enum exports in order, the
-   anonymous-tag count, the identifier set, the first token's span, and
-   whether it capped *)
+   anonymous-tag count, whether it capped and the declarations parsed *)
 let observed (r : Cparse.uresult) =
   ( (r.Cparse.ur_pr.Cparse.pr_prog, r.Cparse.ur_pr.Cparse.pr_diags),
     (r.Cparse.ur_typedefs, r.Cparse.ur_enums, r.Cparse.ur_anon),
-    (List.sort compare (Array.to_list r.Cparse.ur_idents), r.Cparse.ur_first_span,
-     r.Cparse.ur_capped, r.Cparse.ur_decls) )
+    (r.Cparse.ur_capped, r.Cparse.ur_decls) )
 
 (* One random edit of a unit's lines, named for the failure report. The
    names in [probe] are the ones [env_decl] may define later, above it:
@@ -583,9 +582,8 @@ let prop_splice_equals_whole =
    edits (each re-parses more than half the unit). A comment that an
    unchanged group closes takes that group into the parsed region, so a
    comment straddling lines declines only on the same grounds: on these
-   seeds, twice where it comments out the header's typedefs (every
-   later group is then parsed afresh) and once where it spans 53 lines,
-   a region past the work bound. *)
+   seeds, twice, where it comments out the header's typedefs (every
+   later group is then parsed afresh). *)
 let test_splice_fixed_stream () =
   Hashtbl.reset outcomes;
   for seed = 1 to 40 do
@@ -606,7 +604,7 @@ let test_splice_fixed_stream () =
   let s, d =
     Option.value (Hashtbl.find_opt outcomes "a comment straddling lines") ~default:(0, 0)
   in
-  Alcotest.(check (pair bool int)) "a comment straddling lines: spliced, declined" (true, 3)
+  Alcotest.(check (pair bool int)) "a comment straddling lines: spliced, declined" (true, 2)
     (s >= 10, d)
 
 (* one body edit: one declaration is parsed afresh, and every other
@@ -674,7 +672,7 @@ let tests =
       test_enum_threading;
     Alcotest.test_case "anonymous-tag numbering forces reparse" `Quick
       test_anon_tag_threading;
-    Alcotest.test_case "independent units parse speculatively" `Quick
+    Alcotest.test_case "independent units are parsed once" `Quick
       test_independent_units_not_reparsed;
     Alcotest.test_case "diagnostic budget crosses unit boundary" `Quick
       test_budget_crosses_boundary;

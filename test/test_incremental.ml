@@ -540,7 +540,7 @@ let test_leaf_append () =
       let m = Session.mode_name mode in
       Alcotest.(check bool) (m ^ ": incremental") false rb.Session.rb_full;
       Alcotest.(check int) (m ^ ": one task re-ran") 1 rb.Session.rb_tasks_rerun;
-      Alcotest.(check int) (m ^ ": one unit re-parsed") 1 rb.Session.rb_units_reparsed)
+      Alcotest.(check int) (m ^ ": one unit re-parsed") 1 rb.Session.rb_units_built)
     modes
 
 let test_whitespace_only () =

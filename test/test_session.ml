@@ -828,7 +828,7 @@ let test_wire_stats () =
     | _ -> Alcotest.failf "%s is not an object" key
   in
   let rb = obj "last_rebuild" j in
-  Alcotest.(check (option int)) "units_reparsed" (Some 1) (Wire.mem_int "units_reparsed" rb);
+  Alcotest.(check (option int)) "units_built" (Some 1) (Wire.mem_int "units_built" rb);
   Alcotest.(check (option int)) "tasks_rerun" (Some 1) (Wire.mem_int "tasks_rerun" rb);
   Alcotest.(check bool) "tasks_total" true
     (Option.value (Wire.mem_int "tasks_total" rb) ~default:0 > 1);
@@ -1332,16 +1332,16 @@ let test_link_paths () =
       ("a body edit again", a ~proto:false ~td:false "", "patched");
     ]
 
-(* A unit that mentions an earlier unit's typedef is re-parsed by the
-   link under that environment; a body edit of the earlier unit leaves
-   the environment as it was, so the re-parse comes from the memo and
-   the unit's definitions stay the same values. *)
+(* A unit that mentions an earlier unit's typedef is parsed under that
+   environment; a body edit of the earlier unit leaves the environment as
+   it was, so the unit's parse comes from the memo and its definitions
+   stay the same values. *)
 let test_link_reparse_memo () =
   let a body = "typedef char *str;\nint f(str s) { " ^ body ^ "return 0; }\n" in
   let b = "int g(str s) { return f(s); }\n" in
   let t = Session.create ~mode:Analysis.Poly [ ("a.c", a ""); ("b.c", b) ] in
-  let reparsed (r : Session.run) = (Option.get r.Session.frontend).Session.fs_reparsed in
-  Alcotest.(check int) "cold: b.c is re-parsed by the link" 1 (reparsed (Session.run t));
+  let hits, misses = memo_delta t (fun () -> ignore (Session.run t)) in
+  Alcotest.(check (pair int int)) "cold: each unit parsed once" (0, 2) (hits, misses);
   let g () = Option.get (resolver (Session.program t) "g") in
   let g0 = g () in
   for i = 1 to 3 do
@@ -1349,9 +1349,9 @@ let test_link_reparse_memo () =
     let hits, misses =
       memo_delta t (fun () ->
           ignore (Session.update_unit t "a.c" (a body));
-          Alcotest.(check int) "no link re-parse" 0 (reparsed (Session.run t)))
+          ignore (Session.run t))
     in
-    Alcotest.(check (pair int int)) "a.c missed; b.c's parses hit" (2, 1) (hits, misses);
+    Alcotest.(check (pair int int)) "a.c missed; b.c's parse hit" (1, 1) (hits, misses);
     let rb = Option.get (Session.stats t).Session.ss_last_rebuild in
     Alcotest.(check int) "one unit built" 1 rb.Session.rb_units_built;
     Alcotest.(check bool) "b.c's definition is the same value" true (g () == g0);
@@ -1360,29 +1360,30 @@ let test_link_reparse_memo () =
       (Session.render ~positions:true ~name:"l" t)
   done
 
-(* The link reuses a unit's mention verdict only while the environment
-   before it is the one its last link saw: a typedef that an earlier
-   unit starts to define, and a later unit mentions, still has the later
-   unit re-parsed, and dropping it again takes the re-parse back. *)
+(* A unit's parse is reused only under the environment it was parsed
+   under: a typedef that an earlier unit starts to define, and a later
+   unit mentions, has the later unit parsed again, and so does dropping
+   it again. *)
 let test_link_new_typedef () =
   let b = "int g(str s) { return 0; }\nint h(char *p) { return g(p); }\n" in
   let with_td = "typedef char *str;\nint f(char *s) { return 0; }\n" in
   let without = "int f(char *s) { return 0; }\n" in
   let t = Session.create ~mode:Analysis.Poly [ ("a.c", without); ("b.c", b) ] in
-  let reparsed (r : Session.run) = (Option.get r.Session.frontend).Session.fs_reparsed in
-  Alcotest.(check int) "cold: nothing to re-parse" 0 (reparsed (Session.run t));
+  let built () = (Option.get (Session.stats t).Session.ss_last_rebuild).Session.rb_units_built in
+  ignore (Session.run t);
+  Alcotest.(check int) "cold: both units built" 2 (built ());
   List.iter
     (fun (what, a, expect) ->
       ignore (Session.update_unit t "a.c" a);
-      let r = Session.run t in
-      Alcotest.(check int) (what ^ ": units the link re-parsed") expect (reparsed r);
+      ignore (Session.run t);
+      Alcotest.(check int) (what ^ ": units built") expect (built ());
       Alcotest.(check string) (what ^ ": warm = cold")
         (Session.render ~positions:true ~name:"l" (Session.create [ ("a.c", a); ("b.c", b) ]))
         (Session.render ~positions:true ~name:"l" t))
     [
-      ("a typedef b.c mentions", with_td, 1);
-      ("the typedef removed", without, 0);
-      ("the typedef again", with_td, 1);
+      ("a typedef b.c mentions", with_td, 2);
+      ("the typedef removed", without, 2);
+      ("the typedef again", with_td, 2);
     ]
 
 (* A stream like gatebench's daemon-edit one: each step rewrites one
@@ -1635,7 +1636,7 @@ let tests =
       test_link_outcomes;
     Alcotest.test_case "link: a prototype or typedef edit merges, warm = cold" `Quick
       test_link_paths;
-    Alcotest.test_case "a link re-parse comes from the memo" `Quick
+    Alcotest.test_case "a later unit's parse hits the memo" `Quick
       test_link_reparse_memo;
     Alcotest.test_case "link: a new typedef re-parses the units after it" `Quick
       test_link_new_typedef;
