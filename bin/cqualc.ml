@@ -72,11 +72,11 @@ let budget_of_spec s =
    block. The budget is created here, before the parse, so an ms=
    deadline covers the whole run of that mode. *)
 let run_one ~rules ~positions ~stats ~budget ~max_errors ~compact
-    ~cache ~print_diags mode name units =
+    ~print_diags mode name units =
   let r =
     Session.run_sources ~mode ~rules
       ?budget:(Option.map budget_of_spec budget)
-      ~compact ~max_errors ?cache units
+      ~compact ~max_errors units
   in
   (* diagnostics are a property of the source, not the mode: print them
      once even when both modes run *)
@@ -113,7 +113,7 @@ let run_flow ~max_errors name units insensitive =
       end
 
 let main files bench mode positions taint flow insensitive stats budget _jobs
-    max_errors no_compact lattice qual dump_lattice cache_dir =
+    max_errors no_compact lattice qual dump_lattice =
   let rules =
     match lattice with
     | Some path -> (
@@ -161,31 +161,9 @@ let main files bench mode positions taint flow insensitive stats budget _jobs
   in
   if flow then run_flow ~max_errors name units insensitive
   else
-    (* the rule-set identity the driver's fingerprints cannot derive:
-       which analysis flavour and (for --lattice) which config built it.
-       Any cache fault warns once on stderr and the run continues cold —
-       cache trouble never changes the exit contract. *)
-    let cache =
-      match cache_dir with
-      | None -> None
-      | Some dir ->
-          let opts_id =
-            String.concat ":"
-              [
-                (match lattice with
-                | Some path ->
-                    "lattice=" ^ Digest.to_hex (Digest.file path)
-                | None -> if taint then "taint" else "const");
-                (match qual with Some q -> q | None -> "-");
-              ]
-          in
-          Session.open_cache
-            ~warn:(fun m -> Fmt.epr "warning: %s@." m)
-            ~rules ~opts_id dir
-    in
     let run_one =
       run_one ~rules ~positions ~stats ~budget ~max_errors
-        ~compact:(not no_compact) ~cache
+        ~compact:(not no_compact)
     in
     match
       let runs =
@@ -196,11 +174,6 @@ let main files bench mode positions taint flow insensitive stats budget _jobs
             let r2 = run_one ~print_diags:false Analysis.Poly name units in
             [ r1; r2 ]
       in
-      (match cache with
-      | Some cs when stats ->
-          Fmt.pr "cache: %a@." Typequal.Cache.pp_stats
-            (Typequal.Cache.stats cs.Session.cs_cache)
-      | _ -> ());
       let type_errors =
         List.fold_left
           (fun n r -> n + r.Session.results.Report.type_errors)
@@ -359,23 +332,6 @@ let dump_lattice =
           "Print the active qualifier space (qualifiers, levels, order, bit \
            layout) and exit — for debugging custom lattice files")
 
-let cache_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:
-          "Persist each run's report under $(docv), one entry per option \
-           set and file list (an edited file's run replaces it), keyed by \
-           the options and every file's name and content, and reuse an \
-           entry whose full verification chain — format, version, \
-           lattice, content hash, \
-           payload checksum — still holds. Anything else is recomputed \
-           cold, so reports are \
-           byte-identical with or without a cache. Safe under concurrent \
-           invocations; cache I/O trouble warns once and the run continues \
-           uncached. See $(b,--stats) for hit/miss/reject counts.")
-
 let cmd =
   let doc = "const inference for C (Foster, Fähndrich, Aiken — PLDI 1999)" in
   Cmd.v
@@ -383,7 +339,7 @@ let cmd =
     Term.(
       const main $ files $ bench $ mode $ positions $ taint $ flow $ insensitive
       $ stats $ budget $ jobs $ max_errors $ no_compact $ lattice $ qual
-      $ dump_lattice $ cache_dir)
+      $ dump_lattice)
 
 (* Last line of defense: whatever leaks out of the pipeline, any
    exception at all, becomes a one-line message and exit 2 — users

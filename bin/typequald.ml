@@ -239,15 +239,15 @@ type client = {
   mutable dead : bool;
 }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let k = U.write fd b off (n - off) in
-      go (off + k)
+(* [s], then a newline, each written straight from its string: a reply
+   can be megabytes, so it is not copied to append the newline *)
+let write_line fd s =
+  let rec write s off =
+    let n = String.length s in
+    if off < n then write s (off + U.write_substring fd s off (n - off))
   in
-  go 0
+  write s 0;
+  write "\n" 0
 
 (* The complete lines that the first [n] bytes of [buf], just read,
    finish; the unterminated rest is kept in the client's buffer. Only the
@@ -318,7 +318,7 @@ let process session (batch : (client * Wire.request) list) : bool =
             Wire.response_ok ~id (Wire.Obj [ ("ok", Wire.Bool true) ])
       in
       if not c.dead then
-        try write_all c.fd (line ^ "\n")
+        try write_line c.fd line
         with U.Unix_error ((U.EPIPE | U.ECONNRESET | U.EBADF), _, _) ->
           c.dead <- true)
     batch;
@@ -389,7 +389,7 @@ let serve session ~(listen : U.file_descr option)
                           Wire.response_error ~id:Wire.Null
                             ("bad request: " ^ m)
                         in
-                        (try write_all (out_fd_of c) (resp ^ "\n")
+                        (try write_line (out_fd_of c) resp
                          with U.Unix_error (_, _, _) -> c.dead <- true))
                 (take_lines c buf n)
           end)
@@ -424,7 +424,7 @@ let run_client path =
        | None -> ()
        | Some line ->
            if String.trim line <> "" then begin
-             write_all fd (line ^ "\n");
+             write_line fd line;
              match In_channel.input_line ic with
              | Some resp ->
                  print_endline resp;

@@ -89,9 +89,8 @@ let scale =
     };
   ]
 
-(** The reduced scale corpus (~100 kloc): what the CI scale-smoke,
-    perf-smoke and cache-smoke jobs and the session suite's warm daemon
-    case run. *)
+(** The reduced scale corpus (~100 kloc): what the CI scale-smoke and
+    perf-smoke jobs and the session suite's warm daemon case run. *)
 let scale_smoke =
   [
     {

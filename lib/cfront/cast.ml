@@ -108,7 +108,7 @@ type fundef = {
       (** (line, column) of each parameter's name, aligned with
           [f_params]; (0, 0) for unnamed or unlocatable parameters.
           These anchor the report's stable position keys
-          ([file:line:col]), so a position survives marshaling without
+          ([file:line:col]), so a position has a source address without
           its solver-variable back-pointer. *)
 }
 

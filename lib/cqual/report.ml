@@ -16,11 +16,9 @@ open Qtypes
 
 type where = Param of int * string | Ret
 
-(* Positions are plain data (no solver-variable back-pointers): the whole
-   {!results} record must survive [Marshal] for the persistent run cache.
-   The [p_unit]/[p_line]/[p_col] anchor gives every position a stable
-   source address, so a marshaled result can still be queried by
-   [file:line:col] even though the solver variable is gone. *)
+(* Positions are plain data (no solver-variable back-pointers). The
+   [p_unit]/[p_line]/[p_col] anchor gives every position a stable source
+   address, so a position can be queried by [file:line:col]. *)
 type position = {
   p_fun : string;
   p_where : where;
@@ -176,7 +174,7 @@ type fun_rows = {
     column precision) its canonical [unit:line:col@level] key; when rows
     share a key, [shared] lists them and the first in report order owns
     the key. The index holds solver-variable back-pointers, so it is only
-    meaningful against the live store and must not be marshaled. *)
+    meaningful against the live store. *)
 type rows = {
   mutable by_node : fun_rows option array;
   mutable outcome_of : (string * Analysis.outcome) array;

@@ -57,8 +57,8 @@ type run = {
       (** always [None]: gatebench still fills it; a later benchmark
           revision removes it *)
   frontend : frontend_stats option;
-      (** per-unit frontend phase breakdown; [None] for whole-run cache
-          hits *)
+      (** per-unit frontend phase breakdown; [None] for a record built
+          outside a session (gatebench builds one) *)
 }
 
 let time f =
@@ -68,89 +68,15 @@ let time f =
 
 exception Error of string
 
-(* ------------------------------------------------------------------ *)
-(* Persistent cache (the whole-run record; see DESIGN.md)              *)
-(* ------------------------------------------------------------------ *)
-
-module Cache = Typequal.Cache
-
-(** an open cache plus the caller's identity string for everything the
-    fingerprints below cannot see — the rule set beyond its qualifier
-    space (e.g. which CLI analysis flavour and lattice file built it) *)
-type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
-
-(* The context digest stamped into every envelope: qualifier-space dump
-   (the full lattice structure), compiler version (Marshal payloads are
-   not portable across it), and a payload-format revision to bump whenever
-   any marshaled type in this file changes shape. *)
-let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
-  Digest.string
-    (Fmt.str "%a|%s|payload-fmt-7" Typequal.Lattice.Space.pp_dump sp
-       Sys.ocaml_version)
-
-(** Open a cache directory for runs under this rule set (default: const
-    inference). Returns [None] — after [warn] — when the path is unusable;
-    run without a cache then. Never raises. *)
-let open_cache ?warn ?(rules = Analysis.const_rules) ~opts_id dir :
-    cache_spec option =
-  match
-    Cache.open_dir ?warn ~ctx:(space_fingerprint rules.Analysis.qr_space) dir
-  with
-  | Some c -> Some { cs_cache = c; cs_opts_id = opts_id }
-  | None -> None
-
 (* Unit identity: the per-file content hash that keys invalidation. The
    name participates, so renaming a file misses the AST memo for that
-   unit and the whole-run record. *)
+   unit. *)
 let unit_digest name content = Digest.string (name ^ "\000" ^ content)
 
 let mode_name = function
   | Analysis.Mono -> "mono"
   | Analysis.Poly -> "poly"
   | Analysis.Polyrec -> "polyrec"
-
-(* Everything that parameterizes inference besides the program text and
-   the qualifier space (already in the envelope context). *)
-let opt_fingerprint ~opts_id ~mode ~compact ~max_errors : string =
-  let ob = function Some b -> string_of_bool b | None -> "-" in
-  Digest.string
-    (String.concat "|"
-       [
-         opts_id;
-         mode_name mode;
-         ob compact;
-         (match max_errors with Some n -> string_of_int n | None -> "-");
-       ])
-
-(* [s] without its wall-clock and heap fields: the deterministic
-   counters a cached run record may persist and serve *)
-let sanitize_stats (s : Typequal.Solver.stats) : Typequal.Solver.stats =
-  {
-    s with
-    Typequal.Solver.solve_s = 0.;
-    congen_s = 0.;
-    generalize_s = 0.;
-    compact_s = 0.;
-    instantiate_s = 0.;
-    report_s = 0.;
-    heap_words = 0;
-    top_heap_words = 0;
-  }
-
-(* load [key] and unmarshal it as a run record; any decode failure
-   rejects the entry (the envelope verified, so the payload was
-   well-formed bytes that mean nothing to us — e.g. written by a
-   differently-shaped build) *)
-let load_run (c : Cache.t) ~name ~key : run option =
-  match Cache.load c ~name ~key with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : run) with
-      | v -> Some v
-      | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-      | exception _ ->
-          Cache.reject_undecodable c ~name;
-          None)
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit frontend                                                   *)
@@ -604,7 +530,6 @@ type t = {
   s_compact : bool option;
   s_budget : (unit -> Typequal.Budget.t) option;
   s_max_errors : int option;
-  s_cache : cache_spec option;
   (* the warm tier that survives invalidation: keyed by content digest,
      so a stale entry can never be served — an edit simply stops hitting
      it, and the next compile drops it *)
@@ -624,7 +549,7 @@ type t = {
 }
 
 let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
-    ?cache (units : (string * string) list) : t =
+    (units : (string * string) list) : t =
   (* [jobs] is ignored: gatebench still passes it, and a later benchmark
      revision drops it *)
   {
@@ -633,9 +558,6 @@ let create ?rules ?(mode = Analysis.Poly) ?compact ?budget ?max_errors ?jobs:_
     s_compact = compact;
     s_budget = budget;
     s_max_errors = max_errors;
-    (* budgeted runs are load-dependent, not reproducible artifacts:
-       never cached, never served from cache *)
-    s_cache = (match budget with Some _ -> None | None -> cache);
     s_fe_memo =
       {
         fm_tbl = Hashtbl.create 64;
@@ -740,67 +662,17 @@ let ensure_mode t mode : mode_state =
 
 let mode_of t = function Some m -> m | None -> t.s_default_mode
 
-(* The whole-run disk tier: the run record named by the options and the
-   unit names in link order, and keyed by the options and every unit's
-   content digest. A run over edited files finds the stale record under
-   its name, rejects it on the key and writes its own in its place, so
-   the directory holds one record per option set and file list. Only
-   {!run} reads it — queries need the live store, which is never
-   persisted. *)
-let cached_run_or t mode compute : run =
-  match t.s_cache with
-  | None -> compute ()
-  | Some cs -> (
-      let t0 = Unix.gettimeofday () in
-      let optfp =
-        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~compact:t.s_compact
-          ~max_errors:t.s_max_errors
-      in
-      let name =
-        Digest.string
-          (optfp
-          ^ String.concat "\000" (List.map (fun u -> u.u_name) t.s_units))
-      in
-      let key =
-        Digest.string
-          (optfp
-          ^ String.concat "" (List.map (fun u -> u.u_digest) t.s_units)
-          )
-      in
-      match load_run cs.cs_cache ~name ~key with
-      | Some r -> { r with timing = { t_compile = 0.; t_analysis = Unix.gettimeofday () -. t0 } }
-      | None ->
-          let r = compute () in
-          (* the record without its wall clock, heap figures and frontend
-             breakdown: what a hit serves *)
-          let stored =
-            {
-              r with
-              timing = { t_compile = 0.; t_analysis = 0. };
-              solver_stats = sanitize_stats r.solver_stats;
-              frontend = None;
-            }
-          in
-          Cache.store cs.cs_cache ~name ~key (Marshal.to_string stored []);
-          r)
-
 (** Run one mode over the session's current units — warm: a repeat of
     an already-analyzed mode returns its record untouched; after an
     edit, clean units come from the AST memo and the mode's previous
-    store is re-analyzed in its edit's cone. A whole-run disk hit is
-    served as is and keeps no store. *)
-let run ?mode t : run =
-  let mode = mode_of t mode in
-  match Hashtbl.find_opt t.s_modes (mode_name mode) with
-  | Some ms -> ms.ms_run
-  | None -> cached_run_or t mode (fun () -> (ensure_mode t mode).ms_run)
+    store is re-analyzed in its edit's cone. *)
+let run ?mode t : run = (ensure_mode t (mode_of t mode)).ms_run
 
-let run_sources ?mode ?rules ?compact ?budget ?jobs ?max_errors ?cache files :
-    run =
+let run_sources ?mode ?rules ?compact ?budget ?jobs ?max_errors files : run =
   let t =
     create ?rules ?mode ?compact
       ?budget:(Option.map (fun b () -> b) budget)
-      ?jobs ?max_errors ?cache files
+      ?jobs ?max_errors files
   in
   (* one compile: nothing is ever spliced against its parses *)
   run { t with s_fe_memo = { t.s_fe_memo with fm_splice = false } }

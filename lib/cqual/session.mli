@@ -39,30 +39,14 @@ type run = {
   par : Analysis.par_stats option;
       (** always [None]: gatebench still fills it; a later benchmark
           revision removes it *)
-  frontend : frontend_stats option;  (** [None] for whole-run cache hits *)
+  frontend : frontend_stats option;
+      (** [None] for a record built outside a session (gatebench builds
+          one) *)
 }
 
 exception Error of string
 
 val mode_name : Analysis.mode -> string
-
-(** {2 Persistent on-disk cache} *)
-
-type cache_spec = {
-  cs_cache : Typequal.Cache.t;
-  cs_opts_id : string;
-      (** caller identity beyond the lattice: analysis flavour, lattice
-          file digest, measured qualifier *)
-}
-
-val open_cache :
-  ?warn:(string -> unit) ->
-  ?rules:Analysis.qrules ->
-  opts_id:string ->
-  string ->
-  cache_spec option
-(** Open a cache directory for runs under this rule set; [None] (after
-    [warn]) when the path is unusable. Never raises. *)
 
 (** {1 The persistent session} *)
 
@@ -86,7 +70,6 @@ val create :
   ?budget:(unit -> Typequal.Budget.t) ->
   ?max_errors:int ->
   ?jobs:int ->
-  ?cache:cache_spec ->
   (string * string) list ->
   t
 (** [create units] builds a session over [(name, source)] pairs, in link
@@ -94,9 +77,7 @@ val create :
     query/analysis mode (default [Poly]). [budget] makes a fresh budget
     for each analysis (trips latch, so modes cannot share one); it is
     called after the parse, so a deadline it sets covers analysis only.
-    A budgeted session never touches [cache]. [cache] attaches the
-    whole-run disk tier, which {!run} reads and writes and no query
-    touches. Nothing is parsed or analyzed until the first {!run} or
+    Nothing is parsed or analyzed until the first {!run} or
     query. [jobs] is ignored: gatebench still passes it, and a later
     benchmark revision drops it. *)
 
@@ -123,9 +104,8 @@ val run : ?mode:Analysis.mode -> t -> run
     clean units come from the AST memo and the mode's store is
     re-analyzed in the edit's cone. The record of a warm rerun counts
     that rerun's work in [solver_stats] (its structural counters and
-    [n_constraints] equal a fresh run's). With a cache attached, the
-    whole-run tier is consulted first; a hit is returned without
-    building a store. Raises {!Error} on a session without units. *)
+    [n_constraints] equal a fresh run's). Raises {!Error} on a session
+    without units. *)
 
 val run_sources :
   ?mode:Analysis.mode ->
@@ -134,7 +114,6 @@ val run_sources :
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->
   ?max_errors:int ->
-  ?cache:cache_spec ->
   (string * string) list ->
   run
 (** [run_sources files] is [run (create files)]: one mode of a session

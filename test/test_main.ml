@@ -12,7 +12,6 @@ let () =
       ("resilience", Test_resilience.tests);
       ("cqual", Test_cqual.tests);
       ("frontend", Test_frontend.tests);
-      ("cache", Test_cache.tests);
       ("session", Test_session.tests);
       ("incr", Test_incremental.tests);
       ("compact", Test_compact.tests);

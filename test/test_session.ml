@@ -319,6 +319,27 @@ let test_remove_unit () =
   Alcotest.(check (list string))
     "link order preserved" [ "proj_h.c"; "proj_b.c" ] (Session.units t)
 
+(* a unit's name is part of its identity: the same source under a new
+   name misses the AST memo, and the report is a cold run's *)
+let test_memo_rename_misses () =
+  let t = Session.create clean_units in
+  let n = List.length clean_units in
+  ignore (Session.run t);
+  let last, src = List.nth clean_units (n - 1) in
+  let renamed = "renamed_" ^ last in
+  Alcotest.(check (pair int int))
+    "the renamed unit is parsed again" (n - 1, 1)
+    (memo_delta t (fun () ->
+         ignore (Session.remove_unit t last);
+         ignore (Session.update_unit t renamed src);
+         ignore (Session.run t)));
+  let cold_units =
+    List.map (fun (u, s) -> ((if u = last then renamed else u), s)) clean_units
+  in
+  let render t = Session.render ~positions:true ~name:"p" t in
+  Alcotest.(check string) "report = cold"
+    (render (Session.create cold_units)) (render t)
+
 (* ---------------- position keys ---------------- *)
 
 let test_position_key_aliases () =
@@ -1606,6 +1627,8 @@ let tests =
     Alcotest.test_case "AST memo keeps only current units" `Quick
       test_memo_bounded;
     Alcotest.test_case "remove_unit keeps link order" `Quick test_remove_unit;
+    Alcotest.test_case "AST memo: a renamed unit is parsed again" `Quick
+      test_memo_rename_misses;
     Alcotest.test_case "canonical and structural keys agree" `Quick
       test_position_key_aliases;
     Alcotest.test_case "explain: Ok on known, Error on unknown" `Quick
