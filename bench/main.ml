@@ -39,92 +39,49 @@ module Elt = Typequal.Lattice.Elt
 (* Machine-readable results: BENCH_solver.json                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled JSON (no json library in the dependency set): every bench
-   section that runs records its wall times, sizes and solver stats here,
-   and the accumulated object is written out at exit so the perf
-   trajectory is tracked across PRs. *)
-type json =
-  | Jraw of string
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-let rec pp_json buf = function
-  | Jraw s -> Buffer.add_string buf s
-  | Jstr s ->
-      Buffer.add_char buf '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-  | Jlist l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          pp_json buf x)
-        l;
-      Buffer.add_char buf ']'
-  | Jobj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          pp_json buf (Jstr k);
-          Buffer.add_char buf ':';
-          pp_json buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let jf v = Jraw (Printf.sprintf "%.6f" v)
-let ji (i : int) = Jraw (string_of_int i)
-let jb b = Jraw (if b then "true" else "false")
-
+(* Every bench section that runs records its wall times, sizes and
+   solver stats here, and the accumulated object is written out at exit
+   so the perf trajectory is tracked across PRs. *)
 let jstats (s : TS.stats) =
-  Jobj
+  Wire.Obj
     [
-      ("vars_created", ji s.TS.vars_created);
-      ("edges_added", ji s.TS.edges_added);
-      ("edges_deduped", ji s.TS.edges_deduped);
-      ("incr_solves", ji s.TS.incr_solves);
-      ("full_solves", ji s.TS.full_solves);
-      ("worklist_pops", ji s.TS.worklist_pops);
-      ("solve_s", jf s.TS.solve_s);
-      ("congen_s", jf s.TS.congen_s);
-      ("generalize_s", jf s.TS.generalize_s);
-      ("compact_s", jf s.TS.compact_s);
-      ("instantiate_s", jf s.TS.instantiate_s);
-      ("report_s", jf s.TS.report_s);
-      ("scheme_vars_before", ji s.TS.scheme_vars_before);
-      ("scheme_vars_after", ji s.TS.scheme_vars_after);
-      ("scheme_edges_before", ji s.TS.scheme_edges_before);
-      ("scheme_edges_after", ji s.TS.scheme_edges_after);
-      ("instantiations_memo_hits", ji s.TS.instantiations_memo_hits);
-      ("memo_candidates", ji s.TS.memo_candidates);
-      ("memo_misses", ji s.TS.memo_misses);
-      ("memo_reject_nonflat_ret", ji s.TS.memo_reject_nonflat_ret);
-      ("memo_reject_may_violate", ji s.TS.memo_reject_may_violate);
-      ("heap_words", ji s.TS.heap_words);
-      ("top_heap_words", ji s.TS.top_heap_words);
+      ("vars_created", Wire.num_int s.TS.vars_created);
+      ("edges_added", Wire.num_int s.TS.edges_added);
+      ("edges_deduped", Wire.num_int s.TS.edges_deduped);
+      ("incr_solves", Wire.num_int s.TS.incr_solves);
+      ("full_solves", Wire.num_int s.TS.full_solves);
+      ("worklist_pops", Wire.num_int s.TS.worklist_pops);
+      ("solve_s", Wire.Num s.TS.solve_s);
+      ("congen_s", Wire.Num s.TS.congen_s);
+      ("generalize_s", Wire.Num s.TS.generalize_s);
+      ("compact_s", Wire.Num s.TS.compact_s);
+      ("instantiate_s", Wire.Num s.TS.instantiate_s);
+      ("report_s", Wire.Num s.TS.report_s);
+      ("scheme_vars_before", Wire.num_int s.TS.scheme_vars_before);
+      ("scheme_vars_after", Wire.num_int s.TS.scheme_vars_after);
+      ("scheme_edges_before", Wire.num_int s.TS.scheme_edges_before);
+      ("scheme_edges_after", Wire.num_int s.TS.scheme_edges_after);
+      ("instantiations_memo_hits", Wire.num_int s.TS.instantiations_memo_hits);
+      ("memo_candidates", Wire.num_int s.TS.memo_candidates);
+      ("memo_misses", Wire.num_int s.TS.memo_misses);
+      ("memo_reject_nonflat_ret", Wire.num_int s.TS.memo_reject_nonflat_ret);
+      ("memo_reject_may_violate", Wire.num_int s.TS.memo_reject_may_violate);
+      ("heap_words", Wire.num_int s.TS.heap_words);
+      ("top_heap_words", Wire.num_int s.TS.top_heap_words);
     ]
 
 (* memory + machine context, attached to every bench section so the perf
    trajectory tracks heap growth alongside wall time *)
 let jenv () =
   let g = Gc.quick_stat () in
-  Jobj
+  Wire.Obj
     [
-      ("heap_words", ji g.Gc.heap_words);
-      ("top_heap_words", ji g.Gc.top_heap_words);
-      ("cores_available", ji (Typequal.Pool.cores_available ()));
+      ("heap_words", Wire.num_int g.Gc.heap_words);
+      ("top_heap_words", Wire.num_int g.Gc.top_heap_words);
+      ("cores_available", Wire.num_int (Typequal.Pool.cores_available ()));
     ]
 
-let bench_sections : (string * json) list ref = ref []
+let bench_sections : (string * Wire.json) list ref = ref []
 
 (* set by a section whose check failed: the run exits 1 once
    BENCH_solver.json is written *)
@@ -133,24 +90,23 @@ let failed = ref false
 let record_section name j =
   let j =
     match j with
-    | Jobj kvs -> Jobj (("env", jenv ()) :: kvs)
-    | other -> Jobj [ ("env", jenv ()); ("data", other) ]
+    | Wire.Obj kvs -> Wire.Obj (("env", jenv ()) :: kvs)
+    | other -> Wire.Obj [ ("env", jenv ()); ("data", other) ]
   in
   bench_sections := (name, j) :: !bench_sections
 
 (* write one BENCH_*.json record, headed by the paper's name *)
 let write_bench file kvs =
-  let buf = Buffer.create 4096 in
-  let paper = Jstr "A Theory of Type Qualifiers (PLDI 1999)" in
-  pp_json buf (Jobj (("paper", paper) :: kvs));
-  Buffer.add_char buf '\n';
-  Out_channel.with_open_bin file (fun oc -> Buffer.output_buffer oc buf);
+  let paper = Wire.Str "A Theory of Type Qualifiers (PLDI 1999)" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (Wire.to_string (Wire.Obj (("paper", paper) :: kvs)));
+      output_char oc '\n');
   Fmt.pr "@.wrote %s@." file
 
 let write_json () =
   if !bench_sections <> [] then
     write_bench "BENCH_solver.json"
-      [ ("sections", Jobj (List.rev !bench_sections)) ]
+      [ ("sections", Wire.Obj (List.rev !bench_sections)) ]
 
 (* a section's pass/fail checks: [check] prints each and clears [ok] on
    a failure *)
@@ -241,17 +197,17 @@ let table2_rows ?(runs = 5) () : t2row list =
         let env_p, if_p = Analysis.run Analysis.Poly prog in
         let rp = Report.measure env_p if_p in
         jrows :=
-          Jobj
+          Wire.Obj
             [
-              ("name", Jstr b.b_name);
-              ("lines", ji b.b_lines);
-              ("compile_s", jf compile_s);
-              ("mono_s", jf mono_s);
-              ("poly_s", jf poly_s);
-              ("declared", ji rm.Report.declared);
-              ("mono", ji rm.Report.possible);
-              ("poly", ji rp.Report.possible);
-              ("total", ji rm.Report.total);
+              ("name", Wire.Str b.b_name);
+              ("lines", Wire.num_int b.b_lines);
+              ("compile_s", Wire.Num compile_s);
+              ("mono_s", Wire.Num mono_s);
+              ("poly_s", Wire.Num poly_s);
+              ("declared", Wire.num_int rm.Report.declared);
+              ("mono", Wire.num_int rm.Report.possible);
+              ("poly", Wire.num_int rp.Report.possible);
+              ("total", Wire.num_int rm.Report.total);
               ("mono_solver", jstats (Analysis.stats env_m));
               ("poly_solver", jstats (Analysis.stats env_p));
             ]
@@ -269,7 +225,7 @@ let table2_rows ?(runs = 5) () : t2row list =
         })
       Cbench.Suite.table1
   in
-  record_section "table2" (Jlist (List.rev !jrows));
+  record_section "table2" (Wire.Arr (List.rev !jrows));
   rows
 
 let table2 rows =
@@ -391,12 +347,12 @@ let scaling () =
         let env, ifaces = Analysis.run Analysis.Poly prog in
         ignore (Report.measure env ifaces);
         jrows :=
-          Jobj
+          Wire.Obj
             [
-              ("lines", ji n);
-              ("functions", ji nfun);
-              ("mono_s", jf mono_s);
-              ("poly_s", jf poly_s);
+              ("lines", Wire.num_int n);
+              ("functions", Wire.num_int nfun);
+              ("mono_s", Wire.Num mono_s);
+              ("poly_s", Wire.Num poly_s);
               ("poly_solver", jstats (Analysis.stats env));
             ]
           :: !jrows;
@@ -406,7 +362,7 @@ let scaling () =
         (n, mono_s, poly_s))
       sizes
   in
-  record_section "scaling" (Jlist (List.rev !jrows));
+  record_section "scaling" (Wire.Arr (List.rev !jrows));
   match (List.hd per_line, List.nth per_line (List.length per_line - 1)) with
   | (n0, m0, _), (n1, m1, _) ->
       let r0 = m0 /. float n0 and r1 = m1 /. float n1 in
@@ -664,22 +620,24 @@ let solver_ablation () =
     (if !ok then "ALL SOLVER ABLATION CHECKS PASSED"
      else "SOLVER ABLATION CHECKS FAILED");
   let jrow (name, scratch_s, incr_s, want_2x, stats) =
-    Jobj
-      [ ("name", Jstr name); ("scratch_s", jf scratch_s);
-        ("incremental_s", jf incr_s); ("speedup", jf (scratch_s /. incr_s));
-        ("required_2x", jb want_2x); ("solver", jstats stats) ]
+    Wire.Obj
+      [ ("name", Wire.Str name); ("scratch_s", Wire.Num scratch_s);
+        ("incremental_s", Wire.Num incr_s);
+        ("speedup", Wire.Num (scratch_s /. incr_s));
+        ("required_2x", Wire.Bool want_2x); ("solver", jstats stats) ]
   in
   record_section "solver_ablation"
-    (Jobj
+    (Wire.Obj
        [
-         ("workloads", Jlist (List.map jrow jrows));
+         ("workloads", Wire.Arr (List.map jrow jrows));
          ( "arena",
-           Jobj
-             [ ("vars", ji nvars); ("ops", ji nops); ("arena_s", jf arena_s);
-               ("naive_s", jf naive_s); ("naive_mismatches", ji mismatches);
-               ("counters", Jstr got);
-               ("counters_pinned", jb pinned) ] );
-         ("all_checks_passed", jb !ok);
+           Wire.Obj
+             [ ("vars", Wire.num_int nvars); ("ops", Wire.num_int nops);
+               ("arena_s", Wire.Num arena_s); ("naive_s", Wire.Num naive_s);
+               ("naive_mismatches", Wire.num_int mismatches);
+               ("counters", Wire.Str got);
+               ("counters_pinned", Wire.Bool pinned) ] );
+         ("all_checks_passed", Wire.Bool !ok);
        ]);
   if not !ok then failed := true
 
@@ -734,28 +692,28 @@ let lattice () =
       Fmt.pr "%-12s %12.3f %9.2fx %9d %7d@." sname analyze_s overhead
         r.Report.possible r.Report.type_errors;
       jrows :=
-        Jobj
+        Wire.Obj
           [
-            ("space", Jstr sname);
-            ("analyze_s", jf analyze_s);
-            ("overhead_vs_two_point", jf overhead);
-            ("possible", ji r.Report.possible);
-            ("type_errors", ji r.Report.type_errors);
+            ("space", Wire.Str sname);
+            ("analyze_s", Wire.Num analyze_s);
+            ("overhead_vs_two_point", Wire.Num overhead);
+            ("possible", Wire.num_int r.Report.possible);
+            ("type_errors", Wire.num_int r.Report.type_errors);
             ("solver", jstats (Analysis.stats env));
           ]
         :: !jrows)
     [ ("two_point", Analysis.const_rules); ("three_level", wide_rules) ];
   if not !ok then failwith "lattice bench: verdicts differ across spaces";
   Fmt.pr "@.(verdicts identical across both spaces — asserted)@.";
-  record_section "lattice" (Jlist (List.rev !jrows));
+  record_section "lattice" (Wire.Arr (List.rev !jrows));
   write_bench "BENCH_lattice.json"
     [
       ("env", jenv ());
-      ("timing", Jstr "best_of_3");
-      ("workload_lines", ji lines);
-      ("t_compile_s", jf t_compile_s);
-      ("counts_identical", jb !ok);
-      ("runs", Jlist (List.rev !jrows));
+      ("timing", Wire.Str "best_of_3");
+      ("workload_lines", Wire.num_int lines);
+      ("t_compile_s", Wire.Num t_compile_s);
+      ("counts_identical", Wire.Bool !ok);
+      ("runs", Wire.Arr (List.rev !jrows));
     ]
 
 (* ------------------------------------------------------------------ *)

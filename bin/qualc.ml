@@ -147,4 +147,6 @@ let cmd =
       const main $ expr $ file $ poly $ run_it $ spacekind $ stats
       $ no_compact $ lattice $ dump_lattice)
 
-let () = exit (Cmd.eval cmd)
+(* Cmdliner's CLI-error codes (124/125) are folded into 2, the usage-error
+   code of cqualc and typequald *)
+let () = exit (match Cmd.eval cmd with 124 | 125 -> 2 | code -> code)

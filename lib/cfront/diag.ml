@@ -31,7 +31,6 @@ type t = {
 }
 
 let span_of_line l = { sl = l; sc = 0; el = l; ec = 0 }
-let dummy_span = span_of_line 0
 
 let make severity ~code span message =
   {

@@ -1,19 +1,15 @@
 (** Resource budgets: see the interface for semantics. Trip-style (no
-    exceptions): limits latch a reason string; consumers poll.
-
-    All counters are {!Atomic.t}, so one budget may be charged from
-    several domains: every store charged against it counts toward the same
-    limits, and a trip in any domain is observed by all of them. *)
+    exceptions): limits latch a reason string; consumers poll. *)
 
 type t = {
   max_vars : int option;
   max_pops : int option;
   deadline : float option;  (* absolute, in [clock] units *)
   clock : unit -> float;
-  n_vars : int Atomic.t;
-  n_pops : int Atomic.t;
-  n_ticks : int Atomic.t;
-  tripped : string option Atomic.t;
+  mutable n_vars : int;
+  mutable n_pops : int;
+  mutable n_ticks : int;
+  mutable tripped : string option;
 }
 
 (* Poll the clock only every [poll_interval] events: reading time is far
@@ -28,20 +24,17 @@ let create ?max_vars ?max_pops ?deadline_s ?(clock = Sys.time) () =
     max_pops;
     deadline = Option.map (fun d -> clock () +. d) deadline_s;
     clock;
-    n_vars = Atomic.make 0;
-    n_pops = Atomic.make 0;
-    n_ticks = Atomic.make 0;
-    tripped = Atomic.make None;
+    n_vars = 0;
+    n_pops = 0;
+    n_ticks = 0;
+    tripped = None;
   }
 
-(* First trip wins; losing the race just means another domain latched a
-   reason a moment earlier, which is equally valid. *)
-let trip b reason =
-  ignore (Atomic.compare_and_set b.tripped None (Some reason) : bool)
-
-let exhausted b = Atomic.get b.tripped
-let is_exhausted b = Atomic.get b.tripped <> None
-let pops b = Atomic.get b.n_pops
+(* the first trip's reason stays *)
+let trip b reason = if b.tripped = None then b.tripped <- Some reason
+let exhausted b = b.tripped
+let is_exhausted b = b.tripped <> None
+let pops b = b.n_pops
 
 let check_time b =
   match b.deadline with
@@ -49,11 +42,12 @@ let check_time b =
   | _ -> ()
 
 let tick b =
-  let n = Atomic.fetch_and_add b.n_ticks 1 in
-  if (n + 1) land (poll_interval - 1) = 0 then check_time b
+  b.n_ticks <- b.n_ticks + 1;
+  if b.n_ticks land (poll_interval - 1) = 0 then check_time b
 
 let note_var b =
-  let n = Atomic.fetch_and_add b.n_vars 1 + 1 in
+  b.n_vars <- b.n_vars + 1;
+  let n = b.n_vars in
   (match b.max_vars with
   | Some m when n > m ->
       trip b
@@ -61,10 +55,11 @@ let note_var b =
   | _ -> ());
   tick b
 
-let vars b = Atomic.get b.n_vars
+let vars b = b.n_vars
 
 let note_pop b =
-  let n = Atomic.fetch_and_add b.n_pops 1 + 1 in
+  b.n_pops <- b.n_pops + 1;
+  let n = b.n_pops in
   (match b.max_pops with
   | Some m when n > m ->
       trip b
@@ -83,4 +78,4 @@ let pp ppf b =
     Fmt.(option ~none:(any "none") float)
     b.deadline
     Fmt.(option (any " [tripped: " ++ string ++ any "]"))
-    (Atomic.get b.tripped)
+    b.tripped

@@ -13,11 +13,7 @@
     {!exhausted} returns the reason and stays set. Consumers (the solver's
     propagation loop, {!Cqual.Analysis}) poll the flag and stop early;
     the run is then reported as degraded. Exception-free tripping keeps
-    every store invariant intact no matter where exhaustion is noticed.
-
-    Every counter is an {!Atomic.t}, so a budget stays correct when
-    several domains charge it: the limits bound all of them together, and
-    a trip in one is promptly observed by the others. *)
+    every store invariant intact no matter where exhaustion is noticed. *)
 
 type t
 

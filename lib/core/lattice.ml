@@ -29,8 +29,6 @@ type space_error = { code : string; message : string }
 
 exception Space_error of space_error
 
-let pp_space_error ppf e = Fmt.pf ppf "%s: %s" e.code e.message
-
 let space_error code fmt =
   Fmt.kstr (fun message -> raise (Space_error { code; message })) fmt
 
@@ -199,7 +197,7 @@ module Space = struct
         match create quals with
         | sp -> Ok (sp, quals)
         | exception Space_error e ->
-            Error (Fmt.str "%s: %a" path pp_space_error e))
+            Error (Fmt.str "%s: %s: %s" path e.code e.message))
 end
 
 (** Elements of the product lattice [L], relative to a {!Space.t}. *)

@@ -21,8 +21,6 @@ type space_error = { code : string; message : string }
 
 exception Space_error of space_error
 
-val pp_space_error : space_error Fmt.t
-
 (** A qualifier space: the ordered universe of qualifiers an analysis
     uses, fixed for the lifetime of the analysis. *)
 module Space : sig

@@ -1,4 +1,4 @@
-(** Atomic qualifier-constraint solver (Sections 3.1–3.2 of the paper) —
+(** Solver for atomic qualifier constraints (Sections 3.1–3.2 of the paper) —
     flat-arena implementation.
 
     The constraint system and algorithms: masked atomic constraints
@@ -12,9 +12,9 @@
     The {e representation} (DESIGN.md, "Flat-arena solver"):
 
     - Variable state (constant bounds, current least/greatest solution,
-      adjacency heads) lives in dense [int] columns indexed by the
-      creation-order id. A [var] handle is a tiny immutable record — id,
-      name, uid — shared with atoms, schemes and error values.
+      adjacency heads, name) lives in dense columns indexed by the
+      creation-order id, and a [var] is that id: atoms, schemes and
+      error values hold immediates, which the GC never follows.
     - Adjacency is a linked {e edge arena}: per logical edge one succ cell
       and one pred cell in the packed [ecells] arena, chained by the
       cell's next slot with
@@ -179,19 +179,13 @@ end
 (* Store layout                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type var = {
-  id : int;  (* stable creation-order id; the arena index *)
-  vname : string;
-  uid : int;
-      (* globally unique across stores (atomic counter); renaming maps
-         that can mix variables of two stores key on it *)
-}
+type var = int  (* the creation-order id: the index into every column *)
 
-and t = {
+type t = {
   sp : Space.t;
   mutable nvars : int;
   (* variable columns, indexed by id; grown together *)
-  mutable objs : var array;  (* id -> the (unique) handle *)
+  mutable names : string array;  (* the name given at {!fresh} *)
   mutable lo_bound : int array;  (* join of constant lower bounds *)
   mutable hi_bound : int array;  (* meet of constant upper bounds *)
   mutable lo : int array;  (* least solution, valid after [solve] *)
@@ -221,7 +215,9 @@ and t = {
   errors : (int, error) Hashtbl.t;
       (* persistent bound-violation table, keyed by variable id;
          monotone since constraints are only added *)
-  mutable recorders : atom list ref list;
+  mutable recordings : int;
+      (* how many {!recording}s are running: each returns a slice of the
+         log, which {!retract} must not move meanwhile *)
   mutable solved : bool;
   (* dirty set: insertion-ordered stack + membership mark, which keeps
      each variable on the stack once *)
@@ -318,7 +314,7 @@ let create space =
   {
     sp = space;
     nvars = 0;
-    objs = [||];
+    names = [||];
     lo_bound = [||];
     hi_bound = [||];
     lo = [||];
@@ -336,7 +332,7 @@ let create space =
     fresh_from = 0;
     ground_errors = [];
     errors = Hashtbl.create 16;
-    recorders = [];
+    recordings = 0;
     solved = false;
     dirty_stack = Array.make 64 0;
     ndirty = 0;
@@ -490,9 +486,8 @@ let grow_bytes a cap' =
   Bytes.blit a 0 b 0 (Bytes.length a);
   b
 
-(* grow every per-variable column to hold id [t.nvars]; [v] supplies the
-   fill value for [objs] (an empty store has no var to fabricate one) *)
-let ensure_var_capacity t v =
+(* grow every per-variable column to hold id [t.nvars] *)
+let ensure_var_capacity t =
   let cap = Array.length t.lo in
   if t.nvars >= cap then begin
     let cap' = if cap = 0 then 64 else cap * 2 in
@@ -502,9 +497,9 @@ let ensure_var_capacity t v =
     t.hi <- grow_int t.hi cap';
     t.succ_head <- grow_int t.succ_head cap';
     t.pred_head <- grow_int t.pred_head cap';
-    (let b = Array.make cap' v in
-     Array.blit t.objs 0 b 0 cap;
-     t.objs <- b);
+    (let b = Array.make cap' "" in
+     Array.blit t.names 0 b 0 cap;
+     t.names <- b);
     (let b = Array.make cap' [] in
      Array.blit t.lo_consts 0 b 0 cap;
      t.lo_consts <- b);
@@ -522,13 +517,10 @@ let ensure_edge_capacity t =
   if t.necells >= cap then
     t.ecells <- grow_int t.ecells (3 * if cap = 0 then 256 else cap * 2)
 
-let uid_counter = Atomic.make 0
-
 let fresh ?(name = "q") t =
   let id = t.nvars in
-  let v = { id; vname = name; uid = Atomic.fetch_and_add uid_counter 1 } in
-  ensure_var_capacity t v;
-  t.objs.(id) <- v;
+  ensure_var_capacity t;
+  t.names.(id) <- name;
   t.lo_bound.(id) <- Elt.bottom t.sp;
   t.hi_bound.(id) <- Elt.top t.sp;
   t.lo.(id) <- Elt.bottom t.sp;
@@ -541,18 +533,18 @@ let fresh ?(name = "q") t =
   Option.iter Budget.note_var t.budget;
   (* a fresh variable has no constraints: its current (lo, hi) is already
      its solution, so [solved] and the dirty set are untouched *)
-  v
+  id
 
-let var_id v = v.id
-let var_of_id t i = t.objs.(i)
-let var_uid v = v.uid
-let var_name v = v.vname
-let pp_var ppf v = Fmt.pf ppf "%s#%d" v.vname v.id
+let var_id v = v
 
-let record t atom = List.iter (fun r -> r := atom :: !r) t.recorders
+let var_of_id t i =
+  if i < 0 || i >= t.nvars then invalid_arg "Solver.var_of_id";
+  i
+
+let var_name t v = t.names.(v)
+let pp_var t ppf v = Fmt.pf ppf "%s#%d" t.names.(v) v
 
 let log_atom t atom =
-  record t atom;
   let cap = Array.length t.log in
   if t.nlog >= cap then begin
     let cap' = if cap = 0 then 256 else cap * 2 in
@@ -649,10 +641,9 @@ let new_cell t dst mask next =
    deduped and adds nothing — in particular no [hi_consts] entry, so
    that list stops growing with the instantiation count. The dedup key
    packs the side flag into the variable id's low bit. *)
-let add_leq_vc ?reason ?mask t v c =
+let add_leq_vc ?reason ?mask t r c =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-  log_atom t (Avc (v, c, mask, reason));
-  let r = v.id in
+  log_atom t (Avc (r, c, mask, reason));
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 1) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
@@ -668,10 +659,9 @@ let add_leq_vc ?reason ?mask t v c =
   end
 
 (* const <= var, restricted to [mask]. Dual of [add_leq_vc]. *)
-let add_leq_cv ?reason ?mask t c v =
+let add_leq_cv ?reason ?mask t c r =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-  log_atom t (Acv (c, v, mask, reason));
-  let r = v.id in
+  log_atom t (Acv (c, r, mask, reason));
   if Iset.mem_add t.bound_seen ((r lsl 1) lor 0) c mask 0 then
     t.s_dedup <- t.s_dedup + 1
   else begin
@@ -688,11 +678,10 @@ let add_leq_cv ?reason ?mask t c v =
 
 (* var <= var, restricted to [mask]. A self-edge is vacuous and never
    logged, so no chain holds one. *)
-let add_leq_vv ?reason ?mask t a b =
-  if a != b then begin
+let add_leq_vv ?reason ?mask t ra rb =
+  if ra <> rb then begin
     let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-    log_atom t (Avv (a, b, mask, reason));
-    let ra = a.id and rb = b.id in
+    log_atom t (Avv (ra, rb, mask, reason));
     if Iset.mem_add t.edge_seen ra rb mask 0 then
       t.s_dedup <- t.s_dedup + 1
       (* the identical edge already exists: the system is unchanged,
@@ -860,8 +849,7 @@ let consts_by_rank t x side l =
    prepend-on-insert chains have, whatever order a retraction left them
    in. So which origin and reason the message names depends only on the
    live atoms in task order. *)
-let explain t v =
-  let vi = v.id in
+let explain t vi =
   let sp = t.sp in
   let bad = ref None in
   for i = 0 to Space.size sp - 1 do
@@ -872,7 +860,7 @@ let explain t v =
     end
   done;
   match !bad with
-  | None -> Fmt.str "%a: bound violation" pp_var v
+  | None -> Fmt.str "%a: bound violation" (pp_var t) vi
   | Some i ->
       let q = Space.qual sp i in
       let mask = Elt.singleton_mask sp i in
@@ -920,7 +908,7 @@ let explain t v =
       done;
       let origin =
         match !found with
-        | Some (u, r) -> Fmt.str "; forced at %a (%s)" pp_var t.objs.(u) r
+        | Some (u, r) -> Fmt.str "; forced at %a (%s)" (pp_var t) u r
         | None -> ""
       in
       let bound_reason =
@@ -944,22 +932,21 @@ let explain t v =
               (Elt.level_name sp i t.hi_bound.(vi))
       in
       Fmt.str "qualifier %a of %a violates an upper bound%s%a%s" Qualifier.pp
-        q pp_var v levels
+        q (pp_var t) vi levels
         Fmt.(option (any " (" ++ string ++ any ")"))
         bound_reason origin
 
 (* Public query surface for store-resident clients (the analysis daemon):
    explain one variable on demand instead of scanning [last_errors]. *)
 let explain_var t v =
-  let vi = v.id in
-  if Elt.leq t.sp t.lo.(vi) t.hi_bound.(vi) then None else Some (explain t v)
+  if Elt.leq t.sp t.lo.(v) t.hi_bound.(v) then None else Some (explain t v)
 
 let last_errors t =
   let var_errs = Hashtbl.fold (fun _ e acc -> e :: acc) t.errors [] in
   let var_errs =
     List.sort
       (fun a b ->
-        let id e = match e.err_var with Some v -> v.id | None -> -1 in
+        let id e = match e.err_var with Some v -> v | None -> -1 in
         compare (id a) (id b))
       var_errs
   in
@@ -983,7 +970,7 @@ let check_violations t =
       && not (Elt.leq t.sp t.lo.(i) t.hi_bound.(i))
     then
       Hashtbl.add t.errors i
-        { err_var = Some t.objs.(i); err_msg = explain t t.objs.(i) }
+        { err_var = Some i; err_msg = explain t i }
   done
 
 let result_of_errors t =
@@ -1029,7 +1016,7 @@ let solve_from_scratch t =
   for i = t.nvars - 1 downto 0 do
     if not (Elt.leq t.sp t.lo.(i) t.hi_bound.(i)) then
       Hashtbl.add t.errors i
-        { err_var = Some t.objs.(i); err_msg = explain t t.objs.(i) }
+        { err_var = Some i; err_msg = explain t i }
   done;
   dirty_reset t;
   t.solved <- true;
@@ -1039,11 +1026,11 @@ let solve_from_scratch t =
 
 let least t v =
   if not t.solved then ignore (solve t);
-  t.lo.(v.id)
+  t.lo.(v)
 
 let greatest t v =
   if not t.solved then ignore (solve t);
-  t.hi.(v.id)
+  t.hi.(v)
 
 (* Classification of one coordinate of a variable, per Section 4.4. *)
 type verdict =
@@ -1064,7 +1051,7 @@ let verdict_of sp ~lo ~hi i =
 (* read-only on a solved store, so a what-if query leaves it as it was *)
 let classify t v i =
   if not t.solved then ignore (solve t);
-  verdict_of t.sp ~lo:t.lo.(v.id) ~hi:t.hi.(v.id) i
+  verdict_of t.sp ~lo:t.lo.(v) ~hi:t.hi.(v) i
 
 let classify_name t v name = classify t v (Space.find t.sp name)
 
@@ -1108,9 +1095,8 @@ let speculate_leq_cv ?mask t c v =
     Hashtbl.replace overlay i x;
     Queue.push i queue
   in
-  let r = v.id in
-  let lo' = Elt.join t.sp t.lo.(r) (Elt.embed_bottom t.sp ~mask c) in
-  if lo' <> t.lo.(r) then raise_to r lo';
+  let lo' = Elt.join t.sp t.lo.(v) (Elt.embed_bottom t.sp ~mask c) in
+  if lo' <> t.lo.(v) then raise_to v lo';
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
     let lou = lo_of u in
@@ -1126,15 +1112,14 @@ let speculate_leq_cv ?mask t c v =
   done;
   { sp_store = t; sp_lo = overlay; sp_raised = List.rev !raised }
 
-let speculation_vars s = List.map (fun i -> s.sp_store.objs.(i)) s.sp_raised
+let speculation_vars s = s.sp_raised
 
 let classify_speculative s v i =
   let t = s.sp_store in
-  let r = v.id in
   let lo =
-    match Hashtbl.find_opt s.sp_lo r with Some x -> x | None -> t.lo.(r)
+    match Hashtbl.find_opt s.sp_lo v with Some x -> x | None -> t.lo.(v)
   in
-  verdict_of t.sp ~lo ~hi:t.hi.(r) i
+  verdict_of t.sp ~lo ~hi:t.hi.(v) i
 
 (* the violations [solve] would add: [check_violations] over the raised
    variables, which are exactly the ones whose [lo] moves *)
@@ -1154,21 +1139,19 @@ let speculation_new_errors s =
 (* ------------------------------------------------------------------ *)
 
 (* Run [f], capturing every atom added during its execution (including
-   atoms emitted by nested instantiations). Recorders nest. *)
+   atoms emitted by nested instantiations): the slice of the log it
+   wrote, which nothing moves while a recording runs ({!retract} refuses
+   to). Recordings nest. *)
 let recording t f =
-  let r = ref [] in
-  t.recorders <- r :: t.recorders;
-  Fun.protect
-    ~finally:(fun () ->
-      t.recorders <- List.filter (fun r' -> r' != r) t.recorders)
-    (fun () ->
-      let x = f () in
-      (x, List.rev !r))
+  let start = t.nlog in
+  t.recordings <- t.recordings + 1;
+  let x = Fun.protect ~finally:(fun () -> t.recordings <- t.recordings - 1) f in
+  (x, List.init (t.nlog - start) (fun k -> t.log.(start + k)))
 
 type scheme = {
   sid : int;
-      (* unique scheme identity (atomic counter, globally unique across
-         stores); instantiation-memo keys hang off it *)
+      (* unique scheme identity (a process-wide counter);
+         instantiation-memo keys hang off it *)
   locals : var list;
   (* every variable local to the scheme: the generalized interface
      variables plus the existentially bound internals; all are renamed at
@@ -1176,10 +1159,12 @@ type scheme = {
   atoms : atom list;
 }
 
-let scheme_counter = Atomic.make 0
+let scheme_counter = ref 0
 
 let make_scheme ~locals ~atoms =
-  { sid = Atomic.fetch_and_add scheme_counter 1; locals; atoms }
+  let sid = !scheme_counter in
+  incr scheme_counter;
+  { sid; locals; atoms }
 
 let scheme_id s = s.sid
 let scheme_locals s = s.locals
@@ -1193,9 +1178,9 @@ let instantiate t s =
   let t0 = Unix.gettimeofday () in
   let map = Hashtbl.create (List.length s.locals) in
   List.iter
-    (fun v -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
+    (fun v -> Hashtbl.replace map v (fresh ~name:t.names.(v) t))
     s.locals;
-  let rn v = match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v in
+  let rn v = match Hashtbl.find_opt map v with Some v' -> v' | None -> v in
   List.iter
     (function
       | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
@@ -1250,9 +1235,9 @@ type retraction = {
 (* An atom's dedup key: the three leading key ints its insertion used,
    the last one saying which table (edge or bound). *)
 let key_of = function
-  | Avv (a, b, m, _) -> (a.id, b.id, m, true)
-  | Avc (v, c, m, _) -> ((v.id lsl 1) lor 1, c, m, false)
-  | Acv (c, v, m, _) -> (v.id lsl 1, c, m, false)
+  | Avv (a, b, m, _) -> (a, b, m, true)
+  | Avc (v, c, m, _) -> ((v lsl 1) lor 1, c, m, false)
+  | Acv (c, v, m, _) -> (v lsl 1, c, m, false)
 
 let key_slot t atom =
   let a, b, c, edge = key_of atom in
@@ -1343,7 +1328,7 @@ let compact_log t slices live =
    deletions that made it due. A slice that names a deleted or repeated
    atom, and a fresh atom outside the slices, are caller errors. *)
 let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
-  if t.recorders <> [] then invalid_arg "Solver.retract: inside a recording";
+  if t.recordings > 0 then invalid_arg "Solver.retract: inside a recording";
   let t0 = Unix.gettimeofday () in
   let n = t.nlog and fresh0 = t.fresh_from in
   (* per log entry: 1 while live (in a live slice, or fresh), 2 once a
@@ -1405,14 +1390,14 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
         (match atom with
         | Avv (a, b, m, _) ->
             t.s_edges <- t.s_edges - 1;
-            unlink t t.succ_head a.id b.id m;
-            unlink t t.pred_head b.id a.id m
+            unlink t t.succ_head a b m;
+            unlink t t.pred_head b a m
         | Avc (v, c, m, _) ->
-            t.hi_consts.(v.id) <-
-              List.filter (fun (c', m') -> c' <> c || m' <> m) t.hi_consts.(v.id)
+            t.hi_consts.(v) <-
+              List.filter (fun (c', m') -> c' <> c || m' <> m) t.hi_consts.(v)
         | Acv (c, v, m, _) ->
-            t.lo_consts.(v.id) <-
-              List.filter (fun (c', m') -> c' <> c || m' <> m) t.lo_consts.(v.id));
+            t.lo_consts.(v) <-
+              List.filter (fun (c', m') -> c' <> c || m' <> m) t.lo_consts.(v));
         Iset.remove_slot s j;
         removed := atom :: !removed
       end)
@@ -1435,8 +1420,8 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
     t.fp_gen <- t.fp_gen + 1;
     let g = t.fp_gen in
     let first = function
-      | Avv (a, _, _, _) -> a.id
-      | Avc (v, _, _, _) | Acv (_, v, _, _) -> v.id
+      | Avv (a, _, _, _) -> a
+      | Avc (v, _, _, _) | Acv (_, v, _, _) -> v
     in
     (* a bound key packs the side into the variable id *)
     Hashtbl.iter
@@ -1494,7 +1479,6 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   List.iter
     (function
       | Avc (v, c, m, _) ->
-          let v = v.id in
           t.hi_bound.(v) <-
             List.fold_left
               (fun acc (c, m) -> Elt.meet sp acc (Elt.embed_top sp ~mask:m c))
@@ -1503,7 +1487,6 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
           grow rhi qhi v
             (lnot (Elt.embed_top sp ~mask:m c) land lnot t.hi.(v) land t.hi_bound.(v))
       | Acv (c, v, m, _) ->
-          let v = v.id in
           t.lo_bound.(v) <-
             List.fold_left
               (fun acc (c, m) -> Elt.join sp acc (Elt.embed_bottom sp ~mask:m c))
@@ -1516,7 +1499,6 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
   List.iter
     (function
       | Avv (a, b, m, _) ->
-          let a = a.id and b = b.id in
           grow rlo qlo b (t.lo.(a) land m land t.lo.(b) land lnot t.lo_bound.(b));
           grow rhi qhi a (m land lnot t.hi.(b) land lnot t.hi.(a) land t.hi_bound.(a))
       | Avc _ | Acv _ -> ())
@@ -1595,18 +1577,13 @@ let retract t ~(slices : (int * int) list) ~(ground : error list) : retraction =
      which the edit may have changed anywhere: explain every
      recorded violation afresh *)
   Hashtbl.filter_map_inplace
-    (fun i e -> Some { e with err_msg = explain t t.objs.(i) })
+    (fun i e -> Some { e with err_msg = explain t i })
     t.errors;
   (* 8. a log more dead than live is compacted *)
   let starts =
     if n - !nlive > !nlive then compact_log t slices !nlive else List.map fst slices
   in
   { rt_deleted = ndead; rt_reset = reset; rt_starts = starts }
-
-let pp_atom sp ppf = function
-  | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c
-  | Acv (c, v, _, _) -> Fmt.pf ppf "%a <= %a" (Elt.pp_full sp) c pp_var v
-  | Avv (a, b, _, _) -> Fmt.pf ppf "%a <= %a" pp_var a pp_var b
 
 let error_message e = e.err_msg
 
@@ -1653,7 +1630,7 @@ let error_message e = e.err_msg
    the local list keeps its original order filtered to interface members
    and variables still mentioned. The atom-dedup keys are packed into
    int-keyed [Iset] entries — the tag rides in the low bits of the first
-   [uid] (unique across stores) — so no tuple is allocated and no
+   variable — so no tuple is allocated and no
    polymorphic hashing runs. *)
 let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let c0 = Unix.gettimeofday () in
@@ -1666,10 +1643,10 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   (* scratch tables sized to the scheme: most schemes are a handful of
      locals and atoms, and this runs once per SCC — fixed 64-bucket
      tables dominated the pass's allocation at scale *)
-  let local_uids = Hashtbl.create (max 8 nl) in
-  List.iter (fun v -> Hashtbl.replace local_uids v.uid ()) s.locals;
+  let local_ids = Hashtbl.create (max 8 nl) in
+  List.iter (fun v -> Hashtbl.replace local_ids v ()) s.locals;
   let iface = Hashtbl.create (max 8 (List.length interface)) in
-  List.iter (fun v -> Hashtbl.replace iface v.uid ()) interface;
+  List.iter (fun v -> Hashtbl.replace iface v ()) interface;
   (* dedup + vacuous-drop filter; [seen] persists across passes: a key can
      only name a removed atom if one of its endpoints was eliminated, and
      composition never reproduces atoms on eliminated endpoints *)
@@ -1681,12 +1658,12 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let vacuous = function
     | Avc (_, c, m, _) -> Elt.leq_masked sp ~mask:m (Elt.top sp) c
     | Acv (c, _, m, _) -> Elt.leq_masked sp ~mask:m c (Elt.bottom sp)
-    | Avv (x, y, m, _) -> x.uid = y.uid || m land Elt.full_mask sp = 0
+    | Avv (x, y, m, _) -> x = y || m land Elt.full_mask sp = 0
   in
   let seen_before = function
-    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 0) (-1) c m
-    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 1) (-1) c m
-    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.uid lsl 2) lor 2) y.uid 0 m
+    | Avc (v, c, m, _) -> Iset.mem_add seen ((v lsl 2) lor 0) (-1) c m
+    | Acv (c, v, m, _) -> Iset.mem_add seen ((v lsl 2) lor 1) (-1) c m
+    | Avv (x, y, m, _) -> Iset.mem_add seen ((x lsl 2) lor 2) y 0 m
   in
   let fresh_atom a = (not (vacuous a)) && not (seen_before a) in
   let atoms = ref (List.filter fresh_atom s.atoms) in
@@ -1698,31 +1675,31 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
     incr passes;
     let lowers = Hashtbl.create (max 8 nl)
     and uppers = Hashtbl.create (max 8 nl) in
-    let add tbl uid a =
-      Hashtbl.replace tbl uid
-        (a :: (try Hashtbl.find tbl uid with Not_found -> []))
+    let add tbl id a =
+      Hashtbl.replace tbl id
+        (a :: (try Hashtbl.find tbl id with Not_found -> []))
     in
     List.iter
       (fun a ->
         match a with
-        | Avc (v, _, _, _) -> add uppers v.uid a
-        | Acv (_, v, _, _) -> add lowers v.uid a
+        | Avc (v, _, _, _) -> add uppers v a
+        | Acv (_, v, _, _) -> add lowers v a
         | Avv (x, y, _, _) ->
-            add uppers x.uid a;
-            add lowers y.uid a)
+            add uppers x a;
+            add lowers y a)
       !atoms;
     let kill = Hashtbl.create 16 in
     let extra = ref [] in
     List.iter
       (fun v ->
         if
-          Hashtbl.mem local_uids v.uid
-          && (not (Hashtbl.mem iface v.uid))
-          && (not (Hashtbl.mem eliminated v.uid))
-          && not (Hashtbl.mem kill v.uid)
+          Hashtbl.mem local_ids v
+          && (not (Hashtbl.mem iface v))
+          && (not (Hashtbl.mem eliminated v))
+          && not (Hashtbl.mem kill v)
         then begin
-          let lo = try Hashtbl.find lowers v.uid with Not_found -> [] in
-          let up = try Hashtbl.find uppers v.uid with Not_found -> [] in
+          let lo = try Hashtbl.find lowers v with Not_found -> [] in
+          let up = try Hashtbl.find uppers v with Not_found -> [] in
           (* never compose against a neighbour killed this pass: the
              pass-start index would resurrect its atoms; the next pass
              sees the rebuilt index *)
@@ -1730,9 +1707,9 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
             List.exists
               (fun a ->
                 match a with
-                | Avc (x, _, _, _) | Acv (_, x, _, _) -> Hashtbl.mem kill x.uid
+                | Avc (x, _, _, _) | Acv (_, x, _, _) -> Hashtbl.mem kill x
                 | Avv (x, y, _, _) ->
-                    Hashtbl.mem kill x.uid || Hashtbl.mem kill y.uid)
+                    Hashtbl.mem kill x || Hashtbl.mem kill y)
               (lo @ up)
           in
           if not neighbour_killed then begin
@@ -1780,8 +1757,8 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
             let nup = List.length avcs + List.length succs in
             let ncomposed = nlo * List.length succs in
             if eliminable && ncomposed <= nlo + nup + 2 then begin
-              Hashtbl.replace kill v.uid ();
-              Hashtbl.replace eliminated v.uid ();
+              Hashtbl.replace kill v ();
+              Hashtbl.replace eliminated v ();
               changed := true;
               List.iter
                 (fun (sv, ms, rs) ->
@@ -1801,13 +1778,13 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
         end)
       s.locals;
     if !changed then begin
-      let touches uid = Hashtbl.mem kill uid in
+      let touches id = Hashtbl.mem kill id in
       let kept =
         List.filter
           (fun a ->
             match a with
-            | Avc (v, _, _, _) | Acv (_, v, _, _) -> not (touches v.uid)
-            | Avv (x, y, _, _) -> not (touches x.uid || touches y.uid))
+            | Avc (v, _, _, _) | Acv (_, v, _, _) -> not (touches v)
+            | Avv (x, y, _, _) -> not (touches x || touches y))
           !atoms
       in
       atoms := kept @ List.filter fresh_atom (List.rev !extra)
@@ -1816,7 +1793,7 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let mentioned = Hashtbl.create (max 8 nl) in
   List.iter
     (fun a ->
-      let mark v = Hashtbl.replace mentioned v.uid () in
+      let mark v = Hashtbl.replace mentioned v () in
       match a with
       | Avc (v, _, _, _) | Acv (_, v, _, _) -> mark v
       | Avv (x, y, _, _) ->
@@ -1827,7 +1804,7 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
      the generalized type and must still be freshened per instance *)
   let locals =
     List.filter
-      (fun v -> Hashtbl.mem iface v.uid || Hashtbl.mem mentioned v.uid)
+      (fun v -> Hashtbl.mem iface v || Hashtbl.mem mentioned v)
       s.locals
   in
   if count then begin
@@ -1847,28 +1824,28 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
    cannot under-report errors, because it can produce none. *)
 let atoms_never_violate sp ~(locals : var list) ~(exposed : var list)
     (atoms : atom list) : bool =
-  let local_uids = Hashtbl.create 32 in
-  List.iter (fun v -> Hashtbl.replace local_uids v.uid ()) locals;
+  let local_ids = Hashtbl.create 32 in
+  List.iter (fun v -> Hashtbl.replace local_ids v ()) locals;
   let pinned = Hashtbl.create 32 in
-  List.iter (fun v -> Hashtbl.replace pinned v.uid ()) exposed;
+  List.iter (fun v -> Hashtbl.replace pinned v ()) exposed;
   let is_pinned v =
-    (not (Hashtbl.mem local_uids v.uid)) || Hashtbl.mem pinned v.uid
+    (not (Hashtbl.mem local_ids v)) || Hashtbl.mem pinned v
   in
   let bot = Elt.bottom sp and top = Elt.top sp in
   let lo = Hashtbl.create 32 and hib = Hashtbl.create 32 in
-  let get tbl dflt uid = try Hashtbl.find tbl uid with Not_found -> dflt in
-  let lo_of v = if is_pinned v then top else get lo bot v.uid in
+  let get tbl dflt id = try Hashtbl.find tbl id with Not_found -> dflt in
+  let lo_of v = if is_pinned v then top else get lo bot v in
   let edges = ref [] in
   List.iter
     (function
       | Acv (c, v, m, _) ->
           if not (is_pinned v) then
-            Hashtbl.replace lo v.uid
-              (Elt.join sp (get lo bot v.uid) (Elt.embed_bottom sp ~mask:m c))
+            Hashtbl.replace lo v
+              (Elt.join sp (get lo bot v) (Elt.embed_bottom sp ~mask:m c))
       | Avc (v, c, m, _) ->
-          if Hashtbl.mem local_uids v.uid then
-            Hashtbl.replace hib v.uid
-              (Elt.meet sp (get hib top v.uid) (Elt.embed_top sp ~mask:m c))
+          if Hashtbl.mem local_ids v then
+            Hashtbl.replace hib v
+              (Elt.meet sp (get hib top v) (Elt.embed_top sp ~mask:m c))
       | Avv (x, y, m, _) -> edges := (x, y, m) :: !edges)
     atoms;
   let changed = ref true in
@@ -1878,15 +1855,15 @@ let atoms_never_violate sp ~(locals : var list) ~(exposed : var list)
       (fun (x, y, m) ->
         if not (is_pinned y) then begin
           let contrib = Elt.embed_bottom sp ~mask:m (lo_of x) in
-          let lo' = Elt.join sp (get lo bot y.uid) contrib in
-          if not (Elt.equal lo' (get lo bot y.uid)) then begin
-            Hashtbl.replace lo y.uid lo';
+          let lo' = Elt.join sp (get lo bot y) contrib in
+          if not (Elt.equal lo' (get lo bot y)) then begin
+            Hashtbl.replace lo y lo';
             changed := true
           end
         end)
       !edges
   done;
-  List.for_all (fun v -> Elt.leq sp (lo_of v) (get hib top v.uid)) locals
+  List.for_all (fun v -> Elt.leq sp (lo_of v) (get hib top v)) locals
 
 (* ------------------------------------------------------------------ *)
 (* Standalone evaluation of an atom list                               *)
@@ -1956,7 +1933,7 @@ end
 let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
   let bot = Elt.bottom sp and top = Elt.top sp in
   let index = Dense.create () in
-  let dense (v : var) = Dense.add index v.id in
+  let dense (v : var) = Dense.add index v in
   (* pass 1: number the variables, remembering each atom's endpoints *)
   let na = List.length atoms in
   let ends = Array.make (2 * na) 0 in
@@ -2069,9 +2046,14 @@ let naive_bounds t = solve_atoms t.sp (atoms t)
    question raised in Section 6 ("we currently do not have a notation for
    specifying constraints in the source language"). Combine with
    {!compact} for readable output. *)
-let pp_scheme space ppf (s : scheme) =
+let pp_atom t ppf = function
+  | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" (pp_var t) v (Elt.pp_full t.sp) c
+  | Acv (c, v, _, _) -> Fmt.pf ppf "%a <= %a" (Elt.pp_full t.sp) c (pp_var t) v
+  | Avv (a, b, _, _) -> Fmt.pf ppf "%a <= %a" (pp_var t) a (pp_var t) b
+
+let pp_scheme t ppf (s : scheme) =
   Fmt.pf ppf "∀%a. {%a}"
-    (Fmt.list ~sep:(Fmt.any " ") pp_var)
+    (Fmt.list ~sep:(Fmt.any " ") (pp_var t))
     s.locals
-    (Fmt.list ~sep:(Fmt.any ", ") (pp_atom space))
+    (Fmt.list ~sep:(Fmt.any ", ") (pp_atom t))
     s.atoms

@@ -1,4 +1,4 @@
-(** Atomic qualifier-constraint solver (Sections 3.1–3.2 of the paper).
+(** Solver for atomic qualifier constraints (Sections 3.1–3.2 of the paper).
 
     After subtype constraints on qualified types are decomposed
     structurally, qualifier inference is left with atomic constraints over
@@ -16,8 +16,9 @@
     the atoms generated while inferring a binding and {!instantiate}-ing
     them later under a fresh renaming of the scheme-local variables.
 
-    The implementation is a {e flat arena}: variable state lives in dense
-    int columns indexed by creation-order id, adjacency is a linked edge
+    The implementation is a {e flat arena}: a variable is its
+    creation-order id, its state lives in dense columns indexed by that
+    id, adjacency is a linked edge
     arena, dedup tables are open-addressing int-keyed hash sets and the
     propagation worklist is an int ring buffer (see DESIGN.md,
     "Flat-arena solver"). Its solutions are property-tested against
@@ -33,8 +34,9 @@ type reason = string option
 (** human-readable provenance attached to constraints, used in error
     explanations *)
 
-type var
-(** a qualifier variable (the paper's kappa) *)
+type var = private int
+(** a qualifier variable (the paper's kappa): its creation-order id in
+    its store, below {!num_vars}. Ids are unique within one store only. *)
 
 (** a recorded constraint *)
 type atom =
@@ -55,7 +57,8 @@ val num_vars : t -> int
 (** number of variables created so far (also a size proxy) *)
 
 val var_of_id : t -> int -> var
-(** the variable with this {!var_id}, which must be below {!num_vars} *)
+(** the variable with this {!var_id}.
+    @raise Invalid_argument unless the id is below {!num_vars} *)
 
 val set_budget : t -> Budget.t option -> unit
 (** Attach (or detach) a resource budget. Variable creation counts toward
@@ -68,15 +71,13 @@ val set_budget : t -> Budget.t option -> unit
 val fresh : ?name:string -> t -> var
 
 val var_id : var -> int
-(** stable creation-order id. Unique within one store only — use
-    {!var_uid} when variables of two stores can mix. *)
+(** the variable's creation-order id, [(v :> int)] *)
 
-val var_uid : var -> int
-(** globally unique id (across stores) *)
+val var_name : t -> var -> string
+(** the name given at {!fresh} *)
 
-val var_name : var -> string
-
-val pp_var : var Fmt.t
+val pp_var : t -> var Fmt.t
+(** [name#id] *)
 
 (** {1 Adding constraints}
 
@@ -189,7 +190,8 @@ val error_message : error -> string
 
 val recording : t -> (unit -> 'a) -> 'a * atom list
 (** run the function, capturing every atom added during its execution
-    (including atoms emitted by nested instantiations); recorders nest *)
+    (including atoms emitted by nested instantiations): the slice of the
+    atom log it wrote, in log order. Recordings nest. *)
 
 type scheme
 (** a constrained type scheme [forall kappas. C]: a set of local variables
@@ -207,7 +209,9 @@ val scheme_id : scheme -> int
 val instantiate : t -> scheme -> var -> var
 (** Re-emit the scheme's constraints under a fresh renaming of all its
     locals (so instances cannot interfere — the existential binding of
-    Section 3.2); returns the renaming, the identity on non-locals. *)
+    Section 3.2); returns the renaming, the identity on non-locals. The
+    scheme's variables must be [t]'s: each copy takes its local's
+    {!var_name}. *)
 
 (** {1 Segments and retraction}
 
@@ -306,8 +310,6 @@ val atoms_never_violate :
     one instantiation between call sites (the memoized copy can never
     under-report errors, because it can produce none). *)
 
-val pp_atom : Space.t -> atom Fmt.t
-
 (** {1 Store-free evaluation} *)
 
 val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
@@ -404,6 +406,6 @@ val phase_seconds : t -> phase -> float
 (** current accumulated seconds of a phase — lets a client time an
     enclosing window and subtract the nested phases for disjoint columns *)
 
-val pp_scheme : Space.t -> scheme Fmt.t
+val pp_scheme : t -> scheme Fmt.t
 (** render a constrained scheme (Section 6's presentation concern);
     combine with {!compact} for readable output *)

@@ -297,7 +297,7 @@ type env = {
   shapes : Shape.table;  (** hash-consed r-type skeletons, per store *)
   imemo : (int * string * (int * int list) list, fsig) Hashtbl.t;
       (** instantiation memo: (scheme id, callee, per-argument
-          (shape id, qualifier-variable uids)) -> the shared instance.
+          (shape id, qualifier-variable ids)) -> the shared instance.
           Valid only within one recording session — every session
           boundary resets it, so a memo hit always names an instance
           whose atoms were captured into the current recording. *)
@@ -469,8 +469,7 @@ let lib_sig env name : fsig option =
     is the declared parameter type, each level's declared qualifiers are
     passed to the rule (e.g. const-declared levels are exempt from
     non-const forcing). *)
-let rec force_escape env ?(decl : Cast.ctype option) (r : rt) ~reason =
-  ignore reason;
+let rec force_escape env ?(decl : Cast.ctype option) (r : rt) =
   match r with
   | RBase | RVoid | RStruct _ -> ()
   | RFun _ -> ()
@@ -482,15 +481,14 @@ let rec force_escape env ?(decl : Cast.ctype option) (r : rt) ~reason =
       in
       let declared = Option.map Cast.quals_of target_decl in
       env.rules.qr_escape env.store ~declared c.q;
-      force_escape env ?decl:target_decl c.contents ~reason
+      force_escape env ?decl:target_decl c.contents
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let assign_to env (c : cell) ~reason =
+let assign_to env (c : cell) =
   (* the (Assign') choice point: rules restrict the assigned ref *)
-  ignore reason;
   env.rules.qr_write env.store c.q
 
 (* instantiate a defined function for one occurrence *)
@@ -583,8 +581,7 @@ let fun_call_occurrence env name (arg_rts : rt list) : fsig option =
             let arg_key =
               List.map
                 (fun r ->
-                  ( Shape.id (Shape.of_rt env.shapes r),
-                    List.map Solver.var_uid (rt_qvars r) ))
+                  (Shape.id (Shape.of_rt env.shapes r), (rt_qvars r :> int list)))
                 arg_rts
             in
             let key = (Solver.scheme_id sch, name, arg_key) in
@@ -698,18 +695,18 @@ and rvalue env scope (e : Cast.expr) : rt =
       | _ -> RBase)
   | EAssign (lhs, rhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"assignment target (Assign')";
+      assign_to env c;
       let rr = rvalue env scope rhs in
       sub ~reason:"assignment flow" env.store rr c.contents;
       c.contents
   | EAssignOp (_, lhs, rhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"compound assignment target (Assign')";
+      assign_to env c;
       ignore (rvalue env scope rhs);
       c.contents
   | EIncDec (_, _, lhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"++/-- target (Assign')";
+      assign_to env c;
       c.contents
   | ECond (g, a, b) -> (
       ignore (rvalue env scope g);
@@ -775,9 +772,7 @@ and call env scope callee args : rt =
                 | [] -> ()
                 | r :: rs ->
                     (match List.nth_opt ds i with
-                    | Some d ->
-                        force_escape env ~decl:d r
-                          ~reason:("argument to library function " ^ fname)
+                    | Some d -> force_escape env ~decl:d r
                     | None ->
                         (* extra (variadic) arguments are ignored,
                            Section 4.2 *)
@@ -789,11 +784,7 @@ and call env scope callee args : rt =
           | None ->
               (* no prototype at all: every pointer argument is conservative *)
               warn env ("call to undeclared function " ^ fname);
-              List.iter
-                (fun r ->
-                  force_escape env r
-                    ~reason:("argument to undeclared function " ^ fname))
-                arg_rts;
+              List.iter (fun r -> force_escape env r) arg_rts;
               RBase))
   | _ -> (
       (* call through an expression: function pointer *)
@@ -801,10 +792,7 @@ and call env scope callee args : rt =
       | RFun s -> link_sig s
       | RPtr { contents = RFun s; _ } -> link_sig s
       | _ ->
-          List.iter
-            (fun r ->
-              force_escape env r ~reason:"argument through unknown pointer")
-            arg_rts;
+          List.iter (fun r -> force_escape env r) arg_rts;
           RBase)
 
 (* ------------------------------------------------------------------ *)
@@ -1375,7 +1363,7 @@ let same_globals (a : Cprog.t) (b : Cprog.t) =
    digest are instantiated into structurally identical constraints, so a
    caller that read one needs no re-inference when its callee now
    registers the other: the early cutoff. *)
-let entry_digest (e : fentry option) : string =
+let entry_digest store (e : fentry option) : string =
   match e with
   | None | Some (FMono _) -> "-"
   | Some (FPoly (sch, s)) ->
@@ -1383,8 +1371,8 @@ let entry_digest (e : fentry option) : string =
       let local = Hashtbl.create 16 in
       List.iteri
         (fun i v ->
-          Hashtbl.replace local (Solver.var_uid v) i;
-          Buffer.add_string b (Solver.var_name v);
+          Hashtbl.replace local (Solver.var_id v) i;
+          Buffer.add_string b (Solver.var_name store v);
           Buffer.add_char b '\001')
         (Solver.scheme_locals sch);
       let int n =
@@ -1392,7 +1380,7 @@ let entry_digest (e : fentry option) : string =
         Buffer.add_char b ','
       in
       let var v =
-        match Hashtbl.find_opt local (Solver.var_uid v) with
+        match Hashtbl.find_opt local (Solver.var_id v) with
         | Some i -> Buffer.add_char b 'L'; int i
         | None -> Buffer.add_char b 'G'; int (Solver.var_id v)
       in
@@ -1416,8 +1404,8 @@ let entry_digest (e : fentry option) : string =
         | RFun f -> go_fsig f
       and go_cell c =
         var c.q;
-        if not (Hashtbl.mem seen (Solver.var_uid c.q)) then begin
-          Hashtbl.add seen (Solver.var_uid c.q) ();
+        if not (Hashtbl.mem seen (Solver.var_id c.q)) then begin
+          Hashtbl.add seen (Solver.var_id c.q) ();
           go_rt c.contents
         end
       and go_fsig f =
@@ -1620,7 +1608,9 @@ let advance (base : env) (prev : layout option) (prog : Cprog.t) :
         if cutoff then
           List.iter2
             (fun v old ->
-              if entry_digest (Hashtbl.find_opt env.funs fdg.Fdg.names.(v)) <> entry_digest old
+              if
+                entry_digest env.store (Hashtbl.find_opt env.funs fdg.Fdg.names.(v))
+                <> entry_digest env.store old
               then changed v)
             (Array.to_list nodes) before;
         sg

@@ -163,7 +163,7 @@ let tarjan (order : int array) (succ : int array array) : int * int array array 
     order;
   (!nsccs, scc_nodes, scc_root)
 
-let stamps = Atomic.make 0
+let stamps = ref 0
 
 (* a dead id's definition: the removed one is not kept alive *)
 let no_def : Cast.fundef =
@@ -242,7 +242,8 @@ let room a n x =
     wants the dead ids gone builds cold. *)
 let build ?prev (prog : Cprog.t) : t =
   let p = match prev with Some p -> p | None -> empty () in
-  let stamp = Atomic.fetch_and_add stamps 1 in
+  let stamp = !stamps in
+  incr stamps;
   let cap0 = p.ids in
   let intern name =
     match Hashtbl.find_opt p.syms name with

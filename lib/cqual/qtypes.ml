@@ -216,22 +216,6 @@ let rt_qvars (r : rt) : Solver.var list =
       !acc
 
 (* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec pp_rt ppf = function
-  | RBase -> Fmt.string ppf "base"
-  | RVoid -> Fmt.string ppf "void"
-  | RPtr c -> Fmt.pf ppf "ptr(%a)" pp_cell c
-  | RStruct tag -> Fmt.pf ppf "struct %s" tag
-  | RFun f ->
-      Fmt.pf ppf "fun(%a) -> %a"
-        Fmt.(list ~sep:comma pp_cell)
-        f.fs_params pp_rt f.fs_ret
-
-and pp_cell ppf c = Fmt.pf ppf "%a ref(%a)" Solver.pp_var c.q pp_rt c.contents
-
-(* ------------------------------------------------------------------ *)
 (* Hash-consed shapes                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,7 +239,7 @@ module Shape = struct
     tbl : (string, t) Hashtbl.t;
     mutable next : int;
     by_cell : (int, t) Hashtbl.t;
-        (* root-cell intern: uid of an [RPtr] root's qualifier → shape.
+        (* root-cell intern: id of an [RPtr] root's qualifier → shape.
            Sound because a cell's reachable structure is fixed once its
            builder returns ([copy_rt]/[mirror]/decode tie the knot before
            exposing the cell), and a qualifier variable shared between two
@@ -305,12 +289,12 @@ module Shape = struct
           Buffer.add_char buf ')';
           go_rt f.fs_ret
     and go_cell c =
-      match Hashtbl.find_opt seen (Solver.var_uid c.q) with
+      match Hashtbl.find_opt seen (Solver.var_id c.q) with
       | Some k ->
           Buffer.add_char buf '@';
           Buffer.add_string buf (string_of_int k)
       | None ->
-          Hashtbl.add seen (Solver.var_uid c.q) !count;
+          Hashtbl.add seen (Solver.var_id c.q) !count;
           incr count;
           Buffer.add_char buf 'c';
           go_rt c.contents
@@ -329,12 +313,12 @@ module Shape = struct
     | RVoid -> intern table "v" ~flat:true
     | RStruct tag -> intern table ("s" ^ tag ^ ";") ~flat:true
     | RPtr c -> (
-        let uid = Solver.var_uid c.q in
-        match Hashtbl.find_opt table.by_cell uid with
+        let id = Solver.var_id c.q in
+        match Hashtbl.find_opt table.by_cell id with
         | Some s -> s
         | None ->
             let s = of_rt_uncached table r in
-            Hashtbl.add table.by_cell uid s;
+            Hashtbl.add table.by_cell id s;
             s)
     | RFun _ -> of_rt_uncached table r
 end

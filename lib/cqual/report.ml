@@ -492,7 +492,3 @@ let pp_position ppf ((p, v) : position * verdict) =
       option (fun ppf (lo, hi) ->
           if lo = hi then pf ppf " [%s]" lo else pf ppf " [%s..%s]" lo hi))
     p.p_levels
-
-let pp_results ppf (r : results) =
-  Fmt.pf ppf "declared=%d inferred-possible=%d must=%d total=%d errors=%d"
-    r.declared r.possible r.must r.total r.type_errors

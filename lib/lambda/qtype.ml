@@ -231,15 +231,3 @@ let pp_solved store ppf rho =
     | Ref c -> Fmt.pf ppf "%a ref(%a)" pq rho.q go c
   in
   go ppf rho
-
-(** Print with raw qualifier variables. *)
-let pp_vars ppf rho =
-  let rec go ppf rho =
-    match repr rho.shape with
-    | Var v -> Fmt.pf ppf "%a 's%d" Solver.pp_var rho.q v.id
-    | Int -> Fmt.pf ppf "%a int" Solver.pp_var rho.q
-    | Unit -> Fmt.pf ppf "%a unit" Solver.pp_var rho.q
-    | Fun (a, r) -> Fmt.pf ppf "%a (%a -> %a)" Solver.pp_var rho.q go a go r
-    | Ref c -> Fmt.pf ppf "%a ref(%a)" Solver.pp_var rho.q go c
-  in
-  go ppf rho

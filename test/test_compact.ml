@@ -66,10 +66,9 @@ let test_inconsistent_internal_kept () =
   in
   let s = S.make_scheme ~locals:[ a; v ] ~atoms in
   let s' = S.compact st ~interface:[ a ] s in
-  let st2 = S.create sp in
-  let (_rn : S.var -> S.var) = S.instantiate st2 s' in
+  let (_rn : S.var -> S.var) = S.instantiate st s' in
   Alcotest.(check bool) "instance still unsat" true
-    (Result.is_error (S.solve st2))
+    (Result.is_error (S.solve st))
 
 (* Interface variables survive even when unconstrained: they occur in the
    generalized type and must freshen per instance. *)

@@ -204,28 +204,32 @@ let test_int_literal_overflow_cqualc () =
       Alcotest.(check bool) "report printed" true
         (contains ~sub:"functions: 2 (2 analyzed, 0 degraded)" (read out)))
 
-(* there is no disk tier: cqualc rejects --cache as an unknown option,
+(* there is no disk tier: every CLI rejects --cache as an unknown option,
    exits 2 (cmdliner's 124 folded) before it reads a source, and creates
    no directory *)
 let test_cqualc_rejects_cache () =
   with_temp_dir (fun dir ->
-      let unit = write dir "u.c" "int f(int *p) { return *p; }\n" in
-      let cache = Filename.concat dir "qc" in
-      let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
-      let code =
-        Sys.command
-          (Printf.sprintf "%s --cache %s %s > %s 2> %s"
-             (Filename.quote (built "cqualc.exe"))
-             (Filename.quote cache) (Filename.quote unit) (Filename.quote out)
-             (Filename.quote err))
-      in
-      let created = Sys.file_exists cache in
-      if created then ignore (Sys.command ("rm -rf " ^ Filename.quote cache));
-      Alcotest.(check int) "exit status" 2 code;
-      Alcotest.(check bool) "usage error naming --cache" true
-        (contains ~sub:"unknown option '--cache'" (read err));
-      Alcotest.(check string) "stdout" "" (read out);
-      Alcotest.(check bool) "no directory created" false created)
+      List.iter
+        (fun (exe, source) ->
+          let unit = write dir source "int f(int *p) { return *p; }\n" in
+          let cache = Filename.concat dir "qc" in
+          let out = Filename.concat dir "out.txt"
+          and err = Filename.concat dir "err.txt" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s --cache %s %s > %s 2> %s"
+                 (Filename.quote (built exe))
+                 (Filename.quote cache) (Filename.quote unit)
+                 (Filename.quote out) (Filename.quote err))
+          in
+          let created = Sys.file_exists cache in
+          if created then ignore (Sys.command ("rm -rf " ^ Filename.quote cache));
+          Alcotest.(check int) (exe ^ ": exit status") 2 code;
+          Alcotest.(check bool) (exe ^ ": usage error naming --cache") true
+            (contains ~sub:"unknown option '--cache'" (read err));
+          Alcotest.(check string) (exe ^ ": stdout") "" (read out);
+          Alcotest.(check bool) (exe ^ ": no directory created") false created)
+        [ ("cqualc.exe", "u.c"); ("qualc.exe", "u.ml"); ("typequald.exe", "u.c") ])
 
 (* qualc on a FILE or --lattice path it cannot read: a one-line error
    naming the path and exit 2, as cqualc and typequald give *)

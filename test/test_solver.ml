@@ -240,13 +240,67 @@ let test_pp_scheme () =
         g)
   in
   let sch = S.make_scheme ~locals:[ g ] ~atoms in
-  let str = Fmt.str "%a" (S.pp_scheme sp) sch in
+  let str = Fmt.str "%a" (S.pp_scheme st) sch in
   Alcotest.(check bool)
     (Printf.sprintf "rendered: %s" str)
     true
     (String.length str > 4 && String.sub str 0 4 = "\xe2\x88\x80g")
 
 let tests = tests @ [ Alcotest.test_case "pp_scheme" `Quick test_pp_scheme ]
+
+(* A recording returns the slice of the atom log its function wrote:
+   nested recordings give the inner and the outer slice, each in log
+   order, and an unlogged self-edge is in neither. *)
+let test_nested_recordings () =
+  let sp = space () in
+  let st = S.create sp in
+  let a = S.fresh st and b = S.fresh st in
+  let full = E.full_mask sp and nc = E.not_name sp "const" in
+  S.add_leq_vv st a b;
+  let ((), inner), outer =
+    S.recording st (fun () ->
+        S.add_leq_cv st (const_elt sp) a;
+        let r =
+          S.recording st (fun () ->
+              S.add_leq_vv st b a;
+              S.add_leq_vv st a a)
+        in
+        S.add_leq_vc st b nc;
+        r)
+  in
+  Alcotest.(check bool) "inner slice" true (inner = [ S.Avv (b, a, full, None) ]);
+  let expected =
+    [ S.Acv (const_elt sp, a, full, None); S.Avv (b, a, full, None);
+      S.Avc (b, nc, full, None) ]
+  in
+  Alcotest.(check bool) "outer slice" true (outer = expected);
+  Alcotest.(check bool) "the log's tail" true
+    (S.atoms st = S.Avv (a, b, full, None) :: expected)
+
+(* [retract] refuses to move the log under a running recording, and runs
+   once a recording has ended, also by its function raising *)
+let test_retract_and_recording () =
+  let sp = space () in
+  let st = S.create sp in
+  let a = S.fresh st and b = S.fresh st in
+  S.add_leq_vv st a b;
+  S.checkpoint st;
+  let retract () = S.retract st ~slices:[ (0, 1) ] ~ground:[] in
+  Alcotest.check_raises "inside a recording"
+    (Invalid_argument "Solver.retract: inside a recording") (fun () ->
+      ignore (S.recording st retract));
+  (try ignore (S.recording st (fun () -> failwith "raised")) with Failure _ -> ());
+  Alcotest.(check int) "retract runs after a raising recording" 0
+    (retract ()).S.rt_deleted
+
+let tests =
+  tests
+  @ [
+      Alcotest.test_case "nested recordings are log slices" `Quick
+        test_nested_recordings;
+      Alcotest.test_case "retract and recordings" `Quick
+        test_retract_and_recording;
+    ]
 
 (* ------------- union-find / cycle elimination / incremental ---------- *)
 
